@@ -2,9 +2,10 @@
 
 Exact rational Euler integration of constructible and piecewise-linear
 data, angle-defect curvature measures of embedded complexes (closed
-forms in low ambient dimension, seeded Monte Carlo elsewhere), stratified
-Morse indices, pushforwards with both Fubini identities, and the
-shrinking-fiber limit on surfaces of revolution.
+forms cover simplices of dimension <= 3 in any ambient dimension, seeded
+Monte Carlo covers the rest), stratified Morse indices, pushforwards
+with both Fubini identities, and the shrinking-fiber limit on surfaces
+of revolution.
 """
 
 from .complexes import (

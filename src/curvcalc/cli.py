@@ -121,7 +121,7 @@ def _cmd_validate(args, out) -> int:
         "chi_c": chi_c(doc.complex, doc.complex.cells()),
     }
     if args.vertex is not None:
-        vid = doc.name_to_id[args.vertex]
+        vid = doc.vertex_id(args.vertex)
         report["star"] = len(doc.complex.star(vid))
         report["link"] = len(doc.complex.link(vid))
     _dump_json(report, out)

@@ -3,12 +3,13 @@
 The curvature at a vertex is the alternating sum, over the simplices
 containing it, of normal-cone fractions: the fraction of the unit sphere
 of directions under which that vertex is the strict maximum of the
-simplex. Closed forms exist for ambient dimension N <= 3 (sign
-inspection, arc measure, solid angle); higher dimensions use seeded
-Monte Carlo. Every float result carries an error bound (0 for exact
-values); bounds propagate by summation.
+simplex. Closed forms cover simplices of dimension <= 3 in any ambient
+dimension; larger simplices and product cells use seeded Monte Carlo.
+Every float result carries an error bound (0 for exact values); bounds
+propagate by summation.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -18,6 +19,7 @@ from .complexes import PLFunction, ProductCellComplex, SimplicialComplex
 from .errors import (
     DegenerateSimplex,
     ExactUnavailable,
+    NonFiniteCoordinate,
     PieceNotSubcomplex,
     UnknownSimplex,
     UnknownVertex,
@@ -45,6 +47,9 @@ class Embedding:
         for v in carrier.vertices:
             if v not in coords:
                 raise UnknownVertex(v)
+        for v, c in coords.items():
+            if not np.isfinite(c).all():
+                raise NonFiniteCoordinate(v)
         dims = {c.shape for c in coords.values()}
         if len(dims) > 1:
             raise ValueError(f"mixed coordinate dimensions: {dims}")
@@ -61,11 +66,9 @@ class Embedding:
     def _is_degenerate(self, simplex) -> bool:
         pts = np.array([self.coordinates[v] for v in simplex])
         gens = pts[1:] - pts[0]
-        k = gens.shape[0]
-        if k > self.ambient_dim:
-            return True
         sv = np.linalg.svd(gens, compute_uv=False)
-        return bool(sv[-1] <= _DEGENERACY_RTOL * max(sv[0], 1.0))
+        # fewer singular values than generators: more of them than dimensions
+        return len(sv) < len(gens) or bool(sv[-1] <= _DEGENERACY_RTOL * max(sv[0], 1.0))
 
     @property
     def vertex_order(self):
@@ -78,15 +81,6 @@ class Embedding:
     def matrix(self) -> np.ndarray:
         """(n_vertices, N) coordinate matrix in vertex_order."""
         return np.array([self.coordinates[v] for v in self._vertex_order])
-
-    def generators(self, simplex, v) -> np.ndarray:
-        """The difference vectors v - w for the other vertices w; the
-        normal cone at v is where all of them have nonnegative dot
-        products with the direction."""
-        pv = self.coordinates[v]
-        return np.array([pv - self.coordinates[w] for w in simplex if w != v]).reshape(
-            -1, self.ambient_dim
-        )
 
     def restrict(self, subcomplex: SimplicialComplex) -> "Embedding":
         if not subcomplex.is_subcomplex_of(self.carrier):
@@ -124,48 +118,69 @@ def product_embedding(ex: Embedding, ey: Embedding) -> Embedding:
 
 
 # ---------------------------------------------------------------------------
-# Exact normal-cone fractions, ambient dimension <= 3
+# Normal-cone fractions
 # ---------------------------------------------------------------------------
 
-def _cone_fraction_exact(gens: np.ndarray, ambient_dim: int) -> float:
-    """Normalized sphere measure of { xi : <xi, g> >= 0 for all g }.
+def _exact_cone_fractions(coords: np.ndarray, cells: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Exact normal-cone fraction for every (cell, vertex slot) pair of a
+    simplex table from mc.build_cell_arrays; padding slots stay 0.
 
-    For a nondegenerate simplex the generators are linearly independent,
-    so only the counts 0..3 occur in ambient dimension <= 3:
-      0 generators: the whole sphere;
-      1: a half-space, measure 1/2;
-      2: a wedge between two half-spaces, measure (pi - angle)/(2 pi)
-         regardless of ambient dimension;
-      3 (N = 3 only): a simplicial cone; solid angle by the
-         tangent-of-half-angle formula on its extreme rays.
+    At a vertex v with m other vertices w the cone is where all the
+    generators g = p_v - p_w have nonnegative dot products with the
+    direction. Its sphere fraction is the Gaussian orthant probability of
+    the generators, which depends only on the angles theta_ij between
+    them. For m <= 3 it is, in any ambient dimension,
+      (1 + C(m, 2)) / 2^m - sum_{i<j} theta_ij / (2^(m-1) pi)
+    (Sheppard 1899; Plackett 1954). Angles use the form
+    theta = 2 atan2(|u - w|, |u + w|) on unit vectors, which stays
+    accurate for nearly parallel or opposite generators.
     """
-    k = gens.shape[0]
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return 0.5
-    if k == 2:
-        g1, g2 = gens
-        if ambient_dim == 2:
-            cross = abs(g1[0] * g2[1] - g1[1] * g2[0])
-        else:
-            cross = float(np.linalg.norm(np.cross(g1, g2)))
-        theta = math.atan2(cross, float(np.dot(g1, g2)))
-        return (math.pi - theta) / (2.0 * math.pi)
-    if k == 3 and ambient_dim == 3:
-        try:
-            rays = np.linalg.inv(gens)  # columns r_i satisfy <g_j, r_i> = delta_ij >= 0
-        except np.linalg.LinAlgError:
-            raise DegenerateSimplex(tuple(range(k + 1))) from None
-        rays = rays / np.linalg.norm(rays, axis=0)
-        r1, r2, r3 = rays.T
-        numer = abs(float(np.dot(r1, np.cross(r2, r3))))
-        denom = 1.0 + float(np.dot(r1, r2) + np.dot(r2, r3) + np.dot(r3, r1))
-        omega = 2.0 * math.atan2(numer, denom)
-        return omega / (4.0 * math.pi)
-    raise ExactUnavailable(
-        f"no exact formula for {k} generators in ambient dimension {ambient_dim}"
+    fractions = np.zeros(cells.shape)
+    for n in np.unique(sizes).tolist():
+        m = n - 1
+        if m > 3:
+            raise ExactUnavailable(f"no exact cone fraction for {m} generators")
+        rows = np.flatnonzero(sizes == n)
+        pts = coords[cells[rows, :n]]
+        for v in range(n):
+            gens = pts[:, [v]] - pts[:, [w for w in range(n) if w != v]]
+            unit = gens / np.linalg.norm(gens, axis=-1, keepdims=True)
+            theta = sum(
+                2.0 * np.arctan2(
+                    np.linalg.norm(unit[:, i] - unit[:, j], axis=-1),
+                    np.linalg.norm(unit[:, i] + unit[:, j], axis=-1),
+                )
+                for i, j in itertools.combinations(range(m), 2)
+            )
+            fractions[rows, v] = (1 + math.comb(m, 2)) / 2.0**m - theta / (2.0 ** (m - 1) * math.pi)
+    return fractions
+
+
+def _cell_list(carrier, cells, method: str):
+    """(vertex objects, dim) for each cell; exact fractions need simplices."""
+    if isinstance(carrier, SimplicialComplex):
+        return [(s, len(s) - 1) for s in cells]
+    if method == "exact":
+        raise ExactUnavailable("exact cone fractions apply to simplicial carriers only")
+    return [(carrier.cell_vertex_objects(c), carrier.cell_dim(c)) for c in cells]
+
+
+def _cone_fractions(coords, cells, sizes, method, samples, seed, batch_size=8192):
+    """Normal-cone fraction and its error bound for every (cell, vertex
+    slot) pair of a table from mc.build_cell_arrays; the table's vertex
+    ids are rows of coords."""
+    if method == "exact":
+        return _exact_cone_fractions(coords, cells, sizes), np.zeros(cells.shape)
+    if method != "mc":
+        raise ValueError(f"unknown method {method!r}")
+
+    def heights(dirs):
+        return dirs @ coords.T
+
+    counts, _ = mc.run_cone_counts(
+        heights, coords.shape[-1], cells, sizes, samples, seed, batch_size
     )
+    return counts / samples, mc.smoothed_binomial_stderr(counts, samples)
 
 
 def excess_angle(
@@ -178,78 +193,23 @@ def excess_angle(
 ) -> ValueWithError:
     """Normal-cone fraction of one simplex at one of its vertices."""
     simplex = tuple(simplex)
-    if v not in simplex:
-        raise UnknownVertex(v)
-    if not embedding.carrier.has_cell(simplex):
+    carrier = embedding.carrier
+    if not carrier.has_cell(simplex):
         raise UnknownSimplex(simplex)
-    if method == "exact":
-        if embedding.ambient_dim > 3:
-            raise ExactUnavailable("exact cone fractions need ambient dimension <= 3")
-        gens = embedding.generators(simplex, v)
-        return ValueWithError(_cone_fraction_exact(gens, embedding.ambient_dim), 0.0)
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-    gens = embedding.generators(simplex, v)
-    if gens.shape[0] == 0:
-        return ValueWithError(1.0, 0.0)
-
-    def heights(dirs):
-        # heights of "v" (0) and of each w, shifted so comparisons reduce
-        # to the cone inequalities <xi, v - w> >= 0
-        return np.concatenate(
-            [np.zeros((dirs.shape[0], 1)), -(dirs @ gens.T)], axis=1
-        )
-
-    n_pts = gens.shape[0] + 1
-    cells = np.arange(n_pts, dtype=np.int64)[None, :]
-    sizes = np.array([n_pts], dtype=np.int64)
-    counts, _ = mc.run_cone_counts(
-        heights, embedding.ambient_dim, cells, sizes, samples, seed
-    )
-    hits = int(counts[0, 0])
-    return ValueWithError(hits / samples, mc.smoothed_binomial_stderr(hits, samples))
+    cell_list = _cell_list(carrier, [simplex], method)
+    vertices = cell_list[0][0]
+    if v not in vertices:
+        raise UnknownVertex(v)
+    cells, sizes, _ = mc.build_cell_arrays(cell_list, {w: i for i, w in enumerate(vertices)})
+    coords = np.array([embedding.coordinates[w] for w in vertices])
+    fractions, bounds = _cone_fractions(coords, cells, sizes, method, samples, seed)
+    slot = vertices.index(v)
+    return ValueWithError(float(fractions[0, slot]), float(bounds[0, slot]))
 
 
 # ---------------------------------------------------------------------------
 # Vertex curvature
 # ---------------------------------------------------------------------------
-
-def _mc_curvature_all(embedding: Embedding, samples: int, seed: int, batch_size: int):
-    carrier = embedding.carrier
-    index = embedding.vertex_index
-    if isinstance(carrier, SimplicialComplex):
-        cell_list = [(s, len(s) - 1) for s in carrier.cells()]
-    else:
-        cell_list = [(carrier.cell_vertex_objects(c), carrier.cell_dim(c)) for c in carrier.cells()]
-    cells, sizes, signs = mc.build_cell_arrays(cell_list, index)
-    coords = embedding.matrix()
-
-    def heights(dirs):
-        return dirs @ coords.T
-
-    counts, stats = mc.run_cone_counts(
-        heights, embedding.ambient_dim, cells, sizes, samples, seed, batch_size
-    )
-    values = {v: 0.0 for v in embedding.vertex_order}
-    bounds = {v: 0.0 for v in embedding.vertex_order}
-    for m, (vs, _) in enumerate(cell_list):
-        vs = tuple(vs)
-        for j, v in enumerate(vs):
-            c = int(counts[m, j])
-            values[v] += signs[m] * c / samples
-            bounds[v] += mc.smoothed_binomial_stderr(c, samples)
-    return {v: ValueWithError(values[v], bounds[v]) for v in values}, stats
-
-
-def _exact_curvature(embedding: Embedding, v) -> float:
-    carrier = embedding.carrier
-    total = 0.0
-    for s in carrier.star(v):
-        gens = embedding.generators(s, v)
-        sign = -1.0 if (len(s) - 1) % 2 else 1.0
-        total += sign * _cone_fraction_exact(gens, embedding.ambient_dim)
-    return total
-
 
 def vertex_curvature(
     v,
@@ -277,19 +237,21 @@ def curvature_measure(
     binomial standard errors) upper-bounds the standard deviation of the
     signed sum."""
     carrier = embedding.carrier
-    if method == "exact":
-        if not isinstance(carrier, SimplicialComplex):
-            raise ExactUnavailable("exact cone fractions apply to simplicial carriers only")
-        if embedding.ambient_dim > 3:
-            raise ExactUnavailable("exact cone fractions need ambient dimension <= 3")
-        return {
-            v: ValueWithError(_exact_curvature(embedding, v), 0.0)
-            for v in carrier.vertices
-        }
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-    values, _ = _mc_curvature_all(embedding, samples, seed, batch_size)
-    return values
+    cells, sizes, signs = mc.build_cell_arrays(
+        _cell_list(carrier, carrier.cells(), method), embedding.vertex_index
+    )
+    fractions, bounds = _cone_fractions(
+        embedding.matrix(), cells, sizes, method, samples, seed, batch_size
+    )
+    filled = np.arange(cells.shape[1]) < sizes[:, None]
+    ids = cells[filled]
+    n = len(embedding.vertex_order)
+    values = np.bincount(ids, weights=(signs[:, None] * fractions)[filled], minlength=n)
+    totals = np.bincount(ids, weights=bounds[filled], minlength=n)
+    return {
+        v: ValueWithError(float(values[i]), float(totals[i]))
+        for i, v in enumerate(embedding.vertex_order)
+    }
 
 
 def curvature_integral(

@@ -89,3 +89,9 @@ class GridTooCoarse(CurvCalcError):
 
 class NegativeWarp(CurvCalcError):
     pass
+
+
+class NonFiniteCoordinate(CurvCalcError):
+    def __init__(self, vertex):
+        self.vertex = vertex
+        super().__init__(f"vertex {vertex!r} has a non-finite coordinate")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import PLFunction, SimplicialComplex, SimplicialMap
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, ParseError, UnknownVertex
 from .euler import ConstructibleFunction
 
 COMPLEX_HEADER = "curvcalc-complex v1"
@@ -36,6 +36,11 @@ class ComplexDocument:
     @property
     def name_to_id(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
+
+    def vertex_id(self, name: str) -> int:
+        if name not in self.names:
+            raise UnknownVertex(name)
+        return self.names.index(name)
 
 
 def _parse_rational(token: str, lineno: int) -> Fraction:

@@ -112,11 +112,12 @@ def run_lower_link_stats(
     return sums, sumsq, McStats(n_samples, resampled, batch_index)
 
 
-def smoothed_binomial_stderr(count: int, n: int) -> float:
-    """Standard error of a cone-fraction estimate, with the proportion
-    smoothed toward 1/2 by one pseudo-count so the bound is never zero."""
+def smoothed_binomial_stderr(count, n: int):
+    """Standard error of a cone-fraction estimate from a hit count or an
+    array of them, with the proportion smoothed toward 1/2 by one
+    pseudo-count so the bound is never zero."""
     p = (count + 1.0) / (n + 2.0)
-    return float(np.sqrt(p * (1.0 - p) / n))
+    return np.sqrt(p * (1.0 - p) / n)
 
 
 def build_cell_arrays(cells_with_dims, vertex_index):

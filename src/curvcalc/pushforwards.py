@@ -91,15 +91,16 @@ def fubini_curvature(
 
     The product curvature is estimated directly on the product cells in
     the combined ambient space (product cells are not simplices, so the
-    exact low-dimensional formulas do not apply). Factor curvatures use
-    the exact method when available, otherwise their own Monte Carlo
-    streams; bounds combine in quadrature plus the product cross terms.
+    exact formulas do not apply). Factor curvatures use the exact method
+    for simplicial factors of dimension <= 3, otherwise their own Monte
+    Carlo streams; bounds combine in quadrature plus the product cross
+    terms.
     """
     ep = product_embedding(ex, ey)
     kappa_product = curvature_measure(ep, method="mc", samples=samples, seed=seed)
 
     def factor_measure(e: Embedding, offset: int):
-        if isinstance(e.carrier, SimplicialComplex) and e.ambient_dim <= 3:
+        if isinstance(e.carrier, SimplicialComplex) and e.carrier.dim <= 3:
             return curvature_measure(e, method="exact")
         return curvature_measure(e, method="mc", samples=samples, seed=seed + offset)
 

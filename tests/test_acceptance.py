@@ -149,7 +149,7 @@ def test_criterion_04_signature_identities():
 
 
 def test_criterion_05_weights_equal_equilateral_curvature():
-    with criterion(5, "vertex weights match Monte Carlo curvature in the unit-edge metric"):
+    with criterion(5, "vertex weights match exact and Monte Carlo curvature in the unit-edge metric"):
         start = time.perf_counter()
         rng = np.random.default_rng(55)
         for _ in range(20):
@@ -158,9 +158,11 @@ def test_criterion_05_weights_equal_equilateral_curvature():
             kappa = curvature_measure(
                 equilateral_embedding(X), method="mc", samples=100_000, seed=int(rng.integers(1 << 30))
             )
+            exact = curvature_measure(equilateral_embedding(X), method="exact")
             for v in X.vertices:
                 gap = abs(float(w[v]) - kappa[v].value)
                 assert gap <= 4 * kappa[v].bound, (v, gap, kappa[v].bound)
+                assert abs(float(w[v]) - exact[v].value) <= 1e-12, (v, exact[v])
         elapsed = time.perf_counter() - start
         assert elapsed < 120, f"took {elapsed:.1f} s"
 

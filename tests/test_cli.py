@@ -72,6 +72,25 @@ def test_bad_document_reports_parse_error(tmp_path):
     assert json.loads(err)["error"] == "ParseError"
 
 
+def test_validate_unknown_vertex_exits_2(fixture_dir):
+    code, out, err = invoke(
+        "validate", str(fixture_dir / "octahedron.txt"), "--vertex", "nosuch"
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UnknownVertex"
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_non_finite_coordinate_exits_2(tmp_path, bad):
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        f"curvcalc-complex v1\nvertices\na 0 0\nb 1 {bad}\nc 0 1\nsimplices\na b c\n"
+    )
+    code, out, err = invoke("curvature", str(path), "--method", "exact")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "NonFiniteCoordinate"
+
+
 def test_gauss_bonnet_check_json(fixture_dir):
     code, out, _ = invoke(
         "gauss-bonnet-check",

@@ -12,6 +12,7 @@ from curvcalc.curvature import (
     excess_angle,
     final_integral,
     gauss_bonnet_check,
+    product_embedding,
     vertex_curvature,
 )
 from curvcalc.errors import DegenerateSimplex, ExactUnavailable, PieceNotSubcomplex
@@ -93,11 +94,21 @@ class TestExcessAngle:
             )
             assert abs(exact.value - estimate.value) <= 4 * estimate.bound
 
-    def test_exact_unavailable_above_three_dimensions(self):
-        X = SimplicialComplex.from_maximal([(0, 1)])
-        emb = Embedding(X, {0: [0, 0, 0, 0], 1: [1, 0, 0, 0]})
+    def test_exact_unavailable_for_four_simplex_and_product_cells(self):
+        simplex = (0, 1, 2, 3, 4)
+        X = SimplicialComplex.from_maximal([simplex])
+        emb = Embedding(X, {0: np.zeros(4), **{i + 1: e for i, e in enumerate(np.eye(4))}})
         with pytest.raises(ExactUnavailable):
-            excess_angle((0, 1), 0, emb)
+            excess_angle(simplex, 0, emb)
+        with pytest.raises(ExactUnavailable):
+            curvature_measure(emb)
+        _, seg = fixtures.segment()
+        square = product_embedding(seg, seg)
+        cell = max(square.carrier.cells(), key=square.carrier.cell_dim)
+        with pytest.raises(ExactUnavailable):
+            excess_angle(cell, square.carrier.cell_vertex_objects(cell)[0], square)
+        with pytest.raises(ExactUnavailable):
+            curvature_measure(square)
 
     def test_degenerate_embedding_rejected(self):
         tri = SimplicialComplex.from_maximal([(0, 1, 2)])
@@ -176,6 +187,59 @@ class TestVertexCurvature:
             assert abs(exact[v].value - estimate[v].value) <= 4 * estimate[v].bound
 
 
+class TestExactOracle:
+    """Exact cone fractions against a 50-digit reference computed
+    independently of the library: Sheppard's orthant probability in its
+    arcsine-of-correlation form, P = 1/2^m + sum_{i<j} asin(rho_ij) / (2^(m-1) pi)
+    for m <= 3 generators."""
+
+    @staticmethod
+    def reference_fraction(points, v):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            pv = [mpmath.mpf(float(t)) for t in points[v]]
+            gens = [
+                [a - mpmath.mpf(float(b)) for a, b in zip(pv, p)]
+                for w, p in enumerate(points)
+                if w != v
+            ]
+            m = len(gens)
+            total = mpmath.mpf(1) / 2**m
+            for i in range(m):
+                for j in range(i + 1, m):
+                    dot = mpmath.fsum(a * b for a, b in zip(gens[i], gens[j]))
+                    norms = mpmath.sqrt(mpmath.fsum(a * a for a in gens[i])) * mpmath.sqrt(
+                        mpmath.fsum(b * b for b in gens[j])
+                    )
+                    total += mpmath.asin(dot / norms) / (2 ** (m - 1) * mpmath.pi)
+            return float(total)
+
+    @pytest.mark.parametrize("ambient", [3, 6])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_simplices_match_the_reference(self, ambient, dim):
+        rng = np.random.default_rng(9100 + 10 * ambient + dim)
+        simplex = tuple(range(dim + 1))
+        X = SimplicialComplex.from_maximal([simplex])
+        for _ in range(150):
+            points = rng.standard_normal((dim + 1, ambient))
+            emb = Embedding(X, dict(enumerate(points)))
+            fractions = [excess_angle(simplex, v, emb).value for v in simplex]
+            for v, got in enumerate(fractions):
+                assert abs(got - self.reference_fraction(points, v)) <= 1e-15
+            assert sum(fractions) == pytest.approx(1.0, abs=1e-15)
+
+    def test_exact_curvature_is_independent_of_the_ambient_space(self):
+        rng = np.random.default_rng(9200)
+        X = fixtures.random_complex(rng)
+        coords = rng.standard_normal((len(X.vertices), 3))
+        before = curvature_measure(Embedding(X, dict(zip(X.vertices, coords))))
+        q, r = np.linalg.qr(rng.standard_normal((7, 7)))
+        padded = np.hstack([coords, np.zeros((len(X.vertices), 4))]) @ (q * np.sign(np.diag(r))).T
+        after = curvature_measure(Embedding(X, dict(zip(X.vertices, padded))))
+        for v in X.vertices:
+            assert after[v].value == pytest.approx(before[v].value, abs=1e-12)
+
+
 class TestInvariance:
     @staticmethod
     def random_isometry(rng, dim):
@@ -237,10 +301,9 @@ class TestWeightTheorem:
             X = SimplicialComplex.from_maximal(maximal)
             emb = equilateral_embedding(X)
             w = weights(X)
-            if emb.ambient_dim <= 3:
-                kappa = curvature_measure(emb, method="exact")
-                for v in X.vertices:
-                    assert kappa[v].value == pytest.approx(float(w[v]), abs=1e-12)
+            kappa = curvature_measure(emb, method="exact")
+            for v in X.vertices:
+                assert kappa[v].value == pytest.approx(float(w[v]), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_complexes_monte_carlo(self, seed):
