@@ -28,7 +28,7 @@ import numpy as np
 
 from .complexes import SimplicialComplex
 from .curvature import Embedding, curvature_measure
-from .errors import GridTooCoarse, NegativeWarp
+from .errors import GridTooCoarse, NegativeWarp, ParseError
 
 POLE_TOLERANCE = 1e-12
 _PROFILE_NAMES = ("sphere", "cylinder", "cone", "torus", "paraboloid")
@@ -262,12 +262,27 @@ def profile(name: str, grid: int = 4096) -> WarpFunction:
 
 
 def load_profile_csv(text: str) -> WarpFunction:
-    rows = list(csv.reader(_io.StringIO(text)))
+    """Rows of (t, f); a non-numeric first row is a header, and a
+    `periodic` cell in it marks the profile periodic. A malformed row
+    raises ParseError with its 1-based line number."""
+    reader = csv.reader(_io.StringIO(text))
     periodic = False
-    if rows and rows[0] and not _is_number(rows[0][0]):
-        periodic = any(cell.strip().lower() == "periodic" for cell in rows[0])
-        rows = rows[1:]
-    data = [(float(r[0]), float(r[1])) for r in rows if r]
+    data = []
+    for row in reader:
+        if not row:
+            continue
+        if reader.line_num == 1 and not _is_number(row[0]):
+            periodic = any(cell.strip().lower() == "periodic" for cell in row)
+            continue
+        if len(row) != 2:
+            raise ParseError(f"expected 2 columns (t, f), got {len(row)}", reader.line_num)
+        try:
+            point = (float(row[0]), float(row[1]))
+        except ValueError:
+            raise ParseError(f"non-numeric value in row {row!r}", reader.line_num) from None
+        if not all(map(math.isfinite, point)):
+            raise ParseError(f"non-finite value in row {row!r}", reader.line_num)
+        data.append(point)
     t = np.array([p[0] for p in data])
     f = np.array([p[1] for p in data])
     return WarpFunction(t, f, periodic=periodic)

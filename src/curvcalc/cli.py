@@ -33,44 +33,6 @@ from .io import (
     serialize_constructible,
 )
 
-# Operation names per module, used by the dispatch-coverage test: every
-# one of these must be exercised by at least one subcommand.
-ALL_OPERATIONS = frozenset(
-    {
-        "complex_core.validate",
-        "complex_core.star_link",
-        "complex_core.barycentric_subdivide",
-        "complex_core.signature_census",
-        "complex_core.product",
-        "complex_core.parse_serialize",
-        "euler_calc.chi_c",
-        "euler_calc.euler_integral",
-        "euler_calc.floor_integral",
-        "euler_calc.ceil_integral",
-        "euler_calc.floor_integral_oracle_1d",
-        "euler_calc.tentative_integral",
-        "euler_calc.weight",
-        "curvature.excess_angle",
-        "curvature.vertex_curvature",
-        "curvature.equilateral_embedding",
-        "curvature.curvature_integral",
-        "curvature.final_integral",
-        "morse.morse_index",
-        "morse.chi_sum_check",
-        "morse.curvature_measure",
-        "pushforward.pushforward",
-        "pushforward.fiber_euler",
-        "pushforward.check_functoriality",
-        "pushforward.fubini_chi",
-        "pushforward.fubini_curvature",
-        "adiabatic.curvature_density",
-        "adiabatic.adiabatic_sweep",
-        "adiabatic.nonsplit_demo",
-        "cli.run",
-    }
-)
-
-
 def _fmt(x: float) -> float:
     return float(f"{x:.12g}")
 
@@ -104,6 +66,19 @@ def _require_alpha(doc: ComplexDocument):
     if doc.alpha is None:
         raise CurvCalcError("complex file defines no vertex values (alpha)")
     return doc.alpha
+
+
+def _write_kappa(doc: ComplexDocument, kappa, fmt: str, out) -> None:
+    rows = [
+        (doc.names[v], f"{kappa[v].value:.12g}", f"{kappa[v].bound:.12g}")
+        for v in sorted(kappa)
+    ]
+    if fmt == "json":
+        _dump_json(
+            {name: {"kappa": float(k), "stderr": float(b)} for name, k, b in rows}, out
+        )
+    else:
+        _write_csv(rows, ("vertex", "kappa", "stderr"), out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +161,7 @@ def _cmd_curvature(args, out) -> int:
     kappa = curvature_mod.curvature_measure(
         embedding, args.method, args.samples, args.seed
     )
-    rows = [
-        (doc.names[v], f"{kappa[v].value:.12g}", f"{kappa[v].bound:.12g}")
-        for v in sorted(kappa)
-    ]
-    if args.format == "json":
-        _dump_json(
-            {name: {"kappa": float(k), "stderr": float(b)} for name, k, b in rows}, out
-        )
-    else:
-        _write_csv(rows, ("vertex", "kappa", "stderr"), out)
+    _write_kappa(doc, kappa, args.format, out)
     return 0
 
 
@@ -228,16 +194,7 @@ def _cmd_morse_curvature(args, out) -> int:
     doc = _load_document(args.complex)
     embedding = _embedding_for(doc, args.equilateral)
     kappa = morse_mod.morse_curvature_measure(embedding, args.samples, args.seed)
-    rows = [
-        (doc.names[v], f"{kappa[v].value:.12g}", f"{kappa[v].bound:.12g}")
-        for v in sorted(kappa)
-    ]
-    if args.format == "json":
-        _dump_json(
-            {name: {"kappa": float(k), "stderr": float(b)} for name, k, b in rows}, out
-        )
-    else:
-        _write_csv(rows, ("vertex", "kappa", "stderr"), out)
+    _write_kappa(doc, kappa, args.format, out)
     return 0
 
 
@@ -391,100 +348,6 @@ def _cmd_adiabatic(args, out) -> int:
     return 0
 
 
-DISPATCH = {
-    "validate": (
-        _cmd_validate,
-        frozenset(
-            {
-                "complex_core.validate",
-                "complex_core.parse_serialize",
-                "complex_core.star_link",
-                "euler_calc.chi_c",
-            }
-        ),
-    ),
-    "integrate": (
-        _cmd_integrate,
-        frozenset(
-            {
-                "euler_calc.floor_integral",
-                "euler_calc.ceil_integral",
-                "euler_calc.tentative_integral",
-                "euler_calc.euler_integral",
-                "euler_calc.floor_integral_oracle_1d",
-                "euler_calc.weight",
-            }
-        ),
-    ),
-    "subdivide": (
-        _cmd_subdivide,
-        frozenset(
-            {
-                "complex_core.barycentric_subdivide",
-                "complex_core.signature_census",
-                "complex_core.parse_serialize",
-            }
-        ),
-    ),
-    "curvature": (
-        _cmd_curvature,
-        frozenset(
-            {
-                "curvature.excess_angle",
-                "curvature.vertex_curvature",
-                "curvature.equilateral_embedding",
-                "curvature.curvature_integral",
-            }
-        ),
-    ),
-    "gauss-bonnet-check": (
-        _cmd_gauss_bonnet,
-        frozenset({"curvature.vertex_curvature", "curvature.final_integral"}),
-    ),
-    "morse-curvature": (
-        _cmd_morse_curvature,
-        frozenset({"morse.curvature_measure"}),
-    ),
-    "morse-index": (
-        _cmd_morse_index,
-        frozenset({"morse.morse_index", "morse.chi_sum_check"}),
-    ),
-    "pushforward": (
-        _cmd_pushforward,
-        frozenset(
-            {
-                "pushforward.pushforward",
-                "pushforward.fiber_euler",
-                "pushforward.check_functoriality",
-            }
-        ),
-    ),
-    "fubini-check": (
-        _cmd_fubini_check,
-        frozenset(
-            {
-                "complex_core.product",
-                "pushforward.fubini_chi",
-                "pushforward.fubini_curvature",
-            }
-        ),
-    ),
-    "adiabatic": (
-        _cmd_adiabatic,
-        frozenset(
-            {
-                "adiabatic.curvature_density",
-                "adiabatic.adiabatic_sweep",
-                "adiabatic.nonsplit_demo",
-            }
-        ),
-    ),
-}
-
-# cli.run is exercised by definition whenever any subcommand runs
-COVERED_OPERATIONS = frozenset({"cli.run"}).union(*(ops for _, ops in DISPATCH.values()))
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
@@ -498,11 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check a complex file")
+    def command(name, handler, **kwargs):
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("validate", _cmd_validate, help="check a complex file")
     p.add_argument("complex")
     p.add_argument("--vertex", help="also report star/link sizes of a vertex")
 
-    p = sub.add_parser("integrate", parents=[common], help="Euler integrals of file data")
+    p = command("integrate", _cmd_integrate, help="Euler integrals of file data")
     p.add_argument("complex")
     p.add_argument(
         "--kind",
@@ -512,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", help="constructible-function JSON (for --kind simple)")
     p.add_argument("--oracle-n", type=int, default=16)
 
-    p = sub.add_parser("subdivide", parents=[common], help="barycentric subdivision")
+    p = command("subdivide", _cmd_subdivide, help="barycentric subdivision")
     p.add_argument("complex", nargs="?")
     p.add_argument("--times", type=int, default=1)
     p.add_argument(
@@ -521,27 +389,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the signature census of a standard simplex instead",
     )
 
-    for name in ("curvature", "gauss-bonnet-check"):
-        p = sub.add_parser(name, parents=[common])
+    for name, handler in (
+        ("curvature", _cmd_curvature),
+        ("gauss-bonnet-check", _cmd_gauss_bonnet),
+    ):
+        p = command(name, handler)
         p.add_argument("complex")
         p.add_argument("--method", choices=("exact", "mc"), default="exact")
         p.add_argument("--equilateral", action="store_true")
-        if name == "curvature":
+        if handler is _cmd_curvature:
             p.add_argument(
                 "--alpha",
                 action="store_true",
                 help="integrate the file's vertex values against curvature",
             )
 
-    p = sub.add_parser("morse-curvature", parents=[common])
+    p = command("morse-curvature", _cmd_morse_curvature)
     p.add_argument("complex")
     p.add_argument("--equilateral", action="store_true")
 
-    p = sub.add_parser("morse-index", parents=[common])
+    p = command("morse-index", _cmd_morse_index)
     p.add_argument("complex")
     p.add_argument("--direction", required=True, help="comma-separated vector")
 
-    p = sub.add_parser("pushforward", parents=[common])
+    p = command("pushforward", _cmd_pushforward)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--map", required=True)
@@ -549,12 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compose", help="second map file, applied after --map")
     p.add_argument("--compose-target", help="target complex of the second map")
 
-    p = sub.add_parser("fubini-check", parents=[common])
+    p = command("fubini-check", _cmd_fubini_check)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--kind", choices=("chi", "curvature"), default="chi")
 
-    p = sub.add_parser("adiabatic", parents=[common])
+    p = command("adiabatic", _cmd_adiabatic)
     p.add_argument("--profile", required=True)
     p.add_argument("--eps", default="0,0.5,0.9,0.99")
     p.add_argument("--nonsplit", action="store_true")
@@ -571,13 +442,12 @@ def run(argv, stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handler, _ = DISPATCH[args.command]
     try:
         if args.samples < 1:
             raise CurvCalcError("--samples must be at least 1")
         if args.grid < 5:
             raise CurvCalcError("--grid must be at least 5")
-        return handler(args, stdout)
+        return args.handler(args, stdout)
     except CurvCalcError as exc:
         _dump_json({"error": exc.code, "message": str(exc)}, stderr)
         return 2

@@ -141,8 +141,8 @@ def floor_integral_oracle_1d(alpha: PLFunction, n: int) -> Fraction:
     This validates the closed form of floor_integral independently: each
     edge is cut at the finitely many interior points where floor(n*alpha)
     jumps, and chi_c is summed over the resulting open pieces (each open
-    interval contributes -1, each cut point +1). For n larger than every
-    denominator of alpha the result equals floor_integral(alpha).
+    interval contributes -1, each cut point +1). For n a common multiple
+    of the denominators of alpha the result equals floor_integral(alpha).
     """
     complex = alpha.complex
     if complex.dim > 1:

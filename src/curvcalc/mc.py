@@ -2,10 +2,12 @@
 
 Directions are unit vectors obtained from normalized standard Gaussians.
 Each batch draws from a counter-based Philox stream keyed by the user
-seed with the batch index in the counter, so results are reproducible
-and independent of how batches are scheduled. Rows with exact height
-ties are discarded by the kernels and replaced from later batches, so
-every estimate uses exactly the requested number of tie-free directions.
+seed with the batch index in the counter, so the same seed and the same
+batch_size reproduce the same output. A different batch_size starts a
+fresh counter at every batch boundary and so draws different directions.
+Rows with exact height ties are discarded by the kernels and replaced
+from later batches, so every estimate uses exactly the requested number
+of tie-free directions.
 """
 
 from dataclasses import dataclass

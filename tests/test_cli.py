@@ -1,12 +1,18 @@
+import argparse
+import inspect
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from curvcalc.cli import ALL_OPERATIONS, COVERED_OPERATIONS, run
+import curvcalc
+from curvcalc.cli import build_parser, run
 from curvcalc.io import parse_complex
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 def invoke(*argv):
@@ -15,8 +21,136 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_every_operation_is_reachable_from_a_subcommand():
-    assert COVERED_OPERATIONS == ALL_OPERATIONS
+# One entry per subcommand and mode. Together they must execute every
+# public function of the package except LIBRARY_ONLY.
+CORPUS = [
+    ("validate", "octahedron.txt", "--vertex", "top"),
+    ("integrate", "edge.txt", "--kind", "floor"),
+    ("integrate", "edge.txt", "--kind", "ceil"),
+    ("integrate", "edge.txt", "--kind", "tentative"),
+    ("integrate", "edge.txt", "--kind", "simple", "--function", "open_edge.fn.json"),
+    ("integrate", "edge.txt", "--kind", "floor-oracle"),
+    ("integrate", "edge.txt", "--kind", "weights"),
+    ("subdivide", "edge.txt", "--times", "2"),
+    ("subdivide", "--census", "2"),
+    ("curvature", "octahedron.txt", "--method", "exact"),
+    ("curvature", "octahedron.txt", "--method", "mc", "--samples", "500", "--format", "json"),
+    ("curvature", "triangle.txt", "--alpha", "--method", "exact"),
+    ("curvature", "octahedron.txt", "--equilateral", "--method", "exact"),
+    ("gauss-bonnet-check", "octahedron.txt", "--method", "exact"),
+    ("gauss-bonnet-check", "octahedron.txt", "--method", "mc", "--samples", "500"),
+    ("morse-curvature", "octahedron.txt", "--samples", "500"),
+    ("morse-index", "octahedron.txt", "--direction", "0.3,0.5,0.8"),
+    ("pushforward", "--source", "octahedron.txt", "--target", "path3.txt",
+     "--map", "octa_to_path.map"),
+    ("pushforward", "--source", "octahedron.txt", "--target", "path3.txt",
+     "--map", "octa_to_path.map", "--compose", "path_to_point.map",
+     "--compose-target", "point.txt"),
+    ("fubini-check", "--left", "triangle.txt", "--right", "edge.txt", "--kind", "chi"),
+    ("fubini-check", "--left", "edge.txt", "--right", "edge.txt", "--kind", "curvature",
+     "--samples", "500"),
+    ("adiabatic", "--profile", "sphere", "--eps", "0,0.5", "--grid", "64"),
+    ("adiabatic", "--profile", "cylinder", "--eps", "0", "--grid", "64", "--nonsplit"),
+]
+
+# Public functions the CLI deliberately does not call.
+LIBRARY_ONLY = {
+    # single-cell angle; `curvature` prints the whole measure instead
+    "excess_angle",
+    # one vertex's curvature; `curvature` computes all vertices in one pass
+    "vertex_curvature",
+    # SimplicialComplex already checks closure when a file is parsed
+    "validate",
+}
+
+
+def _corpus_argv(entry):
+    return [str(FIXTURES / a) if (FIXTURES / a).is_file() else a for a in entry]
+
+
+@pytest.fixture(scope="module")
+def corpus_run():
+    """Run the corpus under a profiler; return the per-entry results and
+    the code objects of every Python function that was called."""
+    called = set()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    results = []
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        for entry in CORPUS:
+            out, err = io.StringIO(), io.StringIO()
+            code = run(_corpus_argv(entry), stdout=out, stderr=err)
+            results.append((entry, code, err.getvalue()))
+    finally:
+        sys.setprofile(previous)
+    return results, called
+
+
+def _public_functions():
+    return {
+        name: obj
+        for name in curvcalc.__all__
+        if inspect.isfunction(obj := getattr(curvcalc, name))
+    }
+
+
+def test_corpus_entries_exit_0(corpus_run):
+    results, _ = corpus_run
+    failed = [(entry, code, err) for entry, code, err in results if code != 0]
+    assert not failed
+
+
+def test_every_public_function_runs_from_the_cli(corpus_run):
+    _, called = corpus_run
+    missing = {
+        name
+        for name, fn in _public_functions().items()
+        if fn.__code__ not in called and name not in LIBRARY_ONLY
+    }
+    assert not missing, f"no CLI corpus entry runs {sorted(missing)}"
+
+
+def test_library_only_functions_stay_unreached(corpus_run):
+    _, called = corpus_run
+    public = _public_functions()
+    assert LIBRARY_ONLY <= public.keys()
+    reached = {name for name in LIBRARY_ONLY if public[name].__code__ in called}
+    assert not reached, f"reached from the CLI, drop from LIBRARY_ONLY: {sorted(reached)}"
+
+
+def test_corpus_covers_every_subcommand_choice():
+    """Every subcommand, and every value of every option with choices.
+    Options shared by all subcommands (--format) need each value once
+    in the corpus; the others need each value per subcommand."""
+    parser = build_parser()
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    commands = subparsers.choices
+    shared = set.intersection(*({id(a) for a in p._actions} for p in commands.values()))
+    needed = set()
+    for name, p in commands.items():
+        needed.add((name, None, None))
+        for action in p._actions:
+            if action.choices is not None:
+                scope = "*" if id(action) in shared else name
+                needed.update((scope, action.dest, c) for c in action.choices)
+    seen = set()
+    for entry in CORPUS:
+        args = parser.parse_args(_corpus_argv(entry))
+        seen.add((args.command, None, None))
+        for action in commands[args.command]._actions:
+            if action.choices is not None:
+                value = getattr(args, action.dest)
+                seen.add((args.command, action.dest, value))
+                seen.add(("*", action.dest, value))
+    missing = sorted(map(str, needed - seen))
+    assert not missing, f"no corpus entry covers (subcommand, option, value) {missing}"
 
 
 def test_floor_integral_of_identity_fixture(fixture_dir):
@@ -27,6 +161,30 @@ def test_floor_integral_of_identity_fixture(fixture_dir):
     assert out == '{"value": "0"}\n'
     code, out, _ = invoke("integrate", str(fixture_dir / "edge.txt"), "--kind", "tentative")
     assert out == '{"value": "1/2"}\n'
+
+
+def test_floor_oracle_matches_floor(fixture_dir, tmp_path):
+    edge = str(fixture_dir / "edge.txt")
+    assert invoke("integrate", edge, "--kind", "floor-oracle") == invoke(
+        "integrate", edge, "--kind", "floor"
+    )
+    path = tmp_path / "path.txt"
+    path.write_text(
+        "curvcalc-complex v1\nvertices\na 0 alpha=1/3\nb 1 alpha=-5/4\n"
+        "c 2 alpha=7/6\nd 3 alpha=1/2\nsimplices\na b\nb c\nc d\n"
+    )
+    # exact once n is a common multiple of the denominators 3, 4, 6, 2
+    oracle = invoke("integrate", str(path), "--kind", "floor-oracle", "--oracle-n", "24")
+    assert oracle == invoke("integrate", str(path), "--kind", "floor")
+    assert oracle[:2] == (0, '{"value": "11/4"}\n')
+
+
+def test_floor_oracle_rejects_surfaces(fixture_dir):
+    code, out, err = invoke(
+        "integrate", str(fixture_dir / "triangle.txt"), "--kind", "floor-oracle"
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "CarrierTooHighDimensional"
 
 
 def test_simple_integral_and_weights(fixture_dir):
@@ -89,6 +247,26 @@ def test_non_finite_coordinate_exits_2(tmp_path, bad):
     code, out, err = invoke("curvature", str(path), "--method", "exact")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "NonFiniteCoordinate"
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        "0.5",  # one column
+        "0.5,x",  # non-numeric cell
+        "0.5,nan",  # non-finite value
+        "0.5,inf",
+    ],
+)
+def test_malformed_profile_row_exits_2(tmp_path, bad_row):
+    rows = ["t,f", "0,1", "0.25,1", bad_row, "0.75,1", "1,1"]
+    path = tmp_path / "profile.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code, out, err = invoke("adiabatic", "--profile", f"file:{path}", "--eps", "0")
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "ParseError"
+    assert report["message"].endswith("(line 4)")
 
 
 def test_gauss_bonnet_check_json(fixture_dir):

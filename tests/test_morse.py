@@ -11,7 +11,7 @@ from curvcalc.morse import (
     morse_curvature_measure,
     morse_index,
 )
-from curvcalc import fixtures
+from curvcalc import _kernels, fixtures, mc
 
 
 class TestMorseIndex:
@@ -88,6 +88,36 @@ class TestIndexLocality:
         for _ in range(10):
             x = rng.standard_normal(3)
             assert morse_index(v, x, emb) == morse_index(v, x, sub_emb)
+
+
+class TestVectorizedIndexOracle:
+    @pytest.mark.parametrize(
+        "fixture",
+        [
+            fixtures.segment,
+            fixtures.filled_triangle,
+            fixtures.hollow_triangle,
+            fixtures.square_boundary,
+            fixtures.octahedron,
+            fixtures.cone_fan,
+            fixtures.book,
+            fixtures.solid_tetrahedron,
+        ],
+    )
+    def test_lower_link_kernel_equals_scalar_index(self, fixture):
+        # every tie-free row of the vectorized kernel must give, per
+        # vertex, exactly the integer the scalar lower-link index gives
+        X, emb = fixture()
+        dirs = mc.sample_unit_directions(11, 0, 50, emb.ambient_dim)
+        heights = -(dirs @ emb.matrix().T)
+        idx, ties = _kernels.lower_link_index_numpy(
+            heights, *mc.build_link_arrays(X, emb.vertex_index)
+        )
+        assert not ties.all()
+        for row in np.nonzero(~ties)[0]:
+            for v in X.vertices:
+                expected = morse_index(v, dirs[row], emb)
+                assert idx[row, emb.vertex_index[v]] == expected, (row, v)
 
 
 class TestMorseMeasure:
