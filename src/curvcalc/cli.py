@@ -10,6 +10,7 @@ import argparse
 import csv
 import io as _io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -124,7 +125,10 @@ def _cmd_integrate(args, out) -> int:
         elif args.kind == "tentative":
             value = euler_mod.tentative_integral(alpha)
         else:  # floor-oracle
-            value = euler_mod.floor_integral_oracle_1d(alpha, args.oracle_n)
+            n = args.oracle_n
+            if n is None:  # the oracle is exact at any common multiple
+                n = math.lcm(*(a.denominator for a in alpha.values.values()))
+            value = euler_mod.floor_integral_oracle_1d(alpha, n)
     _dump_json({"value": str(value)}, out)
     return 0
 
@@ -352,8 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument("--samples", type=int, default=10_000)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--grid", type=int, default=4096)
+    # only for the subcommands that print a table
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("csv", "json"), default="csv")
 
     parser = argparse.ArgumentParser(
         prog="curvcalc",
@@ -361,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    def command(name, handler, *parents, **kwargs):
+        p = sub.add_parser(name, parents=[common, *parents], **kwargs)
         p.set_defaults(handler=handler)
         return p
 
@@ -378,7 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--function", help="constructible-function JSON (for --kind simple)")
-    p.add_argument("--oracle-n", type=int, default=16)
+    p.add_argument(
+        "--oracle-n",
+        type=int,
+        help="step count n (default: the lcm of the alpha denominators)",
+    )
 
     p = command("subdivide", _cmd_subdivide, help="barycentric subdivision")
     p.add_argument("complex", nargs="?")
@@ -389,11 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the signature census of a standard simplex instead",
     )
 
-    for name, handler in (
-        ("curvature", _cmd_curvature),
-        ("gauss-bonnet-check", _cmd_gauss_bonnet),
+    for name, handler, parents in (
+        ("curvature", _cmd_curvature, [formatted]),
+        ("gauss-bonnet-check", _cmd_gauss_bonnet, []),
     ):
-        p = command(name, handler)
+        p = command(name, handler, *parents)
         p.add_argument("complex")
         p.add_argument("--method", choices=("exact", "mc"), default="exact")
         p.add_argument("--equilateral", action="store_true")
@@ -404,11 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
                 help="integrate the file's vertex values against curvature",
             )
 
-    p = command("morse-curvature", _cmd_morse_curvature)
+    p = command("morse-curvature", _cmd_morse_curvature, formatted)
     p.add_argument("complex")
     p.add_argument("--equilateral", action="store_true")
 
-    p = command("morse-index", _cmd_morse_index)
+    p = command("morse-index", _cmd_morse_index, formatted)
     p.add_argument("complex")
     p.add_argument("--direction", required=True, help="comma-separated vector")
 
@@ -420,12 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compose", help="second map file, applied after --map")
     p.add_argument("--compose-target", help="target complex of the second map")
 
-    p = command("fubini-check", _cmd_fubini_check)
+    p = command("fubini-check", _cmd_fubini_check, formatted)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--kind", choices=("chi", "curvature"), default="chi")
 
-    p = command("adiabatic", _cmd_adiabatic)
+    p = command("adiabatic", _cmd_adiabatic, formatted)
     p.add_argument("--profile", required=True)
     p.add_argument("--eps", default="0,0.5,0.9,0.99")
     p.add_argument("--nonsplit", action="store_true")

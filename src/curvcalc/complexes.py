@@ -111,7 +111,8 @@ class SimplicialComplex:
     # Generic cell-carrier protocol shared with ProductCellComplex, so the
     # Euler-integration code can treat both uniformly.
     def cells(self):
-        return iter(sorted(self._simplices, key=lambda s: (len(s), s)))
+        """All simplices in (dimension, lexicographic) order."""
+        return itertools.chain.from_iterable(self._by_dim[d] for d in sorted(self._by_dim))
 
     def cell_dim(self, cell) -> int:
         return len(cell) - 1

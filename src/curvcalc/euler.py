@@ -4,10 +4,23 @@ chi_c assigns (-1)^dim to every open cell and is additive over disjoint
 constructible partitions, which makes the integral of a finitely
 supported rational combination of open-cell indicators a finite sum.
 Everything in this module is exact rational arithmetic; no floats.
+
+The sums run on integers. The floor, ceil and tentative integrals of a
+PL function are alternating sums over simplices, and each equals
+sum_v alpha(v) * c(v) for an integer count c(v) per vertex: the signed
+number of simplices whose minimum (maximum) vertex is v, or the signed
+star counts behind weight(v). The counts come from per-dimension vertex
+arrays; the rational values are brought to a common denominator, so a
+result costs one Fraction, not one Fraction addition per simplex. Sums
+of a constructible function's coefficients (its integral, pushforward
+and partial Fubini sums) accumulate integer numerators the same way and
+build one Fraction per result cell.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .complexes import PLFunction, SimplicialComplex
 from .errors import CarrierTooHighDimensional, ForeignCell, UnknownVertex
@@ -46,7 +59,7 @@ class ConstructibleFunction:
 
     @classmethod
     def indicator_open(cls, carrier, cell) -> "ConstructibleFunction":
-        return cls(carrier, {cell: Fraction(1)})
+        return cls(carrier, {cell: 1})
 
     @classmethod
     def indicator_closed(cls, carrier, cell) -> "ConstructibleFunction":
@@ -55,12 +68,12 @@ class ConstructibleFunction:
         Expanding closed indicators at construction time keeps chi_c
         additive with no inclusion-exclusion bookkeeping later.
         """
-        return cls(carrier, {face: Fraction(1) for face in carrier.closure(cell)})
+        return cls(carrier, {face: 1 for face in carrier.closure(cell)})
 
     @classmethod
     def ones(cls, carrier) -> "ConstructibleFunction":
         """The constant function 1, i.e. every open cell with weight 1."""
-        return cls(carrier, {cell: Fraction(1) for cell in carrier.cells()})
+        return cls(carrier, dict.fromkeys(carrier.cells(), 1))
 
     def __call__(self, cell) -> Fraction:
         if not self.carrier.has_cell(cell):
@@ -95,12 +108,65 @@ class ConstructibleFunction:
         return f"ConstructibleFunction({len(self.coefficients)} cells)"
 
 
+def _common_numerators(values) -> tuple[int, list[int]]:
+    """(L, [n_i]) with value_i == n_i / L, where L is the lcm of the
+    denominators of the given rationals."""
+    values = list(values)
+    common = math.lcm(*(value.denominator for value in values))
+    return common, [value.numerator * (common // value.denominator) for value in values]
+
+
+def _signed_sums(keyed_signs, values) -> dict:
+    """{key: sum of sign * value} over parallel sequences of (key, sign)
+    pairs and rationals, with zero sums dropped.
+
+    Integer numerators over the common denominator are accumulated per
+    key, so each key costs one Fraction however many terms it has.
+    """
+    common, numerators = _common_numerators(values)
+    sums: dict = {}
+    for (key, sign), n in zip(keyed_signs, numerators):
+        sums[key] = sums.get(key, 0) + sign * n
+    return {key: Fraction(n, common) for key, n in sums.items() if n}
+
+
 def euler_integral(s: ConstructibleFunction) -> Fraction:
     """Sum of coefficient * (-1)^dim over the support. Linear in s."""
-    return sum(
-        (value * (-1) ** s.carrier.cell_dim(cell) for cell, value in s.coefficients.items()),
-        Fraction(0),
-    )
+    dim = s.carrier.cell_dim
+    signs = ((None, -1 if dim(cell) % 2 else 1) for cell in s.coefficients)
+    return _signed_sums(signs, s.coefficients.values()).get(None, Fraction(0))
+
+
+def _vertex_slots(complex: SimplicialComplex):
+    """Yield (d, slots) per dimension d, where slots is the (n_d, d+1)
+    array of the positions in complex.vertices of each d-simplex's
+    vertices. Positions, not ids, so sparse vertex ids stay compact."""
+    vertices = np.array(complex.vertices, dtype=np.int64)
+    for d in range(complex.dim + 1):
+        simplices = np.array(complex.simplices_of_dim(d), dtype=np.int64).reshape(-1, d + 1)
+        yield d, np.searchsorted(vertices, simplices)
+
+
+def _extreme_vertex_integral(alpha: PLFunction, extreme) -> Fraction:
+    """sum over simplices s of (-1)^dim s * alpha(extreme vertex of s).
+
+    Vertices are ranked by (alpha, vertex id) and each simplex finds its
+    extreme vertex by integer rank; the sum is then sum_v alpha(v) * m(v)
+    with m(v) the signed count of simplices whose extreme vertex is v.
+    Tied values break by vertex id, which does not change the sum.
+    """
+    complex = alpha.complex
+    common, numerators = _common_numerators(alpha.values[v] for v in complex.vertices)
+    # stable, so tied values keep vertex id order
+    order = sorted(range(len(numerators)), key=numerators.__getitem__)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    counts = np.zeros(len(order), dtype=np.int64)
+    for d, slots in _vertex_slots(complex):
+        hits = np.bincount(extreme(rank[slots], axis=1), minlength=len(order))
+        counts += -hits if d % 2 else hits
+    total = sum(numerators[i] * m for i, m in zip(order, counts.tolist()) if m)
+    return Fraction(total, common)
 
 
 def floor_integral(alpha: PLFunction) -> Fraction:
@@ -110,13 +176,7 @@ def floor_integral(alpha: PLFunction) -> Fraction:
     vertex, so the integral closes to a finite alternating sum of vertex
     minima over the open-simplex partition of the complex.
     """
-    return sum(
-        (
-            (-1) ** (len(s) - 1) * min(alpha.values[v] for v in s)
-            for s in alpha.complex.simplices
-        ),
-        Fraction(0),
-    )
+    return _extreme_vertex_integral(alpha, np.min)
 
 
 def ceil_integral(alpha: PLFunction) -> Fraction:
@@ -125,13 +185,7 @@ def ceil_integral(alpha: PLFunction) -> Fraction:
     Note floor_integral <= ceil_integral is false in general (the identity
     on a closed segment has floor 1 and ceil 0).
     """
-    return sum(
-        (
-            (-1) ** (len(s) - 1) * max(alpha.values[v] for v in s)
-            for s in alpha.complex.simplices
-        ),
-        Fraction(0),
-    )
+    return _extreme_vertex_integral(alpha, np.max)
 
 
 def floor_integral_oracle_1d(alpha: PLFunction, n: int) -> Fraction:
@@ -177,29 +231,36 @@ def floor_integral_oracle_1d(alpha: PLFunction, n: int) -> Fraction:
 
 def tentative_integral(alpha: PLFunction) -> Fraction:
     """Alternating sum over all simplices of the barycenter value of
-    alpha. Equals sum over vertices of alpha(v) * weight(v)."""
-    return sum(
-        (
-            (-1) ** (len(s) - 1) * alpha.barycenter_value(s)
-            for s in alpha.complex.simplices
-        ),
-        Fraction(0),
-    )
+    alpha, computed as the equal sum over vertices of alpha(v) * weight(v)."""
+    weight_common, weight_numerators = _weight_numerators(alpha.complex)
+    common, numerators = _common_numerators(alpha.values[v] for v in alpha.complex.vertices)
+    total = sum(a * w for a, w in zip(numerators, weight_numerators))
+    return Fraction(total, common * weight_common)
+
+
+def _weight_numerators(complex: SimplicialComplex) -> tuple[int, list[int]]:
+    """(L, [n_v]) with weight(v) == n_v / L for the vertices in order,
+    L = lcm(1, ..., dim + 1), from integer star counts per dimension."""
+    common = math.lcm(*range(1, complex.dim + 2))
+    numerators = [0] * len(complex.vertices)
+    for d, slots in _vertex_slots(complex):
+        scale = (-1) ** d * (common // (d + 1))
+        counts = np.bincount(slots.ravel(), minlength=len(numerators))
+        numerators = [n + scale * c for n, c in zip(numerators, counts.tolist())]
+    return common, numerators
 
 
 def weight(complex: SimplicialComplex, v: int) -> Fraction:
-    """The vertex weight sum_i (-1)^i / (i+1) * #{i-simplices containing v}."""
+    """The vertex weight sum_i (-1)^i / (i+1) * #{i-simplices containing v}.
+
+    Counts the whole complex; use weights() for more than one vertex.
+    """
     if v not in complex.vertices:
         raise UnknownVertex(v)
-    counts: dict[int, int] = {}
-    for s in complex.star(v):
-        d = len(s) - 1
-        counts[d] = counts.get(d, 0) + 1
-    return sum(
-        (Fraction((-1) ** d, d + 1) * c for d, c in counts.items()),
-        Fraction(0),
-    )
+    return weights(complex)[v]
 
 
 def weights(complex: SimplicialComplex) -> dict[int, Fraction]:
-    return {v: weight(complex, v) for v in complex.vertices}
+    """weight(v) for every vertex, from one pass over the complex."""
+    common, numerators = _weight_numerators(complex)
+    return {v: Fraction(n, common) for v, n in zip(complex.vertices, numerators)}

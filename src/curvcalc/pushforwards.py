@@ -10,14 +10,12 @@ slicing source simplices along rational fiber points and counting open
 polytope dimensions.
 """
 
-from fractions import Fraction
-
 import numpy as np
 
 from .complexes import ProductCellComplex, SimplicialComplex, SimplicialMap
 from .curvature import Embedding, ValueWithError, curvature_measure, product_embedding
 from .errors import CarrierMismatch, UnknownSimplex
-from .euler import ConstructibleFunction, euler_integral
+from .euler import ConstructibleFunction, _signed_sums, euler_integral
 
 
 def pushforward(f: SimplicialMap, s: ConstructibleFunction) -> ConstructibleFunction:
@@ -28,12 +26,11 @@ def pushforward(f: SimplicialMap, s: ConstructibleFunction) -> ConstructibleFunc
     """
     if s.carrier != f.source:
         raise CarrierMismatch("the function does not live on the map's source")
-    coeffs: dict = {}
-    for cell, value in s.coefficients.items():
+    keyed_signs = []
+    for cell in s.coefficients:
         image = f.image(cell)
-        sign = (-1) ** (len(cell) - len(image))
-        coeffs[image] = coeffs.get(image, Fraction(0)) + sign * value
-    return ConstructibleFunction(f.target, coeffs)
+        keyed_signs.append((image, -1 if (len(cell) - len(image)) % 2 else 1))
+    return ConstructibleFunction(f.target, _signed_sums(keyed_signs, s.coefficients.values()))
 
 
 def fiber_euler(f: SimplicialMap, target_simplex) -> int:
@@ -68,11 +65,11 @@ def fubini_chi(s: ConstructibleFunction):
 
     def iterate(first, second, key):
         # integrate over `first`, leaving a constructible function on `second`
-        partial: dict = {}
-        for (a, b), value in s.coefficients.items():
+        keyed_signs = []
+        for a, b in s.coefficients:
             outer, inner = (b, a) if key == 0 else (a, b)
-            sign = (-1) ** first.cell_dim(inner)
-            partial[outer] = partial.get(outer, Fraction(0)) + sign * value
+            keyed_signs.append((outer, -1 if first.cell_dim(inner) % 2 else 1))
+        partial = _signed_sums(keyed_signs, s.coefficients.values())
         return euler_integral(ConstructibleFunction(second, partial))
 
     over_x_first = iterate(x, y, 0)

@@ -40,7 +40,9 @@ CORPUS = [
     ("gauss-bonnet-check", "octahedron.txt", "--method", "exact"),
     ("gauss-bonnet-check", "octahedron.txt", "--method", "mc", "--samples", "500"),
     ("morse-curvature", "octahedron.txt", "--samples", "500"),
+    ("morse-curvature", "octahedron.txt", "--samples", "500", "--format", "json"),
     ("morse-index", "octahedron.txt", "--direction", "0.3,0.5,0.8"),
+    ("morse-index", "octahedron.txt", "--direction", "0.3,0.5,0.8", "--format", "json"),
     ("pushforward", "--source", "octahedron.txt", "--target", "path3.txt",
      "--map", "octa_to_path.map"),
     ("pushforward", "--source", "octahedron.txt", "--target", "path3.txt",
@@ -49,8 +51,11 @@ CORPUS = [
     ("fubini-check", "--left", "triangle.txt", "--right", "edge.txt", "--kind", "chi"),
     ("fubini-check", "--left", "edge.txt", "--right", "edge.txt", "--kind", "curvature",
      "--samples", "500"),
+    ("fubini-check", "--left", "edge.txt", "--right", "edge.txt", "--kind", "curvature",
+     "--samples", "500", "--format", "json"),
     ("adiabatic", "--profile", "sphere", "--eps", "0,0.5", "--grid", "64"),
     ("adiabatic", "--profile", "cylinder", "--eps", "0", "--grid", "64", "--nonsplit"),
+    ("adiabatic", "--profile", "sphere", "--eps", "0", "--grid", "64", "--format", "json"),
 ]
 
 # Public functions the CLI deliberately does not call.
@@ -59,6 +64,8 @@ LIBRARY_ONLY = {
     "excess_angle",
     # one vertex's curvature; `curvature` computes all vertices in one pass
     "vertex_curvature",
+    # one vertex's weight; `integrate --kind weights` computes all in one pass
+    "weight",
     # SimplicialComplex already checks closure when a file is parsed
     "validate",
 }
@@ -124,31 +131,26 @@ def test_library_only_functions_stay_unreached(corpus_run):
 
 
 def test_corpus_covers_every_subcommand_choice():
-    """Every subcommand, and every value of every option with choices.
-    Options shared by all subcommands (--format) need each value once
-    in the corpus; the others need each value per subcommand."""
+    """Every subcommand, and every value of every option with choices,
+    per subcommand."""
     parser = build_parser()
     (subparsers,) = [
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ]
     commands = subparsers.choices
-    shared = set.intersection(*({id(a) for a in p._actions} for p in commands.values()))
     needed = set()
     for name, p in commands.items():
         needed.add((name, None, None))
         for action in p._actions:
             if action.choices is not None:
-                scope = "*" if id(action) in shared else name
-                needed.update((scope, action.dest, c) for c in action.choices)
+                needed.update((name, action.dest, c) for c in action.choices)
     seen = set()
     for entry in CORPUS:
         args = parser.parse_args(_corpus_argv(entry))
         seen.add((args.command, None, None))
         for action in commands[args.command]._actions:
             if action.choices is not None:
-                value = getattr(args, action.dest)
-                seen.add((args.command, action.dest, value))
-                seen.add(("*", action.dest, value))
+                seen.add((args.command, action.dest, getattr(args, action.dest)))
     missing = sorted(map(str, needed - seen))
     assert not missing, f"no corpus entry covers (subcommand, option, value) {missing}"
 
@@ -173,10 +175,15 @@ def test_floor_oracle_matches_floor(fixture_dir, tmp_path):
         "curvcalc-complex v1\nvertices\na 0 alpha=1/3\nb 1 alpha=-5/4\n"
         "c 2 alpha=7/6\nd 3 alpha=1/2\nsimplices\na b\nb c\nc d\n"
     )
-    # exact once n is a common multiple of the denominators 3, 4, 6, 2
+    # exact once n is a common multiple of the denominators 3, 4, 6, 2;
+    # the default n is their lcm, 12
     oracle = invoke("integrate", str(path), "--kind", "floor-oracle", "--oracle-n", "24")
     assert oracle == invoke("integrate", str(path), "--kind", "floor")
     assert oracle[:2] == (0, '{"value": "11/4"}\n')
+    assert invoke("integrate", str(path), "--kind", "floor-oracle") == oracle
+    assert invoke("integrate", str(path), "--kind", "floor-oracle", "--oracle-n", "16")[1] == (
+        '{"value": "43/16"}\n'
+    )
 
 
 def test_floor_oracle_rejects_surfaces(fixture_dir):
@@ -210,6 +217,25 @@ def test_validate_reports_link_sizes(fixture_dir):
     report = json.loads(out)
     assert report["ok"] and report["simplices"] == 26
     assert report["chi"] == 2 and report["link"] == 8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("integrate", "edge.txt", "--kind", "floor"),
+        ("validate", "octahedron.txt"),
+        ("subdivide", "edge.txt"),
+        ("gauss-bonnet-check", "octahedron.txt"),
+        ("pushforward", "--source", "octahedron.txt", "--target", "path3.txt",
+         "--map", "octa_to_path.map"),
+    ],
+)
+def test_format_is_rejected_where_nothing_reads_it(argv, capsys):
+    assert invoke(*_corpus_argv(argv))[0] == 0
+    code, out, _ = invoke(*_corpus_argv(argv), "--format", "csv")
+    assert code == 2 and out == ""
+    # argparse reports usage errors on the process's stderr
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

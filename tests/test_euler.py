@@ -24,6 +24,8 @@ from curvcalc.euler import (
 )
 from curvcalc import fixtures
 
+from euler_oracles import barycenter_sum, weight_oracle
+
 
 def edge_with_identity():
     X = SimplicialComplex.from_maximal([(0, 1)])
@@ -185,6 +187,10 @@ class TestTentative:
             (alpha.values[v] * weight(X, v) for v in X.vertices), Fraction(0)
         )
         assert by_weights == tentative_integral(alpha)
+        # tentative_integral is computed from the weights, so also check
+        # both against the per-simplex definitions
+        assert tentative_integral(alpha) == barycenter_sum(alpha)
+        assert all(weight(X, v) == weight_oracle(X, v) for v in X.vertices)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_subdivision_invariance(self, trial, rng):
