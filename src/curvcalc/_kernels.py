@@ -1,30 +1,19 @@
-"""Hot Monte Carlo counting kernels, numba-compiled with a numpy fallback.
+"""Hot Monte Carlo counting kernels, in numpy.
 
-Set the environment variable ``CURVCALC_NO_NUMBA=1`` to force the pure
-numpy implementations (they produce bitwise-identical results; see
-benchmarks/bench_kernels.py). The numba path is also skipped
-automatically if numba fails to import.
-
-Both kernels take a heights matrix H of shape (batch, n_vertices), where
+Both kernels take a heights matrix H of shape (rows, n_vertices), where
 H[b, v] is the height of vertex v under the b-th sampled direction.
 Rows containing an exact height tie anywhere relevant are flagged and
-contribute nothing; the caller resamples them.
+contribute nothing; the caller resamples them. Every row is handled on
+its own, so the counts and sums of a matrix are the sums of those of its
+row slices. Each kernel has a companion giving an upper bound on the
+bytes its temporaries take per row, which the driver in mc.py uses to
+slice the rows it passes.
 """
-
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("CURVCALC_NO_NUMBA", "").lower() in ("1", "true", "yes")
 
-if not _DISABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _DISABLED = True
-
-
-def cone_argmax_counts_numpy(heights, cells, sizes):
+def cone_argmax_counts(heights, cells, sizes):
     """Count, per cell and per vertex slot, the tie-free rows in which
     that vertex is the strict maximum of the cell.
 
@@ -33,7 +22,6 @@ def cone_argmax_counts_numpy(heights, cells, sizes):
     """
     n_rows = heights.shape[0]
     n_cells, width = cells.shape
-    counts = np.zeros((n_cells, width), dtype=np.int64)
     tie_rows = np.zeros(n_rows, dtype=bool)
     amax = np.empty((n_rows, n_cells), dtype=np.int64)
     for k in np.unique(sizes):
@@ -42,13 +30,18 @@ def cone_argmax_counts_numpy(heights, cells, sizes):
         mx = vals.max(axis=2)
         tie_rows |= ((vals == mx[:, :, None]).sum(axis=2) > 1).any(axis=1)
         amax[:, idx] = vals.argmax(axis=2)
-    good = ~tie_rows
-    for m in range(n_cells):
-        counts[m, : sizes[m]] = np.bincount(amax[good, m], minlength=sizes[m])[: sizes[m]]
+    amax[tie_rows] = -1  # tie rows count in no slot
+    counts = np.stack([(amax == j).sum(axis=0, dtype=np.int64) for j in range(width)], axis=1)
     return counts, tie_rows
 
 
-def lower_link_index_numpy(heights, owner, simp_verts, simp_sizes, vert_ptr):
+def cone_row_bytes(sizes) -> int:
+    """Bytes per row of cone_argmax_counts' temporaries: at most a float
+    gather, a mask and int64 tallies per slot and per cell."""
+    return 9 * int(sizes.sum()) + 25 * len(sizes)
+
+
+def lower_link_index(heights, owner, simp_verts, simp_sizes, vert_ptr):
     """Per row and per vertex, the Morse index 1 - chi(lower link).
 
     The link simplices of all vertices are concatenated: simplex s has
@@ -76,100 +69,13 @@ def lower_link_index_numpy(heights, owner, simp_verts, simp_sizes, vert_ptr):
     return idx, tie_rows
 
 
-if not _DISABLED:
-
-    @njit(cache=True)
-    def _cone_argmax_counts_nb(heights, cells, sizes):  # pragma: no cover (compiled)
-        n_rows = heights.shape[0]
-        n_cells, width = cells.shape
-        counts = np.zeros((n_cells, width), dtype=np.int64)
-        tie_rows = np.zeros(n_rows, dtype=np.bool_)
-        amax = np.empty(n_cells, dtype=np.int64)
-        for b in range(n_rows):
-            tied = False
-            for m in range(n_cells):
-                best = 0
-                best_h = heights[b, cells[m, 0]]
-                tie = False
-                for j in range(1, sizes[m]):
-                    h = heights[b, cells[m, j]]
-                    if h > best_h:
-                        best_h = h
-                        best = j
-                        tie = False
-                    elif h == best_h:
-                        tie = True
-                if tie:
-                    tied = True
-                    break
-                amax[m] = best
-            if tied:
-                tie_rows[b] = True
-            else:
-                for m in range(n_cells):
-                    counts[m, amax[m]] += 1
-        return counts, tie_rows
-
-    @njit(cache=True)
-    def _lower_link_index_nb(heights, owner, simp_verts, simp_sizes, vert_ptr):  # pragma: no cover
-        n_rows, n_vertices = heights.shape
-        idx = np.zeros((n_rows, n_vertices), dtype=np.int64)
-        tie_rows = np.zeros(n_rows, dtype=np.bool_)
-        for b in range(n_rows):
-            tied = False
-            for v in range(n_vertices):
-                hv = heights[b, v]
-                chi = 0
-                for s in range(vert_ptr[v], vert_ptr[v + 1]):
-                    all_lower = True
-                    for j in range(simp_sizes[s]):
-                        h = heights[b, simp_verts[s, j]]
-                        if h == hv:
-                            tied = True
-                            all_lower = False
-                            break
-                        if h > hv:
-                            all_lower = False
-                            break
-                    if tied:
-                        break
-                    if all_lower:
-                        chi += 1 if simp_sizes[s] % 2 == 1 else -1
-                if tied:
-                    break
-                idx[b, v] = 1 - chi
-            if tied:
-                tie_rows[b] = True
-                for v in range(n_vertices):
-                    idx[b, v] = 0
-        return idx, tie_rows
-
-    def cone_argmax_counts_numba(heights, cells, sizes):
-        return _cone_argmax_counts_nb(
-            np.ascontiguousarray(heights),
-            np.ascontiguousarray(cells),
-            np.ascontiguousarray(sizes),
-        )
-
-    def lower_link_index_numba(heights, owner, simp_verts, simp_sizes, vert_ptr):
-        return _lower_link_index_nb(
-            np.ascontiguousarray(heights),
-            np.ascontiguousarray(owner),
-            np.ascontiguousarray(simp_verts),
-            np.ascontiguousarray(simp_sizes),
-            np.ascontiguousarray(vert_ptr),
-        )
-
-    cone_argmax_counts = cone_argmax_counts_numba
-    lower_link_index = lower_link_index_numba
-    BACKEND = "numba"
-else:  # pragma: no cover (exercised via CURVCALC_NO_NUMBA subprocess tests)
-    cone_argmax_counts_numba = None
-    lower_link_index_numba = None
-    cone_argmax_counts = cone_argmax_counts_numpy
-    lower_link_index = lower_link_index_numpy
-    BACKEND = "numpy"
+def lower_link_row_bytes(simp_verts, n_vertices: int) -> int:
+    """Bytes per row of lower_link_index's temporaries and output: a
+    float gather with a mask per link-simplex slot, owner heights, masks
+    and int64 terms per link simplex, and the int64 index per vertex."""
+    n_simplices, width = simp_verts.shape
+    return (9 * width + 17) * n_simplices + 16 * n_vertices
 
 
 def backend_name() -> str:
-    return BACKEND
+    return "numpy"

@@ -83,6 +83,8 @@ class Embedding:
         return np.array([self.coordinates[v] for v in self._vertex_order])
 
     def restrict(self, subcomplex: SimplicialComplex) -> "Embedding":
+        if subcomplex == self.carrier:  # already checked
+            return self
         if not subcomplex.is_subcomplex_of(self.carrier):
             raise PieceNotSubcomplex(f"{subcomplex!r} is not a subcomplex of the carrier")
         return Embedding(subcomplex, {v: self.coordinates[v] for v in subcomplex.vertices})
@@ -165,7 +167,7 @@ def _cell_list(carrier, cells, method: str):
     return [(carrier.cell_vertex_objects(c), carrier.cell_dim(c)) for c in cells]
 
 
-def _cone_fractions(coords, cells, sizes, method, samples, seed, batch_size=8192):
+def _cone_fractions(coords, cells, sizes, method, samples, seed):
     """Normal-cone fraction and its error bound for every (cell, vertex
     slot) pair of a table from mc.build_cell_arrays; the table's vertex
     ids are rows of coords."""
@@ -177,9 +179,7 @@ def _cone_fractions(coords, cells, sizes, method, samples, seed, batch_size=8192
     def heights(dirs):
         return dirs @ coords.T
 
-    counts, _ = mc.run_cone_counts(
-        heights, coords.shape[-1], cells, sizes, samples, seed, batch_size
-    )
+    counts, _ = mc.run_cone_counts(heights, coords.shape[-1], cells, sizes, samples, seed)
     return counts / samples, mc.smoothed_binomial_stderr(counts, samples)
 
 
@@ -228,7 +228,6 @@ def curvature_measure(
     method: str = "exact",
     samples: int = 100_000,
     seed: int = 0,
-    batch_size: int = 8192,
 ) -> dict:
     """Curvature mass at every vertex, as {vertex: (value, bound)}.
 
@@ -240,9 +239,7 @@ def curvature_measure(
     cells, sizes, signs = mc.build_cell_arrays(
         _cell_list(carrier, carrier.cells(), method), embedding.vertex_index
     )
-    fractions, bounds = _cone_fractions(
-        embedding.matrix(), cells, sizes, method, samples, seed, batch_size
-    )
+    fractions, bounds = _cone_fractions(embedding.matrix(), cells, sizes, method, samples, seed)
     filled = np.arange(cells.shape[1]) < sizes[:, None]
     ids = cells[filled]
     n = len(embedding.vertex_order)

@@ -13,6 +13,10 @@ class CurvCalcError(Exception):
         return type(self).__name__
 
 
+class UsageError(CurvCalcError):
+    """A command line that does not parse."""
+
+
 class MissingFace(CurvCalcError):
     """A simplex set is not closed under taking faces."""
 

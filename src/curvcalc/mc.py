@@ -1,13 +1,15 @@
-"""Deterministic Monte Carlo direction sampling and kernel drivers.
+"""Deterministic Monte Carlo direction sampling and the kernel driver.
 
-Directions are unit vectors obtained from normalized standard Gaussians.
-Each batch draws from a counter-based Philox stream keyed by the user
-seed with the batch index in the counter, so the same seed and the same
-batch_size reproduce the same output. A different batch_size starts a
-fresh counter at every batch boundary and so draws different directions.
-Rows with exact height ties are discarded by the kernels and replaced
-from later batches, so every estimate uses exactly the requested number
-of tie-free directions.
+Directions are unit vectors obtained from normalized standard Gaussians,
+drawn in blocks of BLOCK_ROWS rows. Block b comes from a counter-based
+Philox stream keyed by the user seed with b in the counter, so every
+result is a function of the inputs, the seed and the sample count alone.
+The driver passes each block's heights to a kernel in row slices sized
+so the kernel's temporaries stay under KERNEL_BUDGET_BYTES (one row per
+call if a single row exceeds it); kernel results add over rows, so the
+slicing changes no output. Rows with exact height ties are discarded by
+the kernels and replaced from later blocks, so every estimate uses
+exactly the requested number of tie-free directions.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,9 @@ import numpy as np
 
 from . import _kernels
 
-_MAX_EMPTY_BATCHES = 64
+BLOCK_ROWS = 8192
+KERNEL_BUDGET_BYTES = 16 * 2**20
+_MAX_EMPTY_BLOCKS = 64
 
 
 def sample_unit_directions(seed: int, batch_index: int, count: int, dim: int) -> np.ndarray:
@@ -37,81 +41,67 @@ def sample_unit_directions(seed: int, batch_index: int, count: int, dim: int) ->
 class McStats:
     samples: int
     resampled: int
-    batches: int
+    batches: int  # direction blocks drawn
+
+
+def _drive(heights_fn, dim: int, n_samples: int, seed: int, row_bytes: int, accumulate):
+    """Feed exactly n_samples tie-free directions to accumulate, which
+    adds the tie-free rows of a (rows, n_vertices) heights slice to the
+    caller's totals and returns the slice's number of tie rows.
+    heights_fn maps a (rows, dim) direction array to its heights."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    step = max(1, KERNEL_BUDGET_BYTES // max(row_bytes, 1))
+    remaining = n_samples
+    blocks = 0
+    resampled = 0
+    empty_streak = 0
+    while remaining > 0:
+        rows = min(BLOCK_ROWS, remaining)
+        heights = heights_fn(sample_unit_directions(seed, blocks, rows, dim))
+        blocks += 1
+        n_tied = sum(accumulate(heights[lo : lo + step]) for lo in range(0, rows, step))
+        remaining -= rows - n_tied
+        resampled += n_tied
+        empty_streak = empty_streak + 1 if n_tied == rows else 0
+        if empty_streak >= _MAX_EMPTY_BLOCKS:
+            raise RuntimeError("direction sampling keeps hitting height ties")
+    return McStats(n_samples, resampled, blocks)
 
 
 def run_cone_counts(
-    heights_fn,
-    dim: int,
-    cells: np.ndarray,
-    sizes: np.ndarray,
-    n_samples: int,
-    seed: int,
-    batch_size: int = 8192,
+    heights_fn, dim: int, cells: np.ndarray, sizes: np.ndarray, n_samples: int, seed: int
 ):
-    """Accumulate strict-argmax counts per (cell, vertex slot) over
-    exactly n_samples tie-free directions. heights_fn maps a (rows, dim)
-    direction array to a (rows, n_vertices) height array."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    """Strict-argmax counts per (cell, vertex slot) over exactly
+    n_samples tie-free directions, and the run's McStats."""
     counts = np.zeros(cells.shape, dtype=np.int64)
-    remaining = n_samples
-    batch_index = 0
-    resampled = 0
-    empty_streak = 0
-    while remaining > 0:
-        rows = min(batch_size, remaining)
-        dirs = sample_unit_directions(seed, batch_index, rows, dim)
-        batch_index += 1
-        heights = heights_fn(dirs)
-        batch_counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
-        n_tied = int(ties.sum())
-        counts += batch_counts
-        remaining -= rows - n_tied
-        resampled += n_tied
-        empty_streak = empty_streak + 1 if n_tied == rows else 0
-        if empty_streak >= _MAX_EMPTY_BATCHES:
-            raise RuntimeError("direction sampling keeps hitting height ties")
-    return counts, McStats(n_samples, resampled, batch_index)
+
+    def accumulate(heights):
+        slice_counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+        counts[...] += slice_counts
+        return int(ties.sum())
+
+    stats = _drive(heights_fn, dim, n_samples, seed, _kernels.cone_row_bytes(sizes), accumulate)
+    return counts, stats
 
 
 def run_lower_link_stats(
-    heights_fn,
-    dim: int,
-    link_arrays,
-    n_vertices: int,
-    n_samples: int,
-    seed: int,
-    batch_size: int = 8192,
+    heights_fn, dim: int, link_arrays, n_vertices: int, n_samples: int, seed: int
 ):
-    """Accumulate per-vertex sums and sums of squares of the Morse index
-    over exactly n_samples tie-free directions."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    owner, simp_verts, simp_sizes, vert_ptr = link_arrays
+    """Per-vertex sums and sums of squares of the Morse index over
+    exactly n_samples tie-free directions, and the run's McStats."""
     sums = np.zeros(n_vertices, dtype=np.int64)
     sumsq = np.zeros(n_vertices, dtype=np.int64)
-    remaining = n_samples
-    batch_index = 0
-    resampled = 0
-    empty_streak = 0
-    while remaining > 0:
-        rows = min(batch_size, remaining)
-        dirs = sample_unit_directions(seed, batch_index, rows, dim)
-        batch_index += 1
-        heights = heights_fn(dirs)
-        idx, ties = _kernels.lower_link_index(
-            heights, owner, simp_verts, simp_sizes, vert_ptr
-        )
-        n_tied = int(ties.sum())
-        sums += idx.sum(axis=0)  # tied rows are zeroed by the kernel
-        sumsq += (idx * idx).sum(axis=0)
-        remaining -= rows - n_tied
-        resampled += n_tied
-        empty_streak = empty_streak + 1 if n_tied == rows else 0
-        if empty_streak >= _MAX_EMPTY_BATCHES:
-            raise RuntimeError("direction sampling keeps hitting height ties")
-    return sums, sumsq, McStats(n_samples, resampled, batch_index)
+
+    def accumulate(heights):
+        idx, ties = _kernels.lower_link_index(heights, *link_arrays)
+        sums[...] += idx.sum(axis=0)  # tied rows are zeroed by the kernel
+        sumsq[...] += (idx * idx).sum(axis=0)
+        return int(ties.sum())
+
+    row_bytes = _kernels.lower_link_row_bytes(link_arrays[1], n_vertices)
+    stats = _drive(heights_fn, dim, n_samples, seed, row_bytes, accumulate)
+    return sums, sumsq, stats
 
 
 def smoothed_binomial_stderr(count, n: int):

@@ -79,7 +79,6 @@ def morse_curvature_measure(
     embedding: Embedding,
     samples: int = 100_000,
     seed: int = 0,
-    batch_size: int = 8192,
     with_stats: bool = False,
 ):
     """Direction-averaged Morse index per vertex, with standard errors.
@@ -99,13 +98,7 @@ def morse_curvature_measure(
         return -(dirs @ coords.T)
 
     sums, sumsq, stats = mc.run_lower_link_stats(
-        heights,
-        embedding.ambient_dim,
-        link_arrays,
-        len(carrier.vertices),
-        samples,
-        seed,
-        batch_size,
+        heights, embedding.ambient_dim, link_arrays, len(carrier.vertices), samples, seed
     )
     result = {}
     for v in embedding.vertex_order:

@@ -232,14 +232,35 @@ def test_validate_reports_link_sizes(fixture_dir):
 )
 def test_format_is_rejected_where_nothing_reads_it(argv, capsys):
     assert invoke(*_corpus_argv(argv))[0] == 0
-    code, out, _ = invoke(*_corpus_argv(argv), "--format", "csv")
+    code, out, err = invoke(*_corpus_argv(argv), "--format", "csv")
     assert code == 2 and out == ""
-    # argparse reports usage errors on the process's stderr
-    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    report = json.loads(err)
+    assert report["error"] == "UsageError"
+    assert report["message"].endswith("unrecognized arguments: --format csv")
+    assert capsys.readouterr().err == ""
 
 
 def test_unknown_subcommand_exits_2():
-    assert invoke("nonsense")[0] == 2
+    code, _, err = invoke("nonsense")
+    assert code == 2
+    assert json.loads(err)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("integrate", "edge.txt", "--kind", "nosuch"), "argument --kind: invalid choice: 'nosuch'"),
+        (("validate", "edge.txt", "--nosuch"), "unrecognized arguments: --nosuch"),
+        (("integrate", "edge.txt"), "the following arguments are required: --kind"),
+    ],
+)
+def test_usage_errors_are_json_diagnostics(argv, message, capsys):
+    code, out, err = invoke(*_corpus_argv(argv))
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "UsageError"
+    assert message in report["message"]
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_file_exits_2(fixture_dir):
@@ -311,6 +332,26 @@ def test_gauss_bonnet_check_json(fixture_dir):
     assert report["chi"] == 2
     assert abs(report["sum_kappa"] - 2) <= 4 * report["bound"] + 1e-9
     assert abs(report["final_integral"] - report["sum_kappa"]) < 1e-9
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_gauss_bonnet_check_computes_the_measure_once(fixture_dir, method, monkeypatch):
+    from curvcalc import curvature
+
+    calls = []
+    measure = curvature.curvature_measure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(curvature, "curvature_measure", counted)
+    code, out, _ = invoke(
+        "gauss-bonnet-check", str(fixture_dir / "octahedron.txt"), "--method", method
+    )
+    assert code == 0 and len(calls) == 1
+    report = json.loads(out)
+    assert report["final_integral"] == report["sum_kappa"]
 
 
 def test_curvature_csv_and_json(fixture_dir):

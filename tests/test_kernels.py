@@ -1,15 +1,16 @@
-"""The numba kernels and their numpy fallbacks must agree bitwise."""
+"""The Monte Carlo kernels against per-row Python oracles, and the driver
+that slices kernel calls under a byte budget."""
 
-import os
-import subprocess
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from curvcalc import _kernels, mc
 from curvcalc import fixtures
-from curvcalc.curvature import equilateral_embedding
+from curvcalc.complexes import barycentric_subdivide
+from curvcalc.curvature import curvature_measure, equilateral_embedding
+from curvcalc.morse import morse_curvature_measure
 
 
 def random_cells(rng, n_vertices, n_cells, width):
@@ -22,33 +23,91 @@ def random_cells(rng, n_vertices, n_cells, width):
     return cells, sizes
 
 
-needs_numba = pytest.mark.skipif(
-    _kernels.backend_name() != "numba", reason="numba backend disabled"
-)
+def tied_heights(rng, n_rows, n_vertices):
+    """Gaussian heights with an exact tie between two random vertices on
+    every third row."""
+    heights = rng.standard_normal((n_rows, n_vertices))
+    for b in range(0, n_rows, 3):
+        a, c = rng.choice(n_vertices, size=2, replace=False)
+        heights[b, a] = heights[b, c]
+    return heights
 
 
-@needs_numba
+def cone_oracle(heights, cells, sizes):
+    """Per row: the strict argmax slot of every cell; a row in which any
+    cell's maximum is attained twice is flagged and counts nothing."""
+    counts = np.zeros(cells.shape, dtype=np.int64)
+    ties = np.zeros(len(heights), dtype=bool)
+    for b, row in enumerate(heights):
+        slots = []
+        for cell, size in zip(cells.tolist(), sizes.tolist()):
+            values = [row[u] for u in cell[:size]]
+            top = max(values)
+            if values.count(top) > 1:
+                ties[b] = True
+                break
+            slots.append(values.index(top))
+        if not ties[b]:
+            for m, j in enumerate(slots):
+                counts[m, j] += 1
+    return counts, ties
+
+
+def lower_link_oracle(X, index, heights):
+    """Per row and vertex: 1 - chi of the lower link, from the simplices
+    of X containing the vertex; a row in which any vertex ties with a
+    vertex of its link is flagged and zeroed."""
+    result = np.zeros(heights.shape, dtype=np.int64)
+    ties = np.zeros(len(heights), dtype=bool)
+    for b, row in enumerate(heights):
+        for v in X.vertices:
+            hv = row[index[v]]
+            chi = 0
+            for s in X.simplices:
+                if v not in s or len(s) == 1:
+                    continue
+                face = [row[index[u]] for u in s if u != v]
+                ties[b] |= hv in face
+                if max(face) < hv:
+                    chi += (-1) ** (len(face) - 1)
+            result[b, index[v]] = 1 - chi
+    result[ties] = 0
+    return result, ties
+
+
 @pytest.mark.parametrize("trial", range(3))
-def test_cone_counts_backends_agree(trial, rng):
-    heights = rng.standard_normal((500, 7))
+def test_cone_counts_match_oracle(trial, rng):
+    heights = tied_heights(rng, 300, 7)
     cells, sizes = random_cells(rng, 7, 40, 4)
-    got_nb = _kernels.cone_argmax_counts_numba(heights, cells, sizes)
-    got_np = _kernels.cone_argmax_counts_numpy(heights, cells, sizes)
-    np.testing.assert_array_equal(got_nb[0], got_np[0])
-    np.testing.assert_array_equal(got_nb[1], got_np[1])
+    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    want_counts, want_ties = cone_oracle(heights, cells, sizes)
+    assert 0 < want_ties.sum() < len(heights)
+    np.testing.assert_array_equal(ties, want_ties)
+    np.testing.assert_array_equal(counts, want_counts)
 
 
-@needs_numba
-def test_cone_counts_backends_agree_on_ties(rng):
-    heights = rng.standard_normal((100, 4))
-    heights[::7, 1] = heights[::7, 2]  # inject exact ties
-    cells = np.array([[0, 1, 2, 0], [1, 2, 3, 1]], dtype=np.int64)
-    sizes = np.array([3, 3], dtype=np.int64)
-    counts_nb, ties_nb = _kernels.cone_argmax_counts_numba(heights, cells, sizes)
-    counts_np, ties_np = _kernels.cone_argmax_counts_numpy(heights, cells, sizes)
-    assert ties_nb.sum() > 0
-    np.testing.assert_array_equal(ties_nb, ties_np)
-    np.testing.assert_array_equal(counts_nb, counts_np)
+@pytest.mark.parametrize("trial", range(3))
+def test_cone_counts_match_oracle_on_complex_cells(trial, rng):
+    X = fixtures.random_complex(rng)
+    emb = equilateral_embedding(X)
+    cells, sizes, _ = mc.build_cell_arrays([(s, len(s) - 1) for s in X.cells()], emb.vertex_index)
+    heights = tied_heights(rng, 200, len(X.vertices))
+    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    want_counts, want_ties = cone_oracle(heights, cells, sizes)
+    np.testing.assert_array_equal(ties, want_ties)
+    np.testing.assert_array_equal(counts, want_counts)
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_lower_link_matches_oracle(trial, rng):
+    X = fixtures.random_complex(rng)
+    emb = equilateral_embedding(X)
+    arrays = mc.build_link_arrays(X, emb.vertex_index)
+    heights = tied_heights(rng, 150, len(X.vertices))
+    idx, ties = _kernels.lower_link_index(heights, *arrays)
+    want_idx, want_ties = lower_link_oracle(X, emb.vertex_index, heights)
+    np.testing.assert_array_equal(ties, want_ties)
+    np.testing.assert_array_equal(idx, want_idx)
 
 
 def test_cone_counts_manual_case():
@@ -58,21 +117,6 @@ def test_cone_counts_manual_case():
     counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
     assert not ties.any()
     np.testing.assert_array_equal(counts, [[1, 1, 0], [1, 1, 0]])
-
-
-@needs_numba
-@pytest.mark.parametrize("trial", range(3))
-def test_lower_link_backends_agree(trial, rng):
-    X = fixtures.random_complex(rng)
-    emb = equilateral_embedding(X)
-    arrays = mc.build_link_arrays(X, emb.vertex_index)
-    heights = rng.standard_normal((300, len(X.vertices)))
-    # inject exact ties on a few rows
-    heights[::11, 0] = heights[::11, -1]
-    got_nb = _kernels.lower_link_index_numba(heights, *arrays)
-    got_np = _kernels.lower_link_index_numpy(heights, *arrays)
-    np.testing.assert_array_equal(got_nb[0], got_np[0])
-    np.testing.assert_array_equal(got_nb[1], got_np[1])
 
 
 def test_lower_link_manual_case():
@@ -97,23 +141,118 @@ def test_direction_sampling_is_deterministic():
     np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
 
 
-def test_run_cone_counts_uses_exact_sample_count(rng):
+def test_run_cone_counts_uses_exact_sample_count():
     X, emb = fixtures.octahedron()
     cell_list = [(s, len(s) - 1) for s in X.cells()]
     cells, sizes, _ = mc.build_cell_arrays(cell_list, emb.vertex_index)
     coords = emb.matrix()
-    counts, stats = mc.run_cone_counts(
-        lambda d: d @ coords.T, 3, cells, sizes, 5000, seed=11, batch_size=1024
-    )
-    assert stats.samples == 5000
+    n = 2 * mc.BLOCK_ROWS + 500
+    counts, stats = mc.run_cone_counts(lambda d: d @ coords.T, 3, cells, sizes, n, seed=11)
+    assert stats.samples == n and stats.batches == 3
     # each simplex has exactly one strict argmax per tie-free direction
-    np.testing.assert_array_equal(counts.sum(axis=1), 5000)
+    np.testing.assert_array_equal(counts.sum(axis=1), n)
 
 
-def test_numpy_fallback_env_flag():
-    code = "import curvcalc._kernels as k; print(k.backend_name())"
-    env = dict(os.environ, CURVCALC_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+# ---------------------------------------------------------------------------
+# Slicing under the byte budget
+# ---------------------------------------------------------------------------
+
+def _record_rows(monkeypatch, name):
+    """Wrap a kernel so each call's row count is recorded."""
+    rows = []
+    kernel = getattr(_kernels, name)
+
+    def recorded(heights, *args):
+        rows.append(heights.shape[0])
+        return kernel(heights, *args)
+
+    monkeypatch.setattr(_kernels, name, recorded)
+    return rows
+
+
+def _coarse_heights(coords):
+    # heights rounded to one decimal tie often, so resampling runs too
+    return lambda dirs: np.round(dirs @ coords.T, 1)
+
+
+def test_slicing_changes_no_cone_count(monkeypatch):
+    X = fixtures.random_complex(np.random.default_rng(5))
+    emb = equilateral_embedding(X)
+    cells, sizes, _ = mc.build_cell_arrays([(s, len(s) - 1) for s in X.cells()], emb.vertex_index)
+    args = (_coarse_heights(emb.matrix()), emb.ambient_dim, cells, sizes, 2000, 4)
+    counts, stats = mc.run_cone_counts(*args)
+    assert stats.resampled > 0 and stats.batches >= 2
+    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", 3 * _kernels.cone_row_bytes(sizes))
+    rows = _record_rows(monkeypatch, "cone_argmax_counts")
+    sliced_counts, sliced_stats = mc.run_cone_counts(*args)
+    assert max(rows) == 3
+    np.testing.assert_array_equal(sliced_counts, counts)
+    assert sliced_stats == stats
+
+
+def test_slicing_changes_no_lower_link_sum(monkeypatch):
+    X = fixtures.random_complex(np.random.default_rng(6))
+    emb = equilateral_embedding(X)
+    arrays = mc.build_link_arrays(X, emb.vertex_index)
+    n = len(X.vertices)
+    args = (_coarse_heights(emb.matrix()), emb.ambient_dim, arrays, n, 2000, 4)
+    sums, sumsq, stats = mc.run_lower_link_stats(*args)
+    assert stats.resampled > 0 and stats.batches >= 2
+    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", 3 * _kernels.lower_link_row_bytes(arrays[1], n))
+    rows = _record_rows(monkeypatch, "lower_link_index")
+    sliced = mc.run_lower_link_stats(*args)
+    assert max(rows) == 3
+    np.testing.assert_array_equal(sliced[0], sums)
+    np.testing.assert_array_equal(sliced[1], sumsq)
+    assert sliced[2] == stats
+
+
+@pytest.mark.parametrize("name", ["octahedron", "book"])
+def test_slicing_changes_no_measure(name, monkeypatch):
+    _, emb = getattr(fixtures, name)()
+    cone_stats = []
+    run_cone_counts = mc.run_cone_counts
+
+    def recorded(*args):
+        counts, stats = run_cone_counts(*args)
+        cone_stats.append(stats)
+        return counts, stats
+
+    monkeypatch.setattr(mc, "run_cone_counts", recorded)
+    samples = mc.BLOCK_ROWS + 200
+
+    def measures():
+        return (
+            curvature_measure(emb, method="mc", samples=samples, seed=9),
+            morse_curvature_measure(emb, samples=samples, seed=9, with_stats=True),
+        )
+
+    default = measures()
+    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", 8192)
+    cone_rows = _record_rows(monkeypatch, "cone_argmax_counts")
+    link_rows = _record_rows(monkeypatch, "lower_link_index")
+    sliced = measures()
+    assert max(cone_rows) < 20 and max(link_rows) < 20
+    # ValueWithError tuples and McStats compare exactly
+    assert sliced == default
+    assert cone_stats[0] == cone_stats[1]
+
+
+def test_kernel_memory_stays_under_the_budget():
+    X, _ = fixtures.solid_tetrahedron()
+    for _ in range(2):
+        X, _ = barycentric_subdivide(X)
+    emb = equilateral_embedding(X)
+    # one 2,000-row call of either kernel would take far more than the budget
+    row_bytes = _kernels.lower_link_row_bytes(
+        mc.build_link_arrays(X, emb.vertex_index)[1], len(X.vertices)
     )
-    assert out.stdout.strip() == "numpy"
+    assert 2000 * row_bytes > 10 * mc.KERNEL_BUDGET_BYTES
+    tracemalloc.start()
+    try:
+        morse_curvature_measure(emb, samples=2000, seed=1)
+        curvature_measure(emb, method="mc", samples=2000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * mc.KERNEL_BUDGET_BYTES

@@ -110,7 +110,7 @@ class TestVectorizedIndexOracle:
         X, emb = fixture()
         dirs = mc.sample_unit_directions(11, 0, 50, emb.ambient_dim)
         heights = -(dirs @ emb.matrix().T)
-        idx, ties = _kernels.lower_link_index_numpy(
+        idx, ties = _kernels.lower_link_index(
             heights, *mc.build_link_arrays(X, emb.vertex_index)
         )
         assert not ties.all()
