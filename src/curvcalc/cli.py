@@ -349,13 +349,24 @@ def _cmd_adiabatic(args, out) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors, so that run reports them as JSON."""
+    """Writes help and usage to its stdout (the process's when None) and
+    raises usage errors, so that run reports them as JSON."""
+
+    def __init__(self, *args, stdout=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stdout = stdout
+
+    def print_help(self, file=None):
+        super().print_help(file if file is not None else self.stdout)
+
+    def print_usage(self, file=None):
+        super().print_usage(file if file is not None else self.stdout)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(stdout=None) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument("--samples", type=int, default=10_000)
@@ -367,11 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="curvcalc",
         description="Euler and curvature calculus on finite simplicial complexes",
+        stdout=stdout,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, *parents, **kwargs):
-        p = sub.add_parser(name, parents=[common, *parents], **kwargs)
+        p = sub.add_parser(name, parents=[common, *parents], stdout=stdout, **kwargs)
         p.set_defaults(handler=handler)
         return p
 
@@ -451,7 +463,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(stdout).parse_args(argv)
         if args.samples < 1:
             raise CurvCalcError("--samples must be at least 1")
         if args.grid < 5:

@@ -15,9 +15,12 @@ subdivision of a standard simplex.
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     MissingFace,
     NotComposable,
+    UnknownSimplex,
     UnknownVertex,
 )
 
@@ -64,7 +67,7 @@ class SimplicialComplex:
     vertex). Equality and hashing are by simplex set.
     """
 
-    __slots__ = ("_simplices", "_vertices", "_by_dim", "_cofaces")
+    __slots__ = ("_simplices", "_vertices", "_by_dim", "_positions", "_cofaces")
 
     def __init__(self, simplices, validate: bool = True):
         simps = frozenset(as_simplex(s) for s in simplices)
@@ -76,11 +79,8 @@ class SimplicialComplex:
         for s in simps:
             by_dim.setdefault(len(s) - 1, []).append(s)
         self._by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
-        cofaces: dict[int, list[Simplex]] = {v: [] for v in self._vertices}
-        for s in simps:
-            for v in s:
-                cofaces[v].append(s)
-        self._cofaces = {v: tuple(sorted(c)) for v, c in cofaces.items()}
+        self._positions: dict[int, np.ndarray] = {}
+        self._cofaces = None  # built by the first star or link call
 
     @classmethod
     def from_maximal(cls, maximal) -> "SimplicialComplex":
@@ -104,6 +104,19 @@ class SimplicialComplex:
 
     def simplices_of_dim(self, d: int) -> tuple[Simplex, ...]:
         return self._by_dim.get(d, ())
+
+    def vertex_positions(self, d: int) -> np.ndarray:
+        """Read-only (n_d, d+1) int64 array whose row i holds the
+        positions in self.vertices of the vertices of
+        simplices_of_dim(d)[i]. Positions, not ids, so sparse vertex ids
+        stay compact. Built on first use per dimension."""
+        positions = self._positions.get(d)
+        if positions is None:
+            ids = np.array(self.simplices_of_dim(d), dtype=np.int64).reshape(-1, d + 1)
+            positions = np.searchsorted(np.array(self._vertices, dtype=np.int64), ids)
+            positions.flags.writeable = False
+            self._positions[d] = positions
+        return positions
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(self._by_dim.get(d, ())) for d in range(self.dim + 1))
@@ -129,19 +142,21 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** (len(s) - 1) for s in self._simplices)
 
-    def _check_vertex(self, v) -> None:
-        if v not in self._cofaces:
-            raise UnknownVertex(v)
-
     def star(self, v: int) -> tuple[Simplex, ...]:
         """All simplices containing v (not closed under faces)."""
-        self._check_vertex(v)
+        if self._cofaces is None:
+            cofaces: dict[int, list[Simplex]] = {u: [] for u in self._vertices}
+            for s in self._simplices:
+                for u in s:
+                    cofaces[u].append(s)
+            self._cofaces = {u: tuple(sorted(c)) for u, c in cofaces.items()}
+        if v not in self._cofaces:
+            raise UnknownVertex(v)
         return self._cofaces[v]
 
     def link(self, v: int) -> "SimplicialComplex":
         """The subcomplex { s : v not in s, s + {v} in X }."""
-        self._check_vertex(v)
-        link = [tuple(u for u in s if u != v) for s in self._cofaces[v] if len(s) > 1]
+        link = [tuple(u for u in s if u != v) for s in self.star(v) if len(s) > 1]
         return SimplicialComplex(link, validate=False)
 
     def full_subcomplex(self, vertex_subset) -> "SimplicialComplex":
@@ -218,26 +233,32 @@ def constant_function(complex: SimplicialComplex, value) -> PLFunction:
 class SimplicialMap:
     """A vertex map whose induced simplex images land in the target."""
 
-    __slots__ = ("source", "target", "vertex_map")
+    __slots__ = ("source", "target", "vertex_map", "_images")
 
     def __init__(self, source: SimplicialComplex, target: SimplicialComplex, vertex_map):
         vm = dict(vertex_map)
+        target_vertices = set(target.vertices)
         for v in source.vertices:
             if v not in vm:
                 raise UnknownVertex(v)
-            if vm[v] not in target.vertices:
+            if vm[v] not in target_vertices:
                 raise UnknownVertex(vm[v])
-        for s in source.simplices:
-            image = tuple(sorted({vm[v] for v in s}))
+        images = {s: tuple(sorted({vm[v] for v in s})) for s in source.simplices}
+        for s, image in images.items():
             if not target.has_cell(image):
                 raise MissingFace(s, image)
         self.source = source
         self.target = target
         self.vertex_map = vm
+        self._images = images
 
     def image(self, simplex: Simplex) -> Simplex:
-        """Image simplex, with repeated image vertices collapsed."""
-        return tuple(sorted({self.vertex_map[v] for v in simplex}))
+        """Image of a source simplex, with repeated image vertices
+        collapsed."""
+        image = self._images.get(tuple(simplex))
+        if image is None:
+            raise UnknownSimplex(simplex)
+        return image
 
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
         """self o inner (inner applied first)."""

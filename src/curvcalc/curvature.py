@@ -7,6 +7,13 @@ simplex. Closed forms cover simplices of dimension <= 3 in any ambient
 dimension; larger simplices and product cells use seeded Monte Carlo.
 Every float result carries an error bound (0 for exact values); bounds
 propagate by summation.
+
+An Embedding of a simplicial complex rejects affinely degenerate
+simplices. A d-simplex is degenerate when the (d, N) matrix of its edge
+vectors from its first vertex has fewer than d singular values (d > N,
+the ambient dimension) or a smallest singular value at most
+_DEGENERACY_RTOL * max(largest, 1). DegenerateSimplex reports the first
+degenerate simplex in (dimension, lexicographic) order.
 """
 
 import itertools
@@ -38,37 +45,53 @@ class Embedding:
     """Vertex coordinates in an ambient Euclidean space.
 
     The carrier may be a simplicial complex (each simplex is checked for
-    affine nondegeneracy) or a product cell complex, whose cells are
-    nondegenerate whenever the factors are.
+    affine nondegeneracy by the rule in the module docstring) or a
+    product cell complex, whose cells are nondegenerate whenever the
+    factors are.
     """
 
     def __init__(self, carrier, coordinates):
-        coords = {v: np.asarray(x, dtype=float) for v, x in dict(coordinates).items()}
+        coordinates = dict(coordinates)
         for v in carrier.vertices:
-            if v not in coords:
+            if v not in coordinates:
                 raise UnknownVertex(v)
-        for v, c in coords.items():
-            if not np.isfinite(c).all():
-                raise NonFiniteCoordinate(v)
-        dims = {c.shape for c in coords.values()}
+        order = tuple(sorted(coordinates, key=_vertex_sort_key))
+        rows = [np.asarray(coordinates[v], dtype=float) for v in order]
+        dims = {r.shape for r in rows}
         if len(dims) > 1:
             raise ValueError(f"mixed coordinate dimensions: {dims}")
+        matrix = np.array(rows) if rows else np.zeros((0, 0))
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            raise NonFiniteCoordinate(order[int(np.argmin(finite))])
+        matrix.flags.writeable = False
         self.carrier = carrier
-        self.coordinates = coords
-        self.ambient_dim = next(iter(dims))[0] if coords else 0
-        self._vertex_order = tuple(sorted(coords, key=_vertex_sort_key))
-        self._vertex_index = {v: i for i, v in enumerate(self._vertex_order)}
+        self.coordinates = dict(zip(order, matrix))
+        self.ambient_dim = matrix.shape[1]
+        self._matrix = matrix
+        self._vertex_order = order
+        self._vertex_index = {v: i for i, v in enumerate(order)}
         if isinstance(carrier, SimplicialComplex):
-            for s in carrier.simplices:
-                if len(s) > 1 and self._is_degenerate(s):
-                    raise DegenerateSimplex(s)
+            self._check_nondegenerate()
 
-    def _is_degenerate(self, simplex) -> bool:
-        pts = np.array([self.coordinates[v] for v in simplex])
-        gens = pts[1:] - pts[0]
-        sv = np.linalg.svd(gens, compute_uv=False)
-        # fewer singular values than generators: more of them than dimensions
-        return len(sv) < len(gens) or bool(sv[-1] <= _DEGENERACY_RTOL * max(sv[0], 1.0))
+    def _check_nondegenerate(self) -> None:
+        """One stacked SVD per dimension over the simplices' edge vectors,
+        in row chunks whose gathers stay under mc.KERNEL_BUDGET_BYTES."""
+        n = self.ambient_dim
+        for ids, d in _simplex_rows(self.carrier, self._vertex_index)[1:]:
+            if d > n:  # fewer singular values than generators
+                raise DegenerateSimplex(self.carrier.simplices_of_dim(d)[0])
+            step = max(1, mc.KERNEL_BUDGET_BYTES // (8 * (2 * d + 1) * n))
+            for lo in range(0, len(ids), step):
+                chunk = ids[lo : lo + step]
+                # no name holds the edge vectors, so each chunk's are freed before the next
+                sv = np.linalg.svd(
+                    self._matrix[chunk[:, 1:]] - self._matrix[chunk[:, :1]], compute_uv=False
+                )
+                degenerate = sv[:, -1] <= _DEGENERACY_RTOL * np.maximum(sv[:, 0], 1.0)
+                if degenerate.any():
+                    first = lo + int(np.argmax(degenerate))
+                    raise DegenerateSimplex(self.carrier.simplices_of_dim(d)[first])
 
     @property
     def vertex_order(self):
@@ -79,8 +102,8 @@ class Embedding:
         return self._vertex_index
 
     def matrix(self) -> np.ndarray:
-        """(n_vertices, N) coordinate matrix in vertex_order."""
-        return np.array([self.coordinates[v] for v in self._vertex_order])
+        """Read-only (n_vertices, N) coordinate matrix in vertex_order."""
+        return self._matrix
 
     def restrict(self, subcomplex: SimplicialComplex) -> "Embedding":
         if subcomplex == self.carrier:  # already checked
@@ -94,18 +117,19 @@ def _vertex_sort_key(v):
     return (0, v, "") if isinstance(v, int) else (1, -1, repr(v))
 
 
+def _simplex_rows(complex: SimplicialComplex, vertex_index) -> list:
+    """(ids, d) per dimension d: ids is the (n_d, d+1) array of the
+    coordinate-matrix rows of the vertices of complex.simplices_of_dim(d)."""
+    rows = np.array([vertex_index[v] for v in complex.vertices], dtype=np.int64)
+    return [(rows[complex.vertex_positions(d)], d) for d in range(complex.dim + 1)]
+
+
 def equilateral_embedding(complex: SimplicialComplex) -> Embedding:
     """Scaled coordinate-vector embedding: vertex v goes to
     (sqrt(2)/2) e_v, so every edge has length 1 and every simplex is a
     regular unit-side simplex."""
-    n = len(complex.vertices)
     scale = math.sqrt(2.0) / 2.0
-    coords = {}
-    for i, v in enumerate(complex.vertices):
-        e = np.zeros(n)
-        e[i] = scale
-        coords[v] = e
-    return Embedding(complex, coords)
+    return Embedding(complex, zip(complex.vertices, scale * np.eye(len(complex.vertices))))
 
 
 def product_embedding(ex: Embedding, ey: Embedding) -> Embedding:
@@ -158,13 +182,24 @@ def _exact_cone_fractions(coords: np.ndarray, cells: np.ndarray, sizes: np.ndarr
     return fractions
 
 
-def _cell_list(carrier, cells, method: str):
-    """(vertex objects, dim) for each cell; exact fractions need simplices."""
+def _cell_table(embedding: Embedding, method: str):
+    """The mc.build_cell_arrays table of every cell of the carrier, in
+    carrier.cells() order; exact fractions need simplices."""
+    carrier, vertex_index = embedding.carrier, embedding.vertex_index
     if isinstance(carrier, SimplicialComplex):
-        return [(s, len(s) - 1) for s in cells]
+        return mc.build_cell_arrays(_simplex_rows(carrier, vertex_index))
     if method == "exact":
         raise ExactUnavailable("exact cone fractions apply to simplicial carriers only")
-    return [(carrier.cell_vertex_objects(c), carrier.cell_dim(c)) for c in cells]
+    cells = [
+        ([vertex_index[v] for v in carrier.cell_vertex_objects(c)], carrier.cell_dim(c))
+        for c in carrier.cells()
+    ]
+    groups = []
+    # runs of equal size, so the table keeps the cells() order
+    for _, run in itertools.groupby(cells, key=lambda cell: len(cell[0])):
+        ids, dims = zip(*run)
+        groups.append((np.array(ids, dtype=np.int64), np.array(dims, dtype=np.int64)))
+    return mc.build_cell_arrays(groups)
 
 
 def _cone_fractions(coords, cells, sizes, method, samples, seed):
@@ -196,12 +231,14 @@ def excess_angle(
     carrier = embedding.carrier
     if not carrier.has_cell(simplex):
         raise UnknownSimplex(simplex)
-    cell_list = _cell_list(carrier, [simplex], method)
-    vertices = cell_list[0][0]
+    if method == "exact" and not isinstance(carrier, SimplicialComplex):
+        raise ExactUnavailable("exact cone fractions apply to simplicial carriers only")
+    vertices = carrier.cell_vertex_objects(simplex)
     if v not in vertices:
         raise UnknownVertex(v)
-    cells, sizes, _ = mc.build_cell_arrays(cell_list, {w: i for i, w in enumerate(vertices)})
-    coords = np.array([embedding.coordinates[w] for w in vertices])
+    ids = np.arange(len(vertices), dtype=np.int64).reshape(1, -1)
+    cells, sizes, _ = mc.build_cell_arrays([(ids, carrier.cell_dim(simplex))])
+    coords = embedding.matrix()[[embedding.vertex_index[w] for w in vertices]]
     fractions, bounds = _cone_fractions(coords, cells, sizes, method, samples, seed)
     slot = vertices.index(v)
     return ValueWithError(float(fractions[0, slot]), float(bounds[0, slot]))
@@ -235,10 +272,7 @@ def curvature_measure(
     simplices, so the per-vertex bound (the sum of the per-term smoothed
     binomial standard errors) upper-bounds the standard deviation of the
     signed sum."""
-    carrier = embedding.carrier
-    cells, sizes, signs = mc.build_cell_arrays(
-        _cell_list(carrier, carrier.cells(), method), embedding.vertex_index
-    )
+    cells, sizes, signs = _cell_table(embedding, method)
     fractions, bounds = _cone_fractions(embedding.matrix(), cells, sizes, method, samples, seed)
     filled = np.arange(cells.shape[1]) < sizes[:, None]
     ids = cells[filled]

@@ -137,16 +137,6 @@ def euler_integral(s: ConstructibleFunction) -> Fraction:
     return _signed_sums(signs, s.coefficients.values()).get(None, Fraction(0))
 
 
-def _vertex_slots(complex: SimplicialComplex):
-    """Yield (d, slots) per dimension d, where slots is the (n_d, d+1)
-    array of the positions in complex.vertices of each d-simplex's
-    vertices. Positions, not ids, so sparse vertex ids stay compact."""
-    vertices = np.array(complex.vertices, dtype=np.int64)
-    for d in range(complex.dim + 1):
-        simplices = np.array(complex.simplices_of_dim(d), dtype=np.int64).reshape(-1, d + 1)
-        yield d, np.searchsorted(vertices, simplices)
-
-
 def _extreme_vertex_integral(alpha: PLFunction, extreme) -> Fraction:
     """sum over simplices s of (-1)^dim s * alpha(extreme vertex of s).
 
@@ -162,7 +152,8 @@ def _extreme_vertex_integral(alpha: PLFunction, extreme) -> Fraction:
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     counts = np.zeros(len(order), dtype=np.int64)
-    for d, slots in _vertex_slots(complex):
+    for d in range(complex.dim + 1):
+        slots = complex.vertex_positions(d)
         hits = np.bincount(extreme(rank[slots], axis=1), minlength=len(order))
         counts += -hits if d % 2 else hits
     total = sum(numerators[i] * m for i, m in zip(order, counts.tolist()) if m)
@@ -243,9 +234,9 @@ def _weight_numerators(complex: SimplicialComplex) -> tuple[int, list[int]]:
     L = lcm(1, ..., dim + 1), from integer star counts per dimension."""
     common = math.lcm(*range(1, complex.dim + 2))
     numerators = [0] * len(complex.vertices)
-    for d, slots in _vertex_slots(complex):
+    for d in range(complex.dim + 1):
         scale = (-1) ** d * (common // (d + 1))
-        counts = np.bincount(slots.ravel(), minlength=len(numerators))
+        counts = np.bincount(complex.vertex_positions(d).ravel(), minlength=len(numerators))
         numerators = [n + scale * c for n, c in zip(numerators, counts.tolist())]
     return common, numerators
 

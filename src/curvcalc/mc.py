@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 
 BLOCK_ROWS = 8192
-KERNEL_BUDGET_BYTES = 16 * 2**20
+KERNEL_BUDGET_BYTES = 8 * 2**20
 _MAX_EMPTY_BLOCKS = 64
 
 
@@ -112,26 +112,26 @@ def smoothed_binomial_stderr(count, n: int):
     return np.sqrt(p * (1.0 - p) / n)
 
 
-def build_cell_arrays(cells_with_dims, vertex_index):
-    """Pad variable-size vertex lists into the (cells, sizes, signs)
+def build_cell_arrays(groups):
+    """Pad per-size vertex index arrays into the (cells, sizes, signs)
     arrays the cone kernel wants.
 
-    cells_with_dims is a list of (vertex_objects, dim); vertex_index maps
-    a vertex object to its column in the heights matrix.
+    groups is a sequence of (ids, dims): ids is an (n, k) int array whose
+    rows are the heights-matrix columns of n cells with k vertices each,
+    and dims their dimensions (one int, or n of them). The table holds
+    the groups' rows in the given order, each padded with its first
+    vertex.
     """
-    width = max((len(vs) for vs, _ in cells_with_dims), default=1)
-    n = len(cells_with_dims)
-    cells = np.zeros((n, width), dtype=np.int64)
-    sizes = np.zeros(n, dtype=np.int64)
-    signs = np.zeros(n, dtype=np.int64)
-    for m, (vs, dim) in enumerate(cells_with_dims):
-        ids = [vertex_index[v] for v in vs]
-        sizes[m] = len(ids)
-        cells[m, : len(ids)] = ids
-        if len(ids) < width:
-            cells[m, len(ids):] = ids[0]
-        signs[m] = -1 if dim % 2 else 1
-    return cells, sizes, signs
+    width = max((ids.shape[1] for ids, _ in groups), default=1)
+    cells = [np.zeros((0, width), dtype=np.int64)]
+    sizes = [np.zeros(0, dtype=np.int64)]
+    signs = [np.zeros(0, dtype=np.int64)]
+    for ids, dims in groups:
+        n, k = ids.shape
+        cells.append(np.concatenate([ids, np.repeat(ids[:, :1], width - k, axis=1)], axis=1))
+        sizes.append(np.full(n, k, dtype=np.int64))
+        signs.append(np.broadcast_to(1 - 2 * (np.asarray(dims, dtype=np.int64) % 2), (n,)))
+    return np.concatenate(cells), np.concatenate(sizes), np.concatenate(signs)
 
 
 def build_link_arrays(complex, vertex_index):

@@ -155,6 +155,14 @@ def test_corpus_covers_every_subcommand_choice():
     assert not missing, f"no corpus entry covers (subcommand, option, value) {missing}"
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["validate", "--help"], ["curvature", "-h"]])
+def test_help_goes_to_the_stdout_argument(argv, capsys):
+    code, out, err = invoke(*argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: curvcalc") and "--help" in out
+    assert capsys.readouterr() == ("", "")
+
+
 def test_floor_integral_of_identity_fixture(fixture_dir):
     code, out, _ = invoke("integrate", str(fixture_dir / "edge.txt"), "--kind", "floor")
     assert code == 0

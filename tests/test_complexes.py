@@ -17,7 +17,7 @@ from curvcalc.complexes import (
     validate,
     validate_simplices,
 )
-from curvcalc.errors import MissingFace, NotComposable, UnknownVertex
+from curvcalc.errors import MissingFace, NotComposable, UnknownSimplex, UnknownVertex
 from curvcalc import fixtures
 
 
@@ -85,6 +85,23 @@ class TestStarLink:
         for v in X.vertices:
             assert X.link(v).simplices == frozenset(brute_force_link(X, v))
             assert set(X.star(v)) == {s for s in X.simplices if v in s}
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_vertex_positions_index_the_vertices(self, seed):
+        import numpy as np
+
+        rng = np.random.default_rng(650 + seed)
+        X = fixtures.random_complex(rng)
+        X = X.full_subcomplex(v for v in X.vertices if v % 3)  # sparse ids
+        for d in range(X.dim + 1):
+            positions = X.vertex_positions(d)
+            assert positions.shape == (len(X.simplices_of_dim(d)), d + 1)
+            assert [tuple(X.vertices[i] for i in row) for row in positions.tolist()] == list(
+                X.simplices_of_dim(d)
+            )
+            assert not positions.flags.writeable
+            assert X.vertex_positions(d) is positions
 
 
 class TestBarycentricSubdivision:
@@ -239,6 +256,13 @@ class TestSimplicialMaps:
     def test_identity(self):
         X, _ = fixtures.octahedron()
         assert identity_map(X).image((0, 2, 3)) == (0, 2, 3)
+
+    def test_image_is_defined_on_source_simplices_only(self):
+        f, _ = fixtures.octahedron_to_path()
+        for s in f.source.simplices:
+            assert f.image(s) == tuple(sorted({f.vertex_map[v] for v in s}))
+        with pytest.raises(UnknownSimplex):
+            f.image((0, 1))  # the poles span no edge
 
 
 class TestPLFunction:

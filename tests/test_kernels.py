@@ -9,7 +9,13 @@ import pytest
 from curvcalc import _kernels, mc
 from curvcalc import fixtures
 from curvcalc.complexes import barycentric_subdivide
-from curvcalc.curvature import curvature_measure, equilateral_embedding
+from curvcalc.curvature import (
+    Embedding,
+    _cell_table,
+    curvature_measure,
+    equilateral_embedding,
+    product_embedding,
+)
 from curvcalc.morse import morse_curvature_measure
 
 
@@ -31,6 +37,31 @@ def tied_heights(rng, n_rows, n_vertices):
         a, c = rng.choice(n_vertices, size=2, replace=False)
         heights[b, a] = heights[b, c]
     return heights
+
+
+def complex_cell_table(X):
+    """The cone kernel's table of every simplex of X; its columns are
+    positions in X.vertices, the vertex order of X's fixtures and
+    equilateral embeddings."""
+    return mc.build_cell_arrays([(X.vertex_positions(d), d) for d in range(X.dim + 1)])
+
+
+def padded_table_oracle(carrier, vertex_index):
+    """The cone kernel's table built one cell at a time, in cells() order."""
+    cells_with_dims = [
+        (carrier.cell_vertex_objects(c), carrier.cell_dim(c)) for c in carrier.cells()
+    ]
+    width = max((len(vs) for vs, _ in cells_with_dims), default=1)
+    n = len(cells_with_dims)
+    cells = np.zeros((n, width), dtype=np.int64)
+    sizes = np.zeros(n, dtype=np.int64)
+    signs = np.zeros(n, dtype=np.int64)
+    for m, (vs, dim) in enumerate(cells_with_dims):
+        ids = [vertex_index[v] for v in vs]
+        sizes[m] = len(ids)
+        cells[m] = ids + ids[:1] * (width - len(ids))
+        signs[m] = -1 if dim % 2 else 1
+    return cells, sizes, signs
 
 
 def cone_oracle(heights, cells, sizes):
@@ -89,8 +120,7 @@ def test_cone_counts_match_oracle(trial, rng):
 @pytest.mark.parametrize("trial", range(3))
 def test_cone_counts_match_oracle_on_complex_cells(trial, rng):
     X = fixtures.random_complex(rng)
-    emb = equilateral_embedding(X)
-    cells, sizes, _ = mc.build_cell_arrays([(s, len(s) - 1) for s in X.cells()], emb.vertex_index)
+    cells, sizes, _ = complex_cell_table(X)
     heights = tied_heights(rng, 200, len(X.vertices))
     counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
     want_counts, want_ties = cone_oracle(heights, cells, sizes)
@@ -132,6 +162,36 @@ def test_lower_link_manual_case():
     np.testing.assert_array_equal(idx, [[1, -1, 1], [0, 1, 0]])
 
 
+def _table_cases():
+    rng = np.random.default_rng(77)
+    X = fixtures.random_complex(rng)
+    sparse = X.full_subcomplex(v for v in X.vertices if v != 1)
+    # an unused coordinate row shifts every later vertex's row
+    coords = {**equilateral_embedding(X).coordinates, 99: np.ones(len(X.vertices))}
+    padded = Embedding(sparse, coords)
+    _, seg = fixtures.segment()
+    _, hollow = fixtures.hollow_triangle()
+    _, square = fixtures.square_boundary()
+    _, tri = fixtures.filled_triangle()
+    return [
+        fixtures.octahedron()[1],
+        fixtures.solid_tetrahedron()[1],
+        padded,
+        product_embedding(seg, hollow),
+        product_embedding(tri, seg),
+        product_embedding(product_embedding(square, seg), seg),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_cell_table_matches_the_padding_loop(index):
+    emb = _table_cases()[index]
+    table = _cell_table(emb, "mc")
+    for got, want in zip(table, padded_table_oracle(emb.carrier, emb.vertex_index)):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
 def test_direction_sampling_is_deterministic():
     a = mc.sample_unit_directions(7, 3, 64, 5)
     b = mc.sample_unit_directions(7, 3, 64, 5)
@@ -143,8 +203,7 @@ def test_direction_sampling_is_deterministic():
 
 def test_run_cone_counts_uses_exact_sample_count():
     X, emb = fixtures.octahedron()
-    cell_list = [(s, len(s) - 1) for s in X.cells()]
-    cells, sizes, _ = mc.build_cell_arrays(cell_list, emb.vertex_index)
+    cells, sizes, _ = complex_cell_table(X)
     coords = emb.matrix()
     n = 2 * mc.BLOCK_ROWS + 500
     counts, stats = mc.run_cone_counts(lambda d: d @ coords.T, 3, cells, sizes, n, seed=11)
@@ -178,7 +237,7 @@ def _coarse_heights(coords):
 def test_slicing_changes_no_cone_count(monkeypatch):
     X = fixtures.random_complex(np.random.default_rng(5))
     emb = equilateral_embedding(X)
-    cells, sizes, _ = mc.build_cell_arrays([(s, len(s) - 1) for s in X.cells()], emb.vertex_index)
+    cells, sizes, _ = complex_cell_table(X)
     args = (_coarse_heights(emb.matrix()), emb.ambient_dim, cells, sizes, 2000, 4)
     counts, stats = mc.run_cone_counts(*args)
     assert stats.resampled > 0 and stats.batches >= 2
