@@ -31,7 +31,7 @@ from .curvature import Embedding, curvature_measure
 from .errors import GridTooCoarse, NegativeWarp, ParseError
 
 POLE_TOLERANCE = 1e-12
-_PROFILE_NAMES = ("sphere", "cylinder", "cone", "torus", "paraboloid")
+NONSPLIT_THRESHOLD = 1e-9  # |density| above this counts toward the support
 
 
 @dataclass(frozen=True)
@@ -212,13 +212,13 @@ def base_interval_measure(w: WarpFunction) -> dict:
     }
 
 
-def nonsplit_demo(w: WarpFunction, threshold: float = 1e-9) -> dict:
+def nonsplit_demo(w: WarpFunction) -> dict:
     """Exhibit the failure of absolute continuity: the pushforward
     density can be nonzero on a set of positive measure while the base's
     own curvature measure is purely atomic."""
     measure = curvature_density(w, 0.0)
     interior = measure.density[1:-1]
-    support = float(np.count_nonzero(np.abs(interior) > threshold) * w.step)
+    support = float(np.count_nonzero(np.abs(interior) > NONSPLIT_THRESHOLD) * w.step)
     base = base_interval_measure(w)
     return {
         "pushforward_density_support": support,
@@ -235,6 +235,16 @@ def nonsplit_demo(w: WarpFunction, threshold: float = 1e-9) -> dict:
 # Profiles
 # ---------------------------------------------------------------------------
 
+# name -> ((start, stop), warp f(t), periodic)
+_PROFILES = {
+    "sphere": ((-math.pi / 2, math.pi / 2), np.cos, False),
+    "cylinder": ((0.0, 1.0), np.ones_like, False),
+    "cone": ((0.0, 1.0), np.copy, False),
+    "torus": ((0.0, 2 * math.pi), lambda t: 2.0 + np.cos(t), True),
+    "paraboloid": ((0.0, 1.0), lambda t: 1.0 + t * t, False),
+}
+
+
 def profile(name: str, grid: int = 4096) -> WarpFunction:
     """Built-in warp profiles; `file:<path>` loads a two-column CSV
     (t, f) with an optional `periodic` marker in the header row."""
@@ -243,22 +253,11 @@ def profile(name: str, grid: int = 4096) -> WarpFunction:
             return load_profile_csv(handle.read())
     if grid < 5:
         raise GridTooCoarse(f"grid must be at least 5, got {grid}")
-    if name == "sphere":
-        t = np.linspace(-math.pi / 2, math.pi / 2, grid)
-        return WarpFunction(t, np.cos(t))
-    if name == "cylinder":
-        t = np.linspace(0.0, 1.0, grid)
-        return WarpFunction(t, np.ones_like(t))
-    if name == "cone":
-        t = np.linspace(0.0, 1.0, grid)
-        return WarpFunction(t, t.copy())
-    if name == "torus":
-        t = np.linspace(0.0, 2 * math.pi, grid)
-        return WarpFunction(t, 2.0 + np.cos(t), periodic=True)
-    if name == "paraboloid":
-        t = np.linspace(0.0, 1.0, grid)
-        return WarpFunction(t, 1.0 + t * t)
-    raise ValueError(f"unknown profile {name!r}; choose from {_PROFILE_NAMES} or file:<csv>")
+    if name not in _PROFILES:
+        raise ValueError(f"unknown profile {name!r}; choose from {tuple(_PROFILES)} or file:<csv>")
+    (start, stop), f, periodic = _PROFILES[name]
+    t = np.linspace(start, stop, grid)
+    return WarpFunction(t, f(t), periodic=periodic)
 
 
 def load_profile_csv(text: str) -> WarpFunction:

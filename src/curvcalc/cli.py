@@ -366,12 +366,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _int_at_least(low: int):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser(stdout=None) -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--samples", type=int, default=10_000)
-    common.add_argument("--grid", type=int, default=4096)
-    # only for the subcommands that print a table
+    # each flag group goes only to the subcommands that read it
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    sampled.add_argument("--samples", type=_int_at_least(1), default=10_000)
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -383,7 +393,7 @@ def build_parser(stdout=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, *parents, **kwargs):
-        p = sub.add_parser(name, parents=[common, *parents], stdout=stdout, **kwargs)
+        p = sub.add_parser(name, parents=parents, stdout=stdout, **kwargs)
         p.set_defaults(handler=handler)
         return p
 
@@ -415,8 +425,8 @@ def build_parser(stdout=None) -> argparse.ArgumentParser:
     )
 
     for name, handler, parents in (
-        ("curvature", _cmd_curvature, [formatted]),
-        ("gauss-bonnet-check", _cmd_gauss_bonnet, []),
+        ("curvature", _cmd_curvature, [sampled, formatted]),
+        ("gauss-bonnet-check", _cmd_gauss_bonnet, [sampled]),
     ):
         p = command(name, handler, *parents)
         p.add_argument("complex")
@@ -429,7 +439,7 @@ def build_parser(stdout=None) -> argparse.ArgumentParser:
                 help="integrate the file's vertex values against curvature",
             )
 
-    p = command("morse-curvature", _cmd_morse_curvature, formatted)
+    p = command("morse-curvature", _cmd_morse_curvature, sampled, formatted)
     p.add_argument("complex")
     p.add_argument("--equilateral", action="store_true")
 
@@ -445,7 +455,7 @@ def build_parser(stdout=None) -> argparse.ArgumentParser:
     p.add_argument("--compose", help="second map file, applied after --map")
     p.add_argument("--compose-target", help="target complex of the second map")
 
-    p = command("fubini-check", _cmd_fubini_check, formatted)
+    p = command("fubini-check", _cmd_fubini_check, sampled, formatted)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--kind", choices=("chi", "curvature"), default="chi")
@@ -454,6 +464,7 @@ def build_parser(stdout=None) -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--eps", default="0,0.5,0.9,0.99")
     p.add_argument("--nonsplit", action="store_true")
+    p.add_argument("--grid", type=_int_at_least(5), default=4096)
 
     return parser
 
@@ -464,10 +475,6 @@ def run(argv, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     try:
         args = build_parser(stdout).parse_args(argv)
-        if args.samples < 1:
-            raise CurvCalcError("--samples must be at least 1")
-        if args.grid < 5:
-            raise CurvCalcError("--grid must be at least 5")
         return args.handler(args, stdout)
     except SystemExit:  # --help
         return 0

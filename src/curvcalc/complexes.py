@@ -64,15 +64,21 @@ class SimplicialComplex:
     """An immutable finite abstract simplicial complex.
 
     The empty complex is allowed (it shows up as the link of an isolated
-    vertex). Equality and hashing are by simplex set.
+    vertex). Equality and hashing are by simplex set. With validate=True
+    each simplex is canonicalized with as_simplex and face closure is
+    checked; validate=False trusts the caller to pass canonical tuples of
+    a face-closed set, as from_maximal, link, full_subcomplex and
+    barycentric_subdivide do.
     """
 
     __slots__ = ("_simplices", "_vertices", "_by_dim", "_positions", "_cofaces")
 
     def __init__(self, simplices, validate: bool = True):
-        simps = frozenset(as_simplex(s) for s in simplices)
         if validate:
+            simps = frozenset(as_simplex(s) for s in simplices)
             validate_simplices(simps)
+        else:
+            simps = frozenset(simplices)
         self._simplices = simps
         self._vertices = tuple(sorted(s[0] for s in simps if len(s) == 1))
         by_dim: dict[int, list[Simplex]] = {}
@@ -420,13 +426,7 @@ class ProductCellComplex:
         self._cells = frozenset(
             (a, b) for a in x.cells() for b in y.cells()
         )
-        self._vertices = tuple(
-            sorted(
-                (u, v)
-                for u in _carrier_vertices(x)
-                for v in _carrier_vertices(y)
-            )
-        )
+        self._vertices = tuple(sorted((u, v) for u in x.vertices for v in y.vertices))
 
     @property
     def vertices(self):
@@ -463,11 +463,6 @@ class ProductCellComplex:
             for fb in self.factors[1].closure(b)
         )
 
-    def cells_containing_vertex(self, vertex):
-        return tuple(
-            c for c in self.cells() if vertex in self.cell_vertex_objects(c)
-        )
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** self.cell_dim(c) for c in self._cells)
 
@@ -482,12 +477,6 @@ class ProductCellComplex:
 
     def __repr__(self):
         return f"ProductCellComplex({len(self._cells)} cells)"
-
-
-def _carrier_vertices(carrier):
-    if isinstance(carrier, SimplicialComplex):
-        return carrier.vertices
-    return carrier.vertices
 
 
 def product(x, y) -> ProductCellComplex:

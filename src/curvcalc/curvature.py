@@ -11,7 +11,8 @@ propagate by summation.
 An Embedding of a simplicial complex rejects affinely degenerate
 simplices. A d-simplex is degenerate when the (d, N) matrix of its edge
 vectors from its first vertex has fewer than d singular values (d > N,
-the ambient dimension) or a smallest singular value at most
+the ambient dimension), a non-finite entry (finite coordinates whose
+difference overflows), or a smallest singular value at most
 _DEGENERACY_RTOL * max(largest, 1). DegenerateSimplex reports the first
 degenerate simplex in (dimension, lexicographic) order.
 """
@@ -78,16 +79,17 @@ class Embedding:
         """One stacked SVD per dimension over the simplices' edge vectors,
         in row chunks whose gathers stay under mc.KERNEL_BUDGET_BYTES."""
         n = self.ambient_dim
-        for ids, d in _simplex_rows(self.carrier, self._vertex_index)[1:]:
+        for ids, d in mc.simplex_rows(self.carrier, self._vertex_index)[1:]:
             if d > n:  # fewer singular values than generators
                 raise DegenerateSimplex(self.carrier.simplices_of_dim(d)[0])
             step = max(1, mc.KERNEL_BUDGET_BYTES // (8 * (2 * d + 1) * n))
             for lo in range(0, len(ids), step):
                 chunk = ids[lo : lo + step]
-                # no name holds the edge vectors, so each chunk's are freed before the next
-                sv = np.linalg.svd(
-                    self._matrix[chunk[:, 1:]] - self._matrix[chunk[:, :1]], compute_uv=False
-                )
+                with np.errstate(over="ignore"):
+                    edges = self._matrix[chunk[:, 1:]] - self._matrix[chunk[:, :1]]
+                edges[~np.isfinite(edges).all(axis=(1, 2))] = 0.0  # overflowed: zeroed, so degenerate
+                sv = np.linalg.svd(edges, compute_uv=False)
+                del edges  # freed before the next chunk's are built
                 degenerate = sv[:, -1] <= _DEGENERACY_RTOL * np.maximum(sv[:, 0], 1.0)
                 if degenerate.any():
                     first = lo + int(np.argmax(degenerate))
@@ -115,13 +117,6 @@ class Embedding:
 
 def _vertex_sort_key(v):
     return (0, v, "") if isinstance(v, int) else (1, -1, repr(v))
-
-
-def _simplex_rows(complex: SimplicialComplex, vertex_index) -> list:
-    """(ids, d) per dimension d: ids is the (n_d, d+1) array of the
-    coordinate-matrix rows of the vertices of complex.simplices_of_dim(d)."""
-    rows = np.array([vertex_index[v] for v in complex.vertices], dtype=np.int64)
-    return [(rows[complex.vertex_positions(d)], d) for d in range(complex.dim + 1)]
 
 
 def equilateral_embedding(complex: SimplicialComplex) -> Embedding:
@@ -187,7 +182,7 @@ def _cell_table(embedding: Embedding, method: str):
     carrier.cells() order; exact fractions need simplices."""
     carrier, vertex_index = embedding.carrier, embedding.vertex_index
     if isinstance(carrier, SimplicialComplex):
-        return mc.build_cell_arrays(_simplex_rows(carrier, vertex_index))
+        return mc.build_cell_arrays(mc.simplex_rows(carrier, vertex_index))
     if method == "exact":
         raise ExactUnavailable("exact cone fractions apply to simplicial carriers only")
     cells = [

@@ -10,6 +10,13 @@ call if a single row exceeds it); kernel results add over rows, so the
 slicing changes no output. Rows with exact height ties are discarded by
 the kernels and replaced from later blocks, so every estimate uses
 exactly the requested number of tie-free directions.
+
+Both kernels' tables come from simplex_rows, the coordinate-matrix rows
+of the vertices of every simplex by dimension: build_cell_arrays pads
+them into the cone kernel's cells, and build_link_arrays splits each
+simplex at each vertex into the lower-link kernel's (owner, link simplex)
+rows, which is Banchoff's formula for the Morse index. Neither builds a
+link or a coface table.
 """
 
 from dataclasses import dataclass
@@ -134,29 +141,26 @@ def build_cell_arrays(groups):
     return np.concatenate(cells), np.concatenate(sizes), np.concatenate(signs)
 
 
+def simplex_rows(complex, vertex_index) -> list:
+    """(ids, d) per dimension d: ids is the (n_d, d+1) array of the
+    coordinate-matrix rows of the vertices of complex.simplices_of_dim(d)."""
+    rows = np.fromiter(map(vertex_index.__getitem__, complex.vertices), dtype=np.int64)
+    return [(rows[complex.vertex_positions(d)], d) for d in range(complex.dim + 1)]
+
+
 def build_link_arrays(complex, vertex_index):
-    """Concatenated link-simplex arrays for the lower-link kernel."""
-    owner = []
-    verts = []
-    sizes = []
-    ptr = [0]
-    ordered = sorted(complex.vertices, key=lambda v: vertex_index[v])
-    for v in ordered:
-        link = complex.link(v)
-        for s in sorted(link.simplices, key=lambda s: (len(s), s)):
-            owner.append(vertex_index[v])
-            verts.append([vertex_index[u] for u in s])
-            sizes.append(len(s))
-        ptr.append(len(owner))
-    width = max((len(vs) for vs in verts), default=1)
-    verts_arr = np.zeros((len(verts), width), dtype=np.int64)
-    for i, vs in enumerate(verts):
-        verts_arr[i, : len(vs)] = vs
-        if len(vs) < width:
-            verts_arr[i, len(vs):] = vs[0]
-    return (
-        np.array(owner, dtype=np.int64),
-        verts_arr,
-        np.array(sizes, dtype=np.int64),
-        np.array(ptr, dtype=np.int64),
-    )
+    """The lower-link kernel's (owner, simp_verts, simp_sizes, vert_ptr).
+
+    Slot j of a d-simplex with rows ids (d >= 1) gives the link simplex
+    ids without ids[j], owned by ids[j] and padded like a cell table row
+    with its own first vertex, never the owner. Rows are stably grouped
+    by owner; vert_ptr has one slice per coordinate-matrix row, so rows
+    the complex does not use get empty slices.
+    """
+    rows = simplex_rows(complex, vertex_index)[1:]
+    by_slot = [(ids, j) for ids, d in rows for j in range(d + 1)]
+    owner = np.concatenate([np.zeros(0, dtype=np.int64)] + [ids[:, j] for ids, j in by_slot])
+    verts, sizes, _ = build_cell_arrays([(np.delete(ids, j, axis=1), 0) for ids, j in by_slot])
+    order = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner, minlength=len(vertex_index))
+    return owner[order], verts[order], sizes[order], np.concatenate([[0], np.cumsum(counts)])

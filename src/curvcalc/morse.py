@@ -98,10 +98,14 @@ def morse_curvature_measure(
         return -(dirs @ coords.T)
 
     sums, sumsq, stats = mc.run_lower_link_stats(
-        heights, embedding.ambient_dim, link_arrays, len(carrier.vertices), samples, seed
+        heights, embedding.ambient_dim, link_arrays, len(index), samples, seed
     )
+    used = set(carrier.vertices)
     result = {}
     for v in embedding.vertex_order:
+        if v not in used:  # a coordinate the complex does not use carries no mass
+            result[v] = ValueWithError(0.0, 0.0)
+            continue
         i = index[v]
         mean = sums[i] / samples
         var = max(sumsq[i] / samples - mean * mean, 0.0)

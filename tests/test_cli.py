@@ -248,6 +248,55 @@ def test_format_is_rejected_where_nothing_reads_it(argv, capsys):
     assert capsys.readouterr().err == ""
 
 
+# The subcommands that read --seed, --samples or --grid; every other
+# (subcommand, flag) pair is a usage error.
+READS = {
+    "curvature": {"--seed", "--samples"},
+    "gauss-bonnet-check": {"--seed", "--samples"},
+    "morse-curvature": {"--seed", "--samples"},
+    "fubini-check": {"--seed", "--samples"},
+    "adiabatic": {"--grid"},
+}
+FIRST_ENTRIES = {entry[0]: entry for entry in reversed(CORPUS)}
+DROPPED = [
+    (entry, flag)
+    for command, entry in sorted(FIRST_ENTRIES.items())
+    for flag in ("--seed", "--samples", "--grid")
+    if flag not in READS.get(command, ())
+]
+
+
+def test_dropped_flags_cover_every_unread_slot():
+    assert len(FIRST_ENTRIES) == 10 and len(DROPPED) == 21
+
+
+@pytest.mark.parametrize("entry, flag", DROPPED)
+def test_flags_are_rejected_where_nothing_reads_them(entry, flag, capsys):
+    code, out, err = invoke(*_corpus_argv(entry), flag, "7")
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "UsageError"
+    assert report["message"].endswith(f"unrecognized arguments: {flag} 7")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("curvature", "octahedron.txt", "--samples", "0"), "--samples: must be at least 1, got 0"),
+        (("morse-curvature", "octahedron.txt", "--samples", "-3"), "must be at least 1, got -3"),
+        (("adiabatic", "--profile", "sphere", "--grid", "4"), "--grid: must be at least 5, got 4"),
+        (("adiabatic", "--profile", "sphere", "--grid", "x"), "--grid: invalid int value: 'x'"),
+    ],
+)
+def test_parser_checks_samples_and_grid(argv, message):
+    code, out, err = invoke(*_corpus_argv(argv))
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "UsageError"
+    assert report["message"].endswith(message)
+
+
 def test_unknown_subcommand_exits_2():
     code, _, err = invoke("nonsense")
     assert code == 2
@@ -302,6 +351,34 @@ def test_non_finite_coordinate_exits_2(tmp_path, bad):
     code, out, err = invoke("curvature", str(path), "--method", "exact")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "NonFiniteCoordinate"
+
+
+OVERFLOW = (
+    "curvcalc-complex v1\nvertices\na 1e308 0\nb -1e308 0\nc 0 1e308\nsimplices\na b c\n"
+)
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curvature", "--method", "exact"),
+        ("curvature", "--method", "mc", "--samples", "200"),
+        ("gauss-bonnet-check",),
+        ("morse-curvature", "--samples", "200"),
+    ],
+)
+def test_overflowing_edge_vectors_are_degenerate(tmp_path, argv, capsys):
+    # finite coordinates, but b - a overflows to -inf
+    path = tmp_path / "overflow.txt"
+    path.write_text(OVERFLOW)
+    code, out, err = invoke(argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    report = json.loads(line)
+    assert report["error"] == "DegenerateSimplex"
+    assert "(0, 1)" in report["message"]  # the edge a b, first in cells() order
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize(

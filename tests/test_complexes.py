@@ -87,6 +87,22 @@ class TestStarLink:
             assert set(X.star(v)) == {s for s in X.simplices if v in s}
 
 
+    def test_trusted_builds_do_not_recanonicalize(self, monkeypatch):
+        from curvcalc import complexes
+
+        calls = []
+        as_simplex = complexes.as_simplex
+        monkeypatch.setattr(complexes, "as_simplex", lambda s: calls.append(s) or as_simplex(s))
+        maximal = [(0, 1, 2), (2, 3), (1, 2, 4)]
+        X = SimplicialComplex.from_maximal(maximal)
+        assert calls == maximal  # one call per maximal simplex, none per face
+        sd, _ = barycentric_subdivide(X)
+        sd.link(0)
+        sd.full_subcomplex(range(5))
+        assert len(calls) == len(maximal)
+        SimplicialComplex(X.simplices)
+        assert len(calls) == len(maximal) + len(X)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_vertex_positions_index_the_vertices(self, seed):
         import numpy as np

@@ -140,6 +140,52 @@ def test_lower_link_matches_oracle(trial, rng):
     np.testing.assert_array_equal(idx, want_idx)
 
 
+FIXTURES = [
+    fixtures.segment,
+    fixtures.filled_triangle,
+    fixtures.hollow_triangle,
+    fixtures.square_boundary,
+    fixtures.octahedron,
+    fixtures.cone_fan,
+    fixtures.book,
+    fixtures.solid_tetrahedron,
+]
+
+
+def sparse_octahedron():
+    """The octahedron without vertex 2, embedded with the coordinates of
+    all six vertices and one more point: coordinate rows 2 and 6 are
+    unused, so rows and positions in X.vertices differ."""
+    X, emb = fixtures.octahedron()
+    sparse = X.full_subcomplex(v for v in X.vertices if v != 2)
+    return sparse, Embedding(sparse, {**emb.coordinates, 99: np.array([0.5, 0.5, 0.5])})
+
+
+@pytest.mark.parametrize("case", [*FIXTURES, sparse_octahedron])
+def test_link_rows_are_the_links(case):
+    X, emb = case()
+    owner, verts, sizes, ptr = mc.build_link_arrays(X, emb.vertex_index)
+    assert len(ptr) == len(emb.vertex_order) + 1
+    for i, v in enumerate(emb.vertex_order):
+        rows = range(ptr[i], ptr[i + 1])
+        assert (owner[rows] == i).all()
+        assert (verts[rows] != i).all()  # the padding never repeats the owner
+        link = [tuple(emb.vertex_order[u] for u in verts[r, : sizes[r]]) for r in rows]
+        want = X.link(v).simplices if v in X.vertices else frozenset()
+        assert len(link) == len(want) and set(link) == want
+
+
+def test_lower_link_matches_oracle_with_unused_coordinate_rows(rng):
+    X, emb = sparse_octahedron()
+    heights = tied_heights(rng, 150, len(emb.vertex_order))
+    idx, ties = _kernels.lower_link_index(heights, *mc.build_link_arrays(X, emb.vertex_index))
+    want_idx, want_ties = lower_link_oracle(X, emb.vertex_index, heights)
+    used = [emb.vertex_index[v] for v in X.vertices]
+    assert 0 < ties.sum() < len(heights)
+    np.testing.assert_array_equal(ties, want_ties)
+    np.testing.assert_array_equal(idx[:, used], want_idx[:, used])
+
+
 def test_cone_counts_manual_case():
     heights = np.array([[3.0, 1.0, 2.0], [1.0, 5.0, 2.0]])
     cells = np.array([[0, 1, 2], [0, 2, 0]], dtype=np.int64)

@@ -12,6 +12,9 @@ from curvcalc.morse import (
     morse_index,
 )
 from curvcalc import _kernels, fixtures, mc
+from curvcalc.complexes import SimplicialComplex
+
+from test_kernels import FIXTURES, sparse_octahedron
 
 
 class TestMorseIndex:
@@ -91,19 +94,7 @@ class TestIndexLocality:
 
 
 class TestVectorizedIndexOracle:
-    @pytest.mark.parametrize(
-        "fixture",
-        [
-            fixtures.segment,
-            fixtures.filled_triangle,
-            fixtures.hollow_triangle,
-            fixtures.square_boundary,
-            fixtures.octahedron,
-            fixtures.cone_fan,
-            fixtures.book,
-            fixtures.solid_tetrahedron,
-        ],
-    )
+    @pytest.mark.parametrize("fixture", [*FIXTURES, sparse_octahedron])
     def test_lower_link_kernel_equals_scalar_index(self, fixture):
         # every tie-free row of the vectorized kernel must give, per
         # vertex, exactly the integer the scalar lower-link index gives
@@ -158,6 +149,25 @@ class TestMorseMeasure:
         for v in cone:
             joint = math.hypot(cone[v].bound, morse[v].bound)
             assert abs(cone[v].value - morse[v].value) <= 4 * max(joint, 1e-12)
+
+    def test_measure_builds_no_link_or_star(self, monkeypatch):
+        def refuse(self, v):
+            raise AssertionError("the Monte Carlo path built a link or star")
+
+        monkeypatch.setattr(SimplicialComplex, "link", refuse)
+        monkeypatch.setattr(SimplicialComplex, "star", refuse)
+        for fixture in (fixtures.octahedron, sparse_octahedron):
+            X, emb = fixture()
+            kappa = morse_curvature_measure(emb, samples=2_000, seed=6)
+            assert abs(sum(k.value for k in kappa.values()) - X.euler_characteristic()) < 1e-12
+
+    def test_unused_coordinate_rows_carry_no_mass(self):
+        X, emb = sparse_octahedron()
+        kappa = morse_curvature_measure(emb, samples=2_000, seed=6)
+        cone = curvature_measure(emb, method="mc", samples=2_000, seed=6)
+        assert kappa.keys() == cone.keys() == set(emb.vertex_order)
+        for v in set(emb.vertex_order) - set(X.vertices):
+            assert kappa[v] == cone[v] == (0.0, 0.0)
 
     def test_tie_resampling_is_rare(self):
         _, emb = fixtures.octahedron()
