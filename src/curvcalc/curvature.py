@@ -35,6 +35,7 @@ from .errors import (
 from . import mc
 
 _DEGENERACY_RTOL = 1e-9
+_HEIGHT_SCALE_EXPONENT = 400
 
 
 class ValueWithError(NamedTuple):
@@ -138,6 +139,22 @@ def product_embedding(ex: Embedding, ey: Embedding) -> Embedding:
     return Embedding(carrier, coords)
 
 
+def height_coordinates(coords: np.ndarray) -> np.ndarray:
+    """The coordinate matrix that heights and cone generators read.
+
+    A matrix whose largest magnitude is 2**400 or more is scaled by the
+    power of two that brings it just below, so that dot products with
+    unit directions and generator norms stay finite. The scaling is exact
+    for every coordinate of magnitude 2**-398 or more, and then changes
+    no height comparison and no angle; a smaller matrix is returned as it
+    is.
+    """
+    big = float(np.abs(coords).max(initial=0.0))
+    if big < 2.0**_HEIGHT_SCALE_EXPONENT:
+        return coords
+    return coords * 2.0 ** (_HEIGHT_SCALE_EXPONENT - math.frexp(big)[1])
+
+
 # ---------------------------------------------------------------------------
 # Normal-cone fractions
 # ---------------------------------------------------------------------------
@@ -201,6 +218,7 @@ def _cone_fractions(coords, cells, sizes, method, samples, seed):
     """Normal-cone fraction and its error bound for every (cell, vertex
     slot) pair of a table from mc.build_cell_arrays; the table's vertex
     ids are rows of coords."""
+    coords = height_coordinates(coords)
     if method == "exact":
         return _exact_cone_fractions(coords, cells, sizes), np.zeros(cells.shape)
     if method != "mc":

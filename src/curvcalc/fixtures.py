@@ -24,11 +24,6 @@ def path_complex(n_edges: int) -> SimplicialComplex:
     return SimplicialComplex.from_maximal([(i, i + 1) for i in range(n_edges)])
 
 
-def identity_on_segment() -> PLFunction:
-    complex, _ = segment()
-    return PLFunction(complex, {0: 0, 1: 1})
-
-
 def filled_triangle(coords=None) -> tuple[SimplicialComplex, Embedding]:
     complex = SimplicialComplex.from_maximal([(0, 1, 2)])
     if coords is None:

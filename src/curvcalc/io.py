@@ -177,13 +177,6 @@ def parse_map(text: str, source: ComplexDocument, target: ComplexDocument) -> Si
     return SimplicialMap(source.complex, target.complex, vertex_map)
 
 
-def serialize_map(f: SimplicialMap, source: ComplexDocument, target: ComplexDocument) -> str:
-    out = [MAP_HEADER]
-    for v in sorted(f.vertex_map):
-        out.append(f"{source.names[v]} -> {target.names[f.vertex_map[v]]}")
-    return "\n".join(out) + "\n"
-
-
 def parse_constructible(text: str, doc: ComplexDocument) -> ConstructibleFunction:
     """Constructible-function JSON: a list of {"simplex": [names...],
     "value": "p/q"} entries over the open simplices of a complex."""

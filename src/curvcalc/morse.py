@@ -14,7 +14,7 @@ atomic curvature measure as the normal-cone construction.
 import numpy as np
 
 from .complexes import SimplicialComplex
-from .curvature import Embedding, ValueWithError
+from .curvature import Embedding, ValueWithError, height_coordinates
 from .errors import CarrierMismatch, NonGenericDirection, UnknownVertex
 from . import mc
 
@@ -32,10 +32,8 @@ def as_direction(vector) -> np.ndarray:
 
 def _heights(direction, embedding: Embedding) -> dict:
     # h_x(y) = -<x, y>, so the index counts descent rather than ascent
-    return {
-        v: -float(np.dot(direction, embedding.coordinates[v]))
-        for v in embedding.coordinates
-    }
+    coords = height_coordinates(embedding.matrix())
+    return {v: -float(np.dot(direction, coords[i])) for v, i in embedding.vertex_index.items()}
 
 
 def lower_link(complex: SimplicialComplex, v, heights) -> SimplicialComplex:
@@ -92,7 +90,7 @@ def morse_curvature_measure(
         raise CarrierMismatch("the Morse measure is defined on simplicial carriers")
     index = embedding.vertex_index
     link_arrays = mc.build_link_arrays(carrier, index)
-    coords = embedding.matrix()
+    coords = height_coordinates(embedding.matrix())
 
     def heights(dirs):
         return -(dirs @ coords.T)

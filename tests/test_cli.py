@@ -381,6 +381,43 @@ def test_overflowing_edge_vectors_are_degenerate(tmp_path, argv, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+NEAR_FLOAT_MAX = {"a": (1.5e308, 1.5e308), "b": (1.4e308, 1.5e308)}
+UNIT_TRIANGLE = {"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (0.0, 1.0)}
+
+
+@pytest.mark.parametrize(
+    "points, scale",
+    [(NEAR_FLOAT_MAX, 2.0**-1000), (UNIT_TRIANGLE, 2.0**1000)],
+    ids=["segment_near_float_max", "triangle_times_2_1000"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curvature", "--method", "exact"),
+        ("curvature", "--method", "mc", "--samples", "500", "--seed", "4"),
+        ("morse-curvature", "--samples", "500", "--seed", "4"),
+        ("morse-index", "--direction", "0.6,0.8"),
+    ],
+    ids=" ".join,
+)
+def test_huge_coordinates_print_what_their_power_of_two_rescaling_prints(
+    tmp_path, points, scale, argv, capsys
+):
+    # heights and generator norms of the larger copy overflow unless scaled
+    outputs = []
+    for name, factor in (("given", 1.0), ("rescaled", scale)):
+        lines = ["curvcalc-complex v1", "vertices"]
+        lines += [f"{v} {x * factor!r} {y * factor!r}" for v, (x, y) in points.items()]
+        lines += ["simplices", " ".join(points)]
+        path = tmp_path / f"{name}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = invoke(argv[0], str(path), *argv[1:])
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize(
     "bad_row",
     [

@@ -12,6 +12,7 @@ from curvcalc.curvature import (
     excess_angle,
     final_integral,
     gauss_bonnet_check,
+    height_coordinates,
     product_embedding,
     vertex_curvature,
 )
@@ -368,3 +369,20 @@ class TestIntegrals:
         foreign = SimplicialComplex.from_maximal([(0, 2)])
         with pytest.raises(PieceNotSubcomplex):
             final_integral(emb, [(foreign, constant_function(foreign, 1))])
+
+
+@pytest.mark.parametrize("largest", [1.0, 2.0**399, np.nextafter(2.0**400, 0), 0.0])
+def test_height_coordinates_leave_smaller_matrices_alone(largest):
+    coords = np.array([[largest, -0.5], [3.0e-300, 0.25]])
+    assert height_coordinates(coords) is coords
+
+
+@pytest.mark.parametrize("largest", [2.0**400, -1.5e308, np.finfo(float).max])
+def test_height_coordinates_scale_by_a_power_of_two(largest):
+    coords = np.array([[largest, 0.5], [2.0**-398, -(2.0**401)]])
+    scaled = height_coordinates(coords)
+    top = np.abs(scaled).max()
+    assert 2.0**399 <= top < 2.0**400
+    ratio = top / np.abs(coords).max()
+    assert math.frexp(ratio)[0] == 0.5  # a power of two
+    np.testing.assert_array_equal(scaled / ratio, coords)

@@ -8,7 +8,7 @@ import pytest
 
 from curvcalc import _kernels, mc
 from curvcalc import fixtures
-from curvcalc.complexes import barycentric_subdivide
+from curvcalc.complexes import SimplicialComplex, barycentric_subdivide
 from curvcalc.curvature import (
     Embedding,
     _cell_table,
@@ -184,6 +184,120 @@ def test_lower_link_matches_oracle_with_unused_coordinate_rows(rng):
     assert 0 < ties.sum() < len(heights)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(idx[:, used], want_idx[:, used])
+
+
+def cone_over_cycle(n):
+    """Vertex 0 coned over the cycle 1..n."""
+    rim = list(range(1, n + 1))
+    return SimplicialComplex.from_maximal((0, a, b) for a, b in zip(rim, rim[1:] + rim[:1]))
+
+
+def sd_random_complex():
+    X = fixtures.random_complex(np.random.default_rng(21), max_vertices=8)
+    return barycentric_subdivide(X)[0]
+
+
+EDGE_CASES = {
+    # no link rows at all
+    "vertices_only": lambda: SimplicialComplex.from_maximal([(0,), (1,), (2,)]),
+    # vertex 3 owns no link rows: an empty vert_ptr slice
+    "isolated_vertex": lambda: SimplicialComplex.from_maximal([(0, 1, 2), (3,), (1, 4)]),
+    # only edges: width-1 tables
+    "graph": lambda: SimplicialComplex.from_maximal(
+        [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (5, 1)]
+    ),
+    # the apex owns 300 link rows; their running sums leave int8's range
+    "cone_over_150_gon": lambda: cone_over_cycle(150),
+    # with the apex on top its lower link is 150 points: chi = 150
+    "star_150": lambda: SimplicialComplex.from_maximal((0, v) for v in range(1, 151)),
+    "sd_random_complex": sd_random_complex,
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_kernels_match_oracles_on_edge_cases(name, rng):
+    X = EDGE_CASES[name]()
+    index = {v: i for i, v in enumerate(X.vertices)}
+    heights = tied_heights(rng, 64, len(X.vertices))
+    heights[1, 0] = 10.0  # vertex 0 above everything, its whole link lower
+    cells, sizes, _ = complex_cell_table(X)
+    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    want_counts, want_ties = cone_oracle(heights, cells, sizes)
+    np.testing.assert_array_equal(ties, want_ties)
+    np.testing.assert_array_equal(counts, want_counts)
+    idx, ties = _kernels.lower_link_index(heights, *mc.build_link_arrays(X, index))
+    want_idx, want_ties = lower_link_oracle(X, index, heights)
+    np.testing.assert_array_equal(ties, want_ties)
+    np.testing.assert_array_equal(idx, want_idx)
+    assert not ties[1]
+
+
+def test_cone_counts_on_vertex_cells_only(rng):
+    X = fixtures.random_complex(rng)
+    cells, sizes, _ = mc.build_cell_arrays([(X.vertex_positions(0), 0)])
+    heights = tied_heights(rng, 50, len(X.vertices))
+    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    want_counts, want_ties = cone_oracle(heights, cells, sizes)
+    assert not ties.any()
+    np.testing.assert_array_equal(counts, want_counts)
+    np.testing.assert_array_equal(counts, np.full(cells.shape, 50))
+
+
+def test_ties_between_non_adjacent_vertices_are_not_flagged(rng):
+    X, _ = fixtures.square_boundary()  # 0-1-2-3-0: 0 and 2, 1 and 3 share no simplex
+    index = {v: v for v in X.vertices}
+    heights = rng.standard_normal((40, 4))
+    heights[::2, 2] = heights[::2, 0]
+    heights[1::2, 3] = heights[1::2, 1]
+    cells, sizes, _ = complex_cell_table(X)
+    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    assert not ties.any()
+    np.testing.assert_array_equal(counts, cone_oracle(heights, cells, sizes)[0])
+    idx, ties = _kernels.lower_link_index(heights, *mc.build_link_arrays(X, index))
+    assert not ties.any()
+    np.testing.assert_array_equal(idx, lower_link_oracle(X, index, heights)[0])
+
+
+def random_3_complex():
+    rng = np.random.default_rng(11)
+    while (X := fixtures.random_complex(rng, max_vertices=8)).dim < 3:
+        pass
+    return X
+
+
+def sd2_tetrahedron():
+    X, _ = fixtures.solid_tetrahedron()
+    return barycentric_subdivide(barycentric_subdivide(X)[0])[0]
+
+
+@pytest.mark.parametrize(
+    "table, rows",
+    [
+        (EDGE_CASES["graph"], 4096),
+        (random_3_complex, 4096),
+        (sd2_tetrahedron, 1024),  # 1,024 rows already take about 180 MB
+    ],
+)
+def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
+    X = table()
+    emb = equilateral_embedding(X)
+    cells, sizes, _ = complex_cell_table(X)
+    link_arrays = mc.build_link_arrays(X, emb.vertex_index)
+    n = len(X.vertices)
+    heights = rng.standard_normal((rows, n))
+    calls = [
+        (_kernels.cone_argmax_counts, (cells, sizes), _kernels.cone_row_bytes(sizes)),
+        (_kernels.lower_link_index, link_arrays, _kernels.lower_link_row_bytes(link_arrays[1], n)),
+    ]
+    for kernel, args, row_bytes in calls:
+        kernel(heights[:2], *args)  # one-time imports are not temporaries
+        tracemalloc.start()
+        try:
+            kernel(heights, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows * row_bytes, kernel.__name__
 
 
 def test_cone_counts_manual_case():
