@@ -7,7 +7,9 @@ JSON diagnostic on stderr.
 """
 
 import argparse
+import contextvars
 import csv
+import functools
 import io as _io
 import json
 import math
@@ -238,8 +240,12 @@ def _cmd_pushforward(args, out) -> int:
         out.write(serialize_constructible(result, final))
         return 0
     result = pushforward_mod.pushforward(first, s)
+    # the pushforward of the constant 1 holds every fiber's chi_c
+    fiber_chi = result if args.function is None else pushforward_mod.pushforward(
+        first, ConstructibleFunction.ones(source.complex)
+    )
     fibers = {
-        "|".join(target.names[v] for v in cell): pushforward_mod.fiber_euler(first, cell)
+        "|".join(target.names[v] for v in cell): int(fiber_chi(cell))
         for cell in target.complex.cells()
     }
     out.write(serialize_constructible(result, target))
@@ -348,19 +354,20 @@ def _cmd_adiabatic(args, out) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Writes help and usage to its stdout (the process's when None) and
-    raises usage errors, so that run reports them as JSON."""
+# The stdout of the run() in progress; the parser is shared by every run.
+_run_stdout = contextvars.ContextVar("run_stdout", default=None)
 
-    def __init__(self, *args, stdout=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.stdout = stdout
+
+class _Parser(argparse.ArgumentParser):
+    """Writes help and usage to the stdout given to run() (the process's
+    outside run) and raises usage errors, so that run reports them as
+    JSON."""
 
     def print_help(self, file=None):
-        super().print_help(file if file is not None else self.stdout)
+        super().print_help(file if file is not None else _run_stdout.get())
 
     def print_usage(self, file=None):
-        super().print_usage(file if file is not None else self.stdout)
+        super().print_usage(file if file is not None else _run_stdout.get())
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
@@ -377,7 +384,7 @@ def _int_at_least(low: int):
     return parse
 
 
-def build_parser(stdout=None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     # each flag group goes only to the subcommands that read it
     sampled = argparse.ArgumentParser(add_help=False)
     sampled.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
@@ -388,12 +395,11 @@ def build_parser(stdout=None) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="curvcalc",
         description="Euler and curvature calculus on finite simplicial complexes",
-        stdout=stdout,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, *parents, **kwargs):
-        p = sub.add_parser(name, parents=parents, stdout=stdout, **kwargs)
+        p = sub.add_parser(name, parents=parents, **kwargs)
         p.set_defaults(handler=handler)
         return p
 
@@ -469,12 +475,18 @@ def build_parser(stdout=None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv, stdout=None, stderr=None) -> int:
     """Parse arguments and dispatch; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
+    token = _run_stdout.set(stdout)
     try:
-        args = build_parser(stdout).parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.handler(args, stdout)
     except SystemExit:  # --help
         return 0
@@ -484,6 +496,8 @@ def run(argv, stdout=None, stderr=None) -> int:
     except (OSError, ValueError) as exc:
         _dump_json({"error": type(exc).__name__, "message": str(exc)}, stderr)
         return 2
+    finally:
+        _run_stdout.reset(token)
 
 
 def main() -> int:

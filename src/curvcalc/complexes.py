@@ -71,7 +71,7 @@ class SimplicialComplex:
     barycentric_subdivide do.
     """
 
-    __slots__ = ("_simplices", "_vertices", "_by_dim", "_positions", "_cofaces")
+    __slots__ = ("_simplices", "_vertices", "_by_dim", "_positions", "_keys", "_cells", "_cofaces")
 
     def __init__(self, simplices, validate: bool = True):
         if validate:
@@ -86,6 +86,8 @@ class SimplicialComplex:
             by_dim.setdefault(len(s) - 1, []).append(s)
         self._by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
         self._positions: dict[int, np.ndarray] = {}
+        self._keys: dict[int, np.ndarray] = {}
+        self._cells = None  # built by the first cells() call
         self._cofaces = None  # built by the first star or link call
 
     @classmethod
@@ -124,6 +126,56 @@ class SimplicialComplex:
             self._positions[d] = positions
         return positions
 
+    def simplex_indices(self, rows) -> np.ndarray:
+        """Index in simplices_of_dim(k - 1) of each row of an (m, k) array
+        of strictly increasing vertex positions, or -1 where the row is
+        not a simplex.
+
+        A row is keyed by (index of the face without its last vertex,
+        last position), one dimension at a time, so a key stays below
+        n_{k-2} * n_vertices: it cannot overflow int64 where a mixed radix
+        over all k positions would.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        index = rows[:, 0]  # a vertex's position is its 0-simplex index
+        for d in range(1, rows.shape[1]):
+            keys = self._simplex_keys(d)
+            if not len(keys):
+                return np.full(len(rows), -1, dtype=np.int64)
+            query = index * len(self._vertices) + rows[:, d]
+            at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+            index = np.where(keys[at] == query, at, -1)
+        return index
+
+    def _simplex_keys(self, d: int) -> np.ndarray:
+        """The simplex_indices keys of the d-simplices (d >= 1). Rows are
+        in lexicographic order, so the keys are strictly increasing."""
+        keys = self._keys.get(d)
+        if keys is None:
+            rows = self.vertex_positions(d)
+            keys = self.simplex_indices(rows[:, :-1]) * len(self._vertices) + rows[:, -1]
+            self._keys[d] = keys
+        return keys
+
+    def cell_indices(self, cells) -> np.ndarray:
+        """Position in cells() order of each of the given simplices, which
+        must belong to this complex. The whole cells() sequence in order,
+        as the coefficients of ones() list it, needs no lookup."""
+        cells = tuple(cells)
+        if cells == self.ordered_cells():
+            return np.arange(len(cells))
+        sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+        ids = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int64, count=int(sizes.sum()))
+        positions = np.searchsorted(np.array(self._vertices, dtype=np.int64), ids)
+        starts = np.cumsum(sizes) - sizes
+        offsets = np.cumsum((0, *self.f_vector()))
+        indices = np.empty(len(cells), dtype=np.int64)
+        for k in np.flatnonzero(np.bincount(sizes)).tolist():
+            sel = np.flatnonzero(sizes == k)
+            rows = positions[starts[sel, None] + np.arange(k)]
+            indices[sel] = offsets[k - 1] + self.simplex_indices(rows)
+        return indices
+
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(self._by_dim.get(d, ())) for d in range(self.dim + 1))
 
@@ -131,7 +183,15 @@ class SimplicialComplex:
     # Euler-integration code can treat both uniformly.
     def cells(self):
         """All simplices in (dimension, lexicographic) order."""
-        return itertools.chain.from_iterable(self._by_dim[d] for d in sorted(self._by_dim))
+        return iter(self.ordered_cells())
+
+    def ordered_cells(self) -> tuple[Simplex, ...]:
+        """The cells() sequence as a tuple, built on first use."""
+        if self._cells is None:
+            self._cells = tuple(
+                itertools.chain.from_iterable(self._by_dim[d] for d in sorted(self._by_dim))
+            )
+        return self._cells
 
     def cell_dim(self, cell) -> int:
         return len(cell) - 1
@@ -176,7 +236,9 @@ class SimplicialComplex:
         return self._simplices <= other._simplices
 
     def __eq__(self, other):
-        return isinstance(other, SimplicialComplex) and self._simplices == other._simplices
+        return other is self or (
+            isinstance(other, SimplicialComplex) and self._simplices == other._simplices
+        )
 
     def __hash__(self):
         return hash(self._simplices)
@@ -204,12 +266,10 @@ class PLFunction:
 
     def __init__(self, complex: SimplicialComplex, values):
         vals = {v: Fraction(x) for v, x in dict(values).items()}
-        for v in complex.vertices:
-            if v not in vals:
-                raise UnknownVertex(v)
-        for v in vals:
-            if v not in complex.vertices:
-                raise UnknownVertex(v)
+        known = set(complex.vertices)
+        if vals.keys() != known:
+            missing = [v for v in complex.vertices if v not in vals]
+            raise UnknownVertex(missing[0] if missing else next(v for v in vals if v not in known))
         self.complex = complex
         self.values = vals
 
@@ -237,9 +297,18 @@ def constant_function(complex: SimplicialComplex, value) -> PLFunction:
 
 
 class SimplicialMap:
-    """A vertex map whose induced simplex images land in the target."""
+    """A vertex map whose induced simplex images land in the target.
 
-    __slots__ = ("source", "target", "vertex_map", "_images")
+    The images are computed once per source dimension, on arrays: the
+    rows of source.vertex_positions(d) go through the vertex map, each
+    row is sorted and stripped of repeats, and the result is looked up
+    among the target's rows of its size. For each source cell, in
+    cells() order, the map keeps the index of its image in the target's
+    cells() order (image_indices) and the sign (-1)^(dim s - dim f(s))
+    (image_signs).
+    """
+
+    __slots__ = ("source", "target", "vertex_map", "image_indices", "image_signs")
 
     def __init__(self, source: SimplicialComplex, target: SimplicialComplex, vertex_map):
         vm = dict(vertex_map)
@@ -249,22 +318,47 @@ class SimplicialMap:
                 raise UnknownVertex(v)
             if vm[v] not in target_vertices:
                 raise UnknownVertex(vm[v])
-        images = {s: tuple(sorted({vm[v] for v in s})) for s in source.simplices}
-        for s, image in images.items():
-            if not target.has_cell(image):
-                raise MissingFace(s, image)
+        # position in target.vertices of each source vertex's image
+        moved = np.searchsorted(
+            np.array(target.vertices, dtype=np.int64),
+            np.array([vm[v] for v in source.vertices], dtype=np.int64),
+        )
+        target_offsets = np.cumsum((0, *target.f_vector()))
+        indices = np.empty(len(source), dtype=np.int64)
+        signs = np.empty(len(source), dtype=np.int64)
+        start = 0
+        for d in range(source.dim + 1):
+            rows = np.sort(moved[source.vertex_positions(d)], axis=1)
+            fresh = np.ones(rows.shape, dtype=bool)
+            fresh[:, 1:] = rows[:, 1:] != rows[:, :-1]
+            sizes = fresh.sum(axis=1)
+            found = np.empty(len(rows), dtype=np.int64)
+            for k in np.flatnonzero(np.bincount(sizes)).tolist():
+                sel = np.flatnonzero(sizes == k)
+                found[sel] = target.simplex_indices(rows[sel][fresh[sel]].reshape(-1, k))
+            missing = np.flatnonzero(found < 0)
+            if len(missing):
+                i = missing[0]
+                image = tuple(target.vertices[p] for p in rows[i][fresh[i]].tolist())
+                raise MissingFace(source.simplices_of_dim(d)[i], image)
+            indices[start:start + len(rows)] = target_offsets[sizes - 1] + found
+            signs[start:start + len(rows)] = np.where((d + 1 - sizes) % 2, -1, 1)
+            start += len(rows)
+        indices.flags.writeable = signs.flags.writeable = False
         self.source = source
         self.target = target
         self.vertex_map = vm
-        self._images = images
+        self.image_indices = indices
+        self.image_signs = signs
 
     def image(self, simplex: Simplex) -> Simplex:
         """Image of a source simplex, with repeated image vertices
         collapsed."""
-        image = self._images.get(tuple(simplex))
-        if image is None:
+        key = tuple(simplex)
+        if not self.source.has_cell(key):
             raise UnknownSimplex(simplex)
-        return image
+        (i,) = self.source.cell_indices([key])
+        return self.target.ordered_cells()[self.image_indices[i]]
 
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
         """self o inner (inner applied first)."""

@@ -18,6 +18,7 @@ build one Fraction per result cell.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,15 @@ class ConstructibleFunction:
         self.coefficients = coeffs
 
     @classmethod
+    def _trusted(cls, carrier, coefficients: dict) -> "ConstructibleFunction":
+        """Wrap a dict of nonzero Fractions on cells of the carrier
+        without checking it again."""
+        s = object.__new__(cls)
+        s.carrier = carrier
+        s.coefficients = coefficients
+        return s
+
+    @classmethod
     def zero(cls, carrier) -> "ConstructibleFunction":
         return cls(carrier, {})
 
@@ -73,7 +83,7 @@ class ConstructibleFunction:
     @classmethod
     def ones(cls, carrier) -> "ConstructibleFunction":
         """The constant function 1, i.e. every open cell with weight 1."""
-        return cls(carrier, dict.fromkeys(carrier.cells(), 1))
+        return cls._trusted(carrier, dict.fromkeys(carrier.cells(), Fraction(1)))
 
     def __call__(self, cell) -> Fraction:
         if not self.carrier.has_cell(cell):
@@ -86,15 +96,15 @@ class ConstructibleFunction:
         merged = dict(self.coefficients)
         for cell, value in other.coefficients.items():
             merged[cell] = merged.get(cell, Fraction(0)) + value
-        return ConstructibleFunction(self.carrier, merged)
+        return self._trusted(self.carrier, {c: v for c, v in merged.items() if v})
 
     def __sub__(self, other: "ConstructibleFunction") -> "ConstructibleFunction":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "ConstructibleFunction":
         scalar = Fraction(scalar)
-        return ConstructibleFunction(
-            self.carrier, {c: scalar * v for c, v in self.coefficients.items()}
+        return self._trusted(
+            self.carrier, {c: scalar * v for c, v in self.coefficients.items()} if scalar else {}
         )
 
     def __eq__(self, other):
@@ -108,11 +118,17 @@ class ConstructibleFunction:
         return f"ConstructibleFunction({len(self.coefficients)} cells)"
 
 
+_numerator = operator.attrgetter("numerator")
+_denominator = operator.attrgetter("denominator")
+
+
 def _common_numerators(values) -> tuple[int, list[int]]:
     """(L, [n_i]) with value_i == n_i / L, where L is the lcm of the
     denominators of the given rationals."""
     values = list(values)
-    common = math.lcm(*(value.denominator for value in values))
+    common = math.lcm(*set(map(_denominator, values)))
+    if common == 1:
+        return 1, list(map(_numerator, values))
     return common, [value.numerator * (common // value.denominator) for value in values]
 
 

@@ -10,27 +10,40 @@ slicing source simplices along rational fiber points and counting open
 polytope dimensions.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from .complexes import ProductCellComplex, SimplicialComplex, SimplicialMap
 from .curvature import Embedding, ValueWithError, curvature_measure, product_embedding
 from .errors import CarrierMismatch, UnknownSimplex
-from .euler import ConstructibleFunction, _signed_sums, euler_integral
+from .euler import ConstructibleFunction, _common_numerators, _signed_sums, euler_integral
 
 
 def pushforward(f: SimplicialMap, s: ConstructibleFunction) -> ConstructibleFunction:
     """Fiberwise Euler integration of s along f.
 
     The target carrier is always the full target complex; simplices
-    outside the image simply keep coefficient zero.
+    outside the image simply keep coefficient zero. Each coefficient's
+    source cell is looked up by index, and the signed integer numerators
+    over the common denominator are summed per image index: in int64
+    where no sum can overflow it, in Python ints otherwise.
     """
     if s.carrier != f.source:
         raise CarrierMismatch("the function does not live on the map's source")
-    keyed_signs = []
-    for cell in s.coefficients:
-        image = f.image(cell)
-        keyed_signs.append((image, -1 if (len(cell) - len(image)) % 2 else 1))
-    return ConstructibleFunction(f.target, _signed_sums(keyed_signs, s.coefficients.values()))
+    sources = f.source.cell_indices(s.coefficients)
+    common, numerators = _common_numerators(s.coefficients.values())
+    bound = len(numerators) * max(map(abs, numerators), default=0)
+    dtype = np.int64 if bound < 2**63 else object
+    sums = np.zeros(len(f.target), dtype=dtype)
+    signed = f.image_signs[sources] * np.array(numerators, dtype=dtype)
+    np.add.at(sums, f.image_indices[sources], signed)
+    hit = np.flatnonzero(sums)
+    cells = f.target.ordered_cells()
+    return ConstructibleFunction._trusted(
+        f.target,
+        {cells[i]: Fraction(n, common) for i, n in zip(hit.tolist(), sums[hit].tolist())},
+    )
 
 
 def fiber_euler(f: SimplicialMap, target_simplex) -> int:

@@ -2,6 +2,7 @@ import argparse
 import inspect
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -66,6 +67,9 @@ LIBRARY_ONLY = {
     "vertex_curvature",
     # one vertex's weight; `integrate --kind weights` computes all in one pass
     "weight",
+    # one target cell's fiber; `pushforward` reads every fiber from one
+    # pushforward of the constant 1
+    "fiber_euler",
     # SimplicialComplex already checks closure when a file is parsed
     "validate",
 }
@@ -549,6 +553,83 @@ def test_pushforward_and_compose(fixture_dir):
     )
     assert code == 0
     assert json.loads(out) == [{"simplex": ["pt"], "value": "2"}]
+
+
+PUSHFORWARD = FIRST_ENTRIES["pushforward"]
+
+
+@pytest.mark.parametrize("with_function", [False, True])
+def test_pushforward_runs_at_most_two_pushforwards(with_function, tmp_path, monkeypatch):
+    from curvcalc import pushforwards
+
+    argv = _corpus_argv(PUSHFORWARD)
+    if with_function:
+        function = tmp_path / "f.json"
+        function.write_text(json.dumps([
+            {"simplex": ["top", "e1"], "value": "3/2"},
+            {"simplex": ["e1", "e2", "top"], "value": "-7"},
+            {"simplex": ["e3"], "value": "1/3"},
+        ]))
+        argv += ["--function", str(function)]
+    calls = []
+    push = pushforwards.pushforward
+
+    def counted(*args):
+        calls.append(args)
+        return push(*args)
+
+    monkeypatch.setattr(pushforwards, "pushforward", counted)
+    code, out, err = invoke(*argv)
+    assert code == 0 and err == ""
+    assert len(calls) == (2 if with_function else 1)
+    monkeypatch.undo()
+    # the fibers do not depend on the function
+    assert out.splitlines()[-1] == invoke(*_corpus_argv(PUSHFORWARD))[1].splitlines()[-1]
+
+
+def test_bad_map_gives_the_same_error_on_every_run(fixture_dir, tmp_path):
+    # top -> lo and e1 -> hi send the edge top e1 onto lo hi, which the
+    # path lacks; so do top e3 and top e1 e2, later in cells() order
+    bad = tmp_path / "bad.map"
+    bad.write_text("map v1\ntop -> lo\nbottom -> mid\ne1 -> hi\ne2 -> mid\ne3 -> hi\ne4 -> mid\n")
+    argv = [
+        sys.executable, "-m", "curvcalc.cli", "pushforward",
+        "--source", str(fixture_dir / "octahedron.txt"),
+        "--target", str(fixture_dir / "path3.txt"),
+        "--map", str(bad),
+    ]
+    runs = [
+        subprocess.run(argv, capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        for seed in ("1", "2")
+    ]
+    assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [(2, "", runs[0].stderr)] * 2
+    assert json.loads(runs[0].stderr) == {
+        "error": "MissingFace",
+        "message": "simplex (0, 2) is missing face (0, 2)",
+    }
+
+
+def test_the_parser_is_built_once(monkeypatch):
+    from curvcalc import cli
+
+    built = []
+    build = cli.build_parser
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    try:
+        first = invoke("--help")
+        second = invoke("subdivide", "--census", "2")
+        third = invoke("curvature", "-h")
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(built) == 1
+    assert first[1].startswith("usage: curvcalc") and third[1].startswith("usage: curvcalc curvature")
+    assert second[0] == 0 and json.loads(second[1])["1,1,1"] == 6
 
 
 def test_fubini_chi_json(fixture_dir):

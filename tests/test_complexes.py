@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,96 @@ class TestSimplicialMaps:
         with pytest.raises(UnknownSimplex):
             f.image((0, 1))  # the poles span no edge
 
+    @pytest.mark.parametrize("simplex", [(3, 0), (0, 0), (0, 99), (), (-1,), (0, 2, 3, 4)])
+    def test_image_rejects_what_is_not_a_source_simplex(self, simplex):
+        f, _ = fixtures.octahedron_to_path()
+        with pytest.raises(UnknownSimplex):
+            f.image(simplex)
+
+    def test_image_accepts_any_sequence(self):
+        f, _ = fixtures.octahedron_to_path()
+        assert f.image([0, 2, 3]) == f.image((0, 2, 3))
+
+    def test_missing_face_names_the_first_bad_simplex_in_cells_order(self, rng):
+        # random vertex maps into a path: every source simplex whose
+        # image skips a path vertex or has three vertices is bad
+        for trial in range(40):
+            X = fixtures.random_complex(rng, max_vertices=8, max_dim=3)
+            path = fixtures.path_complex(3)
+            vertex_map = {v: int(rng.integers(0, 4)) for v in X.vertices}
+            bad = [
+                s for s in X.cells()
+                if not path.has_cell(tuple(sorted({vertex_map[v] for v in s})))
+            ]
+            if not bad:
+                SimplicialMap(X, path, vertex_map)
+                continue
+            with pytest.raises(MissingFace) as caught:
+                SimplicialMap(X, path, vertex_map)
+            assert caught.value.simplex == bad[0]
+            assert caught.value.face == tuple(sorted({vertex_map[v] for v in bad[0]}))
+
+    def test_image_arrays_follow_cells_order(self):
+        f, path = fixtures.octahedron_to_path()
+        target_cells = list(path.cells())
+        for i, s in enumerate(f.source.cells()):
+            image = f.image(s)
+            assert target_cells[f.image_indices[i]] == image
+            assert f.image_signs[i] == (-1) ** (len(s) - len(image))
+
+
+class TestSimplexLookup:
+    # 2^16 vertices: a mixed-radix key over 4 or 5 vertex positions would
+    # need 2^64 or 2^80 values, past int64
+    N = 2**16
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        n = self.N
+        tops = [tuple(range(n - 5, n)), (0, n // 2, n - 7, n - 6), (1, 2, 3, n - 2, n - 1)]
+        return SimplicialComplex.from_maximal([*tops, *((v,) for v in range(n))])
+
+    def test_radix_keys_would_overflow(self, big):
+        assert len(big.vertices) == self.N and self.N**4 > 2**63
+
+    def test_every_simplex_finds_itself(self, big):
+        for d in range(big.dim + 1):
+            rows = big.vertex_positions(d)
+            assert big.simplex_indices(rows).tolist() == list(range(len(rows)))
+        cells = list(big.cells())
+        assert big.cell_indices(reversed(cells)).tolist() == list(range(len(cells)))[::-1]
+
+    def test_non_simplices_are_not_found(self, big):
+        n = self.N
+        rows = [
+            (n - 6, n - 5, n - 4, n - 3, n - 2),  # shifted by one from a 4-simplex
+            (0, n // 2, n - 7, n - 5),
+            (1, 2, 3, n - 3, n - 1),
+            (0, 1, 2, 3, n - 1),
+            (n - 4, n - 3, n - 2, n - 1, n - 1),  # repeats the last vertex
+        ]
+        for row in rows:
+            assert big.simplex_indices([row]).tolist() == [-1]
+        assert big.simplex_indices([(0, n - 1)]).tolist() == [-1]
+        assert big.simplex_indices([(n - 2, n - 1)]).tolist() != [-1]
+
+    def test_maps_onto_high_vertex_positions(self, big):
+        n = self.N
+        # a 5-simplex plus a tail of vertices, collapsed onto big's
+        # vertices: the simplex goes onto the top 4-simplex, the tail
+        # onto low vertices
+        source = SimplicialComplex.from_maximal([tuple(range(6)), *((v,) for v in range(6, 40))])
+        onto = {0: n - 5, 1: n - 5, 2: n - 4, 3: n - 3, 4: n - 2, 5: n - 1}
+        onto.update({v: v % 7 for v in range(6, 40)})
+        f = SimplicialMap(source, big, onto)
+        for s in source.cells():
+            assert f.image(s) == tuple(sorted({onto[v] for v in s}))
+        onto[0] = n - 6  # (n-6, n-5) is not an edge of big
+        with pytest.raises(MissingFace) as caught:
+            SimplicialMap(source, big, onto)
+        assert caught.value.simplex == (0, 1)
+        assert caught.value.face == (n - 6, n - 5)
+
 
 class TestPLFunction:
     def test_must_cover_every_vertex(self):
@@ -288,6 +379,25 @@ class TestPLFunction:
             PLFunction(X, {0: 1})
         with pytest.raises(UnknownVertex):
             PLFunction(X, {0: 1, 1: 2, 5: 0})
+
+    def test_names_the_first_missing_or_foreign_vertex(self):
+        X = fixtures.path_complex(3)
+        with pytest.raises(UnknownVertex) as caught:
+            PLFunction(X, {3: 0, 0: 1, 9: 2})
+        assert caught.value.vertex == 1
+        with pytest.raises(UnknownVertex) as caught:
+            PLFunction(X, {0: 0, 8: 1, 1: 0, 2: 0, 3: 0, 9: 2})
+        assert caught.value.vertex == 8
+
+    def test_validation_is_linear_in_the_vertex_count(self):
+        # scanning the vertex tuple once per value is quadratic: about 18 s
+        # at this size on a 2-vCPU VM
+        X = SimplicialComplex.from_maximal([(i, i + 1) for i in range(49_999)])
+        values = {v: Fraction(v, 7) for v in X.vertices}
+        start = time.perf_counter()
+        alpha = PLFunction(X, values)
+        assert time.perf_counter() - start < 1.0
+        assert alpha.values == values
 
     def test_barycenter_value(self):
         X = full_simplex_complex(2)

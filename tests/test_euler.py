@@ -67,6 +67,18 @@ class TestEulerIntegral:
         X, _ = edge_with_identity()
         assert euler_integral(ConstructibleFunction.zero(X)) == 0
 
+    def test_arithmetic_keeps_nonzero_fractions_only(self):
+        X, _ = edge_with_identity()
+        s = ConstructibleFunction(X, {(0,): Fraction(1, 2), (0, 1): 3})
+        assert (s - s).coefficients == {}
+        assert (0 * s).coefficients == {}
+        assert (s + s).coefficients == {(0,): 1, (0, 1): 6}
+        assert (Fraction(2, 3) * s).coefficients == {(0,): Fraction(1, 3), (0, 1): 2}
+        ones = ConstructibleFunction.ones(X)
+        assert ones == ConstructibleFunction(X, {c: 1 for c in X.simplices})
+        for t in (s + s, Fraction(2, 3) * s, ones):
+            assert all(type(v) is Fraction for v in t.coefficients.values())
+
     def test_disk_has_chi_one(self):
         X = full_simplex_complex(2)
         assert euler_integral(ConstructibleFunction.ones(X)) == 1

@@ -2,6 +2,8 @@
 definitions (tests/euler_oracles.py) on generated complexes, rational
 vertex values with ties, sparse vertex ids and random simplicial maps."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -54,8 +56,23 @@ def pl_functions(draw):
     return PLFunction(X, {v: draw(st.sampled_from(pool)) for v in X.vertices})
 
 
+# numerators up to 2^80 over denominators up to 2^40: over their common
+# denominator the numerators, and their sums, pass 2^63
+HUGE_RATIONALS = st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**40))
+VALUES = st.one_of(RATIONALS, HUGE_RATIONALS)
+
+
 def constructible_functions(carrier):
-    return st.dictionaries(st.sampled_from(list(carrier.cells())), RATIONALS).map(
+    """Coefficients on some cells, or on every cell in cells() order as
+    ones() lists them, or on every cell in reverse order."""
+    cells = list(carrier.cells())
+    some = st.dictionaries(st.sampled_from(cells), VALUES)
+    every = st.lists(VALUES, min_size=len(cells), max_size=len(cells)).flatmap(
+        lambda values: st.sampled_from([cells, cells[::-1]]).map(
+            lambda order: dict(zip(order, values))
+        )
+    )
+    return st.one_of(some, every, st.just(dict.fromkeys(cells, 1))).map(
         lambda coefficients: ConstructibleFunction(carrier, coefficients)
     )
 
@@ -103,6 +120,7 @@ def test_pushforward_follows_the_fiber_rule(data):
     s = data.draw(constructible_functions(f.source))
     pushed = pushforward(f, s)
     assert pushed.coefficients == pushforward_oracle(f, s)
+    assert all(type(value) is Fraction for value in pushed.coefficients.values())
     assert euler_integral(s) == euler_integral_oracle(s)
     assert euler_integral(pushed) == euler_integral(s)
 

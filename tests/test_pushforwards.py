@@ -21,6 +21,7 @@ from curvcalc.pushforwards import (
 )
 from curvcalc import fixtures
 
+from euler_oracles import pushforward_oracle
 from fiber_slice_oracle import fiber_chi_at_point, random_interior_point
 
 
@@ -128,6 +129,27 @@ class TestPushforward:
         c = SimplicialMap(edge, fixtures.point(), {0: 0, 1: 0})
         with pytest.raises(CarrierMismatch):
             pushforward(c, ConstructibleFunction.ones(other))
+
+    def test_sums_past_int64_stay_exact(self):
+        # each numerator fits in int64, their sum over the point does not
+        X = fixtures.path_complex(4)
+        c = SimplicialMap(X, fixtures.point(), {v: 0 for v in X.vertices})
+        big = {(v,): Fraction(2**62 + v) for v in X.vertices}
+        s = ConstructibleFunction(X, big)
+        assert pushforward(c, s).coefficients == {(0,): Fraction(5 * 2**62 + 10)}
+        assert pushforward(c, s).coefficients == pushforward_oracle(c, s)
+        thirds = ConstructibleFunction(X, {cell: Fraction(2**70, 3) for cell in X.cells()})
+        assert pushforward(c, thirds).coefficients == {(0,): Fraction(2**70, 3)}
+
+    def test_functions_on_every_cell_in_any_order(self, rng):
+        f, _ = fixtures.octahedron_to_path()
+        cells = list(f.source.cells())
+        values = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))) for _ in cells]
+        in_order = ConstructibleFunction(f.source, dict(zip(cells, values)))
+        reversed_order = ConstructibleFunction(f.source, dict(zip(cells[::-1], values[::-1])))
+        expected = pushforward_oracle(f, in_order)
+        assert pushforward(f, in_order).coefficients == expected
+        assert pushforward(f, reversed_order).coefficients == expected
 
     @pytest.mark.parametrize("trial", range(10))
     def test_integral_preservation_random(self, trial, rng):
