@@ -234,9 +234,11 @@ def _cmd_pushforward(args, out) -> int:
         final = _load_document(args.compose_target)
         with open(args.compose, encoding="utf-8") as handle:
             second = parse_map(handle.read(), target, final)
-        if not pushforward_mod.check_functoriality(second, first, s):
-            raise CurvCalcError("functoriality check failed")  # pragma: no cover
+        # (g o f)_* s is the output; g_*(f_* s) checks it
         result = pushforward_mod.pushforward(second.compose(first), s)
+        iterated = pushforward_mod.pushforward(second, pushforward_mod.pushforward(first, s))
+        if result != iterated:
+            raise CurvCalcError("functoriality check failed")  # pragma: no cover
         out.write(serialize_constructible(result, final))
         return 0
     result = pushforward_mod.pushforward(first, s)

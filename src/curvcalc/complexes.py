@@ -1,18 +1,25 @@
 """Finite abstract simplicial complexes, simplicial maps, PL vertex data.
 
-A complex is stored as the full set of its simplices (not just the maximal
-ones) because every integral in this package is a sum over all simplices.
-Vertices are dense nonnegative integers local to a complex; a simplex is a
-strictly increasing tuple of vertex ids. Vertex data (PLFunction values)
-are exact rationals so the combinatorial identities downstream can be
-tested with equality rather than tolerances.
+A complex holds every simplex, not just the maximal ones, because every
+integral in this package is a sum over all simplices. The d-simplices are
+stored as the rows, in lexicographic order, of an (n_d, d+1) int64 array
+of vertex positions (indices into the sorted vertex ids); the tuple views
+(the simplex set, simplices_of_dim and cells()) are built from these
+arrays on first use. Vertices are nonnegative integers local to a
+complex; a simplex is a strictly increasing tuple of vertex ids. Vertex
+data (PLFunction values) are exact rationals so the combinatorial
+identities downstream can be tested with equality rather than
+tolerances.
 
 Also provided: barycentric subdivision with linear extension of vertex
 data, product cell complexes, and the signature bookkeeping of the first
 subdivision of a standard simplex.
 """
 
+import functools
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -60,46 +67,122 @@ def validate_simplices(simplices) -> None:
                 raise MissingFace(simplex, face)
 
 
+_numerator = operator.attrgetter("numerator")
+_denominator = operator.attrgetter("denominator")
+
+
+def _common_numerators(values) -> tuple[int, list[int]]:
+    """(L, [n_i]) with value_i == n_i / L, where L is the lcm of the
+    denominators of the given rationals."""
+    values = list(values)
+    common = math.lcm(*set(map(_denominator, values)))
+    if common == 1:
+        return 1, list(map(_numerator, values))
+    return common, [value.numerator * (common // value.denominator) for value in values]
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D int64 array, in lexicographic order."""
+    if len(rows) > 1:
+        rows = rows[np.lexsort(rows.T[::-1])]
+        keep = np.empty(len(rows), dtype=bool)
+        keep[0] = True
+        np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
+        rows = rows[keep]
+    return rows
+
+
+@functools.cache
+def _face_columns(k: int, size: int) -> np.ndarray:
+    """The column indices of the size-vertex faces of a k-vertex row, one
+    face per row, in lexicographic order."""
+    columns = np.array(list(itertools.combinations(range(k), size)), dtype=np.int64)
+    columns.flags.writeable = False
+    return columns.reshape(-1, size)
+
+
+def facet_rows(rows: np.ndarray) -> np.ndarray:
+    """The facets of the rows of an (n, k) array of increasing vertex
+    positions, as an (n * k, k - 1) array whose row i * k + j is the j-th
+    facet of row i."""
+    k = rows.shape[1]
+    return rows[:, _face_columns(k, k - 1)].reshape(-1, k - 1)
+
+
+def _closure_rows(simplices) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(vertex ids, per-dimension position rows) of the face closure of
+    the given canonical simplex tuples.
+
+    The closure runs on arrays from the top dimension down: the
+    d-simplices are the distinct rows among the given ones of that size
+    and the facets of the (d+1)-simplices.
+    """
+    by_size: dict[int, list[Simplex]] = {}
+    for s in simplices:
+        by_size.setdefault(len(s), []).append(s)
+    given = {k: np.array(g, dtype=np.int64) for k, g in by_size.items()}
+    every = [g.reshape(-1, 1) for g in given.values()]
+    ids = _sorted_rows(np.concatenate(every or [np.empty((0, 1), np.int64)]))[:, 0]
+    rows = []
+    above = None
+    for k in range(max(given, default=1), 1, -1):
+        parts = [] if above is None else [facet_rows(above)]
+        if k in given:
+            parts.append(np.searchsorted(ids, given[k]))
+        above = _sorted_rows(np.concatenate(parts))
+        rows.append(above)
+    if len(ids):
+        rows.append(np.arange(len(ids)).reshape(-1, 1))
+    return ids, rows[::-1]
+
+
 class SimplicialComplex:
     """An immutable finite abstract simplicial complex.
 
     The empty complex is allowed (it shows up as the link of an isolated
-    vertex). Equality and hashing are by simplex set. With validate=True
-    each simplex is canonicalized with as_simplex and face closure is
-    checked; validate=False trusts the caller to pass canonical tuples of
-    a face-closed set, as from_maximal, link, full_subcomplex and
-    barycentric_subdivide do.
+    vertex). Equality and hashing are by simplex set. Simplices may be
+    given as tuples of vertex ids: with validate=True each is
+    canonicalized with as_simplex and face closure is checked;
+    validate=False trusts the caller to pass canonical tuples of a
+    face-closed set, as link and full_subcomplex do. Constructions on
+    arrays (from_maximal, parse_complex, barycentric_subdivide) pass
+    instead vertex_ids, the strictly increasing vertex ids, and rows,
+    for each dimension 0..dim the distinct rows in lexicographic order
+    of vertex positions of a face-closed set; both are taken as they
+    are.
     """
 
-    __slots__ = ("_simplices", "_vertices", "_by_dim", "_positions", "_keys", "_cells", "_cofaces")
+    __slots__ = ("_ids", "_vertices", "_rows", "_simplices", "_by_dim", "_keys", "_cells", "_cofaces")
 
-    def __init__(self, simplices, validate: bool = True):
-        if validate:
-            simps = frozenset(as_simplex(s) for s in simplices)
-            validate_simplices(simps)
-        else:
-            simps = frozenset(simplices)
-        self._simplices = simps
-        self._vertices = tuple(sorted(s[0] for s in simps if len(s) == 1))
-        by_dim: dict[int, list[Simplex]] = {}
-        for s in simps:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        self._by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
-        self._positions: dict[int, np.ndarray] = {}
+    def __init__(self, simplices=(), validate: bool = True, *, vertex_ids=None, rows=None):
+        checked = None
+        if rows is None:
+            if validate:
+                simplices = checked = frozenset(as_simplex(s) for s in simplices)
+                validate_simplices(checked)
+            vertex_ids, rows = _closure_rows(simplices)
+        for array in (vertex_ids, *rows):
+            array.flags.writeable = False
+        self._ids = vertex_ids
+        self._vertices = tuple(vertex_ids.tolist())
+        self._rows = tuple(rows)
+        self._simplices = checked  # the tuple views are built on first use
+        self._by_dim: dict[int, tuple[Simplex, ...]] = {}
         self._keys: dict[int, np.ndarray] = {}
         self._cells = None  # built by the first cells() call
         self._cofaces = None  # built by the first star or link call
 
     @classmethod
     def from_maximal(cls, maximal) -> "SimplicialComplex":
-        """Build a complex as the face closure of the given simplices."""
-        closed = set()
-        for m in maximal:
-            closed.update(faces(as_simplex(m)))
-        return cls(closed, validate=False)
+        """Build a complex as the face closure of the given simplices,
+        each of which goes through as_simplex once."""
+        vertex_ids, rows = _closure_rows(map(as_simplex, maximal))
+        return cls(vertex_ids=vertex_ids, rows=rows)
 
     @property
     def simplices(self) -> frozenset:
+        if self._simplices is None:
+            self._simplices = frozenset(self.ordered_cells())
         return self._simplices
 
     @property
@@ -108,23 +191,26 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max(self._by_dim, default=-1)
+        return len(self._rows) - 1
 
     def simplices_of_dim(self, d: int) -> tuple[Simplex, ...]:
-        return self._by_dim.get(d, ())
+        simplices = self._by_dim.get(d)
+        if simplices is None:
+            if not 0 <= d <= self.dim:
+                return ()
+            simplices = self._by_dim[d] = tuple(zip(*self._ids[self._rows[d].T].tolist()))
+        return simplices
 
     def vertex_positions(self, d: int) -> np.ndarray:
         """Read-only (n_d, d+1) int64 array whose row i holds the
         positions in self.vertices of the vertices of
         simplices_of_dim(d)[i]. Positions, not ids, so sparse vertex ids
-        stay compact. Built on first use per dimension."""
-        positions = self._positions.get(d)
-        if positions is None:
-            ids = np.array(self.simplices_of_dim(d), dtype=np.int64).reshape(-1, d + 1)
-            positions = np.searchsorted(np.array(self._vertices, dtype=np.int64), ids)
-            positions.flags.writeable = False
-            self._positions[d] = positions
-        return positions
+        stay compact. This is the stored array itself."""
+        if 0 <= d <= self.dim:
+            return self._rows[d]
+        empty = np.empty((0, d + 1), dtype=np.int64)
+        empty.flags.writeable = False
+        return empty
 
     def simplex_indices(self, rows) -> np.ndarray:
         """Index in simplices_of_dim(k - 1) of each row of an (m, k) array
@@ -142,7 +228,7 @@ class SimplicialComplex:
             keys = self._simplex_keys(d)
             if not len(keys):
                 return np.full(len(rows), -1, dtype=np.int64)
-            query = index * len(self._vertices) + rows[:, d]
+            query = index * len(self._ids) + rows[:, d]
             at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
             index = np.where(keys[at] == query, at, -1)
         return index
@@ -153,7 +239,7 @@ class SimplicialComplex:
         keys = self._keys.get(d)
         if keys is None:
             rows = self.vertex_positions(d)
-            keys = self.simplex_indices(rows[:, :-1]) * len(self._vertices) + rows[:, -1]
+            keys = self.simplex_indices(rows[:, :-1]) * len(self._ids) + rows[:, -1]
             self._keys[d] = keys
         return keys
 
@@ -166,7 +252,7 @@ class SimplicialComplex:
             return np.arange(len(cells))
         sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
         ids = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int64, count=int(sizes.sum()))
-        positions = np.searchsorted(np.array(self._vertices, dtype=np.int64), ids)
+        positions = np.searchsorted(self._ids, ids)
         starts = np.cumsum(sizes) - sizes
         offsets = np.cumsum((0, *self.f_vector()))
         indices = np.empty(len(cells), dtype=np.int64)
@@ -177,7 +263,7 @@ class SimplicialComplex:
         return indices
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self._by_dim.get(d, ())) for d in range(self.dim + 1))
+        return tuple(map(len, self._rows))
 
     # Generic cell-carrier protocol shared with ProductCellComplex, so the
     # Euler-integration code can treat both uniformly.
@@ -189,7 +275,7 @@ class SimplicialComplex:
         """The cells() sequence as a tuple, built on first use."""
         if self._cells is None:
             self._cells = tuple(
-                itertools.chain.from_iterable(self._by_dim[d] for d in sorted(self._by_dim))
+                itertools.chain.from_iterable(map(self.simplices_of_dim, range(self.dim + 1)))
             )
         return self._cells
 
@@ -197,7 +283,7 @@ class SimplicialComplex:
         return len(cell) - 1
 
     def has_cell(self, cell) -> bool:
-        return cell in self._simplices
+        return cell in self.simplices
 
     def cell_vertex_objects(self, cell):
         return cell
@@ -206,13 +292,13 @@ class SimplicialComplex:
         return tuple(faces(cell))
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self._simplices)
+        return sum(-n if d % 2 else n for d, n in enumerate(self.f_vector()))
 
     def star(self, v: int) -> tuple[Simplex, ...]:
         """All simplices containing v (not closed under faces)."""
         if self._cofaces is None:
             cofaces: dict[int, list[Simplex]] = {u: [] for u in self._vertices}
-            for s in self._simplices:
+            for s in self.simplices:
                 for u in s:
                     cofaces[u].append(s)
             self._cofaces = {u: tuple(sorted(c)) for u, c in cofaces.items()}
@@ -229,28 +315,32 @@ class SimplicialComplex:
         """Simplices all of whose vertices lie in the given set."""
         keep = set(vertex_subset)
         return SimplicialComplex(
-            (s for s in self._simplices if keep.issuperset(s)), validate=False
+            (s for s in self.simplices if keep.issuperset(s)), validate=False
         )
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self._simplices <= other._simplices
+        return self.simplices <= other.simplices
 
     def __eq__(self, other):
+        # the stored arrays are canonical, so equal arrays mean equal sets
         return other is self or (
-            isinstance(other, SimplicialComplex) and self._simplices == other._simplices
+            isinstance(other, SimplicialComplex)
+            and self.f_vector() == other.f_vector()
+            and np.array_equal(self._ids, other._ids)
+            and all(map(np.array_equal, self._rows, other._rows))
         )
 
     def __hash__(self):
-        return hash(self._simplices)
+        return hash(self.simplices)
 
     def __len__(self):
-        return len(self._simplices)
+        return sum(self.f_vector())
 
     def __contains__(self, simplex):
-        return tuple(simplex) in self._simplices
+        return tuple(simplex) in self.simplices
 
     def __repr__(self):
-        return f"SimplicialComplex({len(self._simplices)} simplices, dim {self.dim})"
+        return f"SimplicialComplex({len(self)} simplices, dim {self.dim})"
 
 
 def validate(complex: SimplicialComplex) -> None:
@@ -272,6 +362,15 @@ class PLFunction:
             raise UnknownVertex(missing[0] if missing else next(v for v in vals if v not in known))
         self.complex = complex
         self.values = vals
+
+    @classmethod
+    def _trusted(cls, complex: SimplicialComplex, values: dict) -> "PLFunction":
+        """Wrap a dict of Fractions keyed by exactly the vertices of the
+        complex without checking it again."""
+        f = object.__new__(cls)
+        f.complex = complex
+        f.values = values
+        return f
 
     def __call__(self, v: int) -> Fraction:
         return self.values[v]
@@ -320,8 +419,7 @@ class SimplicialMap:
                 raise UnknownVertex(vm[v])
         # position in target.vertices of each source vertex's image
         moved = np.searchsorted(
-            np.array(target.vertices, dtype=np.int64),
-            np.array([vm[v] for v in source.vertices], dtype=np.int64),
+            target._ids, np.array([vm[v] for v in source.vertices], dtype=np.int64)
         )
         target_offsets = np.cumsum((0, *target.f_vector()))
         indices = np.empty(len(source), dtype=np.int64)
@@ -393,30 +491,7 @@ def identity_map(complex: SimplicialComplex) -> SimplicialMap:
 def subdivision_vertex_simplices(complex: SimplicialComplex) -> list[Simplex]:
     """The simplices of the input in canonical order; the index of a
     simplex in this list is its vertex id in the subdivision."""
-    return sorted(complex.simplices, key=lambda s: (len(s), s))
-
-
-def _chains(complex: SimplicialComplex):
-    """All strict chains s_0 < s_1 < ... < s_k in the face poset, as tuples
-    of vertex ids of the subdivision.
-
-    Ids are assigned by (dimension, lexicographic) order, so chain tuples
-    are automatically strictly increasing.
-    """
-    simps = subdivision_vertex_simplices(complex)
-    sid = {s: i for i, s in enumerate(simps)}
-    ending_at: dict[Simplex, list[tuple[int, ...]]] = {}
-    for s in simps:  # faces precede their cofaces in this order
-        chains = [(sid[s],)]
-        for f in faces(s, proper=True):
-            if f in sid:
-                for c in ending_at[f]:
-                    chains.append(c + (sid[s],))
-        ending_at[s] = chains
-    all_chains = []
-    for s in simps:
-        all_chains.extend(ending_at[s])
-    return simps, all_chains
+    return list(complex.ordered_cells())
 
 
 def barycentric_subdivide(
@@ -424,21 +499,58 @@ def barycentric_subdivide(
 ):
     """First barycentric subdivision, with the affine extension of alpha.
 
-    The vertices of the result are the simplices of the input; the new
-    value at the vertex for a simplex is the mean of the old values over
-    its vertices (the affine extension evaluated at the barycenter).
-    Returns (complex, plfunction) where the second entry is None when no
-    alpha was given.
+    The vertices of the result are the simplices of the input, with the
+    cells() index as vertex id; its simplices are the strict chains
+    s_0 < ... < s_k of the face poset. Ids follow cells() order, so faces
+    precede cofaces and each chain is a strictly increasing row. The
+    chains are built on arrays, one length at a time, from every (face,
+    proper coface) pair of the input, which simplex_indices finds.
+
+    The new value at the vertex for a simplex is the mean of the old
+    values over its vertices (the affine extension evaluated at the
+    barycenter), summed as integer numerators over the common
+    denominator. Returns (complex, plfunction) where the second entry is
+    None when no alpha was given.
     """
-    simps, chains = _chains(complex)
-    subdivided = SimplicialComplex(chains, validate=False)
+    if alpha is not None and alpha.complex != complex:
+        raise UnknownVertex("alpha is not defined on this complex")
+    offsets = np.cumsum((0, *complex.f_vector()))  # id of each dimension's first simplex
+    total = int(offsets[-1])
+    face_ids, coface_ids = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for d in range(1, complex.dim + 1):
+        rows = complex.vertex_positions(d)
+        for k in range(1, d + 1):
+            columns = _face_columns(d + 1, k)
+            found = complex.simplex_indices(rows[:, columns].reshape(-1, k))
+            face_ids.append(offsets[k - 1] + found)
+            coface_ids.append(np.repeat(offsets[d] + np.arange(len(rows)), len(columns)))
+    face_ids, coface_ids = np.concatenate(face_ids), np.concatenate(coface_ids)
+    order = np.argsort(face_ids * total + coface_ids, kind="stable")
+    face_ids, coface_ids = face_ids[order], coface_ids[order]
+    # chains[k]: the chains of k + 1 simplices, in lexicographic order. The
+    # chains starting at s are (s) and s + c for each chain c starting at a
+    # proper coface of s; joining the pairs in (face, coface) order to the
+    # shorter chains, which are grouped by first id, keeps that order.
+    chains = [np.arange(total).reshape(-1, 1)] if total else []
+    for _ in range(complex.dim):
+        shorter = chains[-1]
+        counts = np.bincount(shorter[:, 0], minlength=total)
+        reps = counts[coface_ids]
+        firsts = np.cumsum(reps) - reps
+        at = np.repeat((np.cumsum(counts) - counts)[coface_ids] - firsts, reps) + np.arange(int(reps.sum()))
+        chains.append(np.column_stack((np.repeat(face_ids, reps), shorter[at])))
+    subdivided = SimplicialComplex(vertex_ids=np.arange(total), rows=chains)
     new_alpha = None
     if alpha is not None:
-        if alpha.complex != complex:
-            raise UnknownVertex("alpha is not defined on this complex")
-        new_alpha = PLFunction(
-            subdivided, {i: alpha.barycenter_value(s) for i, s in enumerate(simps)}
-        )
+        common, numerators = _common_numerators(alpha.values[v] for v in complex.vertices)
+        wide = max(map(abs, numerators), default=0) * (complex.dim + 1) >= 2**63
+        numerators = np.array(numerators, dtype=object if wide else np.int64)
+        values = []
+        for d in range(complex.dim + 1):
+            denominator = common * (d + 1)
+            sums = numerators[complex.vertex_positions(d)].sum(axis=1).tolist()
+            values.extend(Fraction(n, denominator) for n in sums)
+        new_alpha = PLFunction._trusted(subdivided, dict(enumerate(values)))
     return subdivided, new_alpha
 
 
@@ -460,8 +572,16 @@ def signature_of_chain(chain: tuple[Simplex, ...]) -> tuple[int, ...]:
 
 
 def _simplex_chains(n: int):
-    simps, chains = _chains(full_simplex_complex(n))
-    return [tuple(simps[i] for i in chain) for chain in chains]
+    """The simplices of the first subdivision of the n-simplex, each as
+    its chain of faces of the n-simplex."""
+    simplex = full_simplex_complex(n)
+    cells = simplex.ordered_cells()
+    sd, _ = barycentric_subdivide(simplex)
+    return [
+        tuple(map(cells.__getitem__, chain))
+        for d in range(sd.dim + 1)
+        for chain in sd.vertex_positions(d).tolist()
+    ]
 
 
 def signature_census(n: int) -> dict[tuple[int, ...], int]:

@@ -18,12 +18,11 @@ build one Fraction per result cell.
 """
 
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
 
-from .complexes import PLFunction, SimplicialComplex
+from .complexes import PLFunction, SimplicialComplex, _common_numerators
 from .errors import CarrierTooHighDimensional, ForeignCell, UnknownVertex
 
 
@@ -116,20 +115,6 @@ class ConstructibleFunction:
 
     def __repr__(self):
         return f"ConstructibleFunction({len(self.coefficients)} cells)"
-
-
-_numerator = operator.attrgetter("numerator")
-_denominator = operator.attrgetter("denominator")
-
-
-def _common_numerators(values) -> tuple[int, list[int]]:
-    """(L, [n_i]) with value_i == n_i / L, where L is the lcm of the
-    denominators of the given rationals."""
-    values = list(values)
-    common = math.lcm(*set(map(_denominator, values)))
-    if common == 1:
-        return 1, list(map(_numerator, values))
-    return common, [value.numerator * (common // value.denominator) for value in values]
 
 
 def _signed_sums(keyed_signs, values) -> dict:

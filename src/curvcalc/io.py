@@ -16,7 +16,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import PLFunction, SimplicialComplex, SimplicialMap
+import numpy as np
+
+from .complexes import PLFunction, SimplicialComplex, SimplicialMap, _closure_rows, facet_rows
 from .errors import DimensionMismatch, ParseError, UnknownVertex
 from .euler import ConstructibleFunction
 
@@ -118,9 +120,11 @@ def parse_complex(text: str) -> ComplexDocument:
     if coords and len(coords) != len(names):
         raise DimensionMismatch("some vertices have coordinates and some do not")
     # isolated named vertices count as 0-simplices even if the simplices
-    # section does not repeat them
+    # section does not repeat them; every simplex is canonical already, so
+    # the face closure takes them as they are
     maximal.extend((i,) for i in range(len(names)))
-    complex = SimplicialComplex.from_maximal(maximal)
+    vertex_ids, rows = _closure_rows(maximal)
+    complex = SimplicialComplex(vertex_ids=vertex_ids, rows=rows)
     alpha = None
     if alphas:
         if len(alphas) != len(names):
@@ -140,14 +144,16 @@ def serialize_complex(doc: ComplexDocument) -> str:
             parts.append(f"alpha={doc.alpha.values[vid]}")
         out.append(" ".join(parts))
     out.append("simplices")
-    covered = set()
-    simplices = sorted(
-        doc.complex.simplices, key=lambda s: (-len(s), s)
-    )
-    for s in simplices:  # emit maximal simplices only
-        if s not in covered:
-            out.append(" ".join(doc.names[v] for v in s))
-            covered.update(doc.complex.closure(s))
+    # maximal simplices only, top dimension first: a d-simplex is maximal
+    # unless it is a facet of some (d+1)-simplex
+    complex = doc.complex
+    names = [doc.names[v] for v in complex.vertices]
+    for d in range(complex.dim, -1, -1):
+        maximal = np.ones(complex.f_vector()[d], dtype=bool)
+        if d < complex.dim:
+            maximal[complex.simplex_indices(facet_rows(complex.vertex_positions(d + 1)))] = False
+        rows = complex.vertex_positions(d)[maximal].tolist()
+        out.extend(" ".join(map(names.__getitem__, row)) for row in rows)
     return "\n".join(out) + "\n"
 
 

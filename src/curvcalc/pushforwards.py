@@ -14,10 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import ProductCellComplex, SimplicialComplex, SimplicialMap
+from .complexes import ProductCellComplex, SimplicialComplex, SimplicialMap, _common_numerators
 from .curvature import Embedding, ValueWithError, curvature_measure, product_embedding
 from .errors import CarrierMismatch, UnknownSimplex
-from .euler import ConstructibleFunction, _common_numerators, _signed_sums, euler_integral
+from .euler import ConstructibleFunction, _signed_sums, euler_integral
 
 
 def pushforward(f: SimplicialMap, s: ConstructibleFunction) -> ConstructibleFunction:
@@ -48,13 +48,13 @@ def pushforward(f: SimplicialMap, s: ConstructibleFunction) -> ConstructibleFunc
 
 def fiber_euler(f: SimplicialMap, target_simplex) -> int:
     """chi_c of the fiber of f over any point of the given open target
-    simplex, computed through the fiber rule applied to the constant 1."""
+    simplex: the fiber rule applied to the constant 1, i.e. the signs of
+    the source cells whose image is that simplex, summed."""
     target_simplex = tuple(target_simplex)
     if not f.target.has_cell(target_simplex):
         raise UnknownSimplex(target_simplex)
-    value = pushforward(f, ConstructibleFunction.ones(f.source))(target_simplex)
-    assert value.denominator == 1
-    return int(value)
+    (t,) = f.target.cell_indices([target_simplex])
+    return int(f.image_signs[f.image_indices == t].sum())
 
 
 def check_functoriality(f: SimplicialMap, g: SimplicialMap, s: ConstructibleFunction) -> bool:

@@ -70,6 +70,9 @@ LIBRARY_ONLY = {
     # one target cell's fiber; `pushforward` reads every fiber from one
     # pushforward of the constant 1
     "fiber_euler",
+    # `pushforward --compose` compares (g o f)_* s with g_*(f_* s) itself,
+    # so that it computes the one it prints only once
+    "check_functoriality",
     # SimplicialComplex already checks closure when a file is parsed
     "validate",
 }
@@ -556,6 +559,7 @@ def test_pushforward_and_compose(fixture_dir):
 
 
 PUSHFORWARD = FIRST_ENTRIES["pushforward"]
+COMPOSE = next(entry for entry in CORPUS if "--compose" in entry)
 
 
 @pytest.mark.parametrize("with_function", [False, True])
@@ -585,6 +589,23 @@ def test_pushforward_runs_at_most_two_pushforwards(with_function, tmp_path, monk
     monkeypatch.undo()
     # the fibers do not depend on the function
     assert out.splitlines()[-1] == invoke(*_corpus_argv(PUSHFORWARD))[1].splitlines()[-1]
+
+
+def test_pushforward_compose_runs_three_pushforwards(monkeypatch):
+    # (g o f)_* s once, and f_* s and g_* of it once each for the check
+    from curvcalc import pushforwards
+
+    expected = invoke(*_corpus_argv(COMPOSE))
+    calls = []
+    push = pushforwards.pushforward
+
+    def counted(*args):
+        calls.append(args)
+        return push(*args)
+
+    monkeypatch.setattr(pushforwards, "pushforward", counted)
+    assert invoke(*_corpus_argv(COMPOSE)) == expected
+    assert expected[0] == 0 and len(calls) == 3
 
 
 def test_bad_map_gives_the_same_error_on_every_run(fixture_dir, tmp_path):
