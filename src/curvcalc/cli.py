@@ -21,6 +21,7 @@ import numpy as np
 from . import adiabatic as adiabatic_mod
 from . import curvature as curvature_mod
 from . import euler as euler_mod
+from . import mc
 from . import morse as morse_mod
 from . import pushforwards as pushforward_mod
 from .complexes import barycentric_subdivide, product, signature_census
@@ -203,12 +204,11 @@ def _cmd_morse_curvature(args, out) -> int:
 def _cmd_morse_index(args, out) -> int:
     doc = _load_document(args.complex)
     embedding = _embedding_for(doc, False)
-    direction = morse_mod.as_direction([float(t) for t in args.direction.split(",")])
     indices = {
-        v: morse_mod.morse_index(v, direction, embedding)
+        v: morse_mod.morse_index(v, args.direction, embedding)
         for v in doc.complex.vertices
     }
-    total = morse_mod.chi_sum_check(direction, embedding)
+    total = morse_mod.chi_sum_check(args.direction, embedding)
     assert total == sum(indices.values())
     rows = [(doc.names[v], str(indices[v])) for v in sorted(indices)]
     if args.format == "json":
@@ -257,7 +257,7 @@ def _cmd_pushforward(args, out) -> int:
 
 def _seeded_product_function(carrier, seed: int) -> ConstructibleFunction:
     rng = np.random.Generator(
-        np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+        np.random.Philox(key=mc.philox_key(seed))
     )
     coeffs = {cell: Fraction(int(rng.integers(-6, 7))) for cell in carrier.cells()}
     return ConstructibleFunction(carrier, coeffs)
@@ -375,22 +375,37 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _int_at_least(low: int):
+def _int_in(low: int, below: int | None = None):
     def parse(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
 
 
+def _direction(text):
+    """A comma-separated direction vector, normalized."""
+    try:
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected as non-finite
+            return morse_mod.as_direction([float(t) for t in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"want a nonzero finite comma-separated vector, got {text!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     # each flag group goes only to the subcommands that read it
     sampled = argparse.ArgumentParser(add_help=False)
-    sampled.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    sampled.add_argument("--samples", type=_int_at_least(1), default=10_000)
+    sampled.add_argument(
+        "--seed", type=_int_in(0, mc.SEED_BOUND), default=0, help="RNG seed (default 0)"
+    )
+    sampled.add_argument("--samples", type=_int_in(1), default=10_000)
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -453,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("morse-index", _cmd_morse_index, formatted)
     p.add_argument("complex")
-    p.add_argument("--direction", required=True, help="comma-separated vector")
+    p.add_argument("--direction", type=_direction, required=True, help="comma-separated vector")
 
     p = command("pushforward", _cmd_pushforward)
     p.add_argument("--source", required=True)
@@ -472,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--eps", default="0,0.5,0.9,0.99")
     p.add_argument("--nonsplit", action="store_true")
-    p.add_argument("--grid", type=_int_at_least(5), default=4096)
+    p.add_argument("--grid", type=_int_in(5), default=4096)
 
     return parser
 

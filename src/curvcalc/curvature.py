@@ -33,6 +33,7 @@ from .errors import (
     UnknownVertex,
 )
 from . import mc
+from ._kernels import size_classes
 
 _DEGENERACY_RTOL = 1e-9
 _HEIGHT_SCALE_EXPONENT = 400
@@ -174,7 +175,7 @@ def _exact_cone_fractions(coords: np.ndarray, cells: np.ndarray, sizes: np.ndarr
     accurate for nearly parallel or opposite generators.
     """
     fractions = np.zeros(cells.shape)
-    for n in np.unique(sizes).tolist():
+    for n in size_classes(sizes):
         m = n - 1
         if m > 3:
             raise ExactUnavailable(f"no exact cone fraction for {m} generators")

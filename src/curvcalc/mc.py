@@ -1,24 +1,16 @@
 """Deterministic Monte Carlo direction sampling and the kernel driver.
 
-Directions are unit vectors obtained from normalized standard Gaussians,
-drawn in blocks of BLOCK_ROWS rows. Block b comes from a counter-based
-Philox stream keyed by the user seed with b in the counter, so every
-result is a function of the inputs, the seed and the sample count alone.
-The driver passes each block's heights to a kernel in row slices sized
-so the kernel's temporaries stay under KERNEL_BUDGET_BYTES (one row per
-call if a single row exceeds it); kernel results add over rows, so the
-slicing changes no output. Rows with exact height ties are discarded by
-the kernels and replaced from later blocks, so every estimate uses
-exactly the requested number of tie-free directions.
-
-Both kernels' tables come from simplex_rows, the coordinate-matrix rows
-of the vertices of every simplex by dimension: build_cell_arrays pads
-them into the cone kernel's cells, and build_link_arrays splits each
-simplex at each vertex into the lower-link kernel's (owner, link simplex)
-rows, which is Banchoff's formula for the Morse index. Neither builds a
-link or a coface table.
+Directions are normalized standard Gaussians, drawn in blocks of
+BLOCK_ROWS rows; block b comes from a Philox stream keyed by the seed with
+b in the counter, so every result is a function of the inputs, the seed
+and the sample count alone. The driver passes each block to a kernel in
+row slices that keep its temporaries under KERNEL_BUDGET_BYTES, and
+replaces tie rows from later blocks, so every estimate uses exactly the
+requested number of tie-free directions, whatever the slicing. Both
+kernels read the simplex_rows table; neither builds a link or coface.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +20,20 @@ from . import _kernels
 BLOCK_ROWS = 8192
 KERNEL_BUDGET_BYTES = 8 * 2**20
 _MAX_EMPTY_BLOCKS = 64
+SEED_BOUND = 2**64
+
+
+def philox_key(seed) -> np.uint64:
+    """The Philox key of a seed in [0, 2**64); no two seeds share one."""
+    seed = operator.index(seed)
+    if not 0 <= seed < SEED_BOUND:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return np.uint64(seed)
 
 
 def sample_unit_directions(seed: int, batch_index: int, count: int, dim: int) -> np.ndarray:
     """Unit vectors, row-wise, from the (seed, batch_index) Philox stream."""
-    key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    bit_gen = np.random.Philox(key=key, counter=[0, 0, 0, batch_index])
+    bit_gen = np.random.Philox(key=philox_key(seed), counter=[0, 0, 0, batch_index])
     rng = np.random.Generator(bit_gen)
     vecs = rng.standard_normal((count, dim))
     norms = np.linalg.norm(vecs, axis=1)
@@ -106,7 +106,7 @@ def run_lower_link_stats(
         sumsq[...] += (idx * idx).sum(axis=0)
         return int(ties.sum())
 
-    row_bytes = _kernels.lower_link_row_bytes(link_arrays[1], n_vertices)
+    row_bytes = _kernels.index_row_bytes(link_arrays[1], n_vertices)
     stats = _drive(heights_fn, dim, n_samples, seed, row_bytes, accumulate)
     return sums, sumsq, stats
 
@@ -120,14 +120,12 @@ def smoothed_binomial_stderr(count, n: int):
 
 
 def build_cell_arrays(groups):
-    """Pad per-size vertex index arrays into the (cells, sizes, signs)
-    arrays the cone kernel wants.
+    """Pad per-size vertex index arrays into a (cells, sizes, signs) table.
 
     groups is a sequence of (ids, dims): ids is an (n, k) int array whose
     rows are the heights-matrix columns of n cells with k vertices each,
-    and dims their dimensions (one int, or n of them). The table holds
-    the groups' rows in the given order, each padded with its first
-    vertex.
+    and dims their dimensions (one int, or n of them). The table holds the
+    rows in the given order, each padded with its first vertex.
     """
     width = max((ids.shape[1] for ids, _ in groups), default=1)
     cells = [np.zeros((0, width), dtype=np.int64)]
@@ -149,18 +147,19 @@ def simplex_rows(complex, vertex_index) -> list:
 
 
 def build_link_arrays(complex, vertex_index):
-    """The lower-link kernel's (owner, simp_verts, simp_sizes, vert_ptr).
+    """The Morse kernel's (simp_verts, sizes, signs, order, owners, starts).
 
-    Slot j of a d-simplex with rows ids (d >= 1) gives the link simplex
-    ids without ids[j], owned by ids[j] and padded like a cell table row
-    with its own first vertex, never the owner. Rows are stably grouped
-    by owner; vert_ptr has one slice per coordinate-matrix row, so rows
-    the complex does not use get empty slices.
+    The cell table of every simplex is sorted by size, so the hit-plane
+    slots run by dimension d, then slot j, then simplex, and hold the
+    columns ids[:, j] of simplex_rows. order stably sorts them by that
+    column, their owner; signs holds the sorted slots' (-1)^d as int8;
+    owners are the columns that own slots and starts where each begins.
     """
-    rows = simplex_rows(complex, vertex_index)[1:]
-    by_slot = [(ids, j) for ids, d in rows for j in range(d + 1)]
-    owner = np.concatenate([np.zeros(0, dtype=np.int64)] + [ids[:, j] for ids, j in by_slot])
-    verts, sizes, _ = build_cell_arrays([(np.delete(ids, j, axis=1), 0) for ids, j in by_slot])
+    rows = simplex_rows(complex, vertex_index)
+    simp_verts, sizes, _ = build_cell_arrays(rows)
+    owner = np.concatenate([np.zeros(0, dtype=np.int64)] + [ids.T.ravel() for ids, _ in rows])
     order = np.argsort(owner, kind="stable")
+    signs = np.where(np.repeat(sizes, sizes) % 2, 1, -1).astype(np.int8)[order]
     counts = np.bincount(owner, minlength=len(vertex_index))
-    return owner[order], verts[order], sizes[order], np.concatenate([[0], np.cumsum(counts)])
+    owners = np.flatnonzero(counts)
+    return simp_verts, sizes, signs, order, owners, (np.cumsum(counts) - counts)[owners]

@@ -9,13 +9,16 @@ ordinary Euler characteristic (lower links are compact). Summed over all
 vertices the indices give chi of the complex, for every generic
 direction; averaging over uniformly sampled directions gives the same
 atomic curvature measure as the normal-cone construction.
+
+morse_index is the lower-link oracle; the measure's kernel sums Banchoff's
+equal form, the signs (-1)^dim s of the simplices s in which v is highest.
 """
 
 import numpy as np
 
 from .complexes import SimplicialComplex
 from .curvature import Embedding, ValueWithError, height_coordinates
-from .errors import CarrierMismatch, NonGenericDirection, UnknownVertex
+from .errors import CarrierMismatch, DimensionMismatch, NonGenericDirection, UnknownVertex
 from . import mc
 
 
@@ -32,22 +35,20 @@ def as_direction(vector) -> np.ndarray:
 
 def _heights(direction, embedding: Embedding) -> dict:
     # h_x(y) = -<x, y>, so the index counts descent rather than ascent
+    x, dim = as_direction(direction), embedding.ambient_dim
+    if x.shape != (dim,):
+        raise DimensionMismatch(f"direction has {x.size} components, the embedding {dim}")
     coords = height_coordinates(embedding.matrix())
-    return {v: -float(np.dot(direction, coords[i])) for v, i in embedding.vertex_index.items()}
+    return {v: -float(np.dot(x, coords[i])) for v, i in embedding.vertex_index.items()}
 
 
 def lower_link(complex: SimplicialComplex, v, heights) -> SimplicialComplex:
     """Full subcomplex of link(v) on the vertices with smaller height;
     raises NonGenericDirection on a height tie with v."""
     link = complex.link(v)
-    hv = heights[v]
-    lower = set()
-    for w in link.vertices:
-        if heights[w] == hv:
-            raise NonGenericDirection(v)
-        if heights[w] < hv:
-            lower.add(w)
-    return link.full_subcomplex(lower)
+    if any(heights[w] == heights[v] for w in link.vertices):
+        raise NonGenericDirection(v)
+    return link.full_subcomplex(w for w in link.vertices if heights[w] < heights[v])
 
 
 def morse_index(v, direction, embedding: Embedding) -> int:
@@ -57,20 +58,14 @@ def morse_index(v, direction, embedding: Embedding) -> int:
         raise CarrierMismatch("Morse indices are defined on simplicial carriers")
     if v not in carrier.vertices:
         raise UnknownVertex(v)
-    x = as_direction(direction)
-    heights = _heights(x, embedding)
-    return 1 - lower_link(carrier, v, heights).euler_characteristic()
+    return 1 - lower_link(carrier, v, _heights(direction, embedding)).euler_characteristic()
 
 
 def chi_sum_check(direction, embedding: Embedding) -> int:
     """Sum of the vertex indices for one generic direction; equals the
     Euler characteristic of a compact complex."""
-    x = as_direction(direction)
-    heights = _heights(x, embedding)
-    return sum(
-        1 - lower_link(embedding.carrier, v, heights).euler_characteristic()
-        for v in embedding.carrier.vertices
-    )
+    heights, carrier = _heights(direction, embedding), embedding.carrier
+    return sum(1 - lower_link(carrier, v, heights).euler_characteristic() for v in carrier.vertices)
 
 
 def morse_curvature_measure(
@@ -98,16 +93,10 @@ def morse_curvature_measure(
     sums, sumsq, stats = mc.run_lower_link_stats(
         heights, embedding.ambient_dim, link_arrays, len(index), samples, seed
     )
-    used = set(carrier.vertices)
-    result = {}
-    for v in embedding.vertex_order:
-        if v not in used:  # a coordinate the complex does not use carries no mass
-            result[v] = ValueWithError(0.0, 0.0)
-            continue
-        i = index[v]
-        mean = sums[i] / samples
-        var = max(sumsq[i] / samples - mean * mean, 0.0)
-        result[v] = ValueWithError(float(mean), float(np.sqrt(var / samples)))
+    mean = sums / samples
+    bound = np.sqrt(np.maximum(sumsq / samples - mean * mean, 0.0) / samples)
+    # a coordinate the complex does not use is in no simplex: its sums are 0
+    result = {v: ValueWithError(float(mean[i]), float(bound[i])) for v, i in index.items()}
     if with_stats:
         return result, stats
     return result

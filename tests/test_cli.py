@@ -533,6 +533,59 @@ def test_morse_index_csv(fixture_dir):
     assert rows == {"top": "1", "bottom": "1", "e1": "0", "e2": "0", "e3": "0", "e4": "0"}
 
 
+@pytest.mark.parametrize(
+    "direction, error, message",
+    [
+        ("1,1", "DimensionMismatch", "direction has 2 components, the embedding 3"),
+        ("1,0,0,0", "DimensionMismatch", "direction has 4 components, the embedding 3"),
+        ("1,x,0", "UsageError", "argument --direction: want a nonzero finite"),
+        ("1,,0", "UsageError", "argument --direction: want a nonzero finite"),
+        ("0,0,0", "UsageError", "argument --direction: want a nonzero finite"),
+        ("nan,1,0", "UsageError", "argument --direction: want a nonzero finite"),
+        ("1,inf,0", "UsageError", "argument --direction: want a nonzero finite"),
+        ("1e200,1e200,1e200", "UsageError", "argument --direction: want a nonzero finite"),
+    ],
+)
+def test_morse_index_rejects_bad_directions(direction, error, message, fixture_dir, capsys):
+    code, out, err = invoke(
+        "morse-index", str(fixture_dir / "octahedron.txt"), "--direction", direction
+    )
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == error
+    assert message in report["message"]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        ("-1", "argument --seed: must be at least 0, got -1"),
+        (str(2**64), f"argument --seed: must be below {2**64}, got {2**64}"),
+        (str(10**23), f"argument --seed: must be below {2**64}, got {10**23}"),
+    ],
+)
+@pytest.mark.parametrize("command", ["morse-curvature", "fubini-check"])
+def test_seeds_outside_the_key_range_are_usage_errors(command, seed, message):
+    entry = FIRST_ENTRIES[command]
+    code, out, err = invoke(*_corpus_argv(entry), "--seed", seed)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "UsageError"
+    assert report["message"].endswith(message)
+
+
+def test_the_largest_seed_is_its_own_key(fixture_dir):
+    # seeds used to be masked to 64 bits, so -1 printed what 2**64 - 1 prints
+    argv = ("morse-curvature", str(fixture_dir / "octahedron.txt"), "--samples", "200")
+    top = invoke(*argv, "--seed", str(2**64 - 1))
+    assert top[0] == 0 and top[2] == ""
+    assert top != invoke(*argv, "--seed", "0")
+    chi = ("fubini-check", "--left", str(fixture_dir / "edge.txt"),
+           "--right", str(fixture_dir / "triangle.txt"), "--seed", str(2**64 - 1))
+    assert invoke(*chi)[0] == 0
+
+
 def test_pushforward_and_compose(fixture_dir):
     args = (
         "pushforward",

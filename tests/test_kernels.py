@@ -1,12 +1,14 @@
 """The Monte Carlo kernels against per-row Python oracles, and the driver
 that slices kernel calls under a byte budget."""
 
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from curvcalc import _kernels, mc
+from curvcalc import _kernels, cli, mc
 from curvcalc import fixtures
 from curvcalc.complexes import SimplicialComplex, barycentric_subdivide
 from curvcalc.curvature import (
@@ -86,8 +88,9 @@ def cone_oracle(heights, cells, sizes):
 
 def lower_link_oracle(X, index, heights):
     """Per row and vertex: 1 - chi of the lower link, from the simplices
-    of X containing the vertex; a row in which any vertex ties with a
-    vertex of its link is flagged and zeroed."""
+    of X containing the vertex, and 0 for a column X does not use; a row
+    in which any vertex ties with a vertex of its link is flagged and
+    zeroed."""
     result = np.zeros(heights.shape, dtype=np.int64)
     ties = np.zeros(len(heights), dtype=bool)
     for b, row in enumerate(heights):
@@ -161,18 +164,58 @@ def sparse_octahedron():
     return sparse, Embedding(sparse, {**emb.coordinates, 99: np.array([0.5, 0.5, 0.5])})
 
 
+def hit_plane_slots(sizes):
+    """(table row, slot) of every slot of _kernels._hit_planes, in its
+    layout: size classes ascending, then slot, then table order."""
+    return [
+        (m, j)
+        for k in sorted(set(sizes.tolist()))
+        for j in range(k)
+        for m in np.flatnonzero(sizes == k).tolist()
+    ]
+
+
 @pytest.mark.parametrize("case", [*FIXTURES, sparse_octahedron])
 def test_link_rows_are_the_links(case):
+    # each vertex's segment of the Morse table holds the simplices at it,
+    # its own vertex cell and one per simplex of its link, signed (-1)^dim
     X, emb = case()
-    owner, verts, sizes, ptr = mc.build_link_arrays(X, emb.vertex_index)
-    assert len(ptr) == len(emb.vertex_order) + 1
+    simp_verts, sizes, signs, order, owners, starts = mc.build_link_arrays(X, emb.vertex_index)
+    slots = hit_plane_slots(sizes)
+    assert len(order) == len(slots) == sum(len(s) for s in X.simplices)
+    assert signs.dtype == np.int8
+    ends = [*starts[1:].tolist(), len(order)]
+    segments = dict(zip(owners.tolist(), zip(starts.tolist(), ends)))
     for i, v in enumerate(emb.vertex_order):
-        rows = range(ptr[i], ptr[i + 1])
-        assert (owner[rows] == i).all()
-        assert (verts[rows] != i).all()  # the padding never repeats the owner
-        link = [tuple(emb.vertex_order[u] for u in verts[r, : sizes[r]]) for r in rows]
-        want = X.link(v).simplices if v in X.vertices else frozenset()
-        assert len(link) == len(want) and set(link) == want
+        lo, hi = segments.get(i, (0, 0))
+        held = []
+        for t in range(lo, hi):
+            m, j = slots[order[t]]
+            assert simp_verts[m, j] == i  # the slot holds its owner
+            assert signs[t] == (-1) ** (sizes[m] - 1)
+            held.append(tuple(emb.vertex_order[u] for u in simp_verts[m, : sizes[m]]))
+        want = [s for s in X.simplices if v in s] if v in X.vertices else []
+        assert len(held) == len(want) and set(held) == set(want)
+        link = {tuple(u for u in s if u != v) for s in held} - {()}
+        assert link == (X.link(v).simplices if v in X.vertices else set())
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_morse_sums_are_signed_cone_counts(trial, rng):
+    # Banchoff: summed over the rows, each vertex's index is the signed
+    # count of the simplices in which it is the strict maximum
+    X = fixtures.random_complex(rng)
+    index = {v: i for i, v in enumerate(X.vertices)}
+    cells, sizes, cell_signs = complex_cell_table(X)
+    heights = tied_heights(rng, 200, len(X.vertices))
+    counts, cone_ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    idx, ties = _kernels.lower_link_index(heights, *mc.build_link_arrays(X, index))
+    np.testing.assert_array_equal(ties, cone_ties)
+    want = np.zeros(len(X.vertices), dtype=np.int64)
+    for m, size in enumerate(sizes.tolist()):
+        for j in range(size):
+            want[cells[m, j]] += cell_signs[m] * counts[m, j]
+    np.testing.assert_array_equal(idx.sum(axis=0), want)
 
 
 def test_lower_link_matches_oracle_with_unused_coordinate_rows(rng):
@@ -180,10 +223,11 @@ def test_lower_link_matches_oracle_with_unused_coordinate_rows(rng):
     heights = tied_heights(rng, 150, len(emb.vertex_order))
     idx, ties = _kernels.lower_link_index(heights, *mc.build_link_arrays(X, emb.vertex_index))
     want_idx, want_ties = lower_link_oracle(X, emb.vertex_index, heights)
-    used = [emb.vertex_index[v] for v in X.vertices]
-    assert 0 < ties.sum() < len(heights)
+    unused = [emb.vertex_index[v] for v in emb.vertex_order if v not in X.vertices]
+    assert 0 < ties.sum() < len(heights) and len(unused) == 2
     np.testing.assert_array_equal(ties, want_ties)
-    np.testing.assert_array_equal(idx[:, used], want_idx[:, used])
+    # the oracle leaves unused rows 0: Banchoff's sum over no simplices
+    np.testing.assert_array_equal(idx, want_idx)
 
 
 def cone_over_cycle(n):
@@ -198,18 +242,21 @@ def sd_random_complex():
 
 
 EDGE_CASES = {
-    # no link rows at all
+    # only the one-vertex size class
     "vertices_only": lambda: SimplicialComplex.from_maximal([(0,), (1,), (2,)]),
-    # vertex 3 owns no link rows: an empty vert_ptr slice
+    # vertex 3 owns one slot, its own vertex cell
     "isolated_vertex": lambda: SimplicialComplex.from_maximal([(0, 1, 2), (3,), (1, 4)]),
-    # only edges: width-1 tables
+    # only edges: width-2 tables
     "graph": lambda: SimplicialComplex.from_maximal(
         [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (5, 1)]
     ),
-    # the apex owns 300 link rows; their running sums leave int8's range
+    # the apex owns 301 slots, so its sums cannot be kept in int8
     "cone_over_150_gon": lambda: cone_over_cycle(150),
     # with the apex on top its lower link is 150 points: chi = 150
     "star_150": lambda: SimplicialComplex.from_maximal((0, v) for v in range(1, 151)),
+    # the apex owns 127 slots, the most whose sums are kept in int8; on
+    # top its index is 1 - 126
+    "star_126": lambda: SimplicialComplex.from_maximal((0, v) for v in range(1, 127)),
     "sd_random_complex": sd_random_complex,
 }
 
@@ -241,6 +288,18 @@ def test_cone_counts_on_vertex_cells_only(rng):
     assert not ties.any()
     np.testing.assert_array_equal(counts, want_counts)
     np.testing.assert_array_equal(counts, np.full(cells.shape, 50))
+
+
+@pytest.mark.parametrize("k", [255, 256, 300])
+def test_a_cell_tied_on_all_its_vertices_is_a_tie_row(k):
+    # k hits in one cell: a uint8 count would read 256 as 0
+    heights = np.zeros((3, k))
+    heights[1] = np.arange(k)
+    heights[2, :2] = 1.0
+    cells, sizes = np.arange(k)[None, :], np.array([k])
+    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    np.testing.assert_array_equal(ties, [True, False, True])
+    np.testing.assert_array_equal(counts, cone_oracle(heights, cells, sizes)[0])
 
 
 def test_ties_between_non_adjacent_vertices_are_not_flagged(rng):
@@ -287,7 +346,7 @@ def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
     heights = rng.standard_normal((rows, n))
     calls = [
         (_kernels.cone_argmax_counts, (cells, sizes), _kernels.cone_row_bytes(sizes)),
-        (_kernels.lower_link_index, link_arrays, _kernels.lower_link_row_bytes(link_arrays[1], n)),
+        (_kernels.lower_link_index, link_arrays, _kernels.index_row_bytes(link_arrays[1], n)),
     ]
     for kernel, args, row_bytes in calls:
         kernel(heights[:2], *args)  # one-time imports are not temporaries
@@ -361,6 +420,39 @@ def test_direction_sampling_is_deterministic():
     np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 10**23])
+def test_seeds_outside_the_key_range_raise(seed):
+    X, _ = fixtures.segment()
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        mc.sample_unit_directions(seed, 0, 4, 2)
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        cli._seeded_product_function(X, seed)
+
+
+def test_both_ends_of_the_key_range_are_distinct_keys():
+    top = mc.sample_unit_directions(2**64 - 1, 0, 4, 3)
+    assert top.shape == (4, 3)
+    assert not np.array_equal(top, mc.sample_unit_directions(0, 0, 4, 3))
+    assert mc.philox_key(np.int64(7)) == mc.philox_key(7) == np.uint64(7)
+    with pytest.raises(TypeError):
+        mc.philox_key(7.0)
+
+
+def test_no_numpy_ma_import():
+    # np.unique imports numpy.ma on its first call, about 10 ms of start-up
+    script = """
+import sys
+from curvcalc import curvature, fixtures, morse
+_, emb = fixtures.octahedron()
+curvature.curvature_measure(emb, method="mc", samples=300, seed=1)
+morse.morse_curvature_measure(emb, samples=300, seed=1)
+curvature.curvature_measure(emb, method="exact")
+print("numpy.ma" in sys.modules)
+"""
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
+
 def test_run_cone_counts_uses_exact_sample_count():
     X, emb = fixtures.octahedron()
     cells, sizes, _ = complex_cell_table(X)
@@ -417,7 +509,7 @@ def test_slicing_changes_no_lower_link_sum(monkeypatch):
     args = (_coarse_heights(emb.matrix()), emb.ambient_dim, arrays, n, 2000, 4)
     sums, sumsq, stats = mc.run_lower_link_stats(*args)
     assert stats.resampled > 0 and stats.batches >= 2
-    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", 3 * _kernels.lower_link_row_bytes(arrays[1], n))
+    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", 3 * _kernels.index_row_bytes(arrays[1], n))
     rows = _record_rows(monkeypatch, "lower_link_index")
     sliced = mc.run_lower_link_stats(*args)
     assert max(rows) == 3
@@ -463,7 +555,7 @@ def test_kernel_memory_stays_under_the_budget():
         X, _ = barycentric_subdivide(X)
     emb = equilateral_embedding(X)
     # one 2,000-row call of either kernel would take far more than the budget
-    row_bytes = _kernels.lower_link_row_bytes(
+    row_bytes = _kernels.index_row_bytes(
         mc.build_link_arrays(X, emb.vertex_index)[1], len(X.vertices)
     )
     assert 2000 * row_bytes > 10 * mc.KERNEL_BUDGET_BYTES

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvcalc.curvature import Embedding, curvature_measure
-from curvcalc.errors import NonGenericDirection
+from curvcalc.errors import DimensionMismatch, NonGenericDirection
 from curvcalc.morse import (
     as_direction,
     chi_sum_check,
@@ -45,6 +45,16 @@ class TestMorseIndex:
     def test_direction_must_be_nonzero(self):
         with pytest.raises(ValueError):
             as_direction([0.0, 0.0])
+
+
+    @pytest.mark.parametrize("direction", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    def test_direction_length_must_match_the_embedding(self, direction):
+        _, emb = fixtures.octahedron()
+        message = f"direction has {len(direction)} components, the embedding 3"
+        with pytest.raises(DimensionMismatch, match=message):
+            morse_index(0, direction, emb)
+        with pytest.raises(DimensionMismatch, match=message):
+            chi_sum_check(direction, emb)
 
 
 class TestChiSum:
