@@ -39,7 +39,7 @@ from .euler import (
     tentative_integral,
     weight,
 )
-from .morse import chi_sum_check, morse_curvature_measure, morse_index
+from .morse import chi_sum_check, morse_curvature_measure, morse_index, morse_indices
 from .pushforwards import (
     check_functoriality,
     fiber_euler,
@@ -80,6 +80,7 @@ __all__ = [
     "chi_sum_check",
     "morse_curvature_measure",
     "morse_index",
+    "morse_indices",
     "check_functoriality",
     "fiber_euler",
     "fubini_chi",

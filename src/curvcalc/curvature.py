@@ -228,7 +228,9 @@ def _cone_fractions(coords, cells, sizes, method, samples, seed):
     def heights(dirs):
         return dirs @ coords.T
 
-    counts, _ = mc.run_cone_counts(heights, coords.shape[-1], cells, sizes, samples, seed)
+    counts, _ = mc.run_cone_counts(
+        heights, coords.shape[-1], cells, sizes, len(coords), samples, seed
+    )
     return counts / samples, mc.smoothed_binomial_stderr(counts, samples)
 
 

@@ -77,10 +77,17 @@ def _drive(heights_fn, dim: int, n_samples: int, seed: int, row_bytes: int, accu
 
 
 def run_cone_counts(
-    heights_fn, dim: int, cells: np.ndarray, sizes: np.ndarray, n_samples: int, seed: int
+    heights_fn,
+    dim: int,
+    cells: np.ndarray,
+    sizes: np.ndarray,
+    n_vertices: int,
+    n_samples: int,
+    seed: int,
 ):
     """Strict-argmax counts per (cell, vertex slot) over exactly
-    n_samples tie-free directions, and the run's McStats."""
+    n_samples tie-free directions, and the run's McStats; heights_fn
+    gives n_vertices heights per direction."""
     counts = np.zeros(cells.shape, dtype=np.int64)
 
     def accumulate(heights):
@@ -88,7 +95,8 @@ def run_cone_counts(
         counts[...] += slice_counts
         return int(ties.sum())
 
-    stats = _drive(heights_fn, dim, n_samples, seed, _kernels.cone_row_bytes(sizes), accumulate)
+    row_bytes = _kernels.cone_row_bytes(sizes, n_vertices)
+    stats = _drive(heights_fn, dim, n_samples, seed, row_bytes, accumulate)
     return counts, stats
 
 
@@ -99,14 +107,17 @@ def run_lower_link_stats(
     exactly n_samples tie-free directions, and the run's McStats."""
     sums = np.zeros(n_vertices, dtype=np.int64)
     sumsq = np.zeros(n_vertices, dtype=np.int64)
+    _, sizes, _, order, owners, starts = link_arrays
+    # an int8 index lies in [-127, 127], so its square fits int16
+    square_dtype = np.promote_types(_kernels.index_dtype(starts, len(order)), np.int16)
 
     def accumulate(heights):
-        idx, ties = _kernels.lower_link_index(heights, *link_arrays)
-        sums[...] += idx.sum(axis=0)  # tied rows are zeroed by the kernel
-        sumsq[...] += (idx * idx).sum(axis=0)
+        index, ties = _kernels.lower_link_index(heights, *link_arrays)
+        sums[owners] += index.sum(axis=1, dtype=np.int64)  # tied rows are zeroed by the kernel
+        sumsq[owners] += np.square(index, dtype=square_dtype).sum(axis=1, dtype=np.int64)
         return int(ties.sum())
 
-    row_bytes = _kernels.index_row_bytes(link_arrays[1], n_vertices)
+    row_bytes = _kernels.index_row_bytes(sizes, n_vertices, starts)
     stats = _drive(heights_fn, dim, n_samples, seed, row_bytes, accumulate)
     return sums, sumsq, stats
 
@@ -151,15 +162,18 @@ def build_link_arrays(complex, vertex_index):
 
     The cell table of every simplex is sorted by size, so the hit-plane
     slots run by dimension d, then slot j, then simplex, and hold the
-    columns ids[:, j] of simplex_rows. order stably sorts them by that
-    column, their owner; signs holds the sorted slots' (-1)^d as int8;
-    owners are the columns that own slots and starts where each begins.
+    columns ids[:, j] of simplex_rows, their owners. order stably sorts
+    them by their owner's slot count, then by owner, so owners with equal
+    counts own one block; signs holds the sorted slots' (-1)^d as int8;
+    owners are the columns that own slots, in that order, and starts
+    where each begins.
     """
     rows = simplex_rows(complex, vertex_index)
     simp_verts, sizes, _ = build_cell_arrays(rows)
     owner = np.concatenate([np.zeros(0, dtype=np.int64)] + [ids.T.ravel() for ids, _ in rows])
-    order = np.argsort(owner, kind="stable")
-    signs = np.where(np.repeat(sizes, sizes) % 2, 1, -1).astype(np.int8)[order]
     counts = np.bincount(owner, minlength=len(vertex_index))
+    order = np.lexsort((owner, counts[owner]))
+    signs = np.where(np.repeat(sizes, sizes) % 2, 1, -1).astype(np.int8)[order]
     owners = np.flatnonzero(counts)
-    return simp_verts, sizes, signs, order, owners, (np.cumsum(counts) - counts)[owners]
+    owners = owners[np.argsort(counts[owners], kind="stable")]
+    return simp_verts, sizes, signs, order, owners, np.cumsum(counts[owners]) - counts[owners]

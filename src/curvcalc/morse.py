@@ -10,9 +10,12 @@ vertices the indices give chi of the complex, for every generic
 direction; averaging over uniformly sampled directions gives the same
 atomic curvature measure as the normal-cone construction.
 
-morse_index is the lower-link oracle; the measure's kernel sums Banchoff's
+morse_index is the lower-link oracle (morse_indices gives every vertex's
+from one computation of the heights); the measure's kernel sums Banchoff's
 equal form, the signs (-1)^dim s of the simplices s in which v is highest.
 """
+
+import math
 
 import numpy as np
 
@@ -23,12 +26,16 @@ from . import mc
 
 
 def as_direction(vector) -> np.ndarray:
-    """Normalize to a unit vector; rejects the zero vector."""
+    """Normalize to a unit vector; rejects the zero vector and non-finite
+    ones. The vector is first scaled by a power of two that brings its
+    largest component into [0.5, 1), which is exact, so the norm of a
+    finite vector neither overflows nor underflows."""
     x = np.asarray(vector, dtype=float)
-    n = float(np.linalg.norm(x))
-    if n == 0.0 or not np.isfinite(n):
+    top = float(np.max(np.abs(x), initial=0.0))
+    if top == 0.0 or not math.isfinite(top):
         raise ValueError("direction must be a nonzero finite vector")
-    x = x / n
+    x = np.ldexp(x, -math.frexp(top)[1])
+    x = x / np.linalg.norm(x)
     assert abs(float(np.linalg.norm(x)) - 1.0) < 1e-12
     return x
 
@@ -51,21 +58,32 @@ def lower_link(complex: SimplicialComplex, v, heights) -> SimplicialComplex:
     return link.full_subcomplex(w for w in link.vertices if heights[w] < heights[v])
 
 
+def _simplicial_carrier(embedding: Embedding) -> SimplicialComplex:
+    if not isinstance(embedding.carrier, SimplicialComplex):
+        raise CarrierMismatch("Morse indices are defined on simplicial carriers")
+    return embedding.carrier
+
+
 def morse_index(v, direction, embedding: Embedding) -> int:
     """1 - chi(lower link of v) for the height function of a direction."""
-    carrier = embedding.carrier
-    if not isinstance(carrier, SimplicialComplex):
-        raise CarrierMismatch("Morse indices are defined on simplicial carriers")
+    carrier = _simplicial_carrier(embedding)
     if v not in carrier.vertices:
         raise UnknownVertex(v)
     return 1 - lower_link(carrier, v, _heights(direction, embedding)).euler_characteristic()
 
 
+def morse_indices(direction, embedding: Embedding) -> dict:
+    """{v: morse_index(v, direction, embedding)} for every vertex of the
+    carrier, with the heights computed once."""
+    carrier = _simplicial_carrier(embedding)
+    heights = _heights(direction, embedding)
+    return {v: 1 - lower_link(carrier, v, heights).euler_characteristic() for v in carrier.vertices}
+
+
 def chi_sum_check(direction, embedding: Embedding) -> int:
     """Sum of the vertex indices for one generic direction; equals the
     Euler characteristic of a compact complex."""
-    heights, carrier = _heights(direction, embedding), embedding.carrier
-    return sum(1 - lower_link(carrier, v, heights).euler_characteristic() for v in carrier.vertices)
+    return sum(morse_indices(direction, embedding).values())
 
 
 def morse_curvature_measure(

@@ -75,6 +75,11 @@ LIBRARY_ONLY = {
     "check_functoriality",
     # SimplicialComplex already checks closure when a file is parsed
     "validate",
+    # one vertex's index; `morse-index` prints every vertex's from one
+    # computation of the heights (morse_indices)
+    "morse_index",
+    # the sum of morse_indices, which `morse-index` prints term by term
+    "chi_sum_check",
 }
 
 
@@ -543,7 +548,6 @@ def test_morse_index_csv(fixture_dir):
         ("0,0,0", "UsageError", "argument --direction: want a nonzero finite"),
         ("nan,1,0", "UsageError", "argument --direction: want a nonzero finite"),
         ("1,inf,0", "UsageError", "argument --direction: want a nonzero finite"),
-        ("1e200,1e200,1e200", "UsageError", "argument --direction: want a nonzero finite"),
     ],
 )
 def test_morse_index_rejects_bad_directions(direction, error, message, fixture_dir, capsys):
@@ -554,6 +558,25 @@ def test_morse_index_rejects_bad_directions(direction, error, message, fixture_d
     report = json.loads(err)
     assert report["error"] == error
     assert message in report["message"]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "direction, unit",
+    [
+        # the plain norm of the first two overflows, that of the others
+        # underflows; (1, 1, 1) ties the octahedron's top with e1 and e2
+        ("1e200,1e200,1e200", "1,1,1"),
+        ("1e200,2e200,3e200", "1,2,3"),
+        ("1e-200,2e-200,3e-200", "1,2,3"),
+        ("1e-320,2e-320,3e-320", "1,2,3"),
+    ],
+)
+def test_morse_index_accepts_finite_directions_of_any_scale(direction, unit, fixture_dir, capsys):
+    octahedron = str(fixture_dir / "octahedron.txt")
+    scaled = invoke("morse-index", octahedron, "--direction", direction)
+    assert scaled == invoke("morse-index", octahedron, "--direction", unit)
+    assert "UsageError" not in scaled[2]
     assert capsys.readouterr().err == ""
 
 

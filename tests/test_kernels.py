@@ -86,6 +86,15 @@ def cone_oracle(heights, cells, sizes):
     return counts, ties
 
 
+def index_by_column(heights, link_arrays):
+    """lower_link_index's per-owner indices as a (rows, coordinate rows)
+    int64 matrix, 0 in the columns that own no slot."""
+    index, ties = _kernels.lower_link_index(heights, *link_arrays)
+    full = np.zeros(heights.shape[::-1], dtype=np.int64)
+    full[link_arrays[4]] = index
+    return full.T, ties
+
+
 def lower_link_oracle(X, index, heights):
     """Per row and vertex: 1 - chi of the lower link, from the simplices
     of X containing the vertex, and 0 for a column X does not use; a row
@@ -137,7 +146,7 @@ def test_lower_link_matches_oracle(trial, rng):
     emb = equilateral_embedding(X)
     arrays = mc.build_link_arrays(X, emb.vertex_index)
     heights = tied_heights(rng, 150, len(X.vertices))
-    idx, ties = _kernels.lower_link_index(heights, *arrays)
+    idx, ties = index_by_column(heights, arrays)
     want_idx, want_ties = lower_link_oracle(X, emb.vertex_index, heights)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(idx, want_idx)
@@ -209,7 +218,7 @@ def test_morse_sums_are_signed_cone_counts(trial, rng):
     cells, sizes, cell_signs = complex_cell_table(X)
     heights = tied_heights(rng, 200, len(X.vertices))
     counts, cone_ties = _kernels.cone_argmax_counts(heights, cells, sizes)
-    idx, ties = _kernels.lower_link_index(heights, *mc.build_link_arrays(X, index))
+    idx, ties = index_by_column(heights, mc.build_link_arrays(X, index))
     np.testing.assert_array_equal(ties, cone_ties)
     want = np.zeros(len(X.vertices), dtype=np.int64)
     for m, size in enumerate(sizes.tolist()):
@@ -221,7 +230,7 @@ def test_morse_sums_are_signed_cone_counts(trial, rng):
 def test_lower_link_matches_oracle_with_unused_coordinate_rows(rng):
     X, emb = sparse_octahedron()
     heights = tied_heights(rng, 150, len(emb.vertex_order))
-    idx, ties = _kernels.lower_link_index(heights, *mc.build_link_arrays(X, emb.vertex_index))
+    idx, ties = index_by_column(heights, mc.build_link_arrays(X, emb.vertex_index))
     want_idx, want_ties = lower_link_oracle(X, emb.vertex_index, heights)
     unused = [emb.vertex_index[v] for v in emb.vertex_order if v not in X.vertices]
     assert 0 < ties.sum() < len(heights) and len(unused) == 2
@@ -272,7 +281,7 @@ def test_kernels_match_oracles_on_edge_cases(name, rng):
     want_counts, want_ties = cone_oracle(heights, cells, sizes)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(counts, want_counts)
-    idx, ties = _kernels.lower_link_index(heights, *mc.build_link_arrays(X, index))
+    idx, ties = index_by_column(heights, mc.build_link_arrays(X, index))
     want_idx, want_ties = lower_link_oracle(X, index, heights)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(idx, want_idx)
@@ -312,7 +321,7 @@ def test_ties_between_non_adjacent_vertices_are_not_flagged(rng):
     counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
     assert not ties.any()
     np.testing.assert_array_equal(counts, cone_oracle(heights, cells, sizes)[0])
-    idx, ties = _kernels.lower_link_index(heights, *mc.build_link_arrays(X, index))
+    idx, ties = index_by_column(heights, mc.build_link_arrays(X, index))
     assert not ties.any()
     np.testing.assert_array_equal(idx, lower_link_oracle(X, index, heights)[0])
 
@@ -329,12 +338,45 @@ def sd2_tetrahedron():
     return barycentric_subdivide(barycentric_subdivide(X)[0])[0]
 
 
+def sd2_octahedron():
+    X, _ = fixtures.octahedron()
+    return barycentric_subdivide(barycentric_subdivide(X)[0])[0]
+
+
+def cone_over_sd_octahedron():
+    """An apex over the subdivided octahedron sphere: the apex owns 147
+    slots, so the Morse sums are int64, while the 27 vertices are few
+    enough for rank planes."""
+    X, _ = fixtures.octahedron()
+    sphere = barycentric_subdivide(X)[0]
+    apex = max(sphere.vertices) + 1
+    return SimplicialComplex.from_maximal((*s, apex) for s in sphere.simplices)
+
+
+def star_150():
+    return EDGE_CASES["star_150"]()
+
+
+# (rank planes, int64 Morse sums) of each table of the peak test
+PEAK_PATHS = {
+    "<lambda>": (True, False),  # the graph
+    "random_3_complex": (True, False),
+    "sd2_tetrahedron": (True, True),
+    "cone_over_sd_octahedron": (True, True),
+    "sd2_octahedron": (False, False),
+    "star_150": (False, True),
+}
+
+
 @pytest.mark.parametrize(
     "table, rows",
     [
         (EDGE_CASES["graph"], 4096),
         (random_3_complex, 4096),
-        (sd2_tetrahedron, 1024),  # 1,024 rows already take about 180 MB
+        (sd2_tetrahedron, 1024),
+        (cone_over_sd_octahedron, 4096),
+        (sd2_octahedron, 1024),
+        (star_150, 4096),
     ],
 )
 def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
@@ -343,10 +385,17 @@ def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
     cells, sizes, _ = complex_cell_table(X)
     link_arrays = mc.build_link_arrays(X, emb.vertex_index)
     n = len(X.vertices)
+    starts = link_arrays[5]
+    wide = _kernels.index_dtype(starts, len(link_arrays[3])) == np.int64
+    assert (_kernels.uses_ranks(n, sizes), wide) == PEAK_PATHS[table.__name__]
     heights = rng.standard_normal((rows, n))
     calls = [
-        (_kernels.cone_argmax_counts, (cells, sizes), _kernels.cone_row_bytes(sizes)),
-        (_kernels.lower_link_index, link_arrays, _kernels.index_row_bytes(link_arrays[1], n)),
+        (_kernels.cone_argmax_counts, (cells, sizes), _kernels.cone_row_bytes(sizes, n)),
+        (
+            _kernels.lower_link_index,
+            link_arrays,
+            _kernels.index_row_bytes(link_arrays[1], n, starts),
+        ),
     ]
     for kernel, args, row_bytes in calls:
         kernel(heights[:2], *args)  # one-time imports are not temporaries
@@ -357,6 +406,100 @@ def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
         finally:
             tracemalloc.stop()
         assert peak <= rows * row_bytes, kernel.__name__
+
+
+# ---------------------------------------------------------------------------
+# Rank planes
+# ---------------------------------------------------------------------------
+
+def _rank_cases():
+    rng = np.random.default_rng(41)
+    near_scale = 2.0**400 * rng.standard_normal((60, 12))
+    near_scale[:, 1] = np.nextafter(near_scale[:, 0], np.inf)  # one ulp apart
+    near_scale[:, 2] = near_scale[:, 0]
+    signed_zeros = np.zeros((40, 6))
+    signed_zeros[:, ::2] = -0.0  # -0.0 == +0.0: they tie
+    signed_zeros[::2, 4] = -1e-300
+    signed_zeros[1::2, 5] = 5e-324
+    return {
+        "random": rng.standard_normal((200, 9)),
+        "tie_heavy": np.round(rng.standard_normal((300, 11)), 1),
+        "signed_zeros": signed_zeros,
+        "near_height_scale": near_scale,
+        "one_vertex": rng.standard_normal((5, 1)),
+        "uint16": np.round(rng.standard_normal((6, 300)), 2),
+    }
+
+
+@pytest.mark.parametrize("name", _rank_cases())
+def test_ranks_keep_every_order_within_a_row(name):
+    heights = _rank_cases()[name]
+    ranks = _kernels._ranks(np.ascontiguousarray(heights.T)).T
+    assert ranks.dtype == (np.uint16 if heights.shape[1] > 256 else np.uint8)
+    h, r = heights[:, :, None], ranks[:, :, None]
+    hT, rT = heights[:, None, :], ranks[:, None, :]
+    np.testing.assert_array_equal(r < rT, h < hT)
+    np.testing.assert_array_equal(r == rT, h == hT)
+    # the rank counts the heights strictly below
+    np.testing.assert_array_equal(ranks, (hT < h).sum(axis=2))
+
+
+def _both_paths(monkeypatch, kernel, heights, *args):
+    """The kernel's result on the path the rule picks, then on the other."""
+    chosen = kernel(heights, *args)
+    rule = _kernels.uses_ranks
+    monkeypatch.setattr(_kernels, "uses_ranks", lambda n, sizes: not rule(n, sizes))
+    flipped = kernel(heights, *args)
+    monkeypatch.setattr(_kernels, "uses_ranks", rule)
+    return chosen, flipped
+
+
+# (complex, whether its own table uses ranks); star_150's sums are int64
+RULE_CASES = {
+    "octahedron": (lambda: fixtures.octahedron()[0], True),
+    "sd_random_complex": (sd_random_complex, True),
+    "star_150": (star_150, False),
+    "sd2_octahedron": (sd2_octahedron, False),
+}
+
+
+@pytest.mark.parametrize("name", RULE_CASES)
+def test_rank_and_height_planes_agree_bitwise(name, monkeypatch, rng):
+    table, ranks = RULE_CASES[name]
+    X = table()
+    index = {v: i for i, v in enumerate(X.vertices)}
+    cells, sizes, _ = complex_cell_table(X)
+    assert _kernels.uses_ranks(len(X.vertices), sizes) == ranks
+    link_arrays = mc.build_link_arrays(X, index)
+    heights = tied_heights(rng, 96, len(X.vertices))
+    heights[::4] = np.round(heights[::4], 1)  # tie-heavy rows
+    (counts, ties), (flip_counts, flip_ties) = _both_paths(
+        monkeypatch, _kernels.cone_argmax_counts, heights, cells, sizes
+    )
+    assert 0 < ties.sum() < len(heights)
+    np.testing.assert_array_equal(ties, flip_ties)
+    np.testing.assert_array_equal(counts, flip_counts)
+    (idx, ties), (flip_idx, flip_ties) = _both_paths(
+        monkeypatch, _kernels.lower_link_index, heights, *link_arrays
+    )
+    assert idx.dtype == flip_idx.dtype
+    np.testing.assert_array_equal(ties, flip_ties)
+    np.testing.assert_array_equal(idx, flip_idx)
+
+
+def test_rank_and_height_planes_agree_on_product_cells(monkeypatch, rng):
+    _, seg = fixtures.segment()
+    _, hollow = fixtures.hollow_triangle()
+    emb = product_embedding(product_embedding(seg, hollow), seg)
+    cells, sizes, _ = _cell_table(emb, "mc")
+    heights = np.round(rng.standard_normal((128, len(emb.vertex_order))), 1)
+    (counts, ties), (flip_counts, flip_ties) = _both_paths(
+        monkeypatch, _kernels.cone_argmax_counts, heights, cells, sizes
+    )
+    assert 0 < ties.sum() < len(heights)
+    np.testing.assert_array_equal(ties, flip_ties)
+    np.testing.assert_array_equal(counts, flip_counts)
+    np.testing.assert_array_equal(counts, cone_oracle(heights, cells, sizes)[0])
 
 
 def test_cone_counts_manual_case():
@@ -374,7 +517,7 @@ def test_lower_link_manual_case():
     index = {v: v for v in X.vertices}
     arrays = mc.build_link_arrays(X, index)
     heights = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 2.0]])
-    idx, ties = _kernels.lower_link_index(heights, *arrays)
+    idx, ties = index_by_column(heights, arrays)
     assert not ties.any()
     # local minima get 1, slope points 0, the local maximum of the first
     # row gets 1 - chi(two points) = -1; each row sums to chi = 1
@@ -458,7 +601,9 @@ def test_run_cone_counts_uses_exact_sample_count():
     cells, sizes, _ = complex_cell_table(X)
     coords = emb.matrix()
     n = 2 * mc.BLOCK_ROWS + 500
-    counts, stats = mc.run_cone_counts(lambda d: d @ coords.T, 3, cells, sizes, n, seed=11)
+    counts, stats = mc.run_cone_counts(
+        lambda d: d @ coords.T, 3, cells, sizes, len(coords), n, seed=11
+    )
     assert stats.samples == n and stats.batches == 3
     # each simplex has exactly one strict argmax per tie-free direction
     np.testing.assert_array_equal(counts.sum(axis=1), n)
@@ -490,10 +635,11 @@ def test_slicing_changes_no_cone_count(monkeypatch):
     X = fixtures.random_complex(np.random.default_rng(5))
     emb = equilateral_embedding(X)
     cells, sizes, _ = complex_cell_table(X)
-    args = (_coarse_heights(emb.matrix()), emb.ambient_dim, cells, sizes, 2000, 4)
+    n = len(X.vertices)
+    args = (_coarse_heights(emb.matrix()), emb.ambient_dim, cells, sizes, n, 2000, 4)
     counts, stats = mc.run_cone_counts(*args)
     assert stats.resampled > 0 and stats.batches >= 2
-    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", 3 * _kernels.cone_row_bytes(sizes))
+    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", 3 * _kernels.cone_row_bytes(sizes, n))
     rows = _record_rows(monkeypatch, "cone_argmax_counts")
     sliced_counts, sliced_stats = mc.run_cone_counts(*args)
     assert max(rows) == 3
@@ -509,13 +655,37 @@ def test_slicing_changes_no_lower_link_sum(monkeypatch):
     args = (_coarse_heights(emb.matrix()), emb.ambient_dim, arrays, n, 2000, 4)
     sums, sumsq, stats = mc.run_lower_link_stats(*args)
     assert stats.resampled > 0 and stats.batches >= 2
-    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", 3 * _kernels.index_row_bytes(arrays[1], n))
+    row_bytes = _kernels.index_row_bytes(arrays[1], n, arrays[5])
+    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", 3 * row_bytes)
     rows = _record_rows(monkeypatch, "lower_link_index")
     sliced = mc.run_lower_link_stats(*args)
     assert max(rows) == 3
     np.testing.assert_array_equal(sliced[0], sums)
     np.testing.assert_array_equal(sliced[1], sumsq)
     assert sliced[2] == stats
+
+
+def test_morse_stats_square_the_largest_int8_index_exactly():
+    # with the apex of star_126 above every leaf its index is 1 - 126,
+    # whose square needs 15 bits
+    X = EDGE_CASES["star_126"]()
+    index = {v: i for i, v in enumerate(X.vertices)}
+    arrays = mc.build_link_arrays(X, index)
+    assert _kernels.index_dtype(arrays[5], len(arrays[3])) == np.int8
+    coords = np.random.default_rng(8).standard_normal((len(index), 3))
+
+    def heights(dirs):
+        h = dirs @ coords.T
+        h[:, index[0]] = 10.0
+        return h
+
+    sums, sumsq, stats = mc.run_lower_link_stats(heights, 3, arrays, len(index), 500, 3)
+    assert stats.resampled == 0
+    want = np.full(len(index), 500)
+    want[index[0]] = -125 * 500
+    np.testing.assert_array_equal(sums, want)
+    want[index[0]] = 125**2 * 500
+    np.testing.assert_array_equal(sumsq, want)
 
 
 @pytest.mark.parametrize("name", ["octahedron", "book"])
@@ -539,7 +709,7 @@ def test_slicing_changes_no_measure(name, monkeypatch):
         )
 
     default = measures()
-    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", 8192)
+    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", 2048)
     cone_rows = _record_rows(monkeypatch, "cone_argmax_counts")
     link_rows = _record_rows(monkeypatch, "lower_link_index")
     sliced = measures()
@@ -554,15 +724,14 @@ def test_kernel_memory_stays_under_the_budget():
     for _ in range(2):
         X, _ = barycentric_subdivide(X)
     emb = equilateral_embedding(X)
-    # one 2,000-row call of either kernel would take far more than the budget
-    row_bytes = _kernels.index_row_bytes(
-        mc.build_link_arrays(X, emb.vertex_index)[1], len(X.vertices)
-    )
-    assert 2000 * row_bytes > 10 * mc.KERNEL_BUDGET_BYTES
+    # one 3,000-row call of either kernel would take far more than the budget
+    link_arrays = mc.build_link_arrays(X, emb.vertex_index)
+    row_bytes = _kernels.index_row_bytes(link_arrays[1], len(X.vertices), link_arrays[5])
+    assert 3000 * row_bytes > 10 * mc.KERNEL_BUDGET_BYTES
     tracemalloc.start()
     try:
-        morse_curvature_measure(emb, samples=2000, seed=1)
-        curvature_measure(emb, method="mc", samples=2000, seed=1)
+        morse_curvature_measure(emb, samples=3000, seed=1)
+        curvature_measure(emb, method="mc", samples=3000, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from curvcalc.curvature import Embedding, curvature_measure
-from curvcalc.errors import DimensionMismatch, NonGenericDirection
+from curvcalc.curvature import Embedding, curvature_measure, product_embedding
+from curvcalc.errors import CarrierMismatch, DimensionMismatch, NonGenericDirection
 from curvcalc.morse import (
     as_direction,
     chi_sum_check,
     morse_curvature_measure,
     morse_index,
+    morse_indices,
 )
-from curvcalc import _kernels, fixtures, mc
+from curvcalc import fixtures, mc
 from curvcalc.complexes import SimplicialComplex
 
-from test_kernels import FIXTURES, sparse_octahedron
+from test_kernels import FIXTURES, index_by_column, sparse_octahedron
 
 
 class TestMorseIndex:
@@ -46,6 +47,33 @@ class TestMorseIndex:
         with pytest.raises(ValueError):
             as_direction([0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "vector", [[], [0.0, -0.0], [np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0]]
+    )
+    def test_direction_must_be_finite_and_nonzero(self, vector):
+        with pytest.raises(ValueError, match="nonzero finite vector"):
+            as_direction(vector)
+
+    @pytest.mark.parametrize(
+        "vector, unit",
+        [
+            ([1e200, 1e200, 1e200], [1.0, 1.0, 1.0]),  # the plain norm overflows
+            ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),  # the plain norm underflows to 0
+            ([-1e308, 1e308], [-1.0, 1.0]),
+            ([5e-324, 0.0], [1.0, 0.0]),  # the smallest subnormal
+        ],
+    )
+    def test_directions_of_any_finite_scale_are_accepted(self, vector, unit):
+        # pytest turns RuntimeWarnings into errors, so no overflow is reported
+        np.testing.assert_allclose(as_direction(vector), as_direction(unit), rtol=1e-15)
+
+    def test_scaling_changes_no_ordinary_direction(self, rng):
+        # a power-of-two scale is exact, so in the normal range the result
+        # is bitwise the plain normalization
+        for _ in range(200):
+            x = rng.standard_normal(rng.integers(1, 6)) * 10.0 ** rng.integers(-100, 100)
+            np.testing.assert_array_equal(as_direction(x), x / np.linalg.norm(x))
+
 
     @pytest.mark.parametrize("direction", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
     def test_direction_length_must_match_the_embedding(self, direction):
@@ -55,6 +83,38 @@ class TestMorseIndex:
             morse_index(0, direction, emb)
         with pytest.raises(DimensionMismatch, match=message):
             chi_sum_check(direction, emb)
+
+
+class TestMorseIndices:
+    @pytest.mark.parametrize("fixture", [*FIXTURES, sparse_octahedron])
+    def test_all_at_once_equals_the_per_vertex_oracle(self, fixture, rng):
+        X, emb = fixture()
+        for _ in range(10):
+            x = rng.standard_normal(emb.ambient_dim)
+            indices = morse_indices(x, emb)
+            assert list(indices) == list(X.vertices)
+            assert indices == {v: morse_index(v, x, emb) for v in X.vertices}
+            assert chi_sum_check(x, emb) == sum(indices.values()) == X.euler_characteristic()
+
+    def test_a_tie_is_reported_at_the_first_tied_vertex(self):
+        _, emb = fixtures.octahedron()
+        x = [1.0, 0.0, 0.0]  # the equator's four vertices tie in pairs
+
+        def ties(v):
+            try:
+                morse_index(v, x, emb)
+            except NonGenericDirection:
+                return True
+            return False
+
+        with pytest.raises(NonGenericDirection) as raised:
+            morse_indices(x, emb)
+        assert raised.value.vertex == next(filter(ties, emb.carrier.vertices))
+
+    def test_products_are_refused(self):
+        _, seg = fixtures.segment()
+        with pytest.raises(CarrierMismatch):
+            morse_indices([1.0, 0.5], product_embedding(seg, seg))
 
 
 class TestChiSum:
@@ -111,9 +171,7 @@ class TestVectorizedIndexOracle:
         X, emb = fixture()
         dirs = mc.sample_unit_directions(11, 0, 50, emb.ambient_dim)
         heights = -(dirs @ emb.matrix().T)
-        idx, ties = _kernels.lower_link_index(
-            heights, *mc.build_link_arrays(X, emb.vertex_index)
-        )
+        idx, ties = index_by_column(heights, mc.build_link_arrays(X, emb.vertex_index))
         assert not ties.all()
         for row in np.nonzero(~ties)[0]:
             for v in X.vertices:
