@@ -399,7 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     sampled.add_argument(
         "--seed", type=_int_in(0, mc.SEED_BOUND), default=0, help="RNG seed (default 0)"
     )
-    sampled.add_argument("--samples", type=_int_in(1), default=10_000)
+    sampled.add_argument(
+        "--samples",
+        type=_int_in(1),
+        default=10_000,
+        help="Monte Carlo directions, drawn as antithetic pairs x, -x: an odd"
+        " count rounds up to the next even one (default 10000)",
+    )
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument("--format", choices=("csv", "json"), default="csv")
 

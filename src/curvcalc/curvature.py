@@ -225,13 +225,19 @@ def _cone_fractions(coords, cells, sizes, method, samples, seed):
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
 
-    def heights(dirs):
-        return dirs @ coords.T
-
-    counts, _ = mc.run_cone_counts(
-        heights, coords.shape[-1], cells, sizes, len(coords), samples, seed
+    counts, stats = mc.run_cone_counts(
+        mc.linear_heights(coords), coords.shape[-1], cells, sizes, len(coords), samples, seed
     )
-    return counts / samples, mc.smoothed_binomial_stderr(counts, samples)
+    # Over P tie-free pairs a slot of a cell with two or more vertices hits
+    # at most once per pair, so its count c is binomial(P, 2p): the
+    # estimate c / 2P has half the bound of c / P. A vertex hits its own
+    # cell twice per pair, so c = 2P: fraction 1, bound 0.
+    pairs = stats.pairs
+    fractions = counts / (2.0 * pairs)
+    bounds = np.zeros(cells.shape)
+    multi = sizes > 1
+    bounds[multi] = 0.5 * mc.smoothed_binomial_stderr(counts[multi], pairs)
+    return fractions, bounds
 
 
 def excess_angle(
@@ -285,8 +291,8 @@ def curvature_measure(
     """Curvature mass at every vertex, as {vertex: (value, bound)}.
 
     The Monte Carlo estimator shares one direction stream across all
-    simplices, so the per-vertex bound (the sum of the per-term smoothed
-    binomial standard errors) upper-bounds the standard deviation of the
+    simplices, so the per-vertex bound (the sum of the per-term standard
+    errors of _cone_fractions) upper-bounds the standard deviation of the
     signed sum."""
     cells, sizes, signs = _cell_table(embedding, method)
     fractions, bounds = _cone_fractions(embedding.matrix(), cells, sizes, method, samples, seed)

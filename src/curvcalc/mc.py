@@ -1,13 +1,15 @@
 """Deterministic Monte Carlo direction sampling and the kernel driver.
 
-Directions are normalized standard Gaussians, drawn in blocks of
-BLOCK_ROWS rows; block b comes from a Philox stream keyed by the seed with
-b in the counter, so every result is a function of the inputs, the seed
-and the sample count alone. The driver passes each block to a kernel in
-row slices that keep its temporaries under KERNEL_BUDGET_BYTES, and
-replaces tie rows from later blocks, so every estimate uses exactly the
-requested number of tie-free directions, whatever the slicing. Both
-kernels read the simplex_rows table; neither builds a link or coface.
+Directions are normalized standard Gaussians in antithetic pairs: each
+row x of a block of BLOCK_ROWS rows stands for the two directions x and
+-x. Block b comes from a Philox stream keyed by the seed with b in the
+counter, so every result is a function of the inputs, the seed and the
+sample count alone. The driver passes each block to a kernel in pair
+slices that keep its temporaries under KERNEL_BUDGET_BYTES, and replaces
+pairs in which either direction ties from later blocks, so every
+estimate uses exactly ceil(samples / 2) tie-free pairs, whatever the
+slicing. Both kernels read the simplex_rows table; neither builds a link
+or coface.
 """
 
 import operator
@@ -46,34 +48,60 @@ def sample_unit_directions(seed: int, batch_index: int, count: int, dim: int) ->
 
 @dataclass
 class McStats:
-    samples: int
-    resampled: int
+    pairs: int  # tie-free direction pairs (x, -x)
+    resampled: int  # pairs redrawn because x or -x tied
     batches: int  # direction blocks drawn
 
+    @property
+    def samples(self) -> int:
+        """Directions used: two per pair."""
+        return 2 * self.pairs
 
-def _drive(heights_fn, dim: int, n_samples: int, seed: int, row_bytes: int, accumulate):
-    """Feed exactly n_samples tie-free directions to accumulate, which
-    adds the tie-free rows of a (rows, n_vertices) heights slice to the
-    caller's totals and returns the slice's number of tie rows.
-    heights_fn maps a (rows, dim) direction array to its heights."""
+
+def linear_heights(coords):
+    """The heights_fn of a coordinate matrix: heights(dirs, out) writes
+    coords @ dirs.T, vertex-major, into out."""
+
+    def heights(dirs, out):
+        np.matmul(coords, dirs.T, out=out)
+
+    return heights
+
+
+def _drive(heights_fn, dim, n_vertices, n_samples, seed, call_bytes, pair_bytes, accumulate):
+    """Feed exactly ceil(n_samples / 2) tie-free direction pairs to
+    accumulate, which adds the tie-free pairs of a (pairs, n_vertices)
+    heights slice to the caller's totals and returns its number of tie
+    pairs. Each Gaussian row x of a block is one pair, x and -x.
+    heights_fn(dirs, out) writes the heights of a (rows, dim) direction
+    array into an (n_vertices, rows) view of one buffer allocated once
+    per run; accumulate gets its transpose. A call's fixed bytes come off
+    the budget before it is divided into pairs."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    step = max(1, KERNEL_BUDGET_BYTES // max(row_bytes, 1))
-    remaining = n_samples
+    n_pairs = -(-n_samples // 2)
+    step = max(1, (KERNEL_BUDGET_BYTES - call_bytes) // max(pair_bytes, 1))
+    buffer = np.empty(n_vertices * min(step, BLOCK_ROWS, n_pairs))
+    remaining = n_pairs
     blocks = 0
     resampled = 0
     empty_streak = 0
     while remaining > 0:
         rows = min(BLOCK_ROWS, remaining)
-        heights = heights_fn(sample_unit_directions(seed, blocks, rows, dim))
+        dirs = sample_unit_directions(seed, blocks, rows, dim)
         blocks += 1
-        n_tied = sum(accumulate(heights[lo : lo + step]) for lo in range(0, rows, step))
+        n_tied = 0
+        for lo in range(0, rows, step):
+            part = dirs[lo : lo + step]
+            heights = buffer[: n_vertices * len(part)].reshape(n_vertices, len(part))
+            heights_fn(part, heights)
+            n_tied += accumulate(heights.T)
         remaining -= rows - n_tied
         resampled += n_tied
         empty_streak = empty_streak + 1 if n_tied == rows else 0
         if empty_streak >= _MAX_EMPTY_BLOCKS:
             raise RuntimeError("direction sampling keeps hitting height ties")
-    return McStats(n_samples, resampled, blocks)
+    return McStats(n_pairs, resampled, blocks)
 
 
 def run_cone_counts(
@@ -85,9 +113,9 @@ def run_cone_counts(
     n_samples: int,
     seed: int,
 ):
-    """Strict-argmax counts per (cell, vertex slot) over exactly
-    n_samples tie-free directions, and the run's McStats; heights_fn
-    gives n_vertices heights per direction."""
+    """Strict-argmax counts per (cell, vertex slot) over the two
+    directions of exactly ceil(n_samples / 2) tie-free pairs, and the
+    run's McStats; heights_fn gives n_vertices heights per direction."""
     counts = np.zeros(cells.shape, dtype=np.int64)
 
     def accumulate(heights):
@@ -95,37 +123,48 @@ def run_cone_counts(
         counts[...] += slice_counts
         return int(ties.sum())
 
-    row_bytes = _kernels.cone_row_bytes(sizes, n_vertices)
-    stats = _drive(heights_fn, dim, n_samples, seed, row_bytes, accumulate)
+    call_bytes = _kernels.cone_call_bytes(sizes)
+    pair_bytes = _kernels.cone_row_bytes(sizes, n_vertices)
+    stats = _drive(heights_fn, dim, n_vertices, n_samples, seed, call_bytes, pair_bytes, accumulate)
     return counts, stats
 
 
 def run_lower_link_stats(
     heights_fn, dim: int, link_arrays, n_vertices: int, n_samples: int, seed: int
 ):
-    """Per-vertex sums and sums of squares of the Morse index over
-    exactly n_samples tie-free directions, and the run's McStats."""
+    """Per-vertex sums, and sums of squares, of the pair index
+    I(x) + I(-x) over exactly ceil(n_samples / 2) tie-free pairs, and the
+    run's McStats."""
     sums = np.zeros(n_vertices, dtype=np.int64)
     sumsq = np.zeros(n_vertices, dtype=np.int64)
     _, sizes, _, order, owners, starts = link_arrays
-    # an int8 index lies in [-127, 127], so its square fits int16
-    square_dtype = np.promote_types(_kernels.index_dtype(starts, len(order)), np.int16)
+    # An owner's vertex cell gives 2 per pair, and each of its other w - 1
+    # slots +-1 at most once: a simplex with two or more vertices has no
+    # vertex that is its strict maximum under both x and -x. So with
+    # w <= 127 (an int8 index) |I(x) + I(-x)| <= w + 1 <= 128, which int16
+    # holds, and its square, at most 16,384, int32.
+    index_dtype = _kernels.index_dtype(starts, len(order))
+    pair_dtype = np.promote_types(index_dtype, np.int16)
+    square_dtype = np.promote_types(index_dtype, np.int32)
 
     def accumulate(heights):
         index, ties = _kernels.lower_link_index(heights, *link_arrays)
-        sums[owners] += index.sum(axis=1, dtype=np.int64)  # tied rows are zeroed by the kernel
-        sumsq[owners] += np.square(index, dtype=square_dtype).sum(axis=1, dtype=np.int64)
+        m = len(ties)
+        pair = np.add(index[:, :m], index[:, m:], dtype=pair_dtype)  # tied pairs are zeroed
+        sums[owners] += pair.sum(axis=1, dtype=np.int64)
+        sumsq[owners] += np.square(pair, dtype=square_dtype).sum(axis=1, dtype=np.int64)
         return int(ties.sum())
 
-    row_bytes = _kernels.index_row_bytes(sizes, n_vertices, starts)
-    stats = _drive(heights_fn, dim, n_samples, seed, row_bytes, accumulate)
+    call_bytes = _kernels.index_call_bytes(sizes, starts)
+    pair_bytes = _kernels.index_row_bytes(sizes, n_vertices, starts)
+    stats = _drive(heights_fn, dim, n_vertices, n_samples, seed, call_bytes, pair_bytes, accumulate)
     return sums, sumsq, stats
 
 
 def smoothed_binomial_stderr(count, n: int):
-    """Standard error of a cone-fraction estimate from a hit count or an
-    array of them, with the proportion smoothed toward 1/2 by one
-    pseudo-count so the bound is never zero."""
+    """Standard error of the proportion count / n of a binomial hit count
+    (count <= n) or an array of them, with the proportion smoothed toward
+    1/2 by one pseudo-count so the bound is never zero."""
     p = (count + 1.0) / (n + 2.0)
     return np.sqrt(p * (1.0 - p) / n)
 

@@ -94,9 +94,11 @@ def morse_curvature_measure(
 ):
     """Direction-averaged Morse index per vertex, with standard errors.
 
-    Ties are resampled, so every estimate is an average over exactly
-    `samples` generic directions. The per-vertex stderr is the empirical
-    standard deviation of the integer index divided by sqrt(samples).
+    Directions come in antithetic pairs x, -x, ceil(samples / 2) of
+    them, and a pair is resampled when either direction ties, so every
+    estimate is an average over exactly 2 * ceil(samples / 2) generic
+    directions. The per-vertex stderr is the empirical standard deviation
+    of the pair mean (I(x) + I(-x)) / 2 divided by sqrt(pairs).
     """
     carrier = embedding.carrier
     if not isinstance(carrier, SimplicialComplex):
@@ -104,15 +106,13 @@ def morse_curvature_measure(
     index = embedding.vertex_index
     link_arrays = mc.build_link_arrays(carrier, index)
     coords = height_coordinates(embedding.matrix())
-
-    def heights(dirs):
-        return -(dirs @ coords.T)
-
+    # the pair index I(x) + I(-x) is even in x, so heights need no sign
     sums, sumsq, stats = mc.run_lower_link_stats(
-        heights, embedding.ambient_dim, link_arrays, len(index), samples, seed
+        mc.linear_heights(coords), embedding.ambient_dim, link_arrays, len(index), samples, seed
     )
-    mean = sums / samples
-    bound = np.sqrt(np.maximum(sumsq / samples - mean * mean, 0.0) / samples)
+    pairs = stats.pairs
+    mean = sums / (2.0 * pairs)  # half the mean pair index
+    bound = np.sqrt(np.maximum(sumsq / (4.0 * pairs) - mean * mean, 0.0) / pairs)
     # a coordinate the complex does not use is in no simplex: its sums are 0
     result = {v: ValueWithError(float(mean[i]), float(bound[i])) for v, i in index.items()}
     if with_stats:

@@ -6,6 +6,8 @@ import pytest
 from curvcalc.complexes import PLFunction, SimplicialComplex, constant_function
 from curvcalc.curvature import (
     Embedding,
+    _cell_table,
+    _cone_fractions,
     curvature_integral,
     curvature_measure,
     equilateral_embedding,
@@ -18,6 +20,7 @@ from curvcalc.curvature import (
 )
 from curvcalc.errors import DegenerateSimplex, ExactUnavailable, PieceNotSubcomplex
 from curvcalc.euler import tentative_integral, weights
+from curvcalc.morse import morse_curvature_measure
 from curvcalc import fixtures
 
 TWO_PI = 2 * math.pi
@@ -386,3 +389,45 @@ def test_height_coordinates_scale_by_a_power_of_two(largest):
     ratio = top / np.abs(coords).max()
     assert math.frexp(ratio)[0] == 0.5  # a power of two
     np.testing.assert_array_equal(scaled / ratio, coords)
+
+
+class TestPairBounds:
+    """The Monte Carlo bounds of antithetic pairs, checked by z-scores
+    against the exact values over many seeds: a bound that is too small
+    by sqrt(2) would give a mean z^2 near 2."""
+
+    SEEDS = range(40)
+
+    def test_vertex_cells_are_exact(self):
+        _, emb = fixtures.book()
+        assert excess_angle((0,), 0, emb, method="mc", samples=7, seed=1) == (1.0, 0.0)
+        point = Embedding(fixtures.point(), {0: [0.0, 0.0]})
+        assert curvature_measure(point, method="mc", samples=1, seed=1) == {0: (1.0, 0.0)}
+
+    def test_cone_fraction_bounds_are_not_optimistic(self):
+        z = []
+        for name in ("filled_triangle", "solid_tetrahedron", "octahedron"):
+            _, emb = getattr(fixtures, name)()
+            cells, sizes, _ = _cell_table(emb, "exact")
+            exact, _ = _cone_fractions(emb.matrix(), cells, sizes, "exact", 0, 0)
+            # the terms of triangles and tetrahedra; edges are exact in pairs
+            terms = (np.arange(cells.shape[1]) < sizes[:, None]) & (sizes[:, None] > 2)
+            for seed in self.SEEDS:
+                fractions, bounds = _cone_fractions(emb.matrix(), cells, sizes, "mc", 2000, seed)
+                z.extend((fractions[terms] - exact[terms]) / bounds[terms])
+        z = np.array(z)
+        assert len(z) > 1000 and (z**2).mean() < 1.35
+
+    def test_curvature_bounds_are_not_optimistic(self):
+        cone_z, morse_z = [], []
+        for name in ("filled_triangle", "book", "cone_fan", "octahedron"):
+            _, emb = getattr(fixtures, name)()
+            exact = curvature_measure(emb, method="exact")
+            for seed in self.SEEDS:
+                cone = curvature_measure(emb, method="mc", samples=2000, seed=seed)
+                morse = morse_curvature_measure(emb, samples=2000, seed=seed + 1000)
+                for v, (value, _) in exact.items():
+                    cone_z.append((cone[v].value - value) / cone[v].bound)
+                    morse_z.append((morse[v].value - value) / morse[v].bound)
+        for z in (np.array(cone_z), np.array(morse_z)):
+            assert len(z) >= 30 * 4 and (z**2).mean() < 1.5

@@ -1,5 +1,11 @@
-"""The Monte Carlo kernels against per-row Python oracles, and the driver
-that slices kernel calls under a byte budget."""
+"""The Monte Carlo pair kernels against per-row Python oracles and the
+row kernel they replace, and the driver that slices kernel calls under a
+byte budget.
+
+A pair kernel takes m rows of heights H, one per direction x, and
+answers for the 2m directions x and -x; its oracles are run on [H; -H]
+with every pair dropped that ties in either half.
+"""
 
 import subprocess
 import sys
@@ -19,6 +25,8 @@ from curvcalc.curvature import (
     product_embedding,
 )
 from curvcalc.morse import morse_curvature_measure
+
+import row_kernel_oracle
 
 
 def random_cells(rng, n_vertices, n_cells, width):
@@ -86,11 +94,27 @@ def cone_oracle(heights, cells, sizes):
     return counts, ties
 
 
+def stacked(heights):
+    """[H; -H]: the x rows, then their negations."""
+    return np.concatenate([heights, -heights])
+
+
+def pair_cone_oracle(heights, cells, sizes):
+    """cone_oracle over [H; -H], every pair dropped that ties in either
+    half: (counts, tie pairs)."""
+    m = len(heights)
+    _, ties = cone_oracle(stacked(heights), cells, sizes)
+    tie_pairs = ties[:m] | ties[m:]
+    counts, _ = cone_oracle(stacked(heights[~tie_pairs]), cells, sizes)
+    return counts, tie_pairs
+
+
 def index_by_column(heights, link_arrays):
-    """lower_link_index's per-owner indices as a (rows, coordinate rows)
-    int64 matrix, 0 in the columns that own no slot."""
+    """lower_link_index's per-owner indices as a (2 * rows, coordinate
+    rows) int64 matrix, the x rows then the -x rows, 0 in the columns that
+    own no slot, and the tie pairs."""
     index, ties = _kernels.lower_link_index(heights, *link_arrays)
-    full = np.zeros(heights.shape[::-1], dtype=np.int64)
+    full = np.zeros((heights.shape[1], 2 * len(heights)), dtype=np.int64)
     full[link_arrays[4]] = index
     return full.T, ties
 
@@ -118,12 +142,22 @@ def lower_link_oracle(X, index, heights):
     return result, ties
 
 
+def pair_lower_link_oracle(X, index, heights):
+    """lower_link_oracle over [H; -H], with both rows of every pair zeroed
+    that ties in either half: (indices, tie pairs)."""
+    m = len(heights)
+    result, ties = lower_link_oracle(X, index, stacked(heights))
+    tie_pairs = ties[:m] | ties[m:]
+    result[np.concatenate([tie_pairs, tie_pairs])] = 0
+    return result, tie_pairs
+
+
 @pytest.mark.parametrize("trial", range(3))
 def test_cone_counts_match_oracle(trial, rng):
     heights = tied_heights(rng, 300, 7)
     cells, sizes = random_cells(rng, 7, 40, 4)
     counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
-    want_counts, want_ties = cone_oracle(heights, cells, sizes)
+    want_counts, want_ties = pair_cone_oracle(heights, cells, sizes)
     assert 0 < want_ties.sum() < len(heights)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(counts, want_counts)
@@ -135,7 +169,7 @@ def test_cone_counts_match_oracle_on_complex_cells(trial, rng):
     cells, sizes, _ = complex_cell_table(X)
     heights = tied_heights(rng, 200, len(X.vertices))
     counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
-    want_counts, want_ties = cone_oracle(heights, cells, sizes)
+    want_counts, want_ties = pair_cone_oracle(heights, cells, sizes)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(counts, want_counts)
 
@@ -147,7 +181,7 @@ def test_lower_link_matches_oracle(trial, rng):
     arrays = mc.build_link_arrays(X, emb.vertex_index)
     heights = tied_heights(rng, 150, len(X.vertices))
     idx, ties = index_by_column(heights, arrays)
-    want_idx, want_ties = lower_link_oracle(X, emb.vertex_index, heights)
+    want_idx, want_ties = pair_lower_link_oracle(X, emb.vertex_index, heights)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(idx, want_idx)
 
@@ -231,7 +265,7 @@ def test_lower_link_matches_oracle_with_unused_coordinate_rows(rng):
     X, emb = sparse_octahedron()
     heights = tied_heights(rng, 150, len(emb.vertex_order))
     idx, ties = index_by_column(heights, mc.build_link_arrays(X, emb.vertex_index))
-    want_idx, want_ties = lower_link_oracle(X, emb.vertex_index, heights)
+    want_idx, want_ties = pair_lower_link_oracle(X, emb.vertex_index, heights)
     unused = [emb.vertex_index[v] for v in emb.vertex_order if v not in X.vertices]
     assert 0 < ties.sum() < len(heights) and len(unused) == 2
     np.testing.assert_array_equal(ties, want_ties)
@@ -278,11 +312,11 @@ def test_kernels_match_oracles_on_edge_cases(name, rng):
     heights[1, 0] = 10.0  # vertex 0 above everything, its whole link lower
     cells, sizes, _ = complex_cell_table(X)
     counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
-    want_counts, want_ties = cone_oracle(heights, cells, sizes)
+    want_counts, want_ties = pair_cone_oracle(heights, cells, sizes)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(counts, want_counts)
     idx, ties = index_by_column(heights, mc.build_link_arrays(X, index))
-    want_idx, want_ties = lower_link_oracle(X, index, heights)
+    want_idx, want_ties = pair_lower_link_oracle(X, index, heights)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(idx, want_idx)
     assert not ties[1]
@@ -293,10 +327,11 @@ def test_cone_counts_on_vertex_cells_only(rng):
     cells, sizes, _ = mc.build_cell_arrays([(X.vertex_positions(0), 0)])
     heights = tied_heights(rng, 50, len(X.vertices))
     counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
-    want_counts, want_ties = cone_oracle(heights, cells, sizes)
+    want_counts, want_ties = pair_cone_oracle(heights, cells, sizes)
     assert not ties.any()
     np.testing.assert_array_equal(counts, want_counts)
-    np.testing.assert_array_equal(counts, np.full(cells.shape, 50))
+    # a vertex is the maximum of its own cell under x and -x
+    np.testing.assert_array_equal(counts, np.full(cells.shape, 100))
 
 
 @pytest.mark.parametrize("k", [255, 256, 300])
@@ -308,7 +343,8 @@ def test_a_cell_tied_on_all_its_vertices_is_a_tie_row(k):
     cells, sizes = np.arange(k)[None, :], np.array([k])
     counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
     np.testing.assert_array_equal(ties, [True, False, True])
-    np.testing.assert_array_equal(counts, cone_oracle(heights, cells, sizes)[0])
+    np.testing.assert_array_equal(counts, pair_cone_oracle(heights, cells, sizes)[0])
+    np.testing.assert_array_equal(counts[0, [0, k - 1]], [1, 1])  # -x, then x
 
 
 def test_ties_between_non_adjacent_vertices_are_not_flagged(rng):
@@ -320,10 +356,10 @@ def test_ties_between_non_adjacent_vertices_are_not_flagged(rng):
     cells, sizes, _ = complex_cell_table(X)
     counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
     assert not ties.any()
-    np.testing.assert_array_equal(counts, cone_oracle(heights, cells, sizes)[0])
+    np.testing.assert_array_equal(counts, pair_cone_oracle(heights, cells, sizes)[0])
     idx, ties = index_by_column(heights, mc.build_link_arrays(X, index))
     assert not ties.any()
-    np.testing.assert_array_equal(idx, lower_link_oracle(X, index, heights)[0])
+    np.testing.assert_array_equal(idx, pair_lower_link_oracle(X, index, heights)[0])
 
 
 def random_3_complex():
@@ -388,24 +424,33 @@ def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
     starts = link_arrays[5]
     wide = _kernels.index_dtype(starts, len(link_arrays[3])) == np.int64
     assert (_kernels.uses_ranks(n, sizes), wide) == PEAK_PATHS[table.__name__]
-    heights = rng.standard_normal((rows, n))
     calls = [
-        (_kernels.cone_argmax_counts, (cells, sizes), _kernels.cone_row_bytes(sizes, n)),
+        (
+            _kernels.cone_argmax_counts,
+            (cells, sizes),
+            _kernels.cone_call_bytes(sizes),
+            _kernels.cone_row_bytes(sizes, n),
+        ),
         (
             _kernels.lower_link_index,
             link_arrays,
+            _kernels.index_call_bytes(link_arrays[1], starts),
             _kernels.index_row_bytes(link_arrays[1], n, starts),
         ),
     ]
-    for kernel, args, row_bytes in calls:
-        kernel(heights[:2], *args)  # one-time imports are not temporaries
-        tracemalloc.start()
-        try:
-            kernel(heights, *args)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= rows * row_bytes, kernel.__name__
+    for kernel, args, call_bytes, pair_bytes in calls:
+        kernel(rng.standard_normal((2, n)), *args)  # one-time imports are not temporaries
+        # few-pair calls are where the per-call arrays dominate
+        for pairs in (1, 3, rows):
+            # the driver's vertex-major heights, whose transpose is contiguous
+            heights = rng.standard_normal((n, pairs)).T
+            tracemalloc.start()
+            try:
+                kernel(heights, *args)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= call_bytes + pairs * pair_bytes, (kernel.__name__, pairs, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +544,53 @@ def test_rank_and_height_planes_agree_on_product_cells(monkeypatch, rng):
     assert 0 < ties.sum() < len(heights)
     np.testing.assert_array_equal(ties, flip_ties)
     np.testing.assert_array_equal(counts, flip_counts)
-    np.testing.assert_array_equal(counts, cone_oracle(heights, cells, sizes)[0])
+    np.testing.assert_array_equal(counts, pair_cone_oracle(heights, cells, sizes)[0])
+
+
+# every table of both lists: graphs, stars, cones, subdivisions, the
+# rank and the height side of the rule
+PAIR_CASES = {**EDGE_CASES, **{name: table for name, (table, _) in RULE_CASES.items()}}
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["chosen_path", "other_path"])
+@pytest.mark.parametrize("name", PAIR_CASES)
+def test_pair_kernels_equal_the_row_kernel(name, flip, monkeypatch, rng):
+    X = PAIR_CASES[name]()
+    index = {v: i for i, v in enumerate(X.vertices)}
+    cells, sizes, _ = complex_cell_table(X)
+    link_arrays = mc.build_link_arrays(X, index)
+    heights = tied_heights(rng, 96, len(X.vertices))
+    heights[::4] = np.round(heights[::4], 1)  # tie-heavy rows
+    want_counts, want_ties = row_kernel_oracle.pair_cone_counts(heights, cells, sizes)
+    want_idx, want_idx_ties = row_kernel_oracle.pair_lower_link_index(heights, *link_arrays)
+    assert want_ties.any() or sizes.max() == 1
+    np.testing.assert_array_equal(want_idx_ties, want_ties)
+    if flip:
+        rule = _kernels.uses_ranks
+        monkeypatch.setattr(_kernels, "uses_ranks", lambda n, sizes: not rule(n, sizes))
+    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    np.testing.assert_array_equal(ties, want_ties)
+    np.testing.assert_array_equal(counts, want_counts)
+    idx, ties = _kernels.lower_link_index(heights, *link_arrays)
+    np.testing.assert_array_equal(ties, want_ties)
+    np.testing.assert_array_equal(idx, want_idx)
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["chosen_path", "other_path"])
+def test_pair_kernel_equals_the_row_kernel_on_product_cells(flip, monkeypatch, rng):
+    _, seg = fixtures.segment()
+    _, hollow = fixtures.hollow_triangle()
+    emb = product_embedding(product_embedding(seg, hollow), seg)
+    cells, sizes, _ = _cell_table(emb, "mc")
+    heights = np.round(rng.standard_normal((128, len(emb.vertex_order))), 1)
+    want_counts, want_ties = row_kernel_oracle.pair_cone_counts(heights, cells, sizes)
+    assert 0 < want_ties.sum() < len(heights)
+    if flip:
+        rule = _kernels.uses_ranks
+        monkeypatch.setattr(_kernels, "uses_ranks", lambda n, sizes: not rule(n, sizes))
+    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    np.testing.assert_array_equal(ties, want_ties)
+    np.testing.assert_array_equal(counts, want_counts)
 
 
 def test_cone_counts_manual_case():
@@ -508,7 +599,8 @@ def test_cone_counts_manual_case():
     sizes = np.array([3, 2], dtype=np.int64)
     counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
     assert not ties.any()
-    np.testing.assert_array_equal(counts, [[1, 1, 0], [1, 1, 0]])
+    # x hits slot 0 of both cells in row 0 and slot 1 in row 1; -x the other
+    np.testing.assert_array_equal(counts, [[2, 2, 0], [2, 2, 0]])
 
 
 def test_lower_link_manual_case():
@@ -520,8 +612,9 @@ def test_lower_link_manual_case():
     idx, ties = index_by_column(heights, arrays)
     assert not ties.any()
     # local minima get 1, slope points 0, the local maximum of the first
-    # row gets 1 - chi(two points) = -1; each row sums to chi = 1
-    np.testing.assert_array_equal(idx, [[1, -1, 1], [0, 1, 0]])
+    # row gets 1 - chi(two points) = -1; each row sums to chi = 1. The -x
+    # rows come last: negation swaps the two shapes
+    np.testing.assert_array_equal(idx, [[1, -1, 1], [0, 1, 0], [0, 1, 0], [1, -1, 1]])
 
 
 def _table_cases():
@@ -600,13 +693,89 @@ def test_run_cone_counts_uses_exact_sample_count():
     X, emb = fixtures.octahedron()
     cells, sizes, _ = complex_cell_table(X)
     coords = emb.matrix()
-    n = 2 * mc.BLOCK_ROWS + 500
+    n = 2 * (2 * mc.BLOCK_ROWS + 500)
     counts, stats = mc.run_cone_counts(
-        lambda d: d @ coords.T, 3, cells, sizes, len(coords), n, seed=11
+        mc.linear_heights(coords), 3, cells, sizes, len(coords), n, seed=11
     )
-    assert stats.samples == n and stats.batches == 3
+    # one Gaussian row per pair: 2 * BLOCK_ROWS + 500 rows in three blocks
+    assert stats.pairs == n // 2 and stats.samples == n and stats.batches == 3
     # each simplex has exactly one strict argmax per tie-free direction
     np.testing.assert_array_equal(counts.sum(axis=1), n)
+
+
+@pytest.mark.parametrize("samples", [1, 3, 2 * mc.BLOCK_ROWS + 1])
+def test_odd_sample_counts_round_up_to_whole_pairs(samples):
+    X, emb = fixtures.octahedron()
+    cells, sizes, _ = complex_cell_table(X)
+    coords = emb.matrix()
+    counts, stats = mc.run_cone_counts(
+        mc.linear_heights(coords), 3, cells, sizes, len(coords), samples, seed=12
+    )
+    pairs = (samples + 1) // 2
+    assert (stats.pairs, stats.samples) == (pairs, samples + 1)
+    np.testing.assert_array_equal(counts.sum(axis=1), 2 * pairs)
+    link_arrays = mc.build_link_arrays(X, emb.vertex_index)
+    sums, _, morse_stats = mc.run_lower_link_stats(
+        mc.linear_heights(coords), 3, link_arrays, len(coords), samples, 12
+    )
+    assert morse_stats == stats
+    assert sums.sum() == 2 * pairs * X.euler_characteristic()  # chi per direction
+    for kappa in (
+        curvature_measure(emb, method="mc", samples=samples, seed=12),
+        morse_curvature_measure(emb, samples=samples, seed=12),
+    ):
+        assert sum(k.value for k in kappa.values()) == pytest.approx(2.0, abs=1e-12)
+        assert all(np.isfinite(k.bound) and k.bound >= 0 for k in kappa.values())
+
+
+def test_no_pair_hits_both_ends_of_a_multi_vertex_cell(rng):
+    # a vertex that is the strict maximum under x and under -x is the
+    # strict maximum and minimum of its cell, so the cell is that vertex
+    X = sd_random_complex()
+    cells, sizes, _ = complex_cell_table(X)
+    heights = tied_heights(rng, 300, len(X.vertices))
+    hits, classes, tie_pairs = _kernels._hit_planes(heights, cells, sizes)
+    assert 0 < tie_pairs.sum() < len(heights)
+    m = len(heights)
+    for idx, planes in classes:
+        x, minus_x = planes[:, :, :m][:, :, ~tie_pairs], planes[:, :, m:][:, :, ~tie_pairs]
+        if len(planes) == 1:
+            assert x.all() and minus_x.all()
+        else:
+            assert not (x & minus_x).any()
+            # and each direction of a tie-free pair has one hit per cell
+            assert (x.sum(axis=0) == 1).all() and (minus_x.sum(axis=0) == 1).all()
+    counts, stats = mc.run_cone_counts(
+        mc.linear_heights(equilateral_embedding(X).matrix()),
+        len(X.vertices), cells, sizes, len(X.vertices), 2000, 3,
+    )
+    multi = sizes > 1
+    assert counts[multi].max() <= stats.pairs
+    np.testing.assert_array_equal(counts[~multi, 0], 2 * stats.pairs)
+
+
+SUBPROCESS_MEASURES = """
+from curvcalc import curvature, fixtures, morse, pushforwards
+_, emb = fixtures.book()
+curvature.curvature_measure(emb, method="mc", samples=301, seed=1)
+morse.morse_curvature_measure(emb, samples=301, seed=1)
+_, seg = fixtures.segment()
+_, hollow = fixtures.hollow_triangle()
+pushforwards.fubini_curvature(seg, hollow, samples=301, seed=1)
+# a one-vertex complex: its only cell is a vertex cell
+point = curvature.Embedding(fixtures.point(), {0: [0.0, 0.0]})
+curvature.curvature_measure(point, method="mc", samples=1, seed=1)
+morse.morse_curvature_measure(point, samples=1, seed=1)
+"""
+
+
+def test_measures_warn_nothing():
+    # -W error turns any warning, RuntimeWarnings of a square root of a
+    # negative number included, into an exception on stderr
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-c", SUBPROCESS_MEASURES], capture_output=True, text=True
+    )
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +783,7 @@ def test_run_cone_counts_uses_exact_sample_count():
 # ---------------------------------------------------------------------------
 
 def _record_rows(monkeypatch, name):
-    """Wrap a kernel so each call's row count is recorded."""
+    """Wrap a kernel so each call's pair count is recorded."""
     rows = []
     kernel = getattr(_kernels, name)
 
@@ -628,7 +797,10 @@ def _record_rows(monkeypatch, name):
 
 def _coarse_heights(coords):
     # heights rounded to one decimal tie often, so resampling runs too
-    return lambda dirs: np.round(dirs @ coords.T, 1)
+    def heights(dirs, out):
+        np.round(np.matmul(coords, dirs.T, out=out), 1, out=out)
+
+    return heights
 
 
 def test_slicing_changes_no_cone_count(monkeypatch):
@@ -636,10 +808,11 @@ def test_slicing_changes_no_cone_count(monkeypatch):
     emb = equilateral_embedding(X)
     cells, sizes, _ = complex_cell_table(X)
     n = len(X.vertices)
-    args = (_coarse_heights(emb.matrix()), emb.ambient_dim, cells, sizes, n, 2000, 4)
+    args = (_coarse_heights(emb.matrix()), emb.ambient_dim, cells, sizes, n, 4000, 4)
     counts, stats = mc.run_cone_counts(*args)
     assert stats.resampled > 0 and stats.batches >= 2
-    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", 3 * _kernels.cone_row_bytes(sizes, n))
+    budget = _kernels.cone_call_bytes(sizes) + 3 * _kernels.cone_row_bytes(sizes, n)
+    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", budget)
     rows = _record_rows(monkeypatch, "cone_argmax_counts")
     sliced_counts, sliced_stats = mc.run_cone_counts(*args)
     assert max(rows) == 3
@@ -652,11 +825,12 @@ def test_slicing_changes_no_lower_link_sum(monkeypatch):
     emb = equilateral_embedding(X)
     arrays = mc.build_link_arrays(X, emb.vertex_index)
     n = len(X.vertices)
-    args = (_coarse_heights(emb.matrix()), emb.ambient_dim, arrays, n, 2000, 4)
+    args = (_coarse_heights(emb.matrix()), emb.ambient_dim, arrays, n, 4000, 4)
     sums, sumsq, stats = mc.run_lower_link_stats(*args)
     assert stats.resampled > 0 and stats.batches >= 2
-    row_bytes = _kernels.index_row_bytes(arrays[1], n, arrays[5])
-    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", 3 * row_bytes)
+    budget = _kernels.index_call_bytes(arrays[1], arrays[5])
+    budget += 3 * _kernels.index_row_bytes(arrays[1], n, arrays[5])
+    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", budget)
     rows = _record_rows(monkeypatch, "lower_link_index")
     sliced = mc.run_lower_link_stats(*args)
     assert max(rows) == 3
@@ -665,27 +839,29 @@ def test_slicing_changes_no_lower_link_sum(monkeypatch):
     assert sliced[2] == stats
 
 
-def test_morse_stats_square_the_largest_int8_index_exactly():
-    # with the apex of star_126 above every leaf its index is 1 - 126,
-    # whose square needs 15 bits
+def test_morse_stats_square_the_widest_int8_pair_exactly():
+    # The apex of star_126 owns 127 slots, the most an int8 index allows.
+    # Each of its 126 edges has the apex on top under exactly one of x and
+    # -x, so its pair index is 2 - 126 = -124 in every pair: the widest
+    # pair sum an int8 table reaches, whose square needs 14 bits. Each
+    # leaf's pair index is 2 - 1 = 1.
     X = EDGE_CASES["star_126"]()
     index = {v: i for i, v in enumerate(X.vertices)}
     arrays = mc.build_link_arrays(X, index)
     assert _kernels.index_dtype(arrays[5], len(arrays[3])) == np.int8
     coords = np.random.default_rng(8).standard_normal((len(index), 3))
-
-    def heights(dirs):
-        h = dirs @ coords.T
-        h[:, index[0]] = 10.0
-        return h
-
-    sums, sumsq, stats = mc.run_lower_link_stats(heights, 3, arrays, len(index), 500, 3)
-    assert stats.resampled == 0
+    sums, sumsq, stats = mc.run_lower_link_stats(
+        mc.linear_heights(coords), 3, arrays, len(index), 1000, 3
+    )
+    assert stats.resampled == 0 and stats.pairs == 500
     want = np.full(len(index), 500)
-    want[index[0]] = -125 * 500
+    want[index[0]] = -124 * 500
     np.testing.assert_array_equal(sums, want)
-    want[index[0]] = 125**2 * 500
+    want[index[0]] = 124**2 * 500
     np.testing.assert_array_equal(sumsq, want)
+    # the pair index is constant, so the bound is exactly 0
+    kappa = morse_curvature_measure(equilateral_embedding(X), samples=1000, seed=3)
+    assert kappa[0] == (-62.0, 0.0)
 
 
 @pytest.mark.parametrize("name", ["octahedron", "book"])
@@ -700,7 +876,7 @@ def test_slicing_changes_no_measure(name, monkeypatch):
         return counts, stats
 
     monkeypatch.setattr(mc, "run_cone_counts", recorded)
-    samples = mc.BLOCK_ROWS + 200
+    samples = 2 * mc.BLOCK_ROWS + 400
 
     def measures():
         return (
@@ -709,11 +885,17 @@ def test_slicing_changes_no_measure(name, monkeypatch):
         )
 
     default = measures()
-    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", 2048)
+    # a few pairs beyond either kernel's per-call bytes
+    _, sizes, _ = _cell_table(emb, "mc")
+    _, link_sizes, _, _, _, starts = mc.build_link_arrays(emb.carrier, emb.vertex_index)
+    budget = 2048 + max(
+        _kernels.cone_call_bytes(sizes), _kernels.index_call_bytes(link_sizes, starts)
+    )
+    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", budget)
     cone_rows = _record_rows(monkeypatch, "cone_argmax_counts")
     link_rows = _record_rows(monkeypatch, "lower_link_index")
     sliced = measures()
-    assert max(cone_rows) < 20 and max(link_rows) < 20
+    assert 1 < max(cone_rows) < 20 and 1 < max(link_rows) < 20
     # ValueWithError tuples and McStats compare exactly
     assert sliced == default
     assert cone_stats[0] == cone_stats[1]
@@ -724,10 +906,10 @@ def test_kernel_memory_stays_under_the_budget():
     for _ in range(2):
         X, _ = barycentric_subdivide(X)
     emb = equilateral_embedding(X)
-    # one 3,000-row call of either kernel would take far more than the budget
+    # one 1,500-pair call of either kernel would take far more than the budget
     link_arrays = mc.build_link_arrays(X, emb.vertex_index)
-    row_bytes = _kernels.index_row_bytes(link_arrays[1], len(X.vertices), link_arrays[5])
-    assert 3000 * row_bytes > 10 * mc.KERNEL_BUDGET_BYTES
+    pair_bytes = _kernels.index_row_bytes(link_arrays[1], len(X.vertices), link_arrays[5])
+    assert 1500 * pair_bytes > 10 * mc.KERNEL_BUDGET_BYTES
     tracemalloc.start()
     try:
         morse_curvature_measure(emb, samples=3000, seed=1)

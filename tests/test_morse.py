@@ -166,8 +166,9 @@ class TestIndexLocality:
 class TestVectorizedIndexOracle:
     @pytest.mark.parametrize("fixture", [*FIXTURES, sparse_octahedron])
     def test_lower_link_kernel_equals_scalar_index(self, fixture):
-        # every tie-free row of the vectorized kernel must give, per
-        # vertex, exactly the integer the scalar lower-link index gives
+        # both rows, x and -x, of every tie-free pair of the vectorized
+        # kernel must give, per vertex, exactly the integer the scalar
+        # lower-link index gives; morse_index's height is -<x, p>
         X, emb = fixture()
         dirs = mc.sample_unit_directions(11, 0, 50, emb.ambient_dim)
         heights = -(dirs @ emb.matrix().T)
@@ -175,8 +176,9 @@ class TestVectorizedIndexOracle:
         assert not ties.all()
         for row in np.nonzero(~ties)[0]:
             for v in X.vertices:
-                expected = morse_index(v, dirs[row], emb)
-                assert idx[row, emb.vertex_index[v]] == expected, (row, v)
+                column = emb.vertex_index[v]
+                assert idx[row, column] == morse_index(v, dirs[row], emb), (row, v)
+                assert idx[len(dirs) + row, column] == morse_index(v, -dirs[row], emb), (row, v)
 
 
 class TestMorseMeasure:
