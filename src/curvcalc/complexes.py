@@ -111,29 +111,37 @@ def facet_rows(rows: np.ndarray) -> np.ndarray:
 
 def _closure_rows(simplices) -> tuple[np.ndarray, list[np.ndarray]]:
     """(vertex ids, per-dimension position rows) of the face closure of
-    the given canonical simplex tuples.
-
-    The closure runs on arrays from the top dimension down: the
-    d-simplices are the distinct rows among the given ones of that size
-    and the facets of the (d+1)-simplices.
-    """
+    the given canonical simplex tuples: the rows, as positions in the
+    sorted vertex ids, go to _closure."""
     by_size: dict[int, list[Simplex]] = {}
     for s in simplices:
         by_size.setdefault(len(s), []).append(s)
     given = {k: np.array(g, dtype=np.int64) for k, g in by_size.items()}
     every = [g.reshape(-1, 1) for g in given.values()]
     ids = _sorted_rows(np.concatenate(every or [np.empty((0, 1), np.int64)]))[:, 0]
+    return ids, _closure({k: np.searchsorted(ids, g) for k, g in given.items()}, len(ids))
+
+
+def _closure(given: dict, n_vertices: int) -> list[np.ndarray]:
+    """Per-dimension position rows of the face closure of the simplices
+    given as {k: (n, k) array of strictly increasing vertex positions}
+    on the vertices 0..n_vertices - 1, each of which is a 0-simplex.
+
+    The closure runs on arrays from the top dimension down: the
+    d-simplices are the distinct rows among the given ones of that size
+    and the facets of the (d+1)-simplices.
+    """
     rows = []
     above = None
     for k in range(max(given, default=1), 1, -1):
         parts = [] if above is None else [facet_rows(above)]
         if k in given:
-            parts.append(np.searchsorted(ids, given[k]))
+            parts.append(given[k])
         above = _sorted_rows(np.concatenate(parts))
         rows.append(above)
-    if len(ids):
-        rows.append(np.arange(len(ids)).reshape(-1, 1))
-    return ids, rows[::-1]
+    if n_vertices:
+        rows.append(np.arange(n_vertices).reshape(-1, 1))
+    return rows[::-1]
 
 
 class SimplicialComplex:
@@ -352,7 +360,7 @@ class PLFunction:
     """A function given by exact rational values on every vertex,
     extended affinely over each simplex."""
 
-    __slots__ = ("complex", "values")
+    __slots__ = ("complex", "values", "_numerators")
 
     def __init__(self, complex: SimplicialComplex, values):
         vals = {v: Fraction(x) for v, x in dict(values).items()}
@@ -362,6 +370,7 @@ class PLFunction:
             raise UnknownVertex(missing[0] if missing else next(v for v in vals if v not in known))
         self.complex = complex
         self.values = vals
+        self._numerators = None
 
     @classmethod
     def _trusted(cls, complex: SimplicialComplex, values: dict) -> "PLFunction":
@@ -370,7 +379,17 @@ class PLFunction:
         f = object.__new__(cls)
         f.complex = complex
         f.values = values
+        f._numerators = None
         return f
+
+    def common_numerators(self) -> tuple[int, tuple[int, ...]]:
+        """(L, (n_v, ...)) with values[v] == n_v / L for v in
+        complex.vertices, L the lcm of the denominators; computed on the
+        first call, which the integrals and subdivision share."""
+        if self._numerators is None:
+            common, numerators = _common_numerators(map(self.values.__getitem__, self.complex.vertices))
+            self._numerators = common, tuple(numerators)
+        return self._numerators
 
     def __call__(self, v: int) -> Fraction:
         return self.values[v]
@@ -542,7 +561,7 @@ def barycentric_subdivide(
     subdivided = SimplicialComplex(vertex_ids=np.arange(total), rows=chains)
     new_alpha = None
     if alpha is not None:
-        common, numerators = _common_numerators(alpha.values[v] for v in complex.vertices)
+        common, numerators = alpha.common_numerators()
         wide = max(map(abs, numerators), default=0) * (complex.dim + 1) >= 2**63
         numerators = np.array(numerators, dtype=object if wide else np.int64)
         values = []

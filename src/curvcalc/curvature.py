@@ -36,6 +36,10 @@ from . import mc
 from ._kernels import size_classes
 
 _DEGENERACY_RTOL = 1e-9
+# the Gram screen in front of the SVD: see _gram_clears
+_SCREEN_RTOL = 1e-12
+_SCREEN_TINY = 1e-140
+_SCREEN_MAX_AMBIENT = 4096
 _HEIGHT_SCALE_EXPONENT = 400
 
 
@@ -59,11 +63,12 @@ class Embedding:
             if v not in coordinates:
                 raise UnknownVertex(v)
         order = tuple(sorted(coordinates, key=_vertex_sort_key))
-        rows = [np.asarray(coordinates[v], dtype=float) for v in order]
-        dims = {r.shape for r in rows}
-        if len(dims) > 1:
-            raise ValueError(f"mixed coordinate dimensions: {dims}")
-        matrix = np.array(rows) if rows else np.zeros((0, 0))
+        rows = [coordinates[v] for v in order]
+        try:
+            matrix = np.array(rows, dtype=float) if rows else np.zeros((0, 0))
+        except ValueError:  # a row that is no vector of floats raises here
+            dims = {np.asarray(r, dtype=float).shape for r in rows}
+            raise ValueError(f"mixed coordinate dimensions: {dims}") from None
         finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
             raise NonFiniteCoordinate(order[int(np.argmin(finite))])
@@ -78,23 +83,27 @@ class Embedding:
             self._check_nondegenerate()
 
     def _check_nondegenerate(self) -> None:
-        """One stacked SVD per dimension over the simplices' edge vectors,
-        in row chunks whose gathers stay under mc.KERNEL_BUDGET_BYTES."""
+        """The module docstring's rule, checked per dimension over the
+        simplices' edge vectors in row chunks whose gathers and Gram
+        temporaries stay under mc.KERNEL_BUDGET_BYTES. The Gram screen
+        clears most rows; the rest take one stacked SVD, which decides."""
         n = self.ambient_dim
         for ids, d in mc.simplex_rows(self.carrier, self._vertex_index)[1:]:
             if d > n:  # fewer singular values than generators
                 raise DegenerateSimplex(self.carrier.simplices_of_dim(d)[0])
-            step = max(1, mc.KERNEL_BUDGET_BYTES // (8 * (2 * d + 1) * n))
+            step = max(1, mc.KERNEL_BUDGET_BYTES // (8 * ((2 * d + 1) * n + d * d + 8)))
             for lo in range(0, len(ids), step):
                 chunk = ids[lo : lo + step]
-                with np.errstate(over="ignore"):
-                    edges = self._matrix[chunk[:, 1:]] - self._matrix[chunk[:, :1]]
-                edges[~np.isfinite(edges).all(axis=(1, 2))] = 0.0  # overflowed: zeroed, so degenerate
-                sv = np.linalg.svd(edges, compute_uv=False)
+                with np.errstate(over="ignore"):  # edge-major: (d, rows, N)
+                    edges = self._matrix[chunk[:, 1:].T] - self._matrix[chunk[:, 0]]
+                rows = np.arange(len(chunk))
+                if d <= 3 and n <= _SCREEN_MAX_AMBIENT:
+                    rows = rows[~_gram_clears(edges)]
+                    edges = edges[:, rows]
+                degenerate = _rule_flags(edges.transpose(1, 0, 2))
                 del edges  # freed before the next chunk's are built
-                degenerate = sv[:, -1] <= _DEGENERACY_RTOL * np.maximum(sv[:, 0], 1.0)
                 if degenerate.any():
-                    first = lo + int(np.argmax(degenerate))
+                    first = lo + int(rows[np.argmax(degenerate)])
                     raise DegenerateSimplex(self.carrier.simplices_of_dim(d)[first])
 
     @property
@@ -119,6 +128,59 @@ class Embedding:
 
 def _vertex_sort_key(v):
     return (0, v, "") if isinstance(v, int) else (1, -1, repr(v))
+
+
+def _rule_flags(edges: np.ndarray) -> np.ndarray:
+    """Which rows of an (m, d, N) stack of edge vectors the rule flags,
+    from one stacked SVD; non-finite rows are zeroed, so flagged."""
+    if not len(edges):
+        return np.zeros(0, dtype=bool)
+    edges[~np.isfinite(edges).all(axis=(1, 2))] = 0.0
+    sv = np.linalg.svd(edges, compute_uv=False)
+    return sv[:, -1] <= _DEGENERACY_RTOL * np.maximum(sv[:, 0], 1.0)
+
+
+def _gram_clears(edges: np.ndarray) -> np.ndarray:
+    """Which rows of a (d, m, N) stack of edge vectors, d <= 3, the rule
+    provably does not flag, from the Gram matrix G = E E^T of each.
+
+    With F^2 = trace G = ||E||_F^2, sigma_max <= F and
+    sigma_min^2 >= det G / F^(2(d-1)). A row is cleared when det G is
+    finite, F^2 >= _SCREEN_TINY and det G > S = _SCREEN_RTOL *
+    max(F^2, 1) * F^(2(d-1)); then sigma_min > 1e-6 * max(sigma_max, 1).
+    A row the rule flags (sigma_min <= 1e-9 * max(sigma_max, 1)) has a
+    true det G of at most about 1e-18 * max(F^2, 1) * F^(2(d-1)). The
+    rounding error of the computed det G is at most (N + 2) u F^(2d),
+    u = 2^-53: each Gram entry is a dot product of N terms, off by at
+    most N u |e_i| |e_j| (Higham, ch. 3), so each of the d! products of
+    the cofactor sum, at most prod |e_i|^2 <= (F^2 / d)^d, moves by at
+    most d (N + 2) u of that with its own rounding (ch. 14). For
+    N <= _SCREEN_MAX_AMBIENT that is below 5e-13 * F^(2d) <= 5e-13 * S /
+    _SCREEN_RTOL, so a flagged row is never cleared; the rounding of F^2
+    moves S by a relative N u at most. The floor on F^2 keeps S far
+    above the underflow level, an overflow makes det G or S infinite,
+    and every row not cleared goes to the SVD.
+    """
+    d = edges.shape[0]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        g = {
+            (i, j): np.einsum("mk,mk->m", edges[i], edges[j])
+            for i in range(d)
+            for j in range(i, d)
+        }
+        f2 = sum(g[i, i] for i in range(d))
+        if d == 1:
+            det = g[0, 0]
+        elif d == 2:
+            det = g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
+        else:
+            det = (
+                g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[1, 2])
+                - g[0, 1] * (g[0, 1] * g[2, 2] - g[1, 2] * g[0, 2])
+                + g[0, 2] * (g[0, 1] * g[1, 2] - g[1, 1] * g[0, 2])
+            )
+        threshold = _SCREEN_RTOL * np.maximum(f2, 1.0) * f2 ** (d - 1)
+        return np.isfinite(det) & (f2 >= _SCREEN_TINY) & (det > threshold)
 
 
 def equilateral_embedding(complex: SimplicialComplex) -> Embedding:

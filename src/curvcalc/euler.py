@@ -147,7 +147,7 @@ def _extreme_vertex_integral(alpha: PLFunction, extreme) -> Fraction:
     Tied values break by vertex id, which does not change the sum.
     """
     complex = alpha.complex
-    common, numerators = _common_numerators(alpha.values[v] for v in complex.vertices)
+    common, numerators = alpha.common_numerators()
     # stable, so tied values keep vertex id order
     order = sorted(range(len(numerators)), key=numerators.__getitem__)
     rank = np.empty(len(order), dtype=np.int64)
@@ -225,7 +225,7 @@ def tentative_integral(alpha: PLFunction) -> Fraction:
     """Alternating sum over all simplices of the barycenter value of
     alpha, computed as the equal sum over vertices of alpha(v) * weight(v)."""
     weight_common, weight_numerators = _weight_numerators(alpha.complex)
-    common, numerators = _common_numerators(alpha.values[v] for v in alpha.complex.vertices)
+    common, numerators = alpha.common_numerators()
     total = sum(a * w for a, w in zip(numerators, weight_numerators))
     return Fraction(total, common * weight_common)
 

@@ -12,13 +12,16 @@ vertex values must use the ``alpha=`` prefix; ``p/q`` trailing tokens are
 recognized either way.
 """
 
+import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
-from .complexes import PLFunction, SimplicialComplex, SimplicialMap, _closure_rows, facet_rows
+from .complexes import PLFunction, SimplicialComplex, SimplicialMap, _closure, facet_rows
 from .errors import DimensionMismatch, ParseError, UnknownVertex
 from .euler import ConstructibleFunction
 
@@ -45,74 +48,173 @@ class ComplexDocument:
         return self.names.index(name)
 
 
-def _parse_rational(token: str, lineno: int) -> Fraction:
+# the line boundaries of str.splitlines, which a comment runs up to
+_COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+_SECTIONS = ("vertices", "simplices")
+_CONVERSION_ERRORS = (ValueError, ZeroDivisionError)
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of a text with comments and surrounding whitespace
+    stripped, split where str.splitlines splits."""
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    return list(map(str.strip, text.splitlines()))
+
+
+def _positions(lines: list[str], line: str) -> list[int]:
+    """The indices of every occurrence of a line, found by list.index."""
+    found = []
     try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {token!r}: {exc}", lineno) from None
+        while True:
+            found.append(lines.index(line, found[-1] + 1 if found else 0))
+    except ValueError:
+        return found
 
 
-def _strip(raw: str) -> str:
-    return raw.split("#", 1)[0].strip()
+def _groups(keys: list) -> dict:
+    """{key: indices of its occurrences}, a range when all keys are equal."""
+    if len(set(keys)) <= 1:
+        return dict.fromkeys(keys[:1], range(len(keys)))
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def _first_failure(convert, items):
+    """(index, exception) of the first item on which convert raises a
+    ValueError or ZeroDivisionError."""
+    for i, item in enumerate(items):
+        try:
+            convert(item)
+        except _CONVERSION_ERRORS as exc:
+            return i, exc
+    raise AssertionError("no item fails")
+
+
+def _rational(tokens: list[str]) -> Fraction:
+    return Fraction(tokens[-1].removeprefix("alpha="))
+
+
+def _vertex_section(lines, names, ids, coords, alphas):
+    """Read a vertices section's nonblank lines into the tables; returns
+    the section's first error as (index in lines, message), or None.
+
+    Each check runs over the whole section, and the errors of one line
+    rank: bad name, duplicate, bad rational, bad coordinate. Lines are
+    grouped by token count and by whether the last token is an alpha
+    value, with one float conversion per group.
+    """
+    tokens = list(map(str.split, lines))
+    start = len(names)
+    fresh = list(map(itemgetter(0), tokens))
+    names += fresh
+    ids.update(zip(fresh, itertools.count(start)))
+    errors = []
+    joined = " ".join(fresh)
+    if "/" in joined or "=" in joined:
+        j = next(j for j, name in enumerate(fresh) if "/" in name or "=" in name)
+        errors.append((j, 0, f"bad vertex name {fresh[j]!r}"))
+    if len(ids) < len(names):
+        seen = set(names[:start])
+        j = next(j for j, name in enumerate(fresh) if name in seen or seen.add(name))
+        errors.append((j, 1, f"duplicate vertex {fresh[j]!r}"))
+    lasts = " ".join(map(itemgetter(-1), tokens))
+    if "/" in lasts or "alpha=" in lasts:
+        flags = [len(t) > 1 and (t[-1].startswith("alpha=") or "/" in t[-1]) for t in tokens]
+    else:
+        flags = itertools.repeat(False)
+    for (k, has_alpha), at in _groups(list(zip(map(len, tokens), flags))).items():
+        whole = len(at) == len(tokens)
+        rows = tokens if whole else [tokens[j] for j in at]
+        vids = range(start, len(names)) if whole else [start + j for j in at]
+        if has_alpha:
+            try:
+                alphas.update(zip(vids, map(_rational, rows)))
+            except _CONVERSION_ERRORS:
+                i, exc = _first_failure(_rational, rows)
+                token = rows[i][-1].removeprefix("alpha=")
+                errors.append((at[i], 2, f"bad rational {token!r}: {exc}"))
+        width = k - 1 - has_alpha
+        if width:
+            part = itemgetter(slice(1, 1 + width))
+            try:
+                values = list(map(float, itertools.chain.from_iterable(map(part, rows))))
+            except ValueError:
+                i, exc = _first_failure(lambda row: list(map(float, part(row))), rows)
+                errors.append((at[i], 3, f"bad coordinate: {exc}"))
+            else:
+                coords.update(zip(vids, zip(*[iter(values)] * width)))
+    return min(errors)[::2] if errors else None
+
+
+def _simplex_section(lines, ids, given):
+    """Map a simplices section's nonblank lines to sorted rows of vertex
+    ids, one (n, k) array per group of lines of k names, appended to
+    given[k]; returns the section's first error as (index in lines,
+    message), or None.
+
+    A name not yet in ids (never declared, or declared on a later line)
+    is unknown; on one line an unknown name ranks before a repeat.
+    """
+    tokens = list(map(str.split, lines))
+    errors = []
+    for k, at in _groups(list(map(len, tokens))).items():
+        rows = tokens if len(at) == len(tokens) else [tokens[j] for j in at]
+        flat = map(ids.get, itertools.chain.from_iterable(rows), itertools.repeat(-1))
+        simplices = np.fromiter(flat, dtype=np.int64, count=len(rows) * k).reshape(-1, k)
+        simplices.sort(axis=1)
+        unknown = simplices[:, 0] < 0
+        repeated = (simplices[:, 1:] == simplices[:, :-1]).any(axis=1)
+        if unknown.any():
+            i = int(np.argmax(unknown))
+            name = next(name for name in rows[i] if name not in ids)
+            errors.append((at[i], 0, f"unknown vertex {name!r}"))
+        if repeated.any():
+            i = int(np.argmax(repeated))
+            errors.append((at[i], 1, "repeated vertex in simplex"))
+        given.setdefault(k, []).append(simplices)
+    return min(errors)[::2] if errors else None
 
 
 def parse_complex(text: str) -> ComplexDocument:
-    lines = text.splitlines()
-    header_at = next((i for i, raw in enumerate(lines) if _strip(raw)), None)
-    if header_at is None or _strip(lines[header_at]) != COMPLEX_HEADER:
+    """Parse a complex file. Lines are numbered from the header, which is
+    line 1; the first error in line order is raised.
+
+    Each section's lines are read in bulk: vertex lines by token count,
+    simplex lines by arity into integer rows. Vertex ids are dense, so
+    the rows go to the array face closure as they are.
+    """
+    lines = _lines(text)
+    header_at = next((i for i, line in enumerate(lines) if line), None)
+    if header_at is None or lines[header_at] != COMPLEX_HEADER:
         raise ParseError(
             f"expected header {COMPLEX_HEADER!r}",
             1 if header_at is None else header_at + 1,
         )
-    lines = lines[header_at:]
-    section = None
+    del lines[:header_at]
+    marks = sorted(i for word in _SECTIONS for i in _positions(lines, word))
+    stray = next((i for i in range(1, marks[0] if marks else len(lines)) if lines[i]), None)
+    if stray is not None:
+        raise ParseError("content before a section header", stray + 1)
     names: list[str] = []
     ids: dict[str, int] = {}
     coords: dict[int, tuple[float, ...]] = {}
     alphas: dict[int, Fraction] = {}
-    maximal: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = _strip(raw)
-        if not line:
-            continue
-        if line in ("vertices", "simplices"):
-            section = line
-            continue
-        if section == "vertices":
-            tokens = line.split()
-            name = tokens[0]
-            if "/" in name or "=" in name:
-                raise ParseError(f"bad vertex name {name!r}", lineno)
-            if name in ids:
-                raise ParseError(f"duplicate vertex {name!r}", lineno)
-            rest = tokens[1:]
-            alpha = None
-            if rest and (rest[-1].startswith("alpha=") or "/" in rest[-1]):
-                token = rest.pop()
-                alpha = _parse_rational(token.removeprefix("alpha="), lineno)
-            vid = len(names)
-            ids[name] = vid
-            names.append(name)
-            if rest:
-                try:
-                    coords[vid] = tuple(float(t) for t in rest)
-                except ValueError as exc:
-                    raise ParseError(f"bad coordinate: {exc}", lineno) from None
-            if alpha is not None:
-                alphas[vid] = alpha
-        elif section == "simplices":
-            try:
-                simplex = tuple(sorted(ids[t] for t in line.split()))
-            except KeyError as exc:
-                raise ParseError(f"unknown vertex {exc.args[0]!r}", lineno) from None
-            if len(set(simplex)) != len(simplex):
-                raise ParseError("repeated vertex in simplex", lineno)
-            maximal.append(simplex)
+    given: dict[int, list[np.ndarray]] = {}
+    for mark, end in zip(marks, marks[1:] + [len(lines)]):
+        body = list(filter(None, lines[mark + 1 : end]))
+        if lines[mark] == "vertices":
+            error = _vertex_section(body, names, ids, coords, alphas)
         else:
-            raise ParseError("content before a section header", lineno)
+            error = _simplex_section(body, ids, given)
+        if error is not None:
+            j, message = error
+            raise ParseError(message, [i for i in range(mark + 1, end) if lines[i]][j] + 1)
     if not names:
         raise ParseError("no vertices")
-    arities = {len(c) for c in coords.values()}
+    arities = set(map(len, coords.values()))
     if len(arities) > 1:
         raise DimensionMismatch(
             f"coordinate arities differ across vertices: {sorted(arities)}"
@@ -120,16 +222,14 @@ def parse_complex(text: str) -> ComplexDocument:
     if coords and len(coords) != len(names):
         raise DimensionMismatch("some vertices have coordinates and some do not")
     # isolated named vertices count as 0-simplices even if the simplices
-    # section does not repeat them; every simplex is canonical already, so
-    # the face closure takes them as they are
-    maximal.extend((i,) for i in range(len(names)))
-    vertex_ids, rows = _closure_rows(maximal)
-    complex = SimplicialComplex(vertex_ids=vertex_ids, rows=rows)
+    # section does not repeat them
+    rows = _closure({k: np.concatenate(parts) for k, parts in given.items()}, len(names))
+    complex = SimplicialComplex(vertex_ids=np.arange(len(names)), rows=rows)
     alpha = None
     if alphas:
         if len(alphas) != len(names):
             raise ParseError("alpha given for some vertices but not all")
-        alpha = PLFunction(complex, alphas)
+        alpha = PLFunction._trusted(complex, alphas)
     return ComplexDocument(complex, names, coords or None, alpha)
 
 
@@ -158,16 +258,14 @@ def serialize_complex(doc: ComplexDocument) -> str:
 
 
 def parse_map(text: str, source: ComplexDocument, target: ComplexDocument) -> SimplicialMap:
-    lines = text.splitlines()
-    header_at = next((i for i, raw in enumerate(lines) if _strip(raw)), None)
-    if header_at is None or _strip(lines[header_at]) != MAP_HEADER:
+    lines = _lines(text)
+    header_at = next((i for i, line in enumerate(lines) if line), None)
+    if header_at is None or lines[header_at] != MAP_HEADER:
         raise ParseError(f"expected header {MAP_HEADER!r}", 1)
-    lines = lines[header_at:]
     src_ids = source.name_to_id
     dst_ids = target.name_to_id
     vertex_map: dict[int, int] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = _strip(raw)
+    for lineno, line in enumerate(lines[header_at + 1 :], start=2):
         if not line:
             continue
         if "->" not in line:

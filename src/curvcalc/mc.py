@@ -35,6 +35,8 @@ def philox_key(seed) -> np.uint64:
 
 def sample_unit_directions(seed: int, batch_index: int, count: int, dim: int) -> np.ndarray:
     """Unit vectors, row-wise, from the (seed, batch_index) Philox stream."""
+    if dim < 1:
+        raise ValueError("R^0 has no unit vectors")
     bit_gen = np.random.Philox(key=philox_key(seed), counter=[0, 0, 0, batch_index])
     rng = np.random.Generator(bit_gen)
     vecs = rng.standard_normal((count, dim))
@@ -79,6 +81,7 @@ def _drive(heights_fn, dim, n_vertices, n_samples, seed, call_bytes, pair_bytes,
     the budget before it is divided into pairs."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    philox_key(seed)  # checked even where nothing is drawn
     n_pairs = -(-n_samples // 2)
     step = max(1, (KERNEL_BUDGET_BYTES - call_bytes) // max(pair_bytes, 1))
     buffer = np.empty(n_vertices * min(step, BLOCK_ROWS, n_pairs))
@@ -88,7 +91,10 @@ def _drive(heights_fn, dim, n_vertices, n_samples, seed, call_bytes, pair_bytes,
     empty_streak = 0
     while remaining > 0:
         rows = min(BLOCK_ROWS, remaining)
-        dirs = sample_unit_directions(seed, blocks, rows, dim)
+        # R^0 has no unit vector and nothing to draw: every row is the
+        # empty vector and every height 0. Its only nondegenerate cells
+        # are vertices, which both directions of every pair hit.
+        dirs = sample_unit_directions(seed, blocks, rows, dim) if dim else np.zeros((rows, 0))
         blocks += 1
         n_tied = 0
         for lo in range(0, rows, step):

@@ -1,14 +1,17 @@
 """Tuple-based definitions of the complex builders, as test oracles.
 
 The library closes faces, subdivides and finds maximal simplices on
-per-dimension arrays. Each oracle here is the per-simplex definition it
-replaces: Python tuples, sets and sorts, with no arrays.
+per-dimension arrays, and parses complex files a section at a time. Each
+oracle here is the per-simplex (or per-line) definition it replaces:
+Python tuples, sets and sorts, with no arrays.
 """
 
 import itertools
+from fractions import Fraction
 
-from curvcalc.complexes import faces
-from curvcalc.io import COMPLEX_HEADER
+from curvcalc.complexes import PLFunction, SimplicialComplex, faces
+from curvcalc.errors import DimensionMismatch, ParseError
+from curvcalc.io import COMPLEX_HEADER, ComplexDocument
 
 
 def face_closure(maximal) -> set:
@@ -55,3 +58,91 @@ def serialize_complex_by_closure(doc) -> str:
             out.append(" ".join(doc.names[v] for v in s))
             covered.update(faces(s))
     return "\n".join(out) + "\n"
+
+
+def _strip(raw: str) -> str:
+    return raw.split("#", 1)[0].strip()
+
+
+def _parse_rational(token: str, lineno: int) -> Fraction:
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {token!r}: {exc}", lineno) from None
+
+
+def parse_complex_by_lines(text: str) -> ComplexDocument:
+    """The complex file parser as one loop over the lines: each line is
+    checked and read in turn, so the first bad line raises, and a
+    simplex line sees only the vertices declared above it. Lines are
+    numbered from the header, which is line 1."""
+    lines = text.splitlines()
+    header_at = next((i for i, raw in enumerate(lines) if _strip(raw)), None)
+    if header_at is None or _strip(lines[header_at]) != COMPLEX_HEADER:
+        raise ParseError(
+            f"expected header {COMPLEX_HEADER!r}",
+            1 if header_at is None else header_at + 1,
+        )
+    lines = lines[header_at:]
+    section = None
+    names: list[str] = []
+    ids: dict[str, int] = {}
+    coords: dict[int, tuple[float, ...]] = {}
+    alphas: dict[int, Fraction] = {}
+    maximal: list[tuple[int, ...]] = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = _strip(raw)
+        if not line:
+            continue
+        if line in ("vertices", "simplices"):
+            section = line
+            continue
+        if section == "vertices":
+            tokens = line.split()
+            name = tokens[0]
+            if "/" in name or "=" in name:
+                raise ParseError(f"bad vertex name {name!r}", lineno)
+            if name in ids:
+                raise ParseError(f"duplicate vertex {name!r}", lineno)
+            rest = tokens[1:]
+            alpha = None
+            if rest and (rest[-1].startswith("alpha=") or "/" in rest[-1]):
+                token = rest.pop()
+                alpha = _parse_rational(token.removeprefix("alpha="), lineno)
+            vid = len(names)
+            ids[name] = vid
+            names.append(name)
+            if rest:
+                try:
+                    coords[vid] = tuple(float(t) for t in rest)
+                except ValueError as exc:
+                    raise ParseError(f"bad coordinate: {exc}", lineno) from None
+            if alpha is not None:
+                alphas[vid] = alpha
+        elif section == "simplices":
+            try:
+                simplex = tuple(sorted(ids[t] for t in line.split()))
+            except KeyError as exc:
+                raise ParseError(f"unknown vertex {exc.args[0]!r}", lineno) from None
+            if len(set(simplex)) != len(simplex):
+                raise ParseError("repeated vertex in simplex", lineno)
+            maximal.append(simplex)
+        else:
+            raise ParseError("content before a section header", lineno)
+    if not names:
+        raise ParseError("no vertices")
+    arities = {len(c) for c in coords.values()}
+    if len(arities) > 1:
+        raise DimensionMismatch(
+            f"coordinate arities differ across vertices: {sorted(arities)}"
+        )
+    if coords and len(coords) != len(names):
+        raise DimensionMismatch("some vertices have coordinates and some do not")
+    # isolated named vertices count as 0-simplices
+    complex = SimplicialComplex(face_closure(maximal) | {(i,) for i in range(len(names))})
+    alpha = None
+    if alphas:
+        if len(alphas) != len(names):
+            raise ParseError("alpha given for some vertices but not all")
+        alpha = PLFunction(complex, alphas)
+    return ComplexDocument(complex, names, coords or None, alpha)

@@ -756,6 +756,7 @@ def test_no_pair_hits_both_ends_of_a_multi_vertex_cell(rng):
 
 SUBPROCESS_MEASURES = """
 from curvcalc import curvature, fixtures, morse, pushforwards
+from curvcalc.io import parse_complex
 _, emb = fixtures.book()
 curvature.curvature_measure(emb, method="mc", samples=301, seed=1)
 morse.morse_curvature_measure(emb, samples=301, seed=1)
@@ -766,16 +767,52 @@ pushforwards.fubini_curvature(seg, hollow, samples=301, seed=1)
 point = curvature.Embedding(fixtures.point(), {0: [0.0, 0.0]})
 curvature.curvature_measure(point, method="mc", samples=1, seed=1)
 morse.morse_curvature_measure(point, samples=1, seed=1)
+# parsed files whose degeneracy screen overflows (squares of 1e150 and
+# 1e300 edges) or underflows (products of 1e-160 components)
+for coords in ("1e150 0 0 1e150 -1e150 -1e150", "1e300 0 0 1e300 -1e300 -1e300",
+               "1 1e-160 1e-160 1 -1 -1e-160"):
+    a, b, c = (" ".join(pair) for pair in zip(*[iter(coords.split())] * 2))
+    text = f"curvcalc-complex v1\\nvertices\\na {a}\\nb {b}\\nc {c}\\nsimplices\\na b c\\n"
+    doc = parse_complex(text)
+    emb = curvature.Embedding(doc.complex, doc.coordinates)
+    kappa = curvature.curvature_measure(emb)
+    assert abs(sum(k.value for k in kappa.values()) - 1.0) < 1e-12, kappa
 """
 
 
 def test_measures_warn_nothing():
     # -W error turns any warning, RuntimeWarnings of a square root of a
-    # negative number included, into an exception on stderr
+    # negative number or of an overflow in the degeneracy screen included,
+    # into an exception on stderr
     run = subprocess.run(
         [sys.executable, "-W", "error", "-c", SUBPROCESS_MEASURES], capture_output=True, text=True
     )
     assert (run.returncode, run.stderr) == (0, "")
+
+
+SUBPROCESS_AMBIENT_ZERO = """
+from curvcalc import curvature, fixtures, morse
+from curvcalc.complexes import SimplicialComplex
+for carrier, coords in ((SimplicialComplex(), {}), (fixtures.point(), {0: []})):
+    emb = curvature.Embedding(carrier, coords)
+    exact = curvature.curvature_measure(emb)
+    print(exact == curvature.curvature_measure(emb, method="mc", samples=301, seed=1)
+          == morse.morse_curvature_measure(emb, samples=301, seed=1), exact)
+"""
+
+
+def test_measures_in_ambient_dimension_zero_draw_nothing():
+    # R^0 has no unit vector; the measures used to redraw zero rows forever
+    run = subprocess.run(
+        [sys.executable, "-c", SUBPROCESS_AMBIENT_ZERO], capture_output=True, text=True, timeout=60
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines() == [
+        "True {}",
+        "True {0: ValueWithError(value=1.0, bound=0.0)}",
+    ]
+    with pytest.raises(ValueError, match="R\\^0"):
+        mc.sample_unit_directions(1, 0, 4, 0)
 
 
 # ---------------------------------------------------------------------------
