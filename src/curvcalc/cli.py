@@ -12,7 +12,6 @@ import csv
 import functools
 import io as _io
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -130,7 +129,7 @@ def _cmd_integrate(args, out) -> int:
         else:  # floor-oracle
             n = args.oracle_n
             if n is None:  # the oracle is exact at any common multiple
-                n = math.lcm(*(a.denominator for a in alpha.values.values()))
+                n = alpha.common_numerators()[0]
             value = euler_mod.floor_integral_oracle_1d(alpha, n)
     _dump_json({"value": str(value)}, out)
     return 0

@@ -7,9 +7,9 @@ of vertex positions (indices into the sorted vertex ids); the tuple views
 (the simplex set, simplices_of_dim and cells()) are built from these
 arrays on first use. Vertices are nonnegative integers local to a
 complex; a simplex is a strictly increasing tuple of vertex ids. Vertex
-data (PLFunction values) are exact rationals so the combinatorial
-identities downstream can be tested with equality rather than
-tolerances.
+data (PLFunction values) are exact rationals, stored as integer
+numerators over one common denominator, so the combinatorial identities
+downstream can be tested with equality rather than tolerances.
 
 Also provided: barycentric subdivision with linear extension of vertex
 data, product cell complexes, and the signature bookkeeping of the first
@@ -71,14 +71,65 @@ _numerator = operator.attrgetter("numerator")
 _denominator = operator.attrgetter("denominator")
 
 
-def _common_numerators(values) -> tuple[int, list[int]]:
-    """(L, [n_i]) with value_i == n_i / L, where L is the lcm of the
-    denominators of the given rationals."""
+# Exact values are stored as integer numerators over one common
+# denominator, in an int64 array where every number an operation forms
+# from them provably stays below 2^63, and in an array of Python ints
+# otherwise. Each operation states that bound and takes its dtype from
+# _integer_array.
+_INT64_LIMIT = 2**63
+
+
+def _common_numerators(values) -> tuple[int, np.ndarray]:
+    """(L, n) with value_i == n[i] / L, where L is the lcm of the
+    denominators of the given rationals: their stored form."""
     values = list(values)
     common = math.lcm(*set(map(_denominator, values)))
     if common == 1:
-        return 1, list(map(_numerator, values))
-    return common, [value.numerator * (common // value.denominator) for value in values]
+        numerators = list(map(_numerator, values))
+    else:
+        numerators = [value.numerator * (common // value.denominator) for value in values]
+    return common, _integer_array(numerators, max(map(abs, numerators), default=0))
+
+
+def _integer_array(integers, bound: int) -> np.ndarray:
+    """The integers as int64 when bound, a cap on every value the caller
+    forms from them, is below 2^63; as Python ints (object) otherwise."""
+    return np.asarray(integers, dtype=np.int64 if bound < _INT64_LIMIT else object)
+
+
+def _magnitude(integers: np.ndarray) -> int:
+    """max(1, max |n|) over an integer array, as a Python int: a factor
+    of the overflow bounds, at least 1 so that it also covers the
+    integers they are multiplied by."""
+    if not len(integers):
+        return 1
+    return max(1, int(integers.max()), -int(integers.min()))
+
+
+def _reduced(common: int, numerators: np.ndarray) -> tuple[int, np.ndarray]:
+    """The canonical stored form of numerators / common: both divided by
+    their gcd, which makes common the lcm of the reduced denominators,
+    and the numerators in int64 when they fit."""
+    if not numerators.any():  # no numerator to divide: 0 / 1
+        return 1, _integer_array(numerators, 0)
+    if common != 1:
+        divisor = math.gcd(common, int(np.gcd.reduce(numerators)))
+        if divisor != 1:
+            common //= divisor
+            numerators = numerators // divisor
+    return common, _integer_array(numerators, _magnitude(numerators))
+
+
+def _fractions(numerators: np.ndarray, common: int):
+    """The Fractions numerators / common, one per entry, in order."""
+    return map(Fraction, numerators.tolist(), itertools.repeat(common))
+
+
+def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
+    """sum(a * b) over two integer arrays as a Python int: in int64 when
+    no term or partial sum can reach 2^63, in Python ints otherwise."""
+    bound = len(a) * _magnitude(a) * _magnitude(b)
+    return int(np.dot(_integer_array(a, bound), _integer_array(b, bound)))
 
 
 def _sorted_rows(rows: np.ndarray) -> np.ndarray:
@@ -253,11 +304,8 @@ class SimplicialComplex:
 
     def cell_indices(self, cells) -> np.ndarray:
         """Position in cells() order of each of the given simplices, which
-        must belong to this complex. The whole cells() sequence in order,
-        as the coefficients of ones() list it, needs no lookup."""
+        must belong to this complex."""
         cells = tuple(cells)
-        if cells == self.ordered_cells():
-            return np.arange(len(cells))
         sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
         ids = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int64, count=int(sizes.sum()))
         positions = np.searchsorted(self._ids, ids)
@@ -358,9 +406,13 @@ def validate(complex: SimplicialComplex) -> None:
 
 class PLFunction:
     """A function given by exact rational values on every vertex,
-    extended affinely over each simplex."""
+    extended affinely over each simplex.
 
-    __slots__ = ("complex", "values", "_numerators")
+    The values are stored as integer numerators over one common
+    denominator, in complex.vertices order (common_numerators); the dict
+    of Fractions, values, is built in full on first read."""
+
+    __slots__ = ("complex", "_common", "_numerators", "_values")
 
     def __init__(self, complex: SimplicialComplex, values):
         vals = {v: Fraction(x) for v, x in dict(values).items()}
@@ -369,27 +421,31 @@ class PLFunction:
             missing = [v for v in complex.vertices if v not in vals]
             raise UnknownVertex(missing[0] if missing else next(v for v in vals if v not in known))
         self.complex = complex
-        self.values = vals
-        self._numerators = None
+        self._common, self._numerators = _common_numerators(map(vals.__getitem__, complex.vertices))
+        self._values = vals
 
     @classmethod
-    def _trusted(cls, complex: SimplicialComplex, values: dict) -> "PLFunction":
-        """Wrap a dict of Fractions keyed by exactly the vertices of the
-        complex without checking it again."""
+    def _from_numerators(cls, complex: SimplicialComplex, common: int, numerators: np.ndarray) -> "PLFunction":
+        """Wrap the stored form, canonical as _reduced makes it, of
+        values on the vertices of the complex, in their order."""
         f = object.__new__(cls)
         f.complex = complex
-        f.values = values
-        f._numerators = None
+        f._common = common
+        f._numerators = numerators
+        f._values = None
         return f
+
+    @property
+    def values(self) -> dict:
+        """{vertex: Fraction value}, built on first read."""
+        if self._values is None:
+            self._values = dict(zip(self.complex.vertices, _fractions(self._numerators, self._common)))
+        return self._values
 
     def common_numerators(self) -> tuple[int, tuple[int, ...]]:
         """(L, (n_v, ...)) with values[v] == n_v / L for v in
-        complex.vertices, L the lcm of the denominators; computed on the
-        first call, which the integrals and subdivision share."""
-        if self._numerators is None:
-            common, numerators = _common_numerators(map(self.values.__getitem__, self.complex.vertices))
-            self._numerators = common, tuple(numerators)
-        return self._numerators
+        complex.vertices, L the lcm of the denominators."""
+        return self._common, tuple(self._numerators.tolist())
 
     def __call__(self, v: int) -> Fraction:
         return self.values[v]
@@ -403,11 +459,12 @@ class PLFunction:
         return (
             isinstance(other, PLFunction)
             and self.complex == other.complex
-            and self.values == other.values
+            and self._common == other._common
+            and np.array_equal(self._numerators, other._numerators)
         )
 
     def __repr__(self):
-        return f"PLFunction(on {len(self.values)} vertices)"
+        return f"PLFunction(on {len(self.complex.vertices)} vertices)"
 
 
 def constant_function(complex: SimplicialComplex, value) -> PLFunction:
@@ -561,15 +618,21 @@ def barycentric_subdivide(
     subdivided = SimplicialComplex(vertex_ids=np.arange(total), rows=chains)
     new_alpha = None
     if alpha is not None:
-        common, numerators = alpha.common_numerators()
-        wide = max(map(abs, numerators), default=0) * (complex.dim + 1) >= 2**63
-        numerators = np.array(numerators, dtype=object if wide else np.int64)
-        values = []
+        # the value at simplex s is sum_{v in s} n_v / (L * (d + 1)); over
+        # the common denominator L * lcm(1..dim+1) no number formed
+        # passes max |n_v| * lcm(1..dim+1)
+        scale = math.lcm(*range(1, complex.dim + 2))
+        numerators = _integer_array(alpha._numerators, _magnitude(alpha._numerators) * scale)
+        parts = [numerators[:0]]
         for d in range(complex.dim + 1):
-            denominator = common * (d + 1)
-            sums = numerators[complex.vertex_positions(d)].sum(axis=1).tolist()
-            values.extend(Fraction(n, denominator) for n in sums)
-        new_alpha = PLFunction._trusted(subdivided, dict(enumerate(values)))
+            rows = complex.vertex_positions(d)
+            sums = numerators[rows[:, 0]]
+            for j in range(1, d + 1):
+                sums += numerators[rows[:, j]]
+            parts.append(sums * (scale // (d + 1)))
+        new_alpha = PLFunction._from_numerators(
+            subdivided, *_reduced(alpha._common * scale, np.concatenate(parts))
+        )
     return subdivided, new_alpha
 
 
@@ -652,7 +715,7 @@ class ProductCellComplex:
     re-triangulation would change the product metric.
     """
 
-    __slots__ = ("factors", "_cells", "_vertices")
+    __slots__ = ("factors", "_cells", "_vertices", "_order", "_index")
 
     def __init__(self, x, y):
         self.factors = (x, y)
@@ -660,13 +723,35 @@ class ProductCellComplex:
             (a, b) for a in x.cells() for b in y.cells()
         )
         self._vertices = tuple(sorted((u, v) for u in x.vertices for v in y.vertices))
+        self._order = None  # built by the first ordered_cells() call
+        self._index = None  # built by the first cell_indices() call
 
     @property
     def vertices(self):
         return self._vertices
 
     def cells(self):
-        return iter(sorted(self._cells, key=lambda c: (self.cell_dim(c), c)))
+        """All cells in (dimension, lexicographic) order."""
+        return iter(self.ordered_cells())
+
+    def ordered_cells(self) -> tuple:
+        """The cells() sequence as a tuple, built on first use."""
+        if self._order is None:
+            self._order = tuple(sorted(self._cells, key=lambda c: (self.cell_dim(c), c)))
+        return self._order
+
+    def cell_indices(self, cells) -> np.ndarray:
+        """Position in cells() order of each of the given cells, which
+        must belong to this complex."""
+        if self._index is None:
+            self._index = {c: i for i, c in enumerate(self.ordered_cells())}
+        return np.fromiter(map(self._index.__getitem__, cells), dtype=np.int64)
+
+    def f_vector(self) -> tuple[int, ...]:
+        """Cells per dimension: a k-cell pairs an i-cell of the first
+        factor with a (k - i)-cell of the second."""
+        x, y = (f.f_vector() for f in self.factors)
+        return tuple(np.convolve(x, y).tolist()) if x and y else ()
 
     def cell_dim(self, cell) -> int:
         a, b = cell

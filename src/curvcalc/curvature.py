@@ -69,6 +69,11 @@ class Embedding:
         except ValueError:  # a row that is no vector of floats raises here
             dims = {np.asarray(r, dtype=float).shape for r in rows}
             raise ValueError(f"mixed coordinate dimensions: {dims}") from None
+        if matrix.ndim != 2:
+            raise ValueError(
+                f"coordinates must be vectors of floats, one per vertex; vertex {order[0]!r} "
+                f"has shape {np.shape(rows[0])}"
+            )
         finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
             raise NonFiniteCoordinate(order[int(np.argmin(finite))])

@@ -5,16 +5,17 @@ constructible partitions, which makes the integral of a finitely
 supported rational combination of open-cell indicators a finite sum.
 Everything in this module is exact rational arithmetic; no floats.
 
-The sums run on integers. The floor, ceil and tentative integrals of a
-PL function are alternating sums over simplices, and each equals
-sum_v alpha(v) * c(v) for an integer count c(v) per vertex: the signed
-number of simplices whose minimum (maximum) vertex is v, or the signed
-star counts behind weight(v). The counts come from per-dimension vertex
-arrays; the rational values are brought to a common denominator, so a
-result costs one Fraction, not one Fraction addition per simplex. Sums
-of a constructible function's coefficients (its integral, pushforward
-and partial Fubini sums) accumulate integer numerators the same way and
-build one Fraction per result cell.
+The sums run on integers. A PLFunction and a ConstructibleFunction store
+their values as integer numerators over one common denominator, indexed
+by the carrier's vertex or cell order. The floor, ceil and tentative
+integrals of a PL function are alternating sums over simplices, and each
+equals sum_v n_v * c(v) / L for an integer count c(v) per vertex: the
+signed number of simplices whose minimum (maximum) vertex is v, or the
+signed star counts behind weight(v). The counts come from per-dimension
+vertex arrays, so a result costs one dot product and one Fraction. A
+constructible function's integral, pushforward and arithmetic run on its
+numerator arrays the same way; Fractions are built only when a value or
+the coefficients dict is read.
 """
 
 import math
@@ -22,7 +23,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import PLFunction, SimplicialComplex, _common_numerators
+from .complexes import (
+    PLFunction,
+    SimplicialComplex,
+    _common_numerators,
+    _exact_dot,
+    _fractions,
+    _integer_array,
+    _magnitude,
+    _reduced,
+)
 from .errors import CarrierTooHighDimensional, ForeignCell, UnknownVertex
 
 
@@ -38,9 +48,15 @@ def chi_c(carrier, cells) -> int:
 
 class ConstructibleFunction:
     """A finitely supported rational function on the open cells of a
-    carrier (a simplicial complex or a product cell complex)."""
+    carrier (a simplicial complex or a product cell complex).
 
-    __slots__ = ("carrier", "coefficients")
+    Stored as the increasing positions in carrier.cells() order of the
+    support and their integer numerators over one common denominator,
+    reduced as _reduced makes them; the dict of Fractions, coefficients,
+    is built in full on first read.
+    """
+
+    __slots__ = ("carrier", "_cells", "_numerators", "_common", "_coefficients")
 
     def __init__(self, carrier, coefficients):
         coeffs = {}
@@ -50,16 +66,25 @@ class ConstructibleFunction:
             value = Fraction(value)
             if value:
                 coeffs[cell] = value
+        cells = carrier.cell_indices(coeffs)
+        order = np.argsort(cells)
+        common, numerators = _common_numerators(coeffs.values())
+        self._store(carrier, cells[order], numerators[order], common)
+        self._coefficients = coeffs
+
+    def _store(self, carrier, cells: np.ndarray, numerators: np.ndarray, common: int) -> None:
+        keep = np.flatnonzero(numerators)
         self.carrier = carrier
-        self.coefficients = coeffs
+        self._cells = cells[keep]
+        self._common, self._numerators = _reduced(common, numerators[keep])
+        self._coefficients = None
 
     @classmethod
-    def _trusted(cls, carrier, coefficients: dict) -> "ConstructibleFunction":
-        """Wrap a dict of nonzero Fractions on cells of the carrier
-        without checking it again."""
+    def _from_arrays(cls, carrier, cells, numerators, common) -> "ConstructibleFunction":
+        """The function with numerators / common on the cells at the
+        given increasing positions of the carrier; zeros are dropped."""
         s = object.__new__(cls)
-        s.carrier = carrier
-        s.coefficients = coefficients
+        s._store(carrier, cells, numerators, common)
         return s
 
     @classmethod
@@ -82,7 +107,16 @@ class ConstructibleFunction:
     @classmethod
     def ones(cls, carrier) -> "ConstructibleFunction":
         """The constant function 1, i.e. every open cell with weight 1."""
-        return cls._trusted(carrier, dict.fromkeys(carrier.cells(), Fraction(1)))
+        n = len(carrier)
+        return cls._from_arrays(carrier, np.arange(n), np.ones(n, dtype=np.int64), 1)
+
+    @property
+    def coefficients(self) -> dict:
+        """{cell: nonzero Fraction coefficient}, built on first read."""
+        if self._coefficients is None:
+            cells = map(self.carrier.ordered_cells().__getitem__, self._cells.tolist())
+            self._coefficients = dict(zip(cells, _fractions(self._numerators, self._common)))
+        return self._coefficients
 
     def __call__(self, cell) -> Fraction:
         if not self.carrier.has_cell(cell):
@@ -92,73 +126,74 @@ class ConstructibleFunction:
     def __add__(self, other: "ConstructibleFunction") -> "ConstructibleFunction":
         if self.carrier != other.carrier:
             raise ForeignCell("cannot add functions on different carriers")
-        merged = dict(self.coefficients)
-        for cell, value in other.coefficients.items():
-            merged[cell] = merged.get(cell, Fraction(0)) + value
-        return self._trusted(self.carrier, {c: v for c, v in merged.items() if v})
+        common = math.lcm(self._common, other._common)
+        a, b = self._numerators, other._numerators
+        ka, kb = common // self._common, common // other._common
+        bound = _magnitude(a) * ka + _magnitude(b) * kb
+        cells, at = np.unique(np.concatenate((self._cells, other._cells)), return_inverse=True)
+        sums = _integer_array(np.zeros(len(cells), dtype=np.int64), bound)
+        sums[at[: len(a)]] = _integer_array(a, bound) * ka
+        sums[at[len(a) :]] += _integer_array(b, bound) * kb
+        return self._from_arrays(self.carrier, cells, sums, common)
 
     def __sub__(self, other: "ConstructibleFunction") -> "ConstructibleFunction":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "ConstructibleFunction":
         scalar = Fraction(scalar)
-        return self._trusted(
-            self.carrier, {c: scalar * v for c, v in self.coefficients.items()} if scalar else {}
+        bound = _magnitude(self._numerators) * max(1, abs(scalar.numerator))
+        numerators = _integer_array(self._numerators, bound)
+        return self._from_arrays(
+            self.carrier, self._cells, numerators * scalar.numerator, self._common * scalar.denominator
         )
 
     def __eq__(self, other):
         return (
             isinstance(other, ConstructibleFunction)
             and self.carrier == other.carrier
-            and self.coefficients == other.coefficients
+            and self._common == other._common
+            and np.array_equal(self._cells, other._cells)
+            and np.array_equal(self._numerators, other._numerators)
         )
 
     def __repr__(self):
-        return f"ConstructibleFunction({len(self.coefficients)} cells)"
-
-
-def _signed_sums(keyed_signs, values) -> dict:
-    """{key: sum of sign * value} over parallel sequences of (key, sign)
-    pairs and rationals, with zero sums dropped.
-
-    Integer numerators over the common denominator are accumulated per
-    key, so each key costs one Fraction however many terms it has.
-    """
-    common, numerators = _common_numerators(values)
-    sums: dict = {}
-    for (key, sign), n in zip(keyed_signs, numerators):
-        sums[key] = sums.get(key, 0) + sign * n
-    return {key: Fraction(n, common) for key, n in sums.items() if n}
+        return f"ConstructibleFunction({len(self._cells)} cells)"
 
 
 def euler_integral(s: ConstructibleFunction) -> Fraction:
-    """Sum of coefficient * (-1)^dim over the support. Linear in s."""
-    dim = s.carrier.cell_dim
-    signs = ((None, -1 if dim(cell) % 2 else 1) for cell in s.coefficients)
-    return _signed_sums(signs, s.coefficients.values()).get(None, Fraction(0))
+    """Sum of coefficient * (-1)^dim over the support. Linear in s.
+
+    Cells are stored in (dimension, lexicographic) order, so a cell's
+    dimension is the number of running f-vector totals at or below its
+    index."""
+    ends = np.cumsum(s.carrier.f_vector(), dtype=np.int64)
+    signs = 1 - 2 * (np.searchsorted(ends, s._cells, side="right") % 2)
+    return Fraction(_exact_dot(signs, s._numerators), s._common)
 
 
 def _extreme_vertex_integral(alpha: PLFunction, extreme) -> Fraction:
     """sum over simplices s of (-1)^dim s * alpha(extreme vertex of s).
 
     Vertices are ranked by (alpha, vertex id) and each simplex finds its
-    extreme vertex by integer rank; the sum is then sum_v alpha(v) * m(v)
-    with m(v) the signed count of simplices whose extreme vertex is v.
-    Tied values break by vertex id, which does not change the sum.
+    extreme vertex by integer rank, one column pass of the ufunc extreme
+    per vertex slot; the sum is then sum_v alpha(v) * m(v) with m(v) the
+    signed count of simplices whose extreme vertex is v. Tied values
+    break by vertex id, which does not change the sum.
     """
     complex = alpha.complex
-    common, numerators = alpha.common_numerators()
-    # stable, so tied values keep vertex id order
-    order = sorted(range(len(numerators)), key=numerators.__getitem__)
+    numerators = alpha._numerators
+    order = np.argsort(numerators, kind="stable")  # tied values keep vertex order
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    counts = np.zeros(len(order), dtype=np.int64)
+    counts = np.zeros(len(order), dtype=np.int64)  # per rank
     for d in range(complex.dim + 1):
         slots = complex.vertex_positions(d)
-        hits = np.bincount(extreme(rank[slots], axis=1), minlength=len(order))
+        top = rank[slots[:, 0]]
+        for j in range(1, d + 1):
+            extreme(top, rank[slots[:, j]], out=top)
+        hits = np.bincount(top, minlength=len(order))
         counts += -hits if d % 2 else hits
-    total = sum(numerators[i] * m for i, m in zip(order, counts.tolist()) if m)
-    return Fraction(total, common)
+    return Fraction(_exact_dot(counts[rank], numerators), alpha._common)
 
 
 def floor_integral(alpha: PLFunction) -> Fraction:
@@ -168,7 +203,7 @@ def floor_integral(alpha: PLFunction) -> Fraction:
     vertex, so the integral closes to a finite alternating sum of vertex
     minima over the open-simplex partition of the complex.
     """
-    return _extreme_vertex_integral(alpha, np.min)
+    return _extreme_vertex_integral(alpha, np.minimum)
 
 
 def ceil_integral(alpha: PLFunction) -> Fraction:
@@ -177,7 +212,7 @@ def ceil_integral(alpha: PLFunction) -> Fraction:
     Note floor_integral <= ceil_integral is false in general (the identity
     on a closed segment has floor 1 and ceil 0).
     """
-    return _extreme_vertex_integral(alpha, np.max)
+    return _extreme_vertex_integral(alpha, np.maximum)
 
 
 def floor_integral_oracle_1d(alpha: PLFunction, n: int) -> Fraction:
@@ -225,20 +260,20 @@ def tentative_integral(alpha: PLFunction) -> Fraction:
     """Alternating sum over all simplices of the barycenter value of
     alpha, computed as the equal sum over vertices of alpha(v) * weight(v)."""
     weight_common, weight_numerators = _weight_numerators(alpha.complex)
-    common, numerators = alpha.common_numerators()
-    total = sum(a * w for a, w in zip(numerators, weight_numerators))
-    return Fraction(total, common * weight_common)
+    total = _exact_dot(weight_numerators, alpha._numerators)
+    return Fraction(total, alpha._common * weight_common)
 
 
-def _weight_numerators(complex: SimplicialComplex) -> tuple[int, list[int]]:
-    """(L, [n_v]) with weight(v) == n_v / L for the vertices in order,
-    L = lcm(1, ..., dim + 1), from integer star counts per dimension."""
+def _weight_numerators(complex: SimplicialComplex) -> tuple[int, np.ndarray]:
+    """(L, n) with weight(v) == n[i] / L for the i-th vertex,
+    L = lcm(1, ..., dim + 1), from integer star counts per dimension;
+    no |n[i]| passes L times the number of simplices."""
     common = math.lcm(*range(1, complex.dim + 2))
-    numerators = [0] * len(complex.vertices)
+    bound = common * len(complex)
+    numerators = _integer_array(np.zeros(len(complex.vertices), dtype=np.int64), bound)
     for d in range(complex.dim + 1):
-        scale = (-1) ** d * (common // (d + 1))
         counts = np.bincount(complex.vertex_positions(d).ravel(), minlength=len(numerators))
-        numerators = [n + scale * c for n, c in zip(numerators, counts.tolist())]
+        numerators += _integer_array(counts, bound) * ((-1) ** d * (common // (d + 1)))
     return common, numerators
 
 
@@ -255,4 +290,7 @@ def weight(complex: SimplicialComplex, v: int) -> Fraction:
 def weights(complex: SimplicialComplex) -> dict[int, Fraction]:
     """weight(v) for every vertex, from one pass over the complex."""
     common, numerators = _weight_numerators(complex)
-    return {v: Fraction(n, common) for v, n in zip(complex.vertices, numerators)}
+    # star counts repeat, so one Fraction per distinct numerator serves all
+    memo: dict = {}
+    fractions = [memo[n] if n in memo else memo.setdefault(n, Fraction(n, common)) for n in numerators.tolist()]
+    return dict(zip(complex.vertices, fractions))

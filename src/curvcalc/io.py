@@ -21,7 +21,14 @@ from operator import itemgetter
 
 import numpy as np
 
-from .complexes import PLFunction, SimplicialComplex, SimplicialMap, _closure, facet_rows
+from .complexes import (
+    PLFunction,
+    SimplicialComplex,
+    SimplicialMap,
+    _closure,
+    _common_numerators,
+    facet_rows,
+)
 from .errors import DimensionMismatch, ParseError, UnknownVertex
 from .euler import ConstructibleFunction
 
@@ -179,8 +186,8 @@ def _simplex_section(lines, ids, given):
 
 
 def parse_complex(text: str) -> ComplexDocument:
-    """Parse a complex file. Lines are numbered from the header, which is
-    line 1; the first error in line order is raised.
+    """Parse a complex file. Lines are numbered from the top of the file,
+    which is line 1; the first error in line order is raised.
 
     Each section's lines are read in bulk: vertex lines by token count,
     simplex lines by arity into integer rows. Vertex ids are dense, so
@@ -193,9 +200,9 @@ def parse_complex(text: str) -> ComplexDocument:
             f"expected header {COMPLEX_HEADER!r}",
             1 if header_at is None else header_at + 1,
         )
-    del lines[:header_at]
+    # every line above the header is blank, so no section mark lies there
     marks = sorted(i for word in _SECTIONS for i in _positions(lines, word))
-    stray = next((i for i in range(1, marks[0] if marks else len(lines)) if lines[i]), None)
+    stray = next((i for i in range(header_at + 1, marks[0] if marks else len(lines)) if lines[i]), None)
     if stray is not None:
         raise ParseError("content before a section header", stray + 1)
     names: list[str] = []
@@ -229,7 +236,8 @@ def parse_complex(text: str) -> ComplexDocument:
     if alphas:
         if len(alphas) != len(names):
             raise ParseError("alpha given for some vertices but not all")
-        alpha = PLFunction._trusted(complex, alphas)
+        values = map(alphas.__getitem__, range(len(names)))  # in vertex id order
+        alpha = PLFunction._from_numerators(complex, *_common_numerators(values))
     return ComplexDocument(complex, names, coords or None, alpha)
 
 
@@ -258,14 +266,16 @@ def serialize_complex(doc: ComplexDocument) -> str:
 
 
 def parse_map(text: str, source: ComplexDocument, target: ComplexDocument) -> SimplicialMap:
+    """Parse a map file. Lines are numbered from the top of the file, which
+    is line 1; the first bad line raises."""
     lines = _lines(text)
     header_at = next((i for i, line in enumerate(lines) if line), None)
     if header_at is None or lines[header_at] != MAP_HEADER:
-        raise ParseError(f"expected header {MAP_HEADER!r}", 1)
+        raise ParseError(f"expected header {MAP_HEADER!r}", 1 if header_at is None else header_at + 1)
     src_ids = source.name_to_id
     dst_ids = target.name_to_id
     vertex_map: dict[int, int] = {}
-    for lineno, line in enumerate(lines[header_at + 1 :], start=2):
+    for lineno, line in enumerate(lines[header_at + 1 :], start=header_at + 2):
         if not line:
             continue
         if "->" not in line:

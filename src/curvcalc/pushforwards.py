@@ -14,36 +14,34 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import ProductCellComplex, SimplicialComplex, SimplicialMap, _common_numerators
+from .complexes import (
+    ProductCellComplex,
+    SimplicialComplex,
+    SimplicialMap,
+    _common_numerators,
+    _integer_array,
+    _magnitude,
+)
 from .curvature import Embedding, ValueWithError, curvature_measure, product_embedding
 from .errors import CarrierMismatch, UnknownSimplex
-from .euler import ConstructibleFunction, _signed_sums, euler_integral
+from .euler import ConstructibleFunction, euler_integral
 
 
 def pushforward(f: SimplicialMap, s: ConstructibleFunction) -> ConstructibleFunction:
     """Fiberwise Euler integration of s along f.
 
     The target carrier is always the full target complex; simplices
-    outside the image simply keep coefficient zero. Each coefficient's
-    source cell is looked up by index, and the signed integer numerators
-    over the common denominator are summed per image index: in int64
-    where no sum can overflow it, in Python ints otherwise.
+    outside the image simply keep coefficient zero. The signed numerators
+    of s, over its common denominator, are summed per image index in one
+    np.add.at: in int64 where no sum can overflow it, in Python ints
+    otherwise.
     """
     if s.carrier != f.source:
         raise CarrierMismatch("the function does not live on the map's source")
-    sources = f.source.cell_indices(s.coefficients)
-    common, numerators = _common_numerators(s.coefficients.values())
-    bound = len(numerators) * max(map(abs, numerators), default=0)
-    dtype = np.int64 if bound < 2**63 else object
-    sums = np.zeros(len(f.target), dtype=dtype)
-    signed = f.image_signs[sources] * np.array(numerators, dtype=dtype)
-    np.add.at(sums, f.image_indices[sources], signed)
-    hit = np.flatnonzero(sums)
-    cells = f.target.ordered_cells()
-    return ConstructibleFunction._trusted(
-        f.target,
-        {cells[i]: Fraction(n, common) for i, n in zip(hit.tolist(), sums[hit].tolist())},
-    )
+    numerators = _integer_array(s._numerators, len(s._numerators) * _magnitude(s._numerators))
+    sums = np.zeros(len(f.target), dtype=numerators.dtype)
+    np.add.at(sums, f.image_indices[s._cells], f.image_signs[s._cells] * numerators)
+    return ConstructibleFunction._from_arrays(f.target, np.arange(len(sums)), sums, s._common)
 
 
 def fiber_euler(f: SimplicialMap, target_simplex) -> int:
@@ -66,6 +64,20 @@ def check_functoriality(f: SimplicialMap, g: SimplicialMap, s: ConstructibleFunc
 # ---------------------------------------------------------------------------
 # Fubini
 # ---------------------------------------------------------------------------
+
+def _signed_sums(keyed_signs, values) -> dict:
+    """{key: sum of sign * value} over parallel sequences of (key, sign)
+    pairs and rationals, with zero sums dropped.
+
+    Integer numerators over the common denominator are accumulated per
+    key, so each key costs one Fraction however many terms it has.
+    """
+    common, numerators = _common_numerators(values)
+    sums: dict = {}
+    for (key, sign), n in zip(keyed_signs, numerators.tolist()):
+        sums[key] = sums.get(key, 0) + sign * n
+    return {key: Fraction(n, common) for key, n in sums.items() if n}
+
 
 def fubini_chi(s: ConstructibleFunction):
     """(direct, first-factor-last, second-factor-last) Euler integrals of

@@ -75,7 +75,7 @@ def parse_complex_by_lines(text: str) -> ComplexDocument:
     """The complex file parser as one loop over the lines: each line is
     checked and read in turn, so the first bad line raises, and a
     simplex line sees only the vertices declared above it. Lines are
-    numbered from the header, which is line 1."""
+    numbered from the top of the file, which is line 1."""
     lines = text.splitlines()
     header_at = next((i for i, raw in enumerate(lines) if _strip(raw)), None)
     if header_at is None or _strip(lines[header_at]) != COMPLEX_HEADER:
@@ -83,14 +83,13 @@ def parse_complex_by_lines(text: str) -> ComplexDocument:
             f"expected header {COMPLEX_HEADER!r}",
             1 if header_at is None else header_at + 1,
         )
-    lines = lines[header_at:]
     section = None
     names: list[str] = []
     ids: dict[str, int] = {}
     coords: dict[int, tuple[float, ...]] = {}
     alphas: dict[int, Fraction] = {}
     maximal: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(lines[header_at + 1 :], start=header_at + 2):
         line = _strip(raw)
         if not line:
             continue

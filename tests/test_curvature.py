@@ -374,6 +374,20 @@ class TestIntegrals:
             final_integral(emb, [(foreign, constant_function(foreign, 1))])
 
 
+@pytest.mark.parametrize(
+    "coordinates",
+    [
+        {0: 0.0, 1: 1.0},  # scalars, not vectors
+        {0: np.float64(0.0), 1: np.float64(1.0)},
+        {0: [[0.0]], 1: [[1.0]]},  # one level of nesting too many
+    ],
+)
+def test_coordinates_that_are_not_vectors_raise_a_value_error(coordinates):
+    X = SimplicialComplex.from_maximal([(0, 1)])
+    with pytest.raises(ValueError, match="coordinates must be vectors of floats"):
+        Embedding(X, coordinates)
+
+
 @pytest.mark.parametrize("largest", [1.0, 2.0**399, np.nextafter(2.0**400, 0), 0.0])
 def test_height_coordinates_leave_smaller_matrices_alone(largest):
     coords = np.array([[largest, -0.5], [3.0e-300, 0.25]])

@@ -79,6 +79,28 @@ class TestEulerIntegral:
         for t in (s + s, Fraction(2, 3) * s, ones):
             assert all(type(v) is Fraction for v in t.coefficients.values())
 
+    def test_zero_results_over_denominators_past_int64(self):
+        # a zero result over a common denominator of 2^70 reduces to 0 / 1
+        X, _ = edge_with_identity()
+        tiny = Fraction(1, 2**70)
+        s = tiny * ConstructibleFunction(X, {(0,): 3, (0, 1): -5})
+        assert (s - s) == ConstructibleFunction.zero(X) == tiny * ConstructibleFunction.zero(X)
+        assert (s - s).coefficients == {}
+        assert euler_integral(s) == 8 * tiny
+        zero = PLFunction(X, {0: tiny, 1: tiny})
+        _, beta = barycentric_subdivide(X, zero)
+        assert beta.common_numerators() == (2**70, (1, 1, 1))
+        assert 0 * ConstructibleFunction(X, {(0,): 2**70}) == ConstructibleFunction.zero(X)
+
+    def test_sums_of_int64_numerators_past_int64(self):
+        # each numerator fits in int64, their sums do not
+        X = SimplicialComplex.from_maximal([(v,) for v in range(4)])
+        alpha = PLFunction(X, dict.fromkeys(X.vertices, 2**62))
+        for integral in (floor_integral, ceil_integral, tentative_integral):
+            assert integral(alpha) == 2**64
+        ones = ConstructibleFunction(X, dict.fromkeys(X.simplices, 2**62))
+        assert euler_integral(ones) == 2**64
+
     def test_disk_has_chi_one(self):
         X = full_simplex_complex(2)
         assert euler_integral(ConstructibleFunction.ones(X)) == 1

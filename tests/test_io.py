@@ -127,6 +127,47 @@ def test_map_parse_and_validation(fixture_dir):
         parse_map("wrong header\n", source, target)
 
 
+PREAMBLE = "# a comment above the header\n\n   # and one more\n"  # 3 lines
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("wrong header\n", 4),
+        ("curvcalc-complex v1\nstray\nvertices\na\n", 5),
+        ("curvcalc-complex v1\nvertices\na\na\n", 7),
+        ("curvcalc-complex v1\nvertices\na 0 0\nb x 0\n", 7),
+        ("curvcalc-complex v1\nvertices\na\n# note\n\nsimplices\na b\n", 10),
+    ],
+)
+def test_complex_errors_count_lines_from_the_top_of_the_file(body, line):
+    with pytest.raises(ParseError) as caught:
+        parse_complex(PREAMBLE + body)
+    assert caught.value.line == line
+    with pytest.raises(ParseError) as caught:
+        parse_complex(body)
+    assert caught.value.line == line - 3
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("wrong header\n", 4),
+        ("map v1\ntop -> hi\n\nnowhere -> hi\n", 7),
+        ("map v1\ntop hi\n", 5),
+    ],
+)
+def test_map_errors_count_lines_from_the_top_of_the_file(fixture_dir, body, line):
+    source = parse_complex((fixture_dir / "octahedron.txt").read_text())
+    target = parse_complex((fixture_dir / "path3.txt").read_text())
+    with pytest.raises(ParseError) as caught:
+        parse_map(PREAMBLE + body, source, target)
+    assert caught.value.line == line
+    with pytest.raises(ParseError) as caught:
+        parse_map(body, source, target)
+    assert caught.value.line == line - 3
+
+
 def test_constructible_round_trip():
     doc = parse_complex(TRIANGLE_DOC)
     s = ConstructibleFunction(
