@@ -13,10 +13,11 @@ characteristic fixed by the end conditions.
 
 Discretization: pointwise densities use central second differences; the
 interior mass uses the telescoped difference of the same second-order
-one-sided derivative estimates that feed the atoms, so the total mass is
-conserved exactly across eps and discrete Gauss-Bonnet is exact. The
-one-sided estimates themselves converge at O(grid^-2), which is what the
-accuracy tests measure.
+one-sided derivative estimates that feed the atoms (on a periodic grid
+the wrapped differences telescope to 0), so the total mass is conserved
+exactly across eps and discrete Gauss-Bonnet is exact. The one-sided
+estimates themselves converge at O(grid^-2), which is what the accuracy
+tests measure.
 """
 
 import csv
@@ -55,6 +56,8 @@ class WarpFunction:
             raise ValueError("t and f must be 1-d arrays of equal length")
         if len(t) < 5:
             raise GridTooCoarse(f"need at least 5 grid points, got {len(t)}")
+        if not (np.isfinite(t).all() and np.isfinite(f).all()):
+            raise ValueError("t and f must be finite")
         steps = np.diff(t)
         if np.any(steps <= 0):
             raise ValueError("grid must be strictly increasing")
@@ -92,8 +95,6 @@ class WarpFunction:
 
     def surface_euler_characteristic(self) -> int:
         """2 for two poles, 1 for pole plus boundary, 0 otherwise."""
-        if self.periodic:
-            return 0
         return int(self.pole_at_start()) + int(self.pole_at_end())
 
 
@@ -127,17 +128,6 @@ def _second_differences(w: WarpFunction) -> np.ndarray:
     return d2
 
 
-def _periodic_mass_sum(w: WarpFunction) -> float:
-    # exact cancellation: feed the raw +/- f terms of all wrapped second
-    # differences to fsum, so the telescoped total is exactly zero
-    f = w.f[:-1]
-    n = len(f)
-    terms = []
-    for i in range(n):
-        terms.extend((f[(i + 1) % n], -2.0 * f[i], f[(i - 1) % n]))
-    return math.fsum(terms) / w.step
-
-
 def curvature_density(w: WarpFunction, eps: float) -> BaseMeasure:
     """Pushforward of the normalized curvature measure of the surface
     with fibers scaled by (1 - eps)."""
@@ -146,7 +136,8 @@ def curvature_density(w: WarpFunction, eps: float) -> BaseMeasure:
     c = 1.0 - eps
     density = -c * _second_differences(w)
     if w.periodic:
-        return BaseMeasure(w.t, density, 0.0, 0.0, -c * _periodic_mass_sum(w), eps)
+        # the wrapped second differences sum to 0: each f_i appears as +f twice and as -2f once
+        return BaseMeasure(w.t, density, 0.0, 0.0, 0.0, eps)
     d_start = w.derivative_start()
     d_end = w.derivative_end()
     if w.pole_at_start():

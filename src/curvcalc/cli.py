@@ -241,7 +241,7 @@ def _cmd_pushforward(args, out) -> int:
         first, ConstructibleFunction.ones(source.complex)
     )
     fibers = {
-        "|".join(target.names[v] for v in cell): int(fiber_chi(cell))
+        "|".join(target.names[v] for v in cell): int(fiber_chi.coefficients.get(cell, 0))
         for cell in target.complex.cells()
     }
     out.write(serialize_constructible(result, target))

@@ -200,11 +200,9 @@ class SimplicialComplex:
 
     The empty complex is allowed (it shows up as the link of an isolated
     vertex). Equality and hashing are by simplex set. Simplices may be
-    given as tuples of vertex ids: with validate=True each is
-    canonicalized with as_simplex and face closure is checked;
-    validate=False trusts the caller to pass canonical tuples of a
-    face-closed set, as link and full_subcomplex do. Constructions on
-    arrays (from_maximal, parse_complex, barycentric_subdivide) pass
+    given as tuples of vertex ids: each is canonicalized with as_simplex
+    and face closure is checked. Constructions on arrays (from_maximal,
+    link, full_subcomplex, parse_complex, barycentric_subdivide) pass
     instead vertex_ids, the strictly increasing vertex ids, and rows,
     for each dimension 0..dim the distinct rows in lexicographic order
     of vertex positions of a face-closed set; both are taken as they
@@ -213,12 +211,11 @@ class SimplicialComplex:
 
     __slots__ = ("_ids", "_vertices", "_rows", "_simplices", "_by_dim", "_keys", "_cells", "_cofaces")
 
-    def __init__(self, simplices=(), validate: bool = True, *, vertex_ids=None, rows=None):
+    def __init__(self, simplices=(), *, vertex_ids=None, rows=None):
         checked = None
         if rows is None:
-            if validate:
-                simplices = checked = frozenset(as_simplex(s) for s in simplices)
-                validate_simplices(checked)
+            simplices = checked = frozenset(as_simplex(s) for s in simplices)
+            validate_simplices(checked)
             vertex_ids, rows = _closure_rows(simplices)
         for array in (vertex_ids, *rows):
             array.flags.writeable = False
@@ -303,19 +300,30 @@ class SimplicialComplex:
         return keys
 
     def cell_indices(self, cells) -> np.ndarray:
-        """Position in cells() order of each of the given simplices, which
-        must belong to this complex."""
+        """Position in cells() order of each of the given cells, or -1
+        where one is not a simplex of this complex: a strictly increasing
+        tuple of its vertex ids, which are integers."""
         cells = tuple(cells)
-        sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
-        ids = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int64, count=int(sizes.sum()))
-        positions = np.searchsorted(self._ids, ids)
+        top = len(self._rows)
+        sizes = [len(c) if isinstance(c, tuple) and len(c) <= top else 0 for c in cells]
+        kept = itertools.chain.from_iterable(itertools.compress(cells, sizes))
+        entries = np.fromiter(kept, dtype=object, count=sum(sizes))
+        # an entry that is not an integer in [0, 2^63) becomes -1, which no id is
+        integer = map(isinstance, entries, itertools.repeat((int, np.integer)))
+        entries[~np.fromiter(integer, dtype=bool, count=len(entries))] = -1
+        ids = np.where((entries >= 0) & (entries < _INT64_LIMIT), entries, -1).astype(np.int64)
+        positions = np.minimum(np.searchsorted(self._ids, ids), len(self._ids) - 1)
+        known = self._ids[positions] == ids
+        sizes = np.array(sizes, dtype=np.int64)
         starts = np.cumsum(sizes) - sizes
         offsets = np.cumsum((0, *self.f_vector()))
-        indices = np.empty(len(cells), dtype=np.int64)
-        for k in np.flatnonzero(np.bincount(sizes)).tolist():
+        indices = np.full(len(cells), -1, dtype=np.int64)
+        for k in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
             sel = np.flatnonzero(sizes == k)
-            rows = positions[starts[sel, None] + np.arange(k)]
-            indices[sel] = offsets[k - 1] + self.simplex_indices(rows)
+            at = starts[sel, None] + np.arange(k)
+            found = self.simplex_indices(positions[at])  # -1 for unsorted rows too
+            valid = known[at].all(axis=1) & (found >= 0)
+            indices[sel[valid]] = offsets[k - 1] + found[valid]
         return indices
 
     def f_vector(self) -> tuple[int, ...]:
@@ -339,7 +347,11 @@ class SimplicialComplex:
         return len(cell) - 1
 
     def has_cell(self, cell) -> bool:
-        return cell in self.simplices
+        """Whether cell is a simplex of this complex, answered from the
+        stored rows; an unhashable cell raises TypeError, as set
+        membership does."""
+        hash(cell)
+        return bool(self.cell_indices((cell,))[0] >= 0)
 
     def cell_vertex_objects(self, cell):
         return cell
@@ -364,15 +376,15 @@ class SimplicialComplex:
 
     def link(self, v: int) -> "SimplicialComplex":
         """The subcomplex { s : v not in s, s + {v} in X }."""
-        link = [tuple(u for u in s if u != v) for s in self.star(v) if len(s) > 1]
-        return SimplicialComplex(link, validate=False)
+        link = (tuple(u for u in s if u != v) for s in self.star(v) if len(s) > 1)
+        vertex_ids, rows = _closure_rows(link)
+        return SimplicialComplex(vertex_ids=vertex_ids, rows=rows)
 
     def full_subcomplex(self, vertex_subset) -> "SimplicialComplex":
         """Simplices all of whose vertices lie in the given set."""
         keep = set(vertex_subset)
-        return SimplicialComplex(
-            (s for s in self.simplices if keep.issuperset(s)), validate=False
-        )
+        vertex_ids, rows = _closure_rows(s for s in self.simplices if keep.issuperset(s))
+        return SimplicialComplex(vertex_ids=vertex_ids, rows=rows)
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
         return self.simplices <= other.simplices
@@ -387,13 +399,13 @@ class SimplicialComplex:
         )
 
     def __hash__(self):
-        return hash(self.simplices)
+        return hash((self._ids.tobytes(), *(rows.tobytes() for rows in self._rows)))
 
     def __len__(self):
         return sum(self.f_vector())
 
     def __contains__(self, simplex):
-        return tuple(simplex) in self.simplices
+        return self.has_cell(tuple(simplex))
 
     def __repr__(self):
         return f"SimplicialComplex({len(self)} simplices, dim {self.dim})"
@@ -528,10 +540,9 @@ class SimplicialMap:
     def image(self, simplex: Simplex) -> Simplex:
         """Image of a source simplex, with repeated image vertices
         collapsed."""
-        key = tuple(simplex)
-        if not self.source.has_cell(key):
+        (i,) = self.source.cell_indices([tuple(simplex)])
+        if i < 0:
             raise UnknownSimplex(simplex)
-        (i,) = self.source.cell_indices([key])
         return self.target.ordered_cells()[self.image_indices[i]]
 
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
@@ -741,11 +752,11 @@ class ProductCellComplex:
         return self._order
 
     def cell_indices(self, cells) -> np.ndarray:
-        """Position in cells() order of each of the given cells, which
-        must belong to this complex."""
+        """Position in cells() order of each of the given cells, or -1
+        where one is not a cell of this complex."""
         if self._index is None:
             self._index = {c: i for i, c in enumerate(self.ordered_cells())}
-        return np.fromiter(map(self._index.__getitem__, cells), dtype=np.int64)
+        return np.fromiter((self._index.get(c, -1) for c in cells), dtype=np.int64)
 
     def f_vector(self) -> tuple[int, ...]:
         """Cells per dimension: a k-cell pairs an i-cell of the first

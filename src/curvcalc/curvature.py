@@ -212,10 +212,10 @@ def height_coordinates(coords: np.ndarray) -> np.ndarray:
 
     A matrix whose largest magnitude is 2**400 or more is scaled by the
     power of two that brings it just below, so that dot products with
-    unit directions and generator norms stay finite. The scaling is exact
-    for every coordinate of magnitude 2**-398 or more, and then changes
-    no height comparison and no angle; a smaller matrix is returned as it
-    is.
+    Gaussian direction rows and generator norms stay finite. The scaling
+    is exact for every coordinate of magnitude 2**-398 or more, and then
+    changes no height comparison and no angle; a smaller matrix is
+    returned as it is.
     """
     big = float(np.abs(coords).max(initial=0.0))
     if big < 2.0**_HEIGHT_SCALE_EXPONENT:

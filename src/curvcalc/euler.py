@@ -38,12 +38,11 @@ from .errors import CarrierTooHighDimensional, ForeignCell, UnknownVertex
 
 def chi_c(carrier, cells) -> int:
     """Euler characteristic with compact support of a set of open cells."""
-    total = 0
-    for cell in cells:
-        if not carrier.has_cell(cell):
-            raise ForeignCell(cell)
-        total += (-1) ** carrier.cell_dim(cell)
-    return total
+    cells = tuple(cells)
+    foreign = np.flatnonzero(carrier.cell_indices(cells) < 0)
+    if len(foreign):
+        raise ForeignCell(cells[foreign[0]])
+    return sum(-1 if carrier.cell_dim(cell) % 2 else 1 for cell in cells)
 
 
 class ConstructibleFunction:
@@ -59,18 +58,16 @@ class ConstructibleFunction:
     __slots__ = ("carrier", "_cells", "_numerators", "_common", "_coefficients")
 
     def __init__(self, carrier, coefficients):
-        coeffs = {}
-        for cell, value in dict(coefficients).items():
-            if not carrier.has_cell(cell):
-                raise ForeignCell(cell)
-            value = Fraction(value)
-            if value:
-                coeffs[cell] = value
+        coeffs = dict(coefficients)
         cells = carrier.cell_indices(coeffs)
+        foreign = np.flatnonzero(cells < 0)
+        if len(foreign):
+            raise ForeignCell(list(coeffs)[foreign[0]])
+        coeffs = {cell: Fraction(value) for cell, value in coeffs.items()}
         order = np.argsort(cells)
         common, numerators = _common_numerators(coeffs.values())
         self._store(carrier, cells[order], numerators[order], common)
-        self._coefficients = coeffs
+        self._coefficients = {cell: value for cell, value in coeffs.items() if value}
 
     def _store(self, carrier, cells: np.ndarray, numerators: np.ndarray, common: int) -> None:
         keep = np.flatnonzero(numerators)

@@ -1,8 +1,8 @@
 """Deterministic Monte Carlo direction sampling and the kernel driver.
 
-Directions are normalized standard Gaussians in antithetic pairs: each
-row x of a block of BLOCK_ROWS rows stands for the two directions x and
--x. Block b comes from a Philox stream keyed by the seed with b in the
+Directions are unnormalized standard Gaussian rows in antithetic pairs:
+each row x of a block of BLOCK_ROWS rows stands for the two directions x
+and -x. Block b comes from a Philox stream keyed by the seed with b in the
 counter, so every result is a function of the inputs, the seed and the
 sample count alone. The driver passes each block to a kernel in pair
 slices that keep its temporaries under KERNEL_BUDGET_BYTES, and replaces
@@ -34,18 +34,10 @@ def philox_key(seed) -> np.uint64:
 
 
 def sample_unit_directions(seed: int, batch_index: int, count: int, dim: int) -> np.ndarray:
-    """Unit vectors, row-wise, from the (seed, batch_index) Philox stream."""
-    if dim < 1:
-        raise ValueError("R^0 has no unit vectors")
+    """The (count, dim) standard Gaussian rows of the (seed, batch_index)
+    Philox stream, not unit vectors: only the order of heights is read."""
     bit_gen = np.random.Philox(key=philox_key(seed), counter=[0, 0, 0, batch_index])
-    rng = np.random.Generator(bit_gen)
-    vecs = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(vecs, axis=1)
-    while np.any(norms == 0.0):  # probability zero, but stay total
-        bad = norms == 0.0
-        vecs[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(vecs, axis=1)
-    return vecs / norms[:, None]
+    return np.random.Generator(bit_gen).standard_normal((count, dim))
 
 
 @dataclass
@@ -81,7 +73,6 @@ def _drive(heights_fn, dim, n_vertices, n_samples, seed, call_bytes, pair_bytes,
     the budget before it is divided into pairs."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    philox_key(seed)  # checked even where nothing is drawn
     n_pairs = -(-n_samples // 2)
     step = max(1, (KERNEL_BUDGET_BYTES - call_bytes) // max(pair_bytes, 1))
     buffer = np.empty(n_vertices * min(step, BLOCK_ROWS, n_pairs))
@@ -91,10 +82,7 @@ def _drive(heights_fn, dim, n_vertices, n_samples, seed, call_bytes, pair_bytes,
     empty_streak = 0
     while remaining > 0:
         rows = min(BLOCK_ROWS, remaining)
-        # R^0 has no unit vector and nothing to draw: every row is the
-        # empty vector and every height 0. Its only nondegenerate cells
-        # are vertices, which both directions of every pair hit.
-        dirs = sample_unit_directions(seed, blocks, rows, dim) if dim else np.zeros((rows, 0))
+        dirs = sample_unit_directions(seed, blocks, rows, dim)
         blocks += 1
         n_tied = 0
         for lo in range(0, rows, step):

@@ -97,12 +97,14 @@ def morse_curvature_measure(
     Directions come in antithetic pairs x, -x, ceil(samples / 2) of
     them, and a pair is resampled when either direction ties, so every
     estimate is an average over exactly 2 * ceil(samples / 2) generic
-    directions. The per-vertex stderr is the empirical standard deviation
-    of the pair mean (I(x) + I(-x)) / 2 divided by sqrt(pairs).
+    directions. The per-vertex stderr is the standard deviation of the
+    pair mean (I(x) + I(-x)) / 2 divided by sqrt(pairs), its variance
+    smoothed by one pseudo-pair 1/2 from the mean at every vertex of a
+    triangle. At any other vertex the pair index is 2 - degree in every
+    pair (each edge has v on top under exactly one of x and -x), so the
+    estimate is exact and the bound 0; elsewhere it is never 0.
     """
-    carrier = embedding.carrier
-    if not isinstance(carrier, SimplicialComplex):
-        raise CarrierMismatch("the Morse measure is defined on simplicial carriers")
+    carrier = _simplicial_carrier(embedding)
     index = embedding.vertex_index
     link_arrays = mc.build_link_arrays(carrier, index)
     coords = height_coordinates(embedding.matrix())
@@ -112,7 +114,12 @@ def morse_curvature_measure(
     )
     pairs = stats.pairs
     mean = sums / (2.0 * pairs)  # half the mean pair index
-    bound = np.sqrt(np.maximum(sumsq / (4.0 * pairs) - mean * mean, 0.0) / pairs)
+    # squared deviations of the pair means from their mean, and the
+    # pseudo-pair's 1/4 once at each vertex of a triangle
+    squares = np.maximum(sumsq / 4.0 - pairs * mean * mean, 0.0)
+    columns = np.fromiter(map(index.__getitem__, carrier.vertices), dtype=np.int64)
+    squares[columns[carrier.vertex_positions(2)]] += 0.25
+    bound = np.sqrt(squares / ((pairs + 1.0) * pairs))
     # a coordinate the complex does not use is in no simplex: its sums are 0
     result = {v: ValueWithError(float(mean[i]), float(bound[i])) for v, i in index.items()}
     if with_stats:

@@ -49,9 +49,9 @@ def fiber_euler(f: SimplicialMap, target_simplex) -> int:
     simplex: the fiber rule applied to the constant 1, i.e. the signs of
     the source cells whose image is that simplex, summed."""
     target_simplex = tuple(target_simplex)
-    if not f.target.has_cell(target_simplex):
-        raise UnknownSimplex(target_simplex)
     (t,) = f.target.cell_indices([target_simplex])
+    if t < 0:
+        raise UnknownSimplex(target_simplex)
     return int(f.image_signs[f.image_indices == t].sum())
 
 

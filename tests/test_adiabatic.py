@@ -41,6 +41,19 @@ class TestWarpValidation:
         with pytest.raises(ValueError):
             WarpFunction(t, 1.0 + t, periodic=True)
 
+    @pytest.mark.parametrize(
+        "t, f, periodic",
+        [
+            (np.linspace(0, 1, 6), [1, np.nan, 1, 1, 1, 1], False),
+            (np.linspace(0, 1, 6), [1, 1, np.inf, 1, 1, 1], True),
+            (np.linspace(0, 1, 6), [1, 1, 1, 1, 1, -np.inf], False),
+            ([0, 0.2, np.nan, 0.6, 0.8, 1], np.ones(6), False),
+        ],
+    )
+    def test_non_finite_samples(self, t, f, periodic):
+        with pytest.raises(ValueError, match="finite"):
+            WarpFunction(t, f, periodic=periodic)
+
     def test_grid_argument(self):
         with pytest.raises(GridTooCoarse):
             profile("sphere", grid=4)
@@ -127,6 +140,9 @@ class TestOtherProfiles:
             m = curvature_density(w, eps)
             assert m.total == 0.0
             assert m.atom_start == 0.0
+            # the wrapped second differences telescope: the mass is +0.0
+            assert math.copysign(1.0, m.interior_mass) == 1.0 and m.interior_mass == 0.0
+            assert abs(math.fsum(m.density[:-1]) * w.step) < 1e-9
 
     def test_paraboloid_band_has_signed_density(self):
         w = profile("paraboloid", 512)

@@ -3,6 +3,7 @@
 vertex values, maximal simplices in the file format, and the fibers of a
 simplicial map."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +107,51 @@ def assert_subdivision_matches_chains(X: SimplicialComplex, sd: SimplicialComple
     assert subdivision_vertex_simplices(X) == simps
     assert sd.vertices == tuple(range(len(simps)))
     assert_canonical(sd, set(oracle))
+
+
+class TestCellMembership:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_has_cell_answers_as_the_simplex_set(self, seed):
+        rng = np.random.default_rng(3300 + seed)
+        X = SimplicialComplex.from_maximal(random_maximal(rng, spread=int(rng.integers(1, 4))))
+        own = list(X.ordered_cells())
+        drawn = [tuple(rng.integers(0, 16, size=k).tolist()) for k in rng.integers(1, 6, size=40)]
+        queries = [
+            *own,
+            *(s[::-1] for s in own if len(s) > 1),  # unsorted
+            *(s + s[-1:] for s in own),  # a repeated vertex
+            *drawn,  # foreign ids, and non-simplices on known ones
+            *map(tuple, map(sorted, drawn)),
+            (),
+            ((0,), (1,)),  # a product cell
+            tuple(map(np.int64, own[-1])),
+            tuple(map(np.uint8, own[0])),
+            (2**70,),
+            (-1,),
+            "0",
+            ("0",),
+        ]
+        got = [X.has_cell(c) for c in queries]
+        assert X._simplices is None  # answered from the stored rows
+        assert got == [c in X.simplices for c in queries]
+        assert X.cell_indices(queries).tolist() == [
+            own.index(c) if c in X.simplices else -1 for c in queries
+        ]
+        for unhashable in ([0], [0, 1], ([0],)):
+            with pytest.raises(TypeError):
+                unhashable in X.simplices
+            with pytest.raises(TypeError):
+                X.has_cell(unhashable)
+        assert all(list(c) in X for c in own) and [max(X.vertices) + 1] not in X
+
+    def test_a_first_lookup_builds_no_tuple_view(self):
+        X, _ = fixtures.solid_tetrahedron()
+        for _ in range(3):
+            X, _ = barycentric_subdivide(X)
+        start = time.perf_counter()
+        ConstructibleFunction.indicator_open(X, (0,))
+        assert time.perf_counter() - start < 0.005
+        assert X._simplices is None
 
 
 class TestSubdivision:

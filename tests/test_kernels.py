@@ -653,7 +653,9 @@ def test_direction_sampling_is_deterministic():
     np.testing.assert_array_equal(a, b)
     c = mc.sample_unit_directions(7, 4, 64, 5)
     assert not np.array_equal(a, c)
-    np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
+    # raw Gaussian rows, not unit vectors: only the order of heights is read
+    stream = np.random.Generator(np.random.Philox(key=7, counter=[0, 0, 0, 3]))
+    np.testing.assert_array_equal(a, stream.standard_normal((64, 5)))
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 10**23])
@@ -802,7 +804,8 @@ for carrier, coords in ((SimplicialComplex(), {}), (fixtures.point(), {0: []})):
 
 
 def test_measures_in_ambient_dimension_zero_draw_nothing():
-    # R^0 has no unit vector; the measures used to redraw zero rows forever
+    # R^0 rows are empty vectors: every height is 0, and only vertex cells,
+    # which never tie, are nondegenerate
     run = subprocess.run(
         [sys.executable, "-c", SUBPROCESS_AMBIENT_ZERO], capture_output=True, text=True, timeout=60
     )
@@ -811,8 +814,7 @@ def test_measures_in_ambient_dimension_zero_draw_nothing():
         "True {}",
         "True {0: ValueWithError(value=1.0, bound=0.0)}",
     ]
-    with pytest.raises(ValueError, match="R\\^0"):
-        mc.sample_unit_directions(1, 0, 4, 0)
+    assert mc.sample_unit_directions(1, 0, 4, 0).shape == (4, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +876,60 @@ def test_slicing_changes_no_lower_link_sum(monkeypatch):
     np.testing.assert_array_equal(sliced[0], sums)
     np.testing.assert_array_equal(sliced[1], sumsq)
     assert sliced[2] == stats
+
+
+ROW_SCALES = {
+    "unit": lambda dirs: 1.0 / np.linalg.norm(dirs, axis=1),  # the rows normalized
+    "spread": lambda dirs: np.exp(4.0 * np.tanh(dirs[:, -1])),  # factors in (e^-4, e^4)
+}
+
+
+def _row_scaled_heights(coords, scale):
+    """The heights of each direction row scaled by scale(dirs) > 0, one
+    factor per row. In two or more dimensions, rows whose last component
+    exceeds 1 have their first zeroed first, so that the square, whose
+    edges are parallel to the axes, ties."""
+
+    def heights(dirs, out):
+        dirs = dirs.copy()
+        if dirs.shape[1] > 1:
+            dirs[dirs[:, -1] > 1.0, 0] = 0.0
+        np.matmul(coords, (dirs * scale(dirs)[:, None]).T, out=out)
+
+    return heights
+
+
+@pytest.mark.parametrize("scale", ROW_SCALES)
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_positive_row_scales_change_no_count_tie_or_index(fixture, scale, monkeypatch):
+    # The sampler's rows are raw Gaussians: both kernels read only the
+    # order of the heights along a row, which a positive scale keeps.
+    X, emb = fixture()
+    n = len(emb.vertex_index)
+    cells, sizes, _ = complex_cell_table(X)
+    arrays = mc.build_link_arrays(X, emb.vertex_index)
+    calls = []
+    for name in ("cone_argmax_counts", "lower_link_index"):
+        kernel = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, lambda h, *a, k=kernel: calls.append(k(h, *a)) or calls[-1])
+    runs = []
+    for factor in (lambda dirs: np.ones(len(dirs)), ROW_SCALES[scale]):
+        calls.clear()
+        heights = _row_scaled_heights(emb.matrix(), factor)
+        cone = mc.run_cone_counts(heights, emb.ambient_dim, cells, sizes, n, 600, 2)
+        morse = mc.run_lower_link_stats(heights, emb.ambient_dim, arrays, n, 600, 2)
+        runs.append((cone, morse, list(calls)))
+    (cone, morse, calls), (scaled_cone, scaled_morse, scaled_calls) = runs
+    np.testing.assert_array_equal(scaled_cone[0], cone[0])
+    assert scaled_cone[1] == cone[1]  # the same tie pairs resampled
+    for got, want in zip(scaled_morse, morse):
+        np.testing.assert_array_equal(got, want)
+    assert len(scaled_calls) == len(calls)
+    for (got, got_ties), (want, want_ties) in zip(scaled_calls, calls):
+        np.testing.assert_array_equal(got, want)  # counts, or every direction's index
+        np.testing.assert_array_equal(got_ties, want_ties)
+    if fixture is fixtures.square_boundary:
+        assert cone[1].resampled > 0
 
 
 def test_morse_stats_square_the_widest_int8_pair_exactly():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -219,6 +220,24 @@ class TestMorseMeasure:
         for v in cone:
             joint = math.hypot(cone[v].bound, morse[v].bound)
             assert abs(cone[v].value - morse[v].value) <= 4 * max(joint, 1e-12)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["octahedron", "cone_fan", "book", "filled_triangle", "hollow_triangle", "square_boundary"],
+    )
+    def test_bound_is_zero_only_where_the_estimate_is_exact(self, name):
+        # With 1 to 8 samples every pair can give a vertex the same index;
+        # the pseudo-pair keeps its bound above 0 unless the vertex is in
+        # no triangle, where the pair index is 2 - degree in every pair.
+        X, emb = getattr(fixtures, name)()
+        exact = curvature_measure(emb, method="exact")
+        in_triangle = set(itertools.chain.from_iterable(X.simplices_of_dim(2)))
+        for samples in (1, 2, 4, 8):
+            for seed in range(20):
+                kappa = morse_curvature_measure(emb, samples=samples, seed=seed)
+                for v, (value, bound) in kappa.items():
+                    assert (bound == 0.0) == (v not in in_triangle), (samples, seed, v)
+                    assert bound > 0.0 or abs(value - exact[v].value) <= 1e-9, (samples, seed, v)
 
     def test_measure_builds_no_link_or_star(self, monkeypatch):
         def refuse(self, v):
