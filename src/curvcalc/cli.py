@@ -26,7 +26,7 @@ from . import pushforwards as pushforward_mod
 from .complexes import barycentric_subdivide, product, signature_census
 from .curvature import Embedding, equilateral_embedding
 from .errors import CurvCalcError, UsageError
-from .euler import ConstructibleFunction, chi_c
+from .euler import ConstructibleFunction
 from .io import (
     ComplexDocument,
     parse_complex,
@@ -90,18 +90,19 @@ def _write_kappa(doc: ComplexDocument, kappa, fmt: str, out) -> None:
 
 def _cmd_validate(args, out) -> int:
     doc = _load_document(args.complex)
+    chi = doc.complex.euler_characteristic()
     report = {
         "ok": True,
         "vertices": len(doc.names),
         "simplices": len(doc.complex),
         "dim": doc.complex.dim,
-        "chi": doc.complex.euler_characteristic(),
-        "chi_c": chi_c(doc.complex, doc.complex.cells()),
+        "chi": chi,
+        "chi_c": chi,  # the sum of (-1)^dim over every open cell is chi
     }
     if args.vertex is not None:
-        vid = doc.vertex_id(args.vertex)
-        report["star"] = len(doc.complex.star(vid))
-        report["link"] = len(doc.complex.link(vid))
+        star = len(doc.complex.star(doc.vertex_id(args.vertex)))
+        # s -> s - {v} sends the star onto the link and the empty simplex
+        report.update(star=star, link=star - 1)
     _dump_json(report, out)
     return 0
 
@@ -277,34 +278,18 @@ def _cmd_fubini_check(args, out) -> int:
     ex = _embedding_for(left, False)
     ey = _embedding_for(right, False)
     rows = pushforward_mod.fubini_curvature(ex, ey, args.samples, args.seed)
+    header = ("vertex", "kappa_product", "kappa_factor_product", "joint_bound")
     table = [
         (
             f"{left.names[r['vertex'][0]]}*{right.names[r['vertex'][1]]}",
-            f"{r['kappa_product']:.12g}",
-            f"{r['kappa_factor_product']:.12g}",
-            f"{r['joint_bound']:.12g}",
+            *(f"{r[key]:.12g}" for key in header[1:]),
         )
         for r in rows
     ]
     if args.format == "json":
-        _dump_json(
-            [
-                {
-                    "vertex": name,
-                    "kappa_product": float(a),
-                    "kappa_factor_product": float(b),
-                    "joint_bound": float(c),
-                }
-                for name, a, b, c in table
-            ],
-            out,
-        )
+        _dump_json([dict(zip(header, (name, *map(float, values)))) for name, *values in table], out)
     else:
-        _write_csv(
-            table,
-            ("vertex", "kappa_product", "kappa_factor_product", "joint_bound"),
-            out,
-        )
+        _write_csv(table, header, out)
     return 0
 
 
@@ -433,16 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", help="constructible-function JSON (for --kind simple)")
     p.add_argument(
         "--oracle-n",
-        type=int,
+        type=_int_in(1),
         help="step count n (default: the lcm of the alpha denominators)",
     )
 
     p = command("subdivide", _cmd_subdivide, help="barycentric subdivision")
     p.add_argument("complex", nargs="?")
-    p.add_argument("--times", type=int, default=1)
+    p.add_argument("--times", type=_int_in(0), default=1)
     p.add_argument(
         "--census",
-        type=int,
+        type=_int_in(0),
         help="print the signature census of a standard simplex instead",
     )
 

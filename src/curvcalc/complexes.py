@@ -726,13 +726,10 @@ class ProductCellComplex:
     re-triangulation would change the product metric.
     """
 
-    __slots__ = ("factors", "_cells", "_vertices", "_order", "_index")
+    __slots__ = ("factors", "_vertices", "_order", "_index")
 
     def __init__(self, x, y):
         self.factors = (x, y)
-        self._cells = frozenset(
-            (a, b) for a in x.cells() for b in y.cells()
-        )
         self._vertices = tuple(sorted((u, v) for u in x.vertices for v in y.vertices))
         self._order = None  # built by the first ordered_cells() call
         self._index = None  # built by the first cell_indices() call
@@ -748,7 +745,8 @@ class ProductCellComplex:
     def ordered_cells(self) -> tuple:
         """The cells() sequence as a tuple, built on first use."""
         if self._order is None:
-            self._order = tuple(sorted(self._cells, key=lambda c: (self.cell_dim(c), c)))
+            pairs = itertools.product(*(f.cells() for f in self.factors))
+            self._order = tuple(sorted(pairs, key=lambda c: (self.cell_dim(c), c)))
         return self._order
 
     def cell_indices(self, cells) -> np.ndarray:
@@ -770,10 +768,10 @@ class ProductCellComplex:
 
     @property
     def dim(self) -> int:
-        return max((self.cell_dim(c) for c in self._cells), default=-1)
+        return max(map(self.cell_dim, self.ordered_cells()), default=-1)
 
-    def has_cell(self, cell) -> bool:
-        return cell in self._cells
+    def has_cell(self, cell) -> bool:  # an unhashable cell raises TypeError
+        return bool(self.cell_indices((cell,))[0] >= 0)
 
     def cell_vertex_objects(self, cell):
         a, b = cell
@@ -793,10 +791,10 @@ class ProductCellComplex:
         )
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** self.cell_dim(c) for c in self._cells)
+        return sum((-1) ** self.cell_dim(c) for c in self.ordered_cells())
 
     def __len__(self):
-        return len(self._cells)
+        return len(self.ordered_cells())
 
     def __eq__(self, other):
         return (
@@ -805,7 +803,7 @@ class ProductCellComplex:
         )
 
     def __repr__(self):
-        return f"ProductCellComplex({len(self._cells)} cells)"
+        return f"ProductCellComplex({len(self)} cells)"
 
 
 def product(x, y) -> ProductCellComplex:

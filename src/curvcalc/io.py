@@ -69,6 +69,16 @@ def _lines(text: str) -> list[str]:
     return list(map(str.strip, text.splitlines()))
 
 
+def _header_lines(text: str, header: str) -> tuple[list[str], int]:
+    """(lines, header_at): the lines of a text as _lines gives them and
+    the index of the first nonblank one, which must be the header."""
+    lines = _lines(text)
+    header_at = next((i for i, line in enumerate(lines) if line), None)
+    if header_at is None or lines[header_at] != header:
+        raise ParseError(f"expected header {header!r}", 1 if header_at is None else header_at + 1)
+    return lines, header_at
+
+
 def _positions(lines: list[str], line: str) -> list[int]:
     """The indices of every occurrence of a line, found by list.index."""
     found = []
@@ -193,13 +203,7 @@ def parse_complex(text: str) -> ComplexDocument:
     simplex lines by arity into integer rows. Vertex ids are dense, so
     the rows go to the array face closure as they are.
     """
-    lines = _lines(text)
-    header_at = next((i for i, line in enumerate(lines) if line), None)
-    if header_at is None or lines[header_at] != COMPLEX_HEADER:
-        raise ParseError(
-            f"expected header {COMPLEX_HEADER!r}",
-            1 if header_at is None else header_at + 1,
-        )
+    lines, header_at = _header_lines(text, COMPLEX_HEADER)
     # every line above the header is blank, so no section mark lies there
     marks = sorted(i for word in _SECTIONS for i in _positions(lines, word))
     stray = next((i for i in range(header_at + 1, marks[0] if marks else len(lines)) if lines[i]), None)
@@ -268,10 +272,7 @@ def serialize_complex(doc: ComplexDocument) -> str:
 def parse_map(text: str, source: ComplexDocument, target: ComplexDocument) -> SimplicialMap:
     """Parse a map file. Lines are numbered from the top of the file, which
     is line 1; the first bad line raises."""
-    lines = _lines(text)
-    header_at = next((i for i, line in enumerate(lines) if line), None)
-    if header_at is None or lines[header_at] != MAP_HEADER:
-        raise ParseError(f"expected header {MAP_HEADER!r}", 1 if header_at is None else header_at + 1)
+    lines, header_at = _header_lines(text, MAP_HEADER)
     src_ids = source.name_to_id
     dst_ids = target.name_to_id
     vertex_map: dict[int, int] = {}
@@ -306,7 +307,7 @@ def parse_constructible(text: str, doc: ComplexDocument) -> ConstructibleFunctio
         try:
             simplex = tuple(sorted(ids[name] for name in entry["simplex"]))
             value = Fraction(entry["value"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"bad entry {entry!r}: {exc}") from None
         coeffs[simplex] = coeffs.get(simplex, Fraction(0)) + value
     return ConstructibleFunction(doc.complex, coeffs)

@@ -10,15 +10,12 @@ slicing source simplices along rational fiber points and counting open
 polytope dimensions.
 """
 
-from fractions import Fraction
-
 import numpy as np
 
 from .complexes import (
     ProductCellComplex,
     SimplicialComplex,
     SimplicialMap,
-    _common_numerators,
     _integer_array,
     _magnitude,
 )
@@ -38,10 +35,16 @@ def pushforward(f: SimplicialMap, s: ConstructibleFunction) -> ConstructibleFunc
     """
     if s.carrier != f.source:
         raise CarrierMismatch("the function does not live on the map's source")
+    return _push(f.target, f.image_indices[s._cells], f.image_signs[s._cells], s)
+
+
+def _push(target, indices, signs, s: ConstructibleFunction) -> ConstructibleFunction:
+    """The function on target whose cell i sums sign * value over the
+    support cells of s sent to index i."""
     numerators = _integer_array(s._numerators, len(s._numerators) * _magnitude(s._numerators))
-    sums = np.zeros(len(f.target), dtype=numerators.dtype)
-    np.add.at(sums, f.image_indices[s._cells], f.image_signs[s._cells] * numerators)
-    return ConstructibleFunction._from_arrays(f.target, np.arange(len(sums)), sums, s._common)
+    sums = np.zeros(len(target), dtype=numerators.dtype)
+    np.add.at(sums, indices, signs * numerators)
+    return ConstructibleFunction._from_arrays(target, np.arange(len(sums)), sums, s._common)
 
 
 def fiber_euler(f: SimplicialMap, target_simplex) -> int:
@@ -65,41 +68,23 @@ def check_functoriality(f: SimplicialMap, g: SimplicialMap, s: ConstructibleFunc
 # Fubini
 # ---------------------------------------------------------------------------
 
-def _signed_sums(keyed_signs, values) -> dict:
-    """{key: sum of sign * value} over parallel sequences of (key, sign)
-    pairs and rationals, with zero sums dropped.
-
-    Integer numerators over the common denominator are accumulated per
-    key, so each key costs one Fraction however many terms it has.
-    """
-    common, numerators = _common_numerators(values)
-    sums: dict = {}
-    for (key, sign), n in zip(keyed_signs, numerators.tolist()):
-        sums[key] = sums.get(key, 0) + sign * n
-    return {key: Fraction(n, common) for key, n in sums.items() if n}
-
-
 def fubini_chi(s: ConstructibleFunction):
     """(direct, first-factor-last, second-factor-last) Euler integrals of
-    a constructible function on a product carrier; all three agree."""
+    a constructible function on a product carrier; all three agree.
+    Integrating over one factor is the pushforward onto the other."""
     carrier = s.carrier
     if not isinstance(carrier, ProductCellComplex):
         raise CarrierMismatch("fubini_chi needs a function on a product cell complex")
-    x, y = carrier.factors
-    direct = euler_integral(s)
+    support = list(map(carrier.ordered_cells().__getitem__, s._cells.tolist()))
 
-    def iterate(first, second, key):
-        # integrate over `first`, leaving a constructible function on `second`
-        keyed_signs = []
-        for a, b in s.coefficients:
-            outer, inner = (b, a) if key == 0 else (a, b)
-            keyed_signs.append((outer, -1 if first.cell_dim(inner) % 2 else 1))
-        partial = _signed_sums(keyed_signs, s.coefficients.values())
-        return euler_integral(ConstructibleFunction(second, partial))
+    def iterate(key):
+        # a cell sends its value to its other part, signed by (-1)^dim of this one
+        inner, outer = carrier.factors[key], carrier.factors[1 - key]
+        indices = outer.cell_indices([cell[1 - key] for cell in support])
+        signs = np.array([1 - 2 * (inner.cell_dim(cell[key]) % 2) for cell in support], dtype=np.int64)
+        return euler_integral(_push(outer, indices, signs, s))
 
-    over_x_first = iterate(x, y, 0)
-    over_y_first = iterate(y, x, 1)
-    return direct, over_x_first, over_y_first
+    return euler_integral(s), iterate(0), iterate(1)
 
 
 def fubini_curvature(

@@ -80,6 +80,9 @@ LIBRARY_ONLY = {
     "morse_index",
     # the sum of morse_indices, which `morse-index` prints term by term
     "chi_sum_check",
+    # chi_c of every cell of a complex is its chi, which `validate`
+    # reports for both fields from the f-vector
+    "chi_c",
 }
 
 
@@ -239,6 +242,25 @@ def test_validate_reports_link_sizes(fixture_dir):
     assert report["chi"] == 2 and report["link"] == 8
 
 
+def test_validate_reports_chi_c_and_the_link_from_what_it_has(fixture_dir, monkeypatch):
+    # chi_c of every cell is chi, and s -> s - {v} sends the star onto
+    # the link plus the empty simplex: neither needs a second computation
+    from curvcalc import cli, euler
+    from curvcalc.complexes import SimplicialComplex
+
+    def recomputed(*args, **kwargs):
+        raise AssertionError("validate recomputed a number it already had")
+
+    monkeypatch.setattr(SimplicialComplex, "link", recomputed)
+    monkeypatch.setattr(euler, "chi_c", recomputed)
+    monkeypatch.setattr(cli, "chi_c", recomputed, raising=False)
+    code, out, _ = invoke("validate", str(fixture_dir / "octahedron.txt"), "--vertex", "top")
+    assert code == 0
+    report = json.loads(out)
+    assert report["chi_c"] == report["chi"] == 2
+    assert (report["star"], report["link"]) == (9, 8)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -299,6 +321,10 @@ def test_flags_are_rejected_where_nothing_reads_them(entry, flag, capsys):
         (("morse-curvature", "octahedron.txt", "--samples", "-3"), "must be at least 1, got -3"),
         (("adiabatic", "--profile", "sphere", "--grid", "4"), "--grid: must be at least 5, got 4"),
         (("adiabatic", "--profile", "sphere", "--grid", "x"), "--grid: invalid int value: 'x'"),
+        (("subdivide", "edge.txt", "--times", "-1"), "--times: must be at least 0, got -1"),
+        (("subdivide", "--census", "-1"), "--census: must be at least 0, got -1"),
+        (("integrate", "edge.txt", "--kind", "floor-oracle", "--oracle-n", "0"),
+         "--oracle-n: must be at least 1, got 0"),
     ],
 )
 def test_parser_checks_samples_and_grid(argv, message):
@@ -307,6 +333,14 @@ def test_parser_checks_samples_and_grid(argv, message):
     report = json.loads(err)
     assert report["error"] == "UsageError"
     assert report["message"].endswith(message)
+
+
+def test_integer_flags_accept_their_lowest_values(fixture_dir):
+    edge = str(fixture_dir / "edge.txt")
+    code, out, _ = invoke("subdivide", edge, "--times", "0")
+    assert code == 0 and len(parse_complex(out).complex) == 3  # the edge as it is
+    assert invoke("subdivide", "--census", "0") == (0, '{"1": 1}\n', "")  # the point itself
+    assert invoke("integrate", edge, "--kind", "floor-oracle", "--oracle-n", "1")[0] == 0
 
 
 def test_unknown_subcommand_exits_2():
@@ -343,6 +377,31 @@ def test_bad_document_reports_parse_error(tmp_path):
     bad.write_text("nonsense\n")
     code, _, err = invoke("validate", str(bad))
     assert code == 2
+    assert json.loads(err)["error"] == "ParseError"
+
+
+# JSON values that parse but are no rational: a zero denominator, and
+# floats json reads as infinite
+MALFORMED_VALUES = ['"1/0"', "Infinity", "-Infinity", "1e400"]
+
+
+@pytest.mark.parametrize("value", MALFORMED_VALUES)
+def test_malformed_function_values_exit_2_from_integrate(value, fixture_dir, tmp_path):
+    function = tmp_path / "f.json"
+    function.write_text(f'[{{"simplex": ["p0", "p1"], "value": {value}}}]')
+    code, out, err = invoke(
+        "integrate", str(fixture_dir / "edge.txt"), "--kind", "simple", "--function", str(function)
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("value", MALFORMED_VALUES)
+def test_malformed_function_values_exit_2_from_pushforward(value, tmp_path):
+    function = tmp_path / "f.json"
+    function.write_text(f'[{{"simplex": ["top"], "value": "1"}}, {{"simplex": ["e1"], "value": {value}}}]')
+    code, out, err = invoke(*_corpus_argv(FIRST_ENTRIES["pushforward"]), "--function", str(function))
+    assert code == 2 and out == ""
     assert json.loads(err)["error"] == "ParseError"
 
 
@@ -754,6 +813,27 @@ def test_fubini_curvature_table(fixture_dir):
     lines = out.strip().splitlines()
     assert lines[0] == "vertex,kappa_product,kappa_factor_product,joint_bound"
     assert len(lines) == 5
+
+
+def test_fubini_curvature_csv_and_json_hold_the_same_rows(fixture_dir):
+    argv = (
+        "fubini-check",
+        "--left", str(fixture_dir / "triangle.txt"),
+        "--right", str(fixture_dir / "edge.txt"),
+        "--kind", "curvature",
+        "--samples", "500",
+    )
+    code, csv_out, _ = invoke(*argv)
+    assert code == 0
+    header, *lines = csv_out.strip().splitlines()
+    code, json_out, _ = invoke(*argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(json_out)
+    assert len(rows) == len(lines) == 6
+    for line, row in zip(lines, rows):
+        name, *values = line.split(",")
+        assert list(row) == header.split(",")
+        assert list(row.values()) == [name, *map(float, values)]
 
 
 def test_adiabatic_csv_plus_summary(fixture_dir):

@@ -98,7 +98,21 @@ def _nan(data, draw):
     return data[: m.start()] + draw(st.sampled_from([b"nan", b"inf", b"-inf"])) + data[m.end():]
 
 
-MUTATIONS = [_flip, _drop_line, _duplicate_line, _collinear, _nan]
+JSON_VALUE = re.compile(rb'(?<=:)\s*("[^"]*"|-?\d[\d.eE+-]*)')
+
+
+def _json_literal(data, draw):
+    """Put a JSON value no rational reads in place of one: a zero
+    denominator, or a number json reads as an infinite float."""
+    values = list(JSON_VALUE.finditer(data))
+    if not values:
+        return data
+    m = values[draw(st.integers(0, len(values) - 1))]
+    literal = draw(st.sampled_from([b' "1/0"', b" Infinity", b" -Infinity", b" 1e400"]))
+    return data[: m.start()] + literal + data[m.end():]
+
+
+MUTATIONS = [_flip, _drop_line, _duplicate_line, _collinear, _nan, _json_literal]
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -244,6 +245,30 @@ class TestProducts:
         cube = product(product(edge, edge), edge)
         assert len(cube) == 27
         assert cube.euler_characteristic() == 1
+
+    def test_ordered_cells_are_the_sorted_product_of_the_factor_cells(self):
+        edge = SimplicialComplex.from_maximal([(0, 1)])
+        hollow = SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2)])
+        for x, y in ((hollow, edge), (edge, full_simplex_complex(2)), (product(edge, edge), edge)):
+            P = product(x, y)
+            cells = P.ordered_cells()
+            assert len(cells) == len(set(cells))
+            assert set(cells) == set(itertools.product(x.cells(), y.cells()))
+            keys = [(P.cell_dim(c), c) for c in cells]
+            assert keys == sorted(keys)
+            assert tuple(P.cells()) == cells
+
+    def test_has_cell_agrees_with_membership_in_the_cells(self):
+        edge = SimplicialComplex.from_maximal([(0, 1)])
+        hollow = SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2)])
+        P = product(hollow, edge)
+        cells = P.ordered_cells()
+        foreign = [((0,), (9,)), ((0,),), (), (0, 1), ((0, 1, 2), (0,)), ((0,), (0,), (0,))]
+        for cell in (*cells, *foreign):
+            assert P.has_cell(cell) == (cell in cells)
+        assert sum(map(P.has_cell, foreign)) == 0
+        with pytest.raises(TypeError):
+            P.has_cell([(0,), (0,)])
 
 
 class TestSimplicialMaps:

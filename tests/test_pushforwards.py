@@ -234,22 +234,38 @@ class TestFubiniChi:
         s = ConstructibleFunction.ones(P)
         assert fubini_chi(s) == (0, 0, 0)
 
-    @pytest.mark.parametrize("trial", range(6))
+    @pytest.mark.parametrize("trial", range(7))
     def test_random_functions_on_product_fixtures(self, trial, rng):
         edge = SimplicialComplex.from_maximal([(0, 1)])
         hollow = SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2)])
         tri = SimplicialComplex.from_maximal([(0, 1, 2)])
-        P = product((hollow, edge, tri)[trial % 3], (edge, tri, hollow)[trial % 3])
+        if trial == 6:  # an iterated product, with numerators past 2^63
+            P, scale = product(product(edge, edge), edge), 2**70
+        else:
+            P, scale = product((hollow, edge, tri)[trial % 3], (edge, tri, hollow)[trial % 3]), 1
         cells = sorted(P.cells(), key=repr)
         s = ConstructibleFunction(
             P,
             {
-                cells[i]: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6)))
+                cells[i]: Fraction(int(rng.integers(-9, 10)) * scale, int(rng.integers(1, 6)))
                 for i in rng.integers(0, len(cells), size=5)
             },
         )
+        if trial == 6:
+            assert max(map(abs, s._numerators.tolist())) >= 2**63
         direct, first, second = fubini_chi(s)
         assert direct == first == second
+
+    def test_reads_the_stored_form_only(self):
+        edge = SimplicialComplex.from_maximal([(0, 1)])
+        tri = SimplicialComplex.from_maximal([(0, 1, 2)])
+        s = Fraction(3, 2) * ConstructibleFunction.ones(product(tri, edge))
+        assert fubini_chi(s) == (Fraction(3, 2),) * 3
+        assert s._coefficients is None  # the Fraction dict was never built
+
+    def test_zero_function(self):
+        edge = SimplicialComplex.from_maximal([(0, 1)])
+        assert fubini_chi(ConstructibleFunction.zero(product(edge, edge))) == (0, 0, 0)
 
 
 class TestFubiniCurvature:
