@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", type=_int_in(0), default=1)
     p.add_argument(
         "--census",
-        type=_int_in(0),
+        type=_int_in(0, 17),
         help="print the signature census of a standard simplex instead",
     )
 

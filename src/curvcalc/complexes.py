@@ -238,7 +238,7 @@ class SimplicialComplex:
     @property
     def simplices(self) -> frozenset:
         if self._simplices is None:
-            self._simplices = frozenset(self.ordered_cells())
+            self._simplices = frozenset(self.cells())
         return self._simplices
 
     @property
@@ -331,12 +331,9 @@ class SimplicialComplex:
 
     # Generic cell-carrier protocol shared with ProductCellComplex, so the
     # Euler-integration code can treat both uniformly.
-    def cells(self):
-        """All simplices in (dimension, lexicographic) order."""
-        return iter(self.ordered_cells())
-
-    def ordered_cells(self) -> tuple[Simplex, ...]:
-        """The cells() sequence as a tuple, built on first use."""
+    def cells(self) -> tuple[Simplex, ...]:
+        """All simplices in (dimension, lexicographic) order, as a tuple
+        built on first use."""
         if self._cells is None:
             self._cells = tuple(
                 itertools.chain.from_iterable(map(self.simplices_of_dim, range(self.dim + 1)))
@@ -543,7 +540,7 @@ class SimplicialMap:
         (i,) = self.source.cell_indices([tuple(simplex)])
         if i < 0:
             raise UnknownSimplex(simplex)
-        return self.target.ordered_cells()[self.image_indices[i]]
+        return self.target.cells()[self.image_indices[i]]
 
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
         """self o inner (inner applied first)."""
@@ -578,7 +575,7 @@ def identity_map(complex: SimplicialComplex) -> SimplicialMap:
 def subdivision_vertex_simplices(complex: SimplicialComplex) -> list[Simplex]:
     """The simplices of the input in canonical order; the index of a
     simplex in this list is its vertex id in the subdivision."""
-    return list(complex.ordered_cells())
+    return list(complex.cells())
 
 
 def barycentric_subdivide(
@@ -658,35 +655,30 @@ def full_simplex_complex(n: int) -> SimplicialComplex:
     return SimplicialComplex.from_maximal([tuple(range(n + 1))])
 
 
-def signature_of_chain(chain: tuple[Simplex, ...]) -> tuple[int, ...]:
-    """(|A_0|, |A_1 - A_0|, ..., |A_i - A_{i-1}|) for a nested chain."""
-    sizes = [len(s) for s in chain]
-    return tuple([sizes[0]] + [b - a for a, b in zip(sizes, sizes[1:])])
-
-
-def _simplex_chains(n: int):
-    """The simplices of the first subdivision of the n-simplex, each as
-    its chain of faces of the n-simplex."""
-    simplex = full_simplex_complex(n)
-    cells = simplex.ordered_cells()
-    sd, _ = barycentric_subdivide(simplex)
-    return [
-        tuple(map(cells.__getitem__, chain))
-        for d in range(sd.dim + 1)
-        for chain in sd.vertex_positions(d).tolist()
-    ]
+def _signatures(n: int):
+    """The compositions (s_0, ..., s_i) of 1, ..., n+1, the signatures of
+    the chains of faces of the n-simplex, by length and then in
+    lexicographic order: one per increasing sequence of partial sums
+    |A_0| < ... < |A_i| <= n+1."""
+    for length in range(1, n + 2):
+        for sizes in itertools.combinations(range(1, n + 2), length):
+            yield tuple(map(operator.sub, sizes, (0, *sizes[:-1])))
 
 
 def signature_census(n: int) -> dict[tuple[int, ...], int]:
     """Count simplices of the first subdivision of the n-simplex by
-    signature. For a signature summing to n+1 the count is the multinomial
-    (n+1)!/(s_0!...s_i!); in general the unused vertices contribute one
-    more factorial in the denominator."""
-    census: dict[tuple[int, ...], int] = {}
-    for chain in _simplex_chains(n):
-        sig = signature_of_chain(chain)
-        census[sig] = census.get(sig, 0) + 1
-    return census
+    signature. The permutations of the n+1 vertices act transitively on
+    the chains of one signature, and a chain's stabilizer permutes each
+    A_k - A_{k-1} and the unused vertices, so for a signature summing to
+    n+1 the count is the multinomial (n+1)!/(s_0!...s_i!); in general the
+    unused vertices contribute one more factorial in the denominator."""
+    if n < 0:
+        raise ValueError("dimension must be nonnegative")
+    top = math.factorial(n + 1)
+    return {
+        sig: top // math.prod(map(math.factorial, (*sig, n + 1 - sum(sig))))
+        for sig in _signatures(n)
+    }
 
 
 def signature_barycenter_sums(n: int) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
@@ -697,20 +689,14 @@ def signature_barycenter_sums(n: int) -> dict[tuple[int, ...], tuple[Fraction, .
     v-coordinate (1/(i+1)) * sum over the A_k containing v of 1/|A_k|.
     The group sum B(sig) adds (-1)^i times that vector over all chains
     with the given signature. For a full signature with i > 0 this
-    cancels against B of its prefix.
+    cancels against B of its prefix. The vertex permutations permute
+    these chains and their barycenters' coordinates, so B(sig) is constant:
+    each entry is (-1)^i * count / (n+1), as a barycenter's sum to 1.
     """
-    sums: dict[tuple[int, ...], list[Fraction]] = {}
-    zero = [Fraction(0)] * (n + 1)
-    for chain in _simplex_chains(n):
-        sig = signature_of_chain(chain)
-        vec = sums.setdefault(sig, list(zero))
-        sign = -1 if (len(chain) - 1) % 2 else 1
-        scale = Fraction(sign, len(chain))
-        for part in chain:
-            share = scale / len(part)
-            for v in part:
-                vec[v] += share
-    return {sig: tuple(vec) for sig, vec in sums.items()}
+    return {
+        sig: (Fraction(-count if len(sig) % 2 == 0 else count, n + 1),) * (n + 1)
+        for sig, count in signature_census(n).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -731,19 +717,16 @@ class ProductCellComplex:
     def __init__(self, x, y):
         self.factors = (x, y)
         self._vertices = tuple(sorted((u, v) for u in x.vertices for v in y.vertices))
-        self._order = None  # built by the first ordered_cells() call
+        self._order = None  # built by the first cells() call
         self._index = None  # built by the first cell_indices() call
 
     @property
     def vertices(self):
         return self._vertices
 
-    def cells(self):
-        """All cells in (dimension, lexicographic) order."""
-        return iter(self.ordered_cells())
-
-    def ordered_cells(self) -> tuple:
-        """The cells() sequence as a tuple, built on first use."""
+    def cells(self) -> tuple:
+        """All cells in (dimension, lexicographic) order, as a tuple built
+        on first use."""
         if self._order is None:
             pairs = itertools.product(*(f.cells() for f in self.factors))
             self._order = tuple(sorted(pairs, key=lambda c: (self.cell_dim(c), c)))
@@ -753,7 +736,7 @@ class ProductCellComplex:
         """Position in cells() order of each of the given cells, or -1
         where one is not a cell of this complex."""
         if self._index is None:
-            self._index = {c: i for i, c in enumerate(self.ordered_cells())}
+            self._index = {c: i for i, c in enumerate(self.cells())}
         return np.fromiter((self._index.get(c, -1) for c in cells), dtype=np.int64)
 
     def f_vector(self) -> tuple[int, ...]:
@@ -768,7 +751,7 @@ class ProductCellComplex:
 
     @property
     def dim(self) -> int:
-        return max(map(self.cell_dim, self.ordered_cells()), default=-1)
+        return max(map(self.cell_dim, self.cells()), default=-1)
 
     def has_cell(self, cell) -> bool:  # an unhashable cell raises TypeError
         return bool(self.cell_indices((cell,))[0] >= 0)
@@ -791,10 +774,10 @@ class ProductCellComplex:
         )
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** self.cell_dim(c) for c in self.ordered_cells())
+        return sum((-1) ** self.cell_dim(c) for c in self.cells())
 
     def __len__(self):
-        return len(self.ordered_cells())
+        return len(self.cells())
 
     def __eq__(self, other):
         return (

@@ -132,7 +132,10 @@ class Embedding:
 
 
 def _vertex_sort_key(v):
-    return (0, v, "") if isinstance(v, int) else (1, -1, repr(v))
+    """Ints in order, then tuples entrywise by this key, then the rest by repr."""
+    if isinstance(v, tuple):
+        return (1, tuple(map(_vertex_sort_key, v)))
+    return (0, v) if isinstance(v, int) else (2, repr(v))
 
 
 def _rule_flags(edges: np.ndarray) -> np.ndarray:

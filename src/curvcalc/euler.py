@@ -111,7 +111,7 @@ class ConstructibleFunction:
     def coefficients(self) -> dict:
         """{cell: nonzero Fraction coefficient}, built on first read."""
         if self._coefficients is None:
-            cells = map(self.carrier.ordered_cells().__getitem__, self._cells.tolist())
+            cells = map(self.carrier.cells().__getitem__, self._cells.tolist())
             self._coefficients = dict(zip(cells, _fractions(self._numerators, self._common)))
         return self._coefficients
 

@@ -90,8 +90,7 @@ def morse_curvature_measure(
     embedding: Embedding,
     samples: int = 100_000,
     seed: int = 0,
-    with_stats: bool = False,
-):
+) -> dict:
     """Direction-averaged Morse index per vertex, with standard errors.
 
     Directions come in antithetic pairs x, -x, ceil(samples / 2) of
@@ -121,7 +120,4 @@ def morse_curvature_measure(
     squares[columns[carrier.vertex_positions(2)]] += 0.25
     bound = np.sqrt(squares / ((pairs + 1.0) * pairs))
     # a coordinate the complex does not use is in no simplex: its sums are 0
-    result = {v: ValueWithError(float(mean[i]), float(bound[i])) for v, i in index.items()}
-    if with_stats:
-        return result, stats
-    return result
+    return {v: ValueWithError(float(mean[i]), float(bound[i])) for v, i in index.items()}

@@ -19,7 +19,7 @@ from .complexes import (
     _integer_array,
     _magnitude,
 )
-from .curvature import Embedding, ValueWithError, curvature_measure, product_embedding
+from .curvature import Embedding, curvature_measure, product_embedding
 from .errors import CarrierMismatch, UnknownSimplex
 from .euler import ConstructibleFunction, euler_integral
 
@@ -75,7 +75,7 @@ def fubini_chi(s: ConstructibleFunction):
     carrier = s.carrier
     if not isinstance(carrier, ProductCellComplex):
         raise CarrierMismatch("fubini_chi needs a function on a product cell complex")
-    support = list(map(carrier.ordered_cells().__getitem__, s._cells.tolist()))
+    support = list(map(carrier.cells().__getitem__, s._cells.tolist()))
 
     def iterate(key):
         # a cell sends its value to its other part, signed by (-1)^dim of this one
@@ -137,10 +137,3 @@ def fubini_curvature(
         )
     return rows
 
-
-def product_total_curvature(embedding: Embedding, samples: int = 100_000, seed: int = 0) -> ValueWithError:
-    """Total curvature mass of an embedded product complex (Monte Carlo)."""
-    kappa = curvature_measure(embedding, method="mc", samples=samples, seed=seed)
-    return ValueWithError(
-        sum(k.value for k in kappa.values()), sum(k.bound for k in kappa.values())
-    )

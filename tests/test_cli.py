@@ -11,6 +11,8 @@ import pytest
 
 import curvcalc
 from curvcalc.cli import build_parser, run
+from curvcalc.complexes import product
+from curvcalc.errors import UsageError
 from curvcalc.io import parse_complex
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -341,6 +343,42 @@ def test_integer_flags_accept_their_lowest_values(fixture_dir):
     assert code == 0 and len(parse_complex(out).complex) == 3  # the edge as it is
     assert invoke("subdivide", "--census", "0") == (0, '{"1": 1}\n', "")  # the point itself
     assert invoke("integrate", edge, "--kind", "floor-oracle", "--oracle-n", "1")[0] == 0
+
+
+def test_census_stops_below_17():
+    # the census of the n-simplex lists 2^(n+1) - 1 signatures
+    with pytest.raises(UsageError, match="--census: must be below 17, got 17"):
+        build_parser().parse_args(["subdivide", "--census", "17"])
+    code, out, err = invoke("subdivide", "--census", "16")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)) == 2**17 - 1
+
+
+def test_product_rows_follow_the_product_vertices(tmp_path, fixture_dir):
+    # a path of 11 edges: by repr, p10 * p0 would come before p2 * p0
+    path = tmp_path / "path11.txt"
+    path.write_text(
+        "\n".join(
+            [
+                "curvcalc-complex v1",
+                "vertices",
+                *(f"p{i} {float(i)}" for i in range(12)),
+                "simplices",
+                *(f"p{i} p{i + 1}" for i in range(11)),
+            ]
+        )
+        + "\n"
+    )
+    edge = fixture_dir / "edge.txt"
+    code, out, _ = invoke(
+        "fubini-check", "--left", str(path), "--right", str(edge), "--kind", "curvature",
+        "--samples", "200", "--format", "json",
+    )
+    assert code == 0
+    left, right = parse_complex(path.read_text()), parse_complex(edge.read_text())
+    carrier = product(left.complex, right.complex)
+    expected = [f"{left.names[u]}*{right.names[v]}" for u, v in carrier.vertices]
+    assert [row["vertex"] for row in json.loads(out)] == expected
 
 
 def test_unknown_subcommand_exits_2():

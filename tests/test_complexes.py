@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,9 @@ from curvcalc.complexes import (
     validate_simplices,
 )
 from curvcalc.errors import MissingFace, NotComposable, UnknownSimplex, UnknownVertex
-from curvcalc import fixtures
+from curvcalc import complexes, fixtures
+
+import complex_oracles
 
 
 def brute_force_link(complex, v):
@@ -202,6 +205,48 @@ class TestSignatures:
             total = [a + b for a, b in zip(total, vec)]
         assert tuple(total) == tuple([Fraction(1, n + 1)] * (n + 1))
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_census_counts_the_subdivision_rows(self, n):
+        # the closed form against the chains of the subdivision itself: a
+        # chain element's size is its dimension in the f-vector offsets
+        import numpy as np
+
+        simplex = full_simplex_complex(n)
+        offsets = np.cumsum((0, *simplex.f_vector()))
+        sd, _ = barycentric_subdivide(simplex)
+        counted = Counter()
+        for d in range(sd.dim + 1):
+            sizes = np.searchsorted(offsets, sd.vertex_positions(d), side="right")
+            counted.update(map(tuple, np.diff(sizes, axis=1, prepend=0).tolist()))
+        assert counted == signature_census(n)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_group_sums_add_the_oracle_chains(self, n):
+        # B(sig) summed chain by chain over the oracle's chains of faces
+        simps, chains = complex_oracles.chains(full_simplex_complex(n))
+        sums = {}
+        for chain in chains:
+            parts = [simps[i] for i in chain]
+            sig = (len(parts[0]), *(len(b) - len(a) for a, b in zip(parts, parts[1:])))
+            vec = sums.setdefault(sig, [Fraction(0)] * (n + 1))
+            scale = Fraction((-1) ** (len(chain) - 1), len(chain))
+            for part in parts:
+                for v in part:
+                    vec[v] += scale / len(part)
+        assert {sig: tuple(vec) for sig, vec in sums.items()} == signature_barycenter_sums(n)
+
+    def test_census_subdivides_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the census needs no subdivision")
+
+        monkeypatch.setattr(complexes, "barycentric_subdivide", refuse)
+        assert len(signature_census(6)) == 2**7 - 1
+        assert len(signature_barycenter_sums(4)) == 2**5 - 1
+
+    def test_negative_dimension_is_rejected(self):
+        with pytest.raises(ValueError):
+            signature_census(-1)
+
 
 class TestProducts:
     def test_point_times_complex_is_isomorphic(self):
@@ -251,7 +296,7 @@ class TestProducts:
         hollow = SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2)])
         for x, y in ((hollow, edge), (edge, full_simplex_complex(2)), (product(edge, edge), edge)):
             P = product(x, y)
-            cells = P.ordered_cells()
+            cells = P.cells()
             assert len(cells) == len(set(cells))
             assert set(cells) == set(itertools.product(x.cells(), y.cells()))
             keys = [(P.cell_dim(c), c) for c in cells]
@@ -262,7 +307,7 @@ class TestProducts:
         edge = SimplicialComplex.from_maximal([(0, 1)])
         hollow = SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2)])
         P = product(hollow, edge)
-        cells = P.ordered_cells()
+        cells = P.cells()
         foreign = [((0,), (9,)), ((0,),), (), (0, 1), ((0, 1, 2), (0,)), ((0,), (0,), (0,))]
         for cell in (*cells, *foreign):
             assert P.has_cell(cell) == (cell in cells)

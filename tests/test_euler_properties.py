@@ -211,7 +211,7 @@ def test_pushforward_of_stored_functions_along_the_last_vertex_map(data):
     sd2, _ = barycentric_subdivide(sd1)
     last = {i: s[-1] for i, s in enumerate(subdivision_vertex_simplices(sd1))}
     f = SimplicialMap(sd2, sd1, last)
-    cells = sd2.ordered_cells()
+    cells = sd2.cells()
     huge = ConstructibleFunction(sd2, data.draw(st.dictionaries(st.sampled_from(cells), VALUES, max_size=12)))
     for s in (ConstructibleFunction.ones(sd2), huge):
         pushed = pushforward(f, s)

@@ -960,21 +960,28 @@ def test_morse_stats_square_the_widest_int8_pair_exactly():
 @pytest.mark.parametrize("name", ["octahedron", "book"])
 def test_slicing_changes_no_measure(name, monkeypatch):
     _, emb = getattr(fixtures, name)()
-    cone_stats = []
+    cone_stats, link_stats = [], []
     run_cone_counts = mc.run_cone_counts
+    run_lower_link_stats = mc.run_lower_link_stats
 
     def recorded(*args):
         counts, stats = run_cone_counts(*args)
         cone_stats.append(stats)
         return counts, stats
 
+    def recorded_links(*args):
+        sums, sumsq, stats = run_lower_link_stats(*args)
+        link_stats.append(stats)
+        return sums, sumsq, stats
+
     monkeypatch.setattr(mc, "run_cone_counts", recorded)
+    monkeypatch.setattr(mc, "run_lower_link_stats", recorded_links)
     samples = 2 * mc.BLOCK_ROWS + 400
 
     def measures():
         return (
             curvature_measure(emb, method="mc", samples=samples, seed=9),
-            morse_curvature_measure(emb, samples=samples, seed=9, with_stats=True),
+            morse_curvature_measure(emb, samples=samples, seed=9),
         )
 
     default = measures()
@@ -992,6 +999,7 @@ def test_slicing_changes_no_measure(name, monkeypatch):
     # ValueWithError tuples and McStats compare exactly
     assert sliced == default
     assert cone_stats[0] == cone_stats[1]
+    assert link_stats[0] == link_stats[1]
 
 
 def test_kernel_memory_stays_under_the_budget():

@@ -258,11 +258,19 @@ class TestMorseMeasure:
         for v in set(emb.vertex_order) - set(X.vertices):
             assert kappa[v] == cone[v] == (0.0, 0.0)
 
-    def test_tie_resampling_is_rare(self):
+    def test_tie_resampling_is_rare(self, monkeypatch):
         _, emb = fixtures.octahedron()
-        _, stats = morse_curvature_measure(
-            emb, samples=100_000, seed=5, with_stats=True
-        )
+        recorded = []
+        run_lower_link_stats = mc.run_lower_link_stats
+
+        def record(*args):
+            sums, sumsq, stats = run_lower_link_stats(*args)
+            recorded.append(stats)
+            return sums, sumsq, stats
+
+        monkeypatch.setattr(mc, "run_lower_link_stats", record)
+        morse_curvature_measure(emb, samples=100_000, seed=5)
+        (stats,) = recorded
         assert stats.samples == 100_000
         assert stats.resampled <= 2
 

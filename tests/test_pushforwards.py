@@ -293,9 +293,10 @@ class TestFubiniCurvature:
     def test_cube_total_mass_is_one(self):
         _, ex = fixtures.segment()
         from curvcalc.curvature import product_embedding
-        from curvcalc.pushforwards import product_total_curvature
+        from curvcalc.curvature import gauss_bonnet_check
 
         square = product_embedding(ex, ex)
         cube = product_embedding(square, ex)
-        total = product_total_curvature(cube, samples=40_000, seed=12)
-        assert abs(total.value - 1.0) <= 4 * max(total.bound, 1e-12)
+        check = gauss_bonnet_check(cube, method="mc", samples=40_000, seed=12)
+        assert check["chi"] == 1
+        assert check["discrepancy"] <= 4 * max(check["bound"], 1e-12)
