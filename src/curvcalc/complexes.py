@@ -276,7 +276,9 @@ class SimplicialComplex:
         A row is keyed by (index of the face without its last vertex,
         last position), one dimension at a time, so a key stays below
         n_{k-2} * n_vertices: it cannot overflow int64 where a mixed radix
-        over all k positions would.
+        over all k positions would. The cells() keys of SimplicialMap
+        (_cell_keys) shift these by the start of each dimension in cells(),
+        which needs len(self) * n_vertices < 2**63.
         """
         rows = np.asarray(rows, dtype=np.int64)
         index = rows[:, 0]  # a vertex's position is its 0-simplex index
@@ -298,6 +300,23 @@ class SimplicialComplex:
             keys = self.simplex_indices(rows[:, :-1]) * len(self._ids) + rows[:, -1]
             self._keys[d] = keys
         return keys
+
+    def _cell_keys(self) -> np.ndarray:
+        """The keys of every simplex of dimension >= 1, in cells() order:
+        (cells() index of the face without the last vertex) * n_vertices
+        + last position, which is _simplex_keys(d) shifted by the start
+        of dimension d - 1 in cells(). They are strictly increasing, and
+        end with the sentinel len(self) * n_vertices, above every key and
+        query, so a searchsorted lookup always lands on an entry."""
+        n = len(self._ids)
+        if len(self) * n >= _INT64_LIMIT:
+            raise OverflowError(
+                f"{len(self)} simplices on {n} vertices: cell keys need "
+                "len(complex) * n_vertices < 2**63"
+            )
+        offsets = np.cumsum((0, *self.f_vector()))
+        shifted = [self._simplex_keys(d) + offsets[d - 1] * n for d in range(1, self.dim + 1)]
+        return np.concatenate((*shifted, [len(self) * n]))
 
     def cell_indices(self, cells) -> np.ndarray:
         """Position in cells() order of each of the given cells, or -1
@@ -483,13 +502,18 @@ def constant_function(complex: SimplicialComplex, value) -> PLFunction:
 class SimplicialMap:
     """A vertex map whose induced simplex images land in the target.
 
-    The images are computed once per source dimension, on arrays: the
-    rows of source.vertex_positions(d) go through the vertex map, each
-    row is sorted and stripped of repeats, and the result is looked up
-    among the target's rows of its size. For each source cell, in
-    cells() order, the map keeps the index of its image in the target's
-    cells() order (image_indices) and the sign (-1)^(dim s - dim f(s))
-    (image_signs).
+    The images are computed once per source dimension, on columns: the
+    rows of source.vertex_positions(d) go through the vertex map, one
+    column per vertex slot, and a compare-exchange network sorts each
+    row across the columns. A walk from the left column then finds each
+    image's index in the target's cells() order. The first column is a
+    vertex, which is its own index. A column equal to its left neighbour
+    repeats a vertex: it keeps the index and drops one dimension. Any
+    other column adds a vertex: one searchsorted step among the target's
+    cell keys (_cell_keys), where a miss gives -1 and stays -1. For each
+    source cell, in cells() order, the map keeps the index of its image
+    (image_indices) and the sign (-1)^(dim s - dim f(s)) (image_signs),
+    the parity of the repeats.
     """
 
     __slots__ = ("source", "target", "vertex_map", "image_indices", "image_signs")
@@ -506,27 +530,31 @@ class SimplicialMap:
         moved = np.searchsorted(
             target._ids, np.array([vm[v] for v in source.vertices], dtype=np.int64)
         )
-        target_offsets = np.cumsum((0, *target.f_vector()))
-        indices = np.empty(len(source), dtype=np.int64)
-        signs = np.empty(len(source), dtype=np.int64)
-        start = 0
+        n = len(target._ids)
+        keys = target._cell_keys()
+        indices, signs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         for d in range(source.dim + 1):
-            rows = np.sort(moved[source.vertex_positions(d)], axis=1)
-            fresh = np.ones(rows.shape, dtype=bool)
-            fresh[:, 1:] = rows[:, 1:] != rows[:, :-1]
-            sizes = fresh.sum(axis=1)
-            found = np.empty(len(rows), dtype=np.int64)
-            for k in np.flatnonzero(np.bincount(sizes)).tolist():
-                sel = np.flatnonzero(sizes == k)
-                found[sel] = target.simplex_indices(rows[sel][fresh[sel]].reshape(-1, k))
-            missing = np.flatnonzero(found < 0)
+            columns = list(moved[source.vertex_positions(d).T])
+            # a compare-exchange network: after the pairs (i, j > i),
+            # column i holds the least of columns i..d
+            for i, j in itertools.combinations(range(d + 1), 2):
+                columns[i], columns[j] = np.minimum(columns[i], columns[j]), np.maximum(columns[i], columns[j])
+            index = columns[0]  # a vertex's position is its cells() index
+            odd = np.zeros(len(index), dtype=bool)  # parity of dim s - dim f(s)
+            for left, column in zip(columns, columns[1:]):
+                query = index * n + column  # a miss (-1) makes a negative query
+                at = np.searchsorted(keys, query)
+                repeat = column == left
+                index = np.where(repeat, index, np.where(keys[at] == query, at + n, -1))
+                odd ^= repeat
+            missing = np.flatnonzero(index < 0)
             if len(missing):
                 i = missing[0]
-                image = tuple(target.vertices[p] for p in rows[i][fresh[i]].tolist())
-                raise MissingFace(source.simplices_of_dim(d)[i], image)
-            indices[start:start + len(rows)] = target_offsets[sizes - 1] + found
-            signs[start:start + len(rows)] = np.where((d + 1 - sizes) % 2, -1, 1)
-            start += len(rows)
+                image = sorted({target.vertices[p] for p in moved[source.vertex_positions(d)[i]].tolist()})
+                raise MissingFace(source.simplices_of_dim(d)[i], tuple(image))
+            indices.append(index)
+            signs.append(np.where(odd, -1, 1))
+        indices, signs = np.concatenate(indices), np.concatenate(signs)
         indices.flags.writeable = signs.flags.writeable = False
         self.source = source
         self.target = target

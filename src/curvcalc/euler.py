@@ -116,9 +116,13 @@ class ConstructibleFunction:
         return self._coefficients
 
     def __call__(self, cell) -> Fraction:
-        if not self.carrier.has_cell(cell):
-            raise ForeignCell(cell)
-        return self.coefficients.get(cell, Fraction(0))
+        value = self.coefficients.get(cell)
+        # a tuple of plain ints equal to a support cell is that cell; the
+        # carrier checks the rest, such as floats equal to vertex ids
+        if value is None or type(cell) is not tuple or not all(type(v) is int for v in cell):
+            if not self.carrier.has_cell(cell):
+                raise ForeignCell(cell)
+        return Fraction(0) if value is None else value
 
     def __add__(self, other: "ConstructibleFunction") -> "ConstructibleFunction":
         if self.carrier != other.carrier:

@@ -145,3 +145,19 @@ def parse_complex_by_lines(text: str) -> ComplexDocument:
             raise ParseError("alpha given for some vertices but not all")
         alpha = PLFunction(complex, alphas)
     return ComplexDocument(complex, names, coords or None, alpha)
+
+
+def map_images(source, target, vertex_map):
+    """(image indices, image signs, first bad (simplex, image) or None) of
+    a vertex map, one source cell at a time in cells() order: the image
+    of s is the sorted set of its vertices' images, looked up in
+    target.cells(), and its sign is (-1)**(len(s) - len(image))."""
+    index = {c: i for i, c in enumerate(target.cells())}
+    indices, signs = [], []
+    for s in source.cells():
+        image = tuple(sorted({vertex_map[v] for v in s}))
+        if image not in index:
+            return indices, signs, (s, image)
+        indices.append(index[image])
+        signs.append((-1) ** (len(s) - len(image)))
+    return indices, signs, None

@@ -4,6 +4,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from curvcalc.complexes import (
@@ -380,6 +381,85 @@ class TestSimplicialMaps:
             assert caught.value.simplex == bad[0]
             assert caught.value.face == tuple(sorted({vertex_map[v] for v in bad[0]}))
 
+    @staticmethod
+    def assert_matches_oracle(source, target, vertex_map):
+        indices, signs, bad = complex_oracles.map_images(source, target, vertex_map)
+        if bad is not None:
+            with pytest.raises(MissingFace) as caught:
+                SimplicialMap(source, target, vertex_map)
+            assert (caught.value.simplex, caught.value.face) == bad
+            return False
+        f = SimplicialMap(source, target, vertex_map)
+        assert f.image_indices.tolist() == indices
+        assert f.image_signs.tolist() == signs
+        return True
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_images_match_the_tuple_oracle(self, seed):
+        # collapsing maps into random targets, into full simplices (where
+        # every image is a simplex) and from a subdivision onto its
+        # complex by last vertex (always simplicial)
+        rng = np.random.default_rng(seed)
+        found = Counter()
+        for trial in range(30):
+            X = fixtures.random_complex(rng, max_vertices=9, max_dim=4)
+            k = int(rng.integers(1, 6))
+            for target in (fixtures.random_complex(rng, max_vertices=6, max_dim=3), full_simplex_complex(k)):
+                images = rng.choice(target.vertices, size=len(X.vertices)).tolist()
+                found[self.assert_matches_oracle(X, target, dict(zip(X.vertices, images)))] += 1
+            sd, _ = barycentric_subdivide(X)
+            last = {i: s[-1] for i, s in enumerate(X.cells())}
+            assert self.assert_matches_oracle(sd, X, last)
+        assert found[True] >= 30 and found[False] >= 5
+
+    def test_target_with_only_vertices(self):
+        # no simplex above dimension 0, so the target has no cell key to
+        # search: collapsed edges map onto vertices, any other edge misses
+        X = SimplicialComplex.from_maximal([(0, 1, 2), (2, 3)])
+        points = SimplicialComplex.from_maximal([(5,), (7,)])
+        assert self.assert_matches_oracle(X, points, {0: 7, 1: 7, 2: 7, 3: 7})
+        assert not self.assert_matches_oracle(X, points, {0: 7, 1: 7, 2: 7, 3: 5})
+        assert self.assert_matches_oracle(points, points, {5: 5, 7: 7})
+
+    def test_empty_source(self):
+        empty = SimplicialComplex()
+        for target in (empty, fixtures.point(), fixtures.octahedron()[0]):
+            f = SimplicialMap(empty, target, {})
+            assert f.image_indices.tolist() == f.image_signs.tolist() == []
+
+    def test_a_repeat_then_a_miss_names_the_first_bad_face(self):
+        # the row (0, 1, 2) goes to (4, 4, 6): a repeat, then the non-edge
+        # (4, 6); its face (0, 2) misses first and is the one named
+        X = SimplicialComplex.from_maximal([(0, 1, 2)])
+        target = SimplicialComplex.from_maximal([(4, 5), (6,)])
+        with pytest.raises(MissingFace) as caught:
+            SimplicialMap(X, target, {0: 4, 1: 4, 2: 6})
+        assert (caught.value.simplex, caught.value.face) == ((0, 2), (4, 6))
+        assert not self.assert_matches_oracle(X, target, {2: 4, 1: 6, 0: 4})
+
+    def test_the_vertex_map_is_validated_one_vertex_at_a_time(self):
+        # an image must equal a target vertex as a set member: 1.0 and
+        # True are vertex 1, 1.5 and "1" are not; the first bad vertex
+        # in source.vertices order is named
+        X = fixtures.path_complex(2)
+        target = fixtures.path_complex(3)
+        for bad in (1.5, "1"):
+            with pytest.raises(UnknownVertex) as caught:
+                SimplicialMap(X, target, {0: bad, 1: 2, 2: 3})
+            assert caught.value.vertex == bad and type(caught.value.vertex) is type(bad)
+        for alias in (1.0, True):
+            f = SimplicialMap(X, target, {0: alias, 1: 2, 2: 3})
+            assert f.image((0, 1)) == (1, 2)
+        with pytest.raises(UnknownVertex) as caught:
+            SimplicialMap(X, target, {0: 0, 1: 9, 2: 1.5})
+        assert caught.value.vertex == 9
+        with pytest.raises(UnknownVertex) as caught:
+            SimplicialMap(X, target, {0: 0, 2: "1"})
+        assert caught.value.vertex == 1  # vertex 1 has no image
+        with pytest.raises(UnknownVertex) as caught:
+            SimplicialMap(X, target, {2: 0, 1: "1", 0: 1.5})
+        assert caught.value.vertex == 1.5
+
     def test_image_arrays_follow_cells_order(self):
         f, path = fixtures.octahedron_to_path()
         target_cells = list(path.cells())
@@ -424,6 +504,14 @@ class TestSimplexLookup:
         assert big.simplex_indices([(0, n - 1)]).tolist() == [-1]
         assert big.simplex_indices([(n - 2, n - 1)]).tolist() != [-1]
 
+    def test_cell_keys_refuse_to_overflow(self, monkeypatch):
+        # a map's cell keys reach len(target) * n_vertices, which must stay
+        # below 2^63; a complex that large cannot be built, so fake its size
+        path = fixtures.path_complex(2)
+        monkeypatch.setattr(SimplicialComplex, "__len__", lambda self: 2**62)
+        with pytest.raises(OverflowError, match=r"2\*\*63"):
+            SimplicialMap(path, path, {v: v for v in path.vertices})
+
     def test_maps_onto_high_vertex_positions(self, big):
         n = self.N
         # a 5-simplex plus a tail of vertices, collapsed onto big's
@@ -435,6 +523,9 @@ class TestSimplexLookup:
         f = SimplicialMap(source, big, onto)
         for s in source.cells():
             assert f.image(s) == tuple(sorted({onto[v] for v in s}))
+        assert TestSimplicialMaps.assert_matches_oracle(source, big, onto)
+        identity = {v: v for v in big.vertices}
+        assert TestSimplicialMaps.assert_matches_oracle(big, big, identity)
         onto[0] = n - 6  # (n-6, n-5) is not an edge of big
         with pytest.raises(MissingFace) as caught:
             SimplicialMap(source, big, onto)

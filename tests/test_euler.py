@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from curvcalc.complexes import (
@@ -9,6 +10,7 @@ from curvcalc.complexes import (
     barycentric_subdivide,
     constant_function,
     full_simplex_complex,
+    product,
 )
 from curvcalc.errors import CarrierTooHighDimensional, ForeignCell
 from curvcalc.euler import (
@@ -49,6 +51,42 @@ class TestChiC:
         X, _ = edge_with_identity()
         with pytest.raises(ForeignCell):
             chi_c(X, [(0, 2)])
+
+
+class TestCall:
+    def test_reads_the_support_and_zero_elsewhere(self):
+        X, _ = fixtures.octahedron()
+        s = ConstructibleFunction(X, {(0, 2): Fraction(1, 3), (0, 2, 3): 2})
+        assert s((0, 2)) == Fraction(1, 3) and s((0, 2, 3)) == 2
+        assert s((1,)) == 0 and s((1, 4, 5)) == 0
+        assert s((np.int64(0), np.int64(2))) == Fraction(1, 3)
+        assert s((True, 2)) == 0  # True is vertex 1, as has_cell reads it
+        assert all(type(s(c)) is Fraction for c in X.cells())
+
+    @pytest.mark.parametrize(
+        "cell",
+        [(0, 1), (2, 0), (0, 2, 2), (9,), (), (0.0, 2.0), (0.0, 2.0, 3.0), (1.0,), ((0,), (2,))],
+    )
+    def test_a_non_cell_is_foreign_even_when_it_equals_a_support_cell(self, cell):
+        # (0.0, 2.0) hashes and compares equal to the support cell (0, 2),
+        # but its entries are not vertex ids
+        X, _ = fixtures.octahedron()
+        s = ConstructibleFunction(X, {(0, 2): 1, (0, 2, 3): 2, (1,): 3})
+        with pytest.raises(ForeignCell):
+            s(cell)
+
+    def test_unhashable_cells_raise_type_error(self):
+        X, _ = fixtures.octahedron()
+        with pytest.raises(TypeError):
+            ConstructibleFunction.ones(X)([0, 2])
+
+    def test_product_carriers(self):
+        edge = SimplicialComplex.from_maximal([(0, 1)])
+        P = product(edge, edge)
+        s = ConstructibleFunction(P, {((0,), (0, 1)): 5})
+        assert s(((0,), (0, 1))) == 5 and s(((1,), (0,))) == 0
+        with pytest.raises(ForeignCell):
+            s(((0,), (2,)))
 
 
 class TestEulerIntegral:
