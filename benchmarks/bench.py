@@ -1,13 +1,13 @@
 """Write BENCH_<workload>.json: the benchmark's metrics for one workload.
 
-    python3 benchmarks/bench.py --workload euler-subdiv [--seeds 7 8]
-                                [--seconds 36] [--out benchmarks]
+    python3 benchmarks/bench.py --workload euler-subdiv [--seeds 7 8] [--seconds 36]
 
 For each seed, perfbench/run.py runs in its own interpreter, once at
 --trace 0 (the end-to-end metrics) and once at --trace 1 (the per-layer
-metrics). The file keeps each run's JSON result line with its run metadata
-and host probe note, the median over the seeds of every metric, the host
-(nproc, numpy, BLAS, Python, CPU model), the seeds and the commit measured.
+metrics). The file, written next to this script, keeps each run's JSON
+result line with its run metadata and host probe note, the median over the
+seeds of every metric, the host (nproc, numpy, BLAS, Python, CPU model),
+the seeds and the commit measured.
 A run that exits non-zero or reports a failed job stops the script before
 anything is written. Times are perfbench's reference seconds; see
 perfbench/README.md.
@@ -33,7 +33,6 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 8])
     parser.add_argument("--seconds", type=float, default=36.0)
-    parser.add_argument("--out", default=os.path.join(ROOT, "benchmarks"))
     return parser.parse_args(argv)
 
 
@@ -108,8 +107,7 @@ def main(argv=None):
         },
         **{key: {"median": medians(runs), "runs": runs} for key, runs in sections.items()},
     }
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"BENCH_{args.workload}.json")
+    path = os.path.join(ROOT, "benchmarks", f"BENCH_{args.workload}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(bench, handle, indent=1)
         handle.write("\n")

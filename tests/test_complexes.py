@@ -36,6 +36,22 @@ def brute_force_link(complex, v):
     }
 
 
+def matches_map_oracle(source, target, vertex_map) -> bool:
+    """Check SimplicialMap against the tuple oracle: the same image arrays,
+    or MissingFace naming the oracle's first bad (simplex, image).
+    Returns whether the map is simplicial."""
+    indices, signs, bad = complex_oracles.map_images(source, target, vertex_map)
+    if bad is not None:
+        with pytest.raises(MissingFace) as caught:
+            SimplicialMap(source, target, vertex_map)
+        assert (caught.value.simplex, caught.value.face) == bad
+        return False
+    f = SimplicialMap(source, target, vertex_map)
+    assert f.image_indices.tolist() == indices
+    assert f.image_signs.tolist() == signs
+    return True
+
+
 class TestValidation:
     def test_edge_with_endpoints_is_valid(self):
         X = SimplicialComplex([(0,), (1,), (0, 1)])
@@ -381,19 +397,6 @@ class TestSimplicialMaps:
             assert caught.value.simplex == bad[0]
             assert caught.value.face == tuple(sorted({vertex_map[v] for v in bad[0]}))
 
-    @staticmethod
-    def assert_matches_oracle(source, target, vertex_map):
-        indices, signs, bad = complex_oracles.map_images(source, target, vertex_map)
-        if bad is not None:
-            with pytest.raises(MissingFace) as caught:
-                SimplicialMap(source, target, vertex_map)
-            assert (caught.value.simplex, caught.value.face) == bad
-            return False
-        f = SimplicialMap(source, target, vertex_map)
-        assert f.image_indices.tolist() == indices
-        assert f.image_signs.tolist() == signs
-        return True
-
     @pytest.mark.parametrize("seed", range(6))
     def test_images_match_the_tuple_oracle(self, seed):
         # collapsing maps into random targets, into full simplices (where
@@ -406,10 +409,10 @@ class TestSimplicialMaps:
             k = int(rng.integers(1, 6))
             for target in (fixtures.random_complex(rng, max_vertices=6, max_dim=3), full_simplex_complex(k)):
                 images = rng.choice(target.vertices, size=len(X.vertices)).tolist()
-                found[self.assert_matches_oracle(X, target, dict(zip(X.vertices, images)))] += 1
+                found[matches_map_oracle(X, target, dict(zip(X.vertices, images)))] += 1
             sd, _ = barycentric_subdivide(X)
             last = {i: s[-1] for i, s in enumerate(X.cells())}
-            assert self.assert_matches_oracle(sd, X, last)
+            assert matches_map_oracle(sd, X, last)
         assert found[True] >= 30 and found[False] >= 5
 
     def test_target_with_only_vertices(self):
@@ -417,9 +420,9 @@ class TestSimplicialMaps:
         # search: collapsed edges map onto vertices, any other edge misses
         X = SimplicialComplex.from_maximal([(0, 1, 2), (2, 3)])
         points = SimplicialComplex.from_maximal([(5,), (7,)])
-        assert self.assert_matches_oracle(X, points, {0: 7, 1: 7, 2: 7, 3: 7})
-        assert not self.assert_matches_oracle(X, points, {0: 7, 1: 7, 2: 7, 3: 5})
-        assert self.assert_matches_oracle(points, points, {5: 5, 7: 7})
+        assert matches_map_oracle(X, points, {0: 7, 1: 7, 2: 7, 3: 7})
+        assert not matches_map_oracle(X, points, {0: 7, 1: 7, 2: 7, 3: 5})
+        assert matches_map_oracle(points, points, {5: 5, 7: 7})
 
     def test_empty_source(self):
         empty = SimplicialComplex()
@@ -435,7 +438,7 @@ class TestSimplicialMaps:
         with pytest.raises(MissingFace) as caught:
             SimplicialMap(X, target, {0: 4, 1: 4, 2: 6})
         assert (caught.value.simplex, caught.value.face) == ((0, 2), (4, 6))
-        assert not self.assert_matches_oracle(X, target, {2: 4, 1: 6, 0: 4})
+        assert not matches_map_oracle(X, target, {2: 4, 1: 6, 0: 4})
 
     def test_the_vertex_map_is_validated_one_vertex_at_a_time(self):
         # an image must equal a target vertex as a set member: 1.0 and
@@ -523,9 +526,9 @@ class TestSimplexLookup:
         f = SimplicialMap(source, big, onto)
         for s in source.cells():
             assert f.image(s) == tuple(sorted({onto[v] for v in s}))
-        assert TestSimplicialMaps.assert_matches_oracle(source, big, onto)
+        assert matches_map_oracle(source, big, onto)
         identity = {v: v for v in big.vertices}
-        assert TestSimplicialMaps.assert_matches_oracle(big, big, identity)
+        assert matches_map_oracle(big, big, identity)
         onto[0] = n - 6  # (n-6, n-5) is not an edge of big
         with pytest.raises(MissingFace) as caught:
             SimplicialMap(source, big, onto)
