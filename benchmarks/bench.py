@@ -1,13 +1,15 @@
 """Write BENCH_<workload>.json: the benchmark's metrics for one workload.
 
-    python3 benchmarks/bench.py --workload euler-subdiv [--seeds 7 8] [--seconds 36]
+    python3 benchmarks/bench.py --workload euler-subdiv
 
-For each seed, perfbench/run.py runs in its own interpreter, once at
---trace 0 (the end-to-end metrics) and once at --trace 1 (the per-layer
-metrics). The file, written next to this script, keeps each run's JSON
-result line with its run metadata and host probe note, the median over the
-seeds of every metric, the host (nproc, numpy, BLAS, Python, CPU model),
-the seeds and the commit measured.
+For each seed in SEEDS, perfbench/run.py runs in its own interpreter for
+SECONDS, once at --trace 0 (the end-to-end metrics) and once at --trace 1
+(the per-layer metrics). Both are fixed, so every BENCH file is measured
+the same way; perfbench/run.py checks the workload name. The file,
+written next to this script, keeps each run's JSON result line with its
+run metadata and host probe note, the median over the seeds of every
+metric, the host (nproc, numpy, BLAS, Python, CPU model), the seeds, the
+run length and the commit measured.
 A run that exits non-zero or reports a failed job stops the script before
 anything is written. Times are perfbench's reference seconds; see
 perfbench/README.md.
@@ -25,22 +27,21 @@ import numpy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
-WORKLOADS = ("euler-subdiv", "cli-exact", "curv-mc")
+SEEDS = (7, 8)
+SECONDS = 36.0
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 8])
-    parser.add_argument("--seconds", type=float, default=36.0)
+    parser.add_argument("--workload", required=True)
     return parser.parse_args(argv)
 
 
-def run(workload, seed, seconds, trace):
+def run(workload, seed, trace):
     """perfbench's result line for one run, with its metadata and host
     probe notes."""
     command = [sys.executable, RUN, "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", str(trace)]
+               "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"{' '.join(command[1:])} exited {done.returncode}:\n{done.stderr}")
@@ -90,14 +91,14 @@ def main(argv=None):
     args = parse_args(argv)
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     sections = {
-        key: [run(args.workload, seed, args.seconds, trace) for seed in args.seeds]
+        key: [run(args.workload, seed, trace) for seed in SEEDS]
         for key, trace in (("end_to_end", 0), ("per_layer", 1))
     }
     bench = {
         "workload": args.workload,
         "commit": commit(),
-        "seeds": args.seeds,
-        "seconds": args.seconds,
+        "seeds": list(SEEDS),
+        "seconds": SECONDS,
         "host": {
             "nproc": len(os.sched_getaffinity(0)),
             "cpu": cpu_model(),
@@ -112,7 +113,7 @@ def main(argv=None):
         json.dump(bench, handle, indent=1)
         handle.write("\n")
     wall = bench["end_to_end"]["median"]["wall_s"]["value"]
-    print(f"{os.path.relpath(path, ROOT)}: wall_s median {wall:.5g} s over seeds {args.seeds}")
+    print(f"{os.path.relpath(path, ROOT)}: wall_s median {wall:.5g} s over seeds {list(SEEDS)}")
     return 0
 
 

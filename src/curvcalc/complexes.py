@@ -209,7 +209,9 @@ class SimplicialComplex:
     are.
     """
 
-    __slots__ = ("_ids", "_vertices", "_rows", "_simplices", "_by_dim", "_keys", "_cells", "_cofaces")
+    __slots__ = (
+        "_ids", "_vertices", "_rows", "_simplices", "_by_dim", "_keys", "_cell_key_array", "_cells", "_cofaces"
+    )
 
     def __init__(self, simplices=(), *, vertex_ids=None, rows=None):
         checked = None
@@ -225,6 +227,7 @@ class SimplicialComplex:
         self._simplices = checked  # the tuple views are built on first use
         self._by_dim: dict[int, tuple[Simplex, ...]] = {}
         self._keys: dict[int, np.ndarray] = {}
+        self._cell_key_array = None  # built by the first _cell_keys call
         self._cells = None  # built by the first cells() call
         self._cofaces = None  # built by the first star or link call
 
@@ -307,16 +310,21 @@ class SimplicialComplex:
         + last position, which is _simplex_keys(d) shifted by the start
         of dimension d - 1 in cells(). They are strictly increasing, and
         end with the sentinel len(self) * n_vertices, above every key and
-        query, so a searchsorted lookup always lands on an entry."""
-        n = len(self._ids)
-        if len(self) * n >= _INT64_LIMIT:
-            raise OverflowError(
-                f"{len(self)} simplices on {n} vertices: cell keys need "
-                "len(complex) * n_vertices < 2**63"
-            )
-        offsets = np.cumsum((0, *self.f_vector()))
-        shifted = [self._simplex_keys(d) + offsets[d - 1] * n for d in range(1, self.dim + 1)]
-        return np.concatenate((*shifted, [len(self) * n]))
+        query, so a searchsorted lookup always lands on an entry. Built
+        once per complex, like _simplex_keys."""
+        keys = self._cell_key_array
+        if keys is None:
+            n = len(self._ids)
+            if len(self) * n >= _INT64_LIMIT:
+                raise OverflowError(
+                    f"{len(self)} simplices on {n} vertices: cell keys need "
+                    "len(complex) * n_vertices < 2**63"
+                )
+            offsets = np.cumsum((0, *self.f_vector()))
+            shifted = [self._simplex_keys(d) + offsets[d - 1] * n for d in range(1, self.dim + 1)]
+            keys = self._cell_key_array = np.concatenate((*shifted, [len(self) * n]))
+            keys.flags.writeable = False
+        return keys
 
     def cell_indices(self, cells) -> np.ndarray:
         """Position in cells() order of each of the given cells, or -1

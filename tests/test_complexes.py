@@ -515,6 +515,16 @@ class TestSimplexLookup:
         with pytest.raises(OverflowError, match=r"2\*\*63"):
             SimplicialMap(path, path, {v: v for v in path.vertices})
 
+    def test_cell_keys_are_built_once_per_target(self, big):
+        # a small source mapped into big reads big's stored keys rather
+        # than rebuilding work proportional to len(big)
+        keys = big._cell_keys()
+        assert not keys.flags.writeable
+        u, v = big.simplices_of_dim(1)[0]
+        source = SimplicialComplex.from_maximal([(0, 1)])
+        assert SimplicialMap(source, big, {0: u, 1: v}).image((0, 1)) == (u, v)
+        assert big._cell_keys() is keys
+
     def test_maps_onto_high_vertex_positions(self, big):
         n = self.N
         # a 5-simplex plus a tail of vertices, collapsed onto big's
