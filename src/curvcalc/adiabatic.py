@@ -62,7 +62,8 @@ class WarpFunction:
         if np.any(steps <= 0):
             raise ValueError("grid must be strictly increasing")
         h = steps[0]
-        if np.any(np.abs(steps - h) > 1e-9 * max(abs(h), 1.0)):
+        # relative to h, with room for the rounding of t: a few ulps of its largest entry
+        if np.any(np.abs(steps - h) > 1e-9 * h + 4 * np.spacing(np.abs(t).max())):
             raise ValueError("grid must be uniform")
         if np.any(f < 0):
             raise NegativeWarp("warp values must be nonnegative")

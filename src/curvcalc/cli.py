@@ -147,11 +147,17 @@ def _cmd_subdivide(args, out) -> int:
     if args.complex is None:
         raise CurvCalcError("subdivide needs a complex file (or --census)")
     doc = _load_document(args.complex)
-    complex, alpha = doc.complex, doc.alpha
+    complex, alpha, points = doc.complex, doc.alpha, doc.coordinates
+    if points is not None:
+        points = np.array([points[v] for v in complex.vertices], dtype=float)
     for _ in range(args.times):
+        if points is not None:  # the new vertex of a simplex sits at the mean of its points
+            rows = map(complex.vertex_positions, range(complex.dim + 1))
+            points = np.concatenate([points[r].mean(axis=1) for r in rows])
         complex, alpha = barycentric_subdivide(complex, alpha)
     names = [f"b{i}" for i in range(len(complex.vertices))]
-    out.write(serialize_complex(ComplexDocument(complex, names, None, alpha)))
+    coordinates = None if points is None else dict(enumerate(points))
+    out.write(serialize_complex(ComplexDocument(complex, names, coordinates, alpha)))
     return 0
 
 

@@ -9,12 +9,15 @@ Every float result carries an error bound (0 for exact values); bounds
 propagate by summation.
 
 An Embedding of a simplicial complex rejects affinely degenerate
-simplices. A d-simplex is degenerate when the (d, N) matrix of its edge
-vectors from its first vertex has fewer than d singular values (d > N,
-the ambient dimension), a non-finite entry (finite coordinates whose
-difference overflows), or a smallest singular value at most
-_DEGENERACY_RTOL * max(largest, 1). DegenerateSimplex reports the first
-degenerate simplex in (dimension, lexicographic) order.
+simplices: a d-simplex whose (d, N) matrix E of edge vectors from its
+first vertex has fewer than d singular values (d > N, the ambient
+dimension), a non-finite entry (finite coordinates whose difference
+overflows), or a smallest singular value at most _DEGENERACY_RTOL *
+largest. A Gram screen clears one with d <= 3 when det G > _SCREEN_RTOL
+* F^(2d), G = E E^T, F^2 = trace G >= _SCREEN_TINY (so the threshold is
+a normal float); the rest take an SVD. DegenerateSimplex reports the
+first in (dimension, lexicographic) order. The check and the exact cone
+fractions gather rows in chunks under mc.KERNEL_BUDGET_BYTES.
 """
 
 import itertools
@@ -38,7 +41,7 @@ from ._kernels import size_classes
 _DEGENERACY_RTOL = 1e-9
 # the Gram screen in front of the SVD: see _gram_clears
 _SCREEN_RTOL = 1e-12
-_SCREEN_TINY = 1e-140
+_SCREEN_TINY = 1e-90  # so that _SCREEN_RTOL * F^6 stays a normal float
 _SCREEN_MAX_AMBIENT = 4096
 _HEIGHT_SCALE_EXPONENT = 400
 
@@ -88,17 +91,13 @@ class Embedding:
             self._check_nondegenerate()
 
     def _check_nondegenerate(self) -> None:
-        """The module docstring's rule, checked per dimension over the
-        simplices' edge vectors in row chunks whose gathers and Gram
-        temporaries stay under mc.KERNEL_BUDGET_BYTES. The Gram screen
-        clears most rows; the rest take one stacked SVD, which decides."""
+        """The module docstring's rule and screen, per dimension, in row chunks
+        whose gathers and Gram temporaries fit the kernel budget; an SVD decides the rest."""
         n = self.ambient_dim
         for ids, d in mc.simplex_rows(self.carrier, self._vertex_index)[1:]:
             if d > n:  # fewer singular values than generators
                 raise DegenerateSimplex(self.carrier.simplices_of_dim(d)[0])
-            step = max(1, mc.KERNEL_BUDGET_BYTES // (8 * ((2 * d + 1) * n + d * d + 8)))
-            for lo in range(0, len(ids), step):
-                chunk = ids[lo : lo + step]
+            for lo, chunk in _row_chunks(ids, 8 * ((2 * d + 1) * n + d * d + 8)):
                 with np.errstate(over="ignore"):  # edge-major: (d, rows, N)
                     edges = self._matrix[chunk[:, 1:].T] - self._matrix[chunk[:, 0]]
                 rows = np.arange(len(chunk))
@@ -138,6 +137,12 @@ def _vertex_sort_key(v):
     return (0, v) if isinstance(v, int) else (2, repr(v))
 
 
+def _row_chunks(rows: np.ndarray, row_bytes: int) -> list:
+    """(lo, rows[lo : lo + step]) chunks whose row_bytes each fit in mc.KERNEL_BUDGET_BYTES."""
+    step = max(1, mc.KERNEL_BUDGET_BYTES // max(row_bytes, 1))
+    return [(lo, rows[lo : lo + step]) for lo in range(0, len(rows), step)]
+
+
 def _rule_flags(edges: np.ndarray) -> np.ndarray:
     """Which rows of an (m, d, N) stack of edge vectors the rule flags,
     from one stacked SVD; non-finite rows are zeroed, so flagged."""
@@ -145,50 +150,43 @@ def _rule_flags(edges: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     edges[~np.isfinite(edges).all(axis=(1, 2))] = 0.0
     sv = np.linalg.svd(edges, compute_uv=False)
-    return sv[:, -1] <= _DEGENERACY_RTOL * np.maximum(sv[:, 0], 1.0)
+    return sv[:, -1] <= _DEGENERACY_RTOL * sv[:, 0]
 
 
 def _gram_clears(edges: np.ndarray) -> np.ndarray:
-    """Which rows of a (d, m, N) stack of edge vectors, d <= 3, the rule
-    provably does not flag, from the Gram matrix G = E E^T of each.
+    """Which rows of a (d, m, N) stack of edge vectors, d <= 3, the
+    module docstring's screen clears; the rule flags none of them.
 
-    With F^2 = trace G = ||E||_F^2, sigma_max <= F and
-    sigma_min^2 >= det G / F^(2(d-1)). A row is cleared when det G is
-    finite, F^2 >= _SCREEN_TINY and det G > S = _SCREEN_RTOL *
-    max(F^2, 1) * F^(2(d-1)); then sigma_min > 1e-6 * max(sigma_max, 1).
-    A row the rule flags (sigma_min <= 1e-9 * max(sigma_max, 1)) has a
-    true det G of at most about 1e-18 * max(F^2, 1) * F^(2(d-1)). The
-    rounding error of the computed det G is at most (N + 2) u F^(2d),
-    u = 2^-53: each Gram entry is a dot product of N terms, off by at
-    most N u |e_i| |e_j| (Higham, ch. 3), so each of the d! products of
-    the cofactor sum, at most prod |e_i|^2 <= (F^2 / d)^d, moves by at
-    most d (N + 2) u of that with its own rounding (ch. 14). For
-    N <= _SCREEN_MAX_AMBIENT that is below 5e-13 * F^(2d) <= 5e-13 * S /
-    _SCREEN_RTOL, so a flagged row is never cleared; the rounding of F^2
-    moves S by a relative N u at most. The floor on F^2 keeps S far
-    above the underflow level, an overflow makes det G or S infinite,
-    and every row not cleared goes to the SVD.
+    sigma_max <= F and sigma_min^2 >= det G / F^(2(d-1)), so a cleared
+    row has sigma_min > 1e-6 * sigma_max, and a flagged row has a true
+    det G <= 1e-18 * F^(2d). The computed det G (see _leibniz_det) is off
+    by at most (N + 2) u F^(2d), u = 2^-53: each Gram entry is a dot
+    product of N terms, off by at most N u |e_i| |e_j| (Higham, ch. 3),
+    so each of the d! products, at most prod |e_i|^2 <= (F^2 / d)^d,
+    moves by at most (d N + d! + d) u of that with its own rounding and
+    the sum's (ch. 14). For N <= _SCREEN_MAX_AMBIENT that is below
+    5e-13 * F^(2d), half the threshold S, so a flagged row is never
+    cleared; rounding moves S by a relative 2 d (N + d) u at most.
+    F^2 >= 1e-90 keeps S >= 1e-282 normal, so all underflows together move
+    det G by under 1e-30 S; an overflow makes det G or S infinite.
     """
     d = edges.shape[0]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        g = {
-            (i, j): np.einsum("mk,mk->m", edges[i], edges[j])
-            for i in range(d)
-            for j in range(i, d)
-        }
+        g = {}
+        for i, j in itertools.combinations_with_replacement(range(d), 2):
+            g[i, j] = g[j, i] = np.einsum("mk,mk->m", edges[i], edges[j])
         f2 = sum(g[i, i] for i in range(d))
-        if d == 1:
-            det = g[0, 0]
-        elif d == 2:
-            det = g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
-        else:
-            det = (
-                g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[1, 2])
-                - g[0, 1] * (g[0, 1] * g[2, 2] - g[1, 2] * g[0, 2])
-                + g[0, 2] * (g[0, 1] * g[1, 2] - g[1, 1] * g[0, 2])
-            )
-        threshold = _SCREEN_RTOL * np.maximum(f2, 1.0) * f2 ** (d - 1)
-        return np.isfinite(det) & (f2 >= _SCREEN_TINY) & (det > threshold)
+        det = _leibniz_det(g, d)
+        return np.isfinite(det) & (f2 >= _SCREEN_TINY) & (det > _SCREEN_RTOL * f2**d)
+
+
+def _leibniz_det(g, d: int):
+    """det of the d x d matrix of arrays g[i, j]: the sum of d! signed products."""
+    det = 0
+    for p in itertools.permutations(range(d)):
+        term = math.prod((g[i, p[i]] for i in range(1, d)), start=g[0, p[0]])
+        det = det - term if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 else det + term
+    return det
 
 
 def equilateral_embedding(complex: SimplicialComplex) -> Embedding:
@@ -242,26 +240,28 @@ def _exact_cone_fractions(coords: np.ndarray, cells: np.ndarray, sizes: np.ndarr
       (1 + C(m, 2)) / 2^m - sum_{i<j} theta_ij / (2^(m-1) pi)
     (Sheppard 1899; Plackett 1954). Angles use the form
     theta = 2 atan2(|u - w|, |u + w|) on unit vectors, which stays
-    accurate for nearly parallel or opposite generators.
+    accurate for nearly parallel or opposite generators. Rows go in chunks
+    whose points and generator temporaries, under 5 n floats per row and
+    ambient coordinate, fit in mc.KERNEL_BUDGET_BYTES.
     """
     fractions = np.zeros(cells.shape)
     for n in size_classes(sizes):
         m = n - 1
         if m > 3:
             raise ExactUnavailable(f"no exact cone fraction for {m} generators")
-        rows = np.flatnonzero(sizes == n)
-        pts = coords[cells[rows, :n]]
-        for v in range(n):
-            gens = pts[:, [v]] - pts[:, [w for w in range(n) if w != v]]
-            unit = gens / np.linalg.norm(gens, axis=-1, keepdims=True)
-            theta = sum(
-                2.0 * np.arctan2(
-                    np.linalg.norm(unit[:, i] - unit[:, j], axis=-1),
-                    np.linalg.norm(unit[:, i] + unit[:, j], axis=-1),
+        for _, rows in _row_chunks(np.flatnonzero(sizes == n), 8 * 5 * n * coords.shape[1]):
+            pts = coords[cells[rows, :n]]
+            for v in range(n):
+                gens = pts[:, [v]] - pts[:, [w for w in range(n) if w != v]]
+                unit = gens / np.linalg.norm(gens, axis=-1, keepdims=True)
+                theta = sum(
+                    2.0 * np.arctan2(
+                        np.linalg.norm(unit[:, i] - unit[:, j], axis=-1),
+                        np.linalg.norm(unit[:, i] + unit[:, j], axis=-1),
+                    )
+                    for i, j in itertools.combinations(range(m), 2)
                 )
-                for i, j in itertools.combinations(range(m), 2)
-            )
-            fractions[rows, v] = (1 + math.comb(m, 2)) / 2.0**m - theta / (2.0 ** (m - 1) * math.pi)
+                fractions[rows, v] = (1 + math.comb(m, 2)) / 2.0**m - theta / (2.0 ** (m - 1) * math.pi)
     return fractions
 
 

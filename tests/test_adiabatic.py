@@ -66,6 +66,22 @@ class TestWarpValidation:
         with pytest.raises(ValueError):
             curvature_density(profile("cylinder", 64), 1.0)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
+    def test_uniformity_is_relative_to_the_step(self, scale):
+        # one doubled step is a nonuniform grid in any unit of t
+        with pytest.raises(ValueError, match="grid must be uniform"):
+            WarpFunction(scale * np.array([0.0, 1, 3, 4, 5, 6]), np.ones(6))
+
+    @pytest.mark.parametrize("name", ["sphere", "cylinder", "cone", "torus", "paraboloid"])
+    def test_built_in_profiles_are_uniform(self, name):
+        for grid in (5, 64, 4096):
+            assert profile(name, grid).step > 0
+
+    def test_linspace_far_from_zero_is_uniform(self):
+        # the steps of a linspace differ by the rounding of t, ulps of 1e6
+        t = np.linspace(1e6, 1e6 + 1, 4096)
+        assert WarpFunction(t, np.ones_like(t)).step == pytest.approx(1 / 4095)
+
 
 @pytest.fixture(scope="module")
 def warp():

@@ -928,3 +928,33 @@ def test_console_entry_point(fixture_dir):
     )
     assert out.returncode == 0
     assert out.stdout == '{"value": "1"}\n'
+
+
+@pytest.mark.parametrize("times", ["1", "2"])
+def test_subdivided_coordinates_keep_gauss_bonnet(fixture_dir, tmp_path, times):
+    # each new vertex sits at the mean of its simplex's points, so the
+    # subdivided file embeds and its exact curvature still sums to chi
+    checked = []
+    for path in sorted(fixture_dir.glob("*.txt")):
+        doc = parse_complex(path.read_text())
+        if doc.coordinates is None:
+            continue
+        code, out, _ = invoke("subdivide", str(path), "--times", times)
+        assert code == 0 and parse_complex(out).coordinates is not None
+        subdivided = tmp_path / path.name
+        subdivided.write_text(out)
+        code, out, err = invoke("gauss-bonnet-check", str(subdivided), "--method", "exact")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["chi"] == doc.complex.euler_characteristic()
+        assert report["discrepancy"] <= 1e-9
+        checked.append(path.name)
+    assert checked == ["edge.txt", "octahedron.txt", "path3.txt", "point.txt", "triangle.txt"]
+
+
+def test_subdivided_coordinates_are_barycenters(fixture_dir):
+    code, out, _ = invoke("subdivide", str(fixture_dir / "triangle.txt"))
+    doc = parse_complex(out)
+    # b3 is the edge (a, b), b6 the triangle itself
+    assert doc.coordinates[3] == (0.5, 0.0)
+    assert doc.coordinates[6] == pytest.approx((1 / 3, 1 / 3), abs=1e-16)

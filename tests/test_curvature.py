@@ -1,9 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from curvcalc.complexes import PLFunction, SimplicialComplex, constant_function
+from curvcalc import mc
+from curvcalc.complexes import (
+    PLFunction,
+    SimplicialComplex,
+    barycentric_subdivide,
+    constant_function,
+    subdivision_vertex_simplices,
+)
 from curvcalc.curvature import (
     Embedding,
     _cell_table,
@@ -445,3 +453,27 @@ class TestPairBounds:
                     morse_z.append((morse[v].value - value) / morse[v].bound)
         for z in (np.array(cone_z), np.array(morse_z)):
             assert len(z) >= 30 * 4 and (z**2).mean() < 1.5
+
+
+def test_exact_curvature_memory_stays_under_twice_the_budget():
+    # sd^2 of the solid tetrahedron (2,745 simplices) at its barycenter
+    # coordinates, padded by small random columns to N = 2,000: one gather
+    # of the tetrahedra's (rows, 4, N) points would be far over the budget
+    X, emb = fixtures.solid_tetrahedron()
+    coords = {v: np.asarray(emb.coordinates[v], dtype=float) for v in X.vertices}
+    for _ in range(2):
+        parents = subdivision_vertex_simplices(X)
+        X, _ = barycentric_subdivide(X)
+        coords = {i: np.mean([coords[u] for u in s], axis=0) for i, s in enumerate(parents)}
+    pad = 1e-3 * np.random.default_rng(2).standard_normal((len(X.vertices), 2000 - 3))
+    embedding = Embedding(X, {v: np.concatenate([coords[v], pad[i]]) for i, v in enumerate(X.vertices)})
+    assert len(X.simplices_of_dim(3)) * 4 * 2000 * 8 > 2 * mc.KERNEL_BUDGET_BYTES
+    tracemalloc.start()
+    try:
+        kappa = curvature_measure(embedding, "exact")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * mc.KERNEL_BUDGET_BYTES
+    total = math.fsum(k.value for k in kappa.values())
+    assert total == pytest.approx(X.euler_characteristic(), abs=1e-9)  # Gauss-Bonnet

@@ -33,7 +33,7 @@ FIXTURE_NAMES = (
 def first_degenerate_oracle(complex, coords):
     """One SVD per simplex, in cells() order: the first simplex whose edge
     vectors from its first vertex overflow, have fewer singular values than
-    vectors, or a smallest one at most _DEGENERACY_RTOL * max(largest, 1)."""
+    vectors, or a smallest one at most _DEGENERACY_RTOL * largest."""
     for simplex in complex.cells():
         if len(simplex) > 1:
             pts = np.array([coords[v] for v in simplex], dtype=float)
@@ -42,7 +42,7 @@ def first_degenerate_oracle(complex, coords):
             if not np.isfinite(gens).all():  # the difference overflows
                 return simplex
             sv = np.linalg.svd(gens, compute_uv=False)
-            if len(sv) < len(gens) or sv[-1] <= _DEGENERACY_RTOL * max(sv[0], 1.0):
+            if len(sv) < len(gens) or sv[-1] <= _DEGENERACY_RTOL * sv[0]:
                 return simplex
     return None
 
@@ -297,7 +297,9 @@ def test_four_simplices_take_the_svd(ambient, monkeypatch):
 
 
 def test_screen_never_clears_a_flagged_row():
-    # direct: every row the rule flags is left uncleared by the screen
+    # direct: every row the rule flags is left uncleared by the screen. An
+    # edge has one singular value, so at d = 1 the rule flags only the
+    # zero edges of coincident points: those are added to the stack there
     rng = np.random.default_rng(3)
     for d in (1, 2, 3):
         for ambient in (d, d + 2, 40):
@@ -308,8 +310,77 @@ def test_screen_never_clears_a_flagged_row():
                 coords = _simplex_with_singular_values(rng, np.geomspace(top, top * ratio, d), ambient, top)
                 rows.append(np.array([coords[i] - coords[0] for i in range(1, d + 1)]))
             edges = np.array(rows)
+            if d == 1:
+                points = tops[::30, None, None] * rng.standard_normal((10, 1, ambient))
+                edges = np.concatenate([edges, points - points])
             sv = np.linalg.svd(edges, compute_uv=False)
-            flagged = sv[:, -1] <= _DEGENERACY_RTOL * np.maximum(sv[:, 0], 1.0)
+            flagged = sv[:, -1] <= _DEGENERACY_RTOL * sv[:, 0]
             cleared = curvature._gram_clears(edges.transpose(1, 0, 2).copy())
             assert flagged.any() and cleared.any()
             assert not (flagged & cleared).any()
+            if d == 1:  # exactly the coincident points are flagged
+                assert np.array_equal(np.flatnonzero(flagged), np.arange(300, 310))
+
+
+SCALES = (1e-150, 1.0, 1e150)
+
+
+def rejections_across_scales(X, coords):
+    return [first_rejected(X, {v: scale * np.asarray(c) for v, c in coords.items()}) for scale in SCALES]
+
+
+@pytest.mark.parametrize("case", fixture_cases(), ids=lambda case: case[0])
+def test_rejections_are_scale_invariant_on_fixtures(case):
+    # the rule reads the shape of each simplex, not the unit of length
+    _, X, coords = case
+    first = rejections_across_scales(X, coords)
+    assert first == [first_degenerate_oracle(X, coords)] * len(SCALES)
+
+
+def test_rejections_are_scale_invariant_on_the_near_degenerate_sweep():
+    """The sweep of test_near_degenerate_sweep_matches_oracle at unit
+    scale, moved to 1e-150 and 1e150: the same accepts, the same first
+    rejected simplex."""
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for d, ambient in itertools.product((2, 3), range(2, 8)):
+        X = SimplicialComplex.from_maximal([tuple(range(d + 1))])
+        base = rng.standard_normal((d, ambient))
+        hull = base[1:] - base[0]
+        q, _ = np.linalg.qr(np.vstack([hull, rng.standard_normal((1, ambient))]).T, mode="reduced")
+        normal = q[:, -1] if d <= ambient else np.zeros(ambient)
+        inside = base[0] + rng.uniform(0.2, 0.4, size=d - 1) @ hull
+        for t in np.logspace(-11, -7, 9):
+            first = rejections_across_scales(X, dict(enumerate(np.vstack([base, inside + t * normal]))))
+            assert first == [first[1]] * len(SCALES), (d, ambient, t)
+            outcomes.add(first[1] is None)
+    assert outcomes == {True, False}  # the sweep straddles the threshold
+
+
+def cofactor_det(g, d):
+    """The per-dimension cofactor forms of det G that the screen once used."""
+    if d == 1:
+        return g[0, 0]
+    if d == 2:
+        return g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
+    return (
+        g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[1, 2])
+        - g[0, 1] * (g[0, 1] * g[2, 2] - g[1, 2] * g[0, 2])
+        + g[0, 2] * (g[0, 1] * g[1, 2] - g[1, 1] * g[0, 2])
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_leibniz_determinant_matches_the_cofactor_forms(d):
+    # random Gram stacks, well conditioned and near singular: the two sums
+    # of the same d! products agree to a few ulps of their largest product
+    rng = np.random.default_rng(40 + d)
+    edges = rng.standard_normal((d, 500, d + 2)) * np.geomspace(1e-3, 1e3, 500)[:, None]
+    edges[-1, ::2] = edges[0, ::2] + 1e-6 * rng.standard_normal((250, d + 2))
+    gram = np.einsum("imk,jmk->ijm", edges, edges)
+    g = {(i, j): gram[i, j] for i in range(d) for j in range(d)}
+    leibniz, cofactor = curvature._leibniz_det(g, d), cofactor_det(g, d)
+    largest = np.prod([gram[i, i] for i in range(d)], axis=0)
+    np.testing.assert_array_less(np.abs(leibniz - cofactor), 16 * np.finfo(float).eps * largest)
+    if d <= 2:  # the same products, added in the same order
+        assert np.array_equal(leibniz, cofactor)
