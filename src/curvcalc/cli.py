@@ -150,10 +150,13 @@ def _cmd_subdivide(args, out) -> int:
     complex, alpha, points = doc.complex, doc.alpha, doc.coordinates
     if points is not None:
         points = np.array([points[v] for v in complex.vertices], dtype=float)
+        # means near the float limit are taken 2^shift smaller, so no sum overflows
+        shift = max(0, int(np.frexp(np.abs(points).max(initial=0.0))[1]) - 1000)
     for _ in range(args.times):
         if points is not None:  # the new vertex of a simplex sits at the mean of its points
             rows = map(complex.vertex_positions, range(complex.dim + 1))
-            points = np.concatenate([points[r].mean(axis=1) for r in rows])
+            means = [np.ldexp(points[r], -shift).mean(axis=1) for r in rows]
+            points = np.ldexp(np.concatenate(means), shift)
         complex, alpha = barycentric_subdivide(complex, alpha)
     names = [f"b{i}" for i in range(len(complex.vertices))]
     coordinates = None if points is None else dict(enumerate(points))

@@ -17,7 +17,9 @@ largest. A Gram screen clears one with d <= 3 when det G > _SCREEN_RTOL
 * F^(2d), G = E E^T, F^2 = trace G >= _SCREEN_TINY (so the threshold is
 a normal float); the rest take an SVD. DegenerateSimplex reports the
 first in (dimension, lexicographic) order. The check and the exact cone
-fractions gather rows in chunks under mc.KERNEL_BUDGET_BYTES.
+fractions gather rows in chunks under mc.KERNEL_BUDGET_BYTES; the latter
+scale generators whose norms leave [2^-500, 2^500] by powers of two, so
+that every accepted simplex, at any scale, gets the angles of its unit copy.
 """
 
 import itertools
@@ -209,25 +211,29 @@ def product_embedding(ex: Embedding, ey: Embedding) -> Embedding:
 
 
 def height_coordinates(coords: np.ndarray) -> np.ndarray:
-    """The coordinate matrix that heights and cone generators read.
+    """The coordinate matrix that Monte Carlo and Morse heights read.
 
     A matrix whose largest magnitude is 2**400 or more is scaled by the
     power of two that brings it just below, so that dot products with
-    Gaussian direction rows and generator norms stay finite. The scaling
-    is exact for every coordinate of magnitude 2**-398 or more, and then
-    changes no height comparison and no angle; a smaller matrix is
+    Gaussian direction rows stay finite; the scaling is exact for every
+    coordinate of magnitude 2**-398 or more. A nonzero matrix whose
+    largest magnitude is below 2**-400 is scaled up, exactly, by the
+    power of two that brings it into [1/2, 1), so that heights are not
+    subnormal. Either changes no height comparison; any other matrix is
     returned as it is.
     """
     big = float(np.abs(coords).max(initial=0.0))
-    if big < 2.0**_HEIGHT_SCALE_EXPONENT:
+    if big == 0.0 or 2.0**-_HEIGHT_SCALE_EXPONENT <= big < 2.0**_HEIGHT_SCALE_EXPONENT:
         return coords
-    return coords * 2.0 ** (_HEIGHT_SCALE_EXPONENT - math.frexp(big)[1])
+    top = _HEIGHT_SCALE_EXPONENT if big > 1.0 else 0
+    return np.ldexp(coords, top - math.frexp(big)[1])
 
 
 # ---------------------------------------------------------------------------
 # Normal-cone fractions
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore")  # an overflowed generator norm is caught and redone
 def _exact_cone_fractions(coords: np.ndarray, cells: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Exact normal-cone fraction for every (cell, vertex slot) pair of a
     simplex table from mc.build_cell_arrays; padding slots stay 0.
@@ -240,9 +246,14 @@ def _exact_cone_fractions(coords: np.ndarray, cells: np.ndarray, sizes: np.ndarr
       (1 + C(m, 2)) / 2^m - sum_{i<j} theta_ij / (2^(m-1) pi)
     (Sheppard 1899; Plackett 1954). Angles use the form
     theta = 2 atan2(|u - w|, |u + w|) on unit vectors, which stays
-    accurate for nearly parallel or opposite generators. Rows go in chunks
-    whose points and generator temporaries, under 5 n floats per row and
-    ambient coordinate, fit in mc.KERNEL_BUDGET_BYTES.
+    accurate for nearly parallel or opposite generators. When a norm of
+    the generators at v leaves [2^-500, 2^500], where squares near the
+    float limits overflow or lose their bits, those generators are scaled
+    exactly, each by the power of two that brings its largest entry into
+    [1/2, 1), and their norms are taken again; inside that range the
+    squares that underflow move a norm by under N 2^-74 of itself. Rows
+    go in chunks whose points and generator temporaries, under 5 n floats
+    per row and ambient coordinate, fit in mc.KERNEL_BUDGET_BYTES.
     """
     fractions = np.zeros(cells.shape)
     for n in size_classes(sizes):
@@ -253,7 +264,13 @@ def _exact_cone_fractions(coords: np.ndarray, cells: np.ndarray, sizes: np.ndarr
             pts = coords[cells[rows, :n]]
             for v in range(n):
                 gens = pts[:, [v]] - pts[:, [w for w in range(n) if w != v]]
-                unit = gens / np.linalg.norm(gens, axis=-1, keepdims=True)
+                norm = np.linalg.norm(gens, axis=-1, keepdims=True)
+                if not (norm.min(initial=1.0) >= 2.0**-500 and norm.max(initial=1.0) <= 2.0**500):
+                    # squares near the float limits: each generator to [1/2, 1) by a power of two
+                    big = np.abs(gens).max(axis=-1, keepdims=True, initial=0.0)
+                    np.ldexp(gens, -np.frexp(big)[1], out=gens)
+                    norm = np.linalg.norm(gens, axis=-1, keepdims=True)
+                unit = gens / norm
                 theta = sum(
                     2.0 * np.arctan2(
                         np.linalg.norm(unit[:, i] - unit[:, j], axis=-1),
@@ -289,11 +306,11 @@ def _cone_fractions(coords, cells, sizes, method, samples, seed):
     """Normal-cone fraction and its error bound for every (cell, vertex
     slot) pair of a table from mc.build_cell_arrays; the table's vertex
     ids are rows of coords."""
-    coords = height_coordinates(coords)
-    if method == "exact":
+    if method == "exact":  # scales each generator itself
         return _exact_cone_fractions(coords, cells, sizes), np.zeros(cells.shape)
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
+    coords = height_coordinates(coords)
 
     counts, stats = mc.run_cone_counts(
         mc.linear_heights(coords), coords.shape[-1], cells, sizes, len(coords), samples, seed

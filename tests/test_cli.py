@@ -958,3 +958,34 @@ def test_subdivided_coordinates_are_barycenters(fixture_dir):
     # b3 is the edge (a, b), b6 the triangle itself
     assert doc.coordinates[3] == (0.5, 0.0)
     assert doc.coordinates[6] == pytest.approx((1 / 3, 1 / 3), abs=1e-16)
+
+
+def test_subdivided_coordinates_near_the_float_limit_stay_finite(tmp_path):
+    # the mean of 1e308 and 1.5e308 lies between them, though their sum overflows
+    path = tmp_path / "edge.txt"
+    path.write_text("curvcalc-complex v1\nvertices\np0 1e308\np1 1.5e308\nsimplices\np0 p1\n")
+    code, out, _ = invoke("subdivide", str(path))
+    assert code == 0 and parse_complex(out).coordinates[2] == (1.25e308,)
+    code, out, _ = invoke("subdivide", str(path), "--times", "2")
+    points = [x for point in parse_complex(out).coordinates.values() for x in point]
+    assert code == 0 and all(1e308 <= x <= 1.5e308 for x in points)
+    subdivided = tmp_path / "sd2.txt"
+    subdivided.write_text(out)
+    code, out, err = invoke("gauss-bonnet-check", str(subdivided), "--method", "exact")
+    assert code == 0, err
+    assert json.loads(out)["discrepancy"] == 0.0
+
+
+@pytest.mark.parametrize("leg", ["1e-200", "5e-324"])
+def test_exact_curvature_of_a_tiny_triangle(tmp_path, leg):
+    # no squared generator entry may underflow to a zero norm
+    printed = []
+    for name, size in (("tiny", leg), ("unit", "1")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(f"curvcalc-complex v1\nvertices\np0 0 0\np1 {size} 0\np2 0 {size}\nsimplices\np0 p1 p2\n")
+        code, out, err = invoke("curvature", str(path), "--format", "json")
+        assert code == 0 and err == ""
+        printed.append(out)
+        code, out, err = invoke("gauss-bonnet-check", str(path))
+        assert code == 0 and json.loads(out)["discrepancy"] == 0.0
+    assert printed[0] == printed[1]

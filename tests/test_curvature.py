@@ -477,3 +477,48 @@ def test_exact_curvature_memory_stays_under_twice_the_budget():
     assert peak < 2 * mc.KERNEL_BUDGET_BYTES
     total = math.fsum(k.value for k in kappa.values())
     assert total == pytest.approx(X.euler_characteristic(), abs=1e-9)  # Gauss-Bonnet
+
+
+def scaled(emb, scale):
+    return Embedding(emb.carrier, {v: scale * np.asarray(c) for v, c in emb.coordinates.items()})
+
+
+@pytest.mark.parametrize("scale", [2.0**-1000, 2.0**-664, 2.0**-530, 2.0**1000])
+def test_exact_curvature_is_the_same_at_every_power_of_two_scale(scale):
+    # the squares of generator entries underflow to 0 at 2^-664, about
+    # 1e-200, and keep a few bits at 2^-530; generators are rescaled first
+    for name, (_, emb) in {**all_fixtures(), "solid_tetrahedron": fixtures.solid_tetrahedron()}.items():
+        assert curvature_measure(scaled(emb, scale)) == curvature_measure(emb), name
+
+
+def two_triangles(big, tiny):
+    """Right triangles of legs `big` and `tiny` sharing their corner vertex 0."""
+    X = SimplicialComplex.from_maximal([(0, 1, 2), (0, 3, 4)])
+    coords = {0: (0.0, 0.0), 1: (big, 0.0), 2: (0.0, big), 3: (-tiny, 0.0), 4: (0.0, -tiny)}
+    return Embedding(X, coords)
+
+
+@pytest.mark.parametrize("big, tiny", [(1.0, 1e-160), (1.0, 1e-200), (1.0, 5e-324), (2.0**600, 1e-300)])
+def test_exact_curvature_of_a_tiny_triangle_beside_a_larger_one(big, tiny):
+    kappa = curvature_measure(two_triangles(big, tiny))
+    assert kappa == curvature_measure(two_triangles(1.0, 1.0))
+    assert [kappa[v].value for v in (1, 2, 3, 4)] == [0.375] * 4
+    assert math.fsum(k.value for k in kappa.values()) == 1.0  # Gauss-Bonnet, chi = 1
+
+
+@pytest.mark.parametrize("largest", [np.nextafter(2.0**-400, 0), 1e-200, 5e-324])
+def test_height_coordinates_scale_tiny_matrices_up(largest):
+    coords = np.array([[largest, 0.0], [0.0, -largest / 2]])
+    up = height_coordinates(coords)
+    assert 0.5 <= np.abs(up).max() < 1.0
+    shift = -math.frexp(largest)[1]  # up by an exact power of two
+    np.testing.assert_array_equal(up, np.ldexp(coords, shift))
+    np.testing.assert_array_equal(np.ldexp(up, -shift), coords)
+
+
+def test_monte_carlo_measures_of_a_subnormal_triangle_match_the_unit_one():
+    # heights of a subnormal matrix would keep a few bits; it is scaled up first
+    _, emb = fixtures.filled_triangle()
+    tiny = scaled(emb, 2.0**-1070)
+    assert curvature_measure(tiny, "mc", 2000, 3) == curvature_measure(emb, "mc", 2000, 3)
+    assert morse_curvature_measure(tiny, 2000, 3) == morse_curvature_measure(emb, 2000, 3)
