@@ -16,7 +16,6 @@ from .complexes import (
     barycentric_subdivide,
     product,
     signature_census,
-    validate,
 )
 from .curvature import (
     Embedding,
@@ -27,26 +26,17 @@ from .curvature import (
     excess_angle,
     final_integral,
     gauss_bonnet_check,
-    vertex_curvature,
 )
 from .euler import (
     ConstructibleFunction,
     ceil_integral,
-    chi_c,
     euler_integral,
     floor_integral,
     floor_integral_oracle_1d,
     tentative_integral,
-    weight,
 )
-from .morse import chi_sum_check, morse_curvature_measure, morse_index, morse_indices
-from .pushforwards import (
-    check_functoriality,
-    fiber_euler,
-    fubini_chi,
-    fubini_curvature,
-    pushforward,
-)
+from .morse import morse_curvature_measure, morse_index, morse_indices
+from .pushforwards import fubini_chi, fubini_curvature, pushforward
 from .adiabatic import WarpFunction, adiabatic_sweep, curvature_density, nonsplit_demo
 
 __version__ = "0.1.0"
@@ -59,7 +49,6 @@ __all__ = [
     "barycentric_subdivide",
     "product",
     "signature_census",
-    "validate",
     "Embedding",
     "ValueWithError",
     "curvature_integral",
@@ -68,21 +57,15 @@ __all__ = [
     "excess_angle",
     "final_integral",
     "gauss_bonnet_check",
-    "vertex_curvature",
     "ConstructibleFunction",
     "ceil_integral",
-    "chi_c",
     "euler_integral",
     "floor_integral",
     "floor_integral_oracle_1d",
     "tentative_integral",
-    "weight",
-    "chi_sum_check",
     "morse_curvature_measure",
     "morse_index",
     "morse_indices",
-    "check_functoriality",
-    "fiber_euler",
     "fubini_chi",
     "fubini_curvature",
     "pushforward",

@@ -31,8 +31,7 @@ from .complexes import SimplicialComplex
 from .curvature import Embedding, curvature_measure
 from .errors import GridTooCoarse, NegativeWarp, ParseError
 
-POLE_TOLERANCE = 1e-12
-NONSPLIT_THRESHOLD = 1e-9  # |density| above this counts toward the support
+POLE_TOLERANCE = 1e-12  # relative to the profile's largest value, as every tolerance on f
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,9 @@ class WarpFunction:
     """Samples of a warp profile on a uniform grid.
 
     For periodic profiles the last sample must repeat the first; the two
-    grid ends are then identified and there are no atoms.
+    grid ends are then identified and there are no atoms. Values are
+    compared with tolerances relative to the largest one, so a profile
+    and its multiples are accepted alike and have the same poles.
     """
 
     t: np.ndarray
@@ -67,12 +68,13 @@ class WarpFunction:
             raise ValueError("grid must be uniform")
         if np.any(f < 0):
             raise NegativeWarp("warp values must be nonnegative")
-        if np.any(f[1:-1] <= POLE_TOLERANCE):
+        object.__setattr__(self, "_pole_level", POLE_TOLERANCE * float(f.max()))
+        if np.any(f[1:-1] <= self._pole_level):
             raise NegativeWarp("warp values must be positive on the open interval")
         if self.periodic:
-            if abs(f[0] - f[-1]) > 1e-9:
+            if abs(f[0] - f[-1]) > 1e-9 * f.max():
                 raise ValueError("periodic profile must repeat its first value")
-            if f[0] <= POLE_TOLERANCE:
+            if f[0] <= self._pole_level:
                 raise NegativeWarp("periodic profile cannot vanish")
 
     @property
@@ -80,10 +82,10 @@ class WarpFunction:
         return float(self.t[1] - self.t[0])
 
     def pole_at_start(self) -> bool:
-        return not self.periodic and self.f[0] < POLE_TOLERANCE
+        return not self.periodic and self.f[0] < self._pole_level
 
     def pole_at_end(self) -> bool:
-        return not self.periodic and self.f[-1] < POLE_TOLERANCE
+        return not self.periodic and self.f[-1] < self._pole_level
 
     def derivative_start(self) -> float:
         """Second-order one-sided df/dt at the left end."""
@@ -210,7 +212,11 @@ def nonsplit_demo(w: WarpFunction) -> dict:
     own curvature measure is purely atomic."""
     measure = curvature_density(w, 0.0)
     interior = measure.density[1:-1]
-    support = float(np.count_nonzero(np.abs(interior) > NONSPLIT_THRESHOLD) * w.step)
+    # the rounding bound of a second difference: samples each within an
+    # ulp of max f (eps * max f) and the two roundings of the sum move
+    # f_{i-1} - 2 f_i + f_{i+1} by under 8 eps * max f; twice that, over h^2
+    rounding = 16 * np.finfo(float).eps * float(w.f.max()) / w.step**2
+    support = float(np.count_nonzero(np.abs(interior) > rounding) * w.step)
     base = base_interval_measure(w)
     return {
         "pushforward_density_support": support,

@@ -46,10 +46,9 @@ def as_simplex(vertices) -> Simplex:
     return simplex
 
 
-def faces(simplex: Simplex, proper: bool = False):
-    """Yield the nonempty faces of a simplex (optionally only proper ones)."""
-    top = len(simplex) if not proper else len(simplex) - 1
-    for k in range(1, top + 1):
+def faces(simplex: Simplex):
+    """Yield the nonempty faces of a simplex, itself included."""
+    for k in range(1, len(simplex) + 1):
         yield from itertools.combinations(simplex, k)
 
 
@@ -433,11 +432,6 @@ class SimplicialComplex:
 
     def __repr__(self):
         return f"SimplicialComplex({len(self)} simplices, dim {self.dim})"
-
-
-def validate(complex: SimplicialComplex) -> None:
-    """Re-check face closure of an existing complex. Idempotent."""
-    validate_simplices(complex.simplices)
 
 
 class PLFunction:

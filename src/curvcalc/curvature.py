@@ -59,7 +59,8 @@ class Embedding:
     The carrier may be a simplicial complex (each simplex is checked for
     affine nondegeneracy by the rule in the module docstring) or a
     product cell complex, whose cells are nondegenerate whenever the
-    factors are.
+    factors are. Rows, in vertex_order, are carrier.vertices followed by
+    any other coordinate keys in the order given.
     """
 
     def __init__(self, carrier, coordinates):
@@ -67,7 +68,7 @@ class Embedding:
         for v in carrier.vertices:
             if v not in coordinates:
                 raise UnknownVertex(v)
-        order = tuple(sorted(coordinates, key=_vertex_sort_key))
+        order = tuple(dict.fromkeys([*carrier.vertices, *coordinates]))
         rows = [coordinates[v] for v in order]
         try:
             matrix = np.array(rows, dtype=float) if rows else np.zeros((0, 0))
@@ -127,16 +128,10 @@ class Embedding:
     def restrict(self, subcomplex: SimplicialComplex) -> "Embedding":
         if subcomplex == self.carrier:  # already checked
             return self
-        if not subcomplex.is_subcomplex_of(self.carrier):
+        simplicial = all(isinstance(c, SimplicialComplex) for c in (subcomplex, self.carrier))
+        if not (simplicial and subcomplex.is_subcomplex_of(self.carrier)):
             raise PieceNotSubcomplex(f"{subcomplex!r} is not a subcomplex of the carrier")
         return Embedding(subcomplex, {v: self.coordinates[v] for v in subcomplex.vertices})
-
-
-def _vertex_sort_key(v):
-    """Ints in order, then tuples entrywise by this key, then the rest by repr."""
-    if isinstance(v, tuple):
-        return (1, tuple(map(_vertex_sort_key, v)))
-    return (0, v) if isinstance(v, int) else (2, repr(v))
 
 
 def _row_chunks(rows: np.ndarray, row_bytes: int) -> list:
@@ -213,20 +208,17 @@ def product_embedding(ex: Embedding, ey: Embedding) -> Embedding:
 def height_coordinates(coords: np.ndarray) -> np.ndarray:
     """The coordinate matrix that Monte Carlo and Morse heights read.
 
-    A matrix whose largest magnitude is 2**400 or more is scaled by the
-    power of two that brings it just below, so that dot products with
-    Gaussian direction rows stay finite; the scaling is exact for every
-    coordinate of magnitude 2**-398 or more. A nonzero matrix whose
-    largest magnitude is below 2**-400 is scaled up, exactly, by the
-    power of two that brings it into [1/2, 1), so that heights are not
-    subnormal. Either changes no height comparison; any other matrix is
-    returned as it is.
+    A nonzero matrix is scaled by the power of two that brings its
+    largest magnitude into [2**399, 2**400): dot products with Gaussian
+    direction rows stay finite, and coordinates far below the largest,
+    subnormal ones included, keep their bits in the heights. Scaling up
+    is exact, and scaling down is exact for every coordinate of
+    magnitude 2**-398 or more, so neither changes a height comparison.
     """
     big = float(np.abs(coords).max(initial=0.0))
-    if big == 0.0 or 2.0**-_HEIGHT_SCALE_EXPONENT <= big < 2.0**_HEIGHT_SCALE_EXPONENT:
+    if big == 0.0:
         return coords
-    top = _HEIGHT_SCALE_EXPONENT if big > 1.0 else 0
-    return np.ldexp(coords, top - math.frexp(big)[1])
+    return np.ldexp(coords, _HEIGHT_SCALE_EXPONENT - math.frexp(big)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +348,6 @@ def excess_angle(
 # ---------------------------------------------------------------------------
 # Vertex curvature
 # ---------------------------------------------------------------------------
-
-def vertex_curvature(
-    v,
-    embedding: Embedding,
-    method: str = "exact",
-    samples: int = 100_000,
-    seed: int = 0,
-) -> ValueWithError:
-    """Curvature mass at one vertex: the alternating sum of normal-cone
-    fractions over the simplices containing v."""
-    return curvature_measure(embedding, method, samples, seed)[v]
-
 
 def curvature_measure(
     embedding: Embedding,

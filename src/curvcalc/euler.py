@@ -33,16 +33,7 @@ from .complexes import (
     _magnitude,
     _reduced,
 )
-from .errors import CarrierTooHighDimensional, ForeignCell, UnknownVertex
-
-
-def chi_c(carrier, cells) -> int:
-    """Euler characteristic with compact support of a set of open cells."""
-    cells = tuple(cells)
-    foreign = np.flatnonzero(carrier.cell_indices(cells) < 0)
-    if len(foreign):
-        raise ForeignCell(cells[foreign[0]])
-    return sum(-1 if carrier.cell_dim(cell) % 2 else 1 for cell in cells)
+from .errors import CarrierTooHighDimensional, ForeignCell
 
 
 class ConstructibleFunction:
@@ -278,18 +269,9 @@ def _weight_numerators(complex: SimplicialComplex) -> tuple[int, np.ndarray]:
     return common, numerators
 
 
-def weight(complex: SimplicialComplex, v: int) -> Fraction:
-    """The vertex weight sum_i (-1)^i / (i+1) * #{i-simplices containing v}.
-
-    Counts the whole complex; use weights() for more than one vertex.
-    """
-    if v not in complex.vertices:
-        raise UnknownVertex(v)
-    return weights(complex)[v]
-
-
 def weights(complex: SimplicialComplex) -> dict[int, Fraction]:
-    """weight(v) for every vertex, from one pass over the complex."""
+    """The weight sum_i (-1)^i / (i+1) * #{i-simplices containing v} of
+    every vertex v, from one pass over the complex."""
     common, numerators = _weight_numerators(complex)
     # star counts repeat, so one Fraction per distinct numerator serves all
     memo: dict = {}

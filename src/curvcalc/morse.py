@@ -80,12 +80,6 @@ def morse_indices(direction, embedding: Embedding) -> dict:
     return {v: 1 - lower_link(carrier, v, heights).euler_characteristic() for v in carrier.vertices}
 
 
-def chi_sum_check(direction, embedding: Embedding) -> int:
-    """Sum of the vertex indices for one generic direction; equals the
-    Euler characteristic of a compact complex."""
-    return sum(morse_indices(direction, embedding).values())
-
-
 def morse_curvature_measure(
     embedding: Embedding,
     samples: int = 100_000,

@@ -20,7 +20,7 @@ from .complexes import (
     _magnitude,
 )
 from .curvature import Embedding, curvature_measure, product_embedding
-from .errors import CarrierMismatch, UnknownSimplex
+from .errors import CarrierMismatch
 from .euler import ConstructibleFunction, euler_integral
 
 
@@ -45,23 +45,6 @@ def _push(target, indices, signs, s: ConstructibleFunction) -> ConstructibleFunc
     sums = np.zeros(len(target), dtype=numerators.dtype)
     np.add.at(sums, indices, signs * numerators)
     return ConstructibleFunction._from_arrays(target, np.arange(len(sums)), sums, s._common)
-
-
-def fiber_euler(f: SimplicialMap, target_simplex) -> int:
-    """chi_c of the fiber of f over any point of the given open target
-    simplex: the fiber rule applied to the constant 1, i.e. the signs of
-    the source cells whose image is that simplex, summed."""
-    target_simplex = tuple(target_simplex)
-    (t,) = f.target.cell_indices([target_simplex])
-    if t < 0:
-        raise UnknownSimplex(target_simplex)
-    return int(f.image_signs[f.image_indices == t].sum())
-
-
-def check_functoriality(f: SimplicialMap, g: SimplicialMap, s: ConstructibleFunction) -> bool:
-    """Exact comparison of (f o g)_* s with f_*(g_* s)."""
-    composed = f.compose(g)
-    return pushforward(composed, s) == pushforward(f, pushforward(g, s))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from curvcalc.euler import (
     weights,
 )
 from curvcalc.morse import morse_curvature_measure
-from curvcalc.pushforwards import check_functoriality, fubini_chi, fubini_curvature, pushforward
+from curvcalc.pushforwards import fubini_chi, fubini_curvature, pushforward
 from curvcalc import fixtures
 
 from euler_oracles import barycenter_sum
@@ -235,7 +235,7 @@ def test_criterion_09_pushforward_sweep():
         for g in all_simplicial_maps(tri, path):
             s = ConstructibleFunction.ones(tri)
             for f in all_simplicial_maps(path, edge):
-                assert check_functoriality(f, g, s)
+                assert pushforward(f.compose(g), s) == pushforward(f, pushforward(g, s))
 
         projection, _ = fixtures.octahedron_to_path()
         fs = pushforward(projection, ConstructibleFunction.ones(projection.source))

@@ -77,6 +77,26 @@ class TestWarpValidation:
         for grid in (5, 64, 4096):
             assert profile(name, grid).step > 0
 
+    def test_a_tiny_periodic_profile_is_positive(self):
+        t = np.linspace(0, 2 * math.pi, 64)
+        w = WarpFunction(t, 1e-13 * (2 + np.cos(t)), periodic=True)
+        assert curvature_density(w, 0.0).total == 0.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_the_periodic_repeat_is_relative_to_the_profile(self, scale):
+        t = np.linspace(0, 2 * math.pi, 64)
+        f = 2 + np.cos(t)
+        f[-1] = f[0] + 5e-10
+        assert WarpFunction(t, scale * f, periodic=True).periodic
+
+    def test_poles_are_relative_to_the_profile(self):
+        sphere = profile("sphere", 4096)
+        big = WarpFunction(sphere.t, 1e13 * sphere.f)
+        assert big.pole_at_start() and big.pole_at_end()
+        report = adiabatic_sweep(big, (0.0, 0.5))
+        assert report["chi"] == 2
+        assert [row["total"] for row in report["rows"]] == pytest.approx([2.0, 2.0], abs=1e-9)
+
     def test_linspace_far_from_zero_is_uniform(self):
         # the steps of a linspace differ by the rounding of t, ulps of 1e6
         t = np.linspace(1e6, 1e6 + 1, 4096)
@@ -191,6 +211,13 @@ class TestSweepAndReports:
 
     def test_nonsplit_cylinder_raises_no_alarm(self):
         demo = nonsplit_demo(profile("cylinder", 512))
+        assert demo["pushforward_density_support"] == 0.0
+        assert demo["absolutely_continuous"]
+
+    @pytest.mark.parametrize("grid", [5, 64, 4096, 100_001])
+    def test_nonsplit_cone_raises_no_alarm(self, grid):
+        # f = t has f'' = 0: what the second differences hold is rounding
+        demo = nonsplit_demo(profile("cone", grid))
         assert demo["pushforward_density_support"] == 0.0
         assert demo["absolutely_continuous"]
 

@@ -63,28 +63,11 @@ CORPUS = [
 
 # Public functions the CLI deliberately does not call.
 LIBRARY_ONLY = {
-    # single-cell angle; `curvature` prints the whole measure instead
+    # one cone fraction; no CLI output holds a single simplex's angle
     "excess_angle",
-    # one vertex's curvature; `curvature` computes all vertices in one pass
-    "vertex_curvature",
-    # one vertex's weight; `integrate --kind weights` computes all in one pass
-    "weight",
-    # one target cell's fiber; `pushforward` reads every fiber from one
-    # pushforward of the constant 1
-    "fiber_euler",
-    # `pushforward --compose` compares (g o f)_* s with g_*(f_* s) itself,
-    # so that it computes the one it prints only once
-    "check_functoriality",
-    # SimplicialComplex already checks closure when a file is parsed
-    "validate",
-    # one vertex's index; `morse-index` prints every vertex's from one
-    # computation of the heights (morse_indices)
+    # needs the direction generic only on the link of v, so it answers
+    # where morse_indices (what `morse-index` prints) raises NonGenericDirection
     "morse_index",
-    # the sum of morse_indices, which `morse-index` prints term by term
-    "chi_sum_check",
-    # chi_c of every cell of a complex is its chi, which `validate`
-    # reports for both fields from the f-vector
-    "chi_c",
 }
 
 
@@ -247,15 +230,14 @@ def test_validate_reports_link_sizes(fixture_dir):
 def test_validate_reports_chi_c_and_the_link_from_what_it_has(fixture_dir, monkeypatch):
     # chi_c of every cell is chi, and s -> s - {v} sends the star onto
     # the link plus the empty simplex: neither needs a second computation
-    from curvcalc import cli, euler
+    from curvcalc import euler
     from curvcalc.complexes import SimplicialComplex
 
     def recomputed(*args, **kwargs):
         raise AssertionError("validate recomputed a number it already had")
 
     monkeypatch.setattr(SimplicialComplex, "link", recomputed)
-    monkeypatch.setattr(euler, "chi_c", recomputed)
-    monkeypatch.setattr(cli, "chi_c", recomputed, raising=False)
+    monkeypatch.setattr(euler, "euler_integral", recomputed)
     code, out, _ = invoke("validate", str(fixture_dir / "octahedron.txt"), "--vertex", "top")
     assert code == 0
     report = json.loads(out)

@@ -18,7 +18,6 @@ from curvcalc.complexes import (
     signature_barycenter_sums,
     signature_census,
     subdivision_vertex_simplices,
-    validate,
     validate_simplices,
 )
 from curvcalc.errors import MissingFace, NotComposable, UnknownSimplex, UnknownVertex
@@ -55,7 +54,7 @@ def matches_map_oracle(source, target, vertex_map) -> bool:
 class TestValidation:
     def test_edge_with_endpoints_is_valid(self):
         X = SimplicialComplex([(0,), (1,), (0, 1)])
-        validate(X)
+        validate_simplices(X.simplices)
 
     def test_closure_violation(self):
         with pytest.raises(MissingFace):
@@ -64,7 +63,7 @@ class TestValidation:
     def test_full_2_simplex_is_valid(self):
         X = full_simplex_complex(2)
         assert len(X) == 7
-        validate(X)
+        validate_simplices(X.simplices)
 
     def test_from_maximal_closes(self):
         X = SimplicialComplex.from_maximal([(0, 1, 2)])
@@ -171,7 +170,7 @@ class TestBarycentricSubdivision:
         X = fixtures.random_complex(rng)
         sd, _ = barycentric_subdivide(X)
         assert len(sd.vertices) == len(X)
-        validate(sd)
+        validate_simplices(sd.simplices)
 
     def test_linear_extension_is_the_mean(self, rng):
         X = fixtures.random_complex(rng)

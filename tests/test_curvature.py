@@ -24,7 +24,6 @@ from curvcalc.curvature import (
     gauss_bonnet_check,
     height_coordinates,
     product_embedding,
-    vertex_curvature,
 )
 from curvcalc.errors import DegenerateSimplex, ExactUnavailable, PieceNotSubcomplex
 from curvcalc.euler import tentative_integral, weights
@@ -148,8 +147,9 @@ class TestEquilateralEmbedding:
 class TestVertexCurvature:
     def test_segment_endpoints(self):
         _, emb = fixtures.segment()
-        assert vertex_curvature(0, emb).value == 0.5
-        assert vertex_curvature(1, emb).value == 0.5
+        kappa = curvature_measure(emb)
+        assert kappa[0].value == 0.5
+        assert kappa[1].value == 0.5
 
     def test_closed_polygon_is_flat(self):
         _, emb = fixtures.square_boundary()
@@ -381,6 +381,14 @@ class TestIntegrals:
         with pytest.raises(PieceNotSubcomplex):
             final_integral(emb, [(foreign, constant_function(foreign, 1))])
 
+    def test_products_have_no_pieces(self):
+        X, ex = fixtures.segment()
+        square = product_embedding(ex, ex)
+        with pytest.raises(PieceNotSubcomplex):
+            final_integral(square, [(X, constant_function(X, 1))])
+        with pytest.raises(PieceNotSubcomplex):
+            final_integral(ex, [(square.carrier, constant_function(X, 1))])
+
 
 @pytest.mark.parametrize(
     "coordinates",
@@ -396,21 +404,19 @@ def test_coordinates_that_are_not_vectors_raise_a_value_error(coordinates):
         Embedding(X, coordinates)
 
 
-@pytest.mark.parametrize("largest", [1.0, 2.0**399, np.nextafter(2.0**400, 0), 0.0])
-def test_height_coordinates_leave_smaller_matrices_alone(largest):
-    coords = np.array([[largest, -0.5], [3.0e-300, 0.25]])
-    assert height_coordinates(coords) is coords
-
-
-@pytest.mark.parametrize("largest", [2.0**400, -1.5e308, np.finfo(float).max])
+@pytest.mark.parametrize(
+    "largest",
+    [0.0, 1.0, 2.0**399, np.nextafter(2.0**400, 0), 2.0**400, -1.5e308, np.finfo(float).max],
+)
 def test_height_coordinates_scale_by_a_power_of_two(largest):
-    coords = np.array([[largest, 0.5], [2.0**-398, -(2.0**401)]])
+    coords = np.array([[largest, 0.5], [2.0**-398, -largest / 2]])
     scaled = height_coordinates(coords)
     top = np.abs(scaled).max()
     assert 2.0**399 <= top < 2.0**400
     ratio = top / np.abs(coords).max()
     assert math.frexp(ratio)[0] == 0.5  # a power of two
-    np.testing.assert_array_equal(scaled / ratio, coords)
+    np.testing.assert_array_equal(scaled / ratio, coords)  # zeros stay zeros
+    assert not height_coordinates(np.zeros((2, 2))).any()
 
 
 class TestPairBounds:
@@ -510,8 +516,8 @@ def test_exact_curvature_of_a_tiny_triangle_beside_a_larger_one(big, tiny):
 def test_height_coordinates_scale_tiny_matrices_up(largest):
     coords = np.array([[largest, 0.0], [0.0, -largest / 2]])
     up = height_coordinates(coords)
-    assert 0.5 <= np.abs(up).max() < 1.0
-    shift = -math.frexp(largest)[1]  # up by an exact power of two
+    assert 2.0**399 <= np.abs(up).max() < 2.0**400
+    shift = 400 - math.frexp(largest)[1]  # up by an exact power of two
     np.testing.assert_array_equal(up, np.ldexp(coords, shift))
     np.testing.assert_array_equal(np.ldexp(up, -shift), coords)
 
@@ -522,3 +528,10 @@ def test_monte_carlo_measures_of_a_subnormal_triangle_match_the_unit_one():
     tiny = scaled(emb, 2.0**-1070)
     assert curvature_measure(tiny, "mc", 2000, 3) == curvature_measure(emb, "mc", 2000, 3)
     assert morse_curvature_measure(tiny, 2000, 3) == morse_curvature_measure(emb, 2000, 3)
+
+
+def test_monte_carlo_measures_of_a_subnormal_triangle_beside_a_unit_one():
+    # one scale serves the whole matrix; the legs of 1e-322 must keep their bits
+    mixed, unit = two_triangles(1.0, 1e-322), two_triangles(1.0, 1.0)
+    assert curvature_measure(mixed, "mc", 20_000, 1) == curvature_measure(unit, "mc", 20_000, 1)
+    assert morse_curvature_measure(mixed, 20_000, 1) == morse_curvature_measure(unit, 20_000, 1)
