@@ -3,13 +3,14 @@
 Both kernels take a heights matrix H, H[b, v] being the height of vertex v
 under the direction x_b of row b, and a cell table (cells, sizes) padded
 as mc.build_cell_arrays pads it, and answer for the 2m directions x_b and
--x_b of H's m rows. Only the order of the heights in a row matters, so
-the core, _hit_planes, may compare per-row competition ranks instead of
-heights: the rank of v is the number of heights in its row strictly
-below v's, and every < and == between two heights of a row also holds
-between their ranks. Ranks fit one byte up to 256 vertices, where a
-height takes eight, but ranking a row takes n^2 comparisons, so the core
-ranks only when n^2 <= 4 * slots (uses_ranks). Either way it gathers rows
+-x_b of H's m rows. Heights are float64, or the uint64 keys of
+mc.key_heights, which are never negated or cast. Only the order of the
+heights in a row matters, so the core, _hit_planes, may compare per-row
+competition ranks instead of heights: the rank of v is the number of
+heights in its row strictly below v's, and every < and == between two
+heights of a row also holds between their ranks. Ranks fit one byte up
+to 256 vertices, where a height takes eight, but ranking a row takes n^2
+comparisons, so the core ranks only when n^2 <= 4 * slots (uses_ranks). Either way it gathers rows
 of the vertex-major table into one (cells, rows) plane per slot of a size
 class. A slot hits under x where its plane equals the class's running
 np.maximum, and under -x where it equals the running np.minimum: the
@@ -108,7 +109,7 @@ def _call_bytes(sizes) -> int:
 
 def _plane_row_bytes(sizes, n_vertices: int) -> int:
     """Bytes per pair of every array _hit_planes allocates, summed as if
-    all were live at once: per vertex the driver's float heights and,
+    all were live at once: per vertex the driver's heights or keys and,
     when ranking, the rank and its comparison mask; per slot a table
     entry and two hits; per cell the running maximum and minimum, two
     hit counts of up to two bytes and their tie masks; the tie flags,

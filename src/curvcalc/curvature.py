@@ -221,6 +221,29 @@ def height_coordinates(coords: np.ndarray) -> np.ndarray:
     return np.ldexp(coords, _HEIGHT_SCALE_EXPONENT - math.frexp(big)[1])
 
 
+def height_source(coords: np.ndarray):
+    """The mc heights source of a coordinate matrix.
+
+    A coordinate-vector matrix, whose rows each hold one nonzero entry,
+    one common positive value c, in distinct columns, gets mc.key_heights:
+    the height of row v along a Gaussian direction x is c x_j for its own
+    column j, so a row's heights are iid and their order is a uniformly
+    random permutation, as it is for iid keys. Any other matrix gets the
+    linear heights of its height_coordinates.
+    """
+    rows, cols = np.nonzero(coords)
+    values = coords[rows, cols]
+    if (
+        len(coords)
+        and np.array_equal(rows, np.arange(len(coords)))
+        and values[0] > 0.0
+        and (values == values[0]).all()
+        and np.bincount(cols).max() == 1
+    ):
+        return mc.key_heights
+    return mc.linear_heights(height_coordinates(coords))
+
+
 # ---------------------------------------------------------------------------
 # Normal-cone fractions
 # ---------------------------------------------------------------------------
@@ -302,10 +325,8 @@ def _cone_fractions(coords, cells, sizes, method, samples, seed):
         return _exact_cone_fractions(coords, cells, sizes), np.zeros(cells.shape)
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
-    coords = height_coordinates(coords)
-
     counts, stats = mc.run_cone_counts(
-        mc.linear_heights(coords), coords.shape[-1], cells, sizes, len(coords), samples, seed
+        height_source(coords), coords.shape[-1], cells, sizes, len(coords), samples, seed
     )
     # Over P tie-free pairs a slot of a cell with two or more vertices hits
     # at most once per pair, so its count c is binomial(P, 2p): the

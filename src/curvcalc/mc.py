@@ -1,15 +1,20 @@
 """Deterministic Monte Carlo direction sampling and the kernel driver.
 
-Directions are unnormalized standard Gaussian rows in antithetic pairs:
-each row x of a block of BLOCK_ROWS rows stands for the two directions x
-and -x. Block b comes from a Philox stream keyed by the seed with b in the
-counter, so every result is a function of the inputs, the seed and the
-sample count alone. The driver passes each block to a kernel in pair
-slices that keep its temporaries under KERNEL_BUDGET_BYTES, and replaces
-pairs in which either direction ties from later blocks, so every
-estimate uses exactly ceil(samples / 2) tie-free pairs, whatever the
-slicing. Both kernels read the simplex_rows table; neither builds a link
-or coface.
+Directions come in antithetic pairs: each row of a block stands for a
+direction x and its negation -x. A heights source turns the rows into
+vertex heights. linear_heights reads unnormalized standard Gaussian rows
+of at most BLOCK_ROWS rows and BLOCK_BYTES bytes a block, and key_heights
+draws one iid uint64 key per vertex and row instead, for coordinate-vector
+matrices, whose Gaussian heights are iid (curvature.height_source picks
+it). The kernels read only the order of the heights in a row, so keys are
+heights too. Block b of either comes from a Philox stream keyed by the
+seed with b in the counter, so every result is a function of the inputs,
+the seed and the sample count alone. The driver passes each block to a
+kernel in pair slices that keep its temporaries under
+KERNEL_BUDGET_BYTES, and replaces pairs in which either direction ties
+from later blocks, so every estimate uses exactly ceil(samples / 2)
+tie-free pairs, whatever the slicing. Both kernels read the simplex_rows
+table; neither builds a link or coface.
 """
 
 import operator
@@ -21,6 +26,9 @@ from . import _kernels
 
 BLOCK_ROWS = 8192
 KERNEL_BUDGET_BYTES = 8 * 2**20
+# A Gaussian block's bytes: a quarter of the kernel budget, fixed, since
+# block sizes choose the rows drawn while pair slices change no output.
+BLOCK_BYTES = KERNEL_BUDGET_BYTES // 4
 _MAX_EMPTY_BLOCKS = 64
 SEED_BOUND = 2**64
 
@@ -53,8 +61,8 @@ class McStats:
 
 
 def linear_heights(coords):
-    """The heights_fn of a coordinate matrix: heights(dirs, out) writes
-    coords @ dirs.T, vertex-major, into out."""
+    """The heights source of a coordinate matrix: heights(dirs, out)
+    writes coords @ dirs.T, vertex-major, into out."""
 
     def heights(dirs, out):
         np.matmul(coords, dirs.T, out=out)
@@ -62,34 +70,59 @@ def linear_heights(coords):
     return heights
 
 
+def key_heights(seed, block: int, lo: int, out) -> None:
+    """The heights source of a coordinate-vector matrix: writes the iid
+    uint64 keys of rows lo .. lo + m - 1 of a block into the (n, m) array
+    out, vertex-major. Row r of block b is raw outputs 4wr .. 4wr + n - 1
+    of the (seed, b) Philox stream, w = ceil(n / 4), and Philox4x64 gives
+    4 outputs per counter step, so a slice starts at counter lo * w and
+    no key depends on the slicing."""
+    n, m = out.shape
+    w = -(-n // 4)
+    bit_gen = np.random.Philox(key=philox_key(seed), counter=[lo * w, 0, 0, block])
+    np.copyto(out, bit_gen.random_raw(4 * w * m).reshape(m, 4 * w)[:, :n].T)
+
+
 def _drive(heights_fn, dim, n_vertices, n_samples, seed, call_bytes, pair_bytes, accumulate):
     """Feed exactly ceil(n_samples / 2) tie-free direction pairs to
     accumulate, which adds the tie-free pairs of a (pairs, n_vertices)
     heights slice to the caller's totals and returns its number of tie
-    pairs. Each Gaussian row x of a block is one pair, x and -x.
-    heights_fn(dirs, out) writes the heights of a (rows, dim) direction
-    array into an (n_vertices, rows) view of one buffer allocated once
-    per run; accumulate gets its transpose. A call's fixed bytes come off
-    the budget before it is divided into pairs."""
+    pairs. Each row of a block is one pair, x and -x. heights_fn is
+    key_heights, or heights(dirs, out) of a (rows, dim) Gaussian direction
+    array. Either writes into an (n_vertices, rows) view of one buffer
+    allocated once per run; accumulate gets its transpose. A call's fixed
+    bytes come off the budget before it is divided into pairs, each of
+    which also holds its key slice on the key path."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    keys = heights_fn is key_heights
+    if keys:
+        block_rows = BLOCK_ROWS
+        pair_bytes += 32 * -(-n_vertices // 4)
+    else:
+        block_rows = min(BLOCK_ROWS, max(1, BLOCK_BYTES // (8 * max(dim, 1))))
     n_pairs = -(-n_samples // 2)
     step = max(1, (KERNEL_BUDGET_BYTES - call_bytes) // max(pair_bytes, 1))
-    buffer = np.empty(n_vertices * min(step, BLOCK_ROWS, n_pairs))
+    size = n_vertices * min(step, block_rows, n_pairs)
+    buffer = np.empty(size, dtype=np.uint64 if keys else float)
     remaining = n_pairs
     blocks = 0
     resampled = 0
     empty_streak = 0
     while remaining > 0:
-        rows = min(BLOCK_ROWS, remaining)
-        dirs = sample_unit_directions(seed, blocks, rows, dim)
-        blocks += 1
+        rows = min(block_rows, remaining)
+        if not keys:
+            dirs = sample_unit_directions(seed, blocks, rows, dim)
         n_tied = 0
         for lo in range(0, rows, step):
-            part = dirs[lo : lo + step]
-            heights = buffer[: n_vertices * len(part)].reshape(n_vertices, len(part))
-            heights_fn(part, heights)
+            m = min(step, rows - lo)
+            heights = buffer[: n_vertices * m].reshape(n_vertices, m)
+            if keys:
+                key_heights(seed, blocks, lo, heights)
+            else:
+                heights_fn(dirs[lo : lo + m], heights)
             n_tied += accumulate(heights.T)
+        blocks += 1
         remaining -= rows - n_tied
         resampled += n_tied
         empty_streak = empty_streak + 1 if n_tied == rows else 0
@@ -109,7 +142,8 @@ def run_cone_counts(
 ):
     """Strict-argmax counts per (cell, vertex slot) over the two
     directions of exactly ceil(n_samples / 2) tie-free pairs, and the
-    run's McStats; heights_fn gives n_vertices heights per direction."""
+    run's McStats; heights_fn, a heights source (see _drive), gives
+    n_vertices heights per direction."""
     counts = np.zeros(cells.shape, dtype=np.int64)
 
     def accumulate(heights):

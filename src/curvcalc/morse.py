@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .complexes import SimplicialComplex
-from .curvature import Embedding, ValueWithError, height_coordinates
+from .curvature import Embedding, ValueWithError, height_coordinates, height_source
 from .errors import CarrierMismatch, DimensionMismatch, NonGenericDirection, UnknownVertex
 from . import mc
 
@@ -100,10 +100,10 @@ def morse_curvature_measure(
     carrier = _simplicial_carrier(embedding)
     index = embedding.vertex_index
     link_arrays = mc.build_link_arrays(carrier, index)
-    coords = height_coordinates(embedding.matrix())
     # the pair index I(x) + I(-x) is even in x, so heights need no sign
     sums, sumsq, stats = mc.run_lower_link_stats(
-        mc.linear_heights(coords), embedding.ambient_dim, link_arrays, len(index), samples, seed
+        height_source(embedding.matrix()), embedding.ambient_dim, link_arrays, len(index),
+        samples, seed,
     )
     pairs = stats.pairs
     mean = sums / (2.0 * pairs)  # half the mean pair index

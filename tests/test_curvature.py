@@ -23,6 +23,7 @@ from curvcalc.curvature import (
     final_integral,
     gauss_bonnet_check,
     height_coordinates,
+    height_source,
     product_embedding,
 )
 from curvcalc.errors import DegenerateSimplex, ExactUnavailable, PieceNotSubcomplex
@@ -483,6 +484,59 @@ def test_exact_curvature_memory_stays_under_twice_the_budget():
     assert peak < 2 * mc.KERNEL_BUDGET_BYTES
     total = math.fsum(k.value for k in kappa.values())
     assert total == pytest.approx(X.euler_characteristic(), abs=1e-9)  # Gauss-Bonnet
+
+
+def test_monte_carlo_memory_in_r2000_stays_under_twice_the_budget():
+    # one block of 8,192 Gaussian rows in R^2000 alone would take 125 MiB
+    X = fixtures.random_complex(np.random.default_rng(3))
+    coords = np.random.default_rng(4).standard_normal((len(X.vertices), 2000))
+    embedding = Embedding(X, zip(X.vertices, coords))
+    tracemalloc.start()
+    try:
+        kappa = curvature_measure(embedding, "mc", samples=4000, seed=1)
+        morse = morse_curvature_measure(embedding, samples=4000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * mc.KERNEL_BUDGET_BYTES
+    for measure in (kappa, morse):
+        total = math.fsum(k.value for k in measure.values())
+        assert total == pytest.approx(X.euler_characteristic(), abs=1e-9)
+
+
+def rotated(emb, seed):
+    """emb's coordinates times a random orthogonal matrix Q: C Q (C Q)^T =
+    C C^T, so an equilateral embedding keeps iid Gaussian heights, but its
+    matrix is no longer one of coordinate vectors."""
+    n = emb.ambient_dim
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    q *= np.sign(np.diag(r))
+    return Embedding(emb.carrier, zip(emb.vertex_order, emb.matrix() @ q))
+
+
+@pytest.mark.parametrize("subdivided", [False, True], ids=["fixture", "sd1"])
+@pytest.mark.parametrize("name", list(all_fixtures()))
+def test_iid_keys_follow_the_law_of_rotated_gaussian_heights(name, subdivided):
+    # the rotated matrix takes Gaussian rows, a second code path for the
+    # same law; both estimate the Euler weights
+    X, _ = all_fixtures()[name]
+    if subdivided:
+        X, _ = barycentric_subdivide(X)
+    emb = equilateral_embedding(X)
+    turned = rotated(emb, 5)
+    assert height_source(turned.matrix()) is not mc.key_heights
+    assert height_source(emb.matrix()) is mc.key_heights
+    w = weights(X)
+    for measure in (
+        lambda e: curvature_measure(e, "mc", samples=20000, seed=6),
+        lambda e: morse_curvature_measure(e, samples=20000, seed=6),
+    ):
+        keys, gauss = measure(emb), measure(turned)
+        for v in X.vertices:
+            (a, ba), (b, bb) = keys[v], gauss[v]
+            assert abs(a - b) <= 4 * math.hypot(ba, bb) + 1e-12, v
+            assert abs(a - float(w[v])) <= 4 * ba + 1e-12, v
+            assert abs(b - float(w[v])) <= 4 * bb + 1e-12, v
 
 
 def scaled(emb, scale):

@@ -7,6 +7,7 @@ answers for the 2m directions x and -x; its oracles are run on [H; -H]
 with every pair dropped that ties in either half.
 """
 
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -22,6 +23,9 @@ from curvcalc.curvature import (
     _cell_table,
     curvature_measure,
     equilateral_embedding,
+    excess_angle,
+    height_coordinates,
+    height_source,
     product_embedding,
 )
 from curvcalc.morse import morse_curvature_measure
@@ -47,6 +51,21 @@ def tied_heights(rng, n_rows, n_vertices):
         a, c = rng.choice(n_vertices, size=2, replace=False)
         heights[b, a] = heights[b, c]
     return heights
+
+
+def tied_keys(rng, n_rows, n_vertices):
+    """uint64 keys in [2**63, 2**64) with an exact tie between two random
+    vertices on every third row, two keys one apart, which no float64
+    tells apart, on the rows after them, and every fourth row tie-heavy:
+    drawn from three neighbouring keys."""
+    keys = rng.integers(2**63, 2**64, size=(n_rows, n_vertices), dtype=np.uint64)
+    keys[::4] = np.uint64(2**63) + keys[::4] % np.uint64(3)
+    for b in range(0, n_rows, 3):
+        a, c = rng.choice(n_vertices, size=2, replace=False)
+        keys[b, a] = keys[b, c]
+        if b + 1 < n_rows:
+            keys[b + 1, a] = keys[b + 1, c] - np.uint64(1)
+    return keys
 
 
 def complex_cell_table(X):
@@ -518,18 +537,27 @@ def test_rank_and_height_planes_agree_bitwise(name, monkeypatch, rng):
     link_arrays = mc.build_link_arrays(X, index)
     heights = tied_heights(rng, 96, len(X.vertices))
     heights[::4] = np.round(heights[::4], 1)  # tie-heavy rows
-    (counts, ties), (flip_counts, flip_ties) = _both_paths(
-        monkeypatch, _kernels.cone_argmax_counts, heights, cells, sizes
-    )
-    assert 0 < ties.sum() < len(heights)
-    np.testing.assert_array_equal(ties, flip_ties)
-    np.testing.assert_array_equal(counts, flip_counts)
-    (idx, ties), (flip_idx, flip_ties) = _both_paths(
-        monkeypatch, _kernels.lower_link_index, heights, *link_arrays
-    )
-    assert idx.dtype == flip_idx.dtype
-    np.testing.assert_array_equal(ties, flip_ties)
-    np.testing.assert_array_equal(idx, flip_idx)
+    keys = tied_keys(rng, 96, len(X.vertices))
+    # the competition ranks of the keys, as floats: the same order in every row
+    key_ranks = (keys[:, None, :] < keys[:, :, None]).sum(axis=2).astype(float)
+    results = []
+    for table in (heights, keys, key_ranks):
+        (counts, ties), (flip_counts, flip_ties) = _both_paths(
+            monkeypatch, _kernels.cone_argmax_counts, table, cells, sizes
+        )
+        assert 0 < ties.sum() < len(table)
+        np.testing.assert_array_equal(ties, flip_ties)
+        np.testing.assert_array_equal(counts, flip_counts)
+        (idx, link_ties), (flip_idx, flip_link_ties) = _both_paths(
+            monkeypatch, _kernels.lower_link_index, table, *link_arrays
+        )
+        assert idx.dtype == flip_idx.dtype
+        np.testing.assert_array_equal(link_ties, flip_link_ties)
+        np.testing.assert_array_equal(idx, flip_idx)
+        results.append((counts, ties, idx, link_ties))
+    # keys one apart stay apart: no path casts a key to a float
+    for got, want in zip(results[1], results[2]):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_rank_and_height_planes_agree_on_product_cells(monkeypatch, rng):
@@ -674,6 +702,146 @@ def test_both_ends_of_the_key_range_are_distinct_keys():
     assert mc.philox_key(np.int64(7)) == mc.philox_key(7) == np.uint64(7)
     with pytest.raises(TypeError):
         mc.philox_key(7.0)
+
+
+def test_key_slices_read_the_rows_of_one_block():
+    # row r of block b is raw outputs 4wr .. 4wr + n - 1 of the (seed, b)
+    # Philox stream, whatever slice asks for it
+    n, rows, w = 7, 50, 2
+    raw = np.random.Philox(key=5, counter=[0, 0, 0, 3]).random_raw(4 * w * rows)
+    want = raw.reshape(rows, 4 * w)[:, :n].T
+    whole = np.empty((n, rows), dtype=np.uint64)
+    mc.key_heights(5, 3, 0, whole)
+    np.testing.assert_array_equal(whole, want)
+    for lo, hi in ((0, 1), (1, 4), (4, 17), (17, 50)):
+        part = np.empty((n, hi - lo), dtype=np.uint64)
+        mc.key_heights(5, 3, lo, part)
+        np.testing.assert_array_equal(part, want[:, lo:hi])
+    other = np.empty((n, rows), dtype=np.uint64)
+    mc.key_heights(5, 4, 0, other)
+    assert not np.array_equal(other, whole)
+
+
+def test_key_slices_count_against_the_budget(monkeypatch):
+    # the driver charges each pair 8 bytes per vertex, in whole counter
+    # steps of four, for the raw key slice that key_heights copies
+    X = fixtures.path_complex(60)
+    n, w = len(X.vertices), 16
+    cells, sizes, _ = complex_cell_table(X)
+    key_bytes = 32 * w
+    out = np.empty((n, 500), dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        mc.key_heights(3, 0, 0, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 500 * key_bytes <= peak <= 500 * key_bytes + 1024
+    pair_bytes = _kernels.cone_row_bytes(sizes, n) + key_bytes
+    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", _kernels.cone_call_bytes(sizes) + 10 * pair_bytes)
+    rows = _record_rows(monkeypatch, "cone_argmax_counts")
+    mc.run_cone_counts(mc.key_heights, n, cells, sizes, n, 100, 3)
+    assert max(rows) == 10
+
+
+def _gaussian_rows(monkeypatch):
+    """Record the row count of every Gaussian block drawn."""
+    counts = []
+    sample = mc.sample_unit_directions
+
+    def recorded(seed, batch_index, count, dim):
+        counts.append(count)
+        return sample(seed, batch_index, count, dim)
+
+    monkeypatch.setattr(mc, "sample_unit_directions", recorded)
+    return counts
+
+
+def _key_path_cases():
+    X, _ = fixtures.octahedron()
+    emb = equilateral_embedding(X)
+    disk = SimplicialComplex.from_maximal([(0, 2, 3)])
+    return {
+        "equilateral": emb,
+        "restricted": emb.restrict(disk),
+        "half_unit_vectors": Embedding(X, {v: 0.5 * np.eye(6)[i] for i, v in enumerate(X.vertices)}),
+        # vertex 1 on e_0: the columns need not follow the rows
+        "permuted": Embedding(X, {v: np.eye(8)[(i + 1) % 8] for i, v in enumerate(X.vertices)}),
+    }
+
+
+@pytest.mark.parametrize("name", _key_path_cases())
+def test_coordinate_vector_embeddings_draw_no_gaussians(name, monkeypatch):
+    emb = _key_path_cases()[name]
+    assert height_source(emb.matrix()) is mc.key_heights
+    counts = _gaussian_rows(monkeypatch)
+    kappa = curvature_measure(emb, method="mc", samples=2000, seed=4)
+    morse = morse_curvature_measure(emb, samples=2000, seed=4)
+    simplex = max(emb.carrier.simplices, key=len)
+    angle = excess_angle(simplex, simplex[0], emb, method="mc", samples=2000, seed=4)
+    assert counts == []
+    # a regular triangle's cone fraction at a vertex is 1/3
+    assert angle.value == pytest.approx(1 / 3, abs=4 * angle.bound)
+    chi = emb.carrier.euler_characteristic()
+    for measure in (kappa, morse):
+        assert math.fsum(k.value for k in measure.values()) == pytest.approx(chi, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [[0.5, 0.0], [0.0, 0.0]],  # a zero row
+        [[0.5, 0.0], [0.5, 0.0]],  # a repeated column
+        [[0.5, 0.0], [0.0, 0.25]],  # unequal scales
+        [[-0.5, 0.0], [0.0, -0.5]],  # negative entries
+        [[0.5, 0.0, 0.0], [0.0, 0.5, 1e-300]],  # an extra nonzero
+        np.zeros((0, 3)),  # no rows
+    ],
+)
+def test_other_matrices_take_gaussian_rows(coords, monkeypatch):
+    coords = np.array(coords, dtype=float)
+    source = height_source(coords)
+    assert source is not mc.key_heights
+    out = np.empty((len(coords), 4))
+    dirs = mc.sample_unit_directions(1, 0, 4, coords.shape[1])
+    source(dirs, out)
+    np.testing.assert_array_equal(out, height_coordinates(coords) @ dirs.T)
+    if len(coords):
+        X = SimplicialComplex.from_maximal([(0,), (1,)])
+        counts = _gaussian_rows(monkeypatch)
+        curvature_measure(Embedding(X, dict(enumerate(coords))), method="mc", samples=6, seed=1)
+        assert counts == [3]
+
+
+def test_equal_coordinates_give_identical_outputs():
+    X, _ = fixtures.book()
+    sd, _ = barycentric_subdivide(X)
+    by_hand = np.zeros((len(sd.vertices),) * 2)
+    np.fill_diagonal(by_hand, math.sqrt(0.5))
+    runs = []
+    for emb in (
+        equilateral_embedding(sd),
+        Embedding(sd, zip(sd.vertices, by_hand)),
+        # the same rows, in a larger ambient space and another vertex order
+        Embedding(sd, {v: np.concatenate([by_hand[i], [0.0]]) for i, v in reversed(list(enumerate(sd.vertices)))}),
+    ):
+        runs.append((
+            curvature_measure(emb, method="mc", samples=3001, seed=8),
+            morse_curvature_measure(emb, samples=3001, seed=8),
+        ))
+    assert runs[0] == runs[1]
+    assert runs[2] == runs[0]
+
+
+def test_gaussian_blocks_hold_at_most_block_bytes(monkeypatch):
+    X = SimplicialComplex.from_maximal([(0, 1)])
+    cells, sizes, _ = complex_cell_table(X)
+    for dim, rows in ((32, mc.BLOCK_ROWS), (33, mc.BLOCK_BYTES // (8 * 33)), (2000, 131)):
+        counts = _gaussian_rows(monkeypatch)
+        coords = np.random.default_rng(dim).standard_normal((2, dim))
+        mc.run_cone_counts(mc.linear_heights(coords), dim, cells, sizes, 2, 2 * rows + 2, 1)
+        assert counts == [rows, 1], dim
+        monkeypatch.undo()
 
 
 def test_no_numpy_ma_import():
@@ -957,9 +1125,13 @@ def test_morse_stats_square_the_widest_int8_pair_exactly():
     assert kappa[0] == (-62.0, 0.0)
 
 
-@pytest.mark.parametrize("name", ["octahedron", "book"])
+@pytest.mark.parametrize("name", ["octahedron", "book", "equilateral_book"])
 def test_slicing_changes_no_measure(name, monkeypatch):
-    _, emb = getattr(fixtures, name)()
+    if name == "equilateral_book":  # iid keys, not Gaussian rows
+        emb = equilateral_embedding(fixtures.book()[0])
+        monkeypatch.setattr(mc, "sample_unit_directions", None)
+    else:
+        _, emb = getattr(fixtures, name)()
     cone_stats, link_stats = [], []
     run_cone_counts = mc.run_cone_counts
     run_lower_link_stats = mc.run_lower_link_stats
