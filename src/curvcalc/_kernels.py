@@ -3,24 +3,28 @@
 Both kernels take a heights matrix H, H[b, v] being the height of vertex v
 under the direction x_b of row b, and a cell table (cells, sizes) padded
 as mc.build_cell_arrays pads it, and answer for the 2m directions x_b and
--x_b of H's m rows. Heights are float64, or the uint64 keys of
-mc.key_heights, which are never negated or cast. Only the order of the
-heights in a row matters, so the core, _hit_planes, may compare per-row
-competition ranks instead of heights: the rank of v is the number of
-heights in its row strictly below v's, and every < and == between two
-heights of a row also holds between their ranks. Ranks fit one byte up
-to 256 vertices, where a height takes eight, but ranking a row takes n^2
-comparisons, so the core ranks only when n^2 <= 4 * slots (uses_ranks). Either way it gathers rows
-of the vertex-major table into one (cells, rows) plane per slot of a size
-class. A slot hits under x where its plane equals the class's running
-np.maximum, and under -x where it equals the running np.minimum: the
-strict minimum under x is the strict maximum under -x, exactly, on
-heights and on ranks. A direction in which a cell has two hits ties, and
-a pair with a tie in either direction counts nothing and is resampled by
-the caller. The cone kernel counts hits on bit-packed planes; the Morse
-kernel sums signed hits per vertex, a block of vertices with equal slot
-counts at a time. Rows are independent, so the driver in mc.py may slice
-them under each kernel's per-call and per-pair byte bounds.
+-x_b of H's m rows. Heights are float64, the uint64 keys of
+mc.key_heights, or the ranks of mc.permutation_ranks, and are never
+negated or cast. Only the order of the heights in a row matters, so the
+core, _hit_planes, may compare per-row competition ranks instead of
+heights: the rank of v is the number of heights in its row strictly
+below v's, and every < and == between two heights of a row also holds
+between their ranks. Ranks fit one byte up to 256 vertices, where a
+height takes eight, but ranking a row takes n^2 comparisons, so the core
+ranks only when n^2 <= 4 * slots (uses_ranks), and takes a table already
+in the rank dtype as ranks. A row's ranks sum to C(n, 2) exactly when no
+two of its heights tie, so a call whose rows all do counts no ties.
+Either way the core gathers rows of the vertex-major table into one
+(cells, rows) plane per slot of a size class. A slot hits under x where
+its plane equals the class's running np.maximum, and under -x where it
+equals the running np.minimum: the strict minimum under x is the strict
+maximum under -x, exactly, on heights and on ranks. A direction in
+which a cell has two hits ties, and a pair with a tie in either
+direction counts nothing and is resampled by the caller. The cone
+kernel counts hits on bit-packed planes; the Morse kernel sums signed
+hits per vertex, a block of vertices with equal slot counts at a time.
+Rows are independent, so the driver in mc.py may slice them under each
+kernel's per-call and per-pair byte bounds.
 """
 
 import numpy as np
@@ -39,6 +43,11 @@ def uses_ranks(n_vertices: int, sizes) -> bool:
 
 def _rank_dtype(n_vertices: int):
     return np.min_scalar_type(max(n_vertices - 1, 0))
+
+
+def _rank_sum_dtype(n_vertices: int):
+    """The narrowest dtype holding a row's rank sum, at most C(n, 2)."""
+    return np.min_scalar_type(n_vertices * (n_vertices - 1) // 2)
 
 
 def _ranks(ht):
@@ -64,8 +73,15 @@ def _hit_planes(heights, cells, sizes):
     either column."""
     n_pairs, n_vertices = heights.shape
     table = np.ascontiguousarray(heights.T)  # the driver's vertex-major buffer: no copy
-    if uses_ranks(n_vertices, sizes):
+    ranked = table.dtype == _rank_dtype(n_vertices)  # mc.permutation_ranks
+    if not ranked and uses_ranks(n_vertices, sizes):
         table = _ranks(table)
+        ranked = True
+    # competition ranks sum to C(n, 2) exactly in a row without a tied pair
+    vertex_pairs = n_vertices * (n_vertices - 1) // 2
+    tie_free = ranked and bool(
+        (table.sum(axis=0, dtype=_rank_sum_dtype(n_vertices)) == vertex_pairs).all()
+    )
     hits = np.empty((int(sizes.sum()), 2 * n_pairs), dtype=bool)
     tie_rows = np.zeros(2 * n_pairs, dtype=bool)
     classes = []
@@ -89,9 +105,10 @@ def _hit_planes(heights, cells, sizes):
             np.equal(plane, top, out=planes[j, :, :n_pairs])
             np.equal(plane, bottom, out=planes[j, :, n_pairs:])
         del slot_values, top, bottom
-        # a cell's k hits are counted in the narrowest dtype holding k
-        hits_per_cell = planes.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(k))
-        tie_rows |= (hits_per_cell > 1).any(axis=0)
+        if not tie_free:
+            # a cell's k hits are counted in the narrowest dtype holding k
+            hits_per_cell = planes.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(k))
+            tie_rows |= (hits_per_cell > 1).any(axis=0)
     return hits, classes, tie_rows[:n_pairs] | tie_rows[n_pairs:]
 
 
@@ -110,13 +127,14 @@ def _call_bytes(sizes) -> int:
 def _plane_row_bytes(sizes, n_vertices: int) -> int:
     """Bytes per pair of every array _hit_planes allocates, summed as if
     all were live at once: per vertex the driver's heights or keys and,
-    when ranking, the rank and its comparison mask; per slot a table
-    entry and two hits; per cell the running maximum and minimum, two
-    hit counts of up to two bytes and their tie masks; the tie flags,
-    their per-class reduction and the pair flags."""
+    when ranking, the rank and its comparison mask, and then the row's
+    rank sum and its check; per slot a table entry and two hits; per cell
+    the running maximum and minimum, two hit counts of up to two bytes
+    and their tie masks; the tie flags, their per-class reduction and the
+    pair flags."""
     if uses_ranks(n_vertices, sizes):
         item = _rank_dtype(n_vertices).itemsize
-        table = (9 + item) * n_vertices
+        table = (9 + item) * n_vertices + _rank_sum_dtype(n_vertices).itemsize + 1
     else:
         item = 8
         table = 8 * n_vertices
@@ -130,7 +148,8 @@ def cone_argmax_counts(heights, cells, sizes):
     (n_cells, max_size) array padded arbitrarily."""
     hits, classes, tie_pairs = _hit_planes(heights, cells, sizes)
     packed = np.packbits(hits, axis=1)
-    packed &= np.packbits(np.tile(~tie_pairs, 2))
+    if tie_pairs.any():
+        packed &= np.packbits(np.tile(~tie_pairs, 2))
     slot_counts = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
     counts = np.zeros(cells.shape, dtype=np.int64)
     start = 0
@@ -184,7 +203,8 @@ def lower_link_index(heights, simp_verts, sizes, signs, order, owners, starts):
         lo, width = int(starts[a]), int(widths[a])
         block = terms[lo : lo + (b - a) * width].reshape(b - a, width, -1)
         np.add.reduce(block, axis=1, out=index[a:b])
-    index[:, np.tile(tie_pairs, 2)] = 0
+    if tie_pairs.any():
+        index[:, np.tile(tie_pairs, 2)] = 0
     return index, tie_pairs
 
 

@@ -3,13 +3,16 @@
 Directions come in antithetic pairs: each row of a block stands for a
 direction x and its negation -x. A heights source turns the rows into
 vertex heights. linear_heights reads unnormalized standard Gaussian rows
-of at most BLOCK_ROWS rows and BLOCK_BYTES bytes a block, and key_heights
-draws one iid uint64 key per vertex and row instead, for coordinate-vector
-matrices, whose Gaussian heights are iid (curvature.height_source picks
-it). The kernels read only the order of the heights in a row, so keys are
-heights too. Block b of either comes from a Philox stream keyed by the
-seed with b in the counter, so every result is a function of the inputs,
-the seed and the sample count alone. The driver passes each block to a
+of at most BLOCK_ROWS rows and BLOCK_BYTES bytes a block. Coordinate-vector
+matrices, whose Gaussian heights are iid, take key_heights instead
+(curvature.height_source picks it): the order of iid heights is a
+uniformly random permutation, which the driver draws as the
+permutation_ranks of a block when the kernels would rank its heights,
+and as one iid uint64 key per vertex and row otherwise. The kernels read
+only the order of the heights in a row, so ranks and keys are heights
+too. Block b of each comes from a Philox stream keyed by the seed with b
+in the counter, so every result is a function of the inputs, the seed
+and the sample count alone. The driver passes each block to a
 kernel in pair slices that keep its temporaries under
 KERNEL_BUDGET_BYTES, and replaces pairs in which either direction ties
 from later blocks, so every estimate uses exactly ceil(samples / 2)
@@ -26,8 +29,8 @@ from . import _kernels
 
 BLOCK_ROWS = 8192
 KERNEL_BUDGET_BYTES = 8 * 2**20
-# A Gaussian block's bytes: a quarter of the kernel budget, fixed, since
-# block sizes choose the rows drawn while pair slices change no output.
+# A Gaussian or rank block's bytes: a quarter of the kernel budget, fixed,
+# since block sizes choose the rows drawn while pair slices change no output.
 BLOCK_BYTES = KERNEL_BUDGET_BYTES // 4
 _MAX_EMPTY_BLOCKS = 64
 SEED_BOUND = 2**64
@@ -83,44 +86,96 @@ def key_heights(seed, block: int, lo: int, out) -> None:
     np.copyto(out, bit_gen.random_raw(4 * w * m).reshape(m, 4 * w)[:, :n].T)
 
 
-def _drive(heights_fn, dim, n_vertices, n_samples, seed, call_bytes, pair_bytes, accumulate):
-    """Feed exactly ceil(n_samples / 2) tie-free direction pairs to
-    accumulate, which adds the tie-free pairs of a (pairs, n_vertices)
-    heights slice to the caller's totals and returns its number of tie
-    pairs. Each row of a block is one pair, x and -x. heights_fn is
-    key_heights, or heights(dirs, out) of a (rows, dim) Gaussian direction
-    array. Either writes into an (n_vertices, rows) view of one buffer
-    allocated once per run; accumulate gets its transpose. A call's fixed
-    bytes come off the budget before it is divided into pairs, each of
-    which also holds its key slice on the key path."""
+def permutation_ranks(seed, block: int, rows: int, n: int) -> np.ndarray:
+    """The (n, rows) ranks of rows uniformly random permutations of
+    0 .. n-1, vertex-major, in the kernels' rank dtype: column b is the
+    order of n iid heights. Vertex v takes a digit c_v, uniform on [0, v],
+    as its rank and lifts every earlier rank >= c_v by one, so the digits
+    and the permutations correspond one to one. The digits are packed into
+    mixed-radix words below 2**32 that Generator.integers draws, exactly
+    uniform, from the (seed, block) Philox stream: the first word of
+    every row, then the second, and so on."""
+    ranks = np.zeros((n, rows), dtype=_kernels._rank_dtype(n))
+    lifted = np.empty((n, rows), dtype=bool)
+    quotient = np.empty(rows, dtype=np.uint32)
+    rng = np.random.Generator(np.random.Philox(key=philox_key(seed), counter=[0, 0, 0, block]))
+    v = 1
+    while v < n:
+        end, radix_product = v, 1
+        while end < n and radix_product * (end + 1) <= 2**32:
+            radix_product *= end + 1
+            end += 1
+        word = rng.integers(radix_product, size=rows, dtype=np.uint32)
+        for v in range(v, end):
+            # a divmod in two steps: numpy divides by a scalar fast
+            np.floor_divide(word, v + 1, out=quotient)
+            word -= quotient * (v + 1)
+            ranks[v] = word
+            word, quotient = quotient, word
+            np.greater_equal(ranks[:v], ranks[v], out=lifted[:v])
+            ranks[:v] += lifted[:v].view(np.uint8)
+        v = end
+    return ranks
+
+
+def _drive(
+    heights_fn, dim, sizes, n_vertices, n_samples, seed, call_bytes, pair_bytes, accumulate
+):
+    """Feed exactly ceil(n_samples / 2) tie-free direction pairs, for an
+    integer n_samples, to accumulate, which adds the tie-free pairs of a
+    (pairs, n_vertices) heights slice to the caller's totals and returns
+    its number of tie pairs. Each row of a block is one pair, x and -x.
+    heights_fn is key_heights, or heights(dirs, out) of a (rows, dim)
+    Gaussian direction array. Either writes into an (n_vertices, rows)
+    view of one buffer allocated once per run; accumulate gets its
+    transpose. On the key path, a table whose cell sizes the kernels rank
+    (_kernels.uses_ranks) takes the permutation_ranks of a whole block
+    instead, in column slices, and never ties. A call's fixed bytes come
+    off the budget before it is divided into pairs, each of which also
+    holds its key slice when keys are drawn."""
+    n_samples = operator.index(n_samples)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     keys = heights_fn is key_heights
-    if keys:
+    ranks = keys and _kernels.uses_ranks(n_vertices, sizes)
+    if ranks:
+        # the block's ranks and insertion mask, and per row three 4-byte
+        # words: a word, its quotient and their difference, the digit;
+        # wider ranks add their lifts through a numpy cast buffer
+        row_bytes = (_kernels._rank_dtype(n_vertices).itemsize + 1) * n_vertices + 12
+        rank_bytes = BLOCK_BYTES - _kernels._CAST_BUFFER_BYTES
+        block_rows = min(BLOCK_ROWS, max(1, rank_bytes // row_bytes))
+    elif keys:
         block_rows = BLOCK_ROWS
         pair_bytes += 32 * -(-n_vertices // 4)
     else:
         block_rows = min(BLOCK_ROWS, max(1, BLOCK_BYTES // (8 * max(dim, 1))))
     n_pairs = -(-n_samples // 2)
     step = max(1, (KERNEL_BUDGET_BYTES - call_bytes) // max(pair_bytes, 1))
-    size = n_vertices * min(step, block_rows, n_pairs)
-    buffer = np.empty(size, dtype=np.uint64 if keys else float)
+    if not ranks:
+        size = n_vertices * min(step, block_rows, n_pairs)
+        buffer = np.empty(size, dtype=np.uint64 if keys else float)
     remaining = n_pairs
     blocks = 0
     resampled = 0
     empty_streak = 0
     while remaining > 0:
         rows = min(block_rows, remaining)
-        if not keys:
+        if ranks:
+            table = permutation_ranks(seed, blocks, rows, n_vertices)
+        elif not keys:
             dirs = sample_unit_directions(seed, blocks, rows, dim)
         n_tied = 0
         for lo in range(0, rows, step):
             m = min(step, rows - lo)
-            heights = buffer[: n_vertices * m].reshape(n_vertices, m)
-            if keys:
-                key_heights(seed, blocks, lo, heights)
+            if ranks:
+                heights = table[:, lo : lo + m]
             else:
-                heights_fn(dirs[lo : lo + m], heights)
+                heights = buffer[: n_vertices * m].reshape(n_vertices, m)
+                if keys:
+                    key_heights(seed, blocks, lo, heights)
+                else:
+                    heights_fn(dirs[lo : lo + m], heights)
             n_tied += accumulate(heights.T)
         blocks += 1
         remaining -= rows - n_tied
@@ -153,7 +208,9 @@ def run_cone_counts(
 
     call_bytes = _kernels.cone_call_bytes(sizes)
     pair_bytes = _kernels.cone_row_bytes(sizes, n_vertices)
-    stats = _drive(heights_fn, dim, n_vertices, n_samples, seed, call_bytes, pair_bytes, accumulate)
+    stats = _drive(
+        heights_fn, dim, sizes, n_vertices, n_samples, seed, call_bytes, pair_bytes, accumulate
+    )
     return counts, stats
 
 
@@ -185,7 +242,9 @@ def run_lower_link_stats(
 
     call_bytes = _kernels.index_call_bytes(sizes, starts)
     pair_bytes = _kernels.index_row_bytes(sizes, n_vertices, starts)
-    stats = _drive(heights_fn, dim, n_vertices, n_samples, seed, call_bytes, pair_bytes, accumulate)
+    stats = _drive(
+        heights_fn, dim, sizes, n_vertices, n_samples, seed, call_bytes, pair_bytes, accumulate
+    )
     return sums, sumsq, stats
 
 

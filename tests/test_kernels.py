@@ -29,6 +29,7 @@ from curvcalc.curvature import (
     product_embedding,
 )
 from curvcalc.morse import morse_curvature_measure
+from curvcalc.pushforwards import fubini_curvature
 
 import row_kernel_oracle
 
@@ -560,6 +561,45 @@ def test_rank_and_height_planes_agree_bitwise(name, monkeypatch, rng):
         np.testing.assert_array_equal(got, want)
 
 
+def _competition_ranks(heights):
+    """The driver's vertex-major rank table of a (rows, n) heights array,
+    as the kernels receive it: its transpose."""
+    return _kernels._ranks(np.ascontiguousarray(heights.T)).T
+
+
+@pytest.mark.parametrize("fixture", ["octahedron", "square_boundary"])
+def test_rank_rows_with_and_without_ties_match_the_row_oracle(fixture, rng):
+    X, _ = getattr(fixtures, fixture)()
+    n = len(X.vertices)
+    index = {v: i for i, v in enumerate(X.vertices)}
+    cells, sizes, _ = complex_cell_table(X)
+    link_arrays = mc.build_link_arrays(X, index)
+    edges = {frozenset(s) for s in X.simplices if len(s) == 2}
+    apart = next((a, b) for a in range(n) for b in range(a) if frozenset((a, b)) not in edges)
+    edge = tuple(next(iter(edges)))
+    heights = mc.permutation_ranks(3, 0, 90, n).T.astype(float)
+    # a tie between two vertices that share no cell, then one inside a cell
+    heights[30:60, apart[0]] = heights[30:60, apart[1]]
+    heights[60:, edge[0]] = heights[60:, edge[1]]
+    ranks = _competition_ranks(heights)
+    sums = ranks.sum(axis=1)
+    assert (sums[:30] == math.comb(n, 2)).all() and (sums[30:] == math.comb(n, 2) - 1).all()
+    for rows in (slice(0, 30), slice(0, 60), slice(None)):
+        table = ranks[rows]
+        counts, ties = _kernels.cone_argmax_counts(table, cells, sizes)
+        want_counts, want_ties = row_kernel_oracle.pair_cone_counts(heights[rows], cells, sizes)
+        np.testing.assert_array_equal(ties, want_ties)
+        np.testing.assert_array_equal(counts, want_counts)
+        idx, link_ties = _kernels.lower_link_index(table, *link_arrays)
+        want_idx, want_link_ties = row_kernel_oracle.pair_lower_link_index(
+            heights[rows], *link_arrays
+        )
+        np.testing.assert_array_equal(link_ties, want_link_ties)
+        np.testing.assert_array_equal(idx, want_idx)
+        # only a tie inside a cell makes a tie pair
+        np.testing.assert_array_equal(ties, np.arange(90)[rows] >= 60)
+
+
 def test_rank_and_height_planes_agree_on_product_cells(monkeypatch, rng):
     _, seg = fixtures.segment()
     _, hollow = fixtures.hollow_triangle()
@@ -844,6 +884,103 @@ def test_gaussian_blocks_hold_at_most_block_bytes(monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 12, 13, 27, 256, 257])
+def test_permutation_ranks_are_permutations(n):
+    # 12 vertices take one mixed-radix word (12! < 2**32), 13 two; 257 ranks need uint16
+    ranks = mc.permutation_ranks(7, 2, 300, n)
+    assert ranks.shape == (n, 300)
+    assert ranks.dtype == (np.uint16 if n > 256 else np.uint8)
+    np.testing.assert_array_equal(np.sort(ranks, axis=0), np.arange(n)[:, None].repeat(300, axis=1))
+    assert n < 3 or not np.array_equal(ranks, mc.permutation_ranks(7, 3, 300, n))
+
+
+def test_permutation_ranks_draw_the_orders_of_four_uniformly():
+    ranks = mc.permutation_ranks(5, 0, 24_000, 4)
+    codes = ranks[0] * 64 + ranks[1] * 16 + ranks[2] * 4 + ranks[3].astype(np.int64)
+    _, counts = np.unique(codes, return_counts=True)
+    assert len(counts) == 24
+    # chi-square with 23 degrees of freedom: 49.7 is its 0.999 quantile
+    assert ((counts - 1000.0) ** 2 / 1000.0).sum() < 49.7
+
+
+def _kernel_dtypes(monkeypatch):
+    """Record the heights dtype of every cone and Morse kernel call."""
+    dtypes = []
+    for name in ("cone_argmax_counts", "lower_link_index"):
+        kernel = getattr(_kernels, name)
+
+        def recorded(heights, *args, kernel=kernel):
+            dtypes.append(heights.dtype)
+            return kernel(heights, *args)
+
+        monkeypatch.setattr(_kernels, name, recorded)
+    return dtypes
+
+
+def test_dense_tables_take_rank_blocks_and_sparse_ones_keys(monkeypatch):
+    dtypes = _kernel_dtypes(monkeypatch)
+    dense = equilateral_embedding(fixtures.octahedron()[0])
+    curvature_measure(dense, method="mc", samples=400, seed=2)
+    morse_curvature_measure(dense, samples=400, seed=2)
+    assert set(dtypes) == {np.dtype(np.uint8)}
+    dtypes.clear()
+    # 60 vertices and 179 slots: ranking would take 3,600 comparisons a row
+    sparse = equilateral_embedding(fixtures.path_complex(60))
+    _, sizes, _ = _cell_table(sparse, "mc")
+    assert not _kernels.uses_ranks(60, sizes)
+    curvature_measure(sparse, method="mc", samples=400, seed=2)
+    morse_curvature_measure(sparse, samples=400, seed=2)
+    assert set(dtypes) == {np.dtype(np.uint64)}
+
+
+def test_rank_blocks_hold_at_most_block_bytes(monkeypatch):
+    draws = []
+    draw = mc.permutation_ranks
+
+    def traced(seed, block, rows, n):
+        tracemalloc.start()
+        try:
+            ranks = draw(seed, block, rows, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        draws.append((n, rows, peak))
+        return ranks
+
+    monkeypatch.setattr(mc, "permutation_ranks", traced)
+    rng = np.random.default_rng(3)
+    for n, width, n_cells in ((8, 3, 10), (257, 4, 4200)):
+        # 4,200 cells of four vertices: enough slots for 257 vertices to be ranked
+        cells = np.array([rng.choice(n, size=width, replace=False) for _ in range(n_cells)])
+        sizes = np.full(n_cells, width)
+        assert _kernels.uses_ranks(n, sizes)
+        _, stats = mc.run_cone_counts(mc.key_heights, n, cells, sizes, n, 6000, 1)
+        assert stats.resampled == 0
+    assert [rows for n, rows, _ in draws if n == 8] == [3000]
+    big = [rows for n, rows, _ in draws if n == 257]
+    assert big[0] < 3000 and sum(big) == 3000
+    assert max(peak for _, _, peak in draws) <= mc.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("samples", [10.5, 100.0, "100"])
+def test_sample_counts_must_be_integers(samples):
+    X, _ = fixtures.octahedron()
+    emb = equilateral_embedding(X)
+    simplex = max(X.simplices, key=len)
+    _, segment = fixtures.segment()
+    for measure in (
+        lambda: curvature_measure(emb, method="mc", samples=samples, seed=1),
+        lambda: morse_curvature_measure(emb, samples=samples, seed=1),
+        lambda: excess_angle(simplex, simplex[0], emb, method="mc", samples=samples, seed=1),
+        lambda: fubini_curvature(segment, segment, samples=samples, seed=1),
+    ):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            measure()
+    assert curvature_measure(emb, method="mc", samples=np.int64(100), seed=1) == curvature_measure(
+        emb, method="mc", samples=100, seed=1
+    )
+
+
 def test_no_numpy_ma_import():
     # np.unique imports numpy.ma on its first call, about 10 ms of start-up
     script = """
@@ -1125,11 +1262,28 @@ def test_morse_stats_square_the_widest_int8_pair_exactly():
     assert kappa[0] == (-62.0, 0.0)
 
 
-@pytest.mark.parametrize("name", ["octahedron", "book", "equilateral_book"])
+def _no_keys(seed, block, lo, out):
+    raise AssertionError("a rank table drew keys")
+
+
+EQUILATERAL_CASES = {
+    # rank blocks, with a raising key source: no keys are drawn
+    "equilateral_book": (lambda: fixtures.book()[0], _no_keys),
+    "equilateral_sd_octahedron": (
+        lambda: barycentric_subdivide(fixtures.octahedron()[0])[0], _no_keys
+    ),
+    # too few slots for ranks: iid keys
+    "equilateral_path_60": (lambda: fixtures.path_complex(60), mc.key_heights),
+}
+
+
+@pytest.mark.parametrize("name", ["octahedron", "book", *EQUILATERAL_CASES])
 def test_slicing_changes_no_measure(name, monkeypatch):
-    if name == "equilateral_book":  # iid keys, not Gaussian rows
-        emb = equilateral_embedding(fixtures.book()[0])
+    if name in EQUILATERAL_CASES:  # not Gaussian rows
+        carrier, keys = EQUILATERAL_CASES[name]
+        emb = equilateral_embedding(carrier())
         monkeypatch.setattr(mc, "sample_unit_directions", None)
+        monkeypatch.setattr(mc, "key_heights", keys)
     else:
         _, emb = getattr(fixtures, name)()
     cone_stats, link_stats = [], []
@@ -1160,7 +1314,11 @@ def test_slicing_changes_no_measure(name, monkeypatch):
     # a few pairs beyond either kernel's per-call bytes
     _, sizes, _ = _cell_table(emb, "mc")
     _, link_sizes, _, _, _, starts = mc.build_link_arrays(emb.carrier, emb.vertex_index)
-    budget = 2048 + max(
+    n = len(emb.vertex_order)
+    pair_bytes = max(
+        _kernels.cone_row_bytes(sizes, n), _kernels.index_row_bytes(link_sizes, n, starts)
+    )
+    budget = max(2048, 3 * pair_bytes) + max(
         _kernels.cone_call_bytes(sizes), _kernels.index_call_bytes(link_sizes, starts)
     )
     monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", budget)
