@@ -3,11 +3,11 @@
 Both kernels take a heights matrix H, H[b, v] being the height of vertex v
 under the direction x_b of row b, and a cell table (cells, sizes) padded
 as mc.build_cell_arrays pads it, and answer for the 2m directions x_b and
--x_b of H's m rows. Heights are float64, the uint64 keys of
-mc.key_heights, or the ranks of mc.permutation_ranks, and are never
-negated or cast. Only the order of the heights in a row matters, so the
-core, _hit_planes, may compare per-row competition ranks instead of
-heights: the rank of v is the number of heights in its row strictly
+-x_b of H's m rows, the transpose of a column slice of a block of an
+mc.Source: float64 Gaussian heights, uint64 keys or the ranks of
+mc.permutation_ranks, never negated or cast. Only the order of the
+heights in a row matters, so the core, _hit_planes, may compare per-row
+competition ranks instead of heights: the rank of v is the number of heights in its row strictly
 below v's, and every < and == between two heights of a row also holds
 between their ranks. Ranks fit one byte up to 256 vertices, where a
 height takes eight, but ranking a row takes n^2 comparisons, so the core
@@ -72,7 +72,7 @@ def _hit_planes(heights, cells, sizes):
     cell's maximum in column b. tie_pairs flags the rows that tie in
     either column."""
     n_pairs, n_vertices = heights.shape
-    table = np.ascontiguousarray(heights.T)  # the driver's vertex-major buffer: no copy
+    table = np.ascontiguousarray(heights.T)  # a copy, unless the slice is a whole block
     ranked = table.dtype == _rank_dtype(n_vertices)  # mc.permutation_ranks
     if not ranked and uses_ranks(n_vertices, sizes):
         table = _ranks(table)
@@ -126,12 +126,12 @@ def _call_bytes(sizes) -> int:
 
 def _plane_row_bytes(sizes, n_vertices: int) -> int:
     """Bytes per pair of every array _hit_planes allocates, summed as if
-    all were live at once: per vertex the driver's heights or keys and,
-    when ranking, the rank and its comparison mask, and then the row's
-    rank sum and its check; per slot a table entry and two hits; per cell
-    the running maximum and minimum, two hit counts of up to two bytes
-    and their tie masks; the tie flags, their per-class reduction and the
-    pair flags."""
+    all were live at once: per vertex the contiguous copy of the slice
+    and, when ranking, the rank and its comparison mask, and then the
+    row's rank sum and its check; per slot a table entry and two hits;
+    per cell the running maximum and minimum, two hit counts of up to two
+    bytes and their tie masks; the tie flags, their per-class reduction
+    and the pair flags."""
     if uses_ranks(n_vertices, sizes):
         item = _rank_dtype(n_vertices).itemsize
         table = (9 + item) * n_vertices + _rank_sum_dtype(n_vertices).itemsize + 1

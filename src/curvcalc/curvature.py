@@ -37,8 +37,7 @@ from .errors import (
     UnknownSimplex,
     UnknownVertex,
 )
-from . import mc
-from ._kernels import size_classes
+from . import _kernels, mc
 
 _DEGENERACY_RTOL = 1e-9
 # the Gram screen in front of the SVD: see _gram_clears
@@ -221,27 +220,29 @@ def height_coordinates(coords: np.ndarray) -> np.ndarray:
     return np.ldexp(coords, _HEIGHT_SCALE_EXPONENT - math.frexp(big)[1])
 
 
-def height_source(coords: np.ndarray):
-    """The mc heights source of a coordinate matrix.
+def height_source(coords: np.ndarray, sizes: np.ndarray) -> mc.Source:
+    """The mc heights source of a coordinate matrix, for a table of these sizes.
 
     A coordinate-vector matrix, whose rows each hold one nonzero entry,
-    one common positive value c, in distinct columns, gets mc.key_heights:
+    one common positive value c, in distinct columns, has iid heights:
     the height of row v along a Gaussian direction x is c x_j for its own
-    column j, so a row's heights are iid and their order is a uniformly
-    random permutation, as it is for iid keys. Any other matrix gets the
-    linear heights of its height_coordinates.
+    column j, so the order of a row's heights is a uniformly random
+    permutation. It gets mc.rank_source where the kernels would rank
+    heights (_kernels.uses_ranks), and mc.key_source otherwise. Any other
+    matrix gets the Gaussian source of its height_coordinates.
     """
     rows, cols = np.nonzero(coords)
     values = coords[rows, cols]
+    n = len(coords)
     if (
-        len(coords)
-        and np.array_equal(rows, np.arange(len(coords)))
+        n
+        and np.array_equal(rows, np.arange(n))
         and values[0] > 0.0
         and (values == values[0]).all()
         and np.bincount(cols).max() == 1
     ):
-        return mc.key_heights
-    return mc.linear_heights(height_coordinates(coords))
+        return mc.rank_source(n) if _kernels.uses_ranks(n, sizes) else mc.key_source(n)
+    return mc.gaussian_source(height_coordinates(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,7 @@ def _exact_cone_fractions(coords: np.ndarray, cells: np.ndarray, sizes: np.ndarr
     per row and ambient coordinate, fit in mc.KERNEL_BUDGET_BYTES.
     """
     fractions = np.zeros(cells.shape)
-    for n in size_classes(sizes):
+    for n in _kernels.size_classes(sizes):
         m = n - 1
         if m > 3:
             raise ExactUnavailable(f"no exact cone fraction for {m} generators")
@@ -325,9 +326,8 @@ def _cone_fractions(coords, cells, sizes, method, samples, seed):
         return _exact_cone_fractions(coords, cells, sizes), np.zeros(cells.shape)
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
-    counts, stats = mc.run_cone_counts(
-        height_source(coords), coords.shape[-1], cells, sizes, len(coords), samples, seed
-    )
+    source = height_source(coords, sizes)
+    counts, stats = mc.run_cone_counts(source, cells, sizes, len(coords), samples, seed)
     # Over P tie-free pairs a slot of a cell with two or more vertices hits
     # at most once per pair, so its count c is binomial(P, 2p): the
     # estimate c / 2P has half the bound of c / P. A vertex hits its own
@@ -427,9 +427,10 @@ def final_integral(
 
     Each piece is (subcomplex, alpha-on-subcomplex); each is integrated
     against the curvature measure of its own subcomplex under the
-    restricted embedding, and the results are added. This is how open or
-    discontinuous integrands are handled: write them as a signed sum of
-    functions on closed subcomplexes first.
+    restricted embedding, with the seed mc.offset_seed(seed, i) for piece
+    i, and the results are added. This is how open or discontinuous
+    integrands are handled: write them as a signed sum of functions on
+    closed subcomplexes first.
     """
     value = 0.0
     bound = 0.0
@@ -437,7 +438,7 @@ def final_integral(
         restricted = embedding.restrict(piece)
         if alpha.complex != piece:
             raise PieceNotSubcomplex(f"piece {i}: alpha is not defined on the piece")
-        v, b = curvature_integral(alpha, restricted, method, samples, seed + i)
+        v, b = curvature_integral(alpha, restricted, method, samples, mc.offset_seed(seed, i))
         value += v
         bound += b
     return ValueWithError(value, bound)

@@ -91,6 +91,10 @@ class GridTooCoarse(CurvCalcError):
     pass
 
 
+class TooManyCuts(CurvCalcError):
+    pass
+
+
 class NegativeWarp(CurvCalcError):
     pass
 

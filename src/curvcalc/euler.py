@@ -33,7 +33,12 @@ from .complexes import (
     _magnitude,
     _reduced,
 )
-from .errors import CarrierTooHighDimensional, ForeignCell
+from .errors import CarrierTooHighDimensional, ForeignCell, TooManyCuts
+
+# The floor oracle enumerates every cut, a few Fraction operations and a
+# list entry each: this many take seconds and a few MiB, and more would
+# grow with n |alpha(a) - alpha(b)| without bound.
+_ORACLE_MAX_CUTS = 100_000
 
 
 class ConstructibleFunction:
@@ -224,12 +229,15 @@ def floor_integral_oracle_1d(alpha: PLFunction, n: int) -> Fraction:
         )
     if n < 1:
         raise ValueError("n must be >= 1")
+    ends = [(n * alpha.values[u], n * alpha.values[v]) for u, v in complex.simplices_of_dim(1)]
+    # the integers strictly between the two ends of each edge
+    n_cuts = sum(max(0, math.ceil(max(end)) - math.floor(min(end)) - 1) for end in ends)
+    if n_cuts > _ORACLE_MAX_CUTS:
+        raise TooManyCuts(f"the oracle would cut the edges {n_cuts} times, over {_ORACLE_MAX_CUTS}")
     total = Fraction(0)
     for v in complex.vertices:
         total += math.floor(n * alpha.values[v])
-    for edge in complex.simplices_of_dim(1):
-        a = n * alpha.values[edge[0]]
-        b = n * alpha.values[edge[1]]
+    for a, b in ends:
         lo, hi = (a, b) if a <= b else (b, a)
         # interior cut parameters t in (0,1) where a + t(b-a) is an integer
         cuts = []

@@ -1,27 +1,27 @@
 """Deterministic Monte Carlo direction sampling and the kernel driver.
 
 Directions come in antithetic pairs: each row of a block stands for a
-direction x and its negation -x. A heights source turns the rows into
-vertex heights. linear_heights reads unnormalized standard Gaussian rows
-of at most BLOCK_ROWS rows and BLOCK_BYTES bytes a block. Coordinate-vector
-matrices, whose Gaussian heights are iid, take key_heights instead
-(curvature.height_source picks it): the order of iid heights is a
-uniformly random permutation, which the driver draws as the
-permutation_ranks of a block when the kernels would rank its heights,
-and as one iid uint64 key per vertex and row otherwise. The kernels read
-only the order of the heights in a row, so ranks and keys are heights
-too. Block b of each comes from a Philox stream keyed by the seed with b
-in the counter, so every result is a function of the inputs, the seed
-and the sample count alone. The driver passes each block to a
-kernel in pair slices that keep its temporaries under
-KERNEL_BUDGET_BYTES, and replaces pairs in which either direction ties
-from later blocks, so every estimate uses exactly ceil(samples / 2)
-tie-free pairs, whatever the slicing. Both kernels read the simplex_rows
-table; neither builds a link or coface.
+direction x and its negation -x. A heights Source draws block b whole,
+as the vertex-major table of its rows' heights, from a Philox stream
+keyed by the seed with b in the counter, and caps its rows so that a
+draw holds at most BLOCK_BYTES. gaussian_source multiplies a coordinate
+matrix by unnormalized standard Gaussian rows. The Gaussian heights of a
+coordinate-vector matrix are iid, so their order is a uniformly random
+permutation: curvature.height_source gives such a matrix rank_source
+where the kernels would rank heights, and key_source, iid uint64 keys,
+otherwise. The kernels read only the order of the heights in a row, so
+ranks and keys are heights too. The driver hands each block to a kernel
+in column slices that keep its temporaries under KERNEL_BUDGET_BYTES,
+and replaces pairs in which either direction ties from later blocks, so
+every estimate uses exactly ceil(samples / 2) tie-free pairs and is a
+function of the inputs, the seed and the sample count alone, whatever
+the slicing. Both kernels read the simplex_rows table; neither builds a
+link or coface.
 """
 
 import operator
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,9 +29,11 @@ from . import _kernels
 
 BLOCK_ROWS = 8192
 KERNEL_BUDGET_BYTES = 8 * 2**20
-# A Gaussian or rank block's bytes: a quarter of the kernel budget, fixed,
-# since block sizes choose the rows drawn while pair slices change no output.
+# A block's bytes: a quarter of the kernel budget, fixed, since block
+# sizes choose the rows drawn while column slices change no output. A
+# draw keeps 1 KiB of them for its generator and array objects.
 BLOCK_BYTES = KERNEL_BUDGET_BYTES // 4
+_DRAW_OBJECT_BYTES = 1024
 _MAX_EMPTY_BLOCKS = 64
 SEED_BOUND = 2**64
 
@@ -42,6 +44,12 @@ def philox_key(seed) -> np.uint64:
     if not 0 <= seed < SEED_BOUND:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return np.uint64(seed)
+
+
+def offset_seed(seed, offset: int) -> int:
+    """The seed of a stream derived from a valid seed: seed + offset,
+    wrapped into [0, 2**64)."""
+    return (int(philox_key(seed)) + offset) % SEED_BOUND
 
 
 def sample_unit_directions(seed: int, batch_index: int, count: int, dim: int) -> np.ndarray:
@@ -63,27 +71,52 @@ class McStats:
         return 2 * self.pairs
 
 
-def linear_heights(coords):
-    """The heights source of a coordinate matrix: heights(dirs, out)
-    writes coords @ dirs.T, vertex-major, into out."""
+class Source(NamedTuple):
+    """A heights source: draw(seed, block, rows), for rows <= block_rows,
+    returns the (n_vertices, rows) vertex-major table of the block."""
 
-    def heights(dirs, out):
-        np.matmul(coords, dirs.T, out=out)
-
-    return heights
+    block_rows: int
+    draw: Callable
 
 
-def key_heights(seed, block: int, lo: int, out) -> None:
-    """The heights source of a coordinate-vector matrix: writes the iid
-    uint64 keys of rows lo .. lo + m - 1 of a block into the (n, m) array
-    out, vertex-major. Row r of block b is raw outputs 4wr .. 4wr + n - 1
-    of the (seed, b) Philox stream, w = ceil(n / 4), and Philox4x64 gives
-    4 outputs per counter step, so a slice starts at counter lo * w and
-    no key depends on the slicing."""
-    n, m = out.shape
+def _block_rows(row_bytes: int, fixed_bytes: int = _DRAW_OBJECT_BYTES) -> int:
+    return min(BLOCK_ROWS, max(1, (BLOCK_BYTES - fixed_bytes) // max(row_bytes, 1)))
+
+
+def gaussian_source(coords) -> Source:
+    """coords @ x.T for the Gaussian rows x of sample_unit_directions; a
+    draw holds the rows and their heights, 8 (n + dim) bytes a row."""
+    n, dim = coords.shape
+
+    def draw(seed, block, rows):
+        return coords @ sample_unit_directions(seed, block, rows, dim).T
+
+    return Source(_block_rows(8 * (n + dim)), draw)
+
+
+def key_source(n: int) -> Source:
+    """n iid uint64 keys a row: row r of block b is raw outputs
+    4wr .. 4wr + n - 1 of the (seed, b) Philox stream, w = ceil(n / 4), as
+    Philox4x64 gives 4 outputs per counter step; a draw holds the stream
+    and its vertex-major copy, 8 (4w + n) bytes a row."""
     w = -(-n // 4)
-    bit_gen = np.random.Philox(key=philox_key(seed), counter=[lo * w, 0, 0, block])
-    np.copyto(out, bit_gen.random_raw(4 * w * m).reshape(m, 4 * w)[:, :n].T)
+
+    def draw(seed, block, rows):
+        bit_gen = np.random.Philox(key=philox_key(seed), counter=[0, 0, 0, block])
+        raw = bit_gen.random_raw(4 * w * rows).reshape(rows, 4 * w)
+        return np.ascontiguousarray(raw[:, :n].T)
+
+    return Source(_block_rows(8 * (4 * w + n)), draw)
+
+
+def rank_source(n: int) -> Source:
+    """The permutation_ranks of n vertices. A draw holds the ranks and
+    their insertion mask, and per row three 4-byte words: a word, its
+    quotient and their difference, the digit; wider ranks add their lifts
+    through a numpy cast buffer."""
+    row_bytes = (_kernels._rank_dtype(n).itemsize + 1) * n + 12
+    rows = _block_rows(row_bytes, _kernels._CAST_BUFFER_BYTES)
+    return Source(rows, lambda seed, block, rows: permutation_ranks(seed, block, rows, n))
 
 
 def permutation_ranks(seed, block: int, rows: int, n: int) -> np.ndarray:
@@ -118,65 +151,28 @@ def permutation_ranks(seed, block: int, rows: int, n: int) -> np.ndarray:
     return ranks
 
 
-def _drive(
-    heights_fn, dim, sizes, n_vertices, n_samples, seed, call_bytes, pair_bytes, accumulate
-):
+def _drive(source, n_samples, seed, call_bytes, pair_bytes, accumulate):
     """Feed exactly ceil(n_samples / 2) tie-free direction pairs, for an
     integer n_samples, to accumulate, which adds the tie-free pairs of a
     (pairs, n_vertices) heights slice to the caller's totals and returns
-    its number of tie pairs. Each row of a block is one pair, x and -x.
-    heights_fn is key_heights, or heights(dirs, out) of a (rows, dim)
-    Gaussian direction array. Either writes into an (n_vertices, rows)
-    view of one buffer allocated once per run; accumulate gets its
-    transpose. On the key path, a table whose cell sizes the kernels rank
-    (_kernels.uses_ranks) takes the permutation_ranks of a whole block
-    instead, in column slices, and never ties. A call's fixed bytes come
-    off the budget before it is divided into pairs, each of which also
-    holds its key slice when keys are drawn."""
+    its number of tie pairs. Each row of a block is one pair, x and -x;
+    accumulate gets the transposes of column slices of the source's
+    blocks. A call's fixed bytes come off the budget before it is divided
+    into pairs."""
     n_samples = operator.index(n_samples)
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    keys = heights_fn is key_heights
-    ranks = keys and _kernels.uses_ranks(n_vertices, sizes)
-    if ranks:
-        # the block's ranks and insertion mask, and per row three 4-byte
-        # words: a word, its quotient and their difference, the digit;
-        # wider ranks add their lifts through a numpy cast buffer
-        row_bytes = (_kernels._rank_dtype(n_vertices).itemsize + 1) * n_vertices + 12
-        rank_bytes = BLOCK_BYTES - _kernels._CAST_BUFFER_BYTES
-        block_rows = min(BLOCK_ROWS, max(1, rank_bytes // row_bytes))
-    elif keys:
-        block_rows = BLOCK_ROWS
-        pair_bytes += 32 * -(-n_vertices // 4)
-    else:
-        block_rows = min(BLOCK_ROWS, max(1, BLOCK_BYTES // (8 * max(dim, 1))))
     n_pairs = -(-n_samples // 2)
     step = max(1, (KERNEL_BUDGET_BYTES - call_bytes) // max(pair_bytes, 1))
-    if not ranks:
-        size = n_vertices * min(step, block_rows, n_pairs)
-        buffer = np.empty(size, dtype=np.uint64 if keys else float)
     remaining = n_pairs
     blocks = 0
     resampled = 0
     empty_streak = 0
     while remaining > 0:
-        rows = min(block_rows, remaining)
-        if ranks:
-            table = permutation_ranks(seed, blocks, rows, n_vertices)
-        elif not keys:
-            dirs = sample_unit_directions(seed, blocks, rows, dim)
-        n_tied = 0
-        for lo in range(0, rows, step):
-            m = min(step, rows - lo)
-            if ranks:
-                heights = table[:, lo : lo + m]
-            else:
-                heights = buffer[: n_vertices * m].reshape(n_vertices, m)
-                if keys:
-                    key_heights(seed, blocks, lo, heights)
-                else:
-                    heights_fn(dirs[lo : lo + m], heights)
-            n_tied += accumulate(heights.T)
+        rows = min(source.block_rows, remaining)
+        table = source.draw(seed, blocks, rows)
+        n_tied = sum(accumulate(table[:, lo : lo + step].T) for lo in range(0, rows, step))
+        del table  # before the next block is drawn
         blocks += 1
         remaining -= rows - n_tied
         resampled += n_tied
@@ -186,19 +182,10 @@ def _drive(
     return McStats(n_pairs, resampled, blocks)
 
 
-def run_cone_counts(
-    heights_fn,
-    dim: int,
-    cells: np.ndarray,
-    sizes: np.ndarray,
-    n_vertices: int,
-    n_samples: int,
-    seed: int,
-):
+def run_cone_counts(source, cells, sizes, n_vertices: int, n_samples: int, seed: int):
     """Strict-argmax counts per (cell, vertex slot) over the two
     directions of exactly ceil(n_samples / 2) tie-free pairs, and the
-    run's McStats; heights_fn, a heights source (see _drive), gives
-    n_vertices heights per direction."""
+    run's McStats; source gives n_vertices heights per direction."""
     counts = np.zeros(cells.shape, dtype=np.int64)
 
     def accumulate(heights):
@@ -208,15 +195,11 @@ def run_cone_counts(
 
     call_bytes = _kernels.cone_call_bytes(sizes)
     pair_bytes = _kernels.cone_row_bytes(sizes, n_vertices)
-    stats = _drive(
-        heights_fn, dim, sizes, n_vertices, n_samples, seed, call_bytes, pair_bytes, accumulate
-    )
+    stats = _drive(source, n_samples, seed, call_bytes, pair_bytes, accumulate)
     return counts, stats
 
 
-def run_lower_link_stats(
-    heights_fn, dim: int, link_arrays, n_vertices: int, n_samples: int, seed: int
-):
+def run_lower_link_stats(source, link_arrays, n_vertices: int, n_samples: int, seed: int):
     """Per-vertex sums, and sums of squares, of the pair index
     I(x) + I(-x) over exactly ceil(n_samples / 2) tie-free pairs, and the
     run's McStats."""
@@ -242,9 +225,7 @@ def run_lower_link_stats(
 
     call_bytes = _kernels.index_call_bytes(sizes, starts)
     pair_bytes = _kernels.index_row_bytes(sizes, n_vertices, starts)
-    stats = _drive(
-        heights_fn, dim, sizes, n_vertices, n_samples, seed, call_bytes, pair_bytes, accumulate
-    )
+    stats = _drive(source, n_samples, seed, call_bytes, pair_bytes, accumulate)
     return sums, sumsq, stats
 
 

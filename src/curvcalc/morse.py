@@ -101,10 +101,8 @@ def morse_curvature_measure(
     index = embedding.vertex_index
     link_arrays = mc.build_link_arrays(carrier, index)
     # the pair index I(x) + I(-x) is even in x, so heights need no sign
-    sums, sumsq, stats = mc.run_lower_link_stats(
-        height_source(embedding.matrix()), embedding.ambient_dim, link_arrays, len(index),
-        samples, seed,
-    )
+    source = height_source(embedding.matrix(), link_arrays[1])
+    sums, sumsq, stats = mc.run_lower_link_stats(source, link_arrays, len(index), samples, seed)
     pairs = stats.pairs
     mean = sums / (2.0 * pairs)  # half the mean pair index
     # squared deviations of the pair means from their mean, and the

@@ -19,6 +19,7 @@ from .complexes import (
     _integer_array,
     _magnitude,
 )
+from . import mc
 from .curvature import Embedding, curvature_measure, product_embedding
 from .errors import CarrierMismatch
 from .euler import ConstructibleFunction, euler_integral
@@ -83,8 +84,8 @@ def fubini_curvature(
     the combined ambient space (product cells are not simplices, so the
     exact formulas do not apply). Factor curvatures use the exact method
     for simplicial factors of dimension <= 3, otherwise their own Monte
-    Carlo streams; bounds combine in quadrature plus the product cross
-    terms.
+    Carlo streams, seeded mc.offset_seed(seed, 1) and mc.offset_seed(seed,
+    2); bounds combine in quadrature plus the product cross terms.
     """
     ep = product_embedding(ex, ey)
     kappa_product = curvature_measure(ep, method="mc", samples=samples, seed=seed)
@@ -92,7 +93,7 @@ def fubini_curvature(
     def factor_measure(e: Embedding, offset: int):
         if isinstance(e.carrier, SimplicialComplex) and e.carrier.dim <= 3:
             return curvature_measure(e, method="exact")
-        return curvature_measure(e, method="mc", samples=samples, seed=seed + offset)
+        return curvature_measure(e, method="mc", samples=samples, seed=mc.offset_seed(seed, offset))
 
     kx = factor_measure(ex, 1)
     ky = factor_measure(ey, 2)

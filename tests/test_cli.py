@@ -688,6 +688,33 @@ def test_the_largest_seed_is_its_own_key(fixture_dir):
     assert invoke(*chi)[0] == 0
 
 
+def test_the_largest_seed_wraps_in_derived_streams(fixture_dir, tmp_path):
+    # the 4-simplex factor takes Monte Carlo on seed + 1, which wraps to 0
+    path = tmp_path / "simplex4.txt"
+    path.write_text(
+        "curvcalc-complex v1\nvertices\n"
+        + "".join(f"v{i} {' '.join('1' if j == i else '0' for j in range(5))}\n" for i in range(5))
+        + "simplices\nv0 v1 v2 v3 v4\n"
+    )
+    code, out, err = invoke(
+        "fubini-check", "--left", str(path), "--right", str(fixture_dir / "edge.txt"),
+        "--kind", "curvature", "--samples", "200", "--seed", str(2**64 - 1),
+    )
+    assert (code, err) == (0, "") and out
+
+
+def test_floor_oracle_refuses_unbounded_cuts(tmp_path):
+    # n defaults to 1000003, so the edges hold about 2 * 10**6 cut points
+    path = tmp_path / "path.txt"
+    path.write_text(
+        "curvcalc-complex v1\nvertices\na 0 alpha=0\nb 1 alpha=1\nc 2 alpha=1/1000003\n"
+        "simplices\na b\nb c\n"
+    )
+    code, out, err = invoke("integrate", str(path), "--kind", "floor-oracle")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "TooManyCuts"
+
+
 def test_pushforward_and_compose(fixture_dir):
     args = (
         "pushforward",

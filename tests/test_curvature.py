@@ -376,6 +376,23 @@ class TestIntegrals:
         assert split.value == pytest.approx(merged.value, abs=1e-9)
         assert split.value == pytest.approx(2.0, abs=1e-9)
 
+    def test_piece_seeds_wrap_at_the_largest_seed(self):
+        # piece i takes seed + i modulo 2**64, so the second piece of the
+        # largest seed takes seed 0; seeds outside [0, 2**64) still raise
+        X, emb = fixtures.filled_triangle()
+        pieces = [(X, constant_function(X, 1)), (X, constant_function(X, 2))]
+        top = 2**64 - 1
+        value = final_integral(emb, pieces, "mc", 200, top)
+        first, second = (
+            curvature_integral(alpha, emb, "mc", 200, seed)
+            for (_, alpha), seed in zip(pieces, (top, 0))
+        )
+        assert value == (first.value + second.value, first.bound + second.bound)
+        assert second != curvature_integral(pieces[1][1], emb, "mc", 200, 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must lie in"):
+                final_integral(emb, pieces, "mc", 200, seed)
+
     def test_piece_must_be_a_subcomplex(self):
         X, emb = fixtures.segment()
         foreign = SimplicialComplex.from_maximal([(0, 2)])
@@ -514,18 +531,16 @@ def rotated(emb, seed):
     return Embedding(emb.carrier, zip(emb.vertex_order, emb.matrix() @ q))
 
 
-@pytest.mark.parametrize("subdivided", [False, True], ids=["fixture", "sd1"])
-@pytest.mark.parametrize("name", list(all_fixtures()))
-def test_iid_keys_follow_the_law_of_rotated_gaussian_heights(name, subdivided):
-    # the rotated matrix takes Gaussian rows, a second code path for the
-    # same law; both estimate the Euler weights
-    X, _ = all_fixtures()[name]
-    if subdivided:
-        X, _ = barycentric_subdivide(X)
+def assert_law_of_rotated_gaussian_heights(X, table_dtype):
+    """MC and Morse on X's equilateral embedding, whose source draws
+    tables of table_dtype, agree within 4 bounds with those of a rotated
+    copy, which takes Gaussian rows, a second code path for the same law,
+    and both with the Euler weights."""
     emb = equilateral_embedding(X)
     turned = rotated(emb, 5)
-    assert height_source(turned.matrix()) is not mc.key_heights
-    assert height_source(emb.matrix()) is mc.key_heights
+    _, sizes, _ = _cell_table(emb, "mc")
+    assert height_source(turned.matrix(), sizes).draw(6, 0, 1).dtype == float
+    assert height_source(emb.matrix(), sizes).draw(6, 0, 1).dtype == table_dtype
     w = weights(X)
     for measure in (
         lambda e: curvature_measure(e, "mc", samples=20000, seed=6),
@@ -537,6 +552,25 @@ def test_iid_keys_follow_the_law_of_rotated_gaussian_heights(name, subdivided):
             assert abs(a - b) <= 4 * math.hypot(ba, bb) + 1e-12, v
             assert abs(a - float(w[v])) <= 4 * ba + 1e-12, v
             assert abs(b - float(w[v])) <= 4 * bb + 1e-12, v
+
+
+@pytest.mark.parametrize("subdivided", [False, True], ids=["fixture", "sd1"])
+@pytest.mark.parametrize("name", list(all_fixtures()))
+def test_iid_keys_follow_the_law_of_rotated_gaussian_heights(name, subdivided):
+    # every case is dense enough for the kernels to rank: rank blocks
+    X, _ = all_fixtures()[name]
+    if subdivided:
+        X, _ = barycentric_subdivide(X)
+    assert_law_of_rotated_gaussian_heights(X, np.uint8)
+
+
+def test_uint64_keys_follow_the_law_of_rotated_gaussian_heights():
+    # sd^2 of the octahedron: 146 vertices and 1,874 slots, too sparse to
+    # rank, so its equilateral embedding draws iid uint64 keys
+    X, _ = fixtures.octahedron()
+    X = barycentric_subdivide(barycentric_subdivide(X)[0])[0]
+    assert len(X.vertices) == 146
+    assert_law_of_rotated_gaussian_heights(X, np.uint64)
 
 
 def scaled(emb, scale):

@@ -12,7 +12,7 @@ from curvcalc.complexes import (
     full_simplex_complex,
     product,
 )
-from curvcalc.errors import CarrierTooHighDimensional, ForeignCell
+from curvcalc.errors import CarrierTooHighDimensional, ForeignCell, TooManyCuts
 from curvcalc.euler import (
     ConstructibleFunction,
     ceil_integral,
@@ -22,7 +22,7 @@ from curvcalc.euler import (
     tentative_integral,
     weights,
 )
-from curvcalc import fixtures
+from curvcalc import euler, fixtures
 
 from euler_oracles import barycenter_sum, weight_oracle
 
@@ -214,6 +214,14 @@ class TestFloorOracle:
         X = full_simplex_complex(2)
         with pytest.raises(CarrierTooHighDimensional):
             floor_integral_oracle_1d(constant_function(X, 0), 3)
+
+    def test_counts_its_cuts_before_making_them(self, monkeypatch):
+        # alpha runs 0 .. n along the edge: n - 1 integers lie strictly between
+        _, alpha = edge_with_identity()
+        monkeypatch.setattr(euler, "_ORACLE_MAX_CUTS", 10)
+        assert floor_integral_oracle_1d(alpha, 11) == 1
+        with pytest.raises(TooManyCuts, match="11 times"):
+            floor_integral_oracle_1d(alpha, 12)
 
     @pytest.mark.parametrize("trial", range(6))
     def test_stabilizes_to_closed_form(self, trial, rng):

@@ -462,8 +462,8 @@ def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
         kernel(rng.standard_normal((2, n)), *args)  # one-time imports are not temporaries
         # few-pair calls are where the per-call arrays dominate
         for pairs in (1, 3, rows):
-            # the driver's vertex-major heights, whose transpose is contiguous
-            heights = rng.standard_normal((n, pairs)).T
+            # a column slice of a vertex-major block, which the kernel copies
+            heights = rng.standard_normal((n, pairs + 1))[:, :pairs].T
             tracemalloc.start()
             try:
                 kernel(heights, *args)
@@ -744,46 +744,6 @@ def test_both_ends_of_the_key_range_are_distinct_keys():
         mc.philox_key(7.0)
 
 
-def test_key_slices_read_the_rows_of_one_block():
-    # row r of block b is raw outputs 4wr .. 4wr + n - 1 of the (seed, b)
-    # Philox stream, whatever slice asks for it
-    n, rows, w = 7, 50, 2
-    raw = np.random.Philox(key=5, counter=[0, 0, 0, 3]).random_raw(4 * w * rows)
-    want = raw.reshape(rows, 4 * w)[:, :n].T
-    whole = np.empty((n, rows), dtype=np.uint64)
-    mc.key_heights(5, 3, 0, whole)
-    np.testing.assert_array_equal(whole, want)
-    for lo, hi in ((0, 1), (1, 4), (4, 17), (17, 50)):
-        part = np.empty((n, hi - lo), dtype=np.uint64)
-        mc.key_heights(5, 3, lo, part)
-        np.testing.assert_array_equal(part, want[:, lo:hi])
-    other = np.empty((n, rows), dtype=np.uint64)
-    mc.key_heights(5, 4, 0, other)
-    assert not np.array_equal(other, whole)
-
-
-def test_key_slices_count_against_the_budget(monkeypatch):
-    # the driver charges each pair 8 bytes per vertex, in whole counter
-    # steps of four, for the raw key slice that key_heights copies
-    X = fixtures.path_complex(60)
-    n, w = len(X.vertices), 16
-    cells, sizes, _ = complex_cell_table(X)
-    key_bytes = 32 * w
-    out = np.empty((n, 500), dtype=np.uint64)
-    tracemalloc.start()
-    try:
-        mc.key_heights(3, 0, 0, out)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert 500 * key_bytes <= peak <= 500 * key_bytes + 1024
-    pair_bytes = _kernels.cone_row_bytes(sizes, n) + key_bytes
-    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", _kernels.cone_call_bytes(sizes) + 10 * pair_bytes)
-    rows = _record_rows(monkeypatch, "cone_argmax_counts")
-    mc.run_cone_counts(mc.key_heights, n, cells, sizes, n, 100, 3)
-    assert max(rows) == 10
-
-
 def _gaussian_rows(monkeypatch):
     """Record the row count of every Gaussian block drawn."""
     counts = []
@@ -810,10 +770,22 @@ def _key_path_cases():
     }
 
 
+def assert_same_source(got, want):
+    """Two heights sources with equal block rows and equal blocks."""
+    assert got.block_rows == want.block_rows
+    for block, rows in ((0, 5), (3, 1)):
+        a, b = got.draw(9, block, rows), want.draw(9, block, rows)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("name", _key_path_cases())
 def test_coordinate_vector_embeddings_draw_no_gaussians(name, monkeypatch):
     emb = _key_path_cases()[name]
-    assert height_source(emb.matrix()) is mc.key_heights
+    _, sizes, _ = _cell_table(emb, "mc")
+    n = len(emb.vertex_order)
+    assert _kernels.uses_ranks(n, sizes)
+    assert_same_source(height_source(emb.matrix(), sizes), mc.rank_source(n))
     counts = _gaussian_rows(monkeypatch)
     kappa = curvature_measure(emb, method="mc", samples=2000, seed=4)
     morse = morse_curvature_measure(emb, samples=2000, seed=4)
@@ -840,12 +812,10 @@ def test_coordinate_vector_embeddings_draw_no_gaussians(name, monkeypatch):
 )
 def test_other_matrices_take_gaussian_rows(coords, monkeypatch):
     coords = np.array(coords, dtype=float)
-    source = height_source(coords)
-    assert source is not mc.key_heights
-    out = np.empty((len(coords), 4))
+    source = height_source(coords, np.ones(len(coords), dtype=np.int64))
+    assert source.block_rows == mc.BLOCK_ROWS
     dirs = mc.sample_unit_directions(1, 0, 4, coords.shape[1])
-    source(dirs, out)
-    np.testing.assert_array_equal(out, height_coordinates(coords) @ dirs.T)
+    np.testing.assert_array_equal(source.draw(1, 0, 4), height_coordinates(coords) @ dirs.T)
     if len(coords):
         X = SimplicialComplex.from_maximal([(0,), (1,)])
         counts = _gaussian_rows(monkeypatch)
@@ -873,15 +843,61 @@ def test_equal_coordinates_give_identical_outputs():
     assert runs[2] == runs[0]
 
 
-def test_gaussian_blocks_hold_at_most_block_bytes(monkeypatch):
+def _key_stream(seed, block, rows, n):
+    """Row r of key block b: raw outputs 4wr .. 4wr + n - 1 of the (seed, b)
+    Philox stream, w = ceil(n / 4)."""
+    w = -(-n // 4)
+    raw = np.random.Philox(key=seed, counter=[0, 0, 0, block]).random_raw(4 * w * rows)
+    return raw.reshape(rows, 4 * w)[:, :n].T
+
+
+# (source, block rows): Gaussian rows cost 8 (n + dim) bytes and keys
+# 8 (4 ceil(n / 4) + n) out of BLOCK_BYTES less 1 KiB, ranks
+# (itemsize + 1) n + 12 out of BLOCK_BYTES less a cast buffer
+BLOCK_CASES = {
+    "gaussian_dim_32": (lambda: mc.gaussian_source(np.ones((2, 32))), 7706),
+    "gaussian_dim_33": (lambda: mc.gaussian_source(np.ones((2, 33))), 7486),
+    "gaussian_dim_2000": (lambda: mc.gaussian_source(np.ones((2, 2000))), 130),
+    "keys_61": (lambda: mc.key_source(61), 2096),
+    "keys_146": (lambda: mc.key_source(146), 891),
+    "ranks_8": (lambda: mc.rank_source(8), mc.BLOCK_ROWS),
+    "ranks_257": (lambda: mc.rank_source(257), 2594),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_every_block_draw_holds_at_most_block_bytes(name):
+    make, rows = BLOCK_CASES[name]
+    source = make()
+    assert source.block_rows == rows
+    source.draw(1, 0, 1)  # one-time imports are not the draw's
+    tracemalloc.start()
+    try:
+        table = source.draw(1, 2, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= mc.BLOCK_BYTES
+    assert table.shape[1] == rows and table.flags.c_contiguous
+    if name.startswith("keys"):
+        np.testing.assert_array_equal(table, _key_stream(1, 2, rows, len(table)))
+        assert not np.array_equal(source.draw(1, 3, rows), table)
+
+
+def test_the_driver_draws_whole_blocks_and_only_slices_them(monkeypatch):
     X = SimplicialComplex.from_maximal([(0, 1)])
     cells, sizes, _ = complex_cell_table(X)
-    for dim, rows in ((32, mc.BLOCK_ROWS), (33, mc.BLOCK_BYTES // (8 * 33)), (2000, 131)):
-        counts = _gaussian_rows(monkeypatch)
-        coords = np.random.default_rng(dim).standard_normal((2, dim))
-        mc.run_cone_counts(mc.linear_heights(coords), dim, cells, sizes, 2, 2 * rows + 2, 1)
-        assert counts == [rows, 1], dim
-        monkeypatch.undo()
+    source = mc.gaussian_source(np.random.default_rng(33).standard_normal((2, 33)))
+    draws = _gaussian_rows(monkeypatch)
+    mc.run_cone_counts(source, cells, sizes, 2, 2 * source.block_rows + 2, 1)
+    assert draws == [source.block_rows, 1]
+    # rank rows never tie: 3,000 pairs of 257 vertices take two rank blocks
+    rng = np.random.default_rng(3)
+    cells = np.array([rng.choice(257, size=4, replace=False) for _ in range(4200)])
+    sizes = np.full(4200, 4)
+    assert _kernels.uses_ranks(257, sizes)
+    _, stats = mc.run_cone_counts(mc.rank_source(257), cells, sizes, 257, 6000, 1)
+    assert (stats.resampled, stats.batches) == (0, 2)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 8, 12, 13, 27, 256, 257])
@@ -933,35 +949,6 @@ def test_dense_tables_take_rank_blocks_and_sparse_ones_keys(monkeypatch):
     assert set(dtypes) == {np.dtype(np.uint64)}
 
 
-def test_rank_blocks_hold_at_most_block_bytes(monkeypatch):
-    draws = []
-    draw = mc.permutation_ranks
-
-    def traced(seed, block, rows, n):
-        tracemalloc.start()
-        try:
-            ranks = draw(seed, block, rows, n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        draws.append((n, rows, peak))
-        return ranks
-
-    monkeypatch.setattr(mc, "permutation_ranks", traced)
-    rng = np.random.default_rng(3)
-    for n, width, n_cells in ((8, 3, 10), (257, 4, 4200)):
-        # 4,200 cells of four vertices: enough slots for 257 vertices to be ranked
-        cells = np.array([rng.choice(n, size=width, replace=False) for _ in range(n_cells)])
-        sizes = np.full(n_cells, width)
-        assert _kernels.uses_ranks(n, sizes)
-        _, stats = mc.run_cone_counts(mc.key_heights, n, cells, sizes, n, 6000, 1)
-        assert stats.resampled == 0
-    assert [rows for n, rows, _ in draws if n == 8] == [3000]
-    big = [rows for n, rows, _ in draws if n == 257]
-    assert big[0] < 3000 and sum(big) == 3000
-    assert max(peak for _, _, peak in draws) <= mc.BLOCK_BYTES
-
-
 @pytest.mark.parametrize("samples", [10.5, 100.0, "100"])
 def test_sample_counts_must_be_integers(samples):
     X, _ = fixtures.octahedron()
@@ -1001,9 +988,7 @@ def test_run_cone_counts_uses_exact_sample_count():
     cells, sizes, _ = complex_cell_table(X)
     coords = emb.matrix()
     n = 2 * (2 * mc.BLOCK_ROWS + 500)
-    counts, stats = mc.run_cone_counts(
-        mc.linear_heights(coords), 3, cells, sizes, len(coords), n, seed=11
-    )
+    counts, stats = mc.run_cone_counts(mc.gaussian_source(coords), cells, sizes, len(coords), n, 11)
     # one Gaussian row per pair: 2 * BLOCK_ROWS + 500 rows in three blocks
     assert stats.pairs == n // 2 and stats.samples == n and stats.batches == 3
     # each simplex has exactly one strict argmax per tie-free direction
@@ -1015,16 +1000,13 @@ def test_odd_sample_counts_round_up_to_whole_pairs(samples):
     X, emb = fixtures.octahedron()
     cells, sizes, _ = complex_cell_table(X)
     coords = emb.matrix()
-    counts, stats = mc.run_cone_counts(
-        mc.linear_heights(coords), 3, cells, sizes, len(coords), samples, seed=12
-    )
+    source = mc.gaussian_source(coords)
+    counts, stats = mc.run_cone_counts(source, cells, sizes, len(coords), samples, 12)
     pairs = (samples + 1) // 2
     assert (stats.pairs, stats.samples) == (pairs, samples + 1)
     np.testing.assert_array_equal(counts.sum(axis=1), 2 * pairs)
     link_arrays = mc.build_link_arrays(X, emb.vertex_index)
-    sums, _, morse_stats = mc.run_lower_link_stats(
-        mc.linear_heights(coords), 3, link_arrays, len(coords), samples, 12
-    )
+    sums, _, morse_stats = mc.run_lower_link_stats(source, link_arrays, len(coords), samples, 12)
     assert morse_stats == stats
     assert sums.sum() == 2 * pairs * X.euler_characteristic()  # chi per direction
     for kappa in (
@@ -1052,10 +1034,8 @@ def test_no_pair_hits_both_ends_of_a_multi_vertex_cell(rng):
             assert not (x & minus_x).any()
             # and each direction of a tie-free pair has one hit per cell
             assert (x.sum(axis=0) == 1).all() and (minus_x.sum(axis=0) == 1).all()
-    counts, stats = mc.run_cone_counts(
-        mc.linear_heights(equilateral_embedding(X).matrix()),
-        len(X.vertices), cells, sizes, len(X.vertices), 2000, 3,
-    )
+    source = mc.gaussian_source(equilateral_embedding(X).matrix())
+    counts, stats = mc.run_cone_counts(source, cells, sizes, len(X.vertices), 2000, 3)
     multi = sizes > 1
     assert counts[multi].max() <= stats.pairs
     np.testing.assert_array_equal(counts[~multi, 0], 2 * stats.pairs)
@@ -1141,10 +1121,8 @@ def _record_rows(monkeypatch, name):
 
 def _coarse_heights(coords):
     # heights rounded to one decimal tie often, so resampling runs too
-    def heights(dirs, out):
-        np.round(np.matmul(coords, dirs.T, out=out), 1, out=out)
-
-    return heights
+    source = mc.gaussian_source(coords)
+    return source._replace(draw=lambda *block: np.round(source.draw(*block), 1))
 
 
 def test_slicing_changes_no_cone_count(monkeypatch):
@@ -1152,7 +1130,7 @@ def test_slicing_changes_no_cone_count(monkeypatch):
     emb = equilateral_embedding(X)
     cells, sizes, _ = complex_cell_table(X)
     n = len(X.vertices)
-    args = (_coarse_heights(emb.matrix()), emb.ambient_dim, cells, sizes, n, 4000, 4)
+    args = (_coarse_heights(emb.matrix()), cells, sizes, n, 4000, 4)
     counts, stats = mc.run_cone_counts(*args)
     assert stats.resampled > 0 and stats.batches >= 2
     budget = _kernels.cone_call_bytes(sizes) + 3 * _kernels.cone_row_bytes(sizes, n)
@@ -1169,7 +1147,7 @@ def test_slicing_changes_no_lower_link_sum(monkeypatch):
     emb = equilateral_embedding(X)
     arrays = mc.build_link_arrays(X, emb.vertex_index)
     n = len(X.vertices)
-    args = (_coarse_heights(emb.matrix()), emb.ambient_dim, arrays, n, 4000, 4)
+    args = (_coarse_heights(emb.matrix()), arrays, n, 4000, 4)
     sums, sumsq, stats = mc.run_lower_link_stats(*args)
     assert stats.resampled > 0 and stats.batches >= 2
     budget = _kernels.index_call_bytes(arrays[1], arrays[5])
@@ -1190,18 +1168,18 @@ ROW_SCALES = {
 
 
 def _row_scaled_heights(coords, scale):
-    """The heights of each direction row scaled by scale(dirs) > 0, one
-    factor per row. In two or more dimensions, rows whose last component
-    exceeds 1 have their first zeroed first, so that the square, whose
-    edges are parallel to the axes, ties."""
+    """A Gaussian source whose heights of each direction row are scaled by
+    scale(dirs) > 0, one factor per row. In two or more dimensions, rows
+    whose last component exceeds 1 have their first zeroed first, so that
+    the square, whose edges are parallel to the axes, ties."""
 
-    def heights(dirs, out):
-        dirs = dirs.copy()
+    def draw(seed, block, rows):
+        dirs = mc.sample_unit_directions(seed, block, rows, coords.shape[1])
         if dirs.shape[1] > 1:
             dirs[dirs[:, -1] > 1.0, 0] = 0.0
-        np.matmul(coords, (dirs * scale(dirs)[:, None]).T, out=out)
+        return coords @ (dirs * scale(dirs)[:, None]).T
 
-    return heights
+    return mc.gaussian_source(coords)._replace(draw=draw)
 
 
 @pytest.mark.parametrize("scale", ROW_SCALES)
@@ -1221,8 +1199,8 @@ def test_positive_row_scales_change_no_count_tie_or_index(fixture, scale, monkey
     for factor in (lambda dirs: np.ones(len(dirs)), ROW_SCALES[scale]):
         calls.clear()
         heights = _row_scaled_heights(emb.matrix(), factor)
-        cone = mc.run_cone_counts(heights, emb.ambient_dim, cells, sizes, n, 600, 2)
-        morse = mc.run_lower_link_stats(heights, emb.ambient_dim, arrays, n, 600, 2)
+        cone = mc.run_cone_counts(heights, cells, sizes, n, 600, 2)
+        morse = mc.run_lower_link_stats(heights, arrays, n, 600, 2)
         runs.append((cone, morse, list(calls)))
     (cone, morse, calls), (scaled_cone, scaled_morse, scaled_calls) = runs
     np.testing.assert_array_equal(scaled_cone[0], cone[0])
@@ -1248,9 +1226,8 @@ def test_morse_stats_square_the_widest_int8_pair_exactly():
     arrays = mc.build_link_arrays(X, index)
     assert _kernels.index_dtype(arrays[5], len(arrays[3])) == np.int8
     coords = np.random.default_rng(8).standard_normal((len(index), 3))
-    sums, sumsq, stats = mc.run_lower_link_stats(
-        mc.linear_heights(coords), 3, arrays, len(index), 1000, 3
-    )
+    source = mc.gaussian_source(coords)
+    sums, sumsq, stats = mc.run_lower_link_stats(source, arrays, len(index), 1000, 3)
     assert stats.resampled == 0 and stats.pairs == 500
     want = np.full(len(index), 500)
     want[index[0]] = -124 * 500
@@ -1262,7 +1239,7 @@ def test_morse_stats_square_the_widest_int8_pair_exactly():
     assert kappa[0] == (-62.0, 0.0)
 
 
-def _no_keys(seed, block, lo, out):
+def _no_keys(n):
     raise AssertionError("a rank table drew keys")
 
 
@@ -1273,7 +1250,7 @@ EQUILATERAL_CASES = {
         lambda: barycentric_subdivide(fixtures.octahedron()[0])[0], _no_keys
     ),
     # too few slots for ranks: iid keys
-    "equilateral_path_60": (lambda: fixtures.path_complex(60), mc.key_heights),
+    "equilateral_path_60": (lambda: fixtures.path_complex(60), mc.key_source),
 }
 
 
@@ -1283,7 +1260,7 @@ def test_slicing_changes_no_measure(name, monkeypatch):
         carrier, keys = EQUILATERAL_CASES[name]
         emb = equilateral_embedding(carrier())
         monkeypatch.setattr(mc, "sample_unit_directions", None)
-        monkeypatch.setattr(mc, "key_heights", keys)
+        monkeypatch.setattr(mc, "key_source", keys)
     else:
         _, emb = getattr(fixtures, name)()
     cone_stats, link_stats = [], []

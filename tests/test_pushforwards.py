@@ -9,7 +9,7 @@ from curvcalc.complexes import (
     identity_map,
     product,
 )
-from curvcalc.curvature import Embedding
+from curvcalc.curvature import Embedding, curvature_measure, equilateral_embedding
 from curvcalc.errors import CarrierMismatch, ForeignCell, MissingFace
 from curvcalc.euler import ConstructibleFunction, euler_integral
 from curvcalc.pushforwards import fubini_chi, fubini_curvature, pushforward
@@ -299,3 +299,17 @@ class TestFubiniCurvature:
         check = gauss_bonnet_check(cube, method="mc", samples=40_000, seed=12)
         assert check["chi"] == 1
         assert check["discrepancy"] <= 4 * max(check["bound"], 1e-12)
+
+
+def test_factor_seeds_wrap_at_the_largest_seed():
+    # a 4-simplex factor takes Monte Carlo on seed + 1, which wraps to 0
+    simplex = equilateral_embedding(SimplicialComplex.from_maximal([tuple(range(5))]))
+    _, segment = fixtures.segment()
+    rows = fubini_curvature(simplex, segment, samples=200, seed=2**64 - 1)
+    factor = curvature_measure(simplex, "mc", samples=200, seed=0)
+    for row in rows:
+        u, _ = row["vertex"]
+        assert row["kappa_factor_product"] == factor[u].value * 0.5
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            fubini_curvature(simplex, segment, samples=200, seed=seed)
