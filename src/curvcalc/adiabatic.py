@@ -32,6 +32,10 @@ from .curvature import Embedding, curvature_measure
 from .errors import GridTooCoarse, NegativeWarp, ParseError
 
 POLE_TOLERANCE = 1e-12  # relative to the profile's largest value, as every tolerance on f
+# A float array over the grid takes 8 * grid bytes, and each eps holds
+# about five of them (t, f, the second differences, the density and a
+# temporary): 2**22 points keep that near 160 MiB.
+MAX_GRID = 2**22
 
 
 @dataclass(frozen=True)
@@ -133,9 +137,18 @@ def _second_differences(w: WarpFunction) -> np.ndarray:
 
 def curvature_density(w: WarpFunction, eps: float) -> BaseMeasure:
     """Pushforward of the normalized curvature measure of the surface
-    with fibers scaled by (1 - eps)."""
+    with fibers scaled by (1 - eps); ValueError where the density, an
+    atom or the total mass is not a finite float."""
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
+    measure = _curvature_density(w, eps)
+    if not (np.isfinite(measure.density).all() and math.isfinite(measure.total)):
+        raise ValueError(f"the curvature at eps={eps} leaves the float range on this profile")
+    return measure
+
+
+@np.errstate(all="ignore")  # curvature_density refuses a non-finite result
+def _curvature_density(w: WarpFunction, eps: float) -> BaseMeasure:
     c = 1.0 - eps
     density = -c * _second_differences(w)
     if w.periodic:
@@ -215,7 +228,9 @@ def nonsplit_demo(w: WarpFunction) -> dict:
     # the rounding bound of a second difference: samples each within an
     # ulp of max f (eps * max f) and the two roundings of the sum move
     # f_{i-1} - 2 f_i + f_{i+1} by under 8 eps * max f; twice that, over h^2
-    rounding = 16 * np.finfo(float).eps * float(w.f.max()) / w.step**2
+    # (infinite where h^2 is subnormal, and then every finite density is 0)
+    with np.errstate(over="ignore"):
+        rounding = 16 * np.finfo(float).eps * float(w.f.max()) / w.step**2
     support = float(np.count_nonzero(np.abs(interior) > rounding) * w.step)
     base = base_interval_measure(w)
     return {
@@ -251,6 +266,8 @@ def profile(name: str, grid: int = 4096) -> WarpFunction:
             return load_profile_csv(handle.read())
     if grid < 5:
         raise GridTooCoarse(f"grid must be at least 5, got {grid}")
+    if grid > MAX_GRID:
+        raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
     if name not in _PROFILES:
         raise ValueError(f"unknown profile {name!r}; choose from {tuple(_PROFILES)} or file:<csv>")
     (start, stop), f, periodic = _PROFILES[name]

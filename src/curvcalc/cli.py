@@ -25,7 +25,7 @@ from . import morse as morse_mod
 from . import pushforwards as pushforward_mod
 from .complexes import barycentric_subdivide, product, signature_census
 from .curvature import Embedding, equilateral_embedding
-from .errors import CurvCalcError, UsageError
+from .errors import CurvCalcError, NonFiniteCoordinate, UsageError
 from .euler import ConstructibleFunction
 from .io import (
     ComplexDocument,
@@ -150,6 +150,9 @@ def _cmd_subdivide(args, out) -> int:
     complex, alpha, points = doc.complex, doc.alpha, doc.coordinates
     if points is not None:
         points = np.array([points[v] for v in complex.vertices], dtype=float)
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():  # as an Embedding refuses them
+            raise NonFiniteCoordinate(complex.vertices[int(np.argmin(finite))])
         # means near the float limit are taken 2^shift smaller, so no sum overflows
         shift = max(0, int(np.frexp(np.abs(points).max(initial=0.0))[1]) - 1000)
     for _ in range(args.times):

@@ -194,7 +194,36 @@ def _closure(given: dict, n_vertices: int) -> list[np.ndarray]:
     return rows[::-1]
 
 
-class SimplicialComplex:
+class _CellCarrier:
+    """The cell-carrier protocol members that follow from the sorted
+    _vertices, f_vector() and cell_indices(), shared by SimplicialComplex
+    and ProductCellComplex so that Euler integration treats both alike.
+    Subclasses give cells(), cell_dim, cell_vertex_objects and closure."""
+
+    __slots__ = ()
+
+    @property
+    def vertices(self) -> tuple:
+        return self._vertices
+
+    @property
+    def dim(self) -> int:
+        return len(self.f_vector()) - 1
+
+    def has_cell(self, cell) -> bool:
+        """Whether cell is a cell of this carrier; an unhashable cell
+        raises TypeError, as set membership does."""
+        hash(cell)
+        return bool(self.cell_indices((cell,))[0] >= 0)
+
+    def euler_characteristic(self) -> int:
+        return sum(-n if d % 2 else n for d, n in enumerate(self.f_vector()))
+
+    def __len__(self):
+        return sum(self.f_vector())
+
+
+class SimplicialComplex(_CellCarrier):
     """An immutable finite abstract simplicial complex.
 
     The empty complex is allowed (it shows up as the link of an isolated
@@ -243,18 +272,10 @@ class SimplicialComplex:
             self._simplices = frozenset(self.cells())
         return self._simplices
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self._vertices
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows) - 1
-
     def simplices_of_dim(self, d: int) -> tuple[Simplex, ...]:
         simplices = self._by_dim.get(d)
         if simplices is None:
-            if not 0 <= d <= self.dim:
+            if not 0 <= d < len(self._rows):
                 return ()
             simplices = self._by_dim[d] = tuple(zip(*self._ids[self._rows[d].T].tolist()))
         return simplices
@@ -264,7 +285,7 @@ class SimplicialComplex:
         positions in self.vertices of the vertices of
         simplices_of_dim(d)[i]. Positions, not ids, so sparse vertex ids
         stay compact. This is the stored array itself."""
-        if 0 <= d <= self.dim:
+        if 0 <= d < len(self._rows):
             return self._rows[d]
         empty = np.empty((0, d + 1), dtype=np.int64)
         empty.flags.writeable = False
@@ -355,8 +376,6 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         return tuple(map(len, self._rows))
 
-    # Generic cell-carrier protocol shared with ProductCellComplex, so the
-    # Euler-integration code can treat both uniformly.
     def cells(self) -> tuple[Simplex, ...]:
         """All simplices in (dimension, lexicographic) order, as a tuple
         built on first use."""
@@ -369,21 +388,11 @@ class SimplicialComplex:
     def cell_dim(self, cell) -> int:
         return len(cell) - 1
 
-    def has_cell(self, cell) -> bool:
-        """Whether cell is a simplex of this complex, answered from the
-        stored rows; an unhashable cell raises TypeError, as set
-        membership does."""
-        hash(cell)
-        return bool(self.cell_indices((cell,))[0] >= 0)
-
     def cell_vertex_objects(self, cell):
         return cell
 
     def closure(self, cell):
         return tuple(faces(cell))
-
-    def euler_characteristic(self) -> int:
-        return sum(-n if d % 2 else n for d, n in enumerate(self.f_vector()))
 
     def star(self, v: int) -> tuple[Simplex, ...]:
         """All simplices containing v (not closed under faces)."""
@@ -423,9 +432,6 @@ class SimplicialComplex:
 
     def __hash__(self):
         return hash((self._ids.tobytes(), *(rows.tobytes() for rows in self._rows)))
-
-    def __len__(self):
-        return sum(self.f_vector())
 
     def __contains__(self, simplex):
         return self.has_cell(tuple(simplex))
@@ -733,7 +739,7 @@ def signature_barycenter_sums(n: int) -> dict[tuple[int, ...], tuple[Fraction, .
 # Products
 # ---------------------------------------------------------------------------
 
-class ProductCellComplex:
+class ProductCellComplex(_CellCarrier):
     """Cell complex whose open cells are pairs of open cells of the two
     factors. Factors may themselves be products, so iterated products
     (e.g. a cube of three segments) are expressible.
@@ -746,13 +752,9 @@ class ProductCellComplex:
 
     def __init__(self, x, y):
         self.factors = (x, y)
-        self._vertices = tuple(sorted((u, v) for u in x.vertices for v in y.vertices))
+        self._vertices = tuple(itertools.product(x.vertices, y.vertices))  # both sorted
         self._order = None  # built by the first cells() call
         self._index = None  # built by the first cell_indices() call
-
-    @property
-    def vertices(self):
-        return self._vertices
 
     def cells(self) -> tuple:
         """All cells in (dimension, lexicographic) order, as a tuple built
@@ -779,13 +781,6 @@ class ProductCellComplex:
         a, b = cell
         return self.factors[0].cell_dim(a) + self.factors[1].cell_dim(b)
 
-    @property
-    def dim(self) -> int:
-        return max(map(self.cell_dim, self.cells()), default=-1)
-
-    def has_cell(self, cell) -> bool:  # an unhashable cell raises TypeError
-        return bool(self.cell_indices((cell,))[0] >= 0)
-
     def cell_vertex_objects(self, cell):
         a, b = cell
         return tuple(
@@ -802,12 +797,6 @@ class ProductCellComplex:
             for fa in self.factors[0].closure(a)
             for fb in self.factors[1].closure(b)
         )
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** self.cell_dim(c) for c in self.cells())
-
-    def __len__(self):
-        return len(self.cells())
 
     def __eq__(self, other):
         return (

@@ -406,11 +406,17 @@ def curvature_integral(
     sum over vertices of alpha(v) * kappa(v)."""
     if alpha.complex != embedding.carrier:
         raise UnknownVertex("alpha is not defined on the embedded complex")
+    weights = {}
+    for v in alpha.complex.vertices:  # the embedding may hold other coordinate keys
+        try:
+            weights[v] = float(alpha.values[v])
+        except OverflowError:
+            raise ValueError(f"vertex {v!r}: its alpha value lies beyond the float range") from None
     kappa = curvature_measure(embedding, method, samples, seed)
     value = 0.0
     bound = 0.0
-    for v, (k, b) in kappa.items():
-        a = float(alpha.values[v])
+    for v, a in weights.items():
+        k, b = kappa[v]
         value += a * k
         bound += abs(a) * b
     return ValueWithError(value, bound)
@@ -441,6 +447,8 @@ def final_integral(
         v, b = curvature_integral(alpha, restricted, method, samples, mc.offset_seed(seed, i))
         value += v
         bound += b
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise ValueError("the integral leaves the float range")
     return ValueWithError(value, bound)
 
 

@@ -95,6 +95,10 @@ class TooManyCuts(CurvCalcError):
     pass
 
 
+class PersistentTies(CurvCalcError):
+    """Monte Carlo directions keep tying the heights of a simplex."""
+
+
 class NegativeWarp(CurvCalcError):
     pass
 

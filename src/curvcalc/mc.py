@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _kernels
+from .errors import PersistentTies
 
 BLOCK_ROWS = 8192
 KERNEL_BUDGET_BYTES = 8 * 2**20
@@ -178,7 +179,7 @@ def _drive(source, n_samples, seed, call_bytes, pair_bytes, accumulate):
         resampled += n_tied
         empty_streak = empty_streak + 1 if n_tied == rows else 0
         if empty_streak >= _MAX_EMPTY_BLOCKS:
-            raise RuntimeError("direction sampling keeps hitting height ties")
+            raise PersistentTies("direction sampling keeps hitting height ties")
     return McStats(n_pairs, resampled, blocks)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from curvcalc import adiabatic
 from curvcalc.adiabatic import (
     WarpFunction,
     adiabatic_sweep,
@@ -58,6 +59,17 @@ class TestWarpValidation:
         with pytest.raises(GridTooCoarse):
             profile("sphere", grid=4)
 
+    def test_grid_cap_refuses_before_allocating(self, monkeypatch):
+        assert len(profile("cylinder", adiabatic.MAX_GRID).t) == adiabatic.MAX_GRID
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        for grid in (adiabatic.MAX_GRID + 1, 100_000_000_000):
+            with pytest.raises(ValueError, match=f"grid must be at most {adiabatic.MAX_GRID}"):
+                profile("sphere", grid)
+
     def test_unknown_profile(self):
         with pytest.raises(ValueError):
             profile("mystery")
@@ -101,6 +113,33 @@ class TestWarpValidation:
         # the steps of a linspace differ by the rounding of t, ulps of 1e6
         t = np.linspace(1e6, 1e6 + 1, 4096)
         assert WarpFunction(t, np.ones_like(t)).step == pytest.approx(1 / 4095)
+
+
+# second differences that overflow, and a step whose square underflows to 0
+NON_FINITE_PROFILES = [
+    (np.linspace(0, 1, 9), [1e308] * 4 + [1.7e308] + [1e308] * 4),
+    (np.linspace(0, 1e-300, 9), [1.0] * 4 + [1.3] + [1.0] * 4),
+]
+
+
+@pytest.mark.parametrize("t, f", NON_FINITE_PROFILES)
+def test_non_finite_curvature_is_refused(t, f):
+    # RuntimeWarnings are errors here, so none may escape on the way
+    w = WarpFunction(t, f)
+    for eps in (0.0, 0.5):
+        with pytest.raises(ValueError, match="float range"):
+            curvature_density(w, eps)
+    with pytest.raises(ValueError, match="float range"):
+        adiabatic_sweep(w, (0.0,))
+    with pytest.raises(ValueError, match="float range"):
+        nonsplit_demo(w)
+
+
+def test_nonsplit_support_of_a_flat_profile_with_a_subnormal_squared_step():
+    # h^2 = 4e-324 is subnormal: the rounding bound is infinite, and every density is 0
+    t = 2e-162 * np.arange(9)
+    demo = nonsplit_demo(WarpFunction(t, np.ones(9)))
+    assert demo["pushforward_density_support"] == 0.0 and demo["absolutely_continuous"]
 
 
 @pytest.fixture(scope="module")

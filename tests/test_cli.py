@@ -433,15 +433,19 @@ def test_validate_unknown_vertex_exits_2(fixture_dir):
     assert json.loads(err)["error"] == "UnknownVertex"
 
 
-@pytest.mark.parametrize("bad", ["inf", "nan"])
+@pytest.mark.parametrize("bad", ["inf", "nan", "-inf", "1e400"])
 def test_non_finite_coordinate_exits_2(tmp_path, bad):
     path = tmp_path / "bad.txt"
     path.write_text(
         f"curvcalc-complex v1\nvertices\na 0 0\nb 1 {bad}\nc 0 1\nsimplices\na b c\n"
     )
-    code, out, err = invoke("curvature", str(path), "--method", "exact")
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "NonFiniteCoordinate"
+    # subdivide embeds nothing, and refuses the coordinate as the others do
+    for argv in (("curvature", str(path), "--method", "exact"), ("subdivide", str(path))):
+        code, out, err = invoke(*argv)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "NonFiniteCoordinate", "message": "vertex 1 has a non-finite coordinate"
+        }
 
 
 OVERFLOW = (
@@ -527,6 +531,79 @@ def test_malformed_profile_row_exits_2(tmp_path, bad_row):
     report = json.loads(err)
     assert report["error"] == "ParseError"
     assert report["message"].endswith("(line 4)")
+
+
+def _one_json_line(err: str) -> dict:
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])
+
+
+def test_adiabatic_grid_cap_exits_2():
+    code, out, err = invoke("adiabatic", "--profile", "sphere", "--grid", "100000000000")
+    assert code == 2 and out == ""
+    assert _one_json_line(err) == {
+        "error": "ValueError", "message": "grid must be at most 4194304, got 100000000000"
+    }
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize(
+    "t, f",
+    [
+        # second differences that overflow
+        ([i / 8 for i in range(9)], [1e308] * 4 + [1.7e308] + [1e308] * 4),
+        # a step whose square underflows to 0
+        ([i * 1.25e-301 for i in range(9)], [1.0] * 4 + [1.3] + [1.0] * 4),
+    ],
+)
+@pytest.mark.parametrize("flags", [("--nonsplit",), ("--format", "csv"), ("--format", "json")])
+def test_adiabatic_non_finite_curvature_exits_2(tmp_path, t, f, flags):
+    path = tmp_path / "profile.csv"
+    path.write_text("t,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t, f)))
+    code, out, err = invoke("adiabatic", "--profile", f"file:{path}", *flags)
+    assert code == 2 and out == ""
+    assert _one_json_line(err) == {
+        "error": "ValueError", "message": "the curvature at eps=0.0 leaves the float range on this profile"
+    }
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_alpha_beyond_the_float_range_exits_2(tmp_path, method):
+    path = tmp_path / "triangle.txt"
+    path.write_text(
+        "curvcalc-complex v1\nvertices\na 0 0 alpha=1e400\nb 1 0 alpha=0\nc 0 1 alpha=0\n"
+        "simplices\na b c\n"
+    )
+    code, out, err = invoke("curvature", str(path), "--alpha", "--method", method, "--samples", "100")
+    assert code == 2 and out == ""
+    assert _one_json_line(err) == {
+        "error": "ValueError", "message": "vertex 0: its alpha value lies beyond the float range"
+    }
+
+
+FAR_PATH = "curvcalc-complex v1\nvertices\na 1e20 0\nb 1e20 1\nc 1e20 2\nsimplices\na b\nb c\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curvature", "{path}", "--method", "mc", "--samples", "100"),
+        ("morse-curvature", "{path}", "--samples", "100"),
+        ("fubini-check", "--left", "{path}", "--right", "{path}", "--kind", "curvature", "--samples", "100"),
+    ],
+)
+def test_persistent_height_ties_exit_2(tmp_path, argv):
+    # heights carry the 1e20 offset, and the unit steps along the path are lost to rounding
+    path = tmp_path / "far.txt"
+    path.write_text(FAR_PATH)
+    code, out, err = invoke(*(a.format(path=path) for a in argv))
+    assert code == 2 and out == ""
+    assert _one_json_line(err) == {
+        "error": "PersistentTies", "message": "direction sampling keeps hitting height ties"
+    }
+    code, out, _ = invoke("curvature", str(path))
+    assert code == 0 and out == "vertex,kappa,stderr\na,0.5,0\nb,0,0\nc,0.5,0\n"
 
 
 def test_gauss_bonnet_check_json(fixture_dir):

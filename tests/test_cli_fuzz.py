@@ -1,8 +1,10 @@
-"""Mutated input files for every subcommand: each run exits 0, or exits 2
-with one JSON diagnostic on the stderr argument; it never raises."""
+"""Mutated input files for every subcommand: each run exits 0 and prints
+no non-finite number, or exits 2 with one JSON diagnostic on the stderr
+argument; it never raises."""
 
 import io
 import json
+import math
 import pathlib
 import re
 
@@ -90,12 +92,24 @@ def _collinear(data, draw):
     return b"".join(lines)
 
 
-def _nan(data, draw):
+def _replace_number(data, draw, tokens):
     numbers = list(NUMBER.finditer(data))
     if not numbers:
         return data
     m = numbers[draw(st.integers(0, len(numbers) - 1))]
-    return data[: m.start()] + draw(st.sampled_from([b"nan", b"inf", b"-inf"])) + data[m.end():]
+    return data[: m.start()] + draw(st.sampled_from(tokens)) + data[m.end():]
+
+
+def _nan(data, draw):
+    return _replace_number(data, draw, [b"nan", b"inf", b"-inf"])
+
+
+# extreme finite numbers, and one that reads as an infinite float
+EXTREME = [b"1e308", b"-1e308", b"1e-300", b"5e-324", b"1e400"]
+
+
+def _extreme(data, draw):
+    return _replace_number(data, draw, EXTREME)
 
 
 JSON_VALUE = re.compile(rb'(?<=:)\s*("[^"]*"|-?\d[\d.eE+-]*)')
@@ -112,7 +126,40 @@ def _json_literal(data, draw):
     return data[: m.start()] + literal + data[m.end():]
 
 
-MUTATIONS = [_flip, _drop_line, _duplicate_line, _collinear, _nan, _json_literal]
+MUTATIONS = [_flip, _drop_line, _duplicate_line, _collinear, _nan, _extreme, _json_literal]
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-finite JSON number {name}")
+
+
+_STRICT_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def assert_prints_finite_numbers(text: str) -> None:
+    """Every number in a run's stdout is finite. CSV rows and complex text
+    come first, if any: in each of their lines, every CSV or whitespace
+    field after the first that reads as a float is finite. The first
+    field is a vertex name, which may spell nan or inf, or an eps that the
+    argv gave. The rest, if any, is JSON documents, parsed strictly."""
+    lines = text.splitlines(keepends=True)
+    n = 0
+    if lines and re.match(r"(vertex,|eps,|curvcalc-complex )", lines[0]):
+        # the adiabatic CSV ends where its JSON summary starts
+        tail = lines[0].startswith("eps,")
+        n = next((i for i, line in enumerate(lines) if tail and line.startswith("{")), len(lines))
+    for line in lines[:n]:
+        for field in re.split(r"[,\s]+", line.strip())[1:]:
+            try:
+                value = float(field)
+            except ValueError:
+                continue
+            assert math.isfinite(value), line
+    documents = "".join(lines[n:]).strip()
+    at = 0
+    while at < len(documents):
+        _, at = _STRICT_JSON.raw_decode(documents, at)
+        at = len(documents) - len(documents[at:].lstrip())
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +188,5 @@ def test_mutated_inputs_exit_0_or_2_with_json(fuzz_dir, data):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and "error" in json.loads(lines[0]), err.getvalue()
+    else:
+        assert_prints_finite_numbers(out.getvalue())

@@ -9,6 +9,7 @@ import pytest
 
 from curvcalc.complexes import (
     PLFunction,
+    ProductCellComplex,
     SimplicialComplex,
     SimplicialMap,
     barycentric_subdivide,
@@ -330,6 +331,53 @@ class TestProducts:
         assert sum(map(P.has_cell, foreign)) == 0
         with pytest.raises(TypeError):
             P.has_cell([(0,), (0,)])
+
+    CARRIER_MEMBERS = ("vertices", "dim", "has_cell", "euler_characteristic", "__len__")
+
+    def test_both_carriers_share_one_copy_of_the_protocol_members(self):
+        for name in self.CARRIER_MEMBERS:
+            assert name not in vars(SimplicialComplex) and name not in vars(ProductCellComplex)
+            assert getattr(SimplicialComplex, name) is getattr(ProductCellComplex, name)
+
+    def test_size_dimension_and_chi_build_no_cells(self, monkeypatch):
+        def unbuilt(self):
+            raise AssertionError("cells() was built")
+
+        monkeypatch.setattr(ProductCellComplex, "cells", unbuilt)
+        edge = SimplicialComplex.from_maximal([(0, 1)])
+        hollow = SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2)])
+        for P, f_vector in (
+            (product(hollow, edge), (6, 9, 3)),
+            (product(product(edge, edge), edge), (8, 12, 6, 1)),
+            (product(SimplicialComplex(), edge), ()),
+        ):
+            assert P.f_vector() == f_vector
+            assert P.dim == len(f_vector) - 1
+            assert len(P) == sum(f_vector)
+            assert P.euler_characteristic() == sum(n * (-1) ** d for d, n in enumerate(f_vector))
+            assert repr(P) == f"ProductCellComplex({sum(f_vector)} cells)"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_protocol_members_match_counts_over_the_cells(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        x = fixtures.random_complex(rng, max_vertices=5)
+        y = fixtures.random_complex(rng, max_vertices=4, max_dim=2)
+        z = fixtures.random_complex(rng, max_vertices=3, max_dim=1)
+        empty = SimplicialComplex()
+        carriers = [product(x, y), product(product(x, y), z), product(z, product(y, z))]
+        carriers += [product(x, empty), product(empty, y), product(product(x, empty), z)]
+        for P in carriers:
+            cells = P.cells()
+            dims = [P.cell_dim(c) for c in cells]
+            a, b = P.factors
+            assert P.vertices == tuple(sorted((u, v) for u in a.vertices for v in b.vertices))
+            assert P.dim == max(dims, default=-1)
+            assert len(P) == len(cells)
+            assert P.euler_characteristic() == sum((-1) ** d for d in dims)
+            assert P.euler_characteristic() == a.euler_characteristic() * b.euler_characteristic()
+            assert all(map(P.has_cell, cells))
+            foreign = [(c, (99,)) for c in a.cells()] + [((99,), c) for c in b.cells()]
+            assert not any(map(P.has_cell, [*foreign, (), ((0,),)]))
 
 
 class TestSimplicialMaps:

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from curvcalc import mc
+from curvcalc import curvature, mc
 from curvcalc.complexes import (
     PLFunction,
     SimplicialComplex,
@@ -392,6 +393,40 @@ class TestIntegrals:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed must lie in"):
                 final_integral(emb, pieces, "mc", 200, seed)
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_coordinates_off_the_carrier_change_no_integral(self, method):
+        # an Embedding may hold coordinate keys outside its carrier, after its vertices
+        X, plain = fixtures.segment()
+        wide = Embedding(X, {**plain.coordinates, 7: [5.0]})
+        alpha = PLFunction(X, {0: 2, 1: -3})
+        if method == "exact":
+            assert curvature_integral(alpha, wide) == (-0.5, 0.0)
+        assert curvature_integral(alpha, wide, method, 200) == curvature_integral(alpha, plain, method, 200)
+        assert final_integral(wide, [(X, alpha)], method, 200) == final_integral(plain, [(X, alpha)], method, 200)
+
+    def test_alpha_beyond_the_float_range_is_refused_before_the_curvature_run(self, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("the curvature measure ran")
+
+        monkeypatch.setattr(curvature, "curvature_measure", unreached)
+        X, emb = fixtures.segment()
+        for big in (10**400, Fraction(-(10**400), 3)):
+            alpha = PLFunction(X, {0: 1, 1: big})
+            with pytest.raises(ValueError, match="vertex 1: its alpha value lies beyond the float range"):
+                curvature_integral(alpha, emb)
+            with pytest.raises(ValueError, match="vertex 1"):
+                final_integral(emb, [(X, alpha)], "mc", 200)
+
+    def test_an_integral_beyond_the_float_range_is_refused(self):
+        # the centre of a five-edge star has curvature 1 - 5/2
+        star = SimplicialComplex.from_maximal([(0, v) for v in range(1, 6)])
+        angles = 2 * math.pi * np.arange(5) / 5
+        emb = Embedding(star, {0: [0.0, 0.0], **{v: [math.cos(a), math.sin(a)] for v, a in zip(range(1, 6), angles)}})
+        assert curvature_measure(emb)[0].value == pytest.approx(-1.5)
+        alpha = PLFunction(star, {0: Fraction(15, 10) * 10**308, **dict.fromkeys(range(1, 6), 0)})
+        with pytest.raises(ValueError, match="the integral leaves the float range"):
+            final_integral(emb, [(star, alpha)])
 
     def test_piece_must_be_a_subcomplex(self):
         X, emb = fixtures.segment()
