@@ -63,12 +63,15 @@ class WarpFunction:
             raise GridTooCoarse(f"need at least 5 grid points, got {len(t)}")
         if not (np.isfinite(t).all() and np.isfinite(f).all()):
             raise ValueError("t and f must be finite")
-        steps = np.diff(t)
+        with np.errstate(over="ignore"):  # a step beyond the float range is no uniform step
+            steps = np.diff(t)
         if np.any(steps <= 0):
             raise ValueError("grid must be strictly increasing")
         h = steps[0]
-        # relative to h, with room for the rounding of t: a few ulps of its largest entry
-        if np.any(np.abs(steps - h) > 1e-9 * h + 4 * np.spacing(np.abs(t).max())):
+        # relative to h, with room for the rounding of t: a few ulps of its
+        # largest entry, a bound that stays finite up to the float limit
+        tolerance = 1e-9 * h + 4 * np.finfo(float).eps * np.abs(t).max()
+        if not np.isfinite(steps).all() or np.any(np.abs(steps - h) > tolerance):
             raise ValueError("grid must be uniform")
         if np.any(f < 0):
             raise NegativeWarp("warp values must be nonnegative")

@@ -8,6 +8,11 @@ dimension; larger simplices and product cells use seeded Monte Carlo.
 Every float result carries an error bound (0 for exact values); bounds
 propagate by summation.
 
+Exact curvature reads the simplex rows: every term of a closed form is
+an angle of a triangle face, so one triangle-angle table serves every
+simplex, and one bincount sums the signed fractions of every (simplex,
+vertex) slot. Monte Carlo pads the cells into an mc.build_cell_arrays table.
+
 An Embedding of a simplicial complex rejects affinely degenerate
 simplices: a d-simplex whose (d, N) matrix E of edge vectors from its
 first vertex has fewer than d singular values (d > N, the ambient
@@ -16,10 +21,11 @@ overflows), or a smallest singular value at most _DEGENERACY_RTOL *
 largest. A Gram screen clears one with d <= 3 when det G > _SCREEN_RTOL
 * F^(2d), G = E E^T, F^2 = trace G >= _SCREEN_TINY (so the threshold is
 a normal float); the rest take an SVD. DegenerateSimplex reports the
-first in (dimension, lexicographic) order. The check and the exact cone
-fractions gather rows in chunks under mc.KERNEL_BUDGET_BYTES; the latter
-scale generators whose norms leave [2^-500, 2^500] by powers of two, so
-that every accepted simplex, at any scale, gets the angles of its unit copy.
+first in (dimension, lexicographic) order. The check and the angle table
+gather rows in chunks under mc.KERNEL_BUDGET_BYTES; the table scales each
+edge whose norm leaves [2^-500, 2^500] by a power of two, so that every
+accepted simplex, at any scale, gets the angles of its unit copy, whatever
+other simplices share its chunk.
 """
 
 import itertools
@@ -28,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexes import PLFunction, ProductCellComplex, SimplicialComplex
+from .complexes import PLFunction, ProductCellComplex, SimplicialComplex, facet_rows
 from .errors import (
     DegenerateSimplex,
     ExactUnavailable,
@@ -249,10 +255,65 @@ def height_source(coords: np.ndarray, sizes: np.ndarray) -> mc.Source:
 # Normal-cone fractions
 # ---------------------------------------------------------------------------
 
-@np.errstate(over="ignore")  # an overflowed generator norm is caught and redone
-def _exact_cone_fractions(coords: np.ndarray, cells: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Exact normal-cone fraction for every (cell, vertex slot) pair of a
-    simplex table from mc.build_cell_arrays; padding slots stay 0.
+# For slot v of a tetrahedron, the (face, slot in the face) of its three
+# faces at v, face f being row f of the tetrahedron's facet_rows. In
+# lexicographic order they are (v, a, b) for the pairs a < b of the other
+# slots in combinations order.
+_TET_FACES = list(itertools.combinations(range(4), 3))
+_TET_CORNERS = np.array(
+    [[(f, face.index(v)) for f, face in enumerate(_TET_FACES) if v in face] for v in range(4)]
+)
+
+
+def _norm(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(rows, axis=-1), by the same operations."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=-1))
+
+
+@np.errstate(over="ignore")  # an overflowed edge norm is caught and redone
+def _triangle_angles(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """The (n, 3) interior angles of the triangles whose vertices are the
+    coords rows in each row of an (n, 3) array, at slots 0, 1 and 2.
+
+    Each triangle's edges e01 = p0 - p1, e02 = p0 - p2 and e12 = p1 - p2
+    are normalized once, and the angle between unit vectors a and b is
+    2 atan2(|a - b|, |a + b|), which stays accurate for nearly parallel or
+    opposite edges: (u01, u02) at slot 0, (-u01, u12) at slot 1 and
+    (-u02, -u12) at slot 2, the signs folded into the norms. An edge whose
+    norm leaves [2^-500, 2^500], where squares near the float limits
+    overflow or lose their bits, is scaled exactly by the power of two
+    that brings its largest entry into [1/2, 1), and its norm is taken
+    again; inside that range the squares that underflow move a norm by
+    under N 2^-74 of itself. So every angle is a function of its own
+    triangle alone. Rows go in chunks whose gathers and temporaries,
+    under 9 floats per row and ambient coordinate, fit in
+    mc.KERNEL_BUDGET_BYTES.
+    """
+    angles = np.empty(triangles.shape)
+    for lo, chunk in _row_chunks(triangles, 8 * 9 * coords.shape[1]):
+        edges = coords[chunk[:, [0, 0, 1]].T] - coords[chunk[:, [1, 2, 2]].T]  # (3, rows, N)
+        norm = _norm(edges)
+        far = ~((norm >= 2.0**-500) & (norm <= 2.0**500))
+        if far.any():  # squares near the float limits: those edges to [1/2, 1) by a power of two
+            scaled = edges[far]
+            big = np.abs(scaled).max(axis=-1, keepdims=True, initial=0.0)
+            np.ldexp(scaled, -np.frexp(big)[1], out=scaled)
+            edges[far] = scaled
+            norm[far] = _norm(scaled)
+        edges /= norm[..., None]
+        u01, u02, u12 = edges
+        at = angles[lo : lo + len(chunk)]
+        at[:, 0] = 2.0 * np.arctan2(_norm(u01 - u02), _norm(u01 + u02))
+        at[:, 1] = 2.0 * np.arctan2(_norm(u01 + u12), _norm(u01 - u12))
+        at[:, 2] = 2.0 * np.arctan2(_norm(u02 - u12), _norm(u02 + u12))
+    return angles
+
+
+def _exact_fractions(coords: np.ndarray, complex: SimplicialComplex) -> list:
+    """[(rows, fractions)] per dimension d of the complex: rows is
+    complex.vertex_positions(d), and fractions the (n_d, d + 1) exact
+    normal-cone fractions of its simplices at their slots. Vertex
+    positions are coords rows.
 
     At a vertex v with m other vertices w the cone is where all the
     generators g = p_v - p_w have nonnegative dot products with the
@@ -260,52 +321,33 @@ def _exact_cone_fractions(coords: np.ndarray, cells: np.ndarray, sizes: np.ndarr
     the generators, which depends only on the angles theta_ij between
     them. For m <= 3 it is, in any ambient dimension,
       (1 + C(m, 2)) / 2^m - sum_{i<j} theta_ij / (2^(m-1) pi)
-    (Sheppard 1899; Plackett 1954). Angles use the form
-    theta = 2 atan2(|u - w|, |u + w|) on unit vectors, which stays
-    accurate for nearly parallel or opposite generators. When a norm of
-    the generators at v leaves [2^-500, 2^500], where squares near the
-    float limits overflow or lose their bits, those generators are scaled
-    exactly, each by the power of two that brings its largest entry into
-    [1/2, 1), and their norms are taken again; inside that range the
-    squares that underflow move a norm by under N 2^-74 of itself. Rows
-    go in chunks whose points and generator temporaries, under 5 n floats
-    per row and ambient coordinate, fit in mc.KERNEL_BUDGET_BYTES.
+    (Sheppard 1899; Plackett 1954): 1 at a vertex, 1/2 on an edge. The
+    angle between p_v - p_a and p_v - p_b is the angle at v of the
+    triangle (v, a, b), so one _triangle_angles table serves every
+    triangle and every tetrahedron on it; a tetrahedron finds its faces
+    with simplex_indices and sums their angles at v in combinations order.
     """
-    fractions = np.zeros(cells.shape)
-    for n in _kernels.size_classes(sizes):
-        m = n - 1
-        if m > 3:
-            raise ExactUnavailable(f"no exact cone fraction for {m} generators")
-        for _, rows in _row_chunks(np.flatnonzero(sizes == n), 8 * 5 * n * coords.shape[1]):
-            pts = coords[cells[rows, :n]]
-            for v in range(n):
-                gens = pts[:, [v]] - pts[:, [w for w in range(n) if w != v]]
-                norm = np.linalg.norm(gens, axis=-1, keepdims=True)
-                if not (norm.min(initial=1.0) >= 2.0**-500 and norm.max(initial=1.0) <= 2.0**500):
-                    # squares near the float limits: each generator to [1/2, 1) by a power of two
-                    big = np.abs(gens).max(axis=-1, keepdims=True, initial=0.0)
-                    np.ldexp(gens, -np.frexp(big)[1], out=gens)
-                    norm = np.linalg.norm(gens, axis=-1, keepdims=True)
-                unit = gens / norm
-                theta = sum(
-                    2.0 * np.arctan2(
-                        np.linalg.norm(unit[:, i] - unit[:, j], axis=-1),
-                        np.linalg.norm(unit[:, i] + unit[:, j], axis=-1),
-                    )
-                    for i, j in itertools.combinations(range(m), 2)
-                )
-                fractions[rows, v] = (1 + math.comb(m, 2)) / 2.0**m - theta / (2.0 ** (m - 1) * math.pi)
-    return fractions
+    if complex.dim > 3:
+        raise ExactUnavailable(f"no exact cone fraction for {complex.dim} generators")
+    rows = [complex.vertex_positions(d) for d in range(complex.dim + 1)]
+    fractions = [np.full(r.shape, 1.0 / (d + 1)) for d, r in enumerate(rows[:2])]
+    if len(rows) > 2:
+        angles = _triangle_angles(coords, rows[2])
+        fractions.append(2 / 4 - angles / (2 * math.pi))
+    if len(rows) > 3:
+        faces = complex.simplex_indices(facet_rows(rows[3])).reshape(-1, 4)
+        corners = angles[faces[:, _TET_CORNERS[..., 0]], _TET_CORNERS[..., 1]]  # (n_3, 4, 3)
+        theta = corners[..., 0] + corners[..., 1] + corners[..., 2]
+        fractions.append(4 / 8 - theta / (4 * math.pi))
+    return list(zip(rows, fractions))
 
 
-def _cell_table(embedding: Embedding, method: str):
+def _cell_table(embedding: Embedding):
     """The mc.build_cell_arrays table of every cell of the carrier, in
-    carrier.cells() order; exact fractions need simplices."""
+    carrier.cells() order."""
     carrier, vertex_index = embedding.carrier, embedding.vertex_index
     if isinstance(carrier, SimplicialComplex):
         return mc.build_cell_arrays(mc.simplex_rows(carrier, vertex_index))
-    if method == "exact":
-        raise ExactUnavailable("exact cone fractions apply to simplicial carriers only")
     cells = [
         ([vertex_index[v] for v in carrier.cell_vertex_objects(c)], carrier.cell_dim(c))
         for c in carrier.cells()
@@ -318,14 +360,10 @@ def _cell_table(embedding: Embedding, method: str):
     return mc.build_cell_arrays(groups)
 
 
-def _cone_fractions(coords, cells, sizes, method, samples, seed):
-    """Normal-cone fraction and its error bound for every (cell, vertex
-    slot) pair of a table from mc.build_cell_arrays; the table's vertex
-    ids are rows of coords."""
-    if method == "exact":  # scales each generator itself
-        return _exact_cone_fractions(coords, cells, sizes), np.zeros(cells.shape)
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
+def _cone_fractions(coords, cells, sizes, samples, seed):
+    """Monte Carlo normal-cone fraction and its error bound for every
+    (cell, vertex slot) pair of a table from mc.build_cell_arrays; the
+    table's vertex ids are rows of coords."""
     source = height_source(coords, sizes)
     counts, stats = mc.run_cone_counts(source, cells, sizes, len(coords), samples, seed)
     # Over P tie-free pairs a slot of a cell with two or more vertices hits
@@ -340,6 +378,12 @@ def _cone_fractions(coords, cells, sizes, method, samples, seed):
     return fractions, bounds
 
 
+def _exact_carrier(embedding: Embedding) -> SimplicialComplex:
+    if not isinstance(embedding.carrier, SimplicialComplex):
+        raise ExactUnavailable("exact cone fractions apply to simplicial carriers only")
+    return embedding.carrier
+
+
 def excess_angle(
     simplex,
     v,
@@ -348,27 +392,39 @@ def excess_angle(
     samples: int = 100_000,
     seed: int = 0,
 ) -> ValueWithError:
-    """Normal-cone fraction of one simplex at one of its vertices."""
+    """Normal-cone fraction of one simplex at one of its vertices; the
+    exact one is that of the simplex in its face closure."""
     simplex = tuple(simplex)
     carrier = embedding.carrier
     if not carrier.has_cell(simplex):
         raise UnknownSimplex(simplex)
-    if method == "exact" and not isinstance(carrier, SimplicialComplex):
-        raise ExactUnavailable("exact cone fractions apply to simplicial carriers only")
+    if method == "exact":
+        _exact_carrier(embedding)
     vertices = carrier.cell_vertex_objects(simplex)
     if v not in vertices:
         raise UnknownVertex(v)
+    coords = embedding.matrix()[[embedding.vertex_index[w] for w in vertices]]
+    slot = vertices.index(v)
+    if method == "exact":  # the closure's vertex positions are the slots
+        _, fractions = _exact_fractions(coords, SimplicialComplex.from_maximal([simplex]))[-1]
+        return ValueWithError(float(fractions[0, slot]), 0.0)
+    if method != "mc":
+        raise ValueError(f"unknown method {method!r}")
     ids = np.arange(len(vertices), dtype=np.int64).reshape(1, -1)
     cells, sizes, _ = mc.build_cell_arrays([(ids, carrier.cell_dim(simplex))])
-    coords = embedding.matrix()[[embedding.vertex_index[w] for w in vertices]]
-    fractions, bounds = _cone_fractions(coords, cells, sizes, method, samples, seed)
-    slot = vertices.index(v)
+    fractions, bounds = _cone_fractions(coords, cells, sizes, samples, seed)
     return ValueWithError(float(fractions[0, slot]), float(bounds[0, slot]))
 
 
 # ---------------------------------------------------------------------------
 # Vertex curvature
 # ---------------------------------------------------------------------------
+
+def _vertex_measure(vertices, values: np.ndarray, bounds: np.ndarray) -> dict:
+    """{vertex: ValueWithError} from per-vertex value and bound arrays, in
+    the order of vertices."""
+    return dict(zip(vertices, map(ValueWithError, values.tolist(), bounds.tolist())))
+
 
 def curvature_measure(
     embedding: Embedding,
@@ -381,18 +437,24 @@ def curvature_measure(
     The Monte Carlo estimator shares one direction stream across all
     simplices, so the per-vertex bound (the sum of the per-term standard
     errors of _cone_fractions) upper-bounds the standard deviation of the
-    signed sum."""
-    cells, sizes, signs = _cell_table(embedding, method)
-    fractions, bounds = _cone_fractions(embedding.matrix(), cells, sizes, method, samples, seed)
+    signed sum. Exact values have bound 0."""
+    n = len(embedding.vertex_order)
+    if method == "exact":  # carrier.vertices are the first coordinate rows
+        # one bincount of the signed fraction of every slot, by dimension, then row by row
+        slots = _exact_fractions(embedding.matrix(), _exact_carrier(embedding))
+        ids = np.concatenate([np.zeros(0, dtype=np.int64), *(rows.ravel() for rows, _ in slots)])
+        signed = [(-f if d % 2 else f).ravel() for d, (_, f) in enumerate(slots)]
+        values = np.bincount(ids, weights=np.concatenate([np.zeros(0), *signed]), minlength=n)
+        return _vertex_measure(embedding.vertex_order, values, np.zeros(n))
+    if method != "mc":
+        raise ValueError(f"unknown method {method!r}")
+    cells, sizes, signs = _cell_table(embedding)
+    fractions, bounds = _cone_fractions(embedding.matrix(), cells, sizes, samples, seed)
     filled = np.arange(cells.shape[1]) < sizes[:, None]
     ids = cells[filled]
-    n = len(embedding.vertex_order)
     values = np.bincount(ids, weights=(signs[:, None] * fractions)[filled], minlength=n)
     totals = np.bincount(ids, weights=bounds[filled], minlength=n)
-    return {
-        v: ValueWithError(float(values[i]), float(totals[i]))
-        for i, v in enumerate(embedding.vertex_order)
-    }
+    return _vertex_measure(embedding.vertex_order, values, totals)
 
 
 def curvature_integral(

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .complexes import SimplicialComplex
-from .curvature import Embedding, ValueWithError, height_coordinates, height_source
+from .curvature import Embedding, _vertex_measure, height_coordinates, height_source
 from .errors import CarrierMismatch, DimensionMismatch, NonGenericDirection, UnknownVertex
 from . import mc
 
@@ -112,4 +112,4 @@ def morse_curvature_measure(
     squares[columns[carrier.vertex_positions(2)]] += 0.25
     bound = np.sqrt(squares / ((pairs + 1.0) * pairs))
     # a coordinate the complex does not use is in no simplex: its sums are 0
-    return {v: ValueWithError(float(mean[i]), float(bound[i])) for v, i in index.items()}
+    return _vertex_measure(embedding.vertex_order, mean, bound)

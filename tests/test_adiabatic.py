@@ -84,6 +84,23 @@ class TestWarpValidation:
         with pytest.raises(ValueError, match="grid must be uniform"):
             WarpFunction(scale * np.array([0.0, 1, 3, 4, 5, 6]), np.ones(6))
 
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    @pytest.mark.parametrize(
+        "t",
+        [
+            [0.0, 0.25, 0.5, 0.75, 1.7976931348623157e308],  # a tolerance of ulps of it overflowed
+            [-1.7e308, 1.7e308, 1.75e308, 1.76e308, 1.77e308],  # a step that overflows
+        ],
+    )
+    def test_grids_near_the_float_limit_are_nonuniform(self, t):
+        with pytest.raises(ValueError, match="grid must be uniform"):
+            WarpFunction(np.array(t), np.ones(5))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_uniform_grid_up_to_the_float_limit_is_accepted(self):
+        t = 4e307 * np.arange(5.0)
+        assert WarpFunction(t, np.ones(5)).step == 4e307
+
     @pytest.mark.parametrize("name", ["sphere", "cylinder", "cone", "torus", "paraboloid"])
     def test_built_in_profiles_are_uniform(self, name):
         for grid in (5, 64, 4096):

@@ -568,6 +568,17 @@ def test_adiabatic_non_finite_curvature_exits_2(tmp_path, t, f, flags):
     }
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_adiabatic_grid_with_the_largest_float_exits_2(tmp_path):
+    # the uniformity tolerance, ulps of the largest t, was inf here, so the
+    # grid passed as uniform and its masses were printed
+    path = tmp_path / "profile.csv"
+    path.write_text("t,f\n0,1\n0.25,1\n0.5,1\n0.75,1\n1.7976931348623157e308,1\n")
+    code, out, err = invoke("adiabatic", "--profile", f"file:{path}", "--format", "json")
+    assert code == 2 and out == ""
+    assert _one_json_line(err) == {"error": "ValueError", "message": "grid must be uniform"}
+
+
 @pytest.mark.parametrize("method", ["exact", "mc"])
 def test_alpha_beyond_the_float_range_exits_2(tmp_path, method):
     path = tmp_path / "triangle.txt"

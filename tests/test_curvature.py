@@ -17,6 +17,7 @@ from curvcalc.curvature import (
     Embedding,
     _cell_table,
     _cone_fractions,
+    _exact_fractions,
     curvature_integral,
     curvature_measure,
     equilateral_embedding,
@@ -489,12 +490,15 @@ class TestPairBounds:
         z = []
         for name in ("filled_triangle", "solid_tetrahedron", "octahedron"):
             _, emb = getattr(fixtures, name)()
-            cells, sizes, _ = _cell_table(emb, "exact")
-            exact, _ = _cone_fractions(emb.matrix(), cells, sizes, "exact", 0, 0)
+            cells, sizes, _ = _cell_table(emb)
+            filled = np.arange(cells.shape[1]) < sizes[:, None]
+            # the exact fractions of the same slots, padded into the table
+            exact = np.zeros(cells.shape)
+            exact[filled] = np.concatenate([f.ravel() for _, f in _exact_fractions(emb.matrix(), emb.carrier)])
             # the terms of triangles and tetrahedra; edges are exact in pairs
-            terms = (np.arange(cells.shape[1]) < sizes[:, None]) & (sizes[:, None] > 2)
+            terms = filled & (sizes[:, None] > 2)
             for seed in self.SEEDS:
-                fractions, bounds = _cone_fractions(emb.matrix(), cells, sizes, "mc", 2000, seed)
+                fractions, bounds = _cone_fractions(emb.matrix(), cells, sizes, 2000, seed)
                 z.extend((fractions[terms] - exact[terms]) / bounds[terms])
         z = np.array(z)
         assert len(z) > 1000 and (z**2).mean() < 1.35
@@ -573,7 +577,7 @@ def assert_law_of_rotated_gaussian_heights(X, table_dtype):
     and both with the Euler weights."""
     emb = equilateral_embedding(X)
     turned = rotated(emb, 5)
-    _, sizes, _ = _cell_table(emb, "mc")
+    _, sizes, _ = _cell_table(emb)
     assert height_source(turned.matrix(), sizes).draw(6, 0, 1).dtype == float
     assert height_source(emb.matrix(), sizes).draw(6, 0, 1).dtype == table_dtype
     w = weights(X)

@@ -604,7 +604,7 @@ def test_rank_and_height_planes_agree_on_product_cells(monkeypatch, rng):
     _, seg = fixtures.segment()
     _, hollow = fixtures.hollow_triangle()
     emb = product_embedding(product_embedding(seg, hollow), seg)
-    cells, sizes, _ = _cell_table(emb, "mc")
+    cells, sizes, _ = _cell_table(emb)
     heights = np.round(rng.standard_normal((128, len(emb.vertex_order))), 1)
     (counts, ties), (flip_counts, flip_ties) = _both_paths(
         monkeypatch, _kernels.cone_argmax_counts, heights, cells, sizes
@@ -649,7 +649,7 @@ def test_pair_kernel_equals_the_row_kernel_on_product_cells(flip, monkeypatch, r
     _, seg = fixtures.segment()
     _, hollow = fixtures.hollow_triangle()
     emb = product_embedding(product_embedding(seg, hollow), seg)
-    cells, sizes, _ = _cell_table(emb, "mc")
+    cells, sizes, _ = _cell_table(emb)
     heights = np.round(rng.standard_normal((128, len(emb.vertex_order))), 1)
     want_counts, want_ties = row_kernel_oracle.pair_cone_counts(heights, cells, sizes)
     assert 0 < want_ties.sum() < len(heights)
@@ -709,7 +709,7 @@ def _table_cases():
 @pytest.mark.parametrize("index", range(6))
 def test_cell_table_matches_the_padding_loop(index):
     emb = _table_cases()[index]
-    table = _cell_table(emb, "mc")
+    table = _cell_table(emb)
     for got, want in zip(table, padded_table_oracle(emb.carrier, emb.vertex_index)):
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
@@ -782,7 +782,7 @@ def assert_same_source(got, want):
 @pytest.mark.parametrize("name", _key_path_cases())
 def test_coordinate_vector_embeddings_draw_no_gaussians(name, monkeypatch):
     emb = _key_path_cases()[name]
-    _, sizes, _ = _cell_table(emb, "mc")
+    _, sizes, _ = _cell_table(emb)
     n = len(emb.vertex_order)
     assert _kernels.uses_ranks(n, sizes)
     assert_same_source(height_source(emb.matrix(), sizes), mc.rank_source(n))
@@ -942,7 +942,7 @@ def test_dense_tables_take_rank_blocks_and_sparse_ones_keys(monkeypatch):
     dtypes.clear()
     # 60 vertices and 179 slots: ranking would take 3,600 comparisons a row
     sparse = equilateral_embedding(fixtures.path_complex(60))
-    _, sizes, _ = _cell_table(sparse, "mc")
+    _, sizes, _ = _cell_table(sparse)
     assert not _kernels.uses_ranks(60, sizes)
     curvature_measure(sparse, method="mc", samples=400, seed=2)
     morse_curvature_measure(sparse, samples=400, seed=2)
@@ -1289,7 +1289,7 @@ def test_slicing_changes_no_measure(name, monkeypatch):
 
     default = measures()
     # a few pairs beyond either kernel's per-call bytes
-    _, sizes, _ = _cell_table(emb, "mc")
+    _, sizes, _ = _cell_table(emb)
     _, link_sizes, _, _, _, starts = mc.build_link_arrays(emb.carrier, emb.vertex_index)
     n = len(emb.vertex_order)
     pair_bytes = max(
