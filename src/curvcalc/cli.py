@@ -12,6 +12,7 @@ import csv
 import functools
 import io as _io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -60,9 +61,9 @@ def _load_document(path: str) -> ComplexDocument:
 def _embedding_for(doc: ComplexDocument, equilateral: bool) -> Embedding:
     if equilateral:
         return equilateral_embedding(doc.complex)
-    if doc.coordinates is None:
+    if doc.points is None:
         raise CurvCalcError("complex file has no coordinates; pass --equilateral")
-    return Embedding(doc.complex, doc.coordinates)
+    return Embedding(doc.complex, doc.points)  # rows in vertex-id order
 
 
 def _require_alpha(doc: ComplexDocument):
@@ -71,15 +72,22 @@ def _require_alpha(doc: ComplexDocument):
     return doc.alpha
 
 
+def _json_number(text: str) -> str:
+    """json.dumps(float(text)): a finite float prints as its repr."""
+    x = float(text)
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
 def _write_kappa(doc: ComplexDocument, kappa, fmt: str, out) -> None:
-    rows = [
-        (doc.names[v], f"{kappa[v].value:.12g}", f"{kappa[v].bound:.12g}")
-        for v in sorted(kappa)
-    ]
-    if fmt == "json":
-        _dump_json(
-            {name: {"kappa": float(k), "stderr": float(b)} for name, k, b in rows}, out
+    names = doc.names
+    rows = [(names[v], f"{k:.12g}", f"{b:.12g}") for v, (k, b) in sorted(kappa.items())]
+    if fmt == "json":  # the bytes of _dump_json({name: {"kappa": k, "stderr": b}})
+        quote = json.encoder.encode_basestring_ascii
+        entries = (
+            f'{quote(name)}: {{"kappa": {_json_number(k)}, "stderr": {_json_number(b)}}}'
+            for name, k, b in rows
         )
+        out.write("{" + ", ".join(entries) + "}\n")
     else:
         _write_csv(rows, ("vertex", "kappa", "stderr"), out)
 
@@ -100,7 +108,9 @@ def _cmd_validate(args, out) -> int:
         "chi_c": chi,  # the sum of (-1)^dim over every open cell is chi
     }
     if args.vertex is not None:
-        star = len(doc.complex.star(doc.vertex_id(args.vertex)))
+        v = doc.vertex_id(args.vertex)  # a parsed vertex id is its position
+        rows = map(doc.complex.vertex_positions, range(doc.complex.dim + 1))
+        star = sum(int(np.count_nonzero(r == v)) for r in rows)  # the rows that hold v
         # s -> s - {v} sends the star onto the link and the empty simplex
         report.update(star=star, link=star - 1)
     _dump_json(report, out)
@@ -147,9 +157,8 @@ def _cmd_subdivide(args, out) -> int:
     if args.complex is None:
         raise CurvCalcError("subdivide needs a complex file (or --census)")
     doc = _load_document(args.complex)
-    complex, alpha, points = doc.complex, doc.alpha, doc.coordinates
+    complex, alpha, points = doc.complex, doc.alpha, doc.points
     if points is not None:
-        points = np.array([points[v] for v in complex.vertices], dtype=float)
         finite = np.isfinite(points).all(axis=1)
         if not finite.all():  # as an Embedding refuses them
             raise NonFiniteCoordinate(complex.vertices[int(np.argmin(finite))])
@@ -162,8 +171,7 @@ def _cmd_subdivide(args, out) -> int:
             points = np.ldexp(np.concatenate(means), shift)
         complex, alpha = barycentric_subdivide(complex, alpha)
     names = [f"b{i}" for i in range(len(complex.vertices))]
-    coordinates = None if points is None else dict(enumerate(points))
-    out.write(serialize_complex(ComplexDocument(complex, names, coordinates, alpha)))
+    out.write(serialize_complex(ComplexDocument(complex, names, points, alpha)))
     return 0
 
 

@@ -131,14 +131,36 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.dot(_integer_array(a, bound), _integer_array(b, bound)))
 
 
-def _sorted_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D int64 array, in lexicographic order."""
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, first): the stable argsort of a 1-D array, and whether each
+    entry of key[order] starts a run of equal entries."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return order, first
+
+
+def _sorted_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The distinct rows of an (m, k) int64 array of entries in [0, n), in
+    lexicographic order.
+
+    Each row gets one integer key, key * n + next column, column by
+    column, so keys order and compare as the rows do; where (max + 1) * n
+    would reach 2^63, the key is first replaced by its dense rank. One
+    stable argsort of the keys then keeps the first row of each run.
+    """
     if len(rows) > 1:
-        rows = rows[np.lexsort(rows.T[::-1])]
-        keep = np.empty(len(rows), dtype=bool)
-        keep[0] = True
-        np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
-        rows = rows[keep]
+        key = rows[:, 0]
+        for column in rows.T[1:]:
+            if (int(key.max()) + 1) * n >= _INT64_LIMIT:
+                order, first = _runs(key)
+                key = np.empty_like(key)
+                key[order] = np.cumsum(first) - 1
+            key = key * n + column
+        order, first = _runs(key)
+        rows = rows[order[first]]
     return rows
 
 
@@ -167,8 +189,9 @@ def _closure_rows(simplices) -> tuple[np.ndarray, list[np.ndarray]]:
     for s in simplices:
         by_size.setdefault(len(s), []).append(s)
     given = {k: np.array(g, dtype=np.int64) for k, g in by_size.items()}
-    every = [g.reshape(-1, 1) for g in given.values()]
-    ids = _sorted_rows(np.concatenate(every or [np.empty((0, 1), np.int64)]))[:, 0]
+    every = np.concatenate([g.ravel() for g in given.values()] or [np.empty(0, np.int64)])
+    order, first = _runs(every)
+    ids = every[order[first]]
     return ids, _closure({k: np.searchsorted(ids, g) for k, g in given.items()}, len(ids))
 
 
@@ -187,7 +210,7 @@ def _closure(given: dict, n_vertices: int) -> list[np.ndarray]:
         parts = [] if above is None else [facet_rows(above)]
         if k in given:
             parts.append(given[k])
-        above = _sorted_rows(np.concatenate(parts))
+        above = _sorted_rows(np.concatenate(parts), n_vertices)
         rows.append(above)
     if n_vertices:
         rows.append(np.arange(n_vertices).reshape(-1, 1))

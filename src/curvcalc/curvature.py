@@ -64,47 +64,49 @@ class Embedding:
     The carrier may be a simplicial complex (each simplex is checked for
     affine nondegeneracy by the rule in the module docstring) or a
     product cell complex, whose cells are nondegenerate whenever the
-    factors are. Rows, in vertex_order, are carrier.vertices followed by
-    any other coordinate keys in the order given.
+    factors are. coordinates is a mapping {vertex: vector}, whose rows, in
+    vertex_order, are carrier.vertices followed by any other keys in the
+    order given; or an (n, N) array with one row per carrier vertex, in
+    carrier.vertices order, which a read-only float64 array gives without
+    a copy. The coordinates and vertex_index dicts are built on first use.
     """
 
     def __init__(self, carrier, coordinates):
-        coordinates = dict(coordinates)
-        for v in carrier.vertices:
-            if v not in coordinates:
-                raise UnknownVertex(v)
-        order = tuple(dict.fromkeys([*carrier.vertices, *coordinates]))
-        rows = [coordinates[v] for v in order]
-        try:
-            matrix = np.array(rows, dtype=float) if rows else np.zeros((0, 0))
-        except ValueError:  # a row that is no vector of floats raises here
-            dims = {np.asarray(r, dtype=float).shape for r in rows}
-            raise ValueError(f"mixed coordinate dimensions: {dims}") from None
-        if matrix.ndim != 2:
-            raise ValueError(
-                f"coordinates must be vectors of floats, one per vertex; vertex {order[0]!r} "
-                f"has shape {np.shape(rows[0])}"
-            )
+        if isinstance(coordinates, np.ndarray):
+            order = carrier.vertices
+            matrix = coordinates
+            if matrix.dtype != float or matrix.flags.writeable:
+                matrix = np.array(matrix, dtype=float)
+            if matrix.shape[:1] != (len(order),) or matrix.ndim != 2:
+                raise ValueError(
+                    f"a coordinate array needs one row per carrier vertex, ({len(order)}, N); "
+                    f"got shape {matrix.shape}"
+                )
+        else:
+            order, matrix = _coordinate_rows(carrier, dict(coordinates))
         finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
             raise NonFiniteCoordinate(order[int(np.argmin(finite))])
         matrix.flags.writeable = False
         self.carrier = carrier
-        self.coordinates = dict(zip(order, matrix))
         self.ambient_dim = matrix.shape[1]
         self._matrix = matrix
         self._vertex_order = order
-        self._vertex_index = {v: i for i, v in enumerate(order)}
+        self._coordinates = None
+        self._vertex_index = None
         if isinstance(carrier, SimplicialComplex):
             self._check_nondegenerate()
 
     def _check_nondegenerate(self) -> None:
         """The module docstring's rule and screen, per dimension, in row chunks
-        whose gathers and Gram temporaries fit the kernel budget; an SVD decides the rest."""
+        whose gathers and Gram temporaries fit the kernel budget; an SVD decides the rest.
+        The carrier's vertices are the first matrix rows, so its vertex
+        positions index the matrix."""
         n = self.ambient_dim
-        for ids, d in mc.simplex_rows(self.carrier, self._vertex_index)[1:]:
+        for d in range(1, self.carrier.dim + 1):
             if d > n:  # fewer singular values than generators
                 raise DegenerateSimplex(self.carrier.simplices_of_dim(d)[0])
+            ids = self.carrier.vertex_positions(d)
             for lo, chunk in _row_chunks(ids, 8 * ((2 * d + 1) * n + d * d + 8)):
                 with np.errstate(over="ignore"):  # edge-major: (d, rows, N)
                     edges = self._matrix[chunk[:, 1:].T] - self._matrix[chunk[:, 0]]
@@ -123,7 +125,17 @@ class Embedding:
         return self._vertex_order
 
     @property
-    def vertex_index(self):
+    def coordinates(self) -> dict:
+        """{vertex: read-only row of matrix()}, in vertex_order."""
+        if self._coordinates is None:
+            self._coordinates = dict(zip(self._vertex_order, self._matrix))
+        return self._coordinates
+
+    @property
+    def vertex_index(self) -> dict:
+        """{vertex: its row in matrix()}."""
+        if self._vertex_index is None:
+            self._vertex_index = dict(zip(self._vertex_order, range(len(self._vertex_order))))
         return self._vertex_index
 
     def matrix(self) -> np.ndarray:
@@ -136,7 +148,31 @@ class Embedding:
         simplicial = all(isinstance(c, SimplicialComplex) for c in (subcomplex, self.carrier))
         if not (simplicial and subcomplex.is_subcomplex_of(self.carrier)):
             raise PieceNotSubcomplex(f"{subcomplex!r} is not a subcomplex of the carrier")
-        return Embedding(subcomplex, {v: self.coordinates[v] for v in subcomplex.vertices})
+        # the carrier's vertices are the first rows, in the order of its sorted ids
+        rows = self._matrix[np.searchsorted(self.carrier._ids, subcomplex._ids)]
+        rows.flags.writeable = False  # a fresh copy, kept as it is
+        return Embedding(subcomplex, rows)
+
+
+def _coordinate_rows(carrier, coordinates: dict) -> tuple[tuple, np.ndarray]:
+    """(vertex order, float matrix) of a {vertex: vector} mapping that
+    covers carrier.vertices: those first, then its other keys."""
+    for v in carrier.vertices:
+        if v not in coordinates:
+            raise UnknownVertex(v)
+    order = tuple(dict.fromkeys([*carrier.vertices, *coordinates]))
+    rows = [coordinates[v] for v in order]
+    try:
+        matrix = np.array(rows, dtype=float) if rows else np.zeros((0, 0))
+    except ValueError:  # a row that is no vector of floats raises here
+        dims = {np.asarray(r, dtype=float).shape for r in rows}
+        raise ValueError(f"mixed coordinate dimensions: {dims}") from None
+    if matrix.ndim != 2:
+        raise ValueError(
+            f"coordinates must be vectors of floats, one per vertex; vertex {order[0]!r} "
+            f"has shape {np.shape(rows[0])}"
+        )
+    return order, matrix
 
 
 def _row_chunks(rows: np.ndarray, row_bytes: int) -> list:
@@ -195,8 +231,9 @@ def equilateral_embedding(complex: SimplicialComplex) -> Embedding:
     """Scaled coordinate-vector embedding: vertex v goes to
     (sqrt(2)/2) e_v, so every edge has length 1 and every simplex is a
     regular unit-side simplex."""
-    scale = math.sqrt(2.0) / 2.0
-    return Embedding(complex, zip(complex.vertices, scale * np.eye(len(complex.vertices))))
+    coords = math.sqrt(2.0) / 2.0 * np.eye(len(complex.vertices))
+    coords.flags.writeable = False
+    return Embedding(complex, coords)
 
 
 def product_embedding(ex: Embedding, ey: Embedding) -> Embedding:
@@ -423,7 +460,8 @@ def excess_angle(
 def _vertex_measure(vertices, values: np.ndarray, bounds: np.ndarray) -> dict:
     """{vertex: ValueWithError} from per-vertex value and bound arrays, in
     the order of vertices."""
-    return dict(zip(vertices, map(ValueWithError, values.tolist(), bounds.tolist())))
+    pairs = zip(values.tolist(), bounds.tolist())
+    return dict(zip(vertices, map(tuple.__new__, itertools.repeat(ValueWithError), pairs)))
 
 
 def curvature_measure(

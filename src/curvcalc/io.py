@@ -1,15 +1,20 @@
 """Text formats for complexes, simplicial maps, and constructible functions.
 
-Complex files (header ``curvcalc-complex v1``) have a ``vertices`` section
-(one vertex per line: name, optional coordinates as space-separated
-decimals, optional vertex value as an exact rational ``p/q`` or an
-``alpha=``-prefixed literal) and a ``simplices`` section listing maximal
-simplices by vertex name; the parser takes the face closure. Vertex ids
-are dense integers assigned in file order; names live in a side table.
+A complex file (header ``curvcalc-complex v1``) has ``vertices`` sections,
+one vertex per line: its name, then optional coordinates as
+space-separated decimals, then an optional vertex value, an exact
+rational ``p/q`` or an ``alpha=``-prefixed literal. A bare decimal after
+the name is always read as a coordinate, so a decimal vertex value needs
+the ``alpha=`` prefix; a trailing ``p/q`` token is a value either way.
+``simplices`` sections list simplices by vertex name, and the parser
+takes their face closure.
 
-A bare decimal after the name is always read as a coordinate, so decimal
-vertex values must use the ``alpha=`` prefix; ``p/q`` trailing tokens are
-recognized either way.
+parse_complex reads the file into arrays: vertex ids are dense integers
+in file order, with the names in a side table; the simplex lines become
+integer rows, one array per arity, for the array face closure
+(complexes._closure); and the coordinates become one read-only
+(n_vertices, N) float64 matrix in vertex-id order, ComplexDocument.points,
+which curvature.Embedding takes as it is.
 """
 
 import itertools
@@ -42,7 +47,9 @@ class ComplexDocument:
 
     complex: SimplicialComplex
     names: list[str]
-    coordinates: dict[int, tuple[float, ...]] | None
+    # read-only (n_vertices, N) float64 array, row v for vertex id v; None
+    # when the file gives no coordinates
+    points: np.ndarray | None
     alpha: PLFunction | None
 
     @property
@@ -114,14 +121,15 @@ def _rational(tokens: list[str]) -> Fraction:
     return Fraction(tokens[-1].removeprefix("alpha="))
 
 
-def _vertex_section(lines, names, ids, coords, alphas):
+def _vertex_section(lines, names, ids, blocks, alphas):
     """Read a vertices section's nonblank lines into the tables; returns
     the section's first error as (index in lines, message), or None.
 
     Each check runs over the whole section, and the errors of one line
     rank: bad name, duplicate, bad rational, bad coordinate. Lines are
     grouped by token count and by whether the last token is an alpha
-    value, with one float conversion per group.
+    value, with one float conversion per group, whose coordinates go to
+    blocks as (vertex ids, (rows, width) float array).
     """
     tokens = list(map(str.split, lines))
     start = len(names)
@@ -156,13 +164,14 @@ def _vertex_section(lines, names, ids, coords, alphas):
         width = k - 1 - has_alpha
         if width:
             part = itemgetter(slice(1, 1 + width))
+            values = map(float, itertools.chain.from_iterable(map(part, rows)))
             try:
-                values = list(map(float, itertools.chain.from_iterable(map(part, rows))))
+                block = np.fromiter(values, dtype=float, count=len(rows) * width)
             except ValueError:
                 i, exc = _first_failure(lambda row: list(map(float, part(row))), rows)
                 errors.append((at[i], 3, f"bad coordinate: {exc}"))
             else:
-                coords.update(zip(vids, zip(*[iter(values)] * width)))
+                blocks.append((vids, block.reshape(-1, width)))
     return min(errors)[::2] if errors else None
 
 
@@ -211,13 +220,13 @@ def parse_complex(text: str) -> ComplexDocument:
         raise ParseError("content before a section header", stray + 1)
     names: list[str] = []
     ids: dict[str, int] = {}
-    coords: dict[int, tuple[float, ...]] = {}
+    blocks: list[tuple] = []
     alphas: dict[int, Fraction] = {}
     given: dict[int, list[np.ndarray]] = {}
     for mark, end in zip(marks, marks[1:] + [len(lines)]):
         body = list(filter(None, lines[mark + 1 : end]))
         if lines[mark] == "vertices":
-            error = _vertex_section(body, names, ids, coords, alphas)
+            error = _vertex_section(body, names, ids, blocks, alphas)
         else:
             error = _simplex_section(body, ids, given)
         if error is not None:
@@ -225,13 +234,22 @@ def parse_complex(text: str) -> ComplexDocument:
             raise ParseError(message, [i for i in range(mark + 1, end) if lines[i]][j] + 1)
     if not names:
         raise ParseError("no vertices")
-    arities = set(map(len, coords.values()))
+    arities = {block.shape[1] for _, block in blocks}
     if len(arities) > 1:
         raise DimensionMismatch(
             f"coordinate arities differ across vertices: {sorted(arities)}"
         )
-    if coords and len(coords) != len(names):
-        raise DimensionMismatch("some vertices have coordinates and some do not")
+    points = None
+    if blocks:
+        if sum(len(block) for _, block in blocks) != len(names):
+            raise DimensionMismatch("some vertices have coordinates and some do not")
+        if len(blocks) == 1:  # one group of lines: every vertex, in id order
+            points = blocks[0][1]
+        else:
+            points = np.empty((len(names), *arities))
+            for vids, block in blocks:
+                points[vids] = block
+        points.flags.writeable = False
     # isolated named vertices count as 0-simplices even if the simplices
     # section does not repeat them
     rows = _closure({k: np.concatenate(parts) for k, parts in given.items()}, len(names))
@@ -242,16 +260,17 @@ def parse_complex(text: str) -> ComplexDocument:
             raise ParseError("alpha given for some vertices but not all")
         values = map(alphas.__getitem__, range(len(names)))  # in vertex id order
         alpha = PLFunction._from_numerators(complex, *_common_numerators(values))
-    return ComplexDocument(complex, names, coords or None, alpha)
+    return ComplexDocument(complex, names, points, alpha)
 
 
 def serialize_complex(doc: ComplexDocument) -> str:
     """Canonical text form; parse(serialize(parse(x))) == parse(x)."""
     out = [COMPLEX_HEADER, "vertices"]
+    points = None if doc.points is None else doc.points.tolist()
     for vid, name in enumerate(doc.names):
         parts = [name]
-        if doc.coordinates is not None:
-            parts.extend(repr(float(x)) for x in doc.coordinates[vid])
+        if points is not None:
+            parts.extend(map(repr, points[vid]))
         if doc.alpha is not None:
             parts.append(f"alpha={doc.alpha.values[vid]}")
         out.append(" ".join(parts))

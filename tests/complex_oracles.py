@@ -9,6 +9,8 @@ Python tuples, sets and sorts, with no arrays.
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from curvcalc.complexes import PLFunction, SimplicialComplex, faces
 from curvcalc.errors import DimensionMismatch, ParseError
 from curvcalc.io import COMPLEX_HEADER, ComplexDocument
@@ -46,8 +48,8 @@ def serialize_complex_by_closure(doc) -> str:
     out = [COMPLEX_HEADER, "vertices"]
     for vid, name in enumerate(doc.names):
         parts = [name]
-        if doc.coordinates is not None:
-            parts.extend(repr(float(x)) for x in doc.coordinates[vid])
+        if doc.points is not None:
+            parts.extend(repr(float(x)) for x in doc.points[vid])
         if doc.alpha is not None:
             parts.append(f"alpha={doc.alpha.values[vid]}")
         out.append(" ".join(parts))
@@ -144,7 +146,11 @@ def parse_complex_by_lines(text: str) -> ComplexDocument:
         if len(alphas) != len(names):
             raise ParseError("alpha given for some vertices but not all")
         alpha = PLFunction(complex, alphas)
-    return ComplexDocument(complex, names, coords or None, alpha)
+    points = None
+    if coords:
+        points = np.array([coords[v] for v in range(len(names))], dtype=float)
+        points.flags.writeable = False
+    return ComplexDocument(complex, names, points, alpha)
 
 
 def map_images(source, target, vertex_map):

@@ -1,19 +1,25 @@
 import argparse
+import csv
 import inspect
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import curvcalc
+from curvcalc import cli, fixtures
 from curvcalc.cli import build_parser, run
-from curvcalc.complexes import product
+from curvcalc.complexes import SimplicialComplex, product
+from curvcalc.curvature import Embedding, ValueWithError, curvature_measure
 from curvcalc.errors import UsageError
-from curvcalc.io import parse_complex
+from curvcalc.io import ComplexDocument, parse_complex, serialize_complex
+from curvcalc.morse import morse_curvature_measure
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -225,6 +231,32 @@ def test_validate_reports_link_sizes(fixture_dir):
     report = json.loads(out)
     assert report["ok"] and report["simplices"] == 26
     assert report["chi"] == 2 and report["link"] == 8
+
+
+def test_validate_counts_the_star_from_the_simplex_rows(fixture_dir, tmp_path, monkeypatch):
+    # every vertex of every fixture file and of random complexes, with
+    # the tuple star unreachable while validate runs
+    paths = sorted(fixture_dir.glob("*.txt"))
+    rng = np.random.default_rng(4100)
+    for i in range(12):
+        X = fixtures.random_complex(rng, max_vertices=9, max_dim=4)
+        paths.append(tmp_path / f"random{i}.txt")
+        paths[-1].write_text(serialize_complex(ComplexDocument(X, [f"v{v}" for v in X.vertices], None, None)))
+    stars = {}
+    for path in paths:
+        doc = parse_complex(path.read_text())
+        stars[path] = {name: len(doc.complex.star(v)) for v, name in enumerate(doc.names)}
+
+    def unreached(*args):
+        raise AssertionError("validate built the star's tuples")
+
+    monkeypatch.setattr(SimplicialComplex, "star", unreached)
+    for path, by_name in stars.items():
+        for name, star in by_name.items():
+            code, out, err = invoke("validate", str(path), "--vertex", name)
+            assert code == 0, err
+            report = json.loads(out)
+            assert (report["star"], report["link"]) == (star, star - 1)
 
 
 def test_validate_reports_chi_c_and_the_link_from_what_it_has(fixture_dir, monkeypatch):
@@ -1034,10 +1066,10 @@ def test_subdivided_coordinates_keep_gauss_bonnet(fixture_dir, tmp_path, times):
     checked = []
     for path in sorted(fixture_dir.glob("*.txt")):
         doc = parse_complex(path.read_text())
-        if doc.coordinates is None:
+        if doc.points is None:
             continue
         code, out, _ = invoke("subdivide", str(path), "--times", times)
-        assert code == 0 and parse_complex(out).coordinates is not None
+        assert code == 0 and parse_complex(out).points is not None
         subdivided = tmp_path / path.name
         subdivided.write_text(out)
         code, out, err = invoke("gauss-bonnet-check", str(subdivided), "--method", "exact")
@@ -1053,8 +1085,8 @@ def test_subdivided_coordinates_are_barycenters(fixture_dir):
     code, out, _ = invoke("subdivide", str(fixture_dir / "triangle.txt"))
     doc = parse_complex(out)
     # b3 is the edge (a, b), b6 the triangle itself
-    assert doc.coordinates[3] == (0.5, 0.0)
-    assert doc.coordinates[6] == pytest.approx((1 / 3, 1 / 3), abs=1e-16)
+    assert doc.points[3].tolist() == [0.5, 0.0]
+    assert doc.points[6].tolist() == pytest.approx([1 / 3, 1 / 3], abs=1e-16)
 
 
 def test_subdivided_coordinates_near_the_float_limit_stay_finite(tmp_path):
@@ -1062,9 +1094,9 @@ def test_subdivided_coordinates_near_the_float_limit_stay_finite(tmp_path):
     path = tmp_path / "edge.txt"
     path.write_text("curvcalc-complex v1\nvertices\np0 1e308\np1 1.5e308\nsimplices\np0 p1\n")
     code, out, _ = invoke("subdivide", str(path))
-    assert code == 0 and parse_complex(out).coordinates[2] == (1.25e308,)
+    assert code == 0 and parse_complex(out).points[2].tolist() == [1.25e308]
     code, out, _ = invoke("subdivide", str(path), "--times", "2")
-    points = [x for point in parse_complex(out).coordinates.values() for x in point]
+    points = parse_complex(out).points.ravel().tolist()
     assert code == 0 and all(1e308 <= x <= 1.5e308 for x in points)
     subdivided = tmp_path / "sd2.txt"
     subdivided.write_text(out)
@@ -1086,3 +1118,58 @@ def test_exact_curvature_of_a_tiny_triangle(tmp_path, leg):
         code, out, err = invoke("gauss-bonnet-check", str(path))
         assert code == 0 and json.loads(out)["discrepancy"] == 0.0
     assert printed[0] == printed[1]
+
+
+# Names that json and csv escape or quote: a double quote, a backslash,
+# a non-ASCII letter and a control character.
+ODD_NAMES = ['q"uote', "back\\slash", "\u00e4", "ctl\x01"]
+
+
+def reference_kappa_output(doc, kappa, fmt):
+    """The curvature table as json.dumps of a dict of dicts, or as
+    csv.writer rows: the writer that cli._write_kappa replaces."""
+    rows = [(doc.names[v], f"{kappa[v].value:.12g}", f"{kappa[v].bound:.12g}") for v in sorted(kappa)]
+    if fmt == "json":
+        return json.dumps({name: {"kappa": float(k), "stderr": float(b)} for name, k, b in rows}) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("vertex", "kappa", "stderr"))
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["exact", "mc", "morse"])
+def test_kappa_output_is_what_json_dumps_and_csv_writer_write(fmt, command, tmp_path):
+    X, emb = fixtures.octahedron()
+    names = ODD_NAMES + [f"v{v}" for v in X.vertices[len(ODD_NAMES) :]]
+    path = tmp_path / "odd.txt"
+    path.write_text(serialize_complex(ComplexDocument(X, names, emb.matrix(), None)))
+    doc = parse_complex(path.read_text())
+    assert doc.names == names
+    embedding = Embedding(doc.complex, doc.points)
+    if command == "morse":
+        kappa = morse_curvature_measure(embedding, 500, 3)
+        argv = ["morse-curvature", str(path), "--samples", "500", "--seed", "3"]
+    else:
+        kappa = curvature_measure(embedding, command, 500, 3)
+        argv = ["curvature", str(path), "--method", command, "--samples", "500", "--seed", "3"]
+    code, out, err = invoke(*argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == reference_kappa_output(doc, kappa, fmt)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [1.5e12, 999999999999.5, 1e16, -0.0, 5e-324, 1e-5, 0.0, 1 / 3, -2.5e-300, math.nan, math.inf, -math.inf],
+)
+def test_json_numbers_are_what_json_dumps_prints(x):
+    text = f"{x:.12g}"
+    assert cli._json_number(text) == json.dumps(float(text))
+    # and inside the whole table, with a bound of the same value
+    doc = ComplexDocument(None, ODD_NAMES, None, None)
+    kappa = {v: ValueWithError(x * (v + 1), x) for v in range(len(ODD_NAMES))}
+    for fmt in ("json", "csv"):
+        out = io.StringIO()
+        cli._write_kappa(doc, kappa, fmt, out)
+        assert out.getvalue() == reference_kappa_output(doc, kappa, fmt)

@@ -93,6 +93,70 @@ class TestFaceClosure:
         with pytest.raises(ValueError, match=message):
             SimplicialComplex.from_maximal([(0, 1), bad])
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n, ranks", [(7, False), (1000, False), (2**40, True)])
+    def test_keyed_rows_match_the_lexsort(self, k, n, ranks, monkeypatch):
+        # with entries up to 2^40, every column past the first would take
+        # the key past 2^63, so each takes the dense rank first
+        rng = np.random.default_rng(3150 + k)
+        rows = rng.integers(0, n, size=(400, k))
+        rows = rng.permutation(np.concatenate([rows, rows[rng.integers(0, 400, 200)]]))
+        rows[0] = n - 1  # the largest entry
+        expected = rows[np.lexsort(rows.T[::-1])]
+        expected = expected[np.r_[True, (expected[1:] != expected[:-1]).any(axis=1)]]
+        calls = []
+        runs = complexes._runs
+        monkeypatch.setattr(complexes, "_runs", lambda key: calls.append(1) or runs(key))
+        found = complexes._sorted_rows(rows, n)
+        assert found.dtype == np.int64 and np.array_equal(found, expected)
+        assert len(calls) == (k if ranks else 1)
+
+    def test_keys_stop_below_two_to_the_63(self, monkeypatch):
+        # (2^31 - 1) * 2^32 + 2^32 - 1 = 2^63 - 1 fits; one more and it would not
+        calls = []
+        runs = complexes._runs
+        monkeypatch.setattr(complexes, "_runs", lambda key: calls.append(1) or runs(key))
+        rows = np.array([[2**31 - 1, 2**32 - 1], [0, 5], [2**31 - 1, 0], [0, 5]])
+        assert complexes._sorted_rows(rows, 2**32).tolist() == [[0, 5], [2**31 - 1, 0], [2**31 - 1, 2**32 - 1]]
+        assert len(calls) == 2  # (max + 1) * n reaches 2^63: ranked first
+        calls.clear()
+        assert complexes._sorted_rows(rows // 2, 2**32).tolist() == [[0, 2], [2**30 - 1, 0], [2**30 - 1, 2**31 - 1]]
+        assert len(calls) == 1
+
+    def test_matches_the_tuple_closure_on_60000_vertices(self, monkeypatch):
+        # tetrahedra among 60,000 vertices: the keys of the highest pass
+        # 2^63 at the last column, so the closure ranks them there once
+        rng = np.random.default_rng(3190)
+        maximal = [(v,) for v in range(60_000)] + [(59_996, 59_997, 59_998, 59_999)]
+        maximal += [tuple(rng.choice(60_000, size=4, replace=False).tolist()) for _ in range(30)]
+        maximal += [tuple(sorted(s)[:3]) for s in maximal[-10:]]
+        calls = []
+        runs = complexes._runs
+        monkeypatch.setattr(complexes, "_runs", lambda key: calls.append(1) or runs(key))
+        X = SimplicialComplex.from_maximal(maximal)
+        assert len(calls) == 5  # the vertex ids, one per dimension 3..1, one rank
+        closed = face_closure(maximal)
+        assert X.vertices == tuple(range(60_000))  # so positions are ids
+        for d in range(4):
+            expected = sorted(s for s in closed if len(s) == d + 1)
+            assert X.vertex_positions(d).tolist() == list(map(list, expected))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_parsed_files_match_the_tuple_closure(self, seed):
+        # simplex lines in any vertex order, some repeated or nested, and
+        # names declared in a shuffled order: ids follow the file
+        rng = np.random.default_rng(3200 + seed)
+        maximal = random_maximal(rng, max_vertices=12, max_dim=4)
+        names = {v: f"n{v}" for s in maximal for v in s}
+        declared = list(rng.permutation(sorted(names)).tolist())
+        lines = ["curvcalc-complex v1", "vertices", *(names[v] for v in declared), "simplices"]
+        lines += [" ".join(names[v] for v in s) for s in maximal + maximal[:2]]
+        doc = parse_complex("\n".join(lines) + "\n")
+        ids = {v: i for i, v in enumerate(declared)}
+        closed = face_closure(tuple(ids[v] for v in s) for s in maximal)
+        assert doc.names == [names[v] for v in declared]
+        assert_canonical(doc.complex, closed)
+
     def test_equality_is_by_simplex_set(self):
         X = SimplicialComplex.from_maximal([(0, 1, 2)])
         assert X != SimplicialComplex.from_maximal([(0, 1, 3)])
@@ -246,8 +310,8 @@ class TestMaximalSimplices:
         rng = np.random.default_rng(3450 + seed)
         X = fixtures.random_complex(rng, max_vertices=9, max_dim=4)
         alpha = fixtures.random_rational_values(rng, X)
-        coordinates = {v: tuple(rng.standard_normal(2)) for v in X.vertices}
-        doc = ComplexDocument(X, [f"v{v}" for v in X.vertices], coordinates, alpha)
+        points = rng.standard_normal((len(X.vertices), 2))
+        doc = ComplexDocument(X, [f"v{v}" for v in X.vertices], points, alpha)
         assert serialize_complex(doc) == serialize_complex_by_closure(doc)
 
 

@@ -28,7 +28,7 @@ from curvcalc.curvature import (
     height_source,
     product_embedding,
 )
-from curvcalc.errors import DegenerateSimplex, ExactUnavailable, PieceNotSubcomplex
+from curvcalc.errors import DegenerateSimplex, ExactUnavailable, NonFiniteCoordinate, PieceNotSubcomplex
 from curvcalc.euler import tentative_integral, weights
 from curvcalc.morse import morse_curvature_measure
 from curvcalc import fixtures
@@ -442,6 +442,103 @@ class TestIntegrals:
             final_integral(square, [(X, constant_function(X, 1))])
         with pytest.raises(PieceNotSubcomplex):
             final_integral(ex, [(square.carrier, constant_function(X, 1))])
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestArrayCoordinates:
+    """Embedding(carrier, array): one row per carrier vertex, in
+    carrier.vertices order, against the {vertex: vector} form."""
+
+    @pytest.mark.parametrize("name", sorted(all_fixtures()))
+    def test_an_array_gives_the_embedding_of_the_mapping(self, name):
+        X, emb = all_fixtures()[name]
+        from_array = Embedding(X, np.array([emb.coordinates[v] for v in X.vertices]))
+        assert from_array.vertex_order == emb.vertex_order == X.vertices
+        assert same_bits(from_array.matrix(), emb.matrix())
+        assert from_array.vertex_index == emb.vertex_index
+        assert all(same_bits(from_array.coordinates[v], c) for v, c in emb.coordinates.items())
+        assert curvature_measure(from_array) == curvature_measure(emb)
+        assert curvature_measure(from_array, "mc", 300, 4) == curvature_measure(emb, "mc", 300, 4)
+
+    def test_a_read_only_float_array_is_kept_and_any_other_copied(self):
+        X, emb = fixtures.filled_triangle()
+        rows = np.array(emb.matrix())
+        writable = Embedding(X, rows)
+        rows[0] = 99.0
+        assert same_bits(writable.matrix(), emb.matrix()) and not writable.matrix().flags.writeable
+        rows.flags.writeable = False
+        assert Embedding(X, rows).matrix() is rows
+        integers = np.array([[0, 0], [1, 0], [0, 1]])
+        integers.flags.writeable = False
+        assert Embedding(X, integers).matrix().dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3,), (3, 2, 1), (0, 2)])
+    def test_an_array_needs_one_row_per_carrier_vertex(self, shape):
+        X, _ = fixtures.filled_triangle()
+        with pytest.raises(ValueError, match=r"one row per carrier vertex, \(3, N\)"):
+            Embedding(X, np.zeros(shape))
+
+    def test_both_forms_refuse_the_same_vertex_and_simplex(self):
+        # sparse ids, so a row index is no vertex id
+        X = SimplicialComplex.from_maximal([(3, 5, 9), (9, 12)])
+        rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+        for bad, error in ((np.inf, NonFiniteCoordinate), (np.nan, NonFiniteCoordinate)):
+            broken = rows.copy()
+            broken[2, 1] = bad
+            with pytest.raises(error) as from_array:
+                Embedding(X, broken)
+            with pytest.raises(error) as from_mapping:
+                Embedding(X, dict(zip(X.vertices, broken)))
+            assert str(from_array.value) == str(from_mapping.value) and "9" in str(from_array.value)
+        flat = rows.copy()
+        flat[2] = [2.0, 0.0]  # (3, 5, 9) on a line
+        with pytest.raises(DegenerateSimplex) as from_array:
+            Embedding(X, flat)
+        with pytest.raises(DegenerateSimplex) as from_mapping:
+            Embedding(X, dict(zip(X.vertices, flat)))
+        assert from_array.value.simplex == from_mapping.value.simplex == (3, 5, 9)
+
+    def test_the_exact_path_builds_no_coordinate_dict(self):
+        X, emb = fixtures.octahedron()
+        embedding = Embedding(X, emb.matrix())
+        curvature_measure(embedding)
+        final_integral(embedding, [(X, constant_function(X, 1))])
+        assert embedding._coordinates is None and embedding._vertex_index is None
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_restriction_slices_the_matrix_rows(self, method):
+        # sparse ids and a coordinate key off the carrier; each piece's
+        # restriction against the mapping restricted key by key
+        rng = np.random.default_rng(52)
+        X = SimplicialComplex.from_maximal([(2, 5, 9), (5, 9, 11), (11, 20), (30,)])
+        coords = {**{v: rng.standard_normal(3) for v in X.vertices}, 99: np.ones(3)}
+        pieces = [
+            (X.full_subcomplex({5, 9, 11}), None),
+            (SimplicialComplex.from_maximal([(2, 5, 9)]), None),
+            (SimplicialComplex.from_maximal([(11, 20), (30,)]), None),
+            (SimplicialComplex.from_maximal([(20,)]), None),
+            (X, None),
+        ]
+        pieces = [(piece, fixtures.random_rational_values(rng, piece)) for piece, _ in pieces]
+        emb = Embedding(X, coords)
+        value = bound = 0.0
+        for i, (piece, alpha) in enumerate(pieces):
+            restricted = emb.restrict(piece)
+            if piece == X:  # the carrier itself, already checked
+                oracle = emb
+            else:
+                oracle = Embedding(piece, {v: emb.coordinates[v] for v in piece.vertices})
+            assert restricted.vertex_order == oracle.vertex_order
+            assert same_bits(restricted.matrix(), oracle.matrix())
+            v, b = curvature_integral(alpha, oracle, method, 400, mc.offset_seed(6, i))
+            value += v
+            bound += b
+        fresh = Embedding(X, coords)
+        assert final_integral(fresh, pieces, method, 400, 6) == (value, bound)
+        assert fresh._coordinates is None
 
 
 @pytest.mark.parametrize(

@@ -72,8 +72,8 @@ def fixture_cases():
             coords = {i: np.mean([coords[u] for u in s], axis=0) for i, s in enumerate(parents)}
     for path in sorted(FIXTURE_DIR.glob("*.txt")):
         doc = parse_complex(path.read_text())
-        if doc.coordinates is not None:
-            cases.append((path.name, doc.complex, doc.coordinates))
+        if doc.points is not None:
+            cases.append((path.name, doc.complex, dict(enumerate(doc.points))))
     return cases
 
 

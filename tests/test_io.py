@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from curvcalc.complexes import full_simplex_complex
@@ -29,7 +30,7 @@ def test_maximal_simplex_closes_to_full_triangle():
     assert doc.complex == full_simplex_complex(2)
     assert doc.names == ["a", "b", "c"]
     assert doc.alpha.values[1] == Fraction(1, 2)
-    assert doc.coordinates[2] == (0.0, 1.0)
+    assert doc.points[2].tolist() == [0.0, 1.0]
 
 
 def test_round_trip_is_stable():
@@ -38,14 +39,14 @@ def test_round_trip_is_stable():
     again = parse_complex(text)
     assert again.complex == doc.complex
     assert again.names == doc.names
-    assert again.coordinates == doc.coordinates
+    assert np.array_equal(again.points, doc.points)
     assert again.alpha.values == doc.alpha.values
     assert serialize_complex(again) == text
 
 
 def test_vertices_without_coordinates():
     doc = parse_complex("curvcalc-complex v1\nvertices\nx\ny\nsimplices\nx y\n")
-    assert doc.coordinates is None
+    assert doc.points is None
     assert doc.alpha is None
     assert len(doc.complex) == 3
 
@@ -60,7 +61,66 @@ def test_decimal_alpha_needs_prefix():
     text = "curvcalc-complex v1\nvertices\na 1.0 alpha=0.25\nb 0.0 alpha=1\nsimplices\na b\n"
     doc = parse_complex(text)
     assert doc.alpha.values[0] == Fraction(1, 4)
-    assert doc.coordinates[0] == (1.0,)
+    assert doc.points[0].tolist() == [1.0]
+
+
+def coordinate_tuples(text):
+    """{vertex id: tuple of floats}, one vertex line at a time: the dict
+    the parser stored before it kept one matrix, or None."""
+    coords, section = {}, None
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line in ("vertices", "simplices"):
+            section = line
+        elif line and section == "vertices":
+            tokens = line.split()[1:]
+            if tokens and (tokens[-1].startswith("alpha=") or "/" in tokens[-1]):
+                tokens.pop()
+            if tokens:
+                coords[len(coords)] = tuple(map(float, tokens))
+    return coords or None
+
+
+def fixture_texts(fixture_dir):
+    from curvcalc import fixtures
+    from curvcalc.complexes import barycentric_subdivide
+
+    texts = [path.read_text() for path in sorted(fixture_dir.glob("*.txt"))]
+    for name in ("segment", "square_boundary", "filled_triangle", "octahedron", "cone_fan", "book"):
+        X, emb = getattr(fixtures, name)()
+        names = [f"v{v}" for v in X.vertices]
+        texts.append(serialize_complex(ComplexDocument(X, names, emb.matrix(), None)))
+        sd, _ = barycentric_subdivide(X)  # no coordinates
+        texts.append(serialize_complex(ComplexDocument(sd, [f"b{v}" for v in sd.vertices], None, None)))
+    # two vertices sections, one with alpha values in both forms
+    texts.append(
+        "curvcalc-complex v1\nvertices\na 0 -0.0 1/2\nb 1e-320 1_0 alpha=3\nsimplices\na b\n"
+        "vertices\nc inf 2.5 alpha=-1/3\nsimplices\nb c\nvertices\nd 7 8 0/1\n"
+    )
+    return texts
+
+
+def test_points_are_one_read_only_matrix_of_the_coordinates(fixture_dir):
+    for text in fixture_texts(fixture_dir):
+        doc = parse_complex(text)
+        expected = coordinate_tuples(text)
+        if expected is None:
+            assert doc.points is None
+            continue
+        assert doc.points.dtype == np.float64 and not doc.points.flags.writeable
+        assert doc.points.shape == (len(doc.names), len(expected[0]))
+        assert repr(list(map(tuple, doc.points.tolist()))) == repr([expected[v] for v in range(len(doc.names))])
+        with pytest.raises(ValueError, match="read-only"):
+            doc.points[0, 0] = 1.0
+
+
+def test_coordinate_arities_are_compared_across_sections():
+    text = "curvcalc-complex v1\nvertices\na 0 0\nsimplices\na\nvertices\nb 1\n"
+    with pytest.raises(DimensionMismatch, match=r"arities differ across vertices: \[1, 2\]"):
+        parse_complex(text)
+    text = "curvcalc-complex v1\nvertices\na 0 0\nvertices\nb\nc 1 2\n"
+    with pytest.raises(DimensionMismatch, match="some vertices have coordinates and some do not"):
+        parse_complex(text)
 
 
 def test_wrong_coordinate_arity():
@@ -105,13 +165,13 @@ def test_round_trip_on_random_complexes(seed):
     rng = np.random.default_rng(900 + seed)
     X = fixtures.random_complex(rng)
     names = [f"v{i}" for i in X.vertices]
-    coords = {v: tuple(rng.standard_normal(3)) for v in X.vertices}
+    points = rng.standard_normal((len(X.vertices), 3))
     alpha = fixtures.random_rational_values(rng, X)
-    doc = ComplexDocument(X, names, coords, alpha)
+    doc = ComplexDocument(X, names, points, alpha)
     again = parse_complex(serialize_complex(doc))
     assert again.complex == X
     assert again.names == names
-    assert again.coordinates == coords
+    assert np.array_equal(again.points, points)
     assert again.alpha.values == alpha.values
 
 

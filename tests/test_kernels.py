@@ -1061,7 +1061,7 @@ for coords in ("1e150 0 0 1e150 -1e150 -1e150", "1e300 0 0 1e300 -1e300 -1e300",
     a, b, c = (" ".join(pair) for pair in zip(*[iter(coords.split())] * 2))
     text = f"curvcalc-complex v1\\nvertices\\na {a}\\nb {b}\\nc {c}\\nsimplices\\na b c\\n"
     doc = parse_complex(text)
-    emb = curvature.Embedding(doc.complex, doc.coordinates)
+    emb = curvature.Embedding(doc.complex, doc.points)
     kappa = curvature.curvature_measure(emb)
     assert abs(sum(k.value for k in kappa.values()) - 1.0) < 1e-12, kappa
 """

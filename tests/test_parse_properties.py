@@ -121,7 +121,8 @@ def outcome(parse, text):
         doc = parse(text)
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return type(exc), str(exc), getattr(exc, "line", None)
-    return doc.complex, doc.names, repr(doc.coordinates), doc.alpha
+    points = None if doc.points is None else doc.points.tolist()
+    return doc.complex, doc.names, repr(points), doc.alpha
 
 
 @SETTINGS
