@@ -67,15 +67,15 @@ class Embedding:
     factors are. coordinates is a mapping {vertex: vector}, whose rows, in
     vertex_order, are carrier.vertices followed by any other keys in the
     order given; or an (n, N) array with one row per carrier vertex, in
-    carrier.vertices order, which a read-only float64 array gives without
-    a copy. The coordinates and vertex_index dicts are built on first use.
+    carrier.vertices order, which a float64 array gives without a copy
+    when neither it nor any array under it is writable. The coordinates and vertex_index dicts are built on first use.
     """
 
     def __init__(self, carrier, coordinates):
         if isinstance(coordinates, np.ndarray):
             order = carrier.vertices
             matrix = coordinates
-            if matrix.dtype != float or matrix.flags.writeable:
+            if matrix.dtype != float or not _frozen(matrix):
                 matrix = np.array(matrix, dtype=float)
             if matrix.shape[:1] != (len(order),) or matrix.ndim != 2:
                 raise ValueError(
@@ -152,6 +152,17 @@ class Embedding:
         rows = self._matrix[np.searchsorted(self.carrier._ids, subcomplex._ids)]
         rows.flags.writeable = False  # a fresh copy, kept as it is
         return Embedding(subcomplex, rows)
+
+
+def _frozen(array: np.ndarray) -> bool:
+    """True when nothing can write the array's data: it and every array
+    in its base chain are read-only, and the chain ends in no other
+    buffer (a bytearray or mmap could still be written)."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None
 
 
 def _coordinate_rows(carrier, coordinates: dict) -> tuple[tuple, np.ndarray]:

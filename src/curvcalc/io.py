@@ -129,7 +129,8 @@ def _vertex_section(lines, names, ids, blocks, alphas):
     rank: bad name, duplicate, bad rational, bad coordinate. Lines are
     grouped by token count and by whether the last token is an alpha
     value, with one float conversion per group, whose coordinates go to
-    blocks as (vertex ids, (rows, width) float array).
+    blocks as (vertex ids, (rows, width) float array); the ids of a
+    whole section are a slice, as numpy indexes with a range item by item.
     """
     tokens = list(map(str.split, lines))
     start = len(names)
@@ -171,7 +172,8 @@ def _vertex_section(lines, names, ids, blocks, alphas):
                 i, exc = _first_failure(lambda row: list(map(float, part(row))), rows)
                 errors.append((at[i], 3, f"bad coordinate: {exc}"))
             else:
-                blocks.append((vids, block.reshape(-1, width)))
+                at_ids = slice(start, len(names)) if whole else vids
+                blocks.append((at_ids, block.reshape(-1, width)))
     return min(errors)[::2] if errors else None
 
 
@@ -243,12 +245,9 @@ def parse_complex(text: str) -> ComplexDocument:
     if blocks:
         if sum(len(block) for _, block in blocks) != len(names):
             raise DimensionMismatch("some vertices have coordinates and some do not")
-        if len(blocks) == 1:  # one group of lines: every vertex, in id order
-            points = blocks[0][1]
-        else:
-            points = np.empty((len(names), *arities))
-            for vids, block in blocks:
-                points[vids] = block
+        points = np.empty((len(names), *arities))
+        for vids, block in blocks:
+            points[vids] = block
         points.flags.writeable = False
     # isolated named vertices count as 0-simplices even if the simplices
     # section does not repeat them
@@ -266,7 +265,7 @@ def parse_complex(text: str) -> ComplexDocument:
 def serialize_complex(doc: ComplexDocument) -> str:
     """Canonical text form; parse(serialize(parse(x))) == parse(x)."""
     out = [COMPLEX_HEADER, "vertices"]
-    points = None if doc.points is None else doc.points.tolist()
+    points = None if doc.points is None else np.asarray(doc.points, dtype=float).tolist()
     for vid, name in enumerate(doc.names):
         parts = [name]
         if points is not None:

@@ -314,6 +314,14 @@ class TestMaximalSimplices:
         doc = ComplexDocument(X, [f"v{v}" for v in X.vertices], points, alpha)
         assert serialize_complex(doc) == serialize_complex_by_closure(doc)
 
+    def test_integer_coordinates_print_as_floats(self):
+        X = full_simplex_complex(2)
+        points = np.array([[0, 0], [1, 0], [0, 1]])
+        doc = ComplexDocument(X, ["a", "b", "c"], points, None)
+        text = serialize_complex(doc)
+        assert text == serialize_complex_by_closure(doc)
+        assert "b 1.0 0.0\n" in text
+
 
 def last_vertex_map(X: SimplicialComplex) -> SimplicialMap:
     """sd^2 X -> sd X, each vertex of sd^2 X (a simplex of sd X) sent to

@@ -471,6 +471,12 @@ class TestArrayCoordinates:
         assert same_bits(writable.matrix(), emb.matrix()) and not writable.matrix().flags.writeable
         rows.flags.writeable = False
         assert Embedding(X, rows).matrix() is rows
+        base = np.array(emb.matrix())
+        view = base.view()
+        view.flags.writeable = False  # read-only, but base can still write it
+        kept = Embedding(X, view).matrix()
+        base[0] = 99.0
+        assert kept is not view and same_bits(kept, emb.matrix())
         integers = np.array([[0, 0], [1, 0], [0, 1]])
         integers.flags.writeable = False
         assert Embedding(X, integers).matrix().dtype == np.float64
