@@ -25,7 +25,17 @@ kernel counts hits on bit-packed planes; the Morse kernel sums signed
 hits per vertex, a block of vertices with equal slot counts at a time.
 Rows are independent, so the driver in mc.py may slice them under each
 kernel's per-call and per-pair byte bounds.
+
+What a call reads of the table alone is its run plan, which the driver
+builds once per run (cone_plan, link_plan) and every call reuses: the
+size classes, each class's members and contiguous slot columns, which
+the core gathers with take, and the cone kernel's count scatter or the
+Morse kernel's owner blocks and index dtype. A call given no plan builds
+its own. So the per-call byte bounds count only what a call allocates
+beside the plan.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +72,55 @@ def _ranks(ht):
     return ranks
 
 
-def _hit_planes(heights, cells, sizes):
+class ConePlan(NamedTuple):
+    """The cone kernel's run plan: its size classes and, per slot in
+    _hit_planes' layout, the flat position of that slot in the padded
+    counts table."""
+
+    classes: list
+    scatter: np.ndarray
+
+
+class LinkPlan(NamedTuple):
+    """The Morse kernel's run plan: its size classes, the (a, b, lo,
+    width) owner blocks, owners a..b-1 with width slots each from sorted
+    slot lo on, and the index dtype."""
+
+    classes: list
+    blocks: list
+    dtype: type
+
+
+def class_plan(cells, sizes) -> list:
+    """Per size class k, in size_classes order, (members, columns): its
+    cells' table rows, and the contiguous (k, len(members)) array whose row
+    j holds their slot-j vertex ids."""
+    classes = []
+    for k in size_classes(sizes):
+        members = np.flatnonzero(sizes == k)
+        classes.append((members, np.ascontiguousarray(cells[members, :k].T)))
+    return classes
+
+
+def cone_plan(cells, sizes) -> ConePlan:
+    classes = class_plan(cells, sizes)
+    width = cells.shape[1]
+    scatter = [(width * members + np.arange(len(columns))[:, None]).ravel() for members, columns in classes]
+    return ConePlan(classes, np.concatenate([np.zeros(0, dtype=np.int64), *scatter]))
+
+
+def link_plan(simp_verts, sizes, signs, order, owners, starts) -> LinkPlan:
+    # owners come sorted by slot count, so each run of owners a..b-1 with
+    # the same count w holds one (b - a, w, columns) block of sorted slots
+    widths = np.diff(starts, append=len(order))
+    firsts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()
+    blocks = [
+        (a, b, int(starts[a]), int(widths[a])) for a, b in zip(firsts, [*firsts[1:], len(owners)])
+    ]
+    return LinkPlan(class_plan(simp_verts, sizes), blocks, index_dtype(starts, len(order)))
+
+
+def _hit_planes(heights, cells, sizes, classes=None):
     """(hits, classes, tie_pairs) for the m pairs of a (m, n) heights
     array: hits is a (sizes.sum(), 2m) bool array whose column b is
     the direction of row b and column m + b its negation, with one block
@@ -70,7 +128,9 @@ def _hit_planes(heights, cells, sizes):
     (members, planes), its table rows and its block as (k, len(members),
     2m): planes[j, i, b] says whether slot j of cell members[i] holds the
     cell's maximum in column b. tie_pairs flags the rows that tie in
-    either column."""
+    either column. The class_plan of the table is built here unless given."""
+    if classes is None:
+        classes = class_plan(cells, sizes)
     n_pairs, n_vertices = heights.shape
     table = np.ascontiguousarray(heights.T)  # a copy, unless the slice is a whole block
     ranked = table.dtype == _rank_dtype(n_vertices)  # mc.permutation_ranks
@@ -82,34 +142,28 @@ def _hit_planes(heights, cells, sizes):
     tie_free = ranked and bool(
         (table.sum(axis=0, dtype=_rank_sum_dtype(n_vertices)) == vertex_pairs).all()
     )
-    hits = np.empty((int(sizes.sum()), 2 * n_pairs), dtype=bool)
+    hits = np.empty((sum(columns.size for _, columns in classes), 2 * n_pairs), dtype=bool)
     tie_rows = np.zeros(2 * n_pairs, dtype=bool)
-    classes = []
+    class_planes = []
     start = 0
-    for k in size_classes(sizes):
-        idx = np.flatnonzero(sizes == k)
-        planes = hits[start : start + k * len(idx)].reshape(k, len(idx), 2 * n_pairs)
-        start += k * len(idx)
-        classes.append((idx, planes))
+    for members, columns in classes:
+        k = len(columns)
+        planes = hits[start : start + columns.size].reshape(k, len(members), 2 * n_pairs)
+        start += columns.size
+        class_planes.append((members, planes))
         if k == 1:  # a vertex is the maximum of its own cell under x and -x
             planes[...] = True
             continue
-        slot_values = [table[cells[idx, j]] for j in range(k)]  # k of (cells of size k, m)
-        top = np.maximum(slot_values[0], slot_values[1])
-        bottom = np.minimum(slot_values[0], slot_values[1])
-        for plane in slot_values[2:]:
-            np.maximum(top, plane, out=top)
-            np.minimum(bottom, plane, out=bottom)
+        slot_values = table.take(columns, axis=0)  # (k, cells of size k, m)
         # the strict minimum under x is the strict maximum under -x
-        for j, plane in enumerate(slot_values):
-            np.equal(plane, top, out=planes[j, :, :n_pairs])
-            np.equal(plane, bottom, out=planes[j, :, n_pairs:])
-        del slot_values, top, bottom
+        np.equal(slot_values, slot_values.max(axis=0), out=planes[:, :, :n_pairs])
+        np.equal(slot_values, slot_values.min(axis=0), out=planes[:, :, n_pairs:])
+        del slot_values
         if not tie_free:
             # a cell's k hits are counted in the narrowest dtype holding k
             hits_per_cell = planes.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(k))
             tie_rows |= (hits_per_cell > 1).any(axis=0)
-    return hits, classes, tie_rows[:n_pairs] | tie_rows[n_pairs:]
+    return hits, class_planes, tie_rows[:n_pairs] | tie_rows[n_pairs:]
 
 
 # numpy's buffered casts (the int64 sums of narrower ints) take up to
@@ -118,10 +172,9 @@ _CAST_BUFFER_BYTES = 8192 * 8
 
 
 def _call_bytes(sizes) -> int:
-    """Bytes of every per-call array _hit_planes allocates: per cell a
-    size-class mask, a member index and an entry of one slot's index
-    column, and a numpy cast buffer."""
-    return 17 * len(sizes) + _CAST_BUFFER_BYTES
+    """Bytes of the per-call arrays _hit_planes allocates beside its
+    per-pair ones when given its run plan: a numpy cast buffer."""
+    return _CAST_BUFFER_BYTES
 
 
 def _plane_row_bytes(sizes, n_vertices: int) -> int:
@@ -129,7 +182,7 @@ def _plane_row_bytes(sizes, n_vertices: int) -> int:
     all were live at once: per vertex the contiguous copy of the slice
     and, when ranking, the rank and its comparison mask, and then the
     row's rank sum and its check; per slot a table entry and two hits;
-    per cell the running maximum and minimum, two hit counts of up to two
+    per cell its maximum and minimum, two hit counts of up to two
     bytes and their tie masks; the tie flags, their per-class reduction
     and the pair flags."""
     if uses_ranks(n_vertices, sizes):
@@ -141,29 +194,27 @@ def _plane_row_bytes(sizes, n_vertices: int) -> int:
     return table + (item + 2) * int(sizes.sum()) + (2 * item + 6) * len(sizes) + 5
 
 
-def cone_argmax_counts(heights, cells, sizes):
+def cone_argmax_counts(heights, cells, sizes, plan=None):
     """(counts, tie_pairs): per cell and vertex slot, the number of
     directions x and -x of the tie-free rows of heights in which that
     vertex is the strict maximum of the cell. cells is an int64
-    (n_cells, max_size) array padded arbitrarily."""
-    hits, classes, tie_pairs = _hit_planes(heights, cells, sizes)
+    (n_cells, max_size) array padded arbitrarily; plan is its cone_plan,
+    built here unless given."""
+    if plan is None:
+        plan = cone_plan(cells, sizes)
+    hits, _, tie_pairs = _hit_planes(heights, cells, sizes, plan.classes)
     packed = np.packbits(hits, axis=1)
     if tie_pairs.any():
         packed &= np.packbits(np.tile(~tie_pairs, 2))
-    slot_counts = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
     counts = np.zeros(cells.shape, dtype=np.int64)
-    start = 0
-    for idx, planes in classes:
-        k = len(planes)
-        counts[idx, :k] = slot_counts[start : start + k * len(idx)].reshape(k, len(idx)).T
-        start += k * len(idx)
+    np.put(counts, plan.scatter, np.bitwise_count(packed).sum(axis=1, dtype=np.int64))
     return counts, tie_pairs
 
 
 def cone_call_bytes(sizes) -> int:
-    """Bytes of the per-call arrays of cone_argmax_counts: those of
-    _hit_planes, the int64 counts of the padded table and the int64 count
-    per slot."""
+    """Bytes of the per-call arrays of cone_argmax_counts given its plan:
+    those of _hit_planes, the int64 counts of the padded table and the
+    int64 count per slot."""
     return _call_bytes(sizes) + 8 * len(sizes) * int(sizes.max(initial=1)) + 8 * int(sizes.sum())
 
 
@@ -180,27 +231,25 @@ def index_dtype(starts, n_slots: int):
     return np.int8 if np.diff(starts, append=n_slots).max(initial=0) <= 127 else np.int64
 
 
-def lower_link_index(heights, simp_verts, sizes, signs, order, owners, starts):
+def lower_link_index(heights, simp_verts, sizes, signs, order, owners, starts, plan=None):
     """(index, tie_pairs): index[i, b] is Banchoff's Morse index of
     coordinate row owners[i] in column b of _hit_planes, the sum over the
     simplices s at it of (-1)^dim s where it is the strict maximum of s,
     which is 1 - chi(lower link), in index_dtype. A row without slots
     sums nothing and is left out.
 
-    The table is mc.build_link_arrays'. In a face-closed complex a cell
-    with two hits has an edge with two, so the tie pairs are the lower
-    links'; both their columns are zeroed.
+    The table is mc.build_link_arrays', and plan its link_plan, built
+    here unless given. In a face-closed complex a cell with two hits has
+    an edge with two, so the tie pairs are the lower links'; both their
+    columns are zeroed.
     """
-    hits, _, tie_pairs = _hit_planes(heights, simp_verts, sizes)
-    terms = hits.view(np.int8)[order]
+    if plan is None:
+        plan = link_plan(simp_verts, sizes, signs, order, owners, starts)
+    hits, _, tie_pairs = _hit_planes(heights, simp_verts, sizes, plan.classes)
+    terms = hits.view(np.int8).take(order, axis=0)
     terms *= signs[:, None]
-    index = np.empty((len(owners), hits.shape[1]), dtype=index_dtype(starts, len(order)))
-    # owners come sorted by slot count, so each run of owners a..b-1 with
-    # the same count w holds one (b - a, w, columns) block of terms
-    widths = np.diff(starts, append=len(order))
-    firsts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()
-    for a, b in zip(firsts, [*firsts[1:], len(owners)]):
-        lo, width = int(starts[a]), int(widths[a])
+    index = np.empty((len(owners), hits.shape[1]), dtype=plan.dtype)
+    for a, b, lo, width in plan.blocks:
         block = terms[lo : lo + (b - a) * width].reshape(b - a, width, -1)
         np.add.reduce(block, axis=1, out=index[a:b])
     if tie_pairs.any():
@@ -209,11 +258,10 @@ def lower_link_index(heights, simp_verts, sizes, signs, order, owners, starts):
 
 
 def index_call_bytes(sizes, starts) -> int:
-    """Bytes of the per-call arrays of lower_link_index and the driver's
-    sums: those of _hit_planes and, per owner, the slot counts and block
-    starts and the driver's int64 sums and their scatter, 64 bytes in
-    all."""
-    return _call_bytes(sizes) + 64 * len(starts)
+    """Bytes of the per-call arrays of lower_link_index given its plan and
+    of the driver's sums: those of _hit_planes and, per owner, the
+    driver's two int64 sums of a call, 16 bytes in all."""
+    return _call_bytes(sizes) + 16 * len(starts)
 
 
 def index_row_bytes(sizes, n_vertices: int, starts) -> int:

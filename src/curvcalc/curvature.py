@@ -26,6 +26,13 @@ gather rows in chunks under mc.KERNEL_BUDGET_BYTES; the table scales each
 edge whose norm leaves [2^-500, 2^500] by a power of two, so that every
 accepted simplex, at any scale, gets the angles of its unit copy, whatever
 other simplices share its chunk.
+
+equilateral_embedding keeps no matrix: every simplex of it is regular
+by construction, so it is not checked, its exact curvature is the Euler
+weight of euler.weights, and its Monte Carlo heights are iid (see
+height_source). Gaussian heights read coordinates less each column's
+lower median (centred_coordinates), so a translate of a complex far from
+the origin gets the heights of one near it.
 """
 
 import itertools
@@ -35,6 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexes import PLFunction, ProductCellComplex, SimplicialComplex, facet_rows
+from .euler import weights
 from .errors import (
     DegenerateSimplex,
     ExactUnavailable,
@@ -69,7 +77,19 @@ class Embedding:
     order given; or an (n, N) array with one row per carrier vertex, in
     carrier.vertices order, which a float64 array gives without a copy
     when neither it nor any array under it is writable. The coordinates and vertex_index dicts are built on first use.
+
+    equilateral_embedding and its restrictions keep an implicit form
+    instead of a matrix: a scale c and, per vertex of carrier.vertices,
+    a column, row i being c e_columns[i]. Heights, exact curvature,
+    restrict, excess_angle and product_embedding read that form, and
+    matrix() and coordinates build the matrix only when read.
     """
+
+    _matrix = None  # None in the implicit form until matrix() is read
+    _scale = None  # the implicit form's c and columns, None otherwise
+    _columns = None
+    _coordinates = None
+    _vertex_index = None
 
     def __init__(self, carrier, coordinates):
         if isinstance(coordinates, np.ndarray):
@@ -92,24 +112,35 @@ class Embedding:
         self.ambient_dim = matrix.shape[1]
         self._matrix = matrix
         self._vertex_order = order
-        self._coordinates = None
-        self._vertex_index = None
         if isinstance(carrier, SimplicialComplex):
             self._check_nondegenerate()
+
+    @classmethod
+    def _implicit(cls, complex: SimplicialComplex, scale: float, columns: np.ndarray, ambient_dim: int):
+        """The embedding of a simplicial complex whose row i is scale *
+        e_columns[i] in R^ambient_dim, for distinct columns: every simplex
+        is a regular one of side scale * sqrt(2), so none is checked."""
+        self = cls.__new__(cls)
+        self.carrier = complex
+        self.ambient_dim = ambient_dim
+        self._scale = scale
+        self._columns = columns
+        self._vertex_order = complex.vertices
+        return self
 
     def _check_nondegenerate(self) -> None:
         """The module docstring's rule and screen, per dimension, in row chunks
         whose gathers and Gram temporaries fit the kernel budget; an SVD decides the rest.
         The carrier's vertices are the first matrix rows, so its vertex
         positions index the matrix."""
-        n = self.ambient_dim
+        n, matrix = self.ambient_dim, self.matrix()
         for d in range(1, self.carrier.dim + 1):
             if d > n:  # fewer singular values than generators
                 raise DegenerateSimplex(self.carrier.simplices_of_dim(d)[0])
             ids = self.carrier.vertex_positions(d)
             for lo, chunk in _row_chunks(ids, 8 * ((2 * d + 1) * n + d * d + 8)):
                 with np.errstate(over="ignore"):  # edge-major: (d, rows, N)
-                    edges = self._matrix[chunk[:, 1:].T] - self._matrix[chunk[:, 0]]
+                    edges = matrix[chunk[:, 1:].T] - matrix[chunk[:, 0]]
                 rows = np.arange(len(chunk))
                 if d <= 3 and n <= _SCREEN_MAX_AMBIENT:
                     rows = rows[~_gram_clears(edges)]
@@ -128,7 +159,7 @@ class Embedding:
     def coordinates(self) -> dict:
         """{vertex: read-only row of matrix()}, in vertex_order."""
         if self._coordinates is None:
-            self._coordinates = dict(zip(self._vertex_order, self._matrix))
+            self._coordinates = dict(zip(self._vertex_order, self.matrix()))
         return self._coordinates
 
     @property
@@ -139,8 +170,28 @@ class Embedding:
         return self._vertex_index
 
     def matrix(self) -> np.ndarray:
-        """Read-only (n_vertices, N) coordinate matrix in vertex_order."""
+        """Read-only (n_vertices, N) coordinate matrix in vertex_order;
+        the implicit form builds it on the first read."""
+        if self._matrix is None:
+            self._matrix = self._rows(np.arange(len(self._vertex_order)))
+            self._matrix.flags.writeable = False
         return self._matrix
+
+    def _rows(self, positions) -> np.ndarray:
+        """A fresh (len(positions), N) array of the coordinate rows at
+        these positions in vertex_order."""
+        if self._scale is None:
+            return self._matrix[positions]
+        rows = np.zeros((len(positions), self.ambient_dim))
+        rows[np.arange(len(positions)), self._columns[positions]] = self._scale
+        return rows
+
+    def _height_source(self, sizes) -> mc.Source:
+        """height_source of matrix(), which the implicit form picks
+        without building the matrix."""
+        if self._scale is None:
+            return height_source(self._matrix, sizes)
+        return _iid_source(len(self._vertex_order), sizes)
 
     def restrict(self, subcomplex: SimplicialComplex) -> "Embedding":
         if subcomplex == self.carrier:  # already checked
@@ -149,7 +200,10 @@ class Embedding:
         if not (simplicial and subcomplex.is_subcomplex_of(self.carrier)):
             raise PieceNotSubcomplex(f"{subcomplex!r} is not a subcomplex of the carrier")
         # the carrier's vertices are the first rows, in the order of its sorted ids
-        rows = self._matrix[np.searchsorted(self.carrier._ids, subcomplex._ids)]
+        positions = np.searchsorted(self.carrier._ids, subcomplex._ids)
+        if self._scale is not None:
+            return Embedding._implicit(subcomplex, self._scale, self._columns[positions], self.ambient_dim)
+        rows = self._rows(positions)
         rows.flags.writeable = False  # a fresh copy, kept as it is
         return Embedding(subcomplex, rows)
 
@@ -241,21 +295,36 @@ def _leibniz_det(g, d: int):
 def equilateral_embedding(complex: SimplicialComplex) -> Embedding:
     """Scaled coordinate-vector embedding: vertex v goes to
     (sqrt(2)/2) e_v, so every edge has length 1 and every simplex is a
-    regular unit-side simplex."""
-    coords = math.sqrt(2.0) / 2.0 * np.eye(len(complex.vertices))
-    coords.flags.writeable = False
-    return Embedding(complex, coords)
+    regular unit-side simplex. It is kept in the implicit form (see
+    Embedding), without the n x n matrix, and nothing is checked: every
+    simplex is regular by construction."""
+    n = len(complex.vertices)
+    return Embedding._implicit(complex, math.sqrt(2.0) / 2.0, np.arange(n), n)
 
 
 def product_embedding(ex: Embedding, ey: Embedding) -> Embedding:
     """Coordinatewise embedding of the product of two embedded carriers."""
     carrier = ProductCellComplex(ex.carrier, ey.carrier)
-    coords = {
-        (u, v): np.concatenate([ex.coordinates[u], ey.coordinates[v]])
-        for u in ex.coordinates
-        for v in ey.coordinates
-    }
-    return Embedding(carrier, coords)
+    nx, ny = len(ex.vertex_order), len(ey.vertex_order)
+    rows = np.concatenate(
+        [ex._rows(np.repeat(np.arange(nx), ny)), ey._rows(np.tile(np.arange(ny), nx))], axis=1
+    )
+    return Embedding(carrier, dict(zip(itertools.product(ex.vertex_order, ey.vertex_order), rows)))
+
+
+def centred_coordinates(coords: np.ndarray) -> np.ndarray:
+    """coords less the lower median of each column, so heights read no
+    common offset: a far translate of a complex gets the heights of one
+    near the origin. The lower median is a coordinate itself, so the
+    coordinates equal to it become exact zeros and the others move by
+    at most one rounding."""
+    if not len(coords):
+        return coords
+    middle = (len(coords) - 1) // 2
+    with np.errstate(over="ignore"):
+        centred = coords - np.partition(coords, middle, axis=0)[middle]
+    # a column spread past the float range keeps its offset
+    return np.where(np.isfinite(centred).all(axis=0), centred, coords)
 
 
 def height_coordinates(coords: np.ndarray) -> np.ndarray:
@@ -281,9 +350,8 @@ def height_source(coords: np.ndarray, sizes: np.ndarray) -> mc.Source:
     one common positive value c, in distinct columns, has iid heights:
     the height of row v along a Gaussian direction x is c x_j for its own
     column j, so the order of a row's heights is a uniformly random
-    permutation. It gets mc.rank_source where the kernels would rank
-    heights (_kernels.uses_ranks), and mc.key_source otherwise. Any other
-    matrix gets the Gaussian source of its height_coordinates.
+    permutation: it gets _iid_source. Any other matrix gets the Gaussian
+    source of the height_coordinates of its centred_coordinates.
     """
     rows, cols = np.nonzero(coords)
     values = coords[rows, cols]
@@ -295,8 +363,14 @@ def height_source(coords: np.ndarray, sizes: np.ndarray) -> mc.Source:
         and (values == values[0]).all()
         and np.bincount(cols).max() == 1
     ):
-        return mc.rank_source(n) if _kernels.uses_ranks(n, sizes) else mc.key_source(n)
-    return mc.gaussian_source(height_coordinates(coords))
+        return _iid_source(n, sizes)
+    return mc.gaussian_source(height_coordinates(centred_coordinates(coords)))
+
+
+def _iid_source(n: int, sizes: np.ndarray) -> mc.Source:
+    """The source of n iid heights a row: mc.rank_source where the kernels
+    would rank heights (_kernels.uses_ranks), and mc.key_source otherwise."""
+    return mc.rank_source(n) if _kernels.uses_ranks(n, sizes) else mc.key_source(n)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +449,7 @@ def _exact_fractions(coords: np.ndarray, complex: SimplicialComplex) -> list:
     triangle and every tetrahedron on it; a tetrahedron finds its faces
     with simplex_indices and sums their angles at v in combinations order.
     """
-    if complex.dim > 3:
-        raise ExactUnavailable(f"no exact cone fraction for {complex.dim} generators")
+    _exact_dim_rule(complex)
     rows = [complex.vertex_positions(d) for d in range(complex.dim + 1)]
     fractions = [np.full(r.shape, 1.0 / (d + 1)) for d, r in enumerate(rows[:2])]
     if len(rows) > 2:
@@ -390,12 +463,18 @@ def _exact_fractions(coords: np.ndarray, complex: SimplicialComplex) -> list:
     return list(zip(rows, fractions))
 
 
+def _exact_dim_rule(complex: SimplicialComplex) -> None:
+    if complex.dim > 3:
+        raise ExactUnavailable(f"no exact cone fraction for {complex.dim} generators")
+
+
 def _cell_table(embedding: Embedding):
     """The mc.build_cell_arrays table of every cell of the carrier, in
     carrier.cells() order."""
-    carrier, vertex_index = embedding.carrier, embedding.vertex_index
-    if isinstance(carrier, SimplicialComplex):
-        return mc.build_cell_arrays(mc.simplex_rows(carrier, vertex_index))
+    carrier = embedding.carrier
+    if isinstance(carrier, SimplicialComplex):  # its vertices are the first coordinate rows
+        return mc.build_cell_arrays(mc.simplex_rows(carrier))
+    vertex_index = embedding.vertex_index
     cells = [
         ([vertex_index[v] for v in carrier.cell_vertex_objects(c)], carrier.cell_dim(c))
         for c in carrier.cells()
@@ -408,12 +487,11 @@ def _cell_table(embedding: Embedding):
     return mc.build_cell_arrays(groups)
 
 
-def _cone_fractions(coords, cells, sizes, samples, seed):
+def _cone_fractions(source, n_vertices, cells, sizes, samples, seed):
     """Monte Carlo normal-cone fraction and its error bound for every
-    (cell, vertex slot) pair of a table from mc.build_cell_arrays; the
-    table's vertex ids are rows of coords."""
-    source = height_source(coords, sizes)
-    counts, stats = mc.run_cone_counts(source, cells, sizes, len(coords), samples, seed)
+    (cell, vertex slot) pair of a table from mc.build_cell_arrays, whose
+    vertex ids are the rows of the heights source's n_vertices."""
+    counts, stats = mc.run_cone_counts(source, cells, sizes, n_vertices, samples, seed)
     # Over P tie-free pairs a slot of a cell with two or more vertices hits
     # at most once per pair, so its count c is binomial(P, 2p): the
     # estimate c / 2P has half the bound of c / P. A vertex hits its own
@@ -451,7 +529,7 @@ def excess_angle(
     vertices = carrier.cell_vertex_objects(simplex)
     if v not in vertices:
         raise UnknownVertex(v)
-    coords = embedding.matrix()[[embedding.vertex_index[w] for w in vertices]]
+    coords = embedding._rows([embedding.vertex_index[w] for w in vertices])
     slot = vertices.index(v)
     if method == "exact":  # the closure's vertex positions are the slots
         _, fractions = _exact_fractions(coords, SimplicialComplex.from_maximal([simplex]))[-1]
@@ -460,7 +538,8 @@ def excess_angle(
         raise ValueError(f"unknown method {method!r}")
     ids = np.arange(len(vertices), dtype=np.int64).reshape(1, -1)
     cells, sizes, _ = mc.build_cell_arrays([(ids, carrier.cell_dim(simplex))])
-    fractions, bounds = _cone_fractions(coords, cells, sizes, samples, seed)
+    source = height_source(coords, sizes)
+    fractions, bounds = _cone_fractions(source, len(coords), cells, sizes, samples, seed)
     return ValueWithError(float(fractions[0, slot]), float(bounds[0, slot]))
 
 
@@ -486,8 +565,15 @@ def curvature_measure(
     The Monte Carlo estimator shares one direction stream across all
     simplices, so the per-vertex bound (the sum of the per-term standard
     errors of _cone_fractions) upper-bounds the standard deviation of the
-    signed sum. Exact values have bound 0."""
+    signed sum. Exact values have bound 0; on the implicit form every
+    simplex is regular, a d-simplex's fraction is 1/(d+1) at each vertex,
+    and the exact curvature is the Euler weight, euler.weights."""
     n = len(embedding.vertex_order)
+    if method == "exact" and embedding._scale is not None:
+        carrier = _exact_carrier(embedding)
+        _exact_dim_rule(carrier)
+        values = np.fromiter(map(float, weights(carrier).values()), dtype=float, count=n)
+        return _vertex_measure(embedding.vertex_order, values, np.zeros(n))
     if method == "exact":  # carrier.vertices are the first coordinate rows
         # one bincount of the signed fraction of every slot, by dimension, then row by row
         slots = _exact_fractions(embedding.matrix(), _exact_carrier(embedding))
@@ -498,7 +584,8 @@ def curvature_measure(
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     cells, sizes, signs = _cell_table(embedding)
-    fractions, bounds = _cone_fractions(embedding.matrix(), cells, sizes, samples, seed)
+    source = embedding._height_source(sizes)
+    fractions, bounds = _cone_fractions(source, n, cells, sizes, samples, seed)
     filled = np.arange(cells.shape[1]) < sizes[:, None]
     ids = cells[filled]
     values = np.bincount(ids, weights=(signs[:, None] * fractions)[filled], minlength=n)

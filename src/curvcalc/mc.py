@@ -186,11 +186,13 @@ def _drive(source, n_samples, seed, call_bytes, pair_bytes, accumulate):
 def run_cone_counts(source, cells, sizes, n_vertices: int, n_samples: int, seed: int):
     """Strict-argmax counts per (cell, vertex slot) over the two
     directions of exactly ceil(n_samples / 2) tie-free pairs, and the
-    run's McStats; source gives n_vertices heights per direction."""
+    run's McStats; source gives n_vertices heights per direction. The
+    kernel's plan is built once and serves every call."""
     counts = np.zeros(cells.shape, dtype=np.int64)
+    plan = _kernels.cone_plan(cells, sizes)
 
     def accumulate(heights):
-        slice_counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+        slice_counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes, plan)
         counts[...] += slice_counts
         return int(ties.sum())
 
@@ -203,31 +205,33 @@ def run_cone_counts(source, cells, sizes, n_vertices: int, n_samples: int, seed:
 def run_lower_link_stats(source, link_arrays, n_vertices: int, n_samples: int, seed: int):
     """Per-vertex sums, and sums of squares, of the pair index
     I(x) + I(-x) over exactly ceil(n_samples / 2) tie-free pairs, and the
-    run's McStats."""
-    sums = np.zeros(n_vertices, dtype=np.int64)
-    sumsq = np.zeros(n_vertices, dtype=np.int64)
-    _, sizes, _, order, owners, starts = link_arrays
+    run's McStats. The kernel's plan is built once and serves every call,
+    and the sums are kept per owner until the run ends."""
+    _, sizes, _, _, owners, starts = link_arrays
+    plan = _kernels.link_plan(*link_arrays)
+    owner_sums = np.zeros((2, len(owners)), dtype=np.int64)
     # An owner's vertex cell gives 2 per pair, and each of its other w - 1
     # slots +-1 at most once: a simplex with two or more vertices has no
     # vertex that is its strict maximum under both x and -x. So with
     # w <= 127 (an int8 index) |I(x) + I(-x)| <= w + 1 <= 128, which int16
     # holds, and its square, at most 16,384, int32.
-    index_dtype = _kernels.index_dtype(starts, len(order))
-    pair_dtype = np.promote_types(index_dtype, np.int16)
-    square_dtype = np.promote_types(index_dtype, np.int32)
+    pair_dtype = np.promote_types(plan.dtype, np.int16)
+    square_dtype = np.promote_types(plan.dtype, np.int32)
 
     def accumulate(heights):
-        index, ties = _kernels.lower_link_index(heights, *link_arrays)
+        index, ties = _kernels.lower_link_index(heights, *link_arrays, plan)
         m = len(ties)
         pair = np.add(index[:, :m], index[:, m:], dtype=pair_dtype)  # tied pairs are zeroed
-        sums[owners] += pair.sum(axis=1, dtype=np.int64)
-        sumsq[owners] += np.square(pair, dtype=square_dtype).sum(axis=1, dtype=np.int64)
+        owner_sums[0] += pair.sum(axis=1, dtype=np.int64)
+        owner_sums[1] += np.square(pair, dtype=square_dtype).sum(axis=1, dtype=np.int64)
         return int(ties.sum())
 
     call_bytes = _kernels.index_call_bytes(sizes, starts)
     pair_bytes = _kernels.index_row_bytes(sizes, n_vertices, starts)
     stats = _drive(source, n_samples, seed, call_bytes, pair_bytes, accumulate)
-    return sums, sumsq, stats
+    sums = np.zeros((2, n_vertices), dtype=np.int64)
+    sums[:, owners] = owner_sums
+    return sums[0], sums[1], stats
 
 
 def smoothed_binomial_stderr(count, n: int):
@@ -247,26 +251,31 @@ def build_cell_arrays(groups):
     rows in the given order, each padded with its first vertex.
     """
     width = max((ids.shape[1] for ids, _ in groups), default=1)
-    cells = [np.zeros((0, width), dtype=np.int64)]
-    sizes = [np.zeros(0, dtype=np.int64)]
-    signs = [np.zeros(0, dtype=np.int64)]
+    total = sum(len(ids) for ids, _ in groups)
+    cells = np.empty((total, width), dtype=np.int64)
+    sizes = np.empty(total, dtype=np.int64)
+    signs = np.empty(total, dtype=np.int64)
+    lo = 0
     for ids, dims in groups:
         n, k = ids.shape
-        cells.append(np.concatenate([ids, np.repeat(ids[:, :1], width - k, axis=1)], axis=1))
-        sizes.append(np.full(n, k, dtype=np.int64))
-        signs.append(np.broadcast_to(1 - 2 * (np.asarray(dims, dtype=np.int64) % 2), (n,)))
-    return np.concatenate(cells), np.concatenate(sizes), np.concatenate(signs)
+        cells[lo : lo + n, :k] = ids
+        cells[lo : lo + n, k:] = ids[:, :1]
+        sizes[lo : lo + n] = k
+        signs[lo : lo + n] = 1 - 2 * (np.asarray(dims, dtype=np.int64) % 2)
+        lo += n
+    return cells, sizes, signs
 
 
-def simplex_rows(complex, vertex_index) -> list:
-    """(ids, d) per dimension d: ids is the (n_d, d+1) array of the
-    coordinate-matrix rows of the vertices of complex.simplices_of_dim(d)."""
-    rows = np.fromiter(map(vertex_index.__getitem__, complex.vertices), dtype=np.int64)
-    return [(rows[complex.vertex_positions(d)], d) for d in range(complex.dim + 1)]
+def simplex_rows(complex) -> list:
+    """(ids, d) per dimension d: ids is complex.vertex_positions(d), the
+    coordinate-matrix rows of the vertices of complex.simplices_of_dim(d)
+    in an embedding of the complex, whose vertices are its first rows."""
+    return [(complex.vertex_positions(d), d) for d in range(complex.dim + 1)]
 
 
-def build_link_arrays(complex, vertex_index):
-    """The Morse kernel's (simp_verts, sizes, signs, order, owners, starts).
+def build_link_arrays(complex, n_vertices: int):
+    """The Morse kernel's (simp_verts, sizes, signs, order, owners, starts)
+    for an embedding of the complex with n_vertices coordinate rows.
 
     The cell table of every simplex is sorted by size, so the hit-plane
     slots run by dimension d, then slot j, then simplex, and hold the
@@ -276,10 +285,10 @@ def build_link_arrays(complex, vertex_index):
     owners are the columns that own slots, in that order, and starts
     where each begins.
     """
-    rows = simplex_rows(complex, vertex_index)
+    rows = simplex_rows(complex)
     simp_verts, sizes, _ = build_cell_arrays(rows)
     owner = np.concatenate([np.zeros(0, dtype=np.int64)] + [ids.T.ravel() for ids, _ in rows])
-    counts = np.bincount(owner, minlength=len(vertex_index))
+    counts = np.bincount(owner, minlength=n_vertices)
     order = np.lexsort((owner, counts[owner]))
     signs = np.where(np.repeat(sizes, sizes) % 2, 1, -1).astype(np.int8)[order]
     owners = np.flatnonzero(counts)

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .complexes import SimplicialComplex
-from .curvature import Embedding, _vertex_measure, height_coordinates, height_source
+from .curvature import Embedding, _vertex_measure, centred_coordinates, height_coordinates
 from .errors import CarrierMismatch, DimensionMismatch, NonGenericDirection, UnknownVertex
 from . import mc
 
@@ -45,7 +45,10 @@ def _heights(direction, embedding: Embedding) -> dict:
     x, dim = as_direction(direction), embedding.ambient_dim
     if x.shape != (dim,):
         raise DimensionMismatch(f"direction has {x.size} components, the embedding {dim}")
-    coords = height_coordinates(embedding.matrix())
+    if embedding._scale is not None:  # row i is c e_columns[i]: its height is a scaled entry of x
+        scale = height_coordinates(np.array([embedding._scale]))[0]
+        return dict(zip(embedding.vertex_order, (-scale * x[embedding._columns]).tolist()))
+    coords = height_coordinates(centred_coordinates(embedding.matrix()))
     return {v: -float(np.dot(x, coords[i])) for v, i in embedding.vertex_index.items()}
 
 
@@ -98,18 +101,17 @@ def morse_curvature_measure(
     estimate is exact and the bound 0; elsewhere it is never 0.
     """
     carrier = _simplicial_carrier(embedding)
-    index = embedding.vertex_index
-    link_arrays = mc.build_link_arrays(carrier, index)
+    n = len(embedding.vertex_order)
+    link_arrays = mc.build_link_arrays(carrier, n)
     # the pair index I(x) + I(-x) is even in x, so heights need no sign
-    source = height_source(embedding.matrix(), link_arrays[1])
-    sums, sumsq, stats = mc.run_lower_link_stats(source, link_arrays, len(index), samples, seed)
+    source = embedding._height_source(link_arrays[1])
+    sums, sumsq, stats = mc.run_lower_link_stats(source, link_arrays, n, samples, seed)
     pairs = stats.pairs
     mean = sums / (2.0 * pairs)  # half the mean pair index
     # squared deviations of the pair means from their mean, and the
     # pseudo-pair's 1/4 once at each vertex of a triangle
     squares = np.maximum(sumsq / 4.0 - pairs * mean * mean, 0.0)
-    columns = np.fromiter(map(index.__getitem__, carrier.vertices), dtype=np.int64)
-    squares[columns[carrier.vertex_positions(2)]] += 0.25
+    squares[carrier.vertex_positions(2)] += 0.25  # the carrier's vertices are the first rows
     bound = np.sqrt(squares / ((pairs + 1.0) * pairs))
     # a coordinate the complex does not use is in no simplex: its sums are 0
     return _vertex_measure(embedding.vertex_order, mean, bound)

@@ -626,25 +626,49 @@ def test_alpha_beyond_the_float_range_exits_2(tmp_path, method):
 
 
 FAR_PATH = "curvcalc-complex v1\nvertices\na 1e20 0\nb 1e20 1\nc 1e20 2\nsimplices\na b\nb c\n"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("curvature", "{path}", "--method", "mc", "--samples", "100"),
-        ("morse-curvature", "{path}", "--samples", "100"),
-        ("fubini-check", "--left", "{path}", "--right", "{path}", "--kind", "curvature", "--samples", "100"),
-    ],
+# two edges 2e20 apart: centring moves one to x = 0, and the other keeps
+# an offset that its unit step is lost to
+FAR_CLUSTERS = (
+    "curvcalc-complex v1\nvertices\na -1e20 0\nb -1e20 1\nc 1e20 0\nd 1e20 1\nsimplices\na b\nc d\n"
 )
+MC_COMMANDS = [
+    ("curvature", "{path}", "--method", "mc", "--samples", "100"),
+    ("morse-curvature", "{path}", "--samples", "100"),
+    ("fubini-check", "--left", "{path}", "--right", "{path}", "--kind", "curvature", "--samples", "100"),
+]
+
+
+@pytest.mark.parametrize("argv", MC_COMMANDS)
 def test_persistent_height_ties_exit_2(tmp_path, argv):
-    # heights carry the 1e20 offset, and the unit steps along the path are lost to rounding
     path = tmp_path / "far.txt"
-    path.write_text(FAR_PATH)
+    path.write_text(FAR_CLUSTERS)
     code, out, err = invoke(*(a.format(path=path) for a in argv))
     assert code == 2 and out == ""
     assert _one_json_line(err) == {
         "error": "PersistentTies", "message": "direction sampling keeps hitting height ties"
     }
+    code, out, _ = invoke("curvature", str(path))
+    assert code == 0 and out == "vertex,kappa,stderr\na,0.5,0\nb,0.5,0\nc,0.5,0\nd,0.5,0\n"
+
+
+@pytest.mark.parametrize("argv", MC_COMMANDS)
+def test_a_far_translate_gets_the_heights_of_a_near_one(tmp_path, argv):
+    # each column loses its lower median, so the unit steps along the path survive
+    path = tmp_path / "far.txt"
+    path.write_text(FAR_PATH)
+    code, out, _ = invoke(*(a.format(path=path) for a in argv), "--format", "json")
+    assert code == 0
+    exact = {"a": 0.5, "b": 0.0, "c": 0.5}
+    if argv[0] == "fubini-check":
+        rows = json.loads(out)
+        assert len(rows) == 9
+        for row in rows:
+            u, v = row["vertex"].split("*")
+            assert row["kappa_factor_product"] == exact[u] * exact[v]
+            assert abs(row["kappa_product"] - row["kappa_factor_product"]) <= 4 * row["joint_bound"]
+    else:
+        # an edge has one maximum in each direction of a pair, so these are exact
+        assert {v: row["kappa"] for v, row in json.loads(out).items()} == exact
     code, out, _ = invoke("curvature", str(path))
     assert code == 0 and out == "vertex,kappa,stderr\na,0.5,0\nb,0,0\nc,0.5,0\n"
 

@@ -601,7 +601,8 @@ class TestPairBounds:
             # the terms of triangles and tetrahedra; edges are exact in pairs
             terms = filled & (sizes[:, None] > 2)
             for seed in self.SEEDS:
-                fractions, bounds = _cone_fractions(emb.matrix(), cells, sizes, 2000, seed)
+                source = emb._height_source(sizes)
+                fractions, bounds = _cone_fractions(source, len(emb.vertex_order), cells, sizes, 2000, seed)
                 z.extend((fractions[terms] - exact[terms]) / bounds[terms])
         z = np.array(z)
         assert len(z) > 1000 and (z**2).mean() < 1.35

@@ -21,6 +21,7 @@ from curvcalc.complexes import SimplicialComplex, barycentric_subdivide
 from curvcalc.curvature import (
     Embedding,
     _cell_table,
+    centred_coordinates,
     curvature_measure,
     equilateral_embedding,
     excess_angle,
@@ -198,7 +199,7 @@ def test_cone_counts_match_oracle_on_complex_cells(trial, rng):
 def test_lower_link_matches_oracle(trial, rng):
     X = fixtures.random_complex(rng)
     emb = equilateral_embedding(X)
-    arrays = mc.build_link_arrays(X, emb.vertex_index)
+    arrays = mc.build_link_arrays(X, len(emb.vertex_index))
     heights = tied_heights(rng, 150, len(X.vertices))
     idx, ties = index_by_column(heights, arrays)
     want_idx, want_ties = pair_lower_link_oracle(X, emb.vertex_index, heights)
@@ -243,7 +244,7 @@ def test_link_rows_are_the_links(case):
     # each vertex's segment of the Morse table holds the simplices at it,
     # its own vertex cell and one per simplex of its link, signed (-1)^dim
     X, emb = case()
-    simp_verts, sizes, signs, order, owners, starts = mc.build_link_arrays(X, emb.vertex_index)
+    simp_verts, sizes, signs, order, owners, starts = mc.build_link_arrays(X, len(emb.vertex_index))
     slots = hit_plane_slots(sizes)
     assert len(order) == len(slots) == sum(len(s) for s in X.simplices)
     assert signs.dtype == np.int8
@@ -272,7 +273,7 @@ def test_morse_sums_are_signed_cone_counts(trial, rng):
     cells, sizes, cell_signs = complex_cell_table(X)
     heights = tied_heights(rng, 200, len(X.vertices))
     counts, cone_ties = _kernels.cone_argmax_counts(heights, cells, sizes)
-    idx, ties = index_by_column(heights, mc.build_link_arrays(X, index))
+    idx, ties = index_by_column(heights, mc.build_link_arrays(X, len(index)))
     np.testing.assert_array_equal(ties, cone_ties)
     want = np.zeros(len(X.vertices), dtype=np.int64)
     for m, size in enumerate(sizes.tolist()):
@@ -284,7 +285,7 @@ def test_morse_sums_are_signed_cone_counts(trial, rng):
 def test_lower_link_matches_oracle_with_unused_coordinate_rows(rng):
     X, emb = sparse_octahedron()
     heights = tied_heights(rng, 150, len(emb.vertex_order))
-    idx, ties = index_by_column(heights, mc.build_link_arrays(X, emb.vertex_index))
+    idx, ties = index_by_column(heights, mc.build_link_arrays(X, len(emb.vertex_index)))
     want_idx, want_ties = pair_lower_link_oracle(X, emb.vertex_index, heights)
     unused = [emb.vertex_index[v] for v in emb.vertex_order if v not in X.vertices]
     assert 0 < ties.sum() < len(heights) and len(unused) == 2
@@ -335,7 +336,7 @@ def test_kernels_match_oracles_on_edge_cases(name, rng):
     want_counts, want_ties = pair_cone_oracle(heights, cells, sizes)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(counts, want_counts)
-    idx, ties = index_by_column(heights, mc.build_link_arrays(X, index))
+    idx, ties = index_by_column(heights, mc.build_link_arrays(X, len(index)))
     want_idx, want_ties = pair_lower_link_oracle(X, index, heights)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(idx, want_idx)
@@ -377,7 +378,7 @@ def test_ties_between_non_adjacent_vertices_are_not_flagged(rng):
     counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
     assert not ties.any()
     np.testing.assert_array_equal(counts, pair_cone_oracle(heights, cells, sizes)[0])
-    idx, ties = index_by_column(heights, mc.build_link_arrays(X, index))
+    idx, ties = index_by_column(heights, mc.build_link_arrays(X, len(index)))
     assert not ties.any()
     np.testing.assert_array_equal(idx, pair_lower_link_oracle(X, index, heights)[0])
 
@@ -439,7 +440,7 @@ def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
     X = table()
     emb = equilateral_embedding(X)
     cells, sizes, _ = complex_cell_table(X)
-    link_arrays = mc.build_link_arrays(X, emb.vertex_index)
+    link_arrays = mc.build_link_arrays(X, len(emb.vertex_index))
     n = len(X.vertices)
     starts = link_arrays[5]
     wide = _kernels.index_dtype(starts, len(link_arrays[3])) == np.int64
@@ -447,13 +448,13 @@ def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
     calls = [
         (
             _kernels.cone_argmax_counts,
-            (cells, sizes),
+            (cells, sizes, _kernels.cone_plan(cells, sizes)),  # the plan is built once per run
             _kernels.cone_call_bytes(sizes),
             _kernels.cone_row_bytes(sizes, n),
         ),
         (
             _kernels.lower_link_index,
-            link_arrays,
+            (*link_arrays, _kernels.link_plan(*link_arrays)),
             _kernels.index_call_bytes(link_arrays[1], starts),
             _kernels.index_row_bytes(link_arrays[1], n, starts),
         ),
@@ -535,7 +536,7 @@ def test_rank_and_height_planes_agree_bitwise(name, monkeypatch, rng):
     index = {v: i for i, v in enumerate(X.vertices)}
     cells, sizes, _ = complex_cell_table(X)
     assert _kernels.uses_ranks(len(X.vertices), sizes) == ranks
-    link_arrays = mc.build_link_arrays(X, index)
+    link_arrays = mc.build_link_arrays(X, len(index))
     heights = tied_heights(rng, 96, len(X.vertices))
     heights[::4] = np.round(heights[::4], 1)  # tie-heavy rows
     keys = tied_keys(rng, 96, len(X.vertices))
@@ -573,7 +574,7 @@ def test_rank_rows_with_and_without_ties_match_the_row_oracle(fixture, rng):
     n = len(X.vertices)
     index = {v: i for i, v in enumerate(X.vertices)}
     cells, sizes, _ = complex_cell_table(X)
-    link_arrays = mc.build_link_arrays(X, index)
+    link_arrays = mc.build_link_arrays(X, len(index))
     edges = {frozenset(s) for s in X.simplices if len(s) == 2}
     apart = next((a, b) for a in range(n) for b in range(a) if frozenset((a, b)) not in edges)
     edge = tuple(next(iter(edges)))
@@ -626,7 +627,7 @@ def test_pair_kernels_equal_the_row_kernel(name, flip, monkeypatch, rng):
     X = PAIR_CASES[name]()
     index = {v: i for i, v in enumerate(X.vertices)}
     cells, sizes, _ = complex_cell_table(X)
-    link_arrays = mc.build_link_arrays(X, index)
+    link_arrays = mc.build_link_arrays(X, len(index))
     heights = tied_heights(rng, 96, len(X.vertices))
     heights[::4] = np.round(heights[::4], 1)  # tie-heavy rows
     want_counts, want_ties = row_kernel_oracle.pair_cone_counts(heights, cells, sizes)
@@ -675,7 +676,7 @@ def test_lower_link_manual_case():
     # path 0 - 1 - 2 with heights making the middle vertex the maximum
     X = fixtures.path_complex(2)
     index = {v: v for v in X.vertices}
-    arrays = mc.build_link_arrays(X, index)
+    arrays = mc.build_link_arrays(X, len(index))
     heights = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 2.0]])
     idx, ties = index_by_column(heights, arrays)
     assert not ties.any()
@@ -815,7 +816,8 @@ def test_other_matrices_take_gaussian_rows(coords, monkeypatch):
     source = height_source(coords, np.ones(len(coords), dtype=np.int64))
     assert source.block_rows == mc.BLOCK_ROWS
     dirs = mc.sample_unit_directions(1, 0, 4, coords.shape[1])
-    np.testing.assert_array_equal(source.draw(1, 0, 4), height_coordinates(coords) @ dirs.T)
+    heights = height_coordinates(centred_coordinates(coords)) @ dirs.T
+    np.testing.assert_array_equal(source.draw(1, 0, 4), heights)
     if len(coords):
         X = SimplicialComplex.from_maximal([(0,), (1,)])
         counts = _gaussian_rows(monkeypatch)
@@ -1005,7 +1007,7 @@ def test_odd_sample_counts_round_up_to_whole_pairs(samples):
     pairs = (samples + 1) // 2
     assert (stats.pairs, stats.samples) == (pairs, samples + 1)
     np.testing.assert_array_equal(counts.sum(axis=1), 2 * pairs)
-    link_arrays = mc.build_link_arrays(X, emb.vertex_index)
+    link_arrays = mc.build_link_arrays(X, len(emb.vertex_index))
     sums, _, morse_stats = mc.run_lower_link_stats(source, link_arrays, len(coords), samples, 12)
     assert morse_stats == stats
     assert sums.sum() == 2 * pairs * X.euler_characteristic()  # chi per direction
@@ -1145,7 +1147,7 @@ def test_slicing_changes_no_cone_count(monkeypatch):
 def test_slicing_changes_no_lower_link_sum(monkeypatch):
     X = fixtures.random_complex(np.random.default_rng(6))
     emb = equilateral_embedding(X)
-    arrays = mc.build_link_arrays(X, emb.vertex_index)
+    arrays = mc.build_link_arrays(X, len(emb.vertex_index))
     n = len(X.vertices)
     args = (_coarse_heights(emb.matrix()), arrays, n, 4000, 4)
     sums, sumsq, stats = mc.run_lower_link_stats(*args)
@@ -1190,7 +1192,7 @@ def test_positive_row_scales_change_no_count_tie_or_index(fixture, scale, monkey
     X, emb = fixture()
     n = len(emb.vertex_index)
     cells, sizes, _ = complex_cell_table(X)
-    arrays = mc.build_link_arrays(X, emb.vertex_index)
+    arrays = mc.build_link_arrays(X, len(emb.vertex_index))
     calls = []
     for name in ("cone_argmax_counts", "lower_link_index"):
         kernel = getattr(_kernels, name)
@@ -1223,7 +1225,7 @@ def test_morse_stats_square_the_widest_int8_pair_exactly():
     # leaf's pair index is 2 - 1 = 1.
     X = EDGE_CASES["star_126"]()
     index = {v: i for i, v in enumerate(X.vertices)}
-    arrays = mc.build_link_arrays(X, index)
+    arrays = mc.build_link_arrays(X, len(index))
     assert _kernels.index_dtype(arrays[5], len(arrays[3])) == np.int8
     coords = np.random.default_rng(8).standard_normal((len(index), 3))
     source = mc.gaussian_source(coords)
@@ -1290,7 +1292,7 @@ def test_slicing_changes_no_measure(name, monkeypatch):
     default = measures()
     # a few pairs beyond either kernel's per-call bytes
     _, sizes, _ = _cell_table(emb)
-    _, link_sizes, _, _, _, starts = mc.build_link_arrays(emb.carrier, emb.vertex_index)
+    _, link_sizes, _, _, _, starts = mc.build_link_arrays(emb.carrier, len(emb.vertex_index))
     n = len(emb.vertex_order)
     pair_bytes = max(
         _kernels.cone_row_bytes(sizes, n), _kernels.index_row_bytes(link_sizes, n, starts)
@@ -1315,7 +1317,7 @@ def test_kernel_memory_stays_under_the_budget():
         X, _ = barycentric_subdivide(X)
     emb = equilateral_embedding(X)
     # one 1,500-pair call of either kernel would take far more than the budget
-    link_arrays = mc.build_link_arrays(X, emb.vertex_index)
+    link_arrays = mc.build_link_arrays(X, len(emb.vertex_index))
     pair_bytes = _kernels.index_row_bytes(link_arrays[1], len(X.vertices), link_arrays[5])
     assert 1500 * pair_bytes > 10 * mc.KERNEL_BUDGET_BYTES
     tracemalloc.start()

@@ -172,7 +172,7 @@ class TestVectorizedIndexOracle:
         X, emb = fixture()
         dirs = mc.sample_unit_directions(11, 0, 50, emb.ambient_dim)
         heights = -(dirs @ emb.matrix().T)
-        idx, ties = index_by_column(heights, mc.build_link_arrays(X, emb.vertex_index))
+        idx, ties = index_by_column(heights, mc.build_link_arrays(X, len(emb.vertex_index)))
         assert not ties.all()
         for row in np.nonzero(~ties)[0]:
             for v in X.vertices:
