@@ -109,7 +109,7 @@ def cone_plan(cells, sizes) -> ConePlan:
     return ConePlan(classes, np.concatenate([np.zeros(0, dtype=np.int64), *scatter]))
 
 
-def link_plan(simp_verts, sizes, signs, order, owners, starts) -> LinkPlan:
+def link_plan(simp_verts, sizes, order, owners, starts) -> LinkPlan:
     # owners come sorted by slot count, so each run of owners a..b-1 with
     # the same count w holds one (b - a, w, columns) block of sorted slots
     widths = np.diff(starts, append=len(order))
@@ -244,7 +244,7 @@ def lower_link_index(heights, simp_verts, sizes, signs, order, owners, starts, p
     columns are zeroed.
     """
     if plan is None:
-        plan = link_plan(simp_verts, sizes, signs, order, owners, starts)
+        plan = link_plan(simp_verts, sizes, order, owners, starts)
     hits, _, tie_pairs = _hit_planes(heights, simp_verts, sizes, plan.classes)
     terms = hits.view(np.int8).take(order, axis=0)
     terms *= signs[:, None]

@@ -569,17 +569,17 @@ def curvature_measure(
     simplex is regular, a d-simplex's fraction is 1/(d+1) at each vertex,
     and the exact curvature is the Euler weight, euler.weights."""
     n = len(embedding.vertex_order)
-    if method == "exact" and embedding._scale is not None:
+    if method == "exact":
         carrier = _exact_carrier(embedding)
-        _exact_dim_rule(carrier)
-        values = np.fromiter(map(float, weights(carrier).values()), dtype=float, count=n)
-        return _vertex_measure(embedding.vertex_order, values, np.zeros(n))
-    if method == "exact":  # carrier.vertices are the first coordinate rows
-        # one bincount of the signed fraction of every slot, by dimension, then row by row
-        slots = _exact_fractions(embedding.matrix(), _exact_carrier(embedding))
-        ids = np.concatenate([np.zeros(0, dtype=np.int64), *(rows.ravel() for rows, _ in slots)])
-        signed = [(-f if d % 2 else f).ravel() for d, (_, f) in enumerate(slots)]
-        values = np.bincount(ids, weights=np.concatenate([np.zeros(0), *signed]), minlength=n)
+        if embedding._scale is not None:
+            _exact_dim_rule(carrier)
+            values = np.fromiter(map(float, weights(carrier).values()), dtype=float, count=n)
+        else:  # carrier.vertices are the first coordinate rows
+            # one bincount of the signed fraction of every slot, by dimension, then row by row
+            slots = _exact_fractions(embedding.matrix(), carrier)
+            ids = np.concatenate([np.zeros(0, dtype=np.int64), *(rows.ravel() for rows, _ in slots)])
+            signed = [(-f if d % 2 else f).ravel() for d, (_, f) in enumerate(slots)]
+            values = np.bincount(ids, weights=np.concatenate([np.zeros(0), *signed]), minlength=n)
         return _vertex_measure(embedding.vertex_order, values, np.zeros(n))
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")

@@ -207,8 +207,8 @@ def run_lower_link_stats(source, link_arrays, n_vertices: int, n_samples: int, s
     I(x) + I(-x) over exactly ceil(n_samples / 2) tie-free pairs, and the
     run's McStats. The kernel's plan is built once and serves every call,
     and the sums are kept per owner until the run ends."""
-    _, sizes, _, _, owners, starts = link_arrays
-    plan = _kernels.link_plan(*link_arrays)
+    simp_verts, sizes, _, order, owners, starts = link_arrays
+    plan = _kernels.link_plan(simp_verts, sizes, order, owners, starts)
     owner_sums = np.zeros((2, len(owners)), dtype=np.int64)
     # An owner's vertex cell gives 2 per pair, and each of its other w - 1
     # slots +-1 at most once: a simplex with two or more vertices has no
