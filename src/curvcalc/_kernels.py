@@ -142,7 +142,7 @@ def _hit_planes(heights, cells, sizes, classes=None):
     tie_free = ranked and bool(
         (table.sum(axis=0, dtype=_rank_sum_dtype(n_vertices)) == vertex_pairs).all()
     )
-    hits = np.empty((sum(columns.size for _, columns in classes), 2 * n_pairs), dtype=bool)
+    hits = np.empty((int(sizes.sum()), 2 * n_pairs), dtype=bool)
     tie_rows = np.zeros(2 * n_pairs, dtype=bool)
     class_planes = []
     start = 0
@@ -167,14 +167,9 @@ def _hit_planes(heights, cells, sizes, classes=None):
 
 
 # numpy's buffered casts (the int64 sums of narrower ints) take up to
-# 8,192 elements of 8 bytes for the length of one call
+# 8,192 elements of 8 bytes for the length of one call; given its run
+# plan, _hit_planes allocates nothing else whatever its pair count
 _CAST_BUFFER_BYTES = 8192 * 8
-
-
-def _call_bytes(sizes) -> int:
-    """Bytes of the per-call arrays _hit_planes allocates beside its
-    per-pair ones when given its run plan: a numpy cast buffer."""
-    return _CAST_BUFFER_BYTES
 
 
 def _plane_row_bytes(sizes, n_vertices: int) -> int:
@@ -213,9 +208,9 @@ def cone_argmax_counts(heights, cells, sizes, plan=None):
 
 def cone_call_bytes(sizes) -> int:
     """Bytes of the per-call arrays of cone_argmax_counts given its plan:
-    those of _hit_planes, the int64 counts of the padded table and the
+    numpy's cast buffer, the int64 counts of the padded table and the
     int64 count per slot."""
-    return _call_bytes(sizes) + 8 * len(sizes) * int(sizes.max(initial=1)) + 8 * int(sizes.sum())
+    return _CAST_BUFFER_BYTES + 8 * len(sizes) * int(sizes.max(initial=1)) + 8 * int(sizes.sum())
 
 
 def cone_row_bytes(sizes, n_vertices: int) -> int:
@@ -259,9 +254,9 @@ def lower_link_index(heights, simp_verts, sizes, signs, order, owners, starts, p
 
 def index_call_bytes(sizes, starts) -> int:
     """Bytes of the per-call arrays of lower_link_index given its plan and
-    of the driver's sums: those of _hit_planes and, per owner, the
+    of the driver's sums: numpy's cast buffer and, per owner, the
     driver's two int64 sums of a call, 16 bytes in all."""
-    return _call_bytes(sizes) + 16 * len(starts)
+    return _CAST_BUFFER_BYTES + 16 * len(starts)
 
 
 def index_row_bytes(sizes, n_vertices: int, starts) -> int:

@@ -193,6 +193,14 @@ class Embedding:
             return height_source(self._matrix, sizes)
         return _iid_source(len(self._vertex_order), sizes)
 
+    def _direction_heights(self, x) -> list:
+        """<x, row> for each coordinate row in vertex_order, on the
+        coordinates that Gaussian heights read: centred, then rescaled."""
+        if self._scale is None:
+            return [float(np.dot(x, row)) for row in height_coordinates(centred_coordinates(self._matrix))]
+        # row i is c e_columns[i]: its height is a rescaled c times one entry of x
+        return (height_coordinates(np.array([self._scale]))[0] * x[self._columns]).tolist()
+
     def restrict(self, subcomplex: SimplicialComplex) -> "Embedding":
         if subcomplex == self.carrier:  # already checked
             return self

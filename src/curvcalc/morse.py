@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .complexes import SimplicialComplex
-from .curvature import Embedding, _vertex_measure, centred_coordinates, height_coordinates
+from .curvature import Embedding, _vertex_measure
 from .errors import CarrierMismatch, DimensionMismatch, NonGenericDirection, UnknownVertex
 from . import mc
 
@@ -45,11 +45,7 @@ def _heights(direction, embedding: Embedding) -> dict:
     x, dim = as_direction(direction), embedding.ambient_dim
     if x.shape != (dim,):
         raise DimensionMismatch(f"direction has {x.size} components, the embedding {dim}")
-    if embedding._scale is not None:  # row i is c e_columns[i]: its height is a scaled entry of x
-        scale = height_coordinates(np.array([embedding._scale]))[0]
-        return dict(zip(embedding.vertex_order, (-scale * x[embedding._columns]).tolist()))
-    coords = height_coordinates(centred_coordinates(embedding.matrix()))
-    return {v: -float(np.dot(x, coords[i])) for v, i in embedding.vertex_index.items()}
+    return {v: -h for v, h in zip(embedding.vertex_order, embedding._direction_heights(x))}
 
 
 def lower_link(complex: SimplicialComplex, v, heights) -> SimplicialComplex:

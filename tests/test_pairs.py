@@ -82,3 +82,15 @@ def test_refuses_when_the_benchmark_differs(pairs, tmp_path):
     (tmp_path / "perfbench" / "run.py").write_text("print('v2')\n")
     (tmp_path / "BENCHMARK.json").write_text('{"changed": true}\n')
     assert pairs.shared_differences("HEAD", root=tmp_path) == ["BENCHMARK.json", "perfbench/run.py"]
+
+
+def test_main_refuses_before_it_exports_or_runs(pairs, monkeypatch):
+    monkeypatch.setattr(pairs, "shared_differences", lambda base: ["BENCHMARK.json"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing is exported or run after a refusal")
+
+    monkeypatch.setattr(pairs, "export", refuse)
+    monkeypatch.setattr(pairs, "run", refuse)
+    with pytest.raises(SystemExit, match="refusing: BENCHMARK.json differ"):
+        pairs.main(["--base", "HEAD~1", "--workload", "curv-mc", "--pairs", "10", "--seeds", "1-10"])
