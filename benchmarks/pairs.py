@@ -2,19 +2,18 @@
 against the working tree, measured back to back.
 
     python3 benchmarks/pairs.py --base REV --workload W --pairs N --seeds A-B
-                                [--seconds S] [--out PATH]
 
 REV is exported with `git archive` into a temporary directory, so the
 working tree is not touched. The script refuses to run when perfbench/ or
-BENCHMARK.json differ between REV and the working tree: both sides must
-be measured by the same benchmark. Pair i runs seed A + i mod (B - A + 1)
-on both sides, each with its own tree's perfbench/run.py at --trace 0,
-and alternates which side runs first. It prints, per end-to-end metric,
-the median and quartiles of each side, the change of the medians, the
-pairs the working tree won and whether the medians differ by more than
-the base's quartile distance. --out also writes the runs and that
-summary as JSON. A run that exits non-zero or reports a failed job stops
-the script.
+BENCHMARK.json differ between REV and the working tree, untracked files
+included: both sides must be measured by the same benchmark. Pair i runs
+seed A + i mod (B - A + 1) on both sides, each with its own tree's
+perfbench/run.py at --trace 0 for bench.py's SECONDS, so that pairs and
+BENCH files measure runs of one length, and alternates which side runs
+first. It prints, per end-to-end metric, the median and quartiles of each
+side, the change of the medians, the pairs the working tree won and
+whether the medians differ by more than the base's quartile distance. A
+run that exits non-zero or reports a failed job stops the script.
 """
 
 import argparse
@@ -26,6 +25,8 @@ import sys
 import tarfile
 import tempfile
 
+from bench import SECONDS
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHARED = ("perfbench", "BENCHMARK.json")
 
@@ -36,8 +37,6 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
-    parser.add_argument("--seconds", type=float, default=36.0)
-    parser.add_argument("--out", help="also write the runs and the summary here, as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -54,14 +53,15 @@ def seed_range(text):
 
 
 def shared_differences(base, root=ROOT):
-    """The files of SHARED that differ between base and the working tree."""
-    done = subprocess.run(
-        ["git", "diff", "--name-only", base, "--", *SHARED],
-        cwd=root, capture_output=True, text=True,
-    )
-    if done.returncode:
-        sys.exit(f"git diff against {base} failed:\n{done.stderr}")
-    return done.stdout.split()
+    """The files of SHARED that differ between base and the working tree:
+    tracked files that changed and untracked files that are not ignored."""
+    names = set()
+    for command in (["diff", "--name-only", base], ["ls-files", "--others", "--exclude-standard"]):
+        done = subprocess.run(["git", *command, "--", *SHARED], cwd=root, capture_output=True, text=True)
+        if done.returncode:
+            sys.exit(f"git {command[0]} against {base} failed:\n{done.stderr}")
+        names.update(done.stdout.split())
+    return sorted(names)
 
 
 def export(base, directory, root=ROOT):
@@ -74,10 +74,10 @@ def export(base, directory, root=ROOT):
     return tree
 
 
-def run(tree, workload, seed, seconds):
+def run(tree, workload, seed):
     """The metrics of one perfbench run of the tree."""
     command = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"{' '.join(command[1:])} exited {done.returncode}:\n{done.stderr}")
@@ -151,17 +151,12 @@ def main(argv=None):
             sides = [("base", base_tree), ("change", ROOT)]
             if i % 2:
                 sides.reverse()
-            metrics = {side: run(tree, args.workload, seed, args.seconds) for side, tree in sides}
+            metrics = {side: run(tree, args.workload, seed) for side, tree in sides}
             pairs.append((metrics["base"], metrics["change"]))
             print(f"# pair {i + 1}/{args.pairs} seed {seed}, {sides[0][0]} first", flush=True)
     summary = summarize(pairs, end_to_end_metrics())
     print(f"{args.workload}: {args.pairs} pairs, working tree against {args.base}, seeds {args.seeds}")
     print("\n".join(report(summary)))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump({"base": args.base, "workload": args.workload, "seeds": args.seeds,
-                       "seconds": args.seconds, "pairs": pairs, "summary": summary}, handle, indent=1)
-            handle.write("\n")
     return 0
 
 

@@ -30,9 +30,8 @@ What a call reads of the table alone is its run plan, which the driver
 builds once per run (cone_plan, link_plan) and every call reuses: the
 size classes, each class's members and contiguous slot columns, which
 the core gathers with take, and the cone kernel's count scatter or the
-Morse kernel's owner blocks and index dtype. A call given no plan builds
-its own. So the per-call byte bounds count only what a call allocates
-beside the plan.
+Morse kernel's owner blocks and index dtype. So the per-call byte bounds
+count only what a call allocates beside the plan.
 """
 
 from typing import NamedTuple
@@ -120,7 +119,7 @@ def link_plan(simp_verts, sizes, order, owners, starts) -> LinkPlan:
     return LinkPlan(class_plan(simp_verts, sizes), blocks, index_dtype(starts, len(order)))
 
 
-def _hit_planes(heights, cells, sizes, classes=None):
+def _hit_planes(heights, cells, sizes, classes):
     """(hits, classes, tie_pairs) for the m pairs of a (m, n) heights
     array: hits is a (sizes.sum(), 2m) bool array whose column b is
     the direction of row b and column m + b its negation, with one block
@@ -128,9 +127,7 @@ def _hit_planes(heights, cells, sizes, classes=None):
     (members, planes), its table rows and its block as (k, len(members),
     2m): planes[j, i, b] says whether slot j of cell members[i] holds the
     cell's maximum in column b. tie_pairs flags the rows that tie in
-    either column. The class_plan of the table is built here unless given."""
-    if classes is None:
-        classes = class_plan(cells, sizes)
+    either column. classes is the class_plan of the table."""
     n_pairs, n_vertices = heights.shape
     table = np.ascontiguousarray(heights.T)  # a copy, unless the slice is a whole block
     ranked = table.dtype == _rank_dtype(n_vertices)  # mc.permutation_ranks
@@ -189,14 +186,11 @@ def _plane_row_bytes(sizes, n_vertices: int) -> int:
     return table + (item + 2) * int(sizes.sum()) + (2 * item + 6) * len(sizes) + 5
 
 
-def cone_argmax_counts(heights, cells, sizes, plan=None):
+def cone_argmax_counts(heights, cells, sizes, plan):
     """(counts, tie_pairs): per cell and vertex slot, the number of
     directions x and -x of the tie-free rows of heights in which that
     vertex is the strict maximum of the cell. cells is an int64
-    (n_cells, max_size) array padded arbitrarily; plan is its cone_plan,
-    built here unless given."""
-    if plan is None:
-        plan = cone_plan(cells, sizes)
+    (n_cells, max_size) array padded arbitrarily; plan is its cone_plan."""
     hits, _, tie_pairs = _hit_planes(heights, cells, sizes, plan.classes)
     packed = np.packbits(hits, axis=1)
     if tie_pairs.any():
@@ -226,20 +220,18 @@ def index_dtype(starts, n_slots: int):
     return np.int8 if np.diff(starts, append=n_slots).max(initial=0) <= 127 else np.int64
 
 
-def lower_link_index(heights, simp_verts, sizes, signs, order, owners, starts, plan=None):
+def lower_link_index(heights, simp_verts, sizes, signs, order, owners, starts, plan):
     """(index, tie_pairs): index[i, b] is Banchoff's Morse index of
     coordinate row owners[i] in column b of _hit_planes, the sum over the
     simplices s at it of (-1)^dim s where it is the strict maximum of s,
     which is 1 - chi(lower link), in index_dtype. A row without slots
     sums nothing and is left out.
 
-    The table is mc.build_link_arrays', and plan its link_plan, built
-    here unless given. In a face-closed complex a cell with two hits has
+    The table is mc.build_link_arrays', and plan its link_plan. In a
+    face-closed complex a cell with two hits has
     an edge with two, so the tie pairs are the lower links'; both their
     columns are zeroed.
     """
-    if plan is None:
-        plan = link_plan(simp_verts, sizes, order, owners, starts)
     hits, _, tie_pairs = _hit_planes(heights, simp_verts, sizes, plan.classes)
     terms = hits.view(np.int8).take(order, axis=0)
     terms *= signs[:, None]

@@ -30,9 +30,9 @@ other simplices share its chunk.
 equilateral_embedding keeps no matrix: every simplex of it is regular
 by construction, so it is not checked, its exact curvature is the Euler
 weight of euler.weights, and its Monte Carlo heights are iid (see
-height_source). Gaussian heights read coordinates less each column's
-lower median (centred_coordinates), so a translate of a complex far from
-the origin gets the heights of one near it.
+height_source). Gaussian heights read each column of one sign less its
+coordinate nearest 0 (centred_coordinates), so a translate of a complex
+far from the origin gets the heights of one near it.
 """
 
 import itertools
@@ -321,18 +321,18 @@ def product_embedding(ex: Embedding, ey: Embedding) -> Embedding:
 
 
 def centred_coordinates(coords: np.ndarray) -> np.ndarray:
-    """coords less the lower median of each column, so heights read no
-    common offset: a far translate of a complex gets the heights of one
-    near the origin. The lower median is a coordinate itself, so the
-    coordinates equal to it become exact zeros and the others move by
-    at most one rounding."""
+    """coords less, in each column of one sign, its coordinate nearest 0,
+    so heights read no common offset: a far translate of a complex gets
+    the heights of one near the origin. A column whose range holds 0
+    keeps its values. In any other, the coordinates nearest 0 become
+    exact zeros and every other one moves toward 0, not past it, with at
+    most one rounding below its own last place. No coordinate grows, so
+    the largest magnitude that height_coordinates scales by only falls,
+    and a small feature near 0 keeps its coordinates exactly."""
     if not len(coords):
         return coords
-    middle = (len(coords) - 1) // 2
-    with np.errstate(over="ignore"):
-        centred = coords - np.partition(coords, middle, axis=0)[middle]
-    # a column spread past the float range keeps its offset
-    return np.where(np.isfinite(centred).all(axis=0), centred, coords)
+    low, high = coords.min(axis=0), coords.max(axis=0)
+    return coords - np.where(low > 0.0, low, np.where(high < 0.0, high, 0.0))
 
 
 def height_coordinates(coords: np.ndarray) -> np.ndarray:

@@ -626,8 +626,8 @@ def test_alpha_beyond_the_float_range_exits_2(tmp_path, method):
 
 
 FAR_PATH = "curvcalc-complex v1\nvertices\na 1e20 0\nb 1e20 1\nc 1e20 2\nsimplices\na b\nb c\n"
-# two edges 2e20 apart: centring moves one to x = 0, and the other keeps
-# an offset that its unit step is lost to
+# two edges 2e20 apart, either side of x = 0: centring keeps a column whose
+# range holds 0, and each edge's unit step is lost to its 1e20 offset
 FAR_CLUSTERS = (
     "curvcalc-complex v1\nvertices\na -1e20 0\nb -1e20 1\nc 1e20 0\nd 1e20 1\nsimplices\na b\nc d\n"
 )
@@ -653,7 +653,8 @@ def test_persistent_height_ties_exit_2(tmp_path, argv):
 
 @pytest.mark.parametrize("argv", MC_COMMANDS)
 def test_a_far_translate_gets_the_heights_of_a_near_one(tmp_path, argv):
-    # each column loses its lower median, so the unit steps along the path survive
+    # the x column, of one sign, loses its coordinate nearest 0, so the unit
+    # steps along the path survive
     path = tmp_path / "far.txt"
     path.write_text(FAR_PATH)
     code, out, _ = invoke(*(a.format(path=path) for a in argv), "--format", "json")

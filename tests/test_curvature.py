@@ -735,6 +735,14 @@ def two_triangles(big, tiny):
     return Embedding(X, coords)
 
 
+def tiny_triangle_beside_unit_ones(leg):
+    """A right triangle of legs `leg` at the origin, and two unit triangles
+    on the square (1, 1)-(2, 2)."""
+    X = SimplicialComplex.from_maximal([(0, 1, 2), (3, 4, 5), (4, 5, 6)])
+    coords = {0: (0.0, 0.0), 1: (leg, 0.0), 2: (0.0, leg), 3: (1.0, 1.0), 4: (2.0, 1.0), 5: (1.0, 2.0), 6: (2.0, 2.0)}
+    return Embedding(X, coords)
+
+
 @pytest.mark.parametrize("big, tiny", [(1.0, 1e-160), (1.0, 1e-200), (1.0, 5e-324), (2.0**600, 1e-300)])
 def test_exact_curvature_of_a_tiny_triangle_beside_a_larger_one(big, tiny):
     kappa = curvature_measure(two_triangles(big, tiny))
@@ -764,5 +772,10 @@ def test_monte_carlo_measures_of_a_subnormal_triangle_match_the_unit_one():
 def test_monte_carlo_measures_of_a_subnormal_triangle_beside_a_unit_one():
     # one scale serves the whole matrix; the legs of 1e-322 must keep their bits
     mixed, unit = two_triangles(1.0, 1e-322), two_triangles(1.0, 1.0)
+    assert curvature_measure(mixed, "mc", 20_000, 1) == curvature_measure(unit, "mc", 20_000, 1)
+    assert morse_curvature_measure(mixed, 20_000, 1) == morse_curvature_measure(unit, 20_000, 1)
+    # a tiny triangle at the origin beside unit ones off it: no column is
+    # of one sign, so centring keeps every coordinate of the tiny triangle
+    mixed, unit = tiny_triangle_beside_unit_ones(1e-20), tiny_triangle_beside_unit_ones(1.0)
     assert curvature_measure(mixed, "mc", 20_000, 1) == curvature_measure(unit, "mc", 20_000, 1)
     assert morse_curvature_measure(mixed, 20_000, 1) == morse_curvature_measure(unit, 20_000, 1)

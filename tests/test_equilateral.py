@@ -156,11 +156,15 @@ def test_monte_carlo_on_a_long_path_builds_no_square_matrix():
     assert emb._matrix is None
 
 
-def test_centring_subtracts_the_lower_median_of_each_column():
-    coords = np.array([[1e20, 3.0], [1e20, -1.0], [1e20 + 2**20, 0.5], [-1e20, 7.0]])
-    # lower medians 1e20 and 0.5, coordinates of the matrix themselves
-    want = coords - np.array([1e20, 0.5])
+def test_centring_moves_each_column_of_one_sign_to_0():
+    coords = np.array([[1e20, 3.0, -3.0], [1e20, -1.0, -5.0], [1e20 + 2**20, 0.5, -4.0], [2e20, 7.0, -3.5]])
+    # the first column loses its least value, the third its greatest, and
+    # the second, whose range holds 0, is kept
+    want = [[0.0, 3.0, 0.0], [0.0, -1.0, -2.0], [2.0**20, 0.5, -1.0], [1e20, 7.0, -0.5]]
     np.testing.assert_array_equal(centred_coordinates(coords), want)
-    # a column whose spread passes the float range keeps its offset
-    wide = np.array([[-1e308, 1.0], [1e308, 2.0], [1e308, 3.0]])
-    np.testing.assert_array_equal(centred_coordinates(wide), [[-1e308, -1.0], [1e308, 0.0], [1e308, 1.0]])
+    # a column spread past the float range holds 0, so it is kept
+    wide = np.array([[-1e308, 1e-300], [1e308, 1.0], [1e308, 2.0]])
+    np.testing.assert_array_equal(centred_coordinates(wide), [[-1e308, 0.0], [1e308, 1.0], [1e308, 2.0]])
+    # a tiny feature at the origin keeps its coordinates beside unit ones
+    near = np.array([[0.0, 0.0], [1e-20, 0.0], [0.0, 1e-20], [1.0, 1.0], [2.0, 2.0]])
+    np.testing.assert_array_equal(centred_coordinates(near), near)

@@ -130,11 +130,22 @@ def pair_cone_oracle(heights, cells, sizes):
     return counts, tie_pairs
 
 
+def cone_counts(heights, cells, sizes):
+    """cone_argmax_counts given the table's run plan, as mc's driver gives it."""
+    return _kernels.cone_argmax_counts(heights, cells, sizes, _kernels.cone_plan(cells, sizes))
+
+
+def link_index(heights, *link_arrays):
+    """lower_link_index given the table's run plan, as mc's driver gives it."""
+    plan = _kernels.link_plan(*link_arrays[:2], *link_arrays[3:])
+    return _kernels.lower_link_index(heights, *link_arrays, plan)
+
+
 def index_by_column(heights, link_arrays):
     """lower_link_index's per-owner indices as a (2 * rows, coordinate
     rows) int64 matrix, the x rows then the -x rows, 0 in the columns that
     own no slot, and the tie pairs."""
-    index, ties = _kernels.lower_link_index(heights, *link_arrays)
+    index, ties = link_index(heights, *link_arrays)
     full = np.zeros((heights.shape[1], 2 * len(heights)), dtype=np.int64)
     full[link_arrays[4]] = index
     return full.T, ties
@@ -177,7 +188,7 @@ def pair_lower_link_oracle(X, index, heights):
 def test_cone_counts_match_oracle(trial, rng):
     heights = tied_heights(rng, 300, 7)
     cells, sizes = random_cells(rng, 7, 40, 4)
-    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    counts, ties = cone_counts(heights, cells, sizes)
     want_counts, want_ties = pair_cone_oracle(heights, cells, sizes)
     assert 0 < want_ties.sum() < len(heights)
     np.testing.assert_array_equal(ties, want_ties)
@@ -189,7 +200,7 @@ def test_cone_counts_match_oracle_on_complex_cells(trial, rng):
     X = fixtures.random_complex(rng)
     cells, sizes, _ = complex_cell_table(X)
     heights = tied_heights(rng, 200, len(X.vertices))
-    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    counts, ties = cone_counts(heights, cells, sizes)
     want_counts, want_ties = pair_cone_oracle(heights, cells, sizes)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(counts, want_counts)
@@ -272,7 +283,7 @@ def test_morse_sums_are_signed_cone_counts(trial, rng):
     index = {v: i for i, v in enumerate(X.vertices)}
     cells, sizes, cell_signs = complex_cell_table(X)
     heights = tied_heights(rng, 200, len(X.vertices))
-    counts, cone_ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    counts, cone_ties = cone_counts(heights, cells, sizes)
     idx, ties = index_by_column(heights, mc.build_link_arrays(X, len(index)))
     np.testing.assert_array_equal(ties, cone_ties)
     want = np.zeros(len(X.vertices), dtype=np.int64)
@@ -332,7 +343,7 @@ def test_kernels_match_oracles_on_edge_cases(name, rng):
     heights = tied_heights(rng, 64, len(X.vertices))
     heights[1, 0] = 10.0  # vertex 0 above everything, its whole link lower
     cells, sizes, _ = complex_cell_table(X)
-    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    counts, ties = cone_counts(heights, cells, sizes)
     want_counts, want_ties = pair_cone_oracle(heights, cells, sizes)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(counts, want_counts)
@@ -347,7 +358,7 @@ def test_cone_counts_on_vertex_cells_only(rng):
     X = fixtures.random_complex(rng)
     cells, sizes, _ = mc.build_cell_arrays([(X.vertex_positions(0), 0)])
     heights = tied_heights(rng, 50, len(X.vertices))
-    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    counts, ties = cone_counts(heights, cells, sizes)
     want_counts, want_ties = pair_cone_oracle(heights, cells, sizes)
     assert not ties.any()
     np.testing.assert_array_equal(counts, want_counts)
@@ -362,7 +373,7 @@ def test_a_cell_tied_on_all_its_vertices_is_a_tie_row(k):
     heights[1] = np.arange(k)
     heights[2, :2] = 1.0
     cells, sizes = np.arange(k)[None, :], np.array([k])
-    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    counts, ties = cone_counts(heights, cells, sizes)
     np.testing.assert_array_equal(ties, [True, False, True])
     np.testing.assert_array_equal(counts, pair_cone_oracle(heights, cells, sizes)[0])
     np.testing.assert_array_equal(counts[0, [0, k - 1]], [1, 1])  # -x, then x
@@ -375,7 +386,7 @@ def test_ties_between_non_adjacent_vertices_are_not_flagged(rng):
     heights[::2, 2] = heights[::2, 0]
     heights[1::2, 3] = heights[1::2, 1]
     cells, sizes, _ = complex_cell_table(X)
-    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    counts, ties = cone_counts(heights, cells, sizes)
     assert not ties.any()
     np.testing.assert_array_equal(counts, pair_cone_oracle(heights, cells, sizes)[0])
     idx, ties = index_by_column(heights, mc.build_link_arrays(X, len(index)))
@@ -545,13 +556,13 @@ def test_rank_and_height_planes_agree_bitwise(name, monkeypatch, rng):
     results = []
     for table in (heights, keys, key_ranks):
         (counts, ties), (flip_counts, flip_ties) = _both_paths(
-            monkeypatch, _kernels.cone_argmax_counts, table, cells, sizes
+            monkeypatch, cone_counts, table, cells, sizes
         )
         assert 0 < ties.sum() < len(table)
         np.testing.assert_array_equal(ties, flip_ties)
         np.testing.assert_array_equal(counts, flip_counts)
         (idx, link_ties), (flip_idx, flip_link_ties) = _both_paths(
-            monkeypatch, _kernels.lower_link_index, table, *link_arrays
+            monkeypatch, link_index, table, *link_arrays
         )
         assert idx.dtype == flip_idx.dtype
         np.testing.assert_array_equal(link_ties, flip_link_ties)
@@ -587,11 +598,11 @@ def test_rank_rows_with_and_without_ties_match_the_row_oracle(fixture, rng):
     assert (sums[:30] == math.comb(n, 2)).all() and (sums[30:] == math.comb(n, 2) - 1).all()
     for rows in (slice(0, 30), slice(0, 60), slice(None)):
         table = ranks[rows]
-        counts, ties = _kernels.cone_argmax_counts(table, cells, sizes)
+        counts, ties = cone_counts(table, cells, sizes)
         want_counts, want_ties = row_kernel_oracle.pair_cone_counts(heights[rows], cells, sizes)
         np.testing.assert_array_equal(ties, want_ties)
         np.testing.assert_array_equal(counts, want_counts)
-        idx, link_ties = _kernels.lower_link_index(table, *link_arrays)
+        idx, link_ties = link_index(table, *link_arrays)
         want_idx, want_link_ties = row_kernel_oracle.pair_lower_link_index(
             heights[rows], *link_arrays
         )
@@ -608,7 +619,7 @@ def test_rank_and_height_planes_agree_on_product_cells(monkeypatch, rng):
     cells, sizes, _ = _cell_table(emb)
     heights = np.round(rng.standard_normal((128, len(emb.vertex_order))), 1)
     (counts, ties), (flip_counts, flip_ties) = _both_paths(
-        monkeypatch, _kernels.cone_argmax_counts, heights, cells, sizes
+        monkeypatch, cone_counts, heights, cells, sizes
     )
     assert 0 < ties.sum() < len(heights)
     np.testing.assert_array_equal(ties, flip_ties)
@@ -637,10 +648,10 @@ def test_pair_kernels_equal_the_row_kernel(name, flip, monkeypatch, rng):
     if flip:
         rule = _kernels.uses_ranks
         monkeypatch.setattr(_kernels, "uses_ranks", lambda n, sizes: not rule(n, sizes))
-    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    counts, ties = cone_counts(heights, cells, sizes)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(counts, want_counts)
-    idx, ties = _kernels.lower_link_index(heights, *link_arrays)
+    idx, ties = link_index(heights, *link_arrays)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(idx, want_idx)
 
@@ -657,7 +668,7 @@ def test_pair_kernel_equals_the_row_kernel_on_product_cells(flip, monkeypatch, r
     if flip:
         rule = _kernels.uses_ranks
         monkeypatch.setattr(_kernels, "uses_ranks", lambda n, sizes: not rule(n, sizes))
-    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    counts, ties = cone_counts(heights, cells, sizes)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(counts, want_counts)
 
@@ -666,7 +677,7 @@ def test_cone_counts_manual_case():
     heights = np.array([[3.0, 1.0, 2.0], [1.0, 5.0, 2.0]])
     cells = np.array([[0, 1, 2], [0, 2, 0]], dtype=np.int64)
     sizes = np.array([3, 2], dtype=np.int64)
-    counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes)
+    counts, ties = cone_counts(heights, cells, sizes)
     assert not ties.any()
     # x hits slot 0 of both cells in row 0 and slot 1 in row 1; -x the other
     np.testing.assert_array_equal(counts, [[2, 2, 0], [2, 2, 0]])
@@ -1025,7 +1036,7 @@ def test_no_pair_hits_both_ends_of_a_multi_vertex_cell(rng):
     X = sd_random_complex()
     cells, sizes, _ = complex_cell_table(X)
     heights = tied_heights(rng, 300, len(X.vertices))
-    hits, classes, tie_pairs = _kernels._hit_planes(heights, cells, sizes)
+    hits, classes, tie_pairs = _kernels._hit_planes(heights, cells, sizes, _kernels.class_plan(cells, sizes))
     assert 0 < tie_pairs.sum() < len(heights)
     m = len(heights)
     for idx, planes in classes:

@@ -82,6 +82,11 @@ def test_refuses_when_the_benchmark_differs(pairs, tmp_path):
     (tmp_path / "perfbench" / "run.py").write_text("print('v2')\n")
     (tmp_path / "BENCHMARK.json").write_text('{"changed": true}\n')
     assert pairs.shared_differences("HEAD", root=tmp_path) == ["BENCHMARK.json", "perfbench/run.py"]
+    git(tmp_path, "checkout", "-q", "--", ".")
+    assert pairs.shared_differences("HEAD", root=tmp_path) == []
+    # a new module that the commit does not hold differs as well
+    (tmp_path / "perfbench" / "extra.py").write_text("y = 1\n")
+    assert pairs.shared_differences("HEAD", root=tmp_path) == ["perfbench/extra.py"]
 
 
 def test_main_refuses_before_it_exports_or_runs(pairs, monkeypatch):
