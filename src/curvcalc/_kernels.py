@@ -13,30 +13,76 @@ between their ranks. Ranks fit one byte up to 256 vertices, where a
 height takes eight, but ranking a row takes n^2 comparisons, so the core
 ranks only when n^2 <= 4 * slots (uses_ranks), and takes a table already
 in the rank dtype as ranks. A row's ranks sum to C(n, 2) exactly when no
-two of its heights tie, so a call whose rows all do counts no ties.
+two of its heights tie, so a call whose rows all do runs no tie pass.
 Either way the core gathers rows of the vertex-major table into one
 (cells, rows) plane per slot of a size class. A slot hits under x where
-its plane equals the class's running np.maximum, and under -x where it
-equals the running np.minimum: the strict minimum under x is the strict
-maximum under -x, exactly, on heights and on ranks. A direction in
-which a cell has two hits ties, and a pair with a tie in either
-direction counts nothing and is resampled by the caller. The cone
-kernel counts hits on bit-packed planes; the Morse kernel sums signed
-hits per vertex, a block of vertices with equal slot counts at a time.
-Rows are independent, so the driver in mc.py may slice them under each
-kernel's per-call and per-pair byte bounds.
+its plane equals the class's maximum, and under -x where it equals the
+class's minimum: the strict minimum under x is the strict maximum under
+-x, exactly, on heights and on ranks. A direction in which a cell has two
+hits ties, and a pair with a tie in either direction counts nothing and
+is resampled by the caller. Rows are independent, so the driver in mc.py
+may slice them under each kernel's per-call and per-pair byte bounds.
+
+The cone kernel counts hits only where they vary. Over the 2 * free
+directions of the free (tie-free) pairs of a call, a vertex cell hits in
+every one and each endpoint of an edge in exactly one of x and -x, so
+they count 2 * free and free; a cell of k >= 3 vertices hits once per
+direction, so only its first k - 1 slots get planes, and its last counts
+2 * free less theirs. The Morse kernel sums signed hits per vertex, a
+block of vertices with equal slot counts at a time, so it takes every
+slot's plane.
 
 What a call reads of the table alone is its run plan, which the driver
 builds once per run (cone_plan, link_plan) and every call reuses: the
-size classes, each class's members and contiguous slot columns, which
-the core gathers with take, and the cone kernel's count scatter or the
-Morse kernel's owner blocks and index dtype. So the per-call byte bounds
-count only what a call allocates beside the plan.
+size classes, each class's members and contiguous slot columns (int32
+when they fit), which the core gathers with take, and the Morse kernel's
+owner blocks and index dtype. Every large array a call works in is carved
+from one workspace per thread (workspace), which grows to the largest
+call, up to KERNEL_BUDGET_BYTES, and is kept for the life of the process;
+a call needing more gets a buffer of its own. Nothing a kernel returns
+lies in the workspace. So the per-call byte bounds count the workspace a
+call carves and the few arrays it allocates beside it.
 """
 
+import functools
+import threading
 from typing import NamedTuple
 
 import numpy as np
+
+KERNEL_BUDGET_BYTES = 8 * 2**20
+# every carve starts on a cache line; a call carves at most 16 arrays
+_ALIGN = 64
+_SLACK = 16 * _ALIGN
+_local = threading.local()
+
+
+class Arena:
+    """Arrays carved in turn from one uint8 buffer; setting used back
+    frees what was carved since."""
+
+    def __init__(self, buffer):
+        self.buffer = buffer
+        self.used = 0
+
+    def __call__(self, shape, dtype):
+        start = -(-self.used // _ALIGN) * _ALIGN
+        array = np.ndarray(shape, dtype, self.buffer, start)
+        self.used = start + array.nbytes
+        return array
+
+
+def workspace(nbytes: int) -> Arena:
+    """An Arena over the calling thread's kept buffer, first grown to
+    nbytes if that stays within KERNEL_BUDGET_BYTES; a larger request gets
+    a buffer of its own, dropped with the arena."""
+    buffer = getattr(_local, "buffer", None)
+    if buffer is None or len(buffer) < nbytes:
+        if nbytes > KERNEL_BUDGET_BYTES:
+            return Arena(np.empty(nbytes, dtype=np.uint8))
+        _local.buffer = buffer = None  # free the old buffer before taking the new one
+        buffer = _local.buffer = np.empty(nbytes, dtype=np.uint8)
+    return Arena(buffer)
 
 
 def size_classes(sizes) -> list:
@@ -50,21 +96,31 @@ def uses_ranks(n_vertices: int, sizes) -> bool:
     return n_vertices**2 <= 4 * int(sizes.sum())
 
 
+@functools.cache
 def _rank_dtype(n_vertices: int):
     return np.min_scalar_type(max(n_vertices - 1, 0))
 
 
+@functools.cache
 def _rank_sum_dtype(n_vertices: int):
     """The narrowest dtype holding a row's rank sum, at most C(n, 2)."""
     return np.min_scalar_type(n_vertices * (n_vertices - 1) // 2)
 
 
-def _ranks(ht):
+@functools.cache
+def _count_dtype(k: int):
+    """The narrowest dtype holding the hit count of a cell of k slots."""
+    return np.min_scalar_type(k)
+
+
+def _ranks(ht, ranks=None, below=None):
     """ranks[v, b]: the number of w with ht[w, b] < ht[v, b], for a
     vertex-major (n, rows) heights table, in the narrowest dtype holding
-    n - 1."""
-    ranks = np.zeros(ht.shape, dtype=_rank_dtype(len(ht)))
-    below = np.empty(ht.shape, dtype=bool)
+    n - 1; ranks and below, if given, are its output and an (n, rows)
+    bool scratch."""
+    if ranks is None:
+        ranks, below = np.empty(ht.shape, _rank_dtype(len(ht))), np.empty(ht.shape, bool)
+    ranks.fill(0)
     for heights_of_w in ht:
         np.less(heights_of_w, ht, out=below)
         ranks += below.view(np.uint8)  # an add without a bool cast
@@ -72,118 +128,190 @@ def _ranks(ht):
 
 
 class ConePlan(NamedTuple):
-    """The cone kernel's run plan: its size classes and, per slot in
-    _hit_planes' layout, the flat position of that slot in the padded
-    counts table."""
+    """The cone kernel's run plan: class_plan's classes, its rows of hit
+    planes (k - 1 per cell of k >= 3 vertices) and its class scratch."""
 
     classes: list
-    scatter: np.ndarray
+    rows: int
+    scratch: tuple
 
 
 class LinkPlan(NamedTuple):
-    """The Morse kernel's run plan: its size classes, the (a, b, lo,
-    width) owner blocks, owners a..b-1 with width slots each from sorted
-    slot lo on, and the index dtype."""
+    """The Morse kernel's run plan: class_plan's classes, its rows of hit
+    planes (one per slot), its class scratch, the (a, b, lo, width) owner
+    blocks, owners a..b-1 with width slots each from sorted slot lo on,
+    and the index dtype."""
 
     classes: list
+    rows: int
+    scratch: tuple
     blocks: list
     dtype: type
+
+
+def _class_sizes(sizes) -> list:
+    """(k, cells of size k) per size class, in size_classes order."""
+    counts = np.bincount(sizes)
+    ks = np.flatnonzero(counts)
+    return list(zip(ks.tolist(), counts[ks].tolist()))
+
+
+def _varying_rows(class_sizes) -> int:
+    return sum((k - 1) * cells for k, cells in class_sizes if k > 2)
+
+
+def _scratch(class_sizes) -> tuple:
+    """Per pair, the largest scratch _class_hits carves for a class of two
+    or more slots, given (k, cells) per class: (elements of the table's
+    dtype, bytes of counts and flags)."""
+    multi = [(k, cells) for k, cells in class_sizes if k > 1]
+    values = max(((k + 1) * cells for k, cells in multi), default=0)
+    flags = max(((_count_dtype(k).itemsize + 1) * cells for k, cells in multi), default=0)
+    return values, flags
 
 
 def class_plan(cells, sizes) -> list:
     """Per size class k, in size_classes order, (members, columns): its
     cells' table rows, and the contiguous (k, len(members)) array whose row
-    j holds their slot-j vertex ids."""
+    j holds their slot-j vertex ids, int32 when the table's rows and ids
+    fit."""
+    dtype = np.int32 if max(len(cells), int(cells.max(initial=0))) < 2**31 else np.int64
     classes = []
     for k in size_classes(sizes):
         members = np.flatnonzero(sizes == k)
-        classes.append((members, np.ascontiguousarray(cells[members, :k].T)))
+        classes.append((members.astype(dtype), cells[members, :k].T.astype(dtype, order="C")))
     return classes
 
 
 def cone_plan(cells, sizes) -> ConePlan:
-    classes = class_plan(cells, sizes)
-    width = cells.shape[1]
-    scatter = [(width * members + np.arange(len(columns))[:, None]).ravel() for members, columns in classes]
-    return ConePlan(classes, np.concatenate([np.zeros(0, dtype=np.int64), *scatter]))
+    class_sizes = _class_sizes(sizes)
+    return ConePlan(class_plan(cells, sizes), _varying_rows(class_sizes), _scratch(class_sizes))
 
 
 def link_plan(simp_verts, sizes, order, owners, starts) -> LinkPlan:
     # owners come sorted by slot count, so each run of owners a..b-1 with
     # the same count w holds one (b - a, w, columns) block of sorted slots
-    widths = np.diff(starts, append=len(order))
-    firsts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()
+    widths = _slot_counts(starts, len(order))
+    firsts = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist()] if len(widths) else []
     blocks = [
         (a, b, int(starts[a]), int(widths[a])) for a, b in zip(firsts, [*firsts[1:], len(owners)])
     ]
-    return LinkPlan(class_plan(simp_verts, sizes), blocks, index_dtype(starts, len(order)))
+    scratch = _scratch(_class_sizes(sizes))
+    return LinkPlan(class_plan(simp_verts, sizes), len(order), scratch, blocks, index_dtype(starts, len(order)))
 
 
-def _hit_planes(heights, cells, sizes, classes):
-    """(hits, classes, tie_pairs) for the m pairs of a (m, n) heights
-    array: hits is a (sizes.sum(), 2m) bool array whose column b is
-    the direction of row b and column m + b its negation, with one block
-    per size class k, in size_classes order; classes lists each class's
-    (members, planes), its table rows and its block as (k, len(members),
-    2m): planes[j, i, b] says whether slot j of cell members[i] holds the
-    cell's maximum in column b. tie_pairs flags the rows that tie in
-    either column. classes is the class_plan of the table."""
-    n_pairs, n_vertices = heights.shape
-    table = np.ascontiguousarray(heights.T)  # a copy, unless the slice is a whole block
-    ranked = table.dtype == _rank_dtype(n_vertices)  # mc.permutation_ranks
-    if not ranked and uses_ranks(n_vertices, sizes):
-        table = _ranks(table)
-        ranked = True
+def _vertex_table(heights, rank_dtype, ranking, arena):
+    """(table, tie_free): the (n, m) vertex-major table of heights, ranked
+    into rank_dtype if ranking, and whether it holds ranks with every row
+    tie-free."""
+    m, n = heights.shape
+    table = heights.T
+    if not table.flags.c_contiguous:  # a column slice of a block
+        table = arena((n, m), heights.dtype)
+        np.copyto(table, heights.T)
+    if ranking:
+        table = _ranks(table, arena((n, m), rank_dtype), arena((n, m), bool))
     # competition ranks sum to C(n, 2) exactly in a row without a tied pair
-    vertex_pairs = n_vertices * (n_vertices - 1) // 2
-    tie_free = ranked and bool(
-        (table.sum(axis=0, dtype=_rank_sum_dtype(n_vertices)) == vertex_pairs).all()
+    tie_free = table.dtype == rank_dtype and bool(
+        (table.sum(axis=0, dtype=_rank_sum_dtype(n)) == n * (n - 1) // 2).all()
     )
-    hits = np.empty((int(sizes.sum()), 2 * n_pairs), dtype=bool)
-    tie_rows = np.zeros(2 * n_pairs, dtype=bool)
-    class_planes = []
+    return table, tie_free
+
+
+def _class_hits(table, columns, planes, arena, ties):
+    """For the cells of a size class, whose slot-j vertex ids are row j of
+    the (k, cells) columns: planes[j, i, :m] says whether slot j of cell i
+    holds the cell's maximum, and planes[j, i, m:] its minimum, for the
+    first len(planes) slots. With ties, a (2, m) bool array, ties[0] also
+    flags the rows in which a cell's maximum lies on two of its k slots,
+    and ties[1] those in which its minimum does."""
+    k, cells = columns.shape
+    m = table.shape[1]
+    p = len(planes)
+    used = arena.used
+    values = arena((k + 1, cells, m), table.dtype)  # the k slots' values, then their extreme
+    slots, extreme = values[:k], values[k]
+    table.take(columns, axis=0, out=slots, mode="wrap")  # "raise" would buffer the output
+    if ties is not None:
+        # a cell's hits are counted in the narrowest dtype holding k
+        per_cell, hit = arena((cells, m), _count_dtype(k)), arena((cells, m), bool)
+    for side, reduce in enumerate((np.maximum, np.minimum)):
+        hits = planes[:, :, side * m : (side + 1) * m]
+        np.equal(values[:p], reduce.reduce(slots, axis=0, out=extreme), out=hits)
+        if ties is not None:
+            np.add.reduce(hits.view(np.uint8), axis=0, out=per_cell)
+            for j in range(p, k):
+                per_cell += np.equal(values[j], extreme, out=hit)
+            ties[side] |= per_cell.max(axis=0) > 1
+    arena.used = used
+
+
+def _hit_planes(heights, sizes, plan, varying, term_rows=0):
+    """(hits, tie_pairs, arena) for the m pairs of a (m, n) heights array.
+    arena is a workspace holding the vertex table, the plan's rows of
+    hits, the largest class's scratch, _SLACK and term_rows rows of 2m
+    bytes left for the caller. hits is its (plan.rows, 2m) bool array
+    whose column b is the direction of row b and column m + b its
+    negation, with one block of (planes, cells of size k, 2m) per size
+    class k, in size_classes order. Without varying, each slot has a
+    plane, a vertex hitting under x and -x, and only edges are checked for
+    ties: in a face-closed table a cell with two hits has an edge with
+    two. With varying, a class of k >= 3 slots has planes for its first
+    k - 1, smaller classes none, and every class of two or more slots is
+    checked. tie_pairs flags the rows that tie in either column."""
+    m, n = heights.shape
+    rank_dtype = _rank_dtype(n)
+    item = heights.dtype.itemsize
+    ranking = heights.dtype != rank_dtype and uses_ranks(n, sizes)
+    per_pair = n * item + 2 * (plan.rows + term_rows) + plan.scratch[1]
+    if ranking:
+        item = rank_dtype.itemsize
+        per_pair += n * (item + 1)
+    arena = workspace(m * (per_pair + item * plan.scratch[0]) + _SLACK)
+    table, tie_free = _vertex_table(heights, rank_dtype, ranking, arena)
+    hits = arena((plan.rows, 2 * m), bool)
+    ties = None if tie_free else np.zeros((2, m), dtype=bool)
     start = 0
-    for members, columns in classes:
+    for members, columns in plan.classes:
         k = len(columns)
-        planes = hits[start : start + columns.size].reshape(k, len(members), 2 * n_pairs)
-        start += columns.size
-        class_planes.append((members, planes))
-        if k == 1:  # a vertex is the maximum of its own cell under x and -x
+        p = (k - 1 if k > 2 else 0) if varying else k
+        planes = hits[start : start + p * len(members)].reshape(p, len(members), 2 * m)
+        start += p * len(members)
+        if k == 1:
             planes[...] = True
-            continue
-        slot_values = table.take(columns, axis=0)  # (k, cells of size k, m)
-        # the strict minimum under x is the strict maximum under -x
-        np.equal(slot_values, slot_values.max(axis=0), out=planes[:, :, :n_pairs])
-        np.equal(slot_values, slot_values.min(axis=0), out=planes[:, :, n_pairs:])
-        del slot_values
-        if not tie_free:
-            # a cell's k hits are counted in the narrowest dtype holding k
-            hits_per_cell = planes.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(k))
-            tie_rows |= (hits_per_cell > 1).any(axis=0)
-    return hits, class_planes, tie_rows[:n_pairs] | tie_rows[n_pairs:]
+        elif p or ties is not None:
+            _class_hits(table, columns, planes, arena, ties if varying or k == 2 else None)
+    return hits, np.zeros(m, dtype=bool) if ties is None else ties[0] | ties[1], arena
 
 
 # numpy's buffered casts (the int64 sums of narrower ints) take up to
-# 8,192 elements of 8 bytes for the length of one call; given its run
-# plan, _hit_planes allocates nothing else whatever its pair count
+# 8,192 elements of 8 bytes for the length of one call
 _CAST_BUFFER_BYTES = 8192 * 8
 
 
-def _plane_row_bytes(sizes, n_vertices: int) -> int:
-    """Bytes per pair of every array _hit_planes allocates, summed as if
-    all were live at once: per vertex the contiguous copy of the slice
-    and, when ranking, the rank and its comparison mask, and then the
-    row's rank sum and its check; per slot a table entry and two hits;
-    per cell its maximum and minimum, two hit counts of up to two
-    bytes and their tie masks; the tie flags, their per-class reduction
-    and the pair flags."""
+def _table_row_bytes(sizes, n_vertices: int, plane_rows: int) -> int:
+    """Bytes per pair of the workspace the core carves and of the arrays
+    it allocates, summed as if all were live at once: per vertex the
+    contiguous copy of the slice and, when ranking, the rank and its
+    comparison mask, and then the row's rank sum and its check; two hits
+    per plane row; the largest class's gathered values, extreme, hit
+    counts and flags; the tie flags, their reductions and the pair
+    flags."""
+    values, flags = _scratch(_class_sizes(sizes))
     if uses_ranks(n_vertices, sizes):
         item = _rank_dtype(n_vertices).itemsize
         table = (9 + item) * n_vertices + _rank_sum_dtype(n_vertices).itemsize + 1
     else:
         item = 8
         table = 8 * n_vertices
-    return table + (item + 2) * int(sizes.sum()) + (2 * item + 6) * len(sizes) + 5
+    return table + 2 * plane_rows + item * values + flags + 8
+
+
+def _call_bytes(sizes) -> int:
+    """Bytes of what a call of either kernel allocates whatever its pair
+    count: numpy's cast buffer, the workspace's alignment slack, and the
+    intp copy of the largest class's slot columns that take makes."""
+    return _CAST_BUFFER_BYTES + _SLACK + 8 * max((k * c for k, c in _class_sizes(sizes)), default=0)
 
 
 def cone_argmax_counts(heights, cells, sizes, plan):
@@ -191,33 +319,54 @@ def cone_argmax_counts(heights, cells, sizes, plan):
     directions x and -x of the tie-free rows of heights in which that
     vertex is the strict maximum of the cell. cells is an int64
     (n_cells, max_size) array padded arbitrarily; plan is its cone_plan."""
-    hits, _, tie_pairs = _hit_planes(heights, cells, sizes, plan.classes)
-    packed = np.packbits(hits, axis=1)
+    hits, tie_pairs, _ = _hit_planes(heights, sizes, plan, True)
     if tie_pairs.any():
-        packed &= np.packbits(np.tile(~tie_pairs, 2))
+        hits[:, np.tile(tie_pairs, 2)] = False
+    counted = np.add.reduce(hits.view(np.uint8), axis=1, dtype=_count_dtype(hits.shape[1]))
+    free = len(tie_pairs) - int(np.count_nonzero(tie_pairs))
     counts = np.zeros(cells.shape, dtype=np.int64)
-    np.put(counts, plan.scatter, np.bitwise_count(packed).sum(axis=1, dtype=np.int64))
+    start = 0
+    for members, columns in plan.classes:
+        k = len(columns)
+        if k < 3:  # a vertex hits in all 2 * free directions, each end of an edge in free
+            counts[members, :k] = 2 * free // k
+            continue
+        others = counted[start : start + (k - 1) * len(members)].reshape(k - 1, len(members))
+        start += others.size
+        counts[members, : k - 1] = others.T
+        counts[members, k - 1] = 2 * free - others.sum(axis=0)
     return counts, tie_pairs
 
 
 def cone_call_bytes(sizes) -> int:
     """Bytes of the per-call arrays of cone_argmax_counts given its plan:
-    numpy's cast buffer, the int64 counts of the padded table and the
-    int64 count per slot."""
-    return _CAST_BUFFER_BYTES + 8 * len(sizes) * int(sizes.max(initial=1)) + 8 * int(sizes.sum())
+    those of either kernel, the int64 counts of the padded table, the
+    int64 count per hit-plane row, and per cell of the largest class its
+    members' intp copy and two int64 sums."""
+    class_sizes = _class_sizes(sizes)
+    largest = max((c for _, c in class_sizes), default=0)
+    width = max((k for k, _ in class_sizes), default=1)
+    return _call_bytes(sizes) + 8 * len(sizes) * width + 8 * _varying_rows(class_sizes) + 24 * largest
 
 
 def cone_row_bytes(sizes, n_vertices: int) -> int:
-    """Bytes per pair of every array cone_argmax_counts allocates, summed
-    as if all were live at once: those of _hit_planes, half a byte per
-    slot for the packed hits and their bit counts, and the keep flags."""
-    return _plane_row_bytes(sizes, n_vertices) + (int(sizes.sum()) + 1) // 2 + 4
+    """Bytes per pair of every array cone_argmax_counts carves or
+    allocates, summed as if all were live at once: the core's, with a
+    hit-plane row per varying slot, and the tie columns' mask."""
+    return _table_row_bytes(sizes, n_vertices, _varying_rows(_class_sizes(sizes))) + 2
+
+
+def _slot_counts(starts, n_slots: int):
+    """The slots of each owner: from its start to the next, or to n_slots."""
+    ends = np.full(len(starts), n_slots)
+    ends[:-1] = starts[1:]
+    return ends - starts
 
 
 def index_dtype(starts, n_slots: int):
     """The dtype of the Morse sums: a sum over n slots lies in [-n, n], so
     int8 holds it when no owner has more than 127 slots."""
-    return np.int8 if np.diff(starts, append=n_slots).max(initial=0) <= 127 else np.int64
+    return np.int8 if _slot_counts(starts, n_slots).max(initial=0) <= 127 else np.int64
 
 
 def lower_link_index(heights, simp_verts, sizes, signs, order, owners, starts, plan):
@@ -232,8 +381,8 @@ def lower_link_index(heights, simp_verts, sizes, signs, order, owners, starts, p
     an edge with two, so the tie pairs are the lower links'; both their
     columns are zeroed.
     """
-    hits, _, tie_pairs = _hit_planes(heights, simp_verts, sizes, plan.classes)
-    terms = hits.view(np.int8).take(order, axis=0)
+    hits, tie_pairs, arena = _hit_planes(heights, sizes, plan, False, term_rows=len(order))
+    terms = hits.view(np.int8).take(order, axis=0, out=arena(hits.shape, np.int8), mode="wrap")
     terms *= signs[:, None]
     index = np.empty((len(owners), hits.shape[1]), dtype=plan.dtype)
     for a, b, lo, width in plan.blocks:
@@ -246,20 +395,21 @@ def lower_link_index(heights, simp_verts, sizes, signs, order, owners, starts, p
 
 def index_call_bytes(sizes, starts) -> int:
     """Bytes of the per-call arrays of lower_link_index given its plan and
-    of the driver's sums: numpy's cast buffer and, per owner, the
+    of the driver's sums: those of either kernel and, per owner, the
     driver's two int64 sums of a call, 16 bytes in all."""
-    return _CAST_BUFFER_BYTES + 16 * len(starts)
+    return _call_bytes(sizes) + 16 * len(starts)
 
 
 def index_row_bytes(sizes, n_vertices: int, starts) -> int:
     """Bytes per pair of every array lower_link_index and the driver's
-    sums allocate, summed as if all were live at once: those of
-    _hit_planes and two int8 terms per slot, and per owner (at most one
-    per coordinate row) the two sums and the pair's sum and its square,
-    int8, int8, int16 and int32, or int64 throughout if an owner has more
-    than 127 slots."""
-    per_owner = 8 if index_dtype(starts, int(sizes.sum())) == np.int8 else 32
-    return _plane_row_bytes(sizes, n_vertices) + 2 * int(sizes.sum()) + per_owner * n_vertices + 3
+    sums carve or allocate, summed as if all were live at once: the
+    core's, with a hit-plane row per slot, two int8 terms per slot, and
+    per owner (at most one per coordinate row) the two indices and the
+    pair's sum and its square, int8, int8, int16 and int32, or int64
+    throughout if an owner has more than 127 slots."""
+    slots = int(sizes.sum())
+    per_owner = 8 if index_dtype(starts, slots) == np.int8 else 32
+    return _table_row_bytes(sizes, n_vertices, slots) + 2 * slots + per_owner * n_vertices + 3
 
 
 def backend_name() -> str:

@@ -79,14 +79,20 @@ def _json_number(text: str) -> str:
 
 
 def _write_kappa(doc: ComplexDocument, kappa, fmt: str, out) -> None:
+    number = _json_number if fmt == "json" else str
+    texts = {}  # one format per distinct value: every exact bound is 0
+
+    def text(x):
+        key = x or str(x)  # 0.0 == -0.0, so a zero is keyed by its text
+        if key not in texts:
+            texts[key] = number(f"{x:.12g}")
+        return texts[key]
+
     names = doc.names
-    rows = [(names[v], f"{k:.12g}", f"{b:.12g}") for v, (k, b) in sorted(kappa.items())]
+    rows = [(names[v], text(k), text(b)) for v, (k, b) in sorted(kappa.items())]
     if fmt == "json":  # the bytes of _dump_json({name: {"kappa": k, "stderr": b}})
         quote = json.encoder.encode_basestring_ascii
-        entries = (
-            f'{quote(name)}: {{"kappa": {_json_number(k)}, "stderr": {_json_number(b)}}}'
-            for name, k, b in rows
-        )
+        entries = (f'{quote(name)}: {{"kappa": {k}, "stderr": {b}}}' for name, k, b in rows)
         out.write("{" + ", ".join(entries) + "}\n")
     else:
         _write_csv(rows, ("vertex", "kappa", "stderr"), out)

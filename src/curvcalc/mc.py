@@ -11,12 +11,14 @@ permutation: curvature.height_source gives such a matrix rank_source
 where the kernels would rank heights, and key_source, iid uint64 keys,
 otherwise. The kernels read only the order of the heights in a row, so
 ranks and keys are heights too. The driver hands each block to a kernel
-in column slices that keep its temporaries under KERNEL_BUDGET_BYTES,
-and replaces pairs in which either direction ties from later blocks, so
-every estimate uses exactly ceil(samples / 2) tie-free pairs and is a
-function of the inputs, the seed and the sample count alone, whatever
-the slicing. Both kernels read the simplex_rows table; neither builds a
-link or coface.
+in column slices of at most CALL_BYTES of temporaries, and replaces
+pairs in which either direction ties from later blocks, so every
+estimate uses exactly ceil(samples / 2) tie-free pairs and is a function
+of the inputs, the seed and the sample count alone, whatever the
+slicing. Both kernels read the simplex_rows table; neither builds a link
+or coface. Their temporaries lie in one workspace per thread
+(_kernels.workspace), at most KERNEL_BUDGET_BYTES, kept for the life of
+the process by every thread that has run a kernel.
 """
 
 import operator
@@ -29,11 +31,16 @@ from . import _kernels
 from .errors import PersistentTies
 
 BLOCK_ROWS = 8192
-KERNEL_BUDGET_BYTES = 8 * 2**20
+KERNEL_BUDGET_BYTES = _kernels.KERNEL_BUDGET_BYTES
 # A block's bytes: a quarter of the kernel budget, fixed, since block
 # sizes choose the rows drawn while column slices change no output. A
 # draw keeps 1 KiB of them for its generator and array objects.
 BLOCK_BYTES = KERNEL_BUDGET_BYTES // 4
+# A kernel call's bytes, so its workspace, aim at half the budget: past
+# about a thousand pairs a call, on 27-vertex subdivided complexes, more
+# pairs a call take no less time per pair, while a whole 8,192-row block
+# of a small complex stays one call.
+CALL_BYTES = KERNEL_BUDGET_BYTES // 2
 _DRAW_OBJECT_BYTES = 1024
 _MAX_EMPTY_BLOCKS = 64
 SEED_BOUND = 2**64
@@ -164,7 +171,7 @@ def _drive(source, n_samples, seed, call_bytes, pair_bytes, accumulate):
     if n_samples < 1:
         raise ValueError("need at least one sample")
     n_pairs = -(-n_samples // 2)
-    step = max(1, (KERNEL_BUDGET_BYTES - call_bytes) // max(pair_bytes, 1))
+    step = max(1, (min(CALL_BYTES, KERNEL_BUDGET_BYTES) - call_bytes) // max(pair_bytes, 1))
     remaining = n_pairs
     blocks = 0
     resampled = 0
@@ -217,13 +224,17 @@ def run_lower_link_stats(source, link_arrays, n_vertices: int, n_samples: int, s
     # holds, and its square, at most 16,384, int32.
     pair_dtype = np.promote_types(plan.dtype, np.int16)
     square_dtype = np.promote_types(plan.dtype, np.int32)
+    pair_bytes_per_owner = pair_dtype.itemsize + square_dtype.itemsize
 
     def accumulate(heights):
         index, ties = _kernels.lower_link_index(heights, *link_arrays, plan)
         m = len(ties)
-        pair = np.add(index[:, :m], index[:, m:], dtype=pair_dtype)  # tied pairs are zeroed
-        owner_sums[0] += pair.sum(axis=1, dtype=np.int64)
-        owner_sums[1] += np.square(pair, dtype=square_dtype).sum(axis=1, dtype=np.int64)
+        # the pair sums and their squares lie in the kernels' workspace
+        arena = _kernels.workspace(len(owners) * m * pair_bytes_per_owner + _kernels._SLACK)
+        pair = np.add(index[:, :m], index[:, m:], dtype=pair_dtype, out=arena((len(owners), m), pair_dtype))
+        owner_sums[0] += pair.sum(axis=1, dtype=np.int64)  # tied pairs are zeroed
+        square = np.square(pair, dtype=square_dtype, out=arena(pair.shape, square_dtype))
+        owner_sums[1] += square.sum(axis=1, dtype=np.int64)
         return int(ties.sum())
 
     call_bytes = _kernels.index_call_bytes(sizes, starts)

@@ -1198,3 +1198,18 @@ def test_json_numbers_are_what_json_dumps_prints(x):
         out = io.StringIO()
         cli._write_kappa(doc, kappa, fmt, out)
         assert out.getvalue() == reference_kappa_output(doc, kappa, fmt)
+
+
+def test_each_distinct_value_is_formatted_once(monkeypatch):
+    # 0.0 == -0.0, yet they print apart; a NaN equals nothing, itself included
+    values = [0.0, -0.0, 0.5, 0.5, -0.0, 1 / 3, 0.0, math.nan]
+    doc = ComplexDocument(None, [f"v{v}" for v in range(len(values))], None, None)
+    kappa = {v: ValueWithError(x, 0.0) for v, x in enumerate(values)}
+    formatted = []
+    json_number = cli._json_number
+    monkeypatch.setattr(cli, "_json_number", lambda text: formatted.append(text) or json_number(text))
+    for fmt in ("json", "csv"):
+        out = io.StringIO()
+        cli._write_kappa(doc, kappa, fmt, out)
+        assert out.getvalue() == reference_kappa_output(doc, kappa, fmt)
+    assert sorted(formatted) == sorted(["0", "-0", "0.5", "0.333333333333", "nan"])

@@ -476,6 +476,7 @@ def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
         for pairs in (1, 3, rows):
             # a column slice of a vertex-major block, which the kernel copies
             heights = rng.standard_normal((n, pairs + 1))[:, :pairs].T
+            _kernels._local.buffer = None  # so that the call takes its workspace afresh
             tracemalloc.start()
             try:
                 kernel(heights, *args)
@@ -671,6 +672,114 @@ def test_pair_kernel_equals_the_row_kernel_on_product_cells(flip, monkeypatch, r
     counts, ties = cone_counts(heights, cells, sizes)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(counts, want_counts)
+
+
+# ---------------------------------------------------------------------------
+# Tie paths of the cone kernel, which plans only the slots that vary
+# ---------------------------------------------------------------------------
+
+def _set_pair(heights, rows, pair, others, place):
+    """On rows, give both vertices of pair one height above (place 1),
+    below (place -1) or between (place 0) the heights of others."""
+    rest = heights[rows][:, others]
+    level = {1: rest.max(axis=1) + 1.0, -1: rest.min(axis=1) - 1.0, 0: rest.mean(axis=1)}[place]
+    heights[rows, pair[0]] = heights[rows, pair[1]] = level
+
+
+def edges_only_case(rng):
+    # the path 0-1-2-3-4-5: an edge tie is a tie pair, a tie of two
+    # vertices with no edge between them is not
+    cells, sizes, _ = complex_cell_table(fixtures.path_complex(5))
+    heights = rng.standard_normal((60, 6))
+    heights[:20, 2] = heights[:20, 1]
+    heights[20:40, 3] = heights[20:40, 0]
+    return heights, cells, sizes
+
+
+def last_slot_case(rng):
+    # a triangle and a tetrahedron without their faces, so no edge sees
+    # the tie: the last slot of the triangle ties its maximum, the last
+    # slot of the tetrahedron its minimum, and then lies between the ends
+    cells = np.array([[0, 1, 2, 0], [2, 3, 4, 5]])
+    sizes = np.array([3, 4])
+    heights = rng.standard_normal((60, 6))
+    heights[:20, 2] = heights[:20, :2].max(axis=1)
+    heights[20:40, 5] = heights[20:40, 2:5].min(axis=1)
+    heights[40:, 5] = np.median(heights[40:, 2:5], axis=1)
+    return heights, cells, sizes
+
+
+def product_diagonal_case(rng):
+    # the square of segment x segment has slots (0, 1, 2, 3) with
+    # diagonals (0, 3) and (1, 2), which no edge of the square joins
+    _, seg = fixtures.segment()
+    cells, sizes, _ = _cell_table(product_embedding(seg, seg))
+    heights = rng.standard_normal((80, 4))
+    _set_pair(heights, slice(0, 20), (0, 3), [1, 2], 1)  # ties the maximum, on the last slot
+    _set_pair(heights, slice(20, 40), (1, 2), [0, 3], -1)  # ties the minimum
+    _set_pair(heights, slice(40, 60), (1, 2), [0, 3], 0)  # no tie
+    return heights, cells, sizes
+
+
+TIE_CASES = {
+    # (heights, cells, sizes) and the rows that tie
+    "edges_only": (edges_only_case, 20),
+    "last_slot": (last_slot_case, 40),
+    "product_diagonal": (product_diagonal_case, 40),
+}
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["chosen_path", "other_path"])
+@pytest.mark.parametrize("name", TIE_CASES)
+def test_cone_tie_paths_match_the_row_kernel(name, flip, monkeypatch, rng):
+    case, tied = TIE_CASES[name]
+    heights, cells, sizes = case(rng)
+    if flip:
+        rule = _kernels.uses_ranks
+        monkeypatch.setattr(_kernels, "uses_ranks", lambda n, sizes: not rule(n, sizes))
+    want_counts, want_ties = row_kernel_oracle.pair_cone_counts(heights, cells, sizes)
+    np.testing.assert_array_equal(want_ties, np.arange(len(heights)) < tied)
+    # as heights, and as the competition ranks the rank sources give
+    for table in (heights, _competition_ranks(heights)):
+        counts, ties = cone_counts(table, cells, sizes)
+        np.testing.assert_array_equal(ties, want_ties)
+        np.testing.assert_array_equal(counts, want_counts)
+
+
+def test_kernel_results_outlive_the_next_call(rng):
+    # every call carves its temporaries from the same workspace, so nothing
+    # a kernel returns may lie in it
+    X = sd2_tetrahedron()
+    n = len(X.vertices)
+    cells, sizes, _ = complex_cell_table(X)
+    link_arrays = mc.build_link_arrays(X, n)
+    for kernel, args in ((cone_counts, (cells, sizes)), (link_index, link_arrays)):
+        heights = tied_heights(rng, 64, n)
+        first = kernel(heights, *args)
+        kept = [a.copy() for a in first]
+        kernel(tied_heights(rng, 64, n), *args)
+        for got, want in zip(first, kept):
+            assert not np.shares_memory(got, _kernels._local.buffer)
+            np.testing.assert_array_equal(got, want)
+
+
+def test_plans_hold_int32_indices():
+    X = sd2_tetrahedron()
+    cells, sizes, _ = complex_cell_table(X)
+    link_arrays = mc.build_link_arrays(X, len(X.vertices))
+    plans = [
+        _kernels.cone_plan(cells, sizes),
+        _kernels.link_plan(*link_arrays[:2], *link_arrays[3:]),
+    ]
+    for plan in plans:
+        arrays = [a for pair in plan.classes for a in pair]
+        assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
+        # half of int64 members and slot columns, and no scatter positions
+        assert 2 * sum(a.nbytes for a in arrays) == 8 * (len(sizes) + int(sizes.sum()))
+    # ids beyond int32 keep int64
+    for top, dtype in ((2**31 - 1, np.int32), (2**31, np.int64)):
+        classes = _kernels.class_plan(np.array([[0, top]]), np.array([2]))
+        assert [a.dtype for a in classes[0]] == [dtype, dtype]
 
 
 def test_cone_counts_manual_case():
@@ -996,6 +1105,40 @@ print("numpy.ma" in sys.modules)
     assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
+SUBPROCESS_FAULTS = """
+import resource, sys
+from curvcalc import curvature, morse
+from curvcalc.complexes import SimplicialComplex, barycentric_subdivide
+# two tetrahedra on a common face, subdivided: 23 vertices, 733 slots
+X, _ = barycentric_subdivide(SimplicialComplex.from_maximal([(0, 1, 2, 3), (1, 2, 3, 4)]))
+emb = curvature.equilateral_embedding(X)
+if sys.argv[1] == "morse":
+    run = lambda: morse.morse_curvature_measure(emb, samples=20000, seed=3)
+else:
+    run = lambda: curvature.curvature_measure(emb, method="mc", samples=20000, seed=3)
+run()  # the warm-up
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor page faults")
+@pytest.mark.parametrize("kind", ["morse", "mc"])
+def test_warm_kernel_runs_fault_in_few_pages(kind):
+    # Each process runs one kernel only, so no earlier free has raised
+    # glibc's mapping threshold: per-call arrays mapped afresh and unmapped
+    # on free would fault their pages in on every run, thousands a Morse
+    # run on this complex. The kept workspace faults its pages in once.
+    run = subprocess.run(
+        [sys.executable, "-c", SUBPROCESS_FAULTS, kind], capture_output=True, text=True, timeout=120
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    faults = [int(line) for line in run.stdout.split()]
+    assert len(faults) == 3 and max(faults) < 300, faults
+
+
 def test_run_cone_counts_uses_exact_sample_count():
     X, emb = fixtures.octahedron()
     cells, sizes, _ = complex_cell_table(X)
@@ -1036,10 +1179,15 @@ def test_no_pair_hits_both_ends_of_a_multi_vertex_cell(rng):
     X = sd_random_complex()
     cells, sizes, _ = complex_cell_table(X)
     heights = tied_heights(rng, 300, len(X.vertices))
-    hits, classes, tie_pairs = _kernels._hit_planes(heights, cells, sizes, _kernels.class_plan(cells, sizes))
+    # every slot's plane, as the Morse kernel takes them
+    plan = _kernels.cone_plan(cells, sizes)._replace(rows=int(sizes.sum()))
+    hits, tie_pairs, _ = _kernels._hit_planes(heights, sizes, plan, False)
     assert 0 < tie_pairs.sum() < len(heights)
     m = len(heights)
-    for idx, planes in classes:
+    start = 0
+    for _, columns in plan.classes:
+        planes = hits[start : start + columns.size].reshape(*columns.shape, 2 * m)
+        start += columns.size
         x, minus_x = planes[:, :, :m][:, :, ~tie_pairs], planes[:, :, m:][:, :, ~tie_pairs]
         if len(planes) == 1:
             assert x.all() and minus_x.all()
@@ -1327,14 +1475,14 @@ def test_kernel_memory_stays_under_the_budget():
     for _ in range(2):
         X, _ = barycentric_subdivide(X)
     emb = equilateral_embedding(X)
-    # one 1,500-pair call of either kernel would take far more than the budget
+    # one 2,000-pair call of either kernel would take far more than the budget
     link_arrays = mc.build_link_arrays(X, len(emb.vertex_index))
     pair_bytes = _kernels.index_row_bytes(link_arrays[1], len(X.vertices), link_arrays[5])
-    assert 1500 * pair_bytes > 10 * mc.KERNEL_BUDGET_BYTES
+    assert 2000 * pair_bytes > 10 * mc.KERNEL_BUDGET_BYTES
     tracemalloc.start()
     try:
-        morse_curvature_measure(emb, samples=3000, seed=1)
-        curvature_measure(emb, method="mc", samples=3000, seed=1)
+        morse_curvature_measure(emb, samples=4000, seed=1)
+        curvature_measure(emb, method="mc", samples=4000, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
