@@ -29,8 +29,8 @@ every one and each endpoint of an edge in exactly one of x and -x, so
 they count 2 * free and free; a cell of k >= 3 vertices hits once per
 direction, so only its first k - 1 slots get planes, and its last counts
 2 * free less theirs. The Morse kernel sums signed hits per vertex, a
-block of vertices with equal slot counts at a time, so it takes every
-slot's plane.
+block of vertices with equal slot counts at a time, so it takes the
+plane of every slot but a vertex cell's, which adds 1 to its vertex.
 
 What a call reads of the table alone is its run plan, which the driver
 builds once per run (cone_plan, link_plan) and every call reuses: the
@@ -138,13 +138,16 @@ class ConePlan(NamedTuple):
 
 class LinkPlan(NamedTuple):
     """The Morse kernel's run plan: class_plan's classes, its rows of hit
-    planes (one per slot), its class scratch, the (a, b, lo, width) owner
-    blocks, owners a..b-1 with width slots each from sorted slot lo on,
-    and the index dtype."""
+    planes (one per slot of a cell of two or more vertices), its class
+    scratch, those slots' hit-plane rows sorted by owner and their signs,
+    the (a, b, lo, width) owner blocks, owners a..b-1 with width of those
+    slots each from sorted slot lo on, and the index dtype."""
 
     classes: list
     rows: int
     scratch: tuple
+    order: np.ndarray
+    signs: np.ndarray
     blocks: list
     dtype: type
 
@@ -188,16 +191,28 @@ def cone_plan(cells, sizes) -> ConePlan:
     return ConePlan(class_plan(cells, sizes), _varying_rows(class_sizes), _scratch(class_sizes))
 
 
-def link_plan(simp_verts, sizes, order, owners, starts) -> LinkPlan:
-    # owners come sorted by slot count, so each run of owners a..b-1 with
-    # the same count w holds one (b - a, w, columns) block of sorted slots
+def link_plan(simp_verts, sizes, signs, order, owners, starts) -> LinkPlan:
+    # The vertex cells, the first slots, get no planes: each owner has one,
+    # which adds 1 to its index in every direction, so the sums start at 1
+    # and the sorted slots skip them. Owners come sorted by slot count, so
+    # each run of owners a..b-1 with the same count w holds one
+    # (b - a, w - 1, columns) block of the others, from starts[a] - a on.
+    vertices = int(np.count_nonzero(sizes == 1))
+    others = order >= vertices
     widths = _slot_counts(starts, len(order))
     firsts = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist()] if len(widths) else []
     blocks = [
-        (a, b, int(starts[a]), int(widths[a])) for a, b in zip(firsts, [*firsts[1:], len(owners)])
+        (a, b, int(starts[a]) - a, int(widths[a]) - 1) for a, b in zip(firsts, [*firsts[1:], len(owners)])
     ]
-    scratch = _scratch(_class_sizes(sizes))
-    return LinkPlan(class_plan(simp_verts, sizes), len(order), scratch, blocks, index_dtype(starts, len(order)))
+    return LinkPlan(
+        class_plan(simp_verts, sizes),
+        len(order) - vertices,
+        _scratch(_class_sizes(sizes)),
+        order[others] - vertices,
+        signs[others],
+        blocks,
+        index_dtype(starts, len(order)),
+    )
 
 
 def _vertex_table(heights, rank_dtype, ranking, arena):
@@ -253,12 +268,13 @@ def _hit_planes(heights, sizes, plan, varying, term_rows=0):
     bytes left for the caller. hits is its (plan.rows, 2m) bool array
     whose column b is the direction of row b and column m + b its
     negation, with one block of (planes, cells of size k, 2m) per size
-    class k, in size_classes order. Without varying, each slot has a
-    plane, a vertex hitting under x and -x, and only edges are checked for
-    ties: in a face-closed table a cell with two hits has an edge with
-    two. With varying, a class of k >= 3 slots has planes for its first
-    k - 1, smaller classes none, and every class of two or more slots is
-    checked. tie_pairs flags the rows that tie in either column."""
+    class k >= 2, in size_classes order: a vertex is the strict maximum of
+    its own cell under x and -x, and never ties. Without varying, each
+    slot of such a class has a plane, and only edges are checked for ties:
+    in a face-closed table a cell with two hits has an edge with two. With
+    varying, a class of k >= 3 slots has planes for its first k - 1,
+    edges none, and every class is checked. tie_pairs flags the rows that
+    tie in either column."""
     m, n = heights.shape
     rank_dtype = _rank_dtype(n)
     item = heights.dtype.itemsize
@@ -274,12 +290,12 @@ def _hit_planes(heights, sizes, plan, varying, term_rows=0):
     start = 0
     for members, columns in plan.classes:
         k = len(columns)
+        if k == 1:
+            continue
         p = (k - 1 if k > 2 else 0) if varying else k
         planes = hits[start : start + p * len(members)].reshape(p, len(members), 2 * m)
         start += p * len(members)
-        if k == 1:
-            planes[...] = True
-        elif p or ties is not None:
+        if p or ties is not None:
             _class_hits(table, columns, planes, arena, ties if varying or k == 2 else None)
     return hits, np.zeros(m, dtype=bool) if ties is None else ties[0] | ties[1], arena
 
@@ -376,18 +392,19 @@ def lower_link_index(heights, simp_verts, sizes, signs, order, owners, starts, p
     which is 1 - chi(lower link), in index_dtype. A row without slots
     sums nothing and is left out.
 
-    The table is mc.build_link_arrays', and plan its link_plan. In a
-    face-closed complex a cell with two hits has
-    an edge with two, so the tie pairs are the lower links'; both their
+    The table is mc.build_link_arrays', and plan its link_plan, which
+    sorts and signs the slots of every cell but the vertex cells, each of
+    which adds 1. In a face-closed complex a cell with two hits has an
+    edge with two, so the tie pairs are the lower links'; both their
     columns are zeroed.
     """
-    hits, tie_pairs, arena = _hit_planes(heights, sizes, plan, False, term_rows=len(order))
-    terms = hits.view(np.int8).take(order, axis=0, out=arena(hits.shape, np.int8), mode="wrap")
-    terms *= signs[:, None]
+    hits, tie_pairs, arena = _hit_planes(heights, sizes, plan, False, term_rows=plan.rows)
+    terms = hits.view(np.int8).take(plan.order, axis=0, out=arena(hits.shape, np.int8), mode="wrap")
+    terms *= plan.signs[:, None]
     index = np.empty((len(owners), hits.shape[1]), dtype=plan.dtype)
     for a, b, lo, width in plan.blocks:
-        block = terms[lo : lo + (b - a) * width].reshape(b - a, width, -1)
-        np.add.reduce(block, axis=1, out=index[a:b])
+        block = terms[lo : lo + (b - a) * width].reshape(b - a, width, hits.shape[1])
+        np.add.reduce(block, axis=1, out=index[a:b], initial=1)  # and the vertex cell
     if tie_pairs.any():
         index[:, np.tile(tie_pairs, 2)] = 0
     return index, tie_pairs

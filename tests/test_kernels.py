@@ -137,7 +137,7 @@ def cone_counts(heights, cells, sizes):
 
 def link_index(heights, *link_arrays):
     """lower_link_index given the table's run plan, as mc's driver gives it."""
-    plan = _kernels.link_plan(*link_arrays[:2], *link_arrays[3:])
+    plan = _kernels.link_plan(*link_arrays)
     return _kernels.lower_link_index(heights, *link_arrays, plan)
 
 
@@ -465,7 +465,7 @@ def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
         ),
         (
             _kernels.lower_link_index,
-            (*link_arrays, _kernels.link_plan(*link_arrays[:2], *link_arrays[3:])),
+            (*link_arrays, _kernels.link_plan(*link_arrays)),
             _kernels.index_call_bytes(link_arrays[1], starts),
             _kernels.index_row_bytes(link_arrays[1], n, starts),
         ),
@@ -769,7 +769,7 @@ def test_plans_hold_int32_indices():
     link_arrays = mc.build_link_arrays(X, len(X.vertices))
     plans = [
         _kernels.cone_plan(cells, sizes),
-        _kernels.link_plan(*link_arrays[:2], *link_arrays[3:]),
+        _kernels.link_plan(*link_arrays),
     ]
     for plan in plans:
         arrays = [a for pair in plan.classes for a in pair]
@@ -1179,22 +1179,20 @@ def test_no_pair_hits_both_ends_of_a_multi_vertex_cell(rng):
     X = sd_random_complex()
     cells, sizes, _ = complex_cell_table(X)
     heights = tied_heights(rng, 300, len(X.vertices))
-    # every slot's plane, as the Morse kernel takes them
-    plan = _kernels.cone_plan(cells, sizes)._replace(rows=int(sizes.sum()))
+    # every slot's plane, as the Morse kernel takes them: vertex cells have none
+    plan = _kernels.link_plan(*mc.build_link_arrays(X, len(X.vertices)))
     hits, tie_pairs, _ = _kernels._hit_planes(heights, sizes, plan, False)
     assert 0 < tie_pairs.sum() < len(heights)
     m = len(heights)
     start = 0
-    for _, columns in plan.classes:
+    for _, columns in plan.classes[1:]:
         planes = hits[start : start + columns.size].reshape(*columns.shape, 2 * m)
         start += columns.size
         x, minus_x = planes[:, :, :m][:, :, ~tie_pairs], planes[:, :, m:][:, :, ~tie_pairs]
-        if len(planes) == 1:
-            assert x.all() and minus_x.all()
-        else:
-            assert not (x & minus_x).any()
-            # and each direction of a tie-free pair has one hit per cell
-            assert (x.sum(axis=0) == 1).all() and (minus_x.sum(axis=0) == 1).all()
+        assert not (x & minus_x).any()
+        # and each direction of a tie-free pair has one hit per cell
+        assert (x.sum(axis=0) == 1).all() and (minus_x.sum(axis=0) == 1).all()
+    assert start == len(hits)
     source = mc.gaussian_source(equilateral_embedding(X).matrix())
     counts, stats = mc.run_cone_counts(source, cells, sizes, len(X.vertices), 2000, 3)
     multi = sizes > 1
