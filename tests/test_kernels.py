@@ -7,6 +7,7 @@ answers for the 2m directions x and -x; its oracles are run on [H; -H]
 with every pair dropped that ties in either half.
 """
 
+import concurrent.futures
 import math
 import subprocess
 import sys
@@ -761,6 +762,19 @@ def test_kernel_results_outlive_the_next_call(rng):
         for got, want in zip(first, kept):
             assert not np.shares_memory(got, _kernels._local.buffer)
             np.testing.assert_array_equal(got, want)
+
+
+def test_threads_keep_their_own_workspace():
+    # each thread carves from its own buffer, so concurrent runs give the
+    # outputs of serial ones
+    emb = equilateral_embedding(sd2_tetrahedron())
+    runs = [
+        lambda: curvature_measure(emb, method="mc", samples=3000, seed=5),
+        lambda: morse_curvature_measure(emb, samples=3000, seed=6),
+    ] * 2
+    serial = [run() for run in runs]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=len(runs)) as pool:
+        assert [future.result() for future in [pool.submit(run) for run in runs]] == serial
 
 
 def test_plans_hold_int32_indices():
