@@ -1,7 +1,7 @@
 """Same-session pairs: the benchmark's end-to-end metrics of a base commit
 against the working tree, measured back to back.
 
-    python3 benchmarks/pairs.py --base REV --workload W --pairs N --seeds A-B
+    python3 benchmarks/pairs.py --base REV --workload W --pairs N --seeds A-B [--trace]
 
 REV is exported with `git archive` into a temporary directory, so the
 working tree is not touched. The script refuses to run when perfbench/ or
@@ -12,8 +12,11 @@ perfbench/run.py at --trace 0 for bench.py's SECONDS, so that pairs and
 BENCH files measure runs of one length, and alternates which side runs
 first. It prints, per end-to-end metric, the median and quartiles of each
 side, the change of the medians, the pairs the working tree won and
-whether the medians differ by more than the base's quartile distance. A
-run that exits non-zero or reports a failed job stops the script.
+whether the medians differ by more than the base's quartile distance.
+With --trace the runs are at --trace 1 and the same lines cover the
+per-layer metrics that BENCHMARK.json declares, such as
+kernels.lower_link_s. A run that exits non-zero or reports a failed job
+stops the script.
 """
 
 import argparse
@@ -37,6 +40,7 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
+    parser.add_argument("--trace", action="store_true", help="pair the per-layer metrics instead")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -74,10 +78,11 @@ def export(base, directory, root=ROOT):
     return tree
 
 
-def run(tree, workload, seed):
-    """The metrics of one perfbench run of the tree."""
+def run(tree, workload, seed, trace=False):
+    """The metrics of one perfbench run of the tree: the end-to-end ones,
+    or with trace the per-layer ones."""
     command = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
-               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(int(trace))]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"{' '.join(command[1:])} exited {done.returncode}:\n{done.stderr}")
@@ -121,21 +126,24 @@ def summarize(pairs, better):
 def report(summary):
     """One line per metric."""
     lines = []
+    width = max(map(len, summary), default=0)
     for name, s in summary.items():
         b1, b2, b3 = s["base"]
         c1, c2, c3 = s["change"]
         lines.append(
-            f"{name:<13} base {b2:.5g} [{b1:.5g}, {b3:.5g}]  change {c2:.5g} [{c1:.5g}, {c3:.5g}]  "
+            f"{name:<{width}} base {b2:.5g} [{b1:.5g}, {b3:.5g}]  change {c2:.5g} [{c1:.5g}, {c3:.5g}]  "
             f"delta {100 * s['delta']:+.1f}%  won {s['won']}/{s['pairs']}  "
             f"beyond base IQR: {'yes' if s['beyond_base_iqr'] else 'no'}"
         )
     return lines
 
 
-def end_to_end_metrics(root=ROOT):
+def declared_metrics(kind="end_to_end", root=ROOT):
+    """{name: "lower" or "higher"} of BENCHMARK.json's end_to_end or
+    per_layer metrics."""
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as handle:
         declared = json.load(handle)
-    return {m["name"]: m["better"] for m in declared["end_to_end"]}
+    return {m["name"]: m["better"] for m in declared[kind]}
 
 
 def main(argv=None):
@@ -151,11 +159,12 @@ def main(argv=None):
             sides = [("base", base_tree), ("change", ROOT)]
             if i % 2:
                 sides.reverse()
-            metrics = {side: run(tree, args.workload, seed) for side, tree in sides}
+            metrics = {side: run(tree, args.workload, seed, args.trace) for side, tree in sides}
             pairs.append((metrics["base"], metrics["change"]))
             print(f"# pair {i + 1}/{args.pairs} seed {seed}, {sides[0][0]} first", flush=True)
-    summary = summarize(pairs, end_to_end_metrics())
-    print(f"{args.workload}: {args.pairs} pairs, working tree against {args.base}, seeds {args.seeds}")
+    summary = summarize(pairs, declared_metrics("per_layer" if args.trace else "end_to_end"))
+    traced = ", traced" if args.trace else ""
+    print(f"{args.workload}: {args.pairs} pairs{traced}, working tree against {args.base}, seeds {args.seeds}")
     print("\n".join(report(summary)))
     return 0
 

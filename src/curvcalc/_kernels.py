@@ -138,18 +138,23 @@ class ConePlan(NamedTuple):
 
 class LinkPlan(NamedTuple):
     """The Morse kernel's run plan: class_plan's classes, its rows of hit
-    planes (one per slot of a cell of two or more vertices), its class
-    scratch, those slots' hit-plane rows sorted by owner and their signs,
-    the (a, b, lo, width) owner blocks, owners a..b-1 with width of those
-    slots each from sorted slot lo on, and the index dtype."""
+    planes (every slot of a cell of three or more vertices), its class
+    scratch, the (start, stop) row spans of its cells of an even vertex
+    count, whose sign is -1, the rows sorted by owner (order), the owners
+    in that order, the (a, b, lo, width) owner blocks, owners a..b-1 with
+    width of those rows each from sorted row lo on, the index dtype, and
+    per coordinate row the int64 constant the vertex and edge cells add
+    to each tie-free pair index."""
 
     classes: list
     rows: int
     scratch: tuple
+    negative: list
     order: np.ndarray
-    signs: np.ndarray
+    owners: np.ndarray
     blocks: list
     dtype: type
+    constant: np.ndarray
 
 
 def _class_sizes(sizes) -> list:
@@ -163,13 +168,14 @@ def _varying_rows(class_sizes) -> int:
     return sum((k - 1) * cells for k, cells in class_sizes if k > 2)
 
 
-def _scratch(class_sizes) -> tuple:
+def _scratch(class_sizes, checked=lambda k: k > 1) -> tuple:
     """Per pair, the largest scratch _class_hits carves for a class of two
-    or more slots, given (k, cells) per class: (elements of the table's
-    dtype, bytes of counts and flags)."""
+    or more slots, given (k, cells) per class and the sizes k whose ties
+    it checks: (elements of the table's dtype, bytes of counts and
+    flags)."""
     multi = [(k, cells) for k, cells in class_sizes if k > 1]
     values = max(((k + 1) * cells for k, cells in multi), default=0)
-    flags = max(((_count_dtype(k).itemsize + 1) * cells for k, cells in multi), default=0)
+    flags = max(((_count_dtype(k).itemsize + 1) * cells for k, cells in multi if checked(k)), default=0)
     return values, flags
 
 
@@ -191,27 +197,43 @@ def cone_plan(cells, sizes) -> ConePlan:
     return ConePlan(class_plan(cells, sizes), _varying_rows(class_sizes), _scratch(class_sizes))
 
 
-def link_plan(simp_verts, sizes, signs, order, owners, starts) -> LinkPlan:
-    # The vertex cells, the first slots, get no planes: each owner has one,
-    # which adds 1 to its index in every direction, so the sums start at 1
-    # and the sorted slots skip them. Owners come sorted by slot count, so
-    # each run of owners a..b-1 with the same count w holds one
-    # (b - a, w - 1, columns) block of the others, from starts[a] - a on.
-    vertices = int(np.count_nonzero(sizes == 1))
-    others = order >= vertices
-    widths = _slot_counts(starts, len(order))
+def link_plan(simp_verts, sizes, n_vertices: int) -> LinkPlan:
+    # Per tie-free pair a vertex cell adds 2 to its vertex's pair index,
+    # and an edge -1 to each end, the top under exactly one of x and -x:
+    # those go in the constant, with no plane. The slots of the other
+    # cells, row j of their class's columns, are sorted by their owner's
+    # slot count, then by owner, so each run of owners a..b-1 with the
+    # same count w holds one (b - a, w, pairs) block.
+    classes = class_plan(simp_verts, sizes)
+    constant = np.zeros(n_vertices, dtype=np.int64)
+    owner, negative, rows = [], [], 0
+    for _, columns in classes:
+        k = len(columns)
+        if k < 3:
+            constant += (2 if k == 1 else -1) * np.bincount(columns.ravel(), minlength=n_vertices)
+            continue
+        owner.append(columns.ravel())
+        if k % 2 == 0:
+            negative.append((rows, rows + columns.size))
+        rows += columns.size
+    owner = np.concatenate(owner) if owner else np.zeros(0, dtype=np.intp)
+    counts = np.bincount(owner, minlength=n_vertices)
+    owners = np.flatnonzero(counts)
+    owners = owners[np.argsort(counts[owners], kind="stable")]
+    widths = counts[owners]
+    starts = np.cumsum(widths) - widths
     firsts = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist()] if len(widths) else []
-    blocks = [
-        (a, b, int(starts[a]) - a, int(widths[a]) - 1) for a, b in zip(firsts, [*firsts[1:], len(owners)])
-    ]
+    blocks = [(a, b, int(starts[a]), int(widths[a])) for a, b in zip(firsts, [*firsts[1:], len(owners)])]
     return LinkPlan(
-        class_plan(simp_verts, sizes),
-        len(order) - vertices,
-        _scratch(_class_sizes(sizes)),
-        order[others] - vertices,
-        signs[others],
+        classes,
+        rows,
+        _scratch(_class_sizes(sizes), lambda k: k == 2),
+        negative,
+        np.lexsort((owner, counts[owner])),
+        owners,
         blocks,
-        index_dtype(starts, len(order)),
+        index_dtype(int(widths.max(initial=0))),
+        constant,
     )
 
 
@@ -268,13 +290,13 @@ def _hit_planes(heights, sizes, plan, varying, term_rows=0):
     bytes left for the caller. hits is its (plan.rows, 2m) bool array
     whose column b is the direction of row b and column m + b its
     negation, with one block of (planes, cells of size k, 2m) per size
-    class k >= 2, in size_classes order: a vertex is the strict maximum of
-    its own cell under x and -x, and never ties. Without varying, each
-    slot of such a class has a plane, and only edges are checked for ties:
-    in a face-closed table a cell with two hits has an edge with two. With
-    varying, a class of k >= 3 slots has planes for its first k - 1,
-    edges none, and every class is checked. tie_pairs flags the rows that
-    tie in either column."""
+    class k >= 3, in size_classes order, and none for vertices or edges:
+    a vertex is the strict maximum of its own cell under x and -x, and
+    never ties. Without varying, each slot of such a class has a plane,
+    and only edges are checked for ties: in a face-closed table a cell
+    with two hits has an edge with two. With varying, only the first
+    k - 1 slots have planes, and every class is checked. tie_pairs flags
+    the rows that tie in either column."""
     m, n = heights.shape
     rank_dtype = _rank_dtype(n)
     item = heights.dtype.itemsize
@@ -292,7 +314,7 @@ def _hit_planes(heights, sizes, plan, varying, term_rows=0):
         k = len(columns)
         if k == 1:
             continue
-        p = (k - 1 if k > 2 else 0) if varying else k
+        p = 0 if k < 3 else k - 1 if varying else k
         planes = hits[start : start + p * len(members)].reshape(p, len(members), 2 * m)
         start += p * len(members)
         if p or ties is not None:
@@ -305,15 +327,15 @@ def _hit_planes(heights, sizes, plan, varying, term_rows=0):
 _CAST_BUFFER_BYTES = 8192 * 8
 
 
-def _table_row_bytes(sizes, n_vertices: int, plane_rows: int) -> int:
+def _table_row_bytes(sizes, n_vertices: int, plane_rows: int, scratch) -> int:
     """Bytes per pair of the workspace the core carves and of the arrays
     it allocates, summed as if all were live at once: per vertex the
     contiguous copy of the slice and, when ranking, the rank and its
     comparison mask, and then the row's rank sum and its check; two hits
-    per plane row; the largest class's gathered values, extreme, hit
-    counts and flags; the tie flags, their reductions and the pair
-    flags."""
-    values, flags = _scratch(_class_sizes(sizes))
+    per plane row; the plan's class scratch, the largest class's gathered
+    values, extreme, hit counts and flags; the tie flags, their
+    reductions and the pair flags."""
+    values, flags = scratch
     if uses_ranks(n_vertices, sizes):
         item = _rank_dtype(n_vertices).itemsize
         table = (9 + item) * n_vertices + _rank_sum_dtype(n_vertices).itemsize + 1
@@ -369,64 +391,69 @@ def cone_row_bytes(sizes, n_vertices: int) -> int:
     """Bytes per pair of every array cone_argmax_counts carves or
     allocates, summed as if all were live at once: the core's, with a
     hit-plane row per varying slot, and the tie columns' mask."""
-    return _table_row_bytes(sizes, n_vertices, _varying_rows(_class_sizes(sizes))) + 2
+    class_sizes = _class_sizes(sizes)
+    return _table_row_bytes(sizes, n_vertices, _varying_rows(class_sizes), _scratch(class_sizes)) + 2
 
 
-def _slot_counts(starts, n_slots: int):
-    """The slots of each owner: from its start to the next, or to n_slots."""
-    ends = np.full(len(starts), n_slots)
-    ends[:-1] = starts[1:]
-    return ends - starts
+@functools.cache
+def index_dtype(width: int):
+    """The dtype of the Morse kernel's Q: int8, int16 or int32, the
+    narrowest that holds [-width, width] for an owner of width planned
+    slots."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if width <= np.iinfo(t).max)
 
 
-def index_dtype(starts, n_slots: int):
-    """The dtype of the Morse sums: a sum over n slots lies in [-n, n], so
-    int8 holds it when no owner has more than 127 slots."""
-    return np.int8 if _slot_counts(starts, n_slots).max(initial=0) <= 127 else np.int64
+def square_dtype(dtype):
+    """The dtype of the square of an index of dtype: the next width."""
+    return np.dtype(f"i{min(2 * np.dtype(dtype).itemsize, 8)}")
 
 
-def lower_link_index(heights, simp_verts, sizes, signs, order, owners, starts, plan):
-    """(index, tie_pairs): index[i, b] is Banchoff's Morse index of
-    coordinate row owners[i] in column b of _hit_planes, the sum over the
-    simplices s at it of (-1)^dim s where it is the strict maximum of s,
-    which is 1 - chi(lower link), in index_dtype. A row without slots
-    sums nothing and is left out.
+def lower_link_index(heights, simp_verts, sizes, plan):
+    """(Q, tie_pairs): Q[i, b] is the part of the pair index
+    I(x_b) + I(-x_b) of coordinate row plan.owners[i] that the cells of
+    three or more vertices at it give, in plan.dtype; I is Banchoff's
+    Morse index, the sum over the simplices s at a vertex of (-1)^dim s
+    where it is the strict maximum of s, which is 1 - chi(lower link).
+    Adding plan.constant, the vertex and edge cells' part, gives the pair
+    index of a tie-free pair.
 
-    The table is mc.build_link_arrays', and plan its link_plan, which
-    sorts and signs the slots of every cell but the vertex cells, each of
-    which adds 1. In a face-closed complex a cell with two hits has an
-    edge with two, so the tie pairs are the lower links'; both their
-    columns are zeroed.
+    simp_verts and sizes are the table of mc.build_link_arrays, and plan
+    its link_plan. In a tie-free pair no slot of a cell of two or more
+    vertices hits under both x and -x, so a slot's pair hit is the OR of
+    its two hits. In a face-closed complex a cell with two hits has an
+    edge with two, so the tie pairs are the lower links'; their columns
+    are zeroed.
     """
     hits, tie_pairs, arena = _hit_planes(heights, sizes, plan, False, term_rows=plan.rows)
-    terms = hits.view(np.int8).take(plan.order, axis=0, out=arena(hits.shape, np.int8), mode="wrap")
-    terms *= plan.signs[:, None]
-    index = np.empty((len(owners), hits.shape[1]), dtype=plan.dtype)
+    m = len(tie_pairs)
+    pair = arena((plan.rows, m), np.int8)
+    np.bitwise_or(hits[:, :m], hits[:, m:], out=pair.view(bool))
+    for start, stop in plan.negative:
+        np.negative(pair[start:stop], out=pair[start:stop])
+    terms = pair.take(plan.order, axis=0, out=arena(pair.shape, np.int8), mode="wrap")
+    index = np.empty((len(plan.owners), m), dtype=plan.dtype)
     for a, b, lo, width in plan.blocks:
-        block = terms[lo : lo + (b - a) * width].reshape(b - a, width, hits.shape[1])
-        np.add.reduce(block, axis=1, out=index[a:b], initial=1)  # and the vertex cell
+        np.add.reduce(terms[lo : lo + (b - a) * width].reshape(b - a, width, m), axis=1, out=index[a:b])
     if tie_pairs.any():
-        index[:, np.tile(tie_pairs, 2)] = 0
+        np.copyto(index, 0, where=tie_pairs)
     return index, tie_pairs
 
 
-def index_call_bytes(sizes, starts) -> int:
+def index_call_bytes(sizes, plan) -> int:
     """Bytes of the per-call arrays of lower_link_index given its plan and
     of the driver's sums: those of either kernel and, per owner, the
     driver's two int64 sums of a call, 16 bytes in all."""
-    return _call_bytes(sizes) + 16 * len(starts)
+    return _call_bytes(sizes) + 16 * len(plan.owners)
 
 
-def index_row_bytes(sizes, n_vertices: int, starts) -> int:
+def index_row_bytes(sizes, n_vertices: int, plan) -> int:
     """Bytes per pair of every array lower_link_index and the driver's
     sums carve or allocate, summed as if all were live at once: the
-    core's, with a hit-plane row per slot, two int8 terms per slot, and
-    per owner (at most one per coordinate row) the two indices and the
-    pair's sum and its square, int8, int8, int16 and int32, or int64
-    throughout if an owner has more than 127 slots."""
-    slots = int(sizes.sum())
-    per_owner = 8 if index_dtype(starts, slots) == np.int8 else 32
-    return _table_row_bytes(sizes, n_vertices, slots) + 2 * slots + per_owner * n_vertices + 3
+    core's, with a hit-plane row per planned slot, its pair hit and its
+    term, both int8, and per owner Q and its square."""
+    per_owner = np.dtype(plan.dtype).itemsize + square_dtype(plan.dtype).itemsize
+    core = _table_row_bytes(sizes, n_vertices, plan.rows, plan.scratch)
+    return core + 2 * plan.rows + per_owner * len(plan.owners)
 
 
 def backend_name() -> str:

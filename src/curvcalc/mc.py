@@ -212,36 +212,33 @@ def run_cone_counts(source, cells, sizes, n_vertices: int, n_samples: int, seed:
 def run_lower_link_stats(source, link_arrays, n_vertices: int, n_samples: int, seed: int):
     """Per-vertex sums, and sums of squares, of the pair index
     I(x) + I(-x) over exactly ceil(n_samples / 2) tie-free pairs, and the
-    run's McStats. The kernel's plan is built once and serves every call,
-    and the sums are kept per owner until the run ends."""
-    _, sizes, _, _, owners, starts = link_arrays
-    plan = _kernels.link_plan(*link_arrays)
-    owner_sums = np.zeros((2, len(owners)), dtype=np.int64)
-    # An owner's vertex cell gives 2 per pair, and each of its other w - 1
-    # slots +-1 at most once: a simplex with two or more vertices has no
-    # vertex that is its strict maximum under both x and -x. So with
-    # w <= 127 (an int8 index) |I(x) + I(-x)| <= w + 1 <= 128, which int16
-    # holds, and its square, at most 16,384, int32.
-    pair_dtype = np.promote_types(plan.dtype, np.int16)
-    square_dtype = np.promote_types(plan.dtype, np.int32)
-    pair_bytes_per_owner = pair_dtype.itemsize + square_dtype.itemsize
+    run's McStats. The kernel's plan is built once and serves every call.
+    The kernel gives Q, the part of the cells of three or more vertices;
+    the vertex and edge cells add the plan's constant c to every pair, so
+    with N pairs the sums are sum Q + N c and the squares
+    sum Q^2 + 2 c sum Q + N c^2, exact int64 added once, at the end."""
+    simp_verts, sizes, _ = link_arrays
+    plan = _kernels.link_plan(simp_verts, sizes, n_vertices)
+    owner_sums = np.zeros((2, len(plan.owners)), dtype=np.int64)
+    square_dtype = _kernels.square_dtype(plan.dtype)
 
     def accumulate(heights):
-        index, ties = _kernels.lower_link_index(heights, *link_arrays, plan)
-        m = len(ties)
-        # the pair sums and their squares lie in the kernels' workspace
-        arena = _kernels.workspace(len(owners) * m * pair_bytes_per_owner + _kernels._SLACK)
-        pair = np.add(index[:, :m], index[:, m:], dtype=pair_dtype, out=arena((len(owners), m), pair_dtype))
-        owner_sums[0] += pair.sum(axis=1, dtype=np.int64)  # tied pairs are zeroed
-        square = np.square(pair, dtype=square_dtype, out=arena(pair.shape, square_dtype))
+        index, ties = _kernels.lower_link_index(heights, simp_verts, sizes, plan)
+        owner_sums[0] += index.sum(axis=1, dtype=np.int64)  # tied pairs are zeroed
+        # the squares lie in the kernels' workspace
+        arena = _kernels.workspace(index.size * square_dtype.itemsize + _kernels._SLACK)
+        square = np.square(index, dtype=square_dtype, out=arena(index.shape, square_dtype))
         owner_sums[1] += square.sum(axis=1, dtype=np.int64)
         return int(ties.sum())
 
-    call_bytes = _kernels.index_call_bytes(sizes, starts)
-    pair_bytes = _kernels.index_row_bytes(sizes, n_vertices, starts)
+    call_bytes = _kernels.index_call_bytes(sizes, plan)
+    pair_bytes = _kernels.index_row_bytes(sizes, n_vertices, plan)
     stats = _drive(source, n_samples, seed, call_bytes, pair_bytes, accumulate)
     sums = np.zeros((2, n_vertices), dtype=np.int64)
-    sums[:, owners] = owner_sums
+    sums[:, plan.owners] = owner_sums
+    c = plan.constant
+    sums[1] += 2 * c * sums[0] + stats.pairs * c * c
+    sums[0] += stats.pairs * c
     return sums[0], sums[1], stats
 
 
@@ -284,24 +281,8 @@ def simplex_rows(complex) -> list:
     return [(complex.vertex_positions(d), d) for d in range(complex.dim + 1)]
 
 
-def build_link_arrays(complex, n_vertices: int):
-    """The Morse kernel's (simp_verts, sizes, signs, order, owners, starts)
-    for an embedding of the complex with n_vertices coordinate rows.
-
-    The cell table of every simplex is sorted by size, so the hit-plane
-    slots run by dimension d, then slot j, then simplex, and hold the
-    columns ids[:, j] of simplex_rows, their owners. order stably sorts
-    them by their owner's slot count, then by owner, so owners with equal
-    counts own one block; signs holds the sorted slots' (-1)^d as int8;
-    owners are the columns that own slots, in that order, and starts
-    where each begins.
-    """
-    rows = simplex_rows(complex)
-    simp_verts, sizes, _ = build_cell_arrays(rows)
-    owner = np.concatenate([np.zeros(0, dtype=np.int64)] + [ids.T.ravel() for ids, _ in rows])
-    counts = np.bincount(owner, minlength=n_vertices)
-    order = np.lexsort((owner, counts[owner]))
-    signs = np.where(np.repeat(sizes, sizes) % 2, 1, -1).astype(np.int8)[order]
-    owners = np.flatnonzero(counts)
-    owners = owners[np.argsort(counts[owners], kind="stable")]
-    return simp_verts, sizes, signs, order, owners, np.cumsum(counts[owners]) - counts[owners]
+def build_link_arrays(complex):
+    """The Morse kernel's table (simp_verts, sizes, signs) of every
+    simplex of the complex, in simplex_rows order; its run plan,
+    _kernels.link_plan, sorts the slots by owner."""
+    return build_cell_arrays(simplex_rows(complex))

@@ -98,7 +98,7 @@ def morse_curvature_measure(
     """
     carrier = _simplicial_carrier(embedding)
     n = len(embedding.vertex_order)
-    link_arrays = mc.build_link_arrays(carrier, n)
+    link_arrays = mc.build_link_arrays(carrier)
     # the pair index I(x) + I(-x) is even in x, so heights need no sign
     source = embedding._height_source(link_arrays[1])
     sums, sumsq, stats = mc.run_lower_link_stats(source, link_arrays, n, samples, seed)

@@ -55,6 +55,27 @@ def cone_argmax_counts(heights, cells, sizes):
     return counts, tie_rows
 
 
+def link_arrays(simp_verts, sizes, n_vertices):
+    """(signs, order, owners, starts) of every slot of the table, vertex
+    and edge slots included: order stably sorts the slots, in hit_planes'
+    layout, by their owner's slot count, then by owner; signs holds the
+    sorted slots' (-1)^dim as int8; owners are the coordinate rows that
+    own slots, in that order, and starts where each begins."""
+    owner = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [simp_verts[sizes == k, :k].T.ravel() for k in _kernels.size_classes(sizes)]
+    )
+    counts = np.bincount(owner, minlength=n_vertices)
+    order = np.lexsort((owner, counts[owner]))
+    slot_sizes = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.full(k * int((sizes == k).sum()), k) for k in _kernels.size_classes(sizes)
+    ])
+    signs = np.where(slot_sizes % 2, 1, -1).astype(np.int8)[order]
+    owners = np.flatnonzero(counts)
+    owners = owners[np.argsort(counts[owners], kind="stable")]
+    return signs, order, owners, np.cumsum(counts[owners]) - counts[owners]
+
+
 def lower_link_index(heights, simp_verts, sizes, signs, order, owners, starts):
     """(index, tie_rows): index[i, b] is Banchoff's index of coordinate
     row owners[i] in row b as int64, tie rows zeroed."""
@@ -79,11 +100,17 @@ def pair_cone_counts(heights, cells, sizes):
     return counts, tie_pairs
 
 
-def pair_lower_link_index(heights, *link_arrays):
-    """(index, tie_pairs): the row indices on [H; -H], (owners, 2m), with
-    both columns of every pair zeroed that ties in either half."""
+def pair_lower_link_index(heights, simp_verts, sizes, n_vertices):
+    """(pair_index, tie_pairs): I(x) + I(-x) from the row indices on
+    [H; -H], per pair and coordinate row, an (m, n_vertices) int64
+    array, 0 in the rows that own no slot and in the pairs that tie in
+    either half."""
     m = len(heights)
-    index, ties = lower_link_index(_stacked(heights), *link_arrays)
+    table = link_arrays(simp_verts, sizes, n_vertices)
+    index, ties = lower_link_index(_stacked(heights), simp_verts, sizes, *table)
+    full = np.zeros((n_vertices, 2 * m), dtype=np.int64)
+    full[table[2]] = index
     tie_pairs = ties[:m] | ties[m:]
-    index[:, np.concatenate([tie_pairs, tie_pairs])] = 0
-    return index, tie_pairs
+    pair_index = full[:, :m] + full[:, m:]
+    pair_index[:, tie_pairs] = 0
+    return pair_index.T, tie_pairs

@@ -136,19 +136,25 @@ def cone_counts(heights, cells, sizes):
     return _kernels.cone_argmax_counts(heights, cells, sizes, _kernels.cone_plan(cells, sizes))
 
 
-def link_index(heights, *link_arrays):
-    """lower_link_index given the table's run plan, as mc's driver gives it."""
-    plan = _kernels.link_plan(*link_arrays)
-    return _kernels.lower_link_index(heights, *link_arrays, plan)
+def link_index(heights, link_arrays, n_vertices):
+    """lower_link_index given the table's run plan, as mc's driver gives
+    it, for a mc.build_link_arrays table and its coordinate row count."""
+    simp_verts, sizes, _ = link_arrays
+    plan = _kernels.link_plan(simp_verts, sizes, n_vertices)
+    return _kernels.lower_link_index(heights, simp_verts, sizes, plan)
 
 
-def index_by_column(heights, link_arrays):
-    """lower_link_index's per-owner indices as a (2 * rows, coordinate
-    rows) int64 matrix, the x rows then the -x rows, 0 in the columns that
-    own no slot, and the tie pairs."""
-    index, ties = link_index(heights, *link_arrays)
-    full = np.zeros((heights.shape[1], 2 * len(heights)), dtype=np.int64)
-    full[link_arrays[4]] = index
+def pair_index_by_column(heights, link_arrays, n_vertices):
+    """The pair index I(x) + I(-x) that lower_link_index and its plan's
+    constant give, Q + c, per pair and coordinate row, a (rows,
+    n_vertices) int64 matrix, 0 in the tie pairs, and the tie pairs."""
+    simp_verts, sizes, _ = link_arrays
+    plan = _kernels.link_plan(simp_verts, sizes, n_vertices)
+    index, ties = _kernels.lower_link_index(heights, simp_verts, sizes, plan)
+    full = np.zeros((n_vertices, len(heights)), dtype=np.int64)
+    full[plan.owners] = index
+    full += plan.constant[:, None]
+    full[:, ties] = 0
     return full.T, ties
 
 
@@ -176,13 +182,15 @@ def lower_link_oracle(X, index, heights):
 
 
 def pair_lower_link_oracle(X, index, heights):
-    """lower_link_oracle over [H; -H], with both rows of every pair zeroed
-    that ties in either half: (indices, tie pairs)."""
+    """lower_link_oracle over [H; -H], its x row plus its -x row per
+    pair, with every pair zeroed that ties in either half: (pair indices,
+    tie pairs)."""
     m = len(heights)
     result, ties = lower_link_oracle(X, index, stacked(heights))
     tie_pairs = ties[:m] | ties[m:]
-    result[np.concatenate([tie_pairs, tie_pairs])] = 0
-    return result, tie_pairs
+    pairs = result[:m] + result[m:]
+    pairs[tie_pairs] = 0
+    return pairs, tie_pairs
 
 
 @pytest.mark.parametrize("trial", range(3))
@@ -211,9 +219,9 @@ def test_cone_counts_match_oracle_on_complex_cells(trial, rng):
 def test_lower_link_matches_oracle(trial, rng):
     X = fixtures.random_complex(rng)
     emb = equilateral_embedding(X)
-    arrays = mc.build_link_arrays(X, len(emb.vertex_index))
+    arrays = mc.build_link_arrays(X)
     heights = tied_heights(rng, 150, len(X.vertices))
-    idx, ties = index_by_column(heights, arrays)
+    idx, ties = pair_index_by_column(heights, arrays, len(emb.vertex_index))
     want_idx, want_ties = pair_lower_link_oracle(X, emb.vertex_index, heights)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(idx, want_idx)
@@ -253,27 +261,38 @@ def hit_plane_slots(sizes):
 
 @pytest.mark.parametrize("case", [*FIXTURES, sparse_octahedron])
 def test_link_rows_are_the_links(case):
-    # each vertex's segment of the Morse table holds the simplices at it,
-    # its own vertex cell and one per simplex of its link, signed (-1)^dim
+    # each vertex's block of the Morse plan holds the simplices of three or
+    # more vertices at it, one per simplex of its link of dimension >= 1,
+    # signed (-1)^dim; its own vertex cell and its edges, one per vertex
+    # of its link, give its constant 2 - degree
     X, emb = case()
-    simp_verts, sizes, signs, order, owners, starts = mc.build_link_arrays(X, len(emb.vertex_index))
-    slots = hit_plane_slots(sizes)
-    assert len(order) == len(slots) == sum(len(s) for s in X.simplices)
-    assert signs.dtype == np.int8
-    ends = [*starts[1:].tolist(), len(order)]
-    segments = dict(zip(owners.tolist(), zip(starts.tolist(), ends)))
+    simp_verts, sizes, _ = mc.build_link_arrays(X)
+    plan = _kernels.link_plan(simp_verts, sizes, len(emb.vertex_index))
+    slots = [(m, j) for m, j in hit_plane_slots(sizes) if sizes[m] > 2]
+    assert len(plan.order) == len(slots) == plan.rows == sum(len(s) for s in X.simplices if len(s) > 2)
+    signs = np.ones(plan.rows, dtype=np.int64)
+    for start, stop in plan.negative:
+        signs[start:stop] = -1
+    segments = {}
+    for a, b, lo, width in plan.blocks:
+        for i, owner in enumerate(plan.owners[a:b].tolist()):
+            segments[owner] = (lo + i * width, lo + (i + 1) * width)
+    assert len(segments) == len(plan.owners)
+    assert sorted(t for segment in segments.values() for t in range(*segment)) == list(range(plan.rows))
     for i, v in enumerate(emb.vertex_order):
         lo, hi = segments.get(i, (0, 0))
         held = []
         for t in range(lo, hi):
-            m, j = slots[order[t]]
+            m, j = slots[plan.order[t]]
             assert simp_verts[m, j] == i  # the slot holds its owner
-            assert signs[t] == (-1) ** (sizes[m] - 1)
+            assert signs[plan.order[t]] == (-1) ** (sizes[m] - 1)
             held.append(tuple(emb.vertex_order[u] for u in simp_verts[m, : sizes[m]]))
-        want = [s for s in X.simplices if v in s] if v in X.vertices else []
+        want = [s for s in X.simplices if v in s and len(s) > 2] if v in X.vertices else []
         assert len(held) == len(want) and set(held) == set(want)
-        link = {tuple(u for u in s if u != v) for s in held} - {()}
-        assert link == (X.link(v).simplices if v in X.vertices else set())
+        link = X.link(v).simplices if v in X.vertices else set()
+        assert {tuple(u for u in s if u != v) for s in held} == {s for s in link if len(s) > 1}
+        points = sum(len(s) == 1 for s in link)
+        assert plan.constant[i] == (2 - points if v in X.vertices else 0)
 
 
 @pytest.mark.parametrize("trial", range(3))
@@ -285,7 +304,7 @@ def test_morse_sums_are_signed_cone_counts(trial, rng):
     cells, sizes, cell_signs = complex_cell_table(X)
     heights = tied_heights(rng, 200, len(X.vertices))
     counts, cone_ties = cone_counts(heights, cells, sizes)
-    idx, ties = index_by_column(heights, mc.build_link_arrays(X, len(index)))
+    idx, ties = pair_index_by_column(heights, mc.build_link_arrays(X), len(index))
     np.testing.assert_array_equal(ties, cone_ties)
     want = np.zeros(len(X.vertices), dtype=np.int64)
     for m, size in enumerate(sizes.tolist()):
@@ -297,7 +316,7 @@ def test_morse_sums_are_signed_cone_counts(trial, rng):
 def test_lower_link_matches_oracle_with_unused_coordinate_rows(rng):
     X, emb = sparse_octahedron()
     heights = tied_heights(rng, 150, len(emb.vertex_order))
-    idx, ties = index_by_column(heights, mc.build_link_arrays(X, len(emb.vertex_index)))
+    idx, ties = pair_index_by_column(heights, mc.build_link_arrays(X), len(emb.vertex_index))
     want_idx, want_ties = pair_lower_link_oracle(X, emb.vertex_index, heights)
     unused = [emb.vertex_index[v] for v in emb.vertex_order if v not in X.vertices]
     assert 0 < ties.sum() < len(heights) and len(unused) == 2
@@ -318,20 +337,21 @@ def sd_random_complex():
 
 
 EDGE_CASES = {
-    # only the one-vertex size class
+    # only the one-vertex size class: the Morse plan has no rows
     "vertices_only": lambda: SimplicialComplex.from_maximal([(0,), (1,), (2,)]),
-    # vertex 3 owns one slot, its own vertex cell
+    # vertex 3 owns one slot, its own vertex cell, and no planned slot
     "isolated_vertex": lambda: SimplicialComplex.from_maximal([(0, 1, 2), (3,), (1, 4)]),
-    # only edges: width-2 tables
+    # only edges: width-2 tables, whose pair indices are constants
     "graph": lambda: SimplicialComplex.from_maximal(
         [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (5, 1)]
     ),
-    # the apex owns 301 slots, so its sums cannot be kept in int8
+    # the apex owns 150 planned slots, so its Q cannot be kept in int8
     "cone_over_150_gon": lambda: cone_over_cycle(150),
+    # the apex owns 127 planned slots, the most whose Q is kept in int8
+    "cone_over_127_gon": lambda: cone_over_cycle(127),
     # with the apex on top its lower link is 150 points: chi = 150
     "star_150": lambda: SimplicialComplex.from_maximal((0, v) for v in range(1, 151)),
-    # the apex owns 127 slots, the most whose sums are kept in int8; on
-    # top its index is 1 - 126
+    # on top the apex's index is 1 - 126, all of it from its constant
     "star_126": lambda: SimplicialComplex.from_maximal((0, v) for v in range(1, 127)),
     "sd_random_complex": sd_random_complex,
 }
@@ -348,7 +368,7 @@ def test_kernels_match_oracles_on_edge_cases(name, rng):
     want_counts, want_ties = pair_cone_oracle(heights, cells, sizes)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(counts, want_counts)
-    idx, ties = index_by_column(heights, mc.build_link_arrays(X, len(index)))
+    idx, ties = pair_index_by_column(heights, mc.build_link_arrays(X), len(index))
     want_idx, want_ties = pair_lower_link_oracle(X, index, heights)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(idx, want_idx)
@@ -390,7 +410,7 @@ def test_ties_between_non_adjacent_vertices_are_not_flagged(rng):
     counts, ties = cone_counts(heights, cells, sizes)
     assert not ties.any()
     np.testing.assert_array_equal(counts, pair_cone_oracle(heights, cells, sizes)[0])
-    idx, ties = index_by_column(heights, mc.build_link_arrays(X, len(index)))
+    idx, ties = pair_index_by_column(heights, mc.build_link_arrays(X), len(index))
     assert not ties.any()
     np.testing.assert_array_equal(idx, pair_lower_link_oracle(X, index, heights)[0])
 
@@ -413,9 +433,9 @@ def sd2_octahedron():
 
 
 def cone_over_sd_octahedron():
-    """An apex over the subdivided octahedron sphere: the apex owns 147
-    slots, so the Morse sums are int64, while the 27 vertices are few
-    enough for rank planes."""
+    """An apex over the subdivided octahedron sphere: the apex owns 120
+    planned slots, so its Q is int8, and the 27 vertices are few enough
+    for rank planes."""
     X, _ = fixtures.octahedron()
     sphere = barycentric_subdivide(X)[0]
     apex = max(sphere.vertices) + 1
@@ -426,14 +446,21 @@ def star_150():
     return EDGE_CASES["star_150"]()
 
 
-# (rank planes, int64 Morse sums) of each table of the peak test
+def cone_over_150_gon():
+    """The apex owns 150 planned slots, so its Q is int16, and its 151
+    vertices are too many for rank planes."""
+    return EDGE_CASES["cone_over_150_gon"]()
+
+
+# (rank planes, a Morse Q wider than int8) of each table of the peak test
 PEAK_PATHS = {
     "<lambda>": (True, False),  # the graph
     "random_3_complex": (True, False),
     "sd2_tetrahedron": (True, True),
-    "cone_over_sd_octahedron": (True, True),
+    "cone_over_sd_octahedron": (True, False),
     "sd2_octahedron": (False, False),
-    "star_150": (False, True),
+    "star_150": (False, False),
+    "cone_over_150_gon": (False, True),
 }
 
 
@@ -446,16 +473,18 @@ PEAK_PATHS = {
         (cone_over_sd_octahedron, 4096),
         (sd2_octahedron, 1024),
         (star_150, 4096),
+        (cone_over_150_gon, 4096),
     ],
 )
 def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
+    # every pairing of the rank and height paths with narrow and wide Q
+    assert set(PEAK_PATHS.values()) == {(True, False), (True, True), (False, False), (False, True)}
     X = table()
-    emb = equilateral_embedding(X)
     cells, sizes, _ = complex_cell_table(X)
-    link_arrays = mc.build_link_arrays(X, len(emb.vertex_index))
     n = len(X.vertices)
-    starts = link_arrays[5]
-    wide = _kernels.index_dtype(starts, len(link_arrays[3])) == np.int64
+    simp_verts, link_sizes, _ = mc.build_link_arrays(X)
+    plan = _kernels.link_plan(simp_verts, link_sizes, n)  # the plan is built once per run
+    wide = plan.dtype != np.int8
     assert (_kernels.uses_ranks(n, sizes), wide) == PEAK_PATHS[table.__name__]
     calls = [
         (
@@ -466,9 +495,9 @@ def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
         ),
         (
             _kernels.lower_link_index,
-            (*link_arrays, _kernels.link_plan(*link_arrays)),
-            _kernels.index_call_bytes(link_arrays[1], starts),
-            _kernels.index_row_bytes(link_arrays[1], n, starts),
+            (simp_verts, link_sizes, plan),
+            _kernels.index_call_bytes(link_sizes, plan),
+            _kernels.index_row_bytes(link_sizes, n, plan),
         ),
     ]
     for kernel, args, call_bytes, pair_bytes in calls:
@@ -549,7 +578,7 @@ def test_rank_and_height_planes_agree_bitwise(name, monkeypatch, rng):
     index = {v: i for i, v in enumerate(X.vertices)}
     cells, sizes, _ = complex_cell_table(X)
     assert _kernels.uses_ranks(len(X.vertices), sizes) == ranks
-    link_arrays = mc.build_link_arrays(X, len(index))
+    link_arrays = mc.build_link_arrays(X)
     heights = tied_heights(rng, 96, len(X.vertices))
     heights[::4] = np.round(heights[::4], 1)  # tie-heavy rows
     keys = tied_keys(rng, 96, len(X.vertices))
@@ -564,7 +593,7 @@ def test_rank_and_height_planes_agree_bitwise(name, monkeypatch, rng):
         np.testing.assert_array_equal(ties, flip_ties)
         np.testing.assert_array_equal(counts, flip_counts)
         (idx, link_ties), (flip_idx, flip_link_ties) = _both_paths(
-            monkeypatch, link_index, table, *link_arrays
+            monkeypatch, link_index, table, link_arrays, len(index)
         )
         assert idx.dtype == flip_idx.dtype
         np.testing.assert_array_equal(link_ties, flip_link_ties)
@@ -587,7 +616,7 @@ def test_rank_rows_with_and_without_ties_match_the_row_oracle(fixture, rng):
     n = len(X.vertices)
     index = {v: i for i, v in enumerate(X.vertices)}
     cells, sizes, _ = complex_cell_table(X)
-    link_arrays = mc.build_link_arrays(X, len(index))
+    link_arrays = mc.build_link_arrays(X)
     edges = {frozenset(s) for s in X.simplices if len(s) == 2}
     apart = next((a, b) for a in range(n) for b in range(a) if frozenset((a, b)) not in edges)
     edge = tuple(next(iter(edges)))
@@ -604,9 +633,9 @@ def test_rank_rows_with_and_without_ties_match_the_row_oracle(fixture, rng):
         want_counts, want_ties = row_kernel_oracle.pair_cone_counts(heights[rows], cells, sizes)
         np.testing.assert_array_equal(ties, want_ties)
         np.testing.assert_array_equal(counts, want_counts)
-        idx, link_ties = link_index(table, *link_arrays)
+        idx, link_ties = pair_index_by_column(table, link_arrays, n)
         want_idx, want_link_ties = row_kernel_oracle.pair_lower_link_index(
-            heights[rows], *link_arrays
+            heights[rows], *link_arrays[:2], n
         )
         np.testing.assert_array_equal(link_ties, want_link_ties)
         np.testing.assert_array_equal(idx, want_idx)
@@ -640,11 +669,11 @@ def test_pair_kernels_equal_the_row_kernel(name, flip, monkeypatch, rng):
     X = PAIR_CASES[name]()
     index = {v: i for i, v in enumerate(X.vertices)}
     cells, sizes, _ = complex_cell_table(X)
-    link_arrays = mc.build_link_arrays(X, len(index))
+    link_arrays = mc.build_link_arrays(X)
     heights = tied_heights(rng, 96, len(X.vertices))
     heights[::4] = np.round(heights[::4], 1)  # tie-heavy rows
     want_counts, want_ties = row_kernel_oracle.pair_cone_counts(heights, cells, sizes)
-    want_idx, want_idx_ties = row_kernel_oracle.pair_lower_link_index(heights, *link_arrays)
+    want_idx, want_idx_ties = row_kernel_oracle.pair_lower_link_index(heights, *link_arrays[:2], len(index))
     assert want_ties.any() or sizes.max() == 1
     np.testing.assert_array_equal(want_idx_ties, want_ties)
     if flip:
@@ -653,7 +682,7 @@ def test_pair_kernels_equal_the_row_kernel(name, flip, monkeypatch, rng):
     counts, ties = cone_counts(heights, cells, sizes)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(counts, want_counts)
-    idx, ties = link_index(heights, *link_arrays)
+    idx, ties = pair_index_by_column(heights, link_arrays, len(index))
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(idx, want_idx)
 
@@ -753,8 +782,8 @@ def test_kernel_results_outlive_the_next_call(rng):
     X = sd2_tetrahedron()
     n = len(X.vertices)
     cells, sizes, _ = complex_cell_table(X)
-    link_arrays = mc.build_link_arrays(X, n)
-    for kernel, args in ((cone_counts, (cells, sizes)), (link_index, link_arrays)):
+    link_arrays = mc.build_link_arrays(X)
+    for kernel, args in ((cone_counts, (cells, sizes)), (link_index, (link_arrays, n))):
         heights = tied_heights(rng, 64, n)
         first = kernel(heights, *args)
         kept = [a.copy() for a in first]
@@ -780,10 +809,10 @@ def test_threads_keep_their_own_workspace():
 def test_plans_hold_int32_indices():
     X = sd2_tetrahedron()
     cells, sizes, _ = complex_cell_table(X)
-    link_arrays = mc.build_link_arrays(X, len(X.vertices))
+    simp_verts, link_sizes, _ = mc.build_link_arrays(X)
     plans = [
         _kernels.cone_plan(cells, sizes),
-        _kernels.link_plan(*link_arrays),
+        _kernels.link_plan(simp_verts, link_sizes, len(X.vertices)),
     ]
     for plan in plans:
         arrays = [a for pair in plan.classes for a in pair]
@@ -810,14 +839,26 @@ def test_lower_link_manual_case():
     # path 0 - 1 - 2 with heights making the middle vertex the maximum
     X = fixtures.path_complex(2)
     index = {v: v for v in X.vertices}
-    arrays = mc.build_link_arrays(X, len(index))
+    arrays = mc.build_link_arrays(X)
     heights = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 2.0]])
-    idx, ties = index_by_column(heights, arrays)
+    idx, ties = pair_index_by_column(heights, arrays, len(index))
     assert not ties.any()
     # local minima get 1, slope points 0, the local maximum of the first
-    # row gets 1 - chi(two points) = -1; each row sums to chi = 1. The -x
-    # rows come last: negation swaps the two shapes
-    np.testing.assert_array_equal(idx, [[1, -1, 1], [0, 1, 0], [0, 1, 0], [1, -1, 1]])
+    # row gets 1 - chi(two points) = -1; each direction sums to chi = 1.
+    # Negation swaps the two shapes, so each pair gives [1, -1, 1] plus
+    # [0, 1, 0]: the constants 2 - degree, with no planned slot
+    np.testing.assert_array_equal(idx, [[1, 0, 1], [1, 0, 1]])
+    assert _kernels.link_plan(*arrays[:2], len(index)).rows == 0
+    # the filled triangle: vertex 1 tops it under x and vertex 0 under -x,
+    # so I(x) = [1, 0, 0] (0 at the bottom) and I(-x) = [0, 1, 0]; each
+    # vertex's constant is 2 - 2 = 0 and Q is its triangle's pair hit
+    arrays = mc.build_link_arrays(SimplicialComplex.from_maximal([(0, 1, 2)]))
+    plan = _kernels.link_plan(*arrays[:2], 3)
+    np.testing.assert_array_equal(plan.constant, [0, 0, 0])
+    index, ties = _kernels.lower_link_index(np.array([[0.0, 2.0, 1.0]]), *arrays[:2], plan)
+    assert not ties.any() and index.dtype == np.int8
+    np.testing.assert_array_equal(plan.owners, [0, 1, 2])
+    np.testing.assert_array_equal(index, [[1], [1], [0]])
 
 
 def _table_cases():
@@ -1175,7 +1216,7 @@ def test_odd_sample_counts_round_up_to_whole_pairs(samples):
     pairs = (samples + 1) // 2
     assert (stats.pairs, stats.samples) == (pairs, samples + 1)
     np.testing.assert_array_equal(counts.sum(axis=1), 2 * pairs)
-    link_arrays = mc.build_link_arrays(X, len(emb.vertex_index))
+    link_arrays = mc.build_link_arrays(X)
     sums, _, morse_stats = mc.run_lower_link_stats(source, link_arrays, len(coords), samples, 12)
     assert morse_stats == stats
     assert sums.sum() == 2 * pairs * X.euler_characteristic()  # chi per direction
@@ -1193,20 +1234,27 @@ def test_no_pair_hits_both_ends_of_a_multi_vertex_cell(rng):
     X = sd_random_complex()
     cells, sizes, _ = complex_cell_table(X)
     heights = tied_heights(rng, 300, len(X.vertices))
-    # every slot's plane, as the Morse kernel takes them: vertex cells have none
-    plan = _kernels.link_plan(*mc.build_link_arrays(X, len(X.vertices)))
+    # the planes the Morse kernel takes, of every slot of a cell of three
+    # or more vertices, whose pair hit is the OR of the two; and the row
+    # kernel's edge planes over [H; -H], for which its constant stands
+    simp_verts, link_sizes, _ = mc.build_link_arrays(X)
+    plan = _kernels.link_plan(simp_verts, link_sizes, len(X.vertices))
     hits, tie_pairs, _ = _kernels._hit_planes(heights, sizes, plan, False)
     assert 0 < tie_pairs.sum() < len(heights)
     m = len(heights)
+    _, row_classes, _ = row_kernel_oracle.hit_planes(stacked(heights), cells, sizes)
+    class_planes = [planes for _, planes in row_classes if len(planes) == 2]
     start = 0
-    for _, columns in plan.classes[1:]:
-        planes = hits[start : start + columns.size].reshape(*columns.shape, 2 * m)
-        start += columns.size
+    for _, columns in plan.classes:
+        if len(columns) > 2:
+            class_planes.append(hits[start : start + columns.size].reshape(*columns.shape, 2 * m))
+            start += columns.size
+    assert start == len(hits) == plan.rows and len(class_planes) == len(plan.classes) - 1
+    for planes in class_planes:
         x, minus_x = planes[:, :, :m][:, :, ~tie_pairs], planes[:, :, m:][:, :, ~tie_pairs]
         assert not (x & minus_x).any()
         # and each direction of a tie-free pair has one hit per cell
         assert (x.sum(axis=0) == 1).all() and (minus_x.sum(axis=0) == 1).all()
-    assert start == len(hits)
     source = mc.gaussian_source(equilateral_embedding(X).matrix())
     counts, stats = mc.run_cone_counts(source, cells, sizes, len(X.vertices), 2000, 3)
     multi = sizes > 1
@@ -1318,13 +1366,13 @@ def test_slicing_changes_no_cone_count(monkeypatch):
 def test_slicing_changes_no_lower_link_sum(monkeypatch):
     X = fixtures.random_complex(np.random.default_rng(6))
     emb = equilateral_embedding(X)
-    arrays = mc.build_link_arrays(X, len(emb.vertex_index))
+    arrays = mc.build_link_arrays(X)
     n = len(X.vertices)
     args = (_coarse_heights(emb.matrix()), arrays, n, 4000, 4)
     sums, sumsq, stats = mc.run_lower_link_stats(*args)
     assert stats.resampled > 0 and stats.batches >= 2
-    budget = _kernels.index_call_bytes(arrays[1], arrays[5])
-    budget += 3 * _kernels.index_row_bytes(arrays[1], n, arrays[5])
+    plan = _kernels.link_plan(*arrays[:2], n)
+    budget = _kernels.index_call_bytes(arrays[1], plan) + 3 * _kernels.index_row_bytes(arrays[1], n, plan)
     monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", budget)
     rows = _record_rows(monkeypatch, "lower_link_index")
     sliced = mc.run_lower_link_stats(*args)
@@ -1363,7 +1411,7 @@ def test_positive_row_scales_change_no_count_tie_or_index(fixture, scale, monkey
     X, emb = fixture()
     n = len(emb.vertex_index)
     cells, sizes, _ = complex_cell_table(X)
-    arrays = mc.build_link_arrays(X, len(emb.vertex_index))
+    arrays = mc.build_link_arrays(X)
     calls = []
     for name in ("cone_argmax_counts", "lower_link_index"):
         kernel = getattr(_kernels, name)
@@ -1382,34 +1430,99 @@ def test_positive_row_scales_change_no_count_tie_or_index(fixture, scale, monkey
         np.testing.assert_array_equal(got, want)
     assert len(scaled_calls) == len(calls)
     for (got, got_ties), (want, want_ties) in zip(scaled_calls, calls):
-        np.testing.assert_array_equal(got, want)  # counts, or every direction's index
+        np.testing.assert_array_equal(got, want)  # counts, or every pair's Q
         np.testing.assert_array_equal(got_ties, want_ties)
     if fixture is fixtures.square_boundary:
         assert cone[1].resampled > 0
 
 
+def _apex_on_top(n):
+    """A source of Gaussian heights of n vertices with vertex 0 above the
+    others in every row."""
+
+    def draw(seed, block, rows):
+        heights = np.random.default_rng([seed, block]).standard_normal((n, rows))
+        heights[0] = 10.0
+        return heights
+
+    return mc.Source(mc.BLOCK_ROWS, draw)
+
+
 def test_morse_stats_square_the_widest_int8_pair_exactly():
-    # The apex of star_126 owns 127 slots, the most an int8 index allows.
-    # Each of its 126 edges has the apex on top under exactly one of x and
-    # -x, so its pair index is 2 - 126 = -124 in every pair: the widest
-    # pair sum an int8 table reaches, whose square needs 14 bits. Each
-    # leaf's pair index is 2 - 1 = 1.
-    X = EDGE_CASES["star_126"]()
-    index = {v: i for i, v in enumerate(X.vertices)}
-    arrays = mc.build_link_arrays(X, len(index))
-    assert _kernels.index_dtype(arrays[5], len(arrays[3])) == np.int8
-    coords = np.random.default_rng(8).standard_normal((len(index), 3))
-    source = mc.gaussian_source(coords)
-    sums, sumsq, stats = mc.run_lower_link_stats(source, arrays, len(index), 1000, 3)
-    assert stats.resampled == 0 and stats.pairs == 500
-    want = np.full(len(index), 500)
-    want[index[0]] = -124 * 500
-    np.testing.assert_array_equal(sums, want)
-    want[index[0]] = 124**2 * 500
-    np.testing.assert_array_equal(sumsq, want)
-    # the pair index is constant, so the bound is exactly 0
-    kappa = morse_curvature_measure(equilateral_embedding(X), samples=1000, seed=3)
-    assert kappa[0] == (-62.0, 0.0)
+    # The apex of a cone over a 127-gon owns 127 planned slots, the most an
+    # int8 Q allows; over a 128-gon it owns 128, and Q takes int16. On top
+    # under every x, the apex tops all its triangles under x and none
+    # under -x, so its Q is the rim size in every pair, the widest Q of its
+    # dtype, whose square needs the next width; with its constant 2 - rim
+    # its pair index is 1 + 1 = 2. Every sum is checked against the row
+    # kernel on the same heights.
+    for rim, dtype in ((127, np.int8), (128, np.int16)):
+        X = cone_over_cycle(rim)
+        n = len(X.vertices)
+        arrays = mc.build_link_arrays(X)
+        plan = _kernels.link_plan(*arrays[:2], n)
+        assert plan.dtype == dtype and plan.constant[0] == 2 - rim
+        source = _apex_on_top(n)
+        sums, sumsq, stats = mc.run_lower_link_stats(source, arrays, n, 1000, 3)
+        assert stats.resampled == 0 and stats.pairs == 500
+        pair_index, ties = row_kernel_oracle.pair_lower_link_index(source.draw(3, 0, 500).T, *arrays[:2], n)
+        assert not ties.any() and (pair_index[:, 0] == 2).all()
+        np.testing.assert_array_equal(sums, pair_index.sum(axis=0))
+        np.testing.assert_array_equal(sumsq, (pair_index**2).sum(axis=0))
+        index, _ = _kernels.lower_link_index(source.draw(3, 0, 500).T, *arrays[:2], plan)
+        assert index.dtype == dtype and (index[list(plan.owners).index(0)] == rim).all()
+
+
+TRIANGLE_FREE = {
+    "vertices_only": EDGE_CASES["vertices_only"],
+    "path": lambda: fixtures.path_complex(6),
+    "graph": EDGE_CASES["graph"],
+    "star_126": EDGE_CASES["star_126"],
+}
+
+
+@pytest.mark.parametrize("name", TRIANGLE_FREE)
+def test_triangle_free_carriers_plan_no_rows_and_are_exact(name):
+    # With no cell of three or more vertices the Morse plan has no rows and
+    # no owners, and every pair index is the constant 2 - degree: each
+    # edge has its vertex on top under exactly one of x and -x. So the
+    # sums are exact multiples of the pair count and every bound is 0.
+    X = TRIANGLE_FREE[name]()
+    emb = equilateral_embedding(X)
+    n = len(emb.vertex_index)
+    arrays = mc.build_link_arrays(X)
+    plan = _kernels.link_plan(*arrays[:2], n)
+    assert (plan.rows, len(plan.owners), plan.blocks) == (0, 0, [])
+    degree = [sum(len(s) == 2 and v in s for s in X.simplices) for v in emb.vertex_order]
+    np.testing.assert_array_equal(plan.constant, [2 - d for d in degree])
+    source = mc.gaussian_source(emb.matrix())
+    sums, sumsq, stats = mc.run_lower_link_stats(source, arrays, n, 1001, 3)
+    assert stats.pairs == 501
+    np.testing.assert_array_equal(sums, 501 * plan.constant)
+    np.testing.assert_array_equal(sumsq, 501 * plan.constant**2)
+    kappa = morse_curvature_measure(emb, samples=1001, seed=3)
+    assert kappa == {v: (1.0 - d / 2, 0.0) for v, d in zip(emb.vertex_order, degree)}
+    if name == "star_126":
+        assert kappa[0] == (-62.0, 0.0)
+
+
+def test_edge_ties_are_flagged_without_edge_planes(rng):
+    # The Morse kernel plans no edge slot, yet a tie along an edge makes a
+    # tie pair, and a tie of two vertices with no edge between them does
+    # not: on a graph, whose plan has no rows, and on an edge of a triangle
+    for X in (EDGE_CASES["graph"](), SimplicialComplex.from_maximal([(0, 1, 2), (2, 3)])):
+        n = len(X.vertices)
+        arrays = mc.build_link_arrays(X)
+        heights = rng.standard_normal((60, n))
+        heights[:20, 1] = heights[:20, 0]  # the edge 0-1
+        heights[20:40, 3] = heights[20:40, 0]  # no edge joins 0 and 3
+        want_idx, want_ties = row_kernel_oracle.pair_lower_link_index(heights, *arrays[:2], n)
+        np.testing.assert_array_equal(want_ties, np.arange(60) < 20)
+        for table in (heights, _competition_ranks(heights)):
+            idx, ties = pair_index_by_column(table, arrays, n)
+            np.testing.assert_array_equal(ties, want_ties)
+            np.testing.assert_array_equal(idx, want_idx)
+    assert _kernels.link_plan(*mc.build_link_arrays(EDGE_CASES["graph"]())[:2], 6).rows == 0
 
 
 def _no_keys(n):
@@ -1463,13 +1576,14 @@ def test_slicing_changes_no_measure(name, monkeypatch):
     default = measures()
     # a few pairs beyond either kernel's per-call bytes
     _, sizes, _ = _cell_table(emb)
-    _, link_sizes, _, _, _, starts = mc.build_link_arrays(emb.carrier, len(emb.vertex_index))
+    simp_verts, link_sizes, _ = mc.build_link_arrays(emb.carrier)
     n = len(emb.vertex_order)
+    plan = _kernels.link_plan(simp_verts, link_sizes, n)
     pair_bytes = max(
-        _kernels.cone_row_bytes(sizes, n), _kernels.index_row_bytes(link_sizes, n, starts)
+        _kernels.cone_row_bytes(sizes, n), _kernels.index_row_bytes(link_sizes, n, plan)
     )
     budget = max(2048, 3 * pair_bytes) + max(
-        _kernels.cone_call_bytes(sizes), _kernels.index_call_bytes(link_sizes, starts)
+        _kernels.cone_call_bytes(sizes), _kernels.index_call_bytes(link_sizes, plan)
     )
     monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", budget)
     cone_rows = _record_rows(monkeypatch, "cone_argmax_counts")
@@ -1487,14 +1601,15 @@ def test_kernel_memory_stays_under_the_budget():
     for _ in range(2):
         X, _ = barycentric_subdivide(X)
     emb = equilateral_embedding(X)
-    # one 2,000-pair call of either kernel would take far more than the budget
-    link_arrays = mc.build_link_arrays(X, len(emb.vertex_index))
-    pair_bytes = _kernels.index_row_bytes(link_arrays[1], len(X.vertices), link_arrays[5])
-    assert 2000 * pair_bytes > 10 * mc.KERNEL_BUDGET_BYTES
+    # one 3,000-pair call of either kernel would take far more than the budget
+    simp_verts, sizes, _ = mc.build_link_arrays(X)
+    plan = _kernels.link_plan(simp_verts, sizes, len(X.vertices))
+    pair_bytes = _kernels.index_row_bytes(sizes, len(X.vertices), plan)
+    assert 3000 * pair_bytes > 10 * mc.KERNEL_BUDGET_BYTES
     tracemalloc.start()
     try:
-        morse_curvature_measure(emb, samples=4000, seed=1)
-        curvature_measure(emb, method="mc", samples=4000, seed=1)
+        morse_curvature_measure(emb, samples=6000, seed=1)
+        curvature_measure(emb, method="mc", samples=6000, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -15,7 +15,7 @@ from curvcalc.morse import (
 from curvcalc import fixtures, mc
 from curvcalc.complexes import SimplicialComplex
 
-from test_kernels import FIXTURES, index_by_column, sparse_octahedron
+from test_kernels import FIXTURES, pair_index_by_column, sparse_octahedron
 
 
 class TestMorseIndex:
@@ -166,19 +166,19 @@ class TestIndexLocality:
 class TestVectorizedIndexOracle:
     @pytest.mark.parametrize("fixture", [*FIXTURES, sparse_octahedron])
     def test_lower_link_kernel_equals_scalar_index(self, fixture):
-        # both rows, x and -x, of every tie-free pair of the vectorized
-        # kernel must give, per vertex, exactly the integer the scalar
-        # lower-link index gives; morse_index's height is -<x, p>
+        # every tie-free pair of the vectorized kernel, its Q plus the
+        # plan's constant, must give per vertex exactly the sum of the
+        # integers the scalar lower-link index gives for x and -x;
+        # morse_index's height is -<x, p>
         X, emb = fixture()
         dirs = mc.sample_unit_directions(11, 0, 50, emb.ambient_dim)
         heights = -(dirs @ emb.matrix().T)
-        idx, ties = index_by_column(heights, mc.build_link_arrays(X, len(emb.vertex_index)))
+        idx, ties = pair_index_by_column(heights, mc.build_link_arrays(X), len(emb.vertex_index))
         assert not ties.all()
         for row in np.nonzero(~ties)[0]:
             for v in X.vertices:
-                column = emb.vertex_index[v]
-                assert idx[row, column] == morse_index(v, dirs[row], emb), (row, v)
-                assert idx[len(dirs) + row, column] == morse_index(v, -dirs[row], emb), (row, v)
+                want = morse_index(v, dirs[row], emb) + morse_index(v, -dirs[row], emb)
+                assert idx[row, emb.vertex_index[v]] == want, (row, v)
 
 
 class TestMorseMeasure:

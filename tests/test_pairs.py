@@ -99,3 +99,54 @@ def test_main_refuses_before_it_exports_or_runs(pairs, monkeypatch):
     monkeypatch.setattr(pairs, "run", refuse)
     with pytest.raises(SystemExit, match="refusing: BENCHMARK.json differ"):
         pairs.main(["--base", "HEAD~1", "--workload", "curv-mc", "--pairs", "10", "--seeds", "1-10"])
+
+
+def traced_line(lower_link_s, useful_row_frac):
+    """A perfbench --trace 1 result line: per-layer metrics only."""
+    metrics = {
+        "kernels.lower_link_s": {"value": lower_link_s, "unit": "s"},
+        "mc.useful_row_frac": {"value": useful_row_frac, "unit": "fraction"},
+    }
+    return json.dumps({"correct": True, "attempted": 24, "failed": 0, "metrics": metrics})
+
+
+def test_traced_pairs_summarize_the_per_layer_metrics(pairs):
+    declared = pairs.declared_metrics("per_layer")
+    assert declared["kernels.lower_link_s"] == "lower" and declared["mc.useful_row_frac"] == "higher"
+    assert "mc.build_arrays_s" in declared and "job_p50_s" not in declared
+    base = [traced_line(*v) for v in ((0.020, 0.99), (0.021, 0.98), (0.022, 0.99))]
+    change = [traced_line(*v) for v in ((0.015, 0.99), (0.016, 0.97), (0.023, 0.995))]
+    wanted = {name: declared[name] for name in ("kernels.lower_link_s", "mc.useful_row_frac")}
+    summary = pairs.summarize([(metrics(b), metrics(c)) for b, c in zip(base, change)], wanted)
+    link = summary["kernels.lower_link_s"]
+    assert link["base"] == pytest.approx([0.0205, 0.021, 0.0215])
+    assert link["change"] == pytest.approx([0.0155, 0.016, 0.0195])
+    assert (link["won"], link["beyond_base_iqr"]) == (2, True)
+    assert link["delta"] == pytest.approx(-5 / 21)
+    frac = summary["mc.useful_row_frac"]
+    # higher is better: the last pair won, the second lost, the first tied
+    assert (frac["won"], frac["beyond_base_iqr"]) == (1, False)
+    lines = pairs.report(summary)
+    assert lines[0].startswith("kernels.lower_link_s base") and "won 2/3" in lines[0]
+    assert lines[1].startswith("mc.useful_row_frac   base")
+
+
+def test_trace_runs_both_sides_traced_and_reports_the_layers(pairs, monkeypatch, capsys):
+    monkeypatch.setattr(pairs, "shared_differences", lambda base: [])
+    monkeypatch.setattr(pairs, "export", lambda base, directory: "base-tree")
+    calls = []
+
+    def run(tree, workload, seed, trace=False):
+        calls.append((tree, seed, trace))
+        value = 0.02 if tree == "base-tree" else 0.01
+        return {name: value for name in pairs.declared_metrics("per_layer")}
+
+    monkeypatch.setattr(pairs, "run", run)
+    argv = ["--base", "HEAD", "--workload", "curv-mc", "--pairs", "2", "--seeds", "5-6", "--trace"]
+    assert pairs.main(argv) == 0
+    assert [(tree == "base-tree", seed, trace) for tree, seed, trace in calls] == [
+        (True, 5, True), (False, 5, True), (False, 6, True), (True, 6, True)
+    ]
+    out = capsys.readouterr().out
+    assert "curv-mc: 2 pairs, traced" in out
+    assert "kernels.lower_link_s" in out and "mc.build_arrays_s" in out and "job_p50_s" not in out
