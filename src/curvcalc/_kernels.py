@@ -28,15 +28,19 @@ directions of the free (tie-free) pairs of a call, a vertex cell hits in
 every one and each endpoint of an edge in exactly one of x and -x, so
 they count 2 * free and free; a cell of k >= 3 vertices hits once per
 direction, so only its first k - 1 slots get planes, and its last counts
-2 * free less theirs. The Morse kernel sums signed hits per vertex, a
-block of vertices with equal slot counts at a time, so it takes the
-plane of every slot but a vertex cell's, which adds 1 to its vertex.
+2 * free less theirs. The Morse kernel needs only the pair index
+I(x) + I(-x), to which a vertex cell adds 2 and each edge -1 at each
+end in every tie-free pair: that constant, 2 - degree, is in its plan
+and the driver adds it once per run. So only the slots of cells of
+three or more vertices get planes; the kernel ORs each slot's x and -x
+hits into one pair hit and sums them signed per vertex, a block of
+vertices with equal slot counts at a time, into Q.
 
 What a call reads of the table alone is its run plan, which the driver
 builds once per run (cone_plan, link_plan) and every call reuses: the
 size classes, each class's members and contiguous slot columns (int32
 when they fit), which the core gathers with take, and the Morse kernel's
-owner blocks and index dtype. Every large array a call works in is carved
+owner order and blocks, index dtype and per-vertex constant. Every large array a call works in is carved
 from one workspace per thread (workspace), which grows to the largest
 call, up to KERNEL_BUDGET_BYTES, and is kept for the life of the process;
 a call needing more gets a buffer of its own. Nothing a kernel returns

@@ -94,7 +94,10 @@ def morse_curvature_measure(
     smoothed by one pseudo-pair 1/2 from the mean at every vertex of a
     triangle. At any other vertex the pair index is 2 - degree in every
     pair (each edge has v on top under exactly one of x and -x), so the
-    estimate is exact and the bound 0; elsewhere it is never 0.
+    estimate is exact and the bound 0; elsewhere it is never 0. The
+    kernel plans only the slots of simplices of three or more vertices;
+    the vertex and edge terms, 2 - degree per pair, are added once per
+    run, in exact integers.
     """
     carrier = _simplicial_carrier(embedding)
     n = len(embedding.vertex_order)
