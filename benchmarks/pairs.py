@@ -15,8 +15,9 @@ side, the change of the medians, the pairs the working tree won and
 whether the medians differ by more than the base's quartile distance.
 With --trace the runs are at --trace 1 and the same lines cover the
 per-layer metrics that BENCHMARK.json declares, such as
-kernels.lower_link_s. A run that exits non-zero or reports a failed job
-stops the script.
+kernels.lower_link_s; without it the runs and the lines are those of
+the script before --trace existed. A run that exits non-zero or reports
+a failed job stops the script.
 """
 
 import argparse
@@ -126,7 +127,7 @@ def summarize(pairs, better):
 def report(summary):
     """One line per metric."""
     lines = []
-    width = max(map(len, summary), default=0)
+    width = max([13, *map(len, summary)])
     for name, s in summary.items():
         b1, b2, b3 = s["base"]
         c1, c2, c3 = s["change"]
@@ -138,7 +139,7 @@ def report(summary):
     return lines
 
 
-def declared_metrics(kind="end_to_end", root=ROOT):
+def declared_metrics(kind, root=ROOT):
     """{name: "lower" or "higher"} of BENCHMARK.json's end_to_end or
     per_layer metrics."""
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as handle:

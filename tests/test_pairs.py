@@ -49,7 +49,7 @@ def test_quartiles_medians_and_wins_from_result_lines(pairs):
     assert (score["won"], score["delta"]) == (4, pytest.approx(1 / 5))
     assert score["base"] == [5.0, 5.0, 6.0] and not score["beyond_base_iqr"]
     lines = pairs.report(summary)
-    assert lines[0].startswith("job_p50_s") and "won 4/5" in lines[0] and "delta -16.7%" in lines[0]
+    assert lines[0].startswith("job_p50_s     base") and "won 4/5" in lines[0] and "delta -16.7%" in lines[0]
 
 
 def test_one_pair_and_a_clear_gain(pairs):
