@@ -40,12 +40,17 @@ What a call reads of the table alone is its run plan, which the driver
 builds once per run (cone_plan, link_plan) and every call reuses: the
 size classes, each class's members and contiguous slot columns (int32
 when they fit), which the core gathers with take, and the Morse kernel's
-owner order and blocks, index dtype and per-vertex constant. Every large array a call works in is carved
-from one workspace per thread (workspace), which grows to the largest
-call, up to KERNEL_BUDGET_BYTES, and is kept for the life of the process;
-a call needing more gets a buffer of its own. Nothing a kernel returns
-lies in the workspace. So the per-call byte bounds count the workspace a
-call carves and the few arrays it allocates beside it.
+owner order and blocks, index dtype and per-vertex constant, and a
+call's memory, from one formula (_layout): the bytes a pair carves from
+the workspace (plan.workspace), those and what a pair allocates beside
+them (pair_bytes), and the bytes a call allocates whatever its pair count
+(call_bytes). Every large array a call works in is carved from one
+workspace per thread (workspace), which grows to the largest call, up to
+KERNEL_BUDGET_BYTES, and is kept for the life of the process; a call
+needing more gets a buffer of its own. Nothing a kernel returns lies in
+the workspace. The driver slices its blocks by the plan's call_bytes and
+pair_bytes, and carves the Morse squares from the workspace the kernel
+took.
 """
 
 import functools
@@ -133,17 +138,19 @@ def _ranks(ht, ranks=None, below=None):
 
 class ConePlan(NamedTuple):
     """The cone kernel's run plan: class_plan's classes, its rows of hit
-    planes (k - 1 per cell of k >= 3 vertices) and its class scratch."""
+    planes (k - 1 per cell of k >= 3 vertices) and _layout's bytes."""
 
     classes: list
     rows: int
-    scratch: tuple
+    workspace: int
+    pair_bytes: int
+    call_bytes: int
 
 
 class LinkPlan(NamedTuple):
     """The Morse kernel's run plan: class_plan's classes, its rows of hit
-    planes (every slot of a cell of three or more vertices), its class
-    scratch, the (start, stop) row spans of its cells of an even vertex
+    planes (every slot of a cell of three or more vertices), _layout's
+    bytes, the (start, stop) row spans of its cells of an even vertex
     count, whose sign is -1, the rows sorted by owner (order), the owners
     in that order, the (a, b, lo, width) owner blocks, owners a..b-1 with
     width of those rows each from sorted row lo on, the index dtype, and
@@ -152,35 +159,15 @@ class LinkPlan(NamedTuple):
 
     classes: list
     rows: int
-    scratch: tuple
+    workspace: int
+    pair_bytes: int
+    call_bytes: int
     negative: list
     order: np.ndarray
     owners: np.ndarray
     blocks: list
     dtype: type
     constant: np.ndarray
-
-
-def _class_sizes(sizes) -> list:
-    """(k, cells of size k) per size class, in size_classes order."""
-    counts = np.bincount(sizes)
-    ks = np.flatnonzero(counts)
-    return list(zip(ks.tolist(), counts[ks].tolist()))
-
-
-def _varying_rows(class_sizes) -> int:
-    return sum((k - 1) * cells for k, cells in class_sizes if k > 2)
-
-
-def _scratch(class_sizes, checked=lambda k: k > 1) -> tuple:
-    """Per pair, the largest scratch _class_hits carves for a class of two
-    or more slots, given (k, cells) per class and the sizes k whose ties
-    it checks: (elements of the table's dtype, bytes of counts and
-    flags)."""
-    multi = [(k, cells) for k, cells in class_sizes if k > 1]
-    values = max(((k + 1) * cells for k, cells in multi), default=0)
-    flags = max(((_count_dtype(k).itemsize + 1) * cells for k, cells in multi if checked(k)), default=0)
-    return values, flags
 
 
 def class_plan(cells, sizes) -> list:
@@ -196,9 +183,49 @@ def class_plan(cells, sizes) -> list:
     return classes
 
 
-def cone_plan(cells, sizes) -> ConePlan:
-    class_sizes = _class_sizes(sizes)
-    return ConePlan(class_plan(cells, sizes), _varying_rows(class_sizes), _scratch(class_sizes))
+# numpy's buffered casts (the int64 sums of narrower ints) take up to
+# 8,192 elements of 8 bytes for the length of one call
+_CAST_BUFFER_BYTES = 8192 * 8
+
+
+def _layout(classes, sizes, n_vertices: int, rows: int, checked, carve=0, beside=0, call=0) -> tuple:
+    """(workspace, pair_bytes, call_bytes) of a kernel call on the size
+    classes of a table of n_vertices, with rows of hit planes, that checks
+    the ties of the classes of size k where checked(k) and carves, per
+    pair, carve bytes of its own, allocates beside bytes beside and call
+    bytes whatever its pair count.
+
+    workspace is the bytes a pair carves, for heights of up to 8 bytes: the
+    contiguous copy of its slice, the ranks and their comparison mask when
+    ranking, two hits per plane row, the largest class's gathered values
+    and extreme, and its hit counts and flags, then carve. pair_bytes adds
+    what a pair allocates beside: its tie flags, their reductions and its
+    pair flag, and, when ranking, its rank sum and the sum's check, then
+    beside. call_bytes is numpy's cast buffer, the workspace's alignment
+    slack, the intp copy of the largest gathered class's slot columns
+    that take makes, and call."""
+    multi = [(len(columns), len(members)) for members, columns in classes if len(columns) > 1]
+    values = max(((k + 1) * cells for k, cells in multi), default=0)
+    flags = max(((_count_dtype(k).itemsize + 1) * cells for k, cells in multi if checked(k)), default=0)
+    item, table, beside = 8, 8 * n_vertices, beside + 8
+    if uses_ranks(n_vertices, sizes):
+        item = _rank_dtype(n_vertices).itemsize
+        table += (item + 1) * n_vertices
+        beside += _rank_sum_dtype(n_vertices).itemsize + 1
+    carved = table + 2 * rows + item * values + flags + carve
+    largest = max((k * cells for k, cells in multi), default=0)
+    return carved, carved + beside, _CAST_BUFFER_BYTES + _SLACK + 8 * largest + call
+
+
+def cone_plan(cells, sizes, n_vertices: int) -> ConePlan:
+    # a call allocates the int64 counts of the padded table and per hit-plane
+    # row, and per cell of the largest class its members' intp copy and
+    # two int64 sums
+    classes = class_plan(cells, sizes)
+    rows = sum((len(columns) - 1) * len(members) for members, columns in classes if len(columns) > 2)
+    largest = max((len(members) for members, _ in classes), default=0)
+    call = 8 * cells.size + 8 * rows + 24 * largest
+    return ConePlan(classes, rows, *_layout(classes, sizes, n_vertices, rows, lambda k: k > 1, call=call))
 
 
 def link_plan(simp_verts, sizes, n_vertices: int) -> LinkPlan:
@@ -228,16 +255,17 @@ def link_plan(simp_verts, sizes, n_vertices: int) -> LinkPlan:
     starts = np.cumsum(widths) - widths
     firsts = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist()] if len(widths) else []
     blocks = [(a, b, int(starts[a]), int(widths[a])) for a, b in zip(firsts, [*firsts[1:], len(owners)])]
+    dtype = index_dtype(int(widths.max(initial=0)))
+    # a pair carves its int8 pair hit and term per plane row, or the
+    # driver's squares, carved after the call, if more; beside it lie Q,
+    # and per call the driver's two int64 sums per owner
+    carve = max(2 * rows, square_dtype(dtype).itemsize * len(owners))
+    layout = _layout(
+        classes, sizes, n_vertices, rows, lambda k: k == 2,
+        carve, np.dtype(dtype).itemsize * len(owners), 16 * len(owners),
+    )
     return LinkPlan(
-        classes,
-        rows,
-        _scratch(_class_sizes(sizes), lambda k: k == 2),
-        negative,
-        np.lexsort((owner, counts[owner])),
-        owners,
-        blocks,
-        index_dtype(int(widths.max(initial=0))),
-        constant,
+        classes, rows, *layout, negative, np.lexsort((owner, counts[owner])), owners, blocks, dtype, constant
     )
 
 
@@ -287,11 +315,11 @@ def _class_hits(table, columns, planes, arena, ties):
     arena.used = used
 
 
-def _hit_planes(heights, sizes, plan, varying, term_rows=0):
+def _hit_planes(heights, sizes, plan, varying):
     """(hits, tie_pairs, arena) for the m pairs of a (m, n) heights array.
-    arena is a workspace holding the vertex table, the plan's rows of
-    hits, the largest class's scratch, _SLACK and term_rows rows of 2m
-    bytes left for the caller. hits is its (plan.rows, 2m) bool array
+    arena is a workspace of plan.workspace bytes a pair and _SLACK that
+    holds the vertex table, the plan's rows of hits, the largest class's
+    scratch and the caller's arrays. hits is its (plan.rows, 2m) bool array
     whose column b is the direction of row b and column m + b its
     negation, with one block of (planes, cells of size k, 2m) per size
     class k >= 3, in size_classes order, and none for vertices or edges:
@@ -303,13 +331,8 @@ def _hit_planes(heights, sizes, plan, varying, term_rows=0):
     the rows that tie in either column."""
     m, n = heights.shape
     rank_dtype = _rank_dtype(n)
-    item = heights.dtype.itemsize
     ranking = heights.dtype != rank_dtype and uses_ranks(n, sizes)
-    per_pair = n * item + 2 * (plan.rows + term_rows) + plan.scratch[1]
-    if ranking:
-        item = rank_dtype.itemsize
-        per_pair += n * (item + 1)
-    arena = workspace(m * (per_pair + item * plan.scratch[0]) + _SLACK)
+    arena = workspace(m * plan.workspace + _SLACK)
     table, tie_free = _vertex_table(heights, rank_dtype, ranking, arena)
     hits = arena((plan.rows, 2 * m), bool)
     ties = None if tie_free else np.zeros((2, m), dtype=bool)
@@ -326,36 +349,6 @@ def _hit_planes(heights, sizes, plan, varying, term_rows=0):
     return hits, np.zeros(m, dtype=bool) if ties is None else ties[0] | ties[1], arena
 
 
-# numpy's buffered casts (the int64 sums of narrower ints) take up to
-# 8,192 elements of 8 bytes for the length of one call
-_CAST_BUFFER_BYTES = 8192 * 8
-
-
-def _table_row_bytes(sizes, n_vertices: int, plane_rows: int, scratch) -> int:
-    """Bytes per pair of the workspace the core carves and of the arrays
-    it allocates, summed as if all were live at once: per vertex the
-    contiguous copy of the slice and, when ranking, the rank and its
-    comparison mask, and then the row's rank sum and its check; two hits
-    per plane row; the plan's class scratch, the largest class's gathered
-    values, extreme, hit counts and flags; the tie flags, their
-    reductions and the pair flags."""
-    values, flags = scratch
-    if uses_ranks(n_vertices, sizes):
-        item = _rank_dtype(n_vertices).itemsize
-        table = (9 + item) * n_vertices + _rank_sum_dtype(n_vertices).itemsize + 1
-    else:
-        item = 8
-        table = 8 * n_vertices
-    return table + 2 * plane_rows + item * values + flags + 8
-
-
-def _call_bytes(sizes) -> int:
-    """Bytes of what a call of either kernel allocates whatever its pair
-    count: numpy's cast buffer, the workspace's alignment slack, and the
-    intp copy of the largest class's slot columns that take makes."""
-    return _CAST_BUFFER_BYTES + _SLACK + 8 * max((k * c for k, c in _class_sizes(sizes)), default=0)
-
-
 def cone_argmax_counts(heights, cells, sizes, plan):
     """(counts, tie_pairs): per cell and vertex slot, the number of
     directions x and -x of the tie-free rows of heights in which that
@@ -363,7 +356,7 @@ def cone_argmax_counts(heights, cells, sizes, plan):
     (n_cells, max_size) array padded arbitrarily; plan is its cone_plan."""
     hits, tie_pairs, _ = _hit_planes(heights, sizes, plan, True)
     if tie_pairs.any():
-        hits[:, np.tile(tie_pairs, 2)] = False
+        np.copyto(hits.reshape(-1, 2, len(tie_pairs)), False, where=tie_pairs)
     counted = np.add.reduce(hits.view(np.uint8), axis=1, dtype=_count_dtype(hits.shape[1]))
     free = len(tie_pairs) - int(np.count_nonzero(tie_pairs))
     counts = np.zeros(cells.shape, dtype=np.int64)
@@ -378,25 +371,6 @@ def cone_argmax_counts(heights, cells, sizes, plan):
         counts[members, : k - 1] = others.T
         counts[members, k - 1] = 2 * free - others.sum(axis=0)
     return counts, tie_pairs
-
-
-def cone_call_bytes(sizes) -> int:
-    """Bytes of the per-call arrays of cone_argmax_counts given its plan:
-    those of either kernel, the int64 counts of the padded table, the
-    int64 count per hit-plane row, and per cell of the largest class its
-    members' intp copy and two int64 sums."""
-    class_sizes = _class_sizes(sizes)
-    largest = max((c for _, c in class_sizes), default=0)
-    width = max((k for k, _ in class_sizes), default=1)
-    return _call_bytes(sizes) + 8 * len(sizes) * width + 8 * _varying_rows(class_sizes) + 24 * largest
-
-
-def cone_row_bytes(sizes, n_vertices: int) -> int:
-    """Bytes per pair of every array cone_argmax_counts carves or
-    allocates, summed as if all were live at once: the core's, with a
-    hit-plane row per varying slot, and the tie columns' mask."""
-    class_sizes = _class_sizes(sizes)
-    return _table_row_bytes(sizes, n_vertices, _varying_rows(class_sizes), _scratch(class_sizes)) + 2
 
 
 @functools.cache
@@ -428,7 +402,7 @@ def lower_link_index(heights, simp_verts, sizes, plan):
     edge with two, so the tie pairs are the lower links'; their columns
     are zeroed.
     """
-    hits, tie_pairs, arena = _hit_planes(heights, sizes, plan, False, term_rows=plan.rows)
+    hits, tie_pairs, arena = _hit_planes(heights, sizes, plan, False)
     m = len(tie_pairs)
     pair = arena((plan.rows, m), np.int8)
     np.bitwise_or(hits[:, :m], hits[:, m:], out=pair.view(bool))
@@ -441,23 +415,6 @@ def lower_link_index(heights, simp_verts, sizes, plan):
     if tie_pairs.any():
         np.copyto(index, 0, where=tie_pairs)
     return index, tie_pairs
-
-
-def index_call_bytes(sizes, plan) -> int:
-    """Bytes of the per-call arrays of lower_link_index given its plan and
-    of the driver's sums: those of either kernel and, per owner, the
-    driver's two int64 sums of a call, 16 bytes in all."""
-    return _call_bytes(sizes) + 16 * len(plan.owners)
-
-
-def index_row_bytes(sizes, n_vertices: int, plan) -> int:
-    """Bytes per pair of every array lower_link_index and the driver's
-    sums carve or allocate, summed as if all were live at once: the
-    core's, with a hit-plane row per planned slot, its pair hit and its
-    term, both int8, and per owner Q and its square."""
-    per_owner = np.dtype(plan.dtype).itemsize + square_dtype(plan.dtype).itemsize
-    core = _table_row_bytes(sizes, n_vertices, plan.rows, plan.scratch)
-    return core + 2 * plan.rows + per_owner * len(plan.owners)
 
 
 def backend_name() -> str:

@@ -159,19 +159,20 @@ def permutation_ranks(seed, block: int, rows: int, n: int) -> np.ndarray:
     return ranks
 
 
-def _drive(source, n_samples, seed, call_bytes, pair_bytes, accumulate):
+def _drive(source, n_samples, seed, plan, accumulate):
     """Feed exactly ceil(n_samples / 2) tie-free direction pairs, for an
     integer n_samples, to accumulate, which adds the tie-free pairs of a
     (pairs, n_vertices) heights slice to the caller's totals and returns
     its number of tie pairs. Each row of a block is one pair, x and -x;
     accumulate gets the transposes of column slices of the source's
-    blocks. A call's fixed bytes come off the budget before it is divided
-    into pairs."""
+    blocks. A call's fixed bytes, plan.call_bytes, come off CALL_BYTES
+    before the rest is divided into pairs of plan.pair_bytes, one pair a
+    call at least."""
     n_samples = operator.index(n_samples)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     n_pairs = -(-n_samples // 2)
-    step = max(1, (min(CALL_BYTES, KERNEL_BUDGET_BYTES) - call_bytes) // max(pair_bytes, 1))
+    step = max(1, (CALL_BYTES - plan.call_bytes) // plan.pair_bytes)
     remaining = n_pairs
     blocks = 0
     resampled = 0
@@ -196,16 +197,14 @@ def run_cone_counts(source, cells, sizes, n_vertices: int, n_samples: int, seed:
     run's McStats; source gives n_vertices heights per direction. The
     kernel's plan is built once and serves every call."""
     counts = np.zeros(cells.shape, dtype=np.int64)
-    plan = _kernels.cone_plan(cells, sizes)
+    plan = _kernels.cone_plan(cells, sizes, n_vertices)
 
     def accumulate(heights):
         slice_counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes, plan)
         counts[...] += slice_counts
         return int(ties.sum())
 
-    call_bytes = _kernels.cone_call_bytes(sizes)
-    pair_bytes = _kernels.cone_row_bytes(sizes, n_vertices)
-    stats = _drive(source, n_samples, seed, call_bytes, pair_bytes, accumulate)
+    stats = _drive(source, n_samples, seed, plan, accumulate)
     return counts, stats
 
 
@@ -225,15 +224,13 @@ def run_lower_link_stats(source, link_arrays, n_vertices: int, n_samples: int, s
     def accumulate(heights):
         index, ties = _kernels.lower_link_index(heights, simp_verts, sizes, plan)
         owner_sums[0] += index.sum(axis=1, dtype=np.int64)  # tied pairs are zeroed
-        # the squares lie in the kernels' workspace
+        # the squares lie in the workspace the kernel took for them
         arena = _kernels.workspace(index.size * square_dtype.itemsize + _kernels._SLACK)
         square = np.square(index, dtype=square_dtype, out=arena(index.shape, square_dtype))
         owner_sums[1] += square.sum(axis=1, dtype=np.int64)
         return int(ties.sum())
 
-    call_bytes = _kernels.index_call_bytes(sizes, plan)
-    pair_bytes = _kernels.index_row_bytes(sizes, n_vertices, plan)
-    stats = _drive(source, n_samples, seed, call_bytes, pair_bytes, accumulate)
+    stats = _drive(source, n_samples, seed, plan, accumulate)
     sums = np.zeros((2, n_vertices), dtype=np.int64)
     sums[:, plan.owners] = owner_sums
     c = plan.constant

@@ -133,7 +133,8 @@ def pair_cone_oracle(heights, cells, sizes):
 
 def cone_counts(heights, cells, sizes):
     """cone_argmax_counts given the table's run plan, as mc's driver gives it."""
-    return _kernels.cone_argmax_counts(heights, cells, sizes, _kernels.cone_plan(cells, sizes))
+    plan = _kernels.cone_plan(cells, sizes, heights.shape[1])
+    return _kernels.cone_argmax_counts(heights, cells, sizes, plan)
 
 
 def link_index(heights, link_arrays, n_vertices):
@@ -487,20 +488,11 @@ def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
     wide = plan.dtype != np.int8
     assert (_kernels.uses_ranks(n, sizes), wide) == PEAK_PATHS[table.__name__]
     calls = [
-        (
-            _kernels.cone_argmax_counts,
-            (cells, sizes, _kernels.cone_plan(cells, sizes)),  # the plan is built once per run
-            _kernels.cone_call_bytes(sizes),
-            _kernels.cone_row_bytes(sizes, n),
-        ),
-        (
-            _kernels.lower_link_index,
-            (simp_verts, link_sizes, plan),
-            _kernels.index_call_bytes(link_sizes, plan),
-            _kernels.index_row_bytes(link_sizes, n, plan),
-        ),
+        (_kernels.cone_argmax_counts, (cells, sizes, _kernels.cone_plan(cells, sizes, n))),
+        (_kernels.lower_link_index, (simp_verts, link_sizes, plan)),
     ]
-    for kernel, args, call_bytes, pair_bytes in calls:
+    for kernel, args in calls:
+        call_bytes, pair_bytes = args[-1].call_bytes, args[-1].pair_bytes
         kernel(rng.standard_normal((2, n)), *args)  # one-time imports are not temporaries
         # few-pair calls are where the per-call arrays dominate
         for pairs in (1, 3, rows):
@@ -793,6 +785,17 @@ def test_kernel_results_outlive_the_next_call(rng):
             np.testing.assert_array_equal(got, want)
 
 
+def test_a_workspace_over_the_budget_is_not_kept():
+    kept = _kernels.workspace(1024).buffer
+    length = len(kept)
+    large = _kernels.workspace(_kernels.KERNEL_BUDGET_BYTES + 1)
+    assert len(large.buffer) == _kernels.KERNEL_BUDGET_BYTES + 1
+    assert not np.shares_memory(large.buffer, kept)
+    assert _kernels._local.buffer is kept and len(kept) == length
+    # a request within the budget reuses the kept buffer
+    assert _kernels.workspace(length).buffer is kept
+
+
 def test_threads_keep_their_own_workspace():
     # each thread carves from its own buffer, so concurrent runs give the
     # outputs of serial ones
@@ -811,7 +814,7 @@ def test_plans_hold_int32_indices():
     cells, sizes, _ = complex_cell_table(X)
     simp_verts, link_sizes, _ = mc.build_link_arrays(X)
     plans = [
-        _kernels.cone_plan(cells, sizes),
+        _kernels.cone_plan(cells, sizes, len(X.vertices)),
         _kernels.link_plan(simp_verts, link_sizes, len(X.vertices)),
     ]
     for plan in plans:
@@ -1354,8 +1357,8 @@ def test_slicing_changes_no_cone_count(monkeypatch):
     args = (_coarse_heights(emb.matrix()), cells, sizes, n, 4000, 4)
     counts, stats = mc.run_cone_counts(*args)
     assert stats.resampled > 0 and stats.batches >= 2
-    budget = _kernels.cone_call_bytes(sizes) + 3 * _kernels.cone_row_bytes(sizes, n)
-    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", budget)
+    plan = _kernels.cone_plan(cells, sizes, n)
+    monkeypatch.setattr(mc, "CALL_BYTES", plan.call_bytes + 3 * plan.pair_bytes)
     rows = _record_rows(monkeypatch, "cone_argmax_counts")
     sliced_counts, sliced_stats = mc.run_cone_counts(*args)
     assert max(rows) == 3
@@ -1372,14 +1375,37 @@ def test_slicing_changes_no_lower_link_sum(monkeypatch):
     sums, sumsq, stats = mc.run_lower_link_stats(*args)
     assert stats.resampled > 0 and stats.batches >= 2
     plan = _kernels.link_plan(*arrays[:2], n)
-    budget = _kernels.index_call_bytes(arrays[1], plan) + 3 * _kernels.index_row_bytes(arrays[1], n, plan)
-    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", budget)
+    monkeypatch.setattr(mc, "CALL_BYTES", plan.call_bytes + 3 * plan.pair_bytes)
     rows = _record_rows(monkeypatch, "lower_link_index")
     sliced = mc.run_lower_link_stats(*args)
     assert max(rows) == 3
     np.testing.assert_array_equal(sliced[0], sums)
     np.testing.assert_array_equal(sliced[1], sumsq)
     assert sliced[2] == stats
+
+
+def test_a_pair_over_the_call_bytes_runs_alone(monkeypatch):
+    X = fixtures.random_complex(np.random.default_rng(7))
+    emb = equilateral_embedding(X)
+    cells, sizes, _ = complex_cell_table(X)
+    link_arrays = mc.build_link_arrays(X)
+    n = len(X.vertices)
+    runs = [
+        (mc.run_cone_counts, (cells, sizes), "cone_argmax_counts", _kernels.cone_plan(cells, sizes, n)),
+        (mc.run_lower_link_stats, (link_arrays,), "lower_link_index", _kernels.link_plan(*link_arrays[:2], n)),
+    ]
+    for run, table, kernel, plan in runs:
+        args = (_coarse_heights(emb.matrix()), *table, n, 400, 4)
+        whole = run(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "CALL_BYTES", plan.call_bytes + plan.pair_bytes - 1)
+            rows = _record_rows(patch, kernel)
+            sliced = run(*args)
+        assert set(rows) == {1}
+        assert whole[-1].resampled > 0
+        for got, expected in zip(sliced[:-1], whole[:-1]):
+            np.testing.assert_array_equal(got, expected)
+        assert sliced[-1] == whole[-1]
 
 
 ROW_SCALES = {
@@ -1575,17 +1601,13 @@ def test_slicing_changes_no_measure(name, monkeypatch):
 
     default = measures()
     # a few pairs beyond either kernel's per-call bytes
-    _, sizes, _ = _cell_table(emb)
+    cells, sizes, _ = _cell_table(emb)
     simp_verts, link_sizes, _ = mc.build_link_arrays(emb.carrier)
     n = len(emb.vertex_order)
-    plan = _kernels.link_plan(simp_verts, link_sizes, n)
-    pair_bytes = max(
-        _kernels.cone_row_bytes(sizes, n), _kernels.index_row_bytes(link_sizes, n, plan)
-    )
-    budget = max(2048, 3 * pair_bytes) + max(
-        _kernels.cone_call_bytes(sizes), _kernels.index_call_bytes(link_sizes, plan)
-    )
-    monkeypatch.setattr(mc, "KERNEL_BUDGET_BYTES", budget)
+    plans = [_kernels.cone_plan(cells, sizes, n), _kernels.link_plan(simp_verts, link_sizes, n)]
+    pair_bytes = max(plan.pair_bytes for plan in plans)
+    call_bytes = max(plan.call_bytes for plan in plans)
+    monkeypatch.setattr(mc, "CALL_BYTES", max(2048, 3 * pair_bytes) + call_bytes)
     cone_rows = _record_rows(monkeypatch, "cone_argmax_counts")
     link_rows = _record_rows(monkeypatch, "lower_link_index")
     sliced = measures()
@@ -1604,8 +1626,7 @@ def test_kernel_memory_stays_under_the_budget():
     # one 3,000-pair call of either kernel would take far more than the budget
     simp_verts, sizes, _ = mc.build_link_arrays(X)
     plan = _kernels.link_plan(simp_verts, sizes, len(X.vertices))
-    pair_bytes = _kernels.index_row_bytes(sizes, len(X.vertices), plan)
-    assert 3000 * pair_bytes > 10 * mc.KERNEL_BUDGET_BYTES
+    assert 3000 * plan.pair_bytes > 10 * mc.KERNEL_BUDGET_BYTES
     tracemalloc.start()
     try:
         morse_curvature_measure(emb, samples=6000, seed=1)
