@@ -26,7 +26,6 @@ import sys
 import numpy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RUN = os.path.join(ROOT, "perfbench", "run.py")
 SEEDS = (7, 8)
 SECONDS = 36.0
 
@@ -37,12 +36,12 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def run(workload, seed, trace):
-    """perfbench's result line for one run, with its metadata and host
-    probe notes."""
-    command = [sys.executable, RUN, "--workload", workload, "--seed", str(seed),
-               "--seconds", str(SECONDS), "--trace", str(trace)]
-    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+def run(workload, seed, trace, tree=ROOT):
+    """perfbench's result line for one run of the checkout at tree, with
+    its metadata and host probe notes."""
+    command = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
+               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"{' '.join(command[1:])} exited {done.returncode}:\n{done.stderr}")
     lines = done.stdout.splitlines()

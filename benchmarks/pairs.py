@@ -8,16 +8,16 @@ working tree is not touched. The script refuses to run when perfbench/ or
 BENCHMARK.json differ between REV and the working tree, untracked files
 included: both sides must be measured by the same benchmark. Pair i runs
 seed A + i mod (B - A + 1) on both sides, each with its own tree's
-perfbench/run.py at --trace 0 for bench.py's SECONDS, so that pairs and
-BENCH files measure runs of one length, and alternates which side runs
-first. It prints, per end-to-end metric, the median and quartiles of each
-side, the change of the medians, the pairs the working tree won and
-whether the medians differ by more than the base's quartile distance.
-With --trace the runs are at --trace 1 and the same lines cover the
-per-layer metrics that BENCHMARK.json declares, such as
-kernels.lower_link_s; without it the runs and the lines are those of
-the script before --trace existed. A run that exits non-zero or reports
-a failed job stops the script.
+perfbench/run.py at --trace 0, through bench.run, so that pairs and BENCH
+files measure runs of one length, and alternates which side runs first.
+It prints, per end-to-end metric, the median and quartiles of each side,
+the change of the medians, the pairs the working tree won and whether
+the medians differ by more than the base's quartile distance, then one
+line per pair with each metric's base and change values, which show
+what medians hide, such as a metric that flips between two levels. With
+--trace the runs are at --trace 1 and the same lines cover the per-layer
+metrics that BENCHMARK.json declares, such as kernels.lower_link_s. A run
+that exits non-zero or reports a failed job stops the script.
 """
 
 import argparse
@@ -29,7 +29,7 @@ import sys
 import tarfile
 import tempfile
 
-from bench import SECONDS
+import bench
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHARED = ("perfbench", "BENCHMARK.json")
@@ -82,14 +82,7 @@ def export(base, directory, root=ROOT):
 def run(tree, workload, seed, trace=False):
     """The metrics of one perfbench run of the tree: the end-to-end ones,
     or with trace the per-layer ones."""
-    command = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
-               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(int(trace))]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
-    if done.returncode:
-        sys.exit(f"{' '.join(command[1:])} exited {done.returncode}:\n{done.stderr}")
-    result = json.loads(done.stdout.splitlines()[-1])
-    if not result["correct"]:
-        sys.exit(f"{' '.join(command[1:])}: {result['failed']} of {result['attempted']} jobs failed")
+    result = bench.run(workload, seed, int(trace), tree)
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
@@ -139,6 +132,15 @@ def report(summary):
     return lines
 
 
+def pair_lines(pairs, seeds, names):
+    """One line per (base metrics, change metrics) pair, run on its seed:
+    each named metric's base and change values."""
+    return [
+        f"pair {i} seed {seed}: " + ", ".join(f"{name} {base[name]:.5g} -> {change[name]:.5g}" for name in names)
+        for i, ((base, change), seed) in enumerate(zip(pairs, seeds), 1)
+    ]
+
+
 def declared_metrics(kind, root=ROOT):
     """{name: "lower" or "higher"} of BENCHMARK.json's end_to_end or
     per_layer metrics."""
@@ -153,10 +155,10 @@ def main(argv=None):
     if differing:
         sys.exit(f"refusing: {', '.join(differing)} differ between {args.base} and the working tree")
     pairs = []
+    seeds = [args.seeds[i % len(args.seeds)] for i in range(args.pairs)]
     with tempfile.TemporaryDirectory() as directory:
         base_tree = export(args.base, directory)
-        for i in range(args.pairs):
-            seed = args.seeds[i % len(args.seeds)]
+        for i, seed in enumerate(seeds):
             sides = [("base", base_tree), ("change", ROOT)]
             if i % 2:
                 sides.reverse()
@@ -167,6 +169,7 @@ def main(argv=None):
     traced = ", traced" if args.trace else ""
     print(f"{args.workload}: {args.pairs} pairs{traced}, working tree against {args.base}, seeds {args.seeds}")
     print("\n".join(report(summary)))
+    print("\n".join(pair_lines(pairs, seeds, summary)))
     return 0
 
 

@@ -7,45 +7,41 @@ as mc.build_cell_arrays pads it, and answer for the 2m directions x_b and
 mc.Source: float64 Gaussian heights, uint64 keys or the ranks of
 mc.permutation_ranks, never negated or cast. Only the order of the
 heights in a row matters, so the core, _hit_planes, may compare per-row
-competition ranks instead of heights: the rank of v is the number of heights in its row strictly
-below v's, and every < and == between two heights of a row also holds
-between their ranks. Ranks fit one byte up to 256 vertices, where a
-height takes eight, but ranking a row takes n^2 comparisons, so the core
-ranks only when n^2 <= 4 * slots (uses_ranks), and takes a table already
-in the rank dtype as ranks. A row's ranks sum to C(n, 2) exactly when no
-two of its heights tie, so a call whose rows all do runs no tie pass.
+competition ranks instead: the rank of v is the number of heights in its
+row strictly below v's, and every < and == between two heights of a row
+also holds between their ranks. Ranks fit one byte up to 256 vertices,
+where a height takes eight, but ranking a row takes n^2 comparisons, so
+heights are ranked only when they are not ranks already and
+n^2 <= 4 * slots (uses_ranks). A row's ranks sum to C(n, 2) exactly when
+no two of its heights tie, so a call whose rows all do runs no tie pass.
 Either way the core gathers rows of the vertex-major table into one
-(cells, rows) plane per slot of a size class. A slot hits under x where
-its plane equals the class's maximum, and under -x where it equals the
-class's minimum: the strict minimum under x is the strict maximum under
--x, exactly, on heights and on ranks. A direction in which a cell has two
-hits ties, and a pair with a tie in either direction counts nothing and
-is resampled by the caller. Rows are independent, so the driver in mc.py
-may slice them under each kernel's per-call and per-pair byte bounds.
+(cells, rows) plane per planned slot. A slot hits under x where its plane
+equals its cell's maximum, and under -x where it equals the minimum: the
+strict minimum under x is the strict maximum under -x, exactly, on
+heights and on ranks. A direction in which a cell has two hits ties, and
+a pair with a tie in either direction counts nothing and is resampled by
+the caller. Rows are independent, so the driver in mc.py may slice them
+under each kernel's per-call and per-pair byte bounds.
 
-The cone kernel counts hits only where they vary. Over the 2 * free
-directions of the free (tie-free) pairs of a call, a vertex cell hits in
-every one and each endpoint of an edge in exactly one of x and -x, so
-they count 2 * free and free; a cell of k >= 3 vertices hits once per
-direction, so only its first k - 1 slots get planes, and its last counts
-2 * free less theirs. The Morse kernel needs only the pair index
-I(x) + I(-x), to which a vertex cell adds 2 and each edge -1 at each
-end in every tie-free pair: that constant, 2 - degree, is in its plan
-and the driver adds it once per run. So only the slots of cells of
+A run plan (cone_plan, link_plan), built once per run from the table and
+the dtype of the heights its source draws, decides what every call of the
+run does: which slots get planes, which size classes are checked for
+ties and whether the heights are ranked, and it prices that path alone
+(_layout). The cone kernel counts hits only where they vary. Over the
+2 * free directions of the free (tie-free) pairs of a call, a vertex
+cell hits in every one and each endpoint of an edge in exactly one of x
+and -x, so they count 2 * free and free; a cell of k >= 3 vertices hits
+once per direction, so only its first k - 1 slots get planes, and its
+last counts 2 * free less theirs. The Morse kernel needs only the pair
+index I(x) + I(-x), to which a vertex cell adds 2 and each edge -1 at
+each end in every tie-free pair: that constant, 2 - degree, is in its
+plan and the driver adds it once per run. So only the slots of cells of
 three or more vertices get planes; the kernel ORs each slot's x and -x
 hits into one pair hit and sums them signed per vertex, a block of
 vertices with equal slot counts at a time, into Q.
 
-What a call reads of the table alone is its run plan, which the driver
-builds once per run (cone_plan, link_plan) and every call reuses: the
-size classes, each class's members and contiguous slot columns (int32
-when they fit), which the core gathers with take, and the Morse kernel's
-owner order and blocks, index dtype and per-vertex constant, and a
-call's memory, from one formula (_layout): the bytes a pair carves from
-the workspace (plan.workspace), those and what a pair allocates beside
-them (pair_bytes), and the bytes a call allocates whatever its pair count
-(call_bytes). Every large array a call works in is carved from one
-workspace per thread (workspace), which grows to the largest call, up to
+Every large array a call works in is carved from one workspace per
+thread (workspace), which grows to the largest call, up to
 KERNEL_BUDGET_BYTES, and is kept for the life of the process; a call
 needing more gets a buffer of its own. Nothing a kernel returns lies in
 the workspace. The driver slices its blocks by the plan's call_bytes and
@@ -100,8 +96,9 @@ def size_classes(sizes) -> list:
 
 
 def uses_ranks(n_vertices: int, sizes) -> bool:
-    """Whether _hit_planes compares ranks: ranking costs n^2 comparisons
-    per row, against one float gather per slot that it shrinks."""
+    """Whether a plan ranks heights that are not ranks already: ranking
+    costs n^2 comparisons per row, against one gather per slot that it
+    shrinks."""
     return n_vertices**2 <= 4 * int(sizes.sum())
 
 
@@ -137,10 +134,12 @@ def _ranks(ht, ranks=None, below=None):
 
 
 class ConePlan(NamedTuple):
-    """The cone kernel's run plan: class_plan's classes, its rows of hit
-    planes (k - 1 per cell of k >= 3 vertices) and _layout's bytes."""
+    """The cone kernel's run plan: its classes (members, columns, planes,
+    checked), whether it ranks the heights, its rows of hit planes and
+    _layout's bytes."""
 
     classes: list
+    ranking: bool
     rows: int
     workspace: int
     pair_bytes: int
@@ -148,9 +147,8 @@ class ConePlan(NamedTuple):
 
 
 class LinkPlan(NamedTuple):
-    """The Morse kernel's run plan: class_plan's classes, its rows of hit
-    planes (every slot of a cell of three or more vertices), _layout's
-    bytes, the (start, stop) row spans of its cells of an even vertex
+    """The Morse kernel's run plan: its classes, ranking, rows and bytes as
+    in ConePlan, the (start, stop) row spans of its cells of an even vertex
     count, whose sign is -1, the rows sorted by owner (order), the owners
     in that order, the (a, b, lo, width) owner blocks, owners a..b-1 with
     width of those rows each from sorted row lo on, the index dtype, and
@@ -158,6 +156,7 @@ class LinkPlan(NamedTuple):
     to each tie-free pair index."""
 
     classes: list
+    ranking: bool
     rows: int
     workspace: int
     pair_bytes: int
@@ -183,64 +182,75 @@ def class_plan(cells, sizes) -> list:
     return classes
 
 
+def _ranking(n_vertices: int, sizes, heights_dtype) -> bool:
+    """Whether a plan ranks heights of heights_dtype: as uses_ranks says, unless they are ranks."""
+    return np.dtype(heights_dtype) != _rank_dtype(n_vertices) and uses_ranks(n_vertices, sizes)
+
+
 # numpy's buffered casts (the int64 sums of narrower ints) take up to
 # 8,192 elements of 8 bytes for the length of one call
 _CAST_BUFFER_BYTES = 8192 * 8
 
 
-def _layout(classes, sizes, n_vertices: int, rows: int, checked, carve=0, beside=0, call=0) -> tuple:
-    """(workspace, pair_bytes, call_bytes) of a kernel call on the size
-    classes of a table of n_vertices, with rows of hit planes, that checks
-    the ties of the classes of size k where checked(k) and carves, per
-    pair, carve bytes of its own, allocates beside bytes beside and call
-    bytes whatever its pair count.
-
-    workspace is the bytes a pair carves, for heights of up to 8 bytes: the
-    contiguous copy of its slice, the ranks and their comparison mask when
-    ranking, two hits per plane row, the largest class's gathered values
-    and extreme, and its hit counts and flags, then carve. pair_bytes adds
-    what a pair allocates beside: its tie flags, their reductions and its
-    pair flag, and, when ranking, its rank sum and the sum's check, then
-    beside. call_bytes is numpy's cast buffer, the workspace's alignment
-    slack, the intp copy of the largest gathered class's slot columns
-    that take makes, and call."""
-    multi = [(len(columns), len(members)) for members, columns in classes if len(columns) > 1]
-    values = max(((k + 1) * cells for k, cells in multi), default=0)
-    flags = max(((_count_dtype(k).itemsize + 1) * cells for k, cells in multi if checked(k)), default=0)
-    item, table, beside = 8, 8 * n_vertices, beside + 8
-    if uses_ranks(n_vertices, sizes):
+def _layout(classes, n_vertices: int, heights_dtype, ranking: bool, rows: int, carve=0, beside=0, call=0):
+    """(workspace, pair_bytes, call_bytes) of a call on the path its plan
+    chose, on heights of heights_dtype, ranked if ranking: a pair carves
+    carve bytes of its own and allocates beside bytes beside, and a call
+    allocates call bytes whatever its pair count. workspace is the bytes a
+    pair carves: its slice's contiguous copy at the heights' itemsize, the
+    ranks and their comparison mask if ranking, two hits per plane row, the
+    largest class's gathered values and extreme at the compared itemsize,
+    the largest checked class's hit counts and flags, then carve. pair_bytes adds its
+    tie flags, their reductions and its pair flag, its rank sum and the
+    sum's check if the compared table holds ranks, then beside. call_bytes
+    is numpy's cast buffer, the workspace's alignment slack, the intp copy
+    of the largest gathered class's slot columns that take makes, and
+    call."""
+    multi = [(len(c), len(m), checked) for m, c, _, checked in classes if len(c) > 1]
+    values = max(((k + 1) * cells for k, cells, _ in multi), default=0)
+    flags = max(((_count_dtype(k).itemsize + 1) * cells for k, cells, checked in multi if checked), default=0)
+    item = np.dtype(heights_dtype).itemsize
+    table, beside = item * n_vertices, beside + 8
+    if ranking:
         item = _rank_dtype(n_vertices).itemsize
         table += (item + 1) * n_vertices
+    if ranking or np.dtype(heights_dtype) == _rank_dtype(n_vertices):
         beside += _rank_sum_dtype(n_vertices).itemsize + 1
     carved = table + 2 * rows + item * values + flags + carve
-    largest = max((k * cells for k, cells in multi), default=0)
+    largest = max((k * cells for k, cells, _ in multi), default=0)
     return carved, carved + beside, _CAST_BUFFER_BYTES + _SLACK + 8 * largest + call
 
 
-def cone_plan(cells, sizes, n_vertices: int) -> ConePlan:
-    # a call allocates the int64 counts of the padded table and per hit-plane
-    # row, and per cell of the largest class its members' intp copy and
-    # two int64 sums
-    classes = class_plan(cells, sizes)
-    rows = sum((len(columns) - 1) * len(members) for members, columns in classes if len(columns) > 2)
-    largest = max((len(members) for members, _ in classes), default=0)
+def cone_plan(cells, sizes, n_vertices: int, heights_dtype) -> ConePlan:
+    # A cell of k >= 3 vertices hits once per direction, so its last slot
+    # needs no plane; a cell table need not be closed under faces, so every
+    # class of two or more vertices is checked for ties. A call allocates
+    # the int64 counts of the padded table and per hit-plane row, and per
+    # cell of the largest class its members' intp copy and two int64 sums.
+    classes = [(m, c, len(c) - 1 if len(c) > 2 else 0, len(c) > 1) for m, c in class_plan(cells, sizes)]
+    ranking = _ranking(n_vertices, sizes, heights_dtype)
+    rows = sum(planes * len(members) for members, _, planes, _ in classes)
+    largest = max((len(members) for members, *_ in classes), default=0)
     call = 8 * cells.size + 8 * rows + 24 * largest
-    return ConePlan(classes, rows, *_layout(classes, sizes, n_vertices, rows, lambda k: k > 1, call=call))
+    layout = _layout(classes, n_vertices, heights_dtype, ranking, rows, call=call)
+    return ConePlan(classes, ranking, rows, *layout)
 
 
-def link_plan(simp_verts, sizes, n_vertices: int) -> LinkPlan:
+def link_plan(simp_verts, sizes, n_vertices: int, heights_dtype) -> LinkPlan:
     # Per tie-free pair a vertex cell adds 2 to its vertex's pair index,
     # and an edge -1 to each end, the top under exactly one of x and -x:
-    # those go in the constant, with no plane. The slots of the other
-    # cells, row j of their class's columns, are sorted by their owner's
-    # slot count, then by owner, so each run of owners a..b-1 with the
-    # same count w holds one (b - a, w, pairs) block.
-    classes = class_plan(simp_verts, sizes)
+    # those go in the constant, with no plane. Every slot of the other
+    # cells gets a plane; those slots, row j of their class's columns, are
+    # sorted by their owner's slot count, then by owner, so each run of
+    # owners a..b-1 with the same count w holds one (b - a, w, pairs)
+    # block. Only edges are checked for ties: in a face-closed table a
+    # cell with two hits has an edge with two.
+    classes = [(m, c, len(c) if len(c) > 2 else 0, len(c) == 2) for m, c in class_plan(simp_verts, sizes)]
     constant = np.zeros(n_vertices, dtype=np.int64)
     owner, negative, rows = [], [], 0
-    for _, columns in classes:
+    for _, columns, planes, _ in classes:
         k = len(columns)
-        if k < 3:
+        if not planes:
             constant += (2 if k == 1 else -1) * np.bincount(columns.ravel(), minlength=n_vertices)
             continue
         owner.append(columns.ravel())
@@ -260,13 +270,11 @@ def link_plan(simp_verts, sizes, n_vertices: int) -> LinkPlan:
     # driver's squares, carved after the call, if more; beside it lie Q,
     # and per call the driver's two int64 sums per owner
     carve = max(2 * rows, square_dtype(dtype).itemsize * len(owners))
-    layout = _layout(
-        classes, sizes, n_vertices, rows, lambda k: k == 2,
-        carve, np.dtype(dtype).itemsize * len(owners), 16 * len(owners),
-    )
-    return LinkPlan(
-        classes, rows, *layout, negative, np.lexsort((owner, counts[owner])), owners, blocks, dtype, constant
-    )
+    beside = np.dtype(dtype).itemsize * len(owners)
+    ranking = _ranking(n_vertices, sizes, heights_dtype)
+    layout = _layout(classes, n_vertices, heights_dtype, ranking, rows, carve, beside, 16 * len(owners))
+    order = np.lexsort((owner, counts[owner]))
+    return LinkPlan(classes, ranking, rows, *layout, negative, order, owners, blocks, dtype, constant)
 
 
 def _vertex_table(heights, rank_dtype, ranking, arena):
@@ -315,37 +323,28 @@ def _class_hits(table, columns, planes, arena, ties):
     arena.used = used
 
 
-def _hit_planes(heights, sizes, plan, varying):
-    """(hits, tie_pairs, arena) for the m pairs of a (m, n) heights array.
-    arena is a workspace of plan.workspace bytes a pair and _SLACK that
-    holds the vertex table, the plan's rows of hits, the largest class's
+def _hit_planes(heights, plan):
+    """(hits, tie_pairs, arena) for the m pairs of a (m, n) heights array,
+    on the path its plan chose for their dtype. arena is a workspace of
+    plan.workspace bytes a pair and _SLACK that holds the vertex table,
+    ranked if plan.ranking, the plan's rows of hits, the largest class's
     scratch and the caller's arrays. hits is its (plan.rows, 2m) bool array
     whose column b is the direction of row b and column m + b its
-    negation, with one block of (planes, cells of size k, 2m) per size
-    class k >= 3, in size_classes order, and none for vertices or edges:
-    a vertex is the strict maximum of its own cell under x and -x, and
-    never ties. Without varying, each slot of such a class has a plane,
-    and only edges are checked for ties: in a face-closed table a cell
-    with two hits has an edge with two. With varying, only the first
-    k - 1 slots have planes, and every class is checked. tie_pairs flags
-    the rows that tie in either column."""
+    negation, with a (planes, cells, 2m) block for the first planes slots
+    of each size class, in size_classes order. Unless the rank sums show
+    every row tie-free, the checked classes' ties are found: tie_pairs
+    flags the rows that tie in either column."""
     m, n = heights.shape
-    rank_dtype = _rank_dtype(n)
-    ranking = heights.dtype != rank_dtype and uses_ranks(n, sizes)
     arena = workspace(m * plan.workspace + _SLACK)
-    table, tie_free = _vertex_table(heights, rank_dtype, ranking, arena)
+    table, tie_free = _vertex_table(heights, _rank_dtype(n), plan.ranking, arena)
     hits = arena((plan.rows, 2 * m), bool)
     ties = None if tie_free else np.zeros((2, m), dtype=bool)
     start = 0
-    for members, columns in plan.classes:
-        k = len(columns)
-        if k == 1:
-            continue
-        p = 0 if k < 3 else k - 1 if varying else k
-        planes = hits[start : start + p * len(members)].reshape(p, len(members), 2 * m)
-        start += p * len(members)
-        if p or ties is not None:
-            _class_hits(table, columns, planes, arena, ties if varying or k == 2 else None)
+    for members, columns, planes, checked in plan.classes:
+        block = hits[start : start + planes * len(members)].reshape(planes, len(members), 2 * m)
+        start += planes * len(members)
+        if planes or checked and ties is not None:
+            _class_hits(table, columns, block, arena, ties if checked else None)
     return hits, np.zeros(m, dtype=bool) if ties is None else ties[0] | ties[1], arena
 
 
@@ -353,23 +352,23 @@ def cone_argmax_counts(heights, cells, sizes, plan):
     """(counts, tie_pairs): per cell and vertex slot, the number of
     directions x and -x of the tie-free rows of heights in which that
     vertex is the strict maximum of the cell. cells is an int64
-    (n_cells, max_size) array padded arbitrarily; plan is its cone_plan."""
-    hits, tie_pairs, _ = _hit_planes(heights, sizes, plan, True)
+    (n_cells, max_size) array padded arbitrarily; plan is its cone_plan
+    for the heights' dtype."""
+    hits, tie_pairs, _ = _hit_planes(heights, plan)
     if tie_pairs.any():
         np.copyto(hits.reshape(-1, 2, len(tie_pairs)), False, where=tie_pairs)
     counted = np.add.reduce(hits.view(np.uint8), axis=1, dtype=_count_dtype(hits.shape[1]))
     free = len(tie_pairs) - int(np.count_nonzero(tie_pairs))
     counts = np.zeros(cells.shape, dtype=np.int64)
     start = 0
-    for members, columns in plan.classes:
-        k = len(columns)
-        if k < 3:  # a vertex hits in all 2 * free directions, each end of an edge in free
-            counts[members, :k] = 2 * free // k
+    for members, columns, planes, _ in plan.classes:
+        if not planes:  # a vertex hits in all 2 * free directions, each end of an edge in free
+            counts[members, : len(columns)] = 2 * free // len(columns)
             continue
-        others = counted[start : start + (k - 1) * len(members)].reshape(k - 1, len(members))
+        others = counted[start : start + planes * len(members)].reshape(planes, len(members))
         start += others.size
-        counts[members, : k - 1] = others.T
-        counts[members, k - 1] = 2 * free - others.sum(axis=0)
+        counts[members, :planes] = others.T
+        counts[members, planes] = 2 * free - others.sum(axis=0)
     return counts, tie_pairs
 
 
@@ -396,13 +395,13 @@ def lower_link_index(heights, simp_verts, sizes, plan):
     index of a tie-free pair.
 
     simp_verts and sizes are the table of mc.build_link_arrays, and plan
-    its link_plan. In a tie-free pair no slot of a cell of two or more
-    vertices hits under both x and -x, so a slot's pair hit is the OR of
-    its two hits. In a face-closed complex a cell with two hits has an
-    edge with two, so the tie pairs are the lower links'; their columns
-    are zeroed.
+    its link_plan for the heights' dtype. In a tie-free pair no slot of a
+    cell of two or more vertices hits under both x and -x, so a slot's pair
+    hit is the OR of its two hits. In a face-closed complex a cell with two
+    hits has an edge with two, so the tie pairs are the lower links'; their
+    columns are zeroed.
     """
-    hits, tie_pairs, arena = _hit_planes(heights, sizes, plan, False)
+    hits, tie_pairs, arena = _hit_planes(heights, plan)
     m = len(tie_pairs)
     pair = arena((plan.rows, m), np.int8)
     np.bitwise_or(hits[:, :m], hits[:, m:], out=pair.view(bool))

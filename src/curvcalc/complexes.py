@@ -441,9 +441,6 @@ class SimplicialComplex(_CellCarrier):
         vertex_ids, rows = _closure_rows(s for s in self.simplices if keep.issuperset(s))
         return SimplicialComplex(vertex_ids=vertex_ids, rows=rows)
 
-    def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self.simplices <= other.simplices
-
     def __eq__(self, other):
         # the stored arrays are canonical, so equal arrays mean equal sets
         return other is self or (

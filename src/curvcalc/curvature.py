@@ -204,16 +204,29 @@ class Embedding:
     def restrict(self, subcomplex: SimplicialComplex) -> "Embedding":
         if subcomplex == self.carrier:  # already checked
             return self
-        simplicial = all(isinstance(c, SimplicialComplex) for c in (subcomplex, self.carrier))
-        if not (simplicial and subcomplex.is_subcomplex_of(self.carrier)):
+        positions = _piece_positions(self.carrier, subcomplex)
+        if positions is None:
             raise PieceNotSubcomplex(f"{subcomplex!r} is not a subcomplex of the carrier")
-        # the carrier's vertices are the first rows, in the order of its sorted ids
-        positions = np.searchsorted(self.carrier._ids, subcomplex._ids)
         if self._scale is not None:
             return Embedding._implicit(subcomplex, self._scale, self._columns[positions], self.ambient_dim)
         rows = self._rows(positions)
         rows.flags.writeable = False  # a fresh copy, kept as it is
         return Embedding(subcomplex, rows)
+
+
+def _piece_positions(carrier, piece):
+    """The positions in carrier.vertices, so the coordinate rows, of the
+    vertices of piece, or None unless both are simplicial, carrier holds
+    every vertex id of piece and every simplex of piece, as a row of
+    carrier positions, is a simplex of carrier."""
+    if not all(isinstance(c, SimplicialComplex) for c in (carrier, piece)):
+        return None
+    # vertex ids are sorted in both, so positions keep every row increasing
+    positions = np.searchsorted(carrier._ids, piece._ids)
+    if (positions == len(carrier._ids)).any() or (carrier._ids[positions] != piece._ids).any():
+        return None
+    rows = (positions[piece.vertex_positions(d)] for d in range(piece.dim + 1))
+    return positions if all((carrier.simplex_indices(r) >= 0).all() for r in rows) else None
 
 
 def _frozen(array: np.ndarray) -> bool:

@@ -15,10 +15,9 @@ in column slices of at most CALL_BYTES of temporaries, and replaces
 pairs in which either direction ties from later blocks, so every
 estimate uses exactly ceil(samples / 2) tie-free pairs and is a function
 of the inputs, the seed and the sample count alone, whatever the
-slicing. Both kernels read the simplex_rows table; neither builds a link
-or coface. Their temporaries lie in one workspace per thread
-(_kernels.workspace), at most KERNEL_BUDGET_BYTES, kept for the life of
-the process by every thread that has run a kernel.
+slicing. Each driver builds its kernel's run plan once, for the dtype
+its source draws. Both kernels read the simplex_rows table, build no link
+or coface and carve their temporaries from _kernels.workspace.
 """
 
 import operator
@@ -81,10 +80,11 @@ class McStats:
 
 class Source(NamedTuple):
     """A heights source: draw(seed, block, rows), for rows <= block_rows,
-    returns the (n_vertices, rows) vertex-major table of the block."""
+    returns the (n_vertices, rows) vertex-major table of the block, of dtype."""
 
     block_rows: int
     draw: Callable
+    dtype: np.dtype
 
 
 def _block_rows(row_bytes: int, fixed_bytes: int = _DRAW_OBJECT_BYTES) -> int:
@@ -99,7 +99,7 @@ def gaussian_source(coords) -> Source:
     def draw(seed, block, rows):
         return coords @ sample_unit_directions(seed, block, rows, dim).T
 
-    return Source(_block_rows(8 * (n + dim)), draw)
+    return Source(_block_rows(8 * (n + dim)), draw, np.dtype(np.float64))
 
 
 def key_source(n: int) -> Source:
@@ -114,7 +114,7 @@ def key_source(n: int) -> Source:
         raw = bit_gen.random_raw(4 * w * rows).reshape(rows, 4 * w)
         return np.ascontiguousarray(raw[:, :n].T)
 
-    return Source(_block_rows(8 * (4 * w + n)), draw)
+    return Source(_block_rows(8 * (4 * w + n)), draw, np.dtype(np.uint64))
 
 
 def rank_source(n: int) -> Source:
@@ -122,9 +122,9 @@ def rank_source(n: int) -> Source:
     their insertion mask, and per row three 4-byte words: a word, its
     quotient and their difference, the digit; wider ranks add their lifts
     through a numpy cast buffer."""
-    row_bytes = (_kernels._rank_dtype(n).itemsize + 1) * n + 12
-    rows = _block_rows(row_bytes, _kernels._CAST_BUFFER_BYTES)
-    return Source(rows, lambda seed, block, rows: permutation_ranks(seed, block, rows, n))
+    dtype = _kernels._rank_dtype(n)
+    rows = _block_rows((dtype.itemsize + 1) * n + 12, _kernels._CAST_BUFFER_BYTES)
+    return Source(rows, lambda seed, block, rows: permutation_ranks(seed, block, rows, n), dtype)
 
 
 def permutation_ranks(seed, block: int, rows: int, n: int) -> np.ndarray:
@@ -195,9 +195,9 @@ def run_cone_counts(source, cells, sizes, n_vertices: int, n_samples: int, seed:
     """Strict-argmax counts per (cell, vertex slot) over the two
     directions of exactly ceil(n_samples / 2) tie-free pairs, and the
     run's McStats; source gives n_vertices heights per direction. The
-    kernel's plan is built once and serves every call."""
+    kernel's plan, built once for the source's dtype, serves every call."""
     counts = np.zeros(cells.shape, dtype=np.int64)
-    plan = _kernels.cone_plan(cells, sizes, n_vertices)
+    plan = _kernels.cone_plan(cells, sizes, n_vertices, source.dtype)
 
     def accumulate(heights):
         slice_counts, ties = _kernels.cone_argmax_counts(heights, cells, sizes, plan)
@@ -211,13 +211,13 @@ def run_cone_counts(source, cells, sizes, n_vertices: int, n_samples: int, seed:
 def run_lower_link_stats(source, link_arrays, n_vertices: int, n_samples: int, seed: int):
     """Per-vertex sums, and sums of squares, of the pair index
     I(x) + I(-x) over exactly ceil(n_samples / 2) tie-free pairs, and the
-    run's McStats. The kernel's plan is built once and serves every call.
-    The kernel gives Q, the part of the cells of three or more vertices;
-    the vertex and edge cells add the plan's constant c to every pair, so
-    with N pairs the sums are sum Q + N c and the squares
+    run's McStats. The kernel's plan, built once for the source's dtype,
+    serves every call. The kernel gives Q, the part of the cells of three
+    or more vertices; the vertex and edge cells add the plan's constant c
+    to every pair, so with N pairs the sums are sum Q + N c and the squares
     sum Q^2 + 2 c sum Q + N c^2, exact int64 added once, at the end."""
     simp_verts, sizes, _ = link_arrays
-    plan = _kernels.link_plan(simp_verts, sizes, n_vertices)
+    plan = _kernels.link_plan(simp_verts, sizes, n_vertices, source.dtype)
     owner_sums = np.zeros((2, len(plan.owners)), dtype=np.int64)
     square_dtype = _kernels.square_dtype(plan.dtype)
 

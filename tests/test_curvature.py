@@ -434,6 +434,21 @@ class TestIntegrals:
         foreign = SimplicialComplex.from_maximal([(0, 2)])
         with pytest.raises(PieceNotSubcomplex):
             final_integral(emb, [(foreign, constant_function(foreign, 1))])
+        # every vertex lies in the hollow triangle, the filled one's triangle does not
+        _, hollow = fixtures.hollow_triangle()
+        filled, _ = fixtures.filled_triangle()
+        with pytest.raises(PieceNotSubcomplex):
+            final_integral(hollow, [(filled, constant_function(filled, 1))])
+        # sparse vertex ids: a piece's ids map to the carrier's positions
+        carrier = SimplicialComplex.from_maximal([(3, 40, 700), (700, 9000)])
+        sparse = Embedding(carrier, {3: [0.0, 0.0], 40: [1.0, 0.0], 700: [0.0, 1.0], 9000: [2.0, 2.0]})
+        piece = SimplicialComplex.from_maximal([(40, 700), (700, 9000)])
+        assert sparse.restrict(piece).coordinates.keys() == {40, 700, 9000}
+        np.testing.assert_array_equal(sparse.restrict(piece).matrix(), [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+        for outside in ([(40, 9000)], [(40, 41)], [(3, 40, 700, 9000)]):
+            piece = SimplicialComplex.from_maximal(outside)
+            with pytest.raises(PieceNotSubcomplex):
+                final_integral(sparse, [(piece, constant_function(piece, 1))])
 
     def test_products_have_no_pieces(self):
         X, ex = fixtures.segment()

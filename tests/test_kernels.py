@@ -8,6 +8,7 @@ with every pair dropped that ties in either half.
 """
 
 import concurrent.futures
+import functools
 import math
 import subprocess
 import sys
@@ -133,7 +134,7 @@ def pair_cone_oracle(heights, cells, sizes):
 
 def cone_counts(heights, cells, sizes):
     """cone_argmax_counts given the table's run plan, as mc's driver gives it."""
-    plan = _kernels.cone_plan(cells, sizes, heights.shape[1])
+    plan = _kernels.cone_plan(cells, sizes, heights.shape[1], heights.dtype)
     return _kernels.cone_argmax_counts(heights, cells, sizes, plan)
 
 
@@ -141,7 +142,7 @@ def link_index(heights, link_arrays, n_vertices):
     """lower_link_index given the table's run plan, as mc's driver gives
     it, for a mc.build_link_arrays table and its coordinate row count."""
     simp_verts, sizes, _ = link_arrays
-    plan = _kernels.link_plan(simp_verts, sizes, n_vertices)
+    plan = _kernels.link_plan(simp_verts, sizes, n_vertices, heights.dtype)
     return _kernels.lower_link_index(heights, simp_verts, sizes, plan)
 
 
@@ -150,7 +151,7 @@ def pair_index_by_column(heights, link_arrays, n_vertices):
     constant give, Q + c, per pair and coordinate row, a (rows,
     n_vertices) int64 matrix, 0 in the tie pairs, and the tie pairs."""
     simp_verts, sizes, _ = link_arrays
-    plan = _kernels.link_plan(simp_verts, sizes, n_vertices)
+    plan = _kernels.link_plan(simp_verts, sizes, n_vertices, heights.dtype)
     index, ties = _kernels.lower_link_index(heights, simp_verts, sizes, plan)
     full = np.zeros((n_vertices, len(heights)), dtype=np.int64)
     full[plan.owners] = index
@@ -268,7 +269,7 @@ def test_link_rows_are_the_links(case):
     # of its link, give its constant 2 - degree
     X, emb = case()
     simp_verts, sizes, _ = mc.build_link_arrays(X)
-    plan = _kernels.link_plan(simp_verts, sizes, len(emb.vertex_index))
+    plan = _kernels.link_plan(simp_verts, sizes, len(emb.vertex_index), np.float64)
     slots = [(m, j) for m, j in hit_plane_slots(sizes) if sizes[m] > 2]
     assert len(plan.order) == len(slots) == plan.rows == sum(len(s) for s in X.simplices if len(s) > 2)
     signs = np.ones(plan.rows, dtype=np.int64)
@@ -465,18 +466,26 @@ PEAK_PATHS = {
 }
 
 
-@pytest.mark.parametrize(
-    "table, rows",
-    [
-        (EDGE_CASES["graph"], 4096),
-        (random_3_complex, 4096),
-        (sd2_tetrahedron, 1024),
-        (cone_over_sd_octahedron, 4096),
-        (sd2_octahedron, 1024),
-        (star_150, 4096),
-        (cone_over_150_gon, 4096),
-    ],
-)
+PEAK_TABLES = [
+    (EDGE_CASES["graph"], 4096),
+    (random_3_complex, 4096),
+    (sd2_tetrahedron, 1024),
+    (cone_over_sd_octahedron, 4096),
+    (sd2_octahedron, 1024),
+    (star_150, 4096),
+    (cone_over_150_gon, 4096),
+]
+
+
+def source_heights(n, sizes, rng):
+    """draw(rows): the (n, rows) table of the iid heights source a table
+    of n vertices and these sizes gets, permutation ranks where the
+    kernels would rank and keys otherwise, and its dtype."""
+    source = mc.rank_source(n) if _kernels.uses_ranks(n, sizes) else mc.key_source(n)
+    return (lambda rows: source.draw(int(rng.integers(2**31)), 0, rows)), source.dtype
+
+
+@pytest.mark.parametrize("table, rows", PEAK_TABLES)
 def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
     # every pairing of the rank and height paths with narrow and wide Q
     assert set(PEAK_PATHS.values()) == {(True, False), (True, True), (False, False), (False, True)}
@@ -484,28 +493,59 @@ def test_kernel_peaks_stay_under_their_row_bytes(table, rows, rng):
     cells, sizes, _ = complex_cell_table(X)
     n = len(X.vertices)
     simp_verts, link_sizes, _ = mc.build_link_arrays(X)
-    plan = _kernels.link_plan(simp_verts, link_sizes, n)  # the plan is built once per run
-    wide = plan.dtype != np.int8
+    wide = _kernels.link_plan(simp_verts, link_sizes, n, np.float64).dtype != np.int8
     assert (_kernels.uses_ranks(n, sizes), wide) == PEAK_PATHS[table.__name__]
-    calls = [
-        (_kernels.cone_argmax_counts, (cells, sizes, _kernels.cone_plan(cells, sizes, n))),
-        (_kernels.lower_link_index, (simp_verts, link_sizes, plan)),
-    ]
-    for kernel, args in calls:
-        call_bytes, pair_bytes = args[-1].call_bytes, args[-1].pair_bytes
-        kernel(rng.standard_normal((2, n)), *args)  # one-time imports are not temporaries
-        # few-pair calls are where the per-call arrays dominate
-        for pairs in (1, 3, rows):
-            # a column slice of a vertex-major block, which the kernel copies
-            heights = rng.standard_normal((n, pairs + 1))[:, :pairs].T
-            _kernels._local.buffer = None  # so that the call takes its workspace afresh
-            tracemalloc.start()
-            try:
-                kernel(heights, *args)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= call_bytes + pairs * pair_bytes, (kernel.__name__, pairs, peak)
+    # Gaussian heights, and the ranks or keys the table's iid source draws,
+    # each with the plans built for their dtype once per run
+    gaussian = (lambda rows: rng.standard_normal((n, rows))), np.dtype(np.float64)
+    for draw, dtype in (gaussian, source_heights(n, sizes, rng)):
+        cone_plan = _kernels.cone_plan(cells, sizes, n, dtype)
+        link_plan = _kernels.link_plan(simp_verts, link_sizes, n, dtype)
+        calls = [
+            (_kernels.cone_argmax_counts, (cells, sizes, cone_plan)),
+            (_kernels.lower_link_index, (simp_verts, link_sizes, link_plan)),
+        ]
+        for kernel, args in calls:
+            call_bytes, pair_bytes = args[-1].call_bytes, args[-1].pair_bytes
+            kernel(draw(2).T, *args)  # one-time imports are not temporaries
+            # few-pair calls are where the per-call arrays dominate
+            for pairs in (1, 3, rows):
+                # a column slice of a vertex-major block, which the kernel copies
+                heights = draw(pairs + 1)[:, :pairs].T
+                assert heights.dtype == dtype
+                _kernels._local.buffer = None  # so that the call takes its workspace afresh
+                tracemalloc.start()
+                try:
+                    kernel(heights, *args)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= call_bytes + pairs * pair_bytes, (kernel.__name__, dtype.name, pairs, peak)
+
+
+@pytest.mark.parametrize("table", [table for table, _ in PEAK_TABLES])
+def test_plans_price_the_heights_dtype(table):
+    # A plan prices the slice copy at the heights' itemsize: keys cost what
+    # Gaussian heights do, while a rank table, whose heights are ranks
+    # already, saves a vertex's 8-byte copy and its ranking mask and lays
+    # its 1- or 2-byte ranks in its copy's place: 9 bytes a vertex, a pair
+    X = table()
+    cells, sizes, _ = complex_cell_table(X)
+    simp_verts, link_sizes, _ = mc.build_link_arrays(X)
+    n = len(X.vertices)
+    for plan_of in (
+        functools.partial(_kernels.cone_plan, cells, sizes, n),
+        functools.partial(_kernels.link_plan, simp_verts, link_sizes, n),
+    ):
+        heights, keys, ranks = (
+            (plan.ranking, plan.workspace, plan.pair_bytes, plan.call_bytes)
+            for plan in map(plan_of, (np.float64, np.uint64, _kernels._rank_dtype(n)))
+        )
+        assert keys == heights
+        if _kernels.uses_ranks(n, sizes):  # where a source draws ranks
+            ranking, workspace, pair_bytes, call_bytes = heights
+            assert ranking
+            assert ranks == (False, workspace - 9 * n, pair_bytes - 9 * n, call_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +584,23 @@ def test_ranks_keep_every_order_within_a_row(name):
     np.testing.assert_array_equal(ranks, (hT < h).sum(axis=2))
 
 
-def _both_paths(monkeypatch, kernel, heights, *args):
-    """The kernel's result on the path the rule picks, then on the other."""
-    chosen = kernel(heights, *args)
+def _plans_on_both_paths(monkeypatch, plan_of, dtype):
+    """plan_of(dtype) built under the rank rule, then under its negation,
+    which stays set for the rest of the test; the two rank differently."""
+    chosen = plan_of(dtype)
     rule = _kernels.uses_ranks
     monkeypatch.setattr(_kernels, "uses_ranks", lambda n, sizes: not rule(n, sizes))
-    flipped = kernel(heights, *args)
-    monkeypatch.setattr(_kernels, "uses_ranks", rule)
+    flipped = plan_of(dtype)
+    assert chosen.ranking != flipped.ranking
     return chosen, flipped
+
+
+def _both_paths(monkeypatch, kernel, plan_of, heights, *args):
+    """The kernel's result on the path the rule picks, then on the other,
+    each given its plan_of(heights.dtype)."""
+    with monkeypatch.context() as patch:
+        plans = _plans_on_both_paths(patch, plan_of, heights.dtype)
+    return [kernel(heights, *args, plan) for plan in plans]
 
 
 # (complex, whether its own table uses ranks); star_150's sums are int64
@@ -576,16 +625,18 @@ def test_rank_and_height_planes_agree_bitwise(name, monkeypatch, rng):
     keys = tied_keys(rng, 96, len(X.vertices))
     # the competition ranks of the keys, as floats: the same order in every row
     key_ranks = (keys[:, None, :] < keys[:, :, None]).sum(axis=2).astype(float)
+    cone_plan = functools.partial(_kernels.cone_plan, cells, sizes, len(index))
+    link_plan = functools.partial(_kernels.link_plan, *link_arrays[:2], len(index))
     results = []
     for table in (heights, keys, key_ranks):
         (counts, ties), (flip_counts, flip_ties) = _both_paths(
-            monkeypatch, cone_counts, table, cells, sizes
+            monkeypatch, _kernels.cone_argmax_counts, cone_plan, table, cells, sizes
         )
         assert 0 < ties.sum() < len(table)
         np.testing.assert_array_equal(ties, flip_ties)
         np.testing.assert_array_equal(counts, flip_counts)
         (idx, link_ties), (flip_idx, flip_link_ties) = _both_paths(
-            monkeypatch, link_index, table, link_arrays, len(index)
+            monkeypatch, _kernels.lower_link_index, link_plan, table, *link_arrays[:2]
         )
         assert idx.dtype == flip_idx.dtype
         np.testing.assert_array_equal(link_ties, flip_link_ties)
@@ -641,8 +692,9 @@ def test_rank_and_height_planes_agree_on_product_cells(monkeypatch, rng):
     emb = product_embedding(product_embedding(seg, hollow), seg)
     cells, sizes, _ = _cell_table(emb)
     heights = np.round(rng.standard_normal((128, len(emb.vertex_order))), 1)
+    cone_plan = functools.partial(_kernels.cone_plan, cells, sizes, len(emb.vertex_order))
     (counts, ties), (flip_counts, flip_ties) = _both_paths(
-        monkeypatch, cone_counts, heights, cells, sizes
+        monkeypatch, _kernels.cone_argmax_counts, cone_plan, heights, cells, sizes
     )
     assert 0 < ties.sum() < len(heights)
     np.testing.assert_array_equal(ties, flip_ties)
@@ -668,9 +720,9 @@ def test_pair_kernels_equal_the_row_kernel(name, flip, monkeypatch, rng):
     want_idx, want_idx_ties = row_kernel_oracle.pair_lower_link_index(heights, *link_arrays[:2], len(index))
     assert want_ties.any() or sizes.max() == 1
     np.testing.assert_array_equal(want_idx_ties, want_ties)
-    if flip:
-        rule = _kernels.uses_ranks
-        monkeypatch.setattr(_kernels, "uses_ranks", lambda n, sizes: not rule(n, sizes))
+    if flip:  # the plans cone_counts and pair_index_by_column build take the other path
+        cone_plan = functools.partial(_kernels.cone_plan, cells, sizes, len(index))
+        _plans_on_both_paths(monkeypatch, cone_plan, heights.dtype)
     counts, ties = cone_counts(heights, cells, sizes)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(counts, want_counts)
@@ -688,9 +740,9 @@ def test_pair_kernel_equals_the_row_kernel_on_product_cells(flip, monkeypatch, r
     heights = np.round(rng.standard_normal((128, len(emb.vertex_order))), 1)
     want_counts, want_ties = row_kernel_oracle.pair_cone_counts(heights, cells, sizes)
     assert 0 < want_ties.sum() < len(heights)
-    if flip:
-        rule = _kernels.uses_ranks
-        monkeypatch.setattr(_kernels, "uses_ranks", lambda n, sizes: not rule(n, sizes))
+    if flip:  # the plan cone_counts builds takes the other path
+        cone_plan = functools.partial(_kernels.cone_plan, cells, sizes, len(emb.vertex_order))
+        _plans_on_both_paths(monkeypatch, cone_plan, heights.dtype)
     counts, ties = cone_counts(heights, cells, sizes)
     np.testing.assert_array_equal(ties, want_ties)
     np.testing.assert_array_equal(counts, want_counts)
@@ -756,9 +808,9 @@ TIE_CASES = {
 def test_cone_tie_paths_match_the_row_kernel(name, flip, monkeypatch, rng):
     case, tied = TIE_CASES[name]
     heights, cells, sizes = case(rng)
-    if flip:
-        rule = _kernels.uses_ranks
-        monkeypatch.setattr(_kernels, "uses_ranks", lambda n, sizes: not rule(n, sizes))
+    if flip:  # the plans cone_counts builds take the other path
+        cone_plan = functools.partial(_kernels.cone_plan, cells, sizes, heights.shape[1])
+        _plans_on_both_paths(monkeypatch, cone_plan, heights.dtype)
     want_counts, want_ties = row_kernel_oracle.pair_cone_counts(heights, cells, sizes)
     np.testing.assert_array_equal(want_ties, np.arange(len(heights)) < tied)
     # as heights, and as the competition ranks the rank sources give
@@ -814,11 +866,11 @@ def test_plans_hold_int32_indices():
     cells, sizes, _ = complex_cell_table(X)
     simp_verts, link_sizes, _ = mc.build_link_arrays(X)
     plans = [
-        _kernels.cone_plan(cells, sizes, len(X.vertices)),
-        _kernels.link_plan(simp_verts, link_sizes, len(X.vertices)),
+        _kernels.cone_plan(cells, sizes, len(X.vertices), np.float64),
+        _kernels.link_plan(simp_verts, link_sizes, len(X.vertices), np.float64),
     ]
     for plan in plans:
-        arrays = [a for pair in plan.classes for a in pair]
+        arrays = [a for members, columns, *_ in plan.classes for a in (members, columns)]
         assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
         # half of int64 members and slot columns, and no scatter positions
         assert 2 * sum(a.nbytes for a in arrays) == 8 * (len(sizes) + int(sizes.sum()))
@@ -851,12 +903,12 @@ def test_lower_link_manual_case():
     # Negation swaps the two shapes, so each pair gives [1, -1, 1] plus
     # [0, 1, 0]: the constants 2 - degree, with no planned slot
     np.testing.assert_array_equal(idx, [[1, 0, 1], [1, 0, 1]])
-    assert _kernels.link_plan(*arrays[:2], len(index)).rows == 0
+    assert _kernels.link_plan(*arrays[:2], len(index), heights.dtype).rows == 0
     # the filled triangle: vertex 1 tops it under x and vertex 0 under -x,
     # so I(x) = [1, 0, 0] (0 at the bottom) and I(-x) = [0, 1, 0]; each
     # vertex's constant is 2 - 2 = 0 and Q is its triangle's pair hit
     arrays = mc.build_link_arrays(SimplicialComplex.from_maximal([(0, 1, 2)]))
-    plan = _kernels.link_plan(*arrays[:2], 3)
+    plan = _kernels.link_plan(*arrays[:2], 3, np.float64)
     np.testing.assert_array_equal(plan.constant, [0, 0, 0])
     index, ties = _kernels.lower_link_index(np.array([[0.0, 2.0, 1.0]]), *arrays[:2], plan)
     assert not ties.any() and index.dtype == np.int8
@@ -1241,14 +1293,14 @@ def test_no_pair_hits_both_ends_of_a_multi_vertex_cell(rng):
     # or more vertices, whose pair hit is the OR of the two; and the row
     # kernel's edge planes over [H; -H], for which its constant stands
     simp_verts, link_sizes, _ = mc.build_link_arrays(X)
-    plan = _kernels.link_plan(simp_verts, link_sizes, len(X.vertices))
-    hits, tie_pairs, _ = _kernels._hit_planes(heights, sizes, plan, False)
+    plan = _kernels.link_plan(simp_verts, link_sizes, len(X.vertices), heights.dtype)
+    hits, tie_pairs, _ = _kernels._hit_planes(heights, plan)
     assert 0 < tie_pairs.sum() < len(heights)
     m = len(heights)
     _, row_classes, _ = row_kernel_oracle.hit_planes(stacked(heights), cells, sizes)
     class_planes = [planes for _, planes in row_classes if len(planes) == 2]
     start = 0
-    for _, columns in plan.classes:
+    for _, columns, *_ in plan.classes:
         if len(columns) > 2:
             class_planes.append(hits[start : start + columns.size].reshape(*columns.shape, 2 * m))
             start += columns.size
@@ -1357,7 +1409,7 @@ def test_slicing_changes_no_cone_count(monkeypatch):
     args = (_coarse_heights(emb.matrix()), cells, sizes, n, 4000, 4)
     counts, stats = mc.run_cone_counts(*args)
     assert stats.resampled > 0 and stats.batches >= 2
-    plan = _kernels.cone_plan(cells, sizes, n)
+    plan = _kernels.cone_plan(cells, sizes, n, args[0].dtype)
     monkeypatch.setattr(mc, "CALL_BYTES", plan.call_bytes + 3 * plan.pair_bytes)
     rows = _record_rows(monkeypatch, "cone_argmax_counts")
     sliced_counts, sliced_stats = mc.run_cone_counts(*args)
@@ -1374,7 +1426,7 @@ def test_slicing_changes_no_lower_link_sum(monkeypatch):
     args = (_coarse_heights(emb.matrix()), arrays, n, 4000, 4)
     sums, sumsq, stats = mc.run_lower_link_stats(*args)
     assert stats.resampled > 0 and stats.batches >= 2
-    plan = _kernels.link_plan(*arrays[:2], n)
+    plan = _kernels.link_plan(*arrays[:2], n, args[0].dtype)
     monkeypatch.setattr(mc, "CALL_BYTES", plan.call_bytes + 3 * plan.pair_bytes)
     rows = _record_rows(monkeypatch, "lower_link_index")
     sliced = mc.run_lower_link_stats(*args)
@@ -1390,12 +1442,15 @@ def test_a_pair_over_the_call_bytes_runs_alone(monkeypatch):
     cells, sizes, _ = complex_cell_table(X)
     link_arrays = mc.build_link_arrays(X)
     n = len(X.vertices)
+    source = _coarse_heights(emb.matrix())
+    cone_plan = _kernels.cone_plan(cells, sizes, n, source.dtype)
+    link_plan = _kernels.link_plan(*link_arrays[:2], n, source.dtype)
     runs = [
-        (mc.run_cone_counts, (cells, sizes), "cone_argmax_counts", _kernels.cone_plan(cells, sizes, n)),
-        (mc.run_lower_link_stats, (link_arrays,), "lower_link_index", _kernels.link_plan(*link_arrays[:2], n)),
+        (mc.run_cone_counts, (cells, sizes), "cone_argmax_counts", cone_plan),
+        (mc.run_lower_link_stats, (link_arrays,), "lower_link_index", link_plan),
     ]
     for run, table, kernel, plan in runs:
-        args = (_coarse_heights(emb.matrix()), *table, n, 400, 4)
+        args = (source, *table, n, 400, 4)
         whole = run(*args)
         with monkeypatch.context() as patch:
             patch.setattr(mc, "CALL_BYTES", plan.call_bytes + plan.pair_bytes - 1)
@@ -1471,7 +1526,7 @@ def _apex_on_top(n):
         heights[0] = 10.0
         return heights
 
-    return mc.Source(mc.BLOCK_ROWS, draw)
+    return mc.Source(mc.BLOCK_ROWS, draw, np.dtype(np.float64))
 
 
 def test_morse_stats_square_the_widest_int8_pair_exactly():
@@ -1486,9 +1541,9 @@ def test_morse_stats_square_the_widest_int8_pair_exactly():
         X = cone_over_cycle(rim)
         n = len(X.vertices)
         arrays = mc.build_link_arrays(X)
-        plan = _kernels.link_plan(*arrays[:2], n)
-        assert plan.dtype == dtype and plan.constant[0] == 2 - rim
         source = _apex_on_top(n)
+        plan = _kernels.link_plan(*arrays[:2], n, source.dtype)
+        assert plan.dtype == dtype and plan.constant[0] == 2 - rim
         sums, sumsq, stats = mc.run_lower_link_stats(source, arrays, n, 1000, 3)
         assert stats.resampled == 0 and stats.pairs == 500
         pair_index, ties = row_kernel_oracle.pair_lower_link_index(source.draw(3, 0, 500).T, *arrays[:2], n)
@@ -1517,11 +1572,11 @@ def test_triangle_free_carriers_plan_no_rows_and_are_exact(name):
     emb = equilateral_embedding(X)
     n = len(emb.vertex_index)
     arrays = mc.build_link_arrays(X)
-    plan = _kernels.link_plan(*arrays[:2], n)
+    source = mc.gaussian_source(emb.matrix())
+    plan = _kernels.link_plan(*arrays[:2], n, source.dtype)
     assert (plan.rows, len(plan.owners), plan.blocks) == (0, 0, [])
     degree = [sum(len(s) == 2 and v in s for s in X.simplices) for v in emb.vertex_order]
     np.testing.assert_array_equal(plan.constant, [2 - d for d in degree])
-    source = mc.gaussian_source(emb.matrix())
     sums, sumsq, stats = mc.run_lower_link_stats(source, arrays, n, 1001, 3)
     assert stats.pairs == 501
     np.testing.assert_array_equal(sums, 501 * plan.constant)
@@ -1548,7 +1603,7 @@ def test_edge_ties_are_flagged_without_edge_planes(rng):
             idx, ties = pair_index_by_column(table, arrays, n)
             np.testing.assert_array_equal(ties, want_ties)
             np.testing.assert_array_equal(idx, want_idx)
-    assert _kernels.link_plan(*mc.build_link_arrays(EDGE_CASES["graph"]())[:2], 6).rows == 0
+    assert _kernels.link_plan(*mc.build_link_arrays(EDGE_CASES["graph"]())[:2], 6, np.float64).rows == 0
 
 
 def _no_keys(n):
@@ -1604,10 +1659,11 @@ def test_slicing_changes_no_measure(name, monkeypatch):
     cells, sizes, _ = _cell_table(emb)
     simp_verts, link_sizes, _ = mc.build_link_arrays(emb.carrier)
     n = len(emb.vertex_order)
-    plans = [_kernels.cone_plan(cells, sizes, n), _kernels.link_plan(simp_verts, link_sizes, n)]
+    dtype = height_source(emb.matrix(), sizes).dtype
+    plans = [_kernels.cone_plan(cells, sizes, n, dtype), _kernels.link_plan(simp_verts, link_sizes, n, dtype)]
     pair_bytes = max(plan.pair_bytes for plan in plans)
     call_bytes = max(plan.call_bytes for plan in plans)
-    monkeypatch.setattr(mc, "CALL_BYTES", max(2048, 3 * pair_bytes) + call_bytes)
+    monkeypatch.setattr(mc, "CALL_BYTES", max(1024, 3 * pair_bytes) + call_bytes)
     cone_rows = _record_rows(monkeypatch, "cone_argmax_counts")
     link_rows = _record_rows(monkeypatch, "lower_link_index")
     sliced = measures()
@@ -1625,7 +1681,8 @@ def test_kernel_memory_stays_under_the_budget():
     emb = equilateral_embedding(X)
     # one 3,000-pair call of either kernel would take far more than the budget
     simp_verts, sizes, _ = mc.build_link_arrays(X)
-    plan = _kernels.link_plan(simp_verts, sizes, len(X.vertices))
+    dtype = height_source(emb.matrix(), sizes).dtype
+    plan = _kernels.link_plan(simp_verts, sizes, len(X.vertices), dtype)
     assert 3000 * plan.pair_bytes > 10 * mc.KERNEL_BUDGET_BYTES
     tracemalloc.start()
     try:

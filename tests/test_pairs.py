@@ -150,3 +150,68 @@ def test_trace_runs_both_sides_traced_and_reports_the_layers(pairs, monkeypatch,
     out = capsys.readouterr().out
     assert "curv-mc: 2 pairs, traced" in out
     assert "kernels.lower_link_s" in out and "mc.build_arrays_s" in out and "job_p50_s" not in out
+
+
+def test_pair_lines_give_each_pairs_values(pairs):
+    # a metric that flips between two levels: the medians hide it, the
+    # pair lines show it
+    base = [result_line(wall_s=1.0, peak_rss_mib=69.8), result_line(wall_s=1.25, peak_rss_mib=73.5)]
+    change = [result_line(wall_s=0.9, peak_rss_mib=73.5), result_line(wall_s=1.3, peak_rss_mib=69.8)]
+    measured = [(metrics(b), metrics(c)) for b, c in zip(base, change)]
+    assert pairs.pair_lines(measured, [7, 8], ["wall_s", "peak_rss_mib"]) == [
+        "pair 1 seed 7: wall_s 1 -> 0.9, peak_rss_mib 69.8 -> 73.5",
+        "pair 2 seed 8: wall_s 1.25 -> 1.3, peak_rss_mib 73.5 -> 69.8",
+    ]
+
+
+def test_main_prints_a_line_per_pair_after_the_summary(pairs, monkeypatch, capsys):
+    monkeypatch.setattr(pairs, "shared_differences", lambda base: [])
+    monkeypatch.setattr(pairs, "export", lambda base, directory: "base-tree")
+    values = iter([1.0, 2.0, 4.0, 3.0, 5.0, 6.0])  # base, change; change, base; base, change
+
+    def run(tree, workload, seed, trace=False):
+        return {name: next(values) for name in ["wall_s"]}
+
+    monkeypatch.setattr(pairs, "run", run)
+    monkeypatch.setattr(pairs, "declared_metrics", lambda kind: {"wall_s": "lower"})
+    argv = ["--base", "HEAD", "--workload", "curv-mc", "--pairs", "3", "--seeds", "7-8"]
+    assert pairs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-5].startswith("curv-mc: 3 pairs, working tree against HEAD")
+    assert lines[-4].startswith("wall_s        base 3 [2, 4]  change 4 [3, 5]")
+    assert lines[-3:] == [
+        "pair 1 seed 7: wall_s 1 -> 2",
+        "pair 2 seed 8: wall_s 3 -> 4",
+        "pair 3 seed 7: wall_s 5 -> 6",
+    ]
+
+
+def test_runs_go_through_bench_run_in_the_given_tree(pairs, monkeypatch, tmp_path):
+    import bench
+
+    calls = []
+
+    def completed(command, cwd, capture_output, text):
+        calls.append((command, cwd))
+        out = "# meta {}\n" + result_line(wall_s=0.5, peak_rss_mib=70.0)
+        return subprocess.CompletedProcess(command, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", completed)
+    assert pairs.run(str(tmp_path), "curv-mc", 7, trace=True) == {"wall_s": 0.5, "peak_rss_mib": 70.0}
+    (command, cwd), = calls
+    assert cwd == str(tmp_path) and command[1] == str(tmp_path / "perfbench" / "run.py")
+    seconds = str(bench.SECONDS)
+    assert command[2:] == ["--workload", "curv-mc", "--seed", "7", "--seconds", seconds, "--trace", "1"]
+    # a failing run stops the script with the command and its stderr
+    failed = subprocess.CompletedProcess(command, 3, stdout="", stderr="boom")
+    monkeypatch.setattr(bench.subprocess, "run", lambda *args, **kwargs: failed)
+    arguments = f"--workload curv-mc --seed 7 --seconds {bench.SECONDS} --trace 0"
+    with pytest.raises(SystemExit) as stopped:
+        pairs.run(str(tmp_path), "curv-mc", 7)
+    assert stopped.value.code == f"{tmp_path / 'perfbench' / 'run.py'} {arguments} exited 3:\nboom"
+    # and so does a run that reports failed jobs
+    wrong = json.dumps({"correct": False, "attempted": 100, "failed": 2, "metrics": {}})
+    reported = subprocess.CompletedProcess(command, 0, stdout=wrong, stderr="")
+    monkeypatch.setattr(bench.subprocess, "run", lambda *args, **kwargs: reported)
+    with pytest.raises(SystemExit, match="--trace 0: 2 of 100 jobs failed"):
+        pairs.run(str(tmp_path), "curv-mc", 7)
